@@ -110,6 +110,26 @@ def _nullspace(M: np.ndarray, rtol: float = DEFAULT_RANK_RTOL) -> np.ndarray:
     return vh[rank:].T.copy()
 
 
+def _symmetry_system(H0: np.ndarray):
+    """Linear system ``E z = rhs`` on ``z = vec(Z)``, ``Z`` in R^(q x nu) with
+    index (a, b) -> a * nu + b, stating that ``H0 Z`` is symmetric (one row
+    per pair i < j, in row-major order) and has trace nu (last row).
+    """
+    nu, q = H0.shape
+    n_sym = nu * (nu - 1) // 2
+    E = np.zeros((n_sym + 1, q * nu))
+    rhs = np.zeros(n_sym + 1)
+    i, j = np.triu_indices(nu, k=1)
+    pairs = np.arange(n_sym)
+    # View of the symmetry rows as (row, a, b); no entry is written twice.
+    E_sym = E[:n_sym].reshape(n_sym, q, nu)
+    E_sym[pairs, :, j] += H0[i]
+    E_sym[pairs, :, i] -= H0[j]
+    E[n_sym] += H0.T.ravel()
+    rhs[n_sym] = float(nu)
+    return E, rhs
+
+
 def _elimination(prob: SdpProblem):
     """Linear-equality elimination.
 
@@ -118,28 +138,10 @@ def _elimination(prob: SdpProblem):
     ``psi0 Y`` and ``trace(psi0 Y) = nu``.  Returns None when the equality
     system is inconsistent (no normalized point exists at all).
     """
-    nu = prob.nu
     null_m = _nullspace(prob.mhat)
-    q = null_m.shape[1]
-    if q == 0:
+    if null_m.shape[1] == 0:
         return None
-    H0 = prob.psi0 @ null_m  # (nu, q)
-
-    # Unknown z = vec(Z), Z in R^(q x nu), index (a, b) -> a * nu + b.
-    n_sym = nu * (nu - 1) // 2
-    E = np.zeros((n_sym + 1, q * nu))
-    rhs = np.zeros(n_sym + 1)
-    row = 0
-    for i in range(nu):
-        for j in range(i + 1, nu):
-            for a in range(q):
-                E[row, a * nu + j] += H0[i, a]
-                E[row, a * nu + i] -= H0[j, a]
-            row += 1
-    for i in range(nu):
-        for a in range(q):
-            E[n_sym, a * nu + i] += H0[i, a]
-    rhs[n_sym] = float(nu)
+    E, rhs = _symmetry_system(prob.psi0 @ null_m)
 
     z0, *_ = np.linalg.lstsq(E, rhs, rcond=None)
     if np.linalg.norm(E @ z0 - rhs) > 1e-8 * max(1.0, np.linalg.norm(rhs)):

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from ddreg.sdp import AffineBlock, maximize_margin
+from ddreg import synthesis
+from ddreg.cli import paper_example_config, run_pipeline
+from ddreg.sdp import AffineBlock, _newton_system, maximize_margin
 
 
 def test_fixed_block_margin_is_min_eigenvalue():
@@ -71,6 +73,9 @@ def test_random_problem_margin_is_locally_optimal():
     for _ in range(200):
         trial = res.v + 1e-3 * rng.standard_normal(nv)
         assert np.linalg.eigvalsh(block.value(trial))[0] <= res.margin + 1e-6
+    # Every Newton step evaluates at least one trial point.
+    assert res.line_search_evals >= res.newton_steps
+    assert f"line_search_evals={res.line_search_evals}" in res.log[-1]
 
 
 def test_determinism():
@@ -81,3 +86,60 @@ def test_determinism():
     r2 = maximize_margin([block])
     assert r1.margin == r2.margin
     assert np.array_equal(r1.v, r2.v)
+
+
+def _newton_system_solve(ext, chols, tau):
+    """Reference assembly: broadcast general solves against each factor."""
+    nvar = ext[0].shape[0]
+    grad = np.zeros(nvar)
+    grad[-1] = -tau
+    hess = np.zeros((nvar, nvar))
+    for F, L in zip(ext, chols):
+        half = np.linalg.solve(L[None, :, :], F)
+        sym = np.linalg.solve(L[None, :, :], half.transpose(0, 2, 1))
+        grad -= np.trace(sym, axis1=1, axis2=2)
+        flat = sym.reshape(nvar, -1)
+        hess += flat @ flat.T
+    return grad, hess
+
+
+def test_newton_system_matches_solve_reference():
+    rng = np.random.default_rng(4)
+    for sizes, nv in (((1,), 1), ((3, 6), 4), ((10, 20), 64)):
+        blocks = [
+            AffineBlock(
+                const=np.eye(nb),
+                coeff=np.array(
+                    [0.5 * (W + W.T) for W in rng.standard_normal((nv, nb, nb))]
+                ),
+            )
+            for nb in sizes
+        ]
+        v = 0.1 * rng.standard_normal(nv)
+        t = min(np.linalg.eigvalsh(b.value(v))[0] for b in blocks) - 0.5
+        ext = [np.concatenate([b.coeff, -np.eye(b.size)[None]]) for b in blocks]
+        chols = [np.linalg.cholesky(b.value(v) - t * np.eye(b.size)) for b in blocks]
+        grad, hess = _newton_system(ext, chols, tau=1e3)
+        grad_ref, hess_ref = _newton_system_solve(ext, chols, tau=1e3)
+        assert np.abs(grad - grad_ref).max() <= 1e-12 * np.abs(grad_ref).max()
+        assert np.abs(hess - hess_ref).max() <= 1e-12 * np.abs(hess_ref).max()
+
+
+@pytest.mark.parametrize("factorization", ["jordan", "krylov"])
+def test_paper_example_no_line_search_stall(monkeypatch, factorization):
+    # On these probing seeds an Armijo test on absolute barrier values
+    # (about tau * t = 1e5 in the last stage) lost the required decrease to
+    # round-off, backtracked to s < 1e-13 on every step and took 150+
+    # Newton steps instead of about 77.
+    steps = []
+
+    def recording(*args, **kwargs):
+        res = maximize_margin(*args, **kwargs)
+        steps.append(res.newton_steps)
+        return res
+
+    monkeypatch.setattr(synthesis, "maximize_margin", recording)
+    for seed in (3, 5, 11, 24):
+        assert run_pipeline(paper_example_config(seed, factorization))["all_pass"]
+    assert len(steps) == 4
+    assert max(steps) <= 100

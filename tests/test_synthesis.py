@@ -9,6 +9,8 @@ from ddreg.plant import ExoMatrix, PlantTruth
 from ddreg.synthesis import (
     SdpProblem,
     SolverOptions,
+    _nullspace,
+    _symmetry_system,
     assemble_sdp,
     extract_gain,
     feasibility_precheck,
@@ -91,6 +93,48 @@ def test_reduction_reflected_in_regressor_rows():
     ).reduced()
     prob = assemble_sdp(data, padded)
     assert prob.nhat_w == 2
+
+
+# ---------------------------------------------------------------------------
+# equality elimination
+
+
+def _symmetry_system_loop(H0):
+    """Loop reference for the symmetry-and-trace system on vec(Z)."""
+    nu, q = H0.shape
+    n_sym = nu * (nu - 1) // 2
+    E = np.zeros((n_sym + 1, q * nu))
+    rhs = np.zeros(n_sym + 1)
+    row = 0
+    for i in range(nu):
+        for j in range(i + 1, nu):
+            for a in range(q):
+                E[row, a * nu + j] += H0[i, a]
+                E[row, a * nu + i] -= H0[j, a]
+            row += 1
+    for i in range(nu):
+        for a in range(q):
+            E[n_sym, a * nu + i] += H0[i, a]
+    rhs[n_sym] = float(nu)
+    return E, rhs
+
+
+def test_symmetry_system_matches_loop_reference():
+    rng = np.random.default_rng(3)
+    prob = vtol_problem()
+    cases = [
+        prob.psi0 @ _nullspace(prob.mhat),
+        rng.standard_normal((1, 3)),
+        rng.standard_normal((5, 2)),
+        rng.standard_normal((3, 7)),
+        np.array([[0.0, -0.0], [-0.0, 1.5], [2.0, 0.0]]),  # signed zeros
+    ]
+    for H0 in cases:
+        E, rhs = _symmetry_system(H0)
+        E_ref, rhs_ref = _symmetry_system_loop(H0)
+        # Every entry is written once, so the result is bit-identical.
+        assert E.tobytes() == E_ref.tobytes()
+        assert rhs.tobytes() == rhs_ref.tobytes()
 
 
 # ---------------------------------------------------------------------------
