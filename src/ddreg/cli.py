@@ -75,6 +75,7 @@ DEFAULT_TOLERANCES = {
 }
 
 DEFAULT_VERIFY = {"steps": 300, "tail_frac": 0.1}
+INITIAL_STATES = ("w0", "x0", "eta0", "chi0")
 DEFAULT_SOLVER = {"backend": "interior_point", "gap_tol": 1e-8, "max_newton": 2000}
 
 
@@ -136,11 +137,10 @@ class RunConfig:
             pm = raw["plant"]
             plant = PlantTruth(A=pm["A"], B=pm["B"], P=pm["P"], C=pm["C"], Q=pm["Q"])
         initial = raw.get("initial", {})
-
-        def vec(key):
-            v = initial.get(key)
-            return None if v is None else np.asarray(v, dtype=float)
-
+        states = {
+            k: None if initial.get(k) is None else np.asarray(initial[k], dtype=float)
+            for k in INITIAL_STATES
+        }
         return cls(
             exo_s=np.asarray(raw["exosystem"]["S"], dtype=float),
             ell=int(raw["ell"]),
@@ -148,10 +148,7 @@ class RunConfig:
             seed=None if raw.get("seed") is None else int(raw["seed"]),
             plant=plant,
             input_policy=dict(raw.get("input_policy", {"type": "normal", "scale": 1.0})),
-            w0=vec("w0"),
-            x0=vec("x0"),
-            eta0=vec("eta0"),
-            chi0=vec("chi0"),
+            **states,
             factorization=dict(raw.get("factorization", {"method": "jordan", "mode": "auto"})),
             tolerances=dict(raw.get("tolerances", {})),
             verify=dict(raw.get("verify", {})),
@@ -179,10 +176,8 @@ class RunConfig:
             "verify": self.verify,
             "solver": self.solver,
             "initial": {
-                "w0": None if self.w0 is None else self.w0.tolist(),
-                "x0": None if self.x0 is None else self.x0.tolist(),
-                "eta0": None if self.eta0 is None else self.eta0.tolist(),
-                "chi0": None if self.chi0 is None else self.chi0.tolist(),
+                k: None if getattr(self, k) is None else getattr(self, k).tolist()
+                for k in INITIAL_STATES
             },
             "dims": self.dims,
             "output_dir": self.output_dir,
@@ -256,6 +251,16 @@ def build_regressor(config: RunConfig, exo: ExoMatrix):
     return reg.reduced(config.tolerances["reduce_tol"])
 
 
+def _initial(config: RunConfig, **dims) -> list[np.ndarray]:
+    """The initial states named in ``dims`` (``w0``, ``x0``, ``eta0``,
+    ``chi0`` mapped to their dimensions), zero where the config leaves them
+    unset.  The config is not touched, so its hash stays as written."""
+    return [
+        np.zeros(dim) if getattr(config, name) is None else getattr(config, name)
+        for name, dim in dims.items()
+    ]
+
+
 def collect_stage(config: RunConfig) -> ExperimentRecord:
     if config.plant is None:
         raise PipelineError(
@@ -266,10 +271,7 @@ def collect_stage(config: RunConfig) -> ExperimentRecord:
     im = build_internal_model(
         exo, p=plant.p, snap_coeffs_tol=config.tolerances["snap_coeffs_tol"]
     )
-    n_w, n = exo.n_w, plant.n
-    w0 = np.zeros(n_w) if config.w0 is None else config.w0
-    x0 = np.zeros(n) if config.x0 is None else config.x0
-    eta0 = np.zeros(im.dim) if config.eta0 is None else config.eta0
+    w0, x0, eta0 = _initial(config, w0=exo.n_w, x0=plant.n, eta0=im.dim)
     policy = config.input_policy
     if policy.get("type") == "normal":
         input_policy = NormalInputPolicy(
@@ -320,15 +322,89 @@ def synthesize_stage(config: RunConfig, rec: ExperimentRecord):
     return data, reg, prob, pre, result
 
 
-def _check(name, value, threshold, op="<"):
-    ok = bool(value < threshold) if op == "<" else bool(value <= threshold)
+def _check(name, value, threshold, op="<", passed=None):
+    """One report row; it passes when ``value < threshold`` unless
+    ``passed`` says otherwise."""
     return {
         "name": name,
         "value": float(value),
         "threshold": float(threshold),
         "op": op,
-        "pass": ok,
+        "pass": bool(value < threshold if passed is None else passed),
     }
+
+
+def _oracle_checks(config: RunConfig, exo: ExoMatrix, rec, data, reg):
+    """Oracle identity rows: the one-step data relation, the window
+    reconstruction along the record and the factorization of the hidden
+    exosignal stack.  Also returns the internal model and the auxiliary
+    system that the closed-loop rows build on.
+    """
+    tol, plant = config.tolerances, config.plant
+    im = build_internal_model(exo, p=plant.p, snap_coeffs_tol=tol["snap_coeffs_tol"])
+    struct = _stage("verify", build_structural_matrices, plant, config.ell)
+    aux = build_auxiliary_matrices(plant, struct, exo, im)
+    rows = [
+        _check("data_identity", check_data_identity(data, aux), tol["data_identity"]),
+        _check(
+            "claim_windows", max(check_claim1(rec, plant, struct)), tol["claim_residual"]
+        ),
+        _check(
+            "factorization_residual",
+            oracle_factorization_residual(data, reg.matrix),
+            tol["factorization_residual"],
+        ),
+    ]
+    return rows, im, aux
+
+
+def _closed_loop_checks(config: RunConfig, exo, im, aux, gain, data_side=None):
+    """Closed-loop rows for ``gain``, the ``regulation`` section, and the
+    run under the persistent exosignal.
+
+    The steady-state certificate is evaluated on ``data_side``, the
+    data-side closed-loop matrix ``psi1 G`` of a designed gain, whose
+    spectral-radius gap to the model side is then a row too; without it, on
+    the model side ``ext_a + ext_b gain``.
+    """
+    tol, plant = config.tolerances, config.plant
+    cl = assemble_closed_loop(plant, exo, aux, im, gain)
+    rho = check_internal_stability(cl)
+    rows = [_check("stability_radius", rho, 1.0)]
+    if data_side is None:
+        a_cl = aux.ext_a + aux.ext_b @ gain
+    else:
+        a_cl = data_side
+        gap = check_representation_equivalence(aux, gain, data_side)
+        rows.append(_check("representation_gap", gap, tol["representation_gap"]))
+    identity, syl = check_regulator_equations(aux, exo, a_cl)
+
+    steps, eps_reg = int(config.verify["steps"]), tol["eps_reg"]
+    w0, x0, chi0, eta0 = _initial(
+        config, w0=exo.n_w, x0=plant.n, chi0=aux.window_dim, eta0=im.dim
+    )
+    run = simulate_closed_loop(
+        cl, w0, x0, chi0, eta0, steps,
+        eps_reg=eps_reg, tail_frac=float(config.verify["tail_frac"]),
+    )
+    zero = simulate_closed_loop(
+        cl, np.zeros(exo.n_w), x0, chi0, eta0, steps, eps_reg=eps_reg
+    )
+    decay = zero.core_norm(steps) / max(zero.core_norm(0), 1e-300)
+    rows += [
+        _check("regulator_identity", identity, tol["regulator_identity"]),
+        _check("sylvester_residual", syl, tol["sylvester_residual"]),
+        _check("regulation_tail", run.tail_max_y, eps_reg),
+        _check("zero_exo_decay", decay, tol["zero_exo_decay"]),
+    ]
+    regulation = {
+        "stability_radius": rho,
+        "stability_margin": 1.0 - rho,
+        "tail_max_y": run.tail_max_y,
+        "settle_step": run.settle_step,
+        "zero_exo_decay": decay,
+    }
+    return rows, regulation, run
 
 
 def run_pipeline(config: RunConfig, out_dir=None, unmask: bool = False) -> dict:
@@ -365,201 +441,75 @@ def run_pipeline(config: RunConfig, out_dir=None, unmask: bool = False) -> dict:
         "synthesis": result.to_dict(),
     }
 
-    checks = []
-    im = build_internal_model(
-        exo, p=plant.p, snap_coeffs_tol=config.tolerances["snap_coeffs_tol"]
-    )
-    struct = _stage("verify", build_structural_matrices, plant, config.ell)
-    aux = build_auxiliary_matrices(plant, struct, exo, im)
-
-    checks.append(
-        _check("data_identity", check_data_identity(data, aux), tol["data_identity"])
-    )
-    claim = check_claim1(rec, plant, struct)
-    checks.append(_check("claim_windows", max(claim), tol["claim_residual"]))
-    checks.append(
-        _check(
-            "factorization_residual",
-            oracle_factorization_residual(data, reg.matrix),
-            tol["factorization_residual"],
-        )
-    )
-    w0 = np.zeros(exo.n_w) if config.w0 is None else config.w0
-    x0 = np.zeros(plant.n) if config.x0 is None else config.x0
+    checks, im, aux = _oracle_checks(config, exo, rec, data, reg)
+    w0, x0 = _initial(config, w0=exo.n_w, x0=plant.n)
     corr = check_solution_correspondence(
         plant, aux, exo, rec.u, w0, x0, steps=config.T
     )
-    checks.append(_check("correspondence", max(corr), tol["correspondence"]))
-
     feasible = result.status == "feasible"
-    checks.append(
-        {
-            "name": "sdp_feasible",
-            "value": result.margin,
-            "threshold": tol["feas_tol"],
-            "op": ">",
-            "pass": feasible,
-        }
-    )
-
-    run_csv_rows = None
+    checks += [
+        _check("correspondence", max(corr), tol["correspondence"]),
+        _check("sdp_feasible", result.margin, tol["feas_tol"], op=">", passed=feasible),
+    ]
+    run = None
     if feasible:
-        G = np.linalg.solve(result.X, result.Y.T).T
-        psi1_g = prob.psi1 @ G
-        gain_defect = np.linalg.norm(
-            np.vstack(
-                [result.K, np.eye(prob.nu), np.zeros((prob.nhat_w, prob.nu))]
-            )
-            - np.vstack([prob.u1, prob.psi0, prob.mhat]) @ G
+        checks.append(_check("gain_identity", result.gain_defect, tol["gain_identity"]))
+        rows, report["regulation"], run = _closed_loop_checks(
+            config, exo, im, aux, result.K, data_side=prob.psi1 @ result.G
         )
-        checks.append(_check("gain_identity", gain_defect, tol["gain_identity"]))
-
-        cl = assemble_closed_loop(plant, exo, aux, im, result.K)
-        rho = check_internal_stability(cl)
-        checks.append(_check("stability_radius", rho, 1.0))
-        checks.append(
-            _check(
-                "representation_gap",
-                check_representation_equivalence(aux, result.K, psi1_g),
-                tol["representation_gap"],
-            )
-        )
-        identity, syl = check_regulator_equations(aux, exo, psi1_g)
-        checks.append(_check("regulator_identity", identity, tol["regulator_identity"]))
-        checks.append(_check("sylvester_residual", syl, tol["sylvester_residual"]))
-
-        steps = int(config.verify["steps"])
-        chi0 = np.zeros(aux.window_dim) if config.chi0 is None else config.chi0
-        eta0 = np.zeros(im.dim) if config.eta0 is None else config.eta0
-        run = simulate_closed_loop(
-            cl,
-            w0,
-            x0,
-            chi0,
-            eta0,
-            steps,
-            eps_reg=tol["eps_reg"],
-            tail_frac=float(config.verify["tail_frac"]),
-        )
-        checks.append(_check("regulation_tail", run.tail_max_y, tol["eps_reg"]))
-        zero = simulate_closed_loop(
-            cl, np.zeros(exo.n_w), x0, chi0, eta0, steps, eps_reg=tol["eps_reg"]
-        )
-        decay = zero.core_norm(steps) / max(zero.core_norm(0), 1e-300)
-        checks.append(_check("zero_exo_decay", decay, tol["zero_exo_decay"]))
-
-        report["regulation"] = {
-            "stability_radius": rho,
-            "stability_margin": 1.0 - rho,
-            "tail_max_y": run.tail_max_y,
-            "settle_step": run.settle_step,
-            "zero_exo_decay": decay,
-        }
-        run_csv_rows = (cl, run)
-
+        checks += rows
     report["checks"] = checks
     report["all_pass"] = bool(all(c["pass"] for c in checks))
 
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        write_report(report, out / "report.json")
+        out = _write_outputs(out_dir, report, run, unmask)
         record_to_csv(rec, out / "record.csv", unmask=unmask)
         regressor_to_csv(reg, out / "regressor.csv")
-        if run_csv_rows is not None:
-            cl, run = run_csv_rows
-            write_trajectory_csv(run, cl, out / "trajectories.csv", unmask=unmask)
-    return report
-
-
-def reproduce_paper_example(
-    seed: int, factorization: str = "jordan", out_dir=None
-) -> dict:
-    """Run the pipeline on the canned benchmark scenario and return its
-    report.  Asserts nothing: callers read ``report["all_pass"]``."""
-    config = paper_example_config(seed, factorization)
-    report = run_pipeline(config, out_dir=out_dir)
     return report
 
 
 def verify_gain(config: RunConfig, gain, out_dir=None, unmask: bool = False) -> dict:
     """Verify a precomputed gain against ground truth without re-solving.
 
-    Runs the oracle identity checks on a fresh record plus the closed-loop
-    battery for the supplied gain; the steady-state certificate uses the
-    model-side closed-loop matrix, which the data-side one equals for any
-    gain produced by the design program.
+    Runs the oracle identity rows on a fresh record and the closed-loop rows
+    for the supplied gain, the same battery as ``run_pipeline`` minus the
+    rows that need the design data.  The steady-state certificate uses the
+    model-side closed-loop matrix ``ext_a + ext_b gain``, which the
+    data-side one equals for any gain produced by the design program.
     """
-    tol = config.tolerances
     gain = np.asarray(gain, dtype=float)
     exo = ExoMatrix(config.exo_s)
     rec = collect_stage(config)
-    plant = config.plant
     data = assemble_data_matrices(rec)
     reg = _stage("factorize", build_regressor, config, exo)
 
-    im = build_internal_model(
-        exo, p=plant.p, snap_coeffs_tol=config.tolerances["snap_coeffs_tol"]
-    )
-    struct = _stage("verify", build_structural_matrices, plant, config.ell)
-    aux = build_auxiliary_matrices(plant, struct, exo, im)
-
-    checks = [
-        _check("data_identity", check_data_identity(data, aux), tol["data_identity"]),
-        _check("claim_windows", max(check_claim1(rec, plant, struct)), tol["claim_residual"]),
-        _check(
-            "factorization_residual",
-            oracle_factorization_residual(data, reg.matrix),
-            tol["factorization_residual"],
-        ),
-    ]
-    cl = assemble_closed_loop(plant, exo, aux, im, gain)
-    rho = check_internal_stability(cl)
-    checks.append(_check("stability_radius", rho, 1.0))
-    model_side = aux.ext_a + aux.ext_b @ gain
-    identity, syl = check_regulator_equations(aux, exo, model_side)
-    checks.append(_check("regulator_identity", identity, tol["regulator_identity"]))
-    checks.append(_check("sylvester_residual", syl, tol["sylvester_residual"]))
-
-    steps = int(config.verify["steps"])
-    w0 = np.zeros(exo.n_w) if config.w0 is None else config.w0
-    x0 = np.zeros(plant.n) if config.x0 is None else config.x0
-    chi0 = np.zeros(aux.window_dim) if config.chi0 is None else config.chi0
-    eta0 = np.zeros(im.dim) if config.eta0 is None else config.eta0
-    run = simulate_closed_loop(
-        cl, w0, x0, chi0, eta0, steps,
-        eps_reg=tol["eps_reg"], tail_frac=float(config.verify["tail_frac"]),
-    )
-    checks.append(_check("regulation_tail", run.tail_max_y, tol["eps_reg"]))
-    zero = simulate_closed_loop(
-        cl, np.zeros(exo.n_w), x0, chi0, eta0, steps, eps_reg=tol["eps_reg"]
-    )
-    decay = zero.core_norm(steps) / max(zero.core_norm(0), 1e-300)
-    checks.append(_check("zero_exo_decay", decay, tol["zero_exo_decay"]))
-
+    checks, im, aux = _oracle_checks(config, exo, rec, data, reg)
+    rows, regulation, run = _closed_loop_checks(config, exo, im, aux, gain)
+    checks += rows
     report = {
         "config_hash": config.config_hash(),
         "gain": gain.tolist(),
-        "regulation": {
-            "stability_radius": rho,
-            "stability_margin": 1.0 - rho,
-            "tail_max_y": run.tail_max_y,
-            "settle_step": run.settle_step,
-            "zero_exo_decay": decay,
-        },
+        "regulation": regulation,
         "checks": checks,
         "all_pass": bool(all(c["pass"] for c in checks)),
     }
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        write_report(report, out / "report.json")
-        write_trajectory_csv(run, cl, out / "trajectories.csv", unmask=unmask)
+        _write_outputs(out_dir, report, run, unmask)
     return report
 
 
 # ---------------------------------------------------------------------------
 # serialization helpers
+
+
+def _write_outputs(out_dir, report: dict, run, unmask: bool) -> Path:
+    """Write report.json, and trajectories.csv unless ``run`` is None."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    write_report(report, out / "report.json")
+    if run is not None:
+        write_trajectory_csv(run, out / "trajectories.csv", unmask=unmask)
+    return out
 
 
 def write_report(report: dict, path) -> None:
@@ -568,10 +518,11 @@ def write_report(report: dict, path) -> None:
         fh.write("\n")
 
 
-def write_trajectory_csv(run, cl, path, unmask: bool = False) -> None:
+def write_trajectory_csv(run, path, unmask: bool = False) -> None:
     """Closed-loop trajectories; oracle columns (w, x) only when unmasked."""
-    n_w, n, wd, di = cl.dims
-    p, m = run.y.shape[1], run.u.shape[1]
+    n_w, n, wd, di, p, m = (
+        a.shape[1] for a in (run.w, run.x, run.chi, run.eta, run.y, run.u)
+    )
     header = ["k"]
     if unmask:
         header += [f"w_{i + 1}" for i in range(n_w)]
@@ -690,12 +641,15 @@ def _cmd_synthesize(args) -> int:
     return 0 if result.status == "feasible" else 1
 
 
-def _print_checks(report: dict) -> None:
+def _print_checks(report: dict) -> int:
+    """Print the check rows and ``all_pass``; returns the exit code."""
     for c in report["checks"]:
         mark = "PASS" if c["pass"] else "FAIL"
         print(
             f"  [{mark}] {c['name']}: {c['value']:.3e} {c['op']} {c['threshold']:.1e}"
         )
+    print(f"all_pass: {report['all_pass']}")
+    return 0 if report["all_pass"] else 1
 
 
 def _cmd_run(args) -> int:
@@ -723,39 +677,27 @@ def _cmd_run(args) -> int:
     for msg in report["precheck"]["messages"]:
         print(f"precheck: {msg}")
     print(f"synthesis: {report['synthesis']['status']}")
-    _print_checks(report)
-    print(f"all_pass: {report['all_pass']}")
-    return 0 if report["all_pass"] else 1
+    return _print_checks(report)
 
 
 def _cmd_verify(args) -> int:
-    if args.gain is not None:
-        config = _load_config(args)
-        with open(args.gain) as fh:
-            payload = json.load(fh)
-        if payload.get("gain") is None:
-            raise PipelineError(
-                "verify", f"no gain stored in {args.gain}", "run synthesize first"
-            )
-        report = verify_gain(
-            config, payload["gain"], out_dir=args.out, unmask=args.unmask
+    config = _load_config(args)
+    with open(args.gain) as fh:
+        payload = json.load(fh)
+    if payload.get("gain") is None:
+        raise PipelineError(
+            "verify", f"no gain stored in {args.gain}", "run synthesize first"
         )
-        _print_checks(report)
-        print(f"all_pass: {report['all_pass']}")
-        return 0 if report["all_pass"] else 1
-    # Without a stored gain, verification is the full pipeline's tail.
-    return _cmd_run(args)
+    report = verify_gain(config, payload["gain"], out_dir=args.out, unmask=args.unmask)
+    return _print_checks(report)
 
 
 def _cmd_paper_example(args) -> int:
     seed = args.seed if args.seed is not None else 0
-    report = reproduce_paper_example(
-        seed, factorization=args.factorization or "jordan", out_dir=args.out
-    )
+    config = paper_example_config(seed, args.factorization or "jordan")
+    report = run_pipeline(config, out_dir=args.out)
     print(f"benchmark example, seed {seed}:")
-    _print_checks(report)
-    print(f"all_pass: {report['all_pass']}")
-    return 0 if report["all_pass"] else 1
+    return _print_checks(report)
 
 
 def main(argv=None) -> int:
@@ -779,8 +721,9 @@ def main(argv=None) -> int:
 
     p_verify = sub.add_parser("verify", help="oracle checks for a stored gain")
     _add_common(p_verify)
-    p_verify.add_argument("--gain", type=Path, help="synthesis.json with the gain")
-    p_verify.add_argument("--sweep", nargs="+", type=Path, help="configs to fan out")
+    p_verify.add_argument(
+        "--gain", type=Path, required=True, help="synthesis.json with the gain"
+    )
     p_verify.set_defaults(fn=_cmd_verify)
 
     p_run = sub.add_parser("run", help="collect, synthesize, verify, report")

@@ -83,11 +83,8 @@ class ExperimentRecord:
 
     def internal_model_residual(self, im: InternalModel) -> float:
         """Worst defect of the stored eta sequence against its recursion."""
-        worst = 0.0
-        for k in range(self.T + 1):
-            e = self.eta[k + 1] - (im.companion @ self.eta[k] + im.input_map @ self.y[k])
-            worst = max(worst, float(np.linalg.norm(e)))
-        return worst
+        e = self.eta[1:] - (self.eta[:-1] @ im.companion.T + self.y @ im.input_map.T)
+        return float(np.linalg.norm(e, axis=1).max())
 
 
 def collect_experiment(

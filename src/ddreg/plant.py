@@ -147,21 +147,13 @@ class Trajectory:
 
     def recursion_residual(self, plant: PlantTruth, exo: ExoMatrix) -> float:
         """Worst one-step defect of the stored run against the plant equations."""
-        worst = 0.0
-        for k in range(self.steps):
-            ew = self.w[k + 1] - exo.S @ self.w[k]
-            ex = self.x[k + 1] - (
-                plant.A @ self.x[k] + plant.B @ self.u[k] + plant.P @ self.w[k]
-            )
-            ey = self.y[k] - (plant.C @ self.x[k] + plant.Q @ self.w[k])
-            worst = max(
-                worst,
-                np.linalg.norm(ew),
-                np.linalg.norm(ex),
-                np.linalg.norm(ey),
-            )
-        ey_last = self.y[-1] - (plant.C @ self.x[-1] + plant.Q @ self.w[-1])
-        return max(worst, float(np.linalg.norm(ey_last)))
+        w, x = self.w, self.x
+        ew = w[1:] - w[:-1] @ exo.S.T
+        ex = x[1:] - (x[:-1] @ plant.A.T + self.u @ plant.B.T + w[:-1] @ plant.P.T)
+        ey = self.y - (x @ plant.C.T + w @ plant.Q.T)
+        return max(
+            float(np.linalg.norm(e, axis=1).max(initial=0.0)) for e in (ew, ex, ey)
+        )
 
 
 def simulate_plant(

@@ -87,6 +87,10 @@ class SynthesisResult:
     # Interior-point certificate: the optimal margin is at most
     # margin + gap_bound.  None when no barrier solve produced the point.
     gap_bound: float | None = None
+    # G = Y X^{-1} and the norm defect of the interpolation identity it was
+    # checked against; set with K.
+    G: np.ndarray | None = None
+    gain_defect: float | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -313,7 +317,7 @@ def solve_feasibility_sdp(
     diagnostics.append(
         f"residuals: |mhat Y|={resid_m:.2e} |psi0 Y - X|={resid_eq:.2e}"
     )
-    K = extract_gain(prob, X, Y)
+    K, G, gain_defect = extract_gain(prob, X, Y)
     return SynthesisResult(
         status="feasible",
         margin=margin,
@@ -322,6 +326,8 @@ def solve_feasibility_sdp(
         K=K,
         diagnostics=diagnostics,
         gap_bound=gap_bound,
+        G=G,
+        gain_defect=gain_defect,
     )
 
 
@@ -352,9 +358,14 @@ def _solve_with_cvxpy(blocks):
     return v, margin, f"cvxpy status: {problem.status}"
 
 
-def extract_gain(prob: SdpProblem, X, Y, identity_tol: float = 1e-6) -> np.ndarray:
-    """Gain ``K = u1 Y X^{-1}``, with the stacked interpolation identity
-    ``[K; I; 0] = [u1; psi0; mhat] (Y X^{-1})`` verified before returning.
+def extract_gain(
+    prob: SdpProblem, X, Y, identity_tol: float = 1e-6
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Gain ``K = u1 G`` with ``G = Y X^{-1}``, with the stacked interpolation
+    identity ``[K; I; 0] = [u1; psi0; mhat] G`` verified before returning.
+
+    Returns ``(K, G, defect)``, the defect being the norm of the identity's
+    residual.
     """
     X = as_matrix(X, "X", square=True)
     Y = as_matrix(Y, "Y")
@@ -373,7 +384,7 @@ def extract_gain(prob: SdpProblem, X, Y, identity_tol: float = 1e-6) -> np.ndarr
         raise RuntimeError(
             f"gain interpolation identity violated: defect {defect:.2e}"
         )
-    return K
+    return K, G, float(defect)
 
 
 @dataclass

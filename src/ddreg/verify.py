@@ -19,6 +19,7 @@ from .plant import (
     ExoMatrix,
     PlantTruth,
     StructuralMatrices,
+    simulate_plant,
 )
 
 
@@ -65,14 +66,10 @@ def build_auxiliary_matrices(
     A, C, Q = plant.A, plant.C, plant.Q
 
     wd = (m + p) * ell
-    window_shift = np.zeros((wd, wd))
-    for i in range(ell - 1):
-        window_shift[i * p : (i + 1) * p, (i + 1) * p : (i + 2) * p] = np.eye(p)
     off = p * ell
-    for i in range(ell - 1):
-        window_shift[
-            off + i * m : off + (i + 1) * m, off + (i + 1) * m : off + (i + 2) * m
-        ] = np.eye(m)
+    window_shift = np.zeros((wd, wd))
+    window_shift[:off, :off] = np.eye(off, k=p)
+    window_shift[off:, off:] = np.eye(m * ell, k=m)
 
     inject_y = np.zeros((wd, p))
     inject_y[(ell - 1) * p : ell * p, :] = np.eye(p)
@@ -208,15 +205,9 @@ def check_solution_correspondence(
     """
     ell = aux.ell
     struct = aux.struct
-    n_w, m, p = exo.n_w, plant.m, plant.p
     if steps <= ell:
         raise ValueError(f"need more than ell={ell} steps, got {steps}")
-    u_seq = np.asarray(u_seq, dtype=float)
-    if u_seq.ndim == 1:
-        u_seq = u_seq.reshape(-1, 1)
-    if u_seq.shape[0] < steps:
-        raise ValueError(f"need {steps} input samples, got {u_seq.shape[0]}")
-    w0 = as_vector(w0, "w0", dim=n_w)
+    w0 = as_vector(w0, "w0", dim=exo.n_w)
     x0 = as_vector(x0, "x0", dim=plant.n)
     chi0 = (
         np.zeros(aux.window_dim)
@@ -225,39 +216,32 @@ def check_solution_correspondence(
     )
 
     # Actual system plus window recursion.
-    w = np.empty((steps + 1, n_w))
-    x = np.empty((steps + 1, plant.n))
-    y = np.empty((steps + 1, p))
+    traj = simulate_plant(plant, exo, w0, x0, u_seq, steps)
+    y, u = traj.y, traj.u
     chi = np.empty((steps + 1, aux.window_dim))
-    w[0], x[0], chi[0] = w0, x0, chi0
+    chi[0] = chi0
     for k in range(steps):
-        y[k] = plant.C @ x[k] + plant.Q @ w[k]
-        x[k + 1] = plant.A @ x[k] + plant.B @ u_seq[k] + plant.P @ w[k]
-        w[k + 1] = exo.S @ w[k]
         chi[k + 1] = (
-            aux.window_shift @ chi[k] + aux.inject_y @ y[k] + aux.inject_u @ u_seq[k]
+            aux.window_shift @ chi[k] + aux.inject_y @ y[k] + aux.inject_u @ u[k]
         )
-        if np.linalg.norm(x[k + 1]) > DIVERGENCE_GUARD:
-            raise RuntimeError("divergent simulation")
-    y[steps] = plant.C @ x[steps] + plant.Q @ w[steps]
 
     # Auxiliary system from the prescribed initialization.
     exo_hist = np.vstack([np.linalg.matrix_power(exo.S, j) for j in range(ell)])
     xi = np.concatenate(
         [
             struct.obs @ x0
-            + struct.toeplitz_u @ u_seq[:ell].ravel()
+            + struct.toeplitz_u @ u[:ell].ravel()
             + struct.toeplitz_w @ (exo_hist @ w0),
-            u_seq[:ell].ravel(),
+            u[:ell].ravel(),
         ]
     )
     omega = np.linalg.matrix_power(exo.S, ell) @ w0
 
-    scale = max(1.0, float(np.abs(y).max()), float(np.abs(u_seq[:steps]).max()))
+    scale = max(1.0, float(np.abs(y).max()), float(np.abs(u).max()))
     worst_state = 0.0
     worst_out = 0.0
     for k in range(ell, steps + 1):
-        window = np.concatenate([y[k - ell : k].ravel(), u_seq[k - ell : k].ravel()])
+        window = np.concatenate([y[k - ell : k].ravel(), u[k - ell : k].ravel()])
         phi = aux.y_from_window @ xi + aux.y_from_exo @ aux.exo_window_map @ omega
         worst_state = max(
             worst_state,
@@ -268,7 +252,7 @@ def check_solution_correspondence(
         if k < steps:
             xi = (
                 aux.window_a @ xi
-                + aux.inject_u @ u_seq[k]
+                + aux.inject_u @ u[k]
                 + aux.inject_y @ aux.y_from_exo @ aux.exo_window_map @ omega
             )
             omega = exo.S @ omega
@@ -373,44 +357,35 @@ def simulate_closed_loop(
 ) -> ClosedLoopRun:
     """Roll the closed loop and measure regulation.
 
+    The stacked state (w, x, chi, eta) is stepped by ``cl.full_map``, one
+    matrix-vector product per step with the divergence guard on the plant
+    state; outputs and inputs are read off the stored states afterwards.
     ``tail_max_y`` is the largest output norm over the final ``tail_frac``
     of the horizon; ``settle_step`` is the first step from which the output
     norm stays below ``eps_reg`` to the end (None if it never does).
     """
     n_w, n, wd, di = cl.dims
-    w0 = as_vector(w0, "w0", dim=n_w)
-    x0 = as_vector(x0, "x0", dim=n)
-    chi0 = as_vector(chi0, "chi0", dim=wd)
-    eta0 = as_vector(eta0, "eta0", dim=di)
-
-    plant, exo, aux, im = cl.plant, cl.exo, cl.aux, cl.im
-    w = np.empty((steps + 1, n_w))
-    x = np.empty((steps + 1, n))
-    chi = np.empty((steps + 1, wd))
-    eta = np.empty((steps + 1, di))
-    y = np.empty((steps + 1, plant.p))
-    u = np.empty((steps, plant.m))
-    w[0], x[0], chi[0], eta[0] = w0, x0, chi0, eta0
+    z = np.empty((steps + 1, n_w + n + wd + di))
+    z[0] = np.concatenate(
+        [
+            as_vector(w0, "w0", dim=n_w),
+            as_vector(x0, "x0", dim=n),
+            as_vector(chi0, "chi0", dim=wd),
+            as_vector(eta0, "eta0", dim=di),
+        ]
+    )
     for k in range(steps):
-        y[k] = plant.C @ x[k] + plant.Q @ w[k]
-        u[k] = cl.gain @ np.concatenate([chi[k], eta[k]])
-        x[k + 1] = plant.A @ x[k] + plant.B @ u[k] + plant.P @ w[k]
-        chi[k + 1] = aux.window_shift @ chi[k] + aux.inject_y @ y[k] + aux.inject_u @ u[k]
-        eta[k + 1] = im.companion @ eta[k] + im.input_map @ y[k]
-        w[k + 1] = exo.S @ w[k]
-        if np.linalg.norm(x[k + 1]) > DIVERGENCE_GUARD:
+        z[k + 1] = cl.full_map @ z[k]
+        if np.linalg.norm(z[k + 1, n_w : n_w + n]) > DIVERGENCE_GUARD:
             raise RuntimeError("divergent closed-loop simulation")
-    y[steps] = plant.C @ x[steps] + plant.Q @ w[steps]
+    w, x, chi, eta = np.split(z, np.cumsum([n_w, n, wd]), axis=1)
+    y = z[:, : n_w + n] @ np.hstack([cl.plant.Q, cl.plant.C]).T
+    u = z[:steps, n_w + n :] @ cl.gain.T
 
     y_norms = np.linalg.norm(y, axis=1)
     tail_start = max(0, int(np.floor((1.0 - tail_frac) * steps)))
-    tail_max = float(np.max(y_norms[tail_start:]))
-    settle = None
-    below = y_norms < eps_reg
-    for k in range(steps + 1):
-        if np.all(below[k:]):
-            settle = k
-            break
+    unsettled = np.flatnonzero(~(y_norms < eps_reg))
+    settle = int(unsettled[-1]) + 1 if unsettled.size else 0
     return ClosedLoopRun(
         steps=steps,
         w=w,
@@ -419,8 +394,8 @@ def simulate_closed_loop(
         eta=eta,
         y=y,
         u=u,
-        tail_max_y=tail_max,
-        settle_step=settle,
+        tail_max_y=float(np.max(y_norms[tail_start:])),
+        settle_step=settle if settle <= steps else None,
     )
 
 

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from ddreg import cli
 from ddreg.benchmarks import (
     VTOL_ETA0,
     VTOL_W0,
@@ -15,8 +16,8 @@ from ddreg.cli import (
     RunConfig,
     main,
     paper_example_config,
-    reproduce_paper_example,
     run_pipeline,
+    verify_gain,
 )
 
 
@@ -160,8 +161,56 @@ def test_krylov_factorization_path():
 
 def test_reproduce_paper_example_jordan_and_krylov():
     for fact in ("jordan", "krylov"):
-        report = reproduce_paper_example(2, factorization=fact)
+        report = run_pipeline(paper_example_config(2, fact))
         assert report["all_pass"], fact
+
+
+ORACLE_ROWS = ["data_identity", "claim_windows", "factorization_residual"]
+CLOSED_LOOP_ROWS = [
+    "stability_radius",
+    "regulator_identity",
+    "sylvester_residual",
+    "regulation_tail",
+    "zero_exo_decay",
+]
+
+
+def _names(report):
+    return [c["name"] for c in report["checks"]]
+
+
+def test_report_check_names_and_order(monkeypatch):
+    # The benchmark's outside-in tracer wraps ddreg.cli.simulate_closed_loop
+    # to time the simulation layer, so both entry points must reach it
+    # through the ddreg.cli namespace.
+    calls = []
+    original = cli.simulate_closed_loop
+
+    def counted(*args, **kwargs):
+        calls.append(args[5])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "simulate_closed_loop", counted)
+
+    designed = run_pipeline(paper_example_config(0))
+    assert _names(designed) == ORACLE_ROWS + [
+        "correspondence",
+        "sdp_feasible",
+        "gain_identity",
+        "stability_radius",
+        "representation_gap",
+        *CLOSED_LOOP_ROWS[1:],
+    ]
+    assert len(calls) == 2
+
+    reverified = verify_gain(paper_example_config(1), designed["synthesis"]["gain"])
+    assert _names(reverified) == ORACLE_ROWS + CLOSED_LOOP_ROWS
+    assert calls == [300] * 4
+
+    infeasible = run_pipeline(RunConfig.from_dict(wide_output_config_dict()))
+    assert _names(infeasible) == ORACLE_ROWS + ["correspondence", "sdp_feasible"]
+    assert "regulation" not in infeasible
+    assert len(calls) == 4
 
 
 def test_paper_example_config_matches_benchmark():
@@ -301,6 +350,14 @@ def test_cli_verify_stored_gain(tmp_path, capsys):
     assert report["all_pass"]
     names = {c["name"] for c in report["checks"]}
     assert "regulator_identity" in names and "regulation_tail" in names
+
+
+def test_cli_verify_requires_gain(tmp_path, capsys):
+    path = write_config(tmp_path, vtol_config_dict(seed=0))
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--config", str(path)])
+    assert exc.value.code == 2
+    assert "--gain" in capsys.readouterr().err
 
 
 def test_cli_run_writes_regressor_csv(tmp_path):

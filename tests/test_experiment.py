@@ -139,6 +139,21 @@ def test_csv_round_trip(tmp_path):
     np.testing.assert_allclose(d2.psi1, d1.psi1, atol=1e-12)
 
 
+def test_csv_rejects_perturbed_eta(tmp_path):
+    plant, exo, im = vtol_setup()
+    rec = vtol_record(seed=5)
+    path = tmp_path / "record.csv"
+    record_to_csv(rec, path)
+    lines = path.read_text().splitlines()
+    row = lines[11].split(",")
+    col = lines[0].split(",").index("eta_1")
+    row[col] = repr(float(row[col]) + 1e-6)
+    lines[11] = ",".join(row)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="inconsistent with the internal model"):
+        record_from_csv(path, ell=rec.ell, im=im, m=rec.m, p=rec.p)
+
+
 def test_csv_unmask_adds_exosignal(tmp_path):
     rec = vtol_record(seed=6)
     path = tmp_path / "record.csv"

@@ -128,6 +128,8 @@ def test_simulate_matches_independent_recursion():
         x = plant.A @ x + plant.B @ u[k] + plant.P @ w
         w = exo.S @ w
     assert traj.recursion_residual(plant, exo) < 1e-12
+    traj.x[7, 0] += 1e-6
+    assert traj.recursion_residual(plant, exo) > 5e-7
 
 
 def test_simulate_deterministic():

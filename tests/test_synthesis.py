@@ -19,11 +19,24 @@ from ddreg.synthesis import (
 )
 
 
-def vtol_problem(seed=0, T=20, ell=4):
+def vtol_problem(seed=0, T=20, ell=4, similarity=None):
+    # ``similarity`` changes the plant's state coordinates x -> similarity x,
+    # which leaves the input-output data unchanged up to round-off.
     plant, exo = vtol()
+    x0 = VTOL_X0
+    if similarity is not None:
+        inv = np.linalg.inv(similarity)
+        plant = PlantTruth(
+            A=similarity @ plant.A @ inv,
+            B=similarity @ plant.B,
+            P=similarity @ plant.P,
+            C=plant.C @ inv,
+            Q=plant.Q,
+        )
+        x0 = similarity @ x0
     im = build_internal_model(exo, p=plant.p)
     rec = collect_experiment(
-        plant, exo, im, VTOL_W0, VTOL_X0, VTOL_ETA0,
+        plant, exo, im, VTOL_W0, x0, VTOL_ETA0,
         NormalInputPolicy(seed=seed), T=T, ell=ell,
     )
     data = assemble_data_matrices(rec)
@@ -205,6 +218,19 @@ def test_scale_invariance():
         res = solve_feasibility_sdp(scaled)
         assert res.status == "feasible"
         assert np.abs(res.K - res0.K).max() < 1e-6
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_gain_invariant_under_plant_similarity(seed):
+    # The design sees input-output data only, so a change of the plant's
+    # state coordinates must not move the gain.
+    K0 = solve_feasibility_sdp(vtol_problem(seed=seed)).K
+    rng = np.random.default_rng(100 + seed)
+    for _ in range(3):
+        similarity = rng.standard_normal((4, 4)) + 3.0 * np.eye(4)
+        res = solve_feasibility_sdp(vtol_problem(seed=seed, similarity=similarity))
+        assert res.status == "feasible"
+        assert np.abs(res.K - K0).max() < 1e-8 * np.abs(K0).max()
 
 
 def test_gain_independent_of_gap_tol():
