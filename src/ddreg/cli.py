@@ -366,6 +366,11 @@ def _closed_loop_checks(config: RunConfig, exo, im, aux, gain, data_side=None):
     data-side closed-loop matrix ``psi1 G`` of a designed gain, whose
     spectral-radius gap to the model side is then a row too; without it, on
     the model side ``ext_a + ext_b gain``.
+
+    A destabilizing gain still gets its report: a value that cannot be
+    computed (no steady state when the closed loop is not Schur, a diverging
+    simulation) is NaN, and NaN fails its row; the returned run is None
+    when its simulation diverged.
     """
     tol, plant = config.tolerances, config.plant
     cl = assemble_closed_loop(plant, exo, aux, im, gain)
@@ -377,31 +382,41 @@ def _closed_loop_checks(config: RunConfig, exo, im, aux, gain, data_side=None):
         a_cl = data_side
         gap = check_representation_equivalence(aux, gain, data_side)
         rows.append(_check("representation_gap", gap, tol["representation_gap"]))
-    identity, syl = check_regulator_equations(aux, exo, a_cl)
+    try:
+        identity, syl = check_regulator_equations(aux, exo, a_cl)
+    except ValueError:  # closed loop not Schur
+        identity = syl = float("nan")
 
     steps, eps_reg = int(config.verify["steps"]), tol["eps_reg"]
     w0, x0, chi0, eta0 = _initial(
         config, w0=exo.n_w, x0=plant.n, chi0=aux.window_dim, eta0=im.dim
     )
-    run = simulate_closed_loop(
-        cl, w0, x0, chi0, eta0, steps,
-        eps_reg=eps_reg, tail_frac=float(config.verify["tail_frac"]),
-    )
-    zero = simulate_closed_loop(
-        cl, np.zeros(exo.n_w), x0, chi0, eta0, steps, eps_reg=eps_reg
-    )
-    decay = zero.core_norm(steps) / max(zero.core_norm(0), 1e-300)
+    try:
+        run = simulate_closed_loop(
+            cl, w0, x0, chi0, eta0, steps,
+            eps_reg=eps_reg, tail_frac=float(config.verify["tail_frac"]),
+        )
+    except RuntimeError:  # divergent closed loop
+        run = None
+    try:
+        zero = simulate_closed_loop(
+            cl, np.zeros(exo.n_w), x0, chi0, eta0, steps, eps_reg=eps_reg
+        )
+        decay = zero.core_norm(steps) / max(zero.core_norm(0), 1e-300)
+    except RuntimeError:
+        decay = float("nan")
+    tail = float("nan") if run is None else run.tail_max_y
     rows += [
         _check("regulator_identity", identity, tol["regulator_identity"]),
         _check("sylvester_residual", syl, tol["sylvester_residual"]),
-        _check("regulation_tail", run.tail_max_y, eps_reg),
+        _check("regulation_tail", tail, eps_reg),
         _check("zero_exo_decay", decay, tol["zero_exo_decay"]),
     ]
     regulation = {
         "stability_radius": rho,
         "stability_margin": 1.0 - rho,
-        "tail_max_y": run.tail_max_y,
-        "settle_step": run.settle_step,
+        "tail_max_y": tail,
+        "settle_step": None if run is None else run.settle_step,
         "zero_exo_decay": decay,
     }
     return rows, regulation, run

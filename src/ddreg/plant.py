@@ -185,14 +185,15 @@ def simulate_plant(
     x = np.empty((steps + 1, plant.n))
     y = np.empty((steps + 1, plant.p))
     w[0], x[0] = w0, x0
+    guard_sq = DIVERGENCE_GUARD**2
     for k in range(steps):
         y[k] = plant.C @ x[k] + plant.Q @ w[k]
         x[k + 1] = plant.A @ x[k] + plant.B @ u_seq[k] + plant.P @ w[k]
         w[k + 1] = exo.S @ w[k]
-        if np.linalg.norm(x[k + 1]) > DIVERGENCE_GUARD:
+        if x[k + 1] @ x[k + 1] > guard_sq:
             raise RuntimeError(
-                f"state norm exceeded {DIVERGENCE_GUARD:.0e} at step {k + 1}: "
-                "divergent simulation"
+                f"state norm {np.linalg.norm(x[k + 1]):.3e} exceeded "
+                f"{DIVERGENCE_GUARD:.0e} at step {k + 1}: divergent simulation"
             )
     y[steps] = plant.C @ x[steps] + plant.Q @ w[steps]
     return Trajectory(steps=steps, w=w, x=x, y=y, u=np.array(u_seq[:steps]))

@@ -9,11 +9,21 @@ certified against a threshold.  Solved by a log-det barrier path-following
 method with damped Newton steps; always strictly feasible in (v, t) because t
 may start arbitrarily negative, so no phase-1 is needed.
 
-Each Newton step factors every block once (Cholesky, ``M = L L^T``) and
-inverts the triangular factor once (LAPACK ``dtrtri``); the congruences
-``L^{-1} F_k L^{-T}`` of all coefficient matrices then come from one batched
-matmul.  These small-matrix routines stay fast whether or not BLAS threads
-are pinned.  The backtracking line search tests the Armijo condition on the
+Each line-search trial forms every block value with one matrix-vector
+product against the coefficient tensor, flattened once per solve, and
+factors it with one Cholesky factorization (``M = L L^T``, read from the
+lower triangle); a factorization that fails marks the trial as outside the
+cone.  Each Newton step inverts the accepted factors once (LAPACK
+``dtrtri``), so the congruences ``L^{-1} F_k L^{-T}`` of all coefficient
+matrices come from one batched matmul, and factors and solves its Newton
+system with LAPACK ``dpotrf`` and ``dpotrs`` after an explicit finiteness
+test; at these sizes the checks and dispatch of scipy's
+``cho_factor``/``cho_solve`` cost more than the arithmetic.  The trials keep
+numpy's Cholesky: numpy and scipy may link different LAPACK builds whose
+factors differ in the last bit, and on infeasible problems, whose last
+stages run at round-off, such a difference changes line-search decisions.
+These small-matrix routines stay fast whether or not BLAS threads are
+pinned.  The backtracking line search tests the Armijo condition on the
 *change* of the barrier, with the linear term ``-tau * t`` kept apart from
 the log-det term: late in the path the barrier value is dominated by
 ``tau * t`` (about 1e5 at tau = 1e10), and a test on absolute values loses
@@ -27,12 +37,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri
 
 
 @dataclass
 class AffineBlock:
-    """Symmetric-matrix-valued affine map ``v -> const + sum_j v[j] coeff[j]``."""
+    """Symmetric-matrix-valued affine map ``v -> const + sum_j v[j] coeff[j]``.
+
+    ``const`` and every ``coeff[j]`` are symmetric; the solver's line-search
+    trials read only their lower triangles.
+    """
 
     const: np.ndarray  # (nb, nb)
     coeff: np.ndarray  # (nvar, nb, nb)
@@ -75,7 +89,13 @@ def _min_eig(M: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(0.5 * (M + M.T))[0])
 
 
-def _chol(M: np.ndarray):
+def _shifted_chol(const: np.ndarray, coeff_flat: np.ndarray, v: np.ndarray, t: float):
+    """Lower Cholesky factor of ``const + sum_j v[j] coeff[j] - t I``, with
+    ``coeff_flat`` the coefficient tensor reshaped to ``(nvar, nb * nb)``,
+    or None when the matrix is not positive definite (outside the cone)."""
+    nb = const.shape[0]
+    M = const + (v @ coeff_flat).reshape(nb, nb)
+    M.flat[:: nb + 1] -= t
     try:
         return np.linalg.cholesky(M)
     except np.linalg.LinAlgError:
@@ -94,7 +114,7 @@ def _newton_system(
     grad[-1] = -tau
     hess = np.zeros((nvar, nvar))
     for F, L in zip(ext, chols):
-        Li, info = scipy.linalg.lapack.dtrtri(L, lower=1)
+        Li, info = dtrtri(L, lower=1)
         if info != 0:
             raise RuntimeError("singular Cholesky factor in the Newton system")
         sym = Li @ F @ Li.T
@@ -131,7 +151,11 @@ def maximize_margin(
     Running out of ``max_newton`` first gives ``converged=False`` (stop
     reason ``"newton_budget"``).
 
-    Each Newton system is assembled from one triangular inverse per block.
+    Each line-search trial costs one matrix-vector product and one Cholesky
+    factorization per block; a failed factorization rejects the trial.  Each
+    Newton system is assembled from one triangular inverse per block, tested
+    for finiteness (a non-finite one raises ``RuntimeError``) and factored
+    with LAPACK ``dpotrf``; a ridge is added while that factorization fails.
     A step of length s along the Newton direction is accepted when the
     barrier change ``(logdet_old - logdet_new) - tau * s * dt`` is at most
     ``-0.25 * s * decrement`` (Armijo), starting at s = 1 and halving.  The
@@ -164,6 +188,10 @@ def maximize_margin(
         scaled = b.coeff * col_scale[:, None, None] if nvar else b.coeff
         tcoef = -np.eye(b.size)[None, :, :]
         ext.append(np.concatenate([scaled, tcoef], axis=0) if nvar else tcoef)
+    # Trial block values come from one matrix-vector product each against
+    # the coefficient tensor flattened once (a view, not a copy).
+    trial_data = [(b.const, b.coeff.reshape(nvar, b.size**2)) for b in blocks]
+    eye = np.eye(nvar + 1)
 
     v = np.zeros(nvar)
     t = min(_min_eig(b.value(v)) for b in blocks)
@@ -179,13 +207,12 @@ def maximize_margin(
         chols = []
         val = 0.0
         v_phys = u[:-1] * col_scale
-        for b in blocks:
-            M = b.value(v_phys) - u[-1] * np.eye(b.size)
-            L = _chol(M)
+        for const, coeff_flat in trial_data:
+            L = _shifted_chol(const, coeff_flat, v_phys, u[-1])
             if L is None:
                 return None, None
             chols.append(L)
-            val -= 2.0 * float(np.sum(np.log(np.diag(L))))
+            val -= 2.0 * float(np.log(L.diagonal()).sum())
         return val, chols
 
     def certified_margin(u: np.ndarray) -> float:
@@ -205,16 +232,15 @@ def maximize_margin(
         in_stage = 0
         while in_stage < stage_iters:
             grad, hess = _newton_system(ext, chols, tau)
+            if not (np.isfinite(hess).all() and np.isfinite(grad).all()):
+                raise RuntimeError("non-finite Newton system")
             ridge = 0.0
             while True:
-                try:
-                    cho = scipy.linalg.cho_factor(
-                        hess + ridge * np.eye(nvar + 1), lower=True
-                    )
+                cho, info = dpotrf(hess + ridge * eye, lower=1, clean=0)
+                if info == 0:
                     break
-                except np.linalg.LinAlgError:
-                    ridge = max(10.0 * ridge, 1e-12 * (1.0 + np.trace(hess)))
-            step = scipy.linalg.cho_solve(cho, -grad)
+                ridge = max(10.0 * ridge, 1e-12 * (1.0 + np.trace(hess)))
+            step, _ = dpotrs(cho, -grad, lower=1)
             decrement = float(-grad @ step)
             if 0.5 * decrement <= newton_tol:
                 # Includes tiny negative values from round-off: centered enough.

@@ -170,6 +170,34 @@ def _sym(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + M.T)
 
 
+def _surfaces(H0: np.ndarray, H1: np.ndarray, cols: np.ndarray):
+    """Block images of the vectorized ``Z`` in each column of ``cols``:
+    stacks of ``X_k = sym(H0 Z_k)`` and ``W_k = H1 Z_k``, one matmul each."""
+    nu, q = H0.shape
+    Z = cols.T.reshape(-1, q, nu)
+    P = H0 @ Z
+    return 0.5 * (P + P.transpose(0, 2, 1)), H1 @ Z
+
+
+def _sdp_blocks(
+    H0: np.ndarray, H1: np.ndarray, cols: np.ndarray
+) -> list[AffineBlock]:
+    """The blocks ``X`` and ``[[X, W], [W^T, X]]`` of the design program,
+    affine in the parameters: the first column of ``cols`` gives the
+    constant term, the others the coefficients (see ``_surfaces``)."""
+    X, W = _surfaces(H0, H1, cols)
+    k, nu, _ = X.shape
+    S = np.empty((k, 2 * nu, 2 * nu))
+    S[:, :nu, :nu] = X
+    S[:, :nu, nu:] = W
+    S[:, nu:, :nu] = W.transpose(0, 2, 1)
+    S[:, nu:, nu:] = X
+    return [
+        AffineBlock(const=X[0], coeff=X[1:]),
+        AffineBlock(const=S[0], coeff=S[1:]),
+    ]
+
+
 def solve_feasibility_sdp(
     prob: SdpProblem, opts: SolverOptions | None = None
 ) -> SynthesisResult:
@@ -212,20 +240,13 @@ def solve_feasibility_sdp(
     H0 = prob.psi0 @ null_m
     H1 = prob.psi1 @ null_m
 
-    def surfaces(zvec):
-        Z = zvec.reshape(q, nu)
-        X = _sym(H0 @ Z)
-        W = H1 @ Z
-        return X, W
-
     # Quotient out directions that move Y without moving either matrix block
     # (they exist whenever [psi0; psi1] has a kernel on the regressor
     # nullspace).  They leave the margin untouched but make the barrier
     # Hessian singular; dropping them also pins the minimum-norm optimizer.
-    images = np.empty((basis.shape[1], 2 * nu * nu))
-    for k in range(basis.shape[1]):
-        Xk, Wk = surfaces(basis[:, k])
-        images[k] = np.concatenate([Xk.ravel(), Wk.ravel()])
+    images = np.concatenate(
+        [M.reshape(-1, nu * nu) for M in _surfaces(H0, H1, basis)], axis=1
+    )
     u_img, s_img, _ = np.linalg.svd(images, full_matrices=False)
     if s_img.size and s_img[0] > 0:
         eff_rank = int(np.count_nonzero(s_img > 1e-12 * s_img[0]))
@@ -235,19 +256,7 @@ def solve_feasibility_sdp(
     n_free = basis.shape[1]
     diagnostics.append(f"effective free parameters after flat removal: {n_free}")
 
-    X0, W0 = surfaces(z0)
-    coeff_x = np.empty((n_free, nu, nu))
-    coeff_s = np.empty((n_free, 2 * nu, 2 * nu))
-    const_s = np.block([[X0, W0], [W0.T, X0]])
-    for k in range(n_free):
-        Xk, Wk = surfaces(basis[:, k])
-        coeff_x[k] = Xk
-        coeff_s[k] = np.block([[Xk, Wk], [Wk.T, Xk]])
-
-    blocks = [
-        AffineBlock(const=X0, coeff=coeff_x),
-        AffineBlock(const=const_s, coeff=coeff_s),
-    ]
+    blocks = _sdp_blocks(H0, H1, np.column_stack([z0, basis]))
 
     if opts.backend == "interior_point":
         try:

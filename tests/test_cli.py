@@ -352,6 +352,53 @@ def test_cli_verify_stored_gain(tmp_path, capsys):
     assert "regulator_identity" in names and "regulation_tail" in names
 
 
+@pytest.mark.parametrize("gain_value", [0.0, 100.0])
+def test_verify_destabilizing_gain_fails_rows(gain_value):
+    # Zero gain: closed loop not Schur (no steady state), simulations stay
+    # bounded.  Large gain: the simulations diverge as well.
+    report = verify_gain(paper_example_config(0), [[gain_value] * 10])
+    rows = {c["name"]: c for c in report["checks"]}
+    assert not report["all_pass"]
+    assert rows["stability_radius"]["value"] >= 1.0
+    assert not rows["stability_radius"]["pass"]
+    for name in ("regulator_identity", "sylvester_residual"):
+        assert np.isnan(rows[name]["value"]) and not rows[name]["pass"]
+    for name in ("regulation_tail", "zero_exo_decay"):
+        assert not rows[name]["pass"]
+        assert np.isnan(rows[name]["value"]) == (gain_value == 100.0)
+    # The oracle rows do not depend on the gain.
+    for name in ("data_identity", "claim_windows", "factorization_residual"):
+        assert rows[name]["pass"]
+
+
+def test_cli_verify_destabilizing_gain_writes_report(tmp_path, capsys):
+    path = write_config(tmp_path, vtol_config_dict(seed=0))
+    gain_path = tmp_path / "synthesis.json"
+    gain_path.write_text(json.dumps({"gain": [[100.0] * 10]}))
+    code = main(
+        [
+            "verify",
+            "--config", str(path),
+            "--gain", str(gain_path),
+            "--out", str(tmp_path / "v"),
+        ]
+    )
+    assert code == 1
+    report = json.loads((tmp_path / "v" / "report.json").read_text())
+    assert not report["all_pass"]
+    failed = {c["name"] for c in report["checks"] if not c["pass"]}
+    assert failed == {
+        "stability_radius",
+        "regulator_identity",
+        "sylvester_residual",
+        "regulation_tail",
+        "zero_exo_decay",
+    }
+    # The diverged run leaves no trajectory to write.
+    assert not (tmp_path / "v" / "trajectories.csv").exists()
+    assert "[FAIL] stability_radius" in capsys.readouterr().out
+
+
 def test_cli_verify_requires_gain(tmp_path, capsys):
     path = write_config(tmp_path, vtol_config_dict(seed=0))
     with pytest.raises(SystemExit) as exc:

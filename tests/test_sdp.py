@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from ddreg import synthesis
+from ddreg import sdp, synthesis
 from ddreg.cli import paper_example_config, run_pipeline
-from ddreg.sdp import AffineBlock, _newton_system, maximize_margin
+from ddreg.sdp import AffineBlock, _newton_system, _shifted_chol, maximize_margin
 
 
 def test_fixed_block_margin_is_min_eigenvalue():
@@ -118,6 +118,46 @@ def test_determinism():
     r2 = maximize_margin([block])
     assert r1.margin == r2.margin
     assert np.array_equal(r1.v, r2.v)
+
+
+def test_shifted_chol_matches_value_and_cholesky():
+    rng = np.random.default_rng(5)
+    for nb, nv in ((1, 1), (4, 3), (20, 65), (3, 0)):
+        W = rng.standard_normal((nv, nb, nb))
+        coeff = 0.5 * (W + W.transpose(0, 2, 1))
+        block = AffineBlock(const=4.0 * np.eye(nb), coeff=coeff)
+        v = 0.1 * rng.standard_normal(nv)
+        lam = np.linalg.eigvalsh(block.value(v))[0]
+        flat = block.coeff.reshape(nv, nb * nb)  # (0, nb * nb) without variables
+        t = lam - 0.5
+        L = _shifted_chol(block.const, flat, v, t)
+        L_ref = np.linalg.cholesky(block.value(v) - t * np.eye(nb))
+        assert np.abs(L - L_ref).max() <= 1e-12 * np.abs(L_ref).max()
+        # A shift past the smallest eigenvalue leaves the cone.
+        assert _shifted_chol(block.const, flat, v, lam + 1e-6) is None
+
+
+def test_zero_variable_blocks_solve():
+    blocks = [
+        AffineBlock(const=np.diag([2.0, 0.75, 3.0]), coeff=np.zeros((0, 3, 3))),
+        AffineBlock(
+            const=np.array([[1.0, 0.5], [0.5, 1.0]]), coeff=np.zeros((0, 2, 2))
+        ),
+    ]
+    res = maximize_margin(blocks, feas_tol=1e-6)
+    assert res.converged and res.v.shape == (0,)
+    assert res.margin == pytest.approx(0.5, abs=1e-12)
+
+
+def test_non_finite_newton_system_raises(monkeypatch):
+    def poisoned(ext, chols, tau):
+        grad, hess = _newton_system(ext, chols, tau)
+        hess[0, 0] = np.nan
+        return grad, hess
+
+    monkeypatch.setattr(sdp, "_newton_system", poisoned)
+    with pytest.raises(RuntimeError, match="non-finite Newton system"):
+        maximize_margin([_tradeoff_block()])
 
 
 def _newton_system_solve(ext, chols, tau):

@@ -10,7 +10,10 @@ from ddreg.synthesis import (
     DEFAULT_FEAS_TOL,
     SdpProblem,
     SolverOptions,
+    _elimination,
     _nullspace,
+    _sdp_blocks,
+    _surfaces,
     _symmetry_system,
     assemble_sdp,
     extract_gain,
@@ -149,6 +152,48 @@ def test_symmetry_system_matches_loop_reference():
         # Every entry is written once, so the result is bit-identical.
         assert E.tobytes() == E_ref.tobytes()
         assert rhs.tobytes() == rhs_ref.tobytes()
+
+
+def _blocks_loop(H0, H1, cols):
+    """Reference assembly, one column at a time: the X, W and stability
+    block stacks."""
+    nu, q = H0.shape
+    X, W, S = [], [], []
+    for k in range(cols.shape[1]):
+        Z = cols[:, k].reshape(q, nu)
+        P = H0 @ Z
+        Xk = 0.5 * (P + P.T)
+        Wk = H1 @ Z
+        X.append(Xk)
+        W.append(Wk)
+        S.append(np.block([[Xk, Wk], [Wk.T, Xk]]))
+    return X, W, S
+
+
+def test_batched_assembly_matches_loop_reference():
+    rng = np.random.default_rng(6)
+    prob = vtol_problem()
+    null_m, z0, basis = _elimination(prob)
+    # (nu, q, number of columns).  Without free parameters the images have
+    # no columns and the blocks one (their constant term).
+    cases = [(prob.psi0 @ null_m, prob.psi1 @ null_m, np.column_stack([z0, basis]))]
+    for nu, q, k in ((1, 2, 3), (3, 5, 7), (2, 3, 0), (2, 3, 1)):
+        H0, H1 = rng.standard_normal((2, nu, q))
+        cases.append((H0, H1, rng.standard_normal((q * nu, k))))
+    for H0, H1, cols in cases:
+        X, W = _surfaces(H0, H1, cols)
+        X_ref, W_ref, S_ref = _blocks_loop(H0, H1, cols)
+        nu = H0.shape[0]
+        assert X.shape == W.shape == (cols.shape[1], nu, nu)
+        stacks = [(X, X_ref), (W, W_ref)]
+        if cols.shape[1]:
+            # The first column is the constant term of both blocks.
+            for b, ref in zip(_sdp_blocks(H0, H1, cols), (X_ref, S_ref)):
+                stacks.append((np.concatenate([b.const[None], b.coeff]), ref))
+        # Same products, same order of operations: byte-identical.
+        for got, ref in stacks:
+            assert len(got) == len(ref)
+            assert all(g.tobytes() == r.tobytes() for g, r in zip(got, ref))
 
 
 # ---------------------------------------------------------------------------
