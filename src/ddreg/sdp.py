@@ -1,35 +1,21 @@
 """Dense margin-maximization solver for small semidefinite feasibility
-problems.
+problems: maximize t such that every symmetric block, affine in a shared
+vector v, dominates t * I.  A feasibility question reduces to the sign of
+the optimal margin, and the solve stops once that sign is certified.
 
-The problem shape is fixed and narrow: given symmetric matrix blocks that are
-affine in a shared vector variable, maximize a scalar margin t subject to
-every block dominating t * I.  A feasibility question then reduces to the
-sign of the optimal margin, and the path may stop as soon as that sign is
-certified against a threshold.  Solved by a log-det barrier path-following
-method with damped Newton steps; always strictly feasible in (v, t) because t
-may start arbitrarily negative, so no phase-1 is needed.
-
-Each line-search trial forms every block value with one matrix-vector
-product against the coefficient tensor, flattened once per solve, and
-factors it with one Cholesky factorization (``M = L L^T``, read from the
-lower triangle); a factorization that fails marks the trial as outside the
-cone.  Each Newton step inverts the accepted factors once (LAPACK
-``dtrtri``), so the congruences ``L^{-1} F_k L^{-T}`` of all coefficient
-matrices come from one batched matmul, and factors and solves its Newton
-system with LAPACK ``dpotrf`` and ``dpotrs`` after an explicit finiteness
-test; at these sizes the checks and dispatch of scipy's
-``cho_factor``/``cho_solve`` cost more than the arithmetic.  The trials keep
-numpy's Cholesky: numpy and scipy may link different LAPACK builds whose
-factors differ in the last bit, and on infeasible problems, whose last
-stages run at round-off, such a difference changes line-search decisions.
-These small-matrix routines stay fast whether or not BLAS threads are
-pinned.  The backtracking line search tests the Armijo condition on the
-*change* of the barrier, with the linear term ``-tau * t`` kept apart from
-the log-det term: late in the path the barrier value is dominated by
-``tau * t`` (about 1e5 at tau = 1e10), and a test on absolute values loses
-the required decrease (about 1e-9) to round-off.
-
-The solver is deterministic: identical inputs produce identical iterates.
+Primal-dual interior-point method with the HKM direction and Mehrotra
+predictor-corrector steps (Helmberg, Rendl, Vanderbei and Wolkowicz 1996;
+Todd, Toh and Tütüncü 1998).  The primal iterate is ``y = (v, t)``, with the
+slack ``S = F(v) - t I`` recomputed from it, so the primal side is always
+feasible and needs no phase-1; the dual iterate is a block-diagonal
+``Z > 0`` driven towards ``tr(F_j Z) = 0`` and ``tr Z = 1``.  Each iteration
+forms the Schur complement ``M_ij = <L_S^{-1} A_i L_Z, L_S^{-1} A_j L_Z>``
+(``A`` the coefficients extended by the margin coordinate) from one
+``dtrtri`` per block, one batched product and one Gram product, factors it
+once with ``dpotrf`` for predictor and corrector, and steps 0.95 of the way
+to the cone boundary.  Both verdicts are certified: the margin from below by
+an eigenvalue, the optimum from above by a dual point (see
+``maximize_margin``).  Identical inputs produce identical iterates.
 """
 
 from __future__ import annotations
@@ -37,15 +23,22 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri
+from scipy.linalg.lapack import dpotrf, dpotrs, dpstrf, dsyevr, dtrtri
+
+STEP_FRACTION = 0.95  # share of the distance to the cone boundary taken
+CENTRE_TOL = 1e-6  # off-centre distance at which the returned point is centred
+MAX_CENTRING = 8  # centring steps before the point is returned regardless
+
+
+def _sym(M: np.ndarray) -> np.ndarray:
+    return 0.5 * (M + M.T)
 
 
 @dataclass
 class AffineBlock:
     """Symmetric-matrix-valued affine map ``v -> const + sum_j v[j] coeff[j]``.
 
-    ``const`` and every ``coeff[j]`` are symmetric; the solver's line-search
-    trials read only their lower triangles.
+    ``const`` and every ``coeff[j]`` are symmetric.
     """
 
     const: np.ndarray  # (nb, nb)
@@ -69,8 +62,8 @@ class AffineBlock:
         return self.coeff.shape[0]
 
     def value(self, v: np.ndarray) -> np.ndarray:
-        M = self.const + np.tensordot(v, self.coeff, axes=(0, 0)) if v.size else self.const.copy()
-        return 0.5 * (M + M.T)
+        flat = self.coeff.reshape(self.nvar, self.size**2)
+        return _sym(self.const + (v @ flat).reshape(self.const.shape))
 
 
 @dataclass
@@ -78,90 +71,108 @@ class MarginResult:
     v: np.ndarray
     margin: float  # smallest block eigenvalue at v (certified, not the optimum)
     converged: bool
-    newton_steps: int
-    line_search_evals: int  # trial barrier evaluations in the line searches
-    gap_bound: float  # (sum of block sizes) / tau: optimum <= margin + gap_bound
-    stop: str  # "verdict" | "gap_tol" | "newton_budget"
+    newton_steps: int  # primal-dual iterations
+    gap_bound: float  # optimum <= margin + gap_bound; inf without a dual point
+    stop: str  # "verdict" | "gap_tol" | "unbounded" | "stalled" | "newton_budget"
     log: list[str] = field(default_factory=list)
 
 
-def _min_eig(M: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(0.5 * (M + M.T))[0])
+def _chol(M: np.ndarray):
+    """Lower Cholesky factor of ``M`` (read from its lower triangle), or None
+    when ``M`` is not numerically positive definite."""
+    L, info = dpotrf(M, lower=1)
+    return L if info == 0 else None
 
 
-def _shifted_chol(const: np.ndarray, coeff_flat: np.ndarray, v: np.ndarray, t: float):
-    """Lower Cholesky factor of ``const + sum_j v[j] coeff[j] - t I``, with
-    ``coeff_flat`` the coefficient tensor reshaped to ``(nvar, nb * nb)``,
-    or None when the matrix is not positive definite (outside the cone)."""
-    nb = const.shape[0]
-    M = const + (v @ coeff_flat).reshape(nb, nb)
-    M.flat[:: nb + 1] -= t
-    try:
-        return np.linalg.cholesky(M)
-    except np.linalg.LinAlgError:
-        return None
+def _tri_inv(L: np.ndarray) -> np.ndarray:
+    Li, info = dtrtri(L, lower=1)
+    if info != 0:
+        raise RuntimeError("singular Cholesky factor in the Newton system")
+    return Li
 
 
-def _newton_system(
-    ext: list[np.ndarray], chols: list[np.ndarray], tau: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient and Hessian of the barrier at the point whose block Cholesky
-    factors are ``chols``; ``ext`` holds each block's coefficient tensor
-    extended by the margin coordinate.
-    """
-    nvar = ext[0].shape[0]
-    grad = np.zeros(nvar)
-    grad[-1] = -tau
-    hess = np.zeros((nvar, nvar))
-    for F, L in zip(ext, chols):
-        Li, info = dtrtri(L, lower=1)
-        if info != 0:
-            raise RuntimeError("singular Cholesky factor in the Newton system")
-        sym = Li @ F @ Li.T
-        grad -= np.trace(sym, axis1=1, axis2=2)
-        flat = sym.reshape(nvar, -1)
-        hess += flat @ flat.T
-    return grad, hess
+def _max_step(Li: np.ndarray, D: np.ndarray) -> float:
+    """Largest a with ``L L^T + a D`` positive semidefinite, given ``Li`` the
+    inverse of the factor ``L``; inf when D is itself semidefinite."""
+    lam = dsyevr(Li @ D @ Li.T, compute_v=0, range="I", il=1, iu=1)[0][0]
+    return -1.0 / lam if lam < 0 else np.inf
+
+
+def _off_centre(z_chols: list[np.ndarray], S: list[np.ndarray], mu: float) -> float:
+    """``||L_Z^T S L_Z / mu - I||_F`` over all blocks: zero exactly at the
+    central point ``Z S = mu I``."""
+    dev = [L.T @ Sb @ L / mu - np.eye(len(Sb)) for L, Sb in zip(z_chols, S)]
+    return float(np.sqrt(sum(np.linalg.norm(D) ** 2 for D in dev)))
+
+
+def _col_scale(blocks: list[AffineBlock]) -> np.ndarray:
+    """Per-variable scaling ``1 / max_i ||coeff_i[j]||_F`` (1 for a variable
+    no block depends on).  It equalizes the coefficient-tensor norms, an
+    exact reparameterization (margins unchanged) that conditions the Schur
+    complement when data columns live on very different scales."""
+    norms = np.max([np.einsum("jab,jab->j", b.coeff, b.coeff) for b in blocks], axis=0)
+    scale = np.ones(norms.shape)
+    np.divide(1.0, np.sqrt(norms), out=scale, where=norms > 0)
+    return scale
+
+
+def _schur_complement(
+    ext: list[np.ndarray], s_invs: list[np.ndarray], z_chols: list[np.ndarray]
+) -> np.ndarray:
+    """HKM Schur complement ``M_ij = sum over blocks of tr(A_i Z A_j S^{-1})``,
+    given each block's coefficient tensor extended by the margin coordinate
+    (``ext``), the inverse of its slack's Cholesky factor (``s_invs``) and its
+    dual Cholesky factor (``z_chols``)."""
+    k = ext[0].shape[0]
+    M = np.zeros((k, k))
+    for A, Li, LZ in zip(ext, s_invs, z_chols):
+        flat = (Li @ A @ LZ).reshape(k, -1)
+        M += flat @ flat.T
+    return M
 
 
 def maximize_margin(
     blocks: list[AffineBlock],
     gap_tol: float = 1e-8,
-    tau0: float = 1.0,
-    tau_growth: float = 10.0,
     max_newton: int = 2000,
-    newton_tol: float = 1e-8,
-    stage_iters: int = 80,
     feas_tol: float | None = None,
 ) -> MarginResult:
     """Maximize t such that ``block_i(v) - t I >= 0`` for all blocks.
 
-    Path-following on ``-tau * t + sum_i (-log det(block_i(v) - t I))`` with
-    tau increased geometrically.  After each centred stage the barrier gap
-    bound ``gap = (sum of block sizes) / tau`` bounds how far the optimum
-    lies above the stage's t.  With ``feas_tol`` given, the path stops at
-    the first centred point whose eigenvalue-certified margin exceeds
-    ``feas_tol`` and also exceeds ``gap`` (stop reason ``"verdict"``): the
-    sign of the optimum is then settled, the optimum is below twice the
-    returned margin, and the returned point does not depend on ``gap_tol``
-    or on how far the path would have run.  Otherwise (no ``feas_tol``, or
-    a problem where this never happens, such as an infeasible one) tau
-    grows until ``gap`` drops below ``gap_tol`` (stop reason
-    ``"gap_tol"``) and the margin is the optimum to within ``gap_tol``.
-    Running out of ``max_newton`` first gives ``converged=False`` (stop
-    reason ``"newton_budget"``).
+    Both sides of the optimum are certified at every iterate.  The *margin*
+    is the smallest block eigenvalue at v.  The *bound* is ``tr(F_0 Z)`` at
+    the projection of Z onto ``tr(F_j Z) = 0``, ``tr Z = 1`` (through the
+    Gram matrix of the extended coefficients, factored once per solve),
+    accepted when it passes a Cholesky test: it is then a dual point and
+    bounds the optimum by weak duality.  ``gap_bound`` is the best bound so
+    far minus the margin (inf without a dual point), so the optimum lies in
+    ``[margin, margin + gap_bound]``.  Stop reasons:
 
-    Each line-search trial costs one matrix-vector product and one Cholesky
-    factorization per block; a failed factorization rejects the trial.  Each
-    Newton system is assembled from one triangular inverse per block, tested
-    for finiteness (a non-finite one raises ``RuntimeError``) and factored
-    with LAPACK ``dpotrf``; a ridge is added while that factorization fails.
-    A step of length s along the Newton direction is accepted when the
-    barrier change ``(logdet_old - logdet_new) - tau * s * dt`` is at most
-    ``-0.25 * s * decrement`` (Armijo), starting at s = 1 and halving.  The
-    reported margin is re-certified at the returned point by an eigenvalue
-    computation, independently of the path; ``gap_bound`` is ``gap`` at the
-    returned point, so the optimum is at most ``margin + gap_bound``.
+    - ``"verdict"`` (with ``feas_tol``): the margin exceeds ``feas_tol`` and
+      ``gap_bound < margin`` (feasible; the optimum is below twice the
+      margin), or the bound is at most ``feas_tol`` (infeasible).  Before a
+      feasible verdict is returned the iterate is centred: Newton steps to
+      the central point ``Z S = mu_c I``, ``mu_c`` the power of 2 at or
+      below the current ``mu``, until ``_off_centre`` is at most
+      ``CENTRE_TOL`` (or after ``MAX_CENTRING`` steps), and the verdict is
+      checked again there.  The predictor-corrector iterates carry the
+      round-off of their whole path (a 1e-15 relative change in the paper
+      block's constant moved v by 3e-7 relative at the verdict); the
+      central point at a data-independent ``mu_c`` does not, so the gain
+      read off it is well determined, and it depends on neither
+      ``gap_tol`` nor how far the solve would have run.
+    - ``"gap_tol"``: ``gap_bound <= gap_tol``.
+    - ``"unbounded"``: -I lies in the span of the coefficients, or a step
+      direction grows every block while t increases; no dual point exists.
+    - ``"stalled"`` (``converged=False``): a step left the cone in floating
+      point first; the previous iterate is returned.  So end problems whose
+      dual points are all singular, with ``gap_bound`` inf.
+    - ``"newton_budget"`` (``converged=False``): ``max_newton`` iterations.
+
+    Variables whose coefficients depend linearly on the others' (pivoted
+    Cholesky of the Gram matrix) are held at zero.  The Schur complement is
+    tested for finiteness (``RuntimeError`` otherwise) and factored with
+    ``dpotrf``, with a ridge added while that fails.
     """
     if not blocks:
         raise ValueError("need at least one block")
@@ -170,132 +181,169 @@ def maximize_margin(
         if b.nvar != nvar:
             raise ValueError("blocks disagree on the variable dimension")
 
-    total_degree = sum(b.size for b in blocks)
+    n = sum(b.size for b in blocks)
     log: list[str] = []
 
-    # Per-variable scaling equalizes the coefficient-tensor norms; this is an
-    # exact reparameterization (margins unchanged) that conditions the Newton
-    # system when data columns live on very different scales.
-    col_scale = np.ones(nvar)
-    for j in range(nvar):
-        norm_j = max(np.linalg.norm(b.coeff[j]) for b in blocks)
-        if norm_j > 0:
-            col_scale[j] = 1.0 / norm_j
+    # Coefficient tensors in the scaled variables, extended by the margin
+    # coordinate (coefficient -I), and their flat (k, nb * nb) views.  A
+    # variable whose scaled coefficients depend linearly on the others' adds
+    # nothing to the feasible set; it is held at zero, which keeps the Schur
+    # complement and the Gram matrix nonsingular.
+    col_scale = _col_scale(blocks)
+    ext = [
+        np.concatenate([b.coeff * col_scale[:, None, None], -np.eye(b.size)[None]])
+        for b in blocks
+    ]
+    gram = sum(F @ F.T for F in (A.reshape(nvar + 1, -1) for A in ext))
+    _, piv, rank, _ = dpstrf(gram[:-1, :-1], lower=1)
+    free = np.sort(piv[:rank] - 1)
+    keep = np.append(free, nvar)
+    ext = [A[keep] for A in ext]
+    gram = gram[np.ix_(keep, keep)]
+    k = keep.size
+    flats = [A.reshape(k, -1) for A in ext]
+    consts = [b.const for b in blocks]
+    target = np.zeros(k)  # the dual equalities read (tr(A_i Z))_i = -target
+    target[-1] = 1.0
+    eye = np.eye(k)
+    gram_chol = _chol(gram)
 
-    # Coefficient tensors extended by the margin coordinate (coefficient -I).
-    ext = []
-    for b in blocks:
-        scaled = b.coeff * col_scale[:, None, None] if nvar else b.coeff
-        tcoef = -np.eye(b.size)[None, :, :]
-        ext.append(np.concatenate([scaled, tcoef], axis=0) if nvar else tcoef)
-    # Trial block values come from one matrix-vector product each against
-    # the coefficient tensor flattened once (a view, not a copy).
-    trial_data = [(b.const, b.coeff.reshape(nvar, b.size**2)) for b in blocks]
-    eye = np.eye(nvar + 1)
+    def slacks(y: np.ndarray) -> list[np.ndarray]:
+        return [C + (y @ F).reshape(C.shape) for C, F in zip(consts, flats)]
 
-    v = np.zeros(nvar)
-    t = min(_min_eig(b.value(v)) for b in blocks)
-    t = t - 1.0 - 0.05 * abs(t)
+    def physical_v(y: np.ndarray) -> np.ndarray:
+        v = np.zeros(nvar)
+        v[free] = y[:-1] * col_scale[free]
+        return v
 
-    def neg_logdet(u: np.ndarray):
-        """(-sum_i log det(block_i - t I), cholesky factors), or (None, None)
-        outside the domain.
+    def certified_margin(v: np.ndarray) -> float:
+        return min(float(np.linalg.eigvalsh(b.value(v))[0]) for b in blocks)
 
-        The iterate u carries the scaled variables; physical coordinates are
-        recovered through col_scale.
-        """
-        chols = []
-        val = 0.0
-        v_phys = u[:-1] * col_scale
-        for const, coeff_flat in trial_data:
-            L = _shifted_chol(const, coeff_flat, v_phys, u[-1])
-            if L is None:
-                return None, None
-            chols.append(L)
-            val -= 2.0 * float(np.log(L.diagonal()).sum())
-        return val, chols
+    def dual_bound(Z: list[np.ndarray]) -> float:
+        """tr(F_0 Z) at the projection of Z onto the dual equalities, or inf
+        when it is not positive definite.  The projection does not replace
+        the iterate: as the iterate it moved the paper gain by 4e-7 relative
+        between rescaled copies of one problem."""
+        resid = sum(F @ Zb.ravel() for F, Zb in zip(flats, Z)) + target
+        coef, _ = dpotrs(gram_chol, resid, lower=1)
+        bound = 0.0
+        for C, F, Zb in zip(consts, flats, Z):
+            Zp = Zb - (coef @ F).reshape(Zb.shape)
+            if _chol(Zp) is None:
+                return np.inf
+            bound += float(np.vdot(C, Zp))
+        return bound
 
-    def certified_margin(u: np.ndarray) -> float:
-        v_phys = u[:-1] * col_scale
-        return min(_min_eig(b.value(v_phys)) for b in blocks)
+    def directions(dy, s_invs, Z, sigma_mu, second=None):
+        """Slack and dual steps for the Schur-system solution dy; ``second``
+        holds the corrector's second-order terms."""
+        dS = [(dy @ F).reshape(C.shape) for C, F in zip(consts, flats)]
+        dZ = [sigma_mu * Si - Zb - _sym(Zb @ dSb @ Si) for Si, Zb, dSb in zip(s_invs, Z, dS)]
+        if second is not None:
+            dZ = [D - K for D, K in zip(dZ, second)]
+        return dS, dZ
 
-    u = np.concatenate([v, [t]])
-    tau = tau0
+    y = np.zeros(k)
+    y[-1] = min(float(np.linalg.eigvalsh(_sym(C))[0]) for C in consts)
+    y[-1] -= 1.0 + 0.05 * abs(y[-1])
+    Z = [np.eye(b.size) / n for b in blocks]
+
     steps = 0
-    trials = 0
     converged = True
-    stop = "gap_tol"
-    while True:
-        phi, chols = neg_logdet(u)
-        if phi is None:
-            raise RuntimeError("interior-point iterate left the cone")
-        in_stage = 0
-        while in_stage < stage_iters:
-            grad, hess = _newton_system(ext, chols, tau)
-            if not (np.isfinite(hess).all() and np.isfinite(grad).all()):
-                raise RuntimeError("non-finite Newton system")
-            ridge = 0.0
-            while True:
-                cho, info = dpotrf(hess + ridge * eye, lower=1, clean=0)
-                if info == 0:
-                    break
-                ridge = max(10.0 * ridge, 1e-12 * (1.0 + np.trace(hess)))
-            step, _ = dpotrs(cho, -grad, lower=1)
-            decrement = float(-grad @ step)
-            if 0.5 * decrement <= newton_tol:
-                # Includes tiny negative values from round-off: centered enough.
-                break
-
-            s = 1.0
-            accepted = False
-            while s > 1e-13:
-                trial = u + s * step
-                phi_new, chols_new = neg_logdet(trial)
-                trials += 1
-                if (
-                    phi_new is not None
-                    and (phi_new - phi) - tau * s * step[-1] <= -0.25 * s * decrement
-                ):
-                    u, phi, chols = trial, phi_new, chols_new
-                    accepted = True
-                    break
-                s *= 0.5
-            steps += 1
-            in_stage += 1
-            if not accepted:
-                # Progress below float resolution: the stage is as centered
-                # as the arithmetic allows.
-                break
-            if steps >= max_newton:
-                break
-        gap = total_degree / tau
-        if steps >= max_newton and gap > gap_tol:
-            log.append(f"newton budget exhausted at tau={tau:.1e}")
+    v = physical_v(y)
+    margin = certified_margin(v)
+    bound = gap = np.inf
+    centre_mu = None  # set while centring (see the docstring)
+    centring = 0
+    # A singular Gram matrix means -I lies in the span of the variables'
+    # coefficients: t grows without bound along that combination.
+    stop = "unbounded" if gram_chol is None else None
+    while stop is None:
+        S = slacks(y)
+        s_chols = [_chol(Sb) for Sb in S]
+        z_chols = [_chol(Zb) for Zb in Z]
+        if any(L is None for L in s_chols + z_chols):
+            if not steps:
+                raise RuntimeError("interior-point iterate left the cone")
+            # A step short of the boundary left the cone in floating point:
+            # the iterates have reached round-off.  Keep the previous iterate.
+            converged, stop = False, "stalled"
+            break
+        v = physical_v(y)
+        margin = certified_margin(v)
+        # Every dual point bounds the optimum, so the best bound so far
+        # holds at this iterate too.
+        bound = min(bound, dual_bound(Z))
+        gap = bound - margin
+        mu = sum(float(np.vdot(Zb, Sb)) for Zb, Sb in zip(Z, S)) / n
+        feasible = feas_tol is not None and margin > feas_tol and gap < margin
+        if feasible and centre_mu is None:
+            centre_mu, centring = 2.0 ** np.floor(np.log2(mu)), 0
+        centred = centre_mu is not None and (
+            centring >= MAX_CENTRING or _off_centre(z_chols, S, centre_mu) <= CENTRE_TOL
+        )
+        if centred:
+            centre_mu = None
+        if (centred and feasible) or (feas_tol is not None and bound <= feas_tol):
+            stop = "verdict"
+        elif gap <= gap_tol and centre_mu is None:
+            stop = "gap_tol"
+        elif steps >= max_newton:
+            log.append(f"iteration budget exhausted at gap_bound={gap:.1e}")
             converged = False
             stop = "newton_budget"
+        if stop is not None:
             break
-        if feas_tol is not None:
-            stage_margin = certified_margin(u)
-            if stage_margin > feas_tol and gap < stage_margin:
-                stop = "verdict"
-                break
-        if gap <= gap_tol:
-            break
-        tau *= tau_growth
 
-    v_out = u[:-1] * col_scale
-    margin = certified_margin(u)
+        s_invs_L = [_tri_inv(L) for L in s_chols]
+        z_invs_L = [_tri_inv(L) for L in z_chols]
+        M = _schur_complement(ext, s_invs_L, z_chols)
+        if not np.isfinite(M).all():
+            raise RuntimeError("non-finite Newton system")
+        ridge = 0.0
+        while True:
+            cho, info = dpotrf(M + ridge * eye, lower=1, clean=0)
+            if info == 0:
+                break
+            ridge = max(10.0 * ridge, 1e-12 * (1.0 + np.trace(M)))
+        s_invs = [Li.T @ Li for Li in s_invs_L]
+        h_sinv = sum(F @ Si.ravel() for F, Si in zip(flats, s_invs))
+
+        if centre_mu is not None:
+            # Newton step towards the central point at centre_mu.
+            dy, _ = dpotrs(cho, target + centre_mu * h_sinv, lower=1)
+            dS, dZ = directions(dy, s_invs, Z, centre_mu)
+            centring += 1
+        else:
+            # Predictor (affine scaling), then the Mehrotra corrector on the
+            # same factorization.
+            dy, _ = dpotrs(cho, target, lower=1)
+            dS, dZ = directions(dy, s_invs, Z, 0.0)
+            a_s = min(1.0, min(_max_step(Li, D) for Li, D in zip(s_invs_L, dS)))
+            a_z = min(1.0, min(_max_step(Li, D) for Li, D in zip(z_invs_L, dZ)))
+            mu_aff = sum(
+                float(np.vdot(Zb + a_z * dZb, Sb + a_s * dSb))
+                for Zb, dZb, Sb, dSb in zip(Z, dZ, S, dS)
+            ) / n
+            sigma_mu = min(1.0, (max(mu_aff, 0.0) / mu) ** 3) * mu
+            second = [_sym(dZb @ dSb @ Si) for dZb, dSb, Si in zip(dZ, dS, s_invs)]
+            rhs = target + sigma_mu * h_sinv - sum(
+                F @ K.ravel() for F, K in zip(flats, second)
+            )
+            dy, _ = dpotrs(cho, rhs, lower=1)
+            dS, dZ = directions(dy, s_invs, Z, sigma_mu, second)
+        max_s = min(_max_step(Li, D) for Li, D in zip(s_invs_L, dS))
+        if max_s == np.inf and dy[-1] > 0:
+            # S + a dS >= 0 for every a >= 0 while t grows: a ray along which
+            # the margin is unbounded, so no dual point exists.
+            stop, gap = "unbounded", np.inf
+            break
+        max_z = min(_max_step(Li, D) for Li, D in zip(z_invs_L, dZ))
+        y = y + min(1.0, STEP_FRACTION * max_s) * dy
+        Z = [Zb + min(1.0, STEP_FRACTION * max_z) * D for Zb, D in zip(Z, dZ)]
+        steps += 1
+
     log.append(
-        f"tau={tau:.3e} margin={margin:.6e} newton_steps={steps} "
-        f"gap_bound={gap:.1e} line_search_evals={trials} stop={stop}"
+        f"margin={margin:.6e} iterations={steps} gap_bound={gap:.1e} stop={stop}"
     )
-    return MarginResult(
-        v=v_out,
-        margin=margin,
-        converged=converged,
-        newton_steps=steps,
-        line_search_evals=trials,
-        gap_bound=gap,
-        stop=stop,
-        log=log,
-    )
+    return MarginResult(v, margin, converged, steps, gap, stop, log)

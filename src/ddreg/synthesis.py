@@ -2,19 +2,21 @@
 data only, and extract the feedback gain.
 
 The decision variables are a symmetric matrix X and a rectangular Y tied by
-``[X; 0] = [psi0; mhat] Y`` with ``X > 0`` and the stability block
-``[[X, psi1 Y], [(psi1 Y)^T, X]] > 0``.  The equality is eliminated exactly:
-Y is parameterized on the nullspace of ``mhat``, X is defined as ``psi0 Y``
-with symmetry imposed linearly, and the scale is pinned by ``trace X = nu``
-(the constraints are jointly homogeneous in (X, Y), so the normalization is
-lossless).  What remains is a margin maximization over two affine symmetric
-blocks, handed to a pluggable backend; the built-in dense interior-point
-solver is the default.
+``[X; 0] = [psi0; mhat] Y`` with the stability block
+``[[X, psi1 Y], [(psi1 Y)^T, X]] > 0``, which implies ``X > 0`` (see
+``_sdp_block``).  The equality is eliminated exactly: Y is parameterized
+on the nullspace of ``mhat``, taken modulo the kernel of ``[psi0; psi1]``
+(directions that move Y without moving either X or ``psi1 Y``), X is defined
+as ``psi0 Y`` with symmetry imposed linearly, and the scale is pinned by
+``trace X = nu`` (the constraints are jointly homogeneous in (X, Y), so the
+normalization is lossless).  What remains is a margin maximization over one
+affine symmetric block, handed to a pluggable backend; the built-in dense
+interior-point solver is the default.
 
 The design question is one of feasibility: any strictly feasible (X, Y)
-yields a valid gain.  The interior-point solve therefore stops on the
-barrier path as soon as the feasible verdict is certified (margin above
-``feas_tol`` and above the gap bound) and returns that centred point.
+yields a valid gain.  The interior-point solve therefore stops as soon as a
+verdict is certified (margin above ``feas_tol`` and above the gap bound, or
+a dual bound at or below ``feas_tol``), a feasible one at a central point.
 Driving the margin to its optimum instead leaves X nearly singular and the
 gain ``K = u1 Y X^{-1}`` ill-determined: it would move with round-off in
 the data and with the solver tolerance, although the homogeneity says it
@@ -80,12 +82,13 @@ class SdpProblem:
 class SynthesisResult:
     status: str  # feasible | infeasible | numerical_failure
     margin: float
-    X: np.ndarray | None
-    Y: np.ndarray | None
-    K: np.ndarray | None
+    X: np.ndarray | None = None
+    Y: np.ndarray | None = None
+    K: np.ndarray | None = None
     diagnostics: list[str] = field(default_factory=list)
     # Interior-point certificate: the optimal margin is at most
-    # margin + gap_bound.  None when no barrier solve produced the point.
+    # margin + gap_bound.  None when no interior-point solve produced the
+    # point.
     gap_bound: float | None = None
     # G = Y X^{-1} and the norm defect of the interpolation identity it was
     # checked against; set with K.
@@ -113,17 +116,23 @@ def assemble_sdp(data: DataMatrices, reg: Regressor) -> SdpProblem:
     return SdpProblem(u1=data.u1, psi0=data.psi0, psi1=data.psi1, mhat=mhat)
 
 
-def _nullspace(M: np.ndarray, rtol: float = DEFAULT_RANK_RTOL) -> np.ndarray:
-    """Orthonormal basis of the right nullspace (columns), at the package-wide
-    rank tolerance."""
+def _row_and_null(M: np.ndarray, rtol: float = DEFAULT_RANK_RTOL):
+    """Orthonormal bases (columns) of the row space and of the right
+    nullspace of ``M``, from one SVD at the package-wide rank tolerance."""
     if M.shape[0] == 0:
-        return np.eye(M.shape[1])
+        return np.zeros((M.shape[1], 0)), np.eye(M.shape[1])
     _, s, vh = np.linalg.svd(M)
     if s.size and s[0] > 0:
         rank = int(np.count_nonzero(s > rtol * s[0]))
     else:
         rank = 0
-    return vh[rank:].T.copy()
+    return vh[:rank].T.copy(), vh[rank:].T.copy()
+
+
+def _nullspace(M: np.ndarray, rtol: float = DEFAULT_RANK_RTOL) -> np.ndarray:
+    """Orthonormal basis of the right nullspace (columns), at the package-wide
+    rank tolerance."""
+    return _row_and_null(M, rtol)[1]
 
 
 def _symmetry_system(H0: np.ndarray):
@@ -155,6 +164,12 @@ def _elimination(prob: SdpProblem):
     system is inconsistent (no normalized point exists at all).
     """
     null_m = _nullspace(prob.mhat)
+    # Directions of null_m in the kernel of [psi0; psi1] move Y without
+    # moving X or W: the margin cannot see them.  Keeping the row space only
+    # removes them before the symmetry system is built, and pins Y to the
+    # smallest one that gives the same blocks.
+    rows, _ = _row_and_null(np.vstack([prob.psi0, prob.psi1]) @ null_m)
+    null_m = null_m @ rows
     if null_m.shape[1] == 0:
         return None
     E, rhs = _symmetry_system(prob.psi0 @ null_m)
@@ -179,12 +194,12 @@ def _surfaces(H0: np.ndarray, H1: np.ndarray, cols: np.ndarray):
     return 0.5 * (P + P.transpose(0, 2, 1)), H1 @ Z
 
 
-def _sdp_blocks(
-    H0: np.ndarray, H1: np.ndarray, cols: np.ndarray
-) -> list[AffineBlock]:
-    """The blocks ``X`` and ``[[X, W], [W^T, X]]`` of the design program,
-    affine in the parameters: the first column of ``cols`` gives the
-    constant term, the others the coefficients (see ``_surfaces``)."""
+def _sdp_block(H0: np.ndarray, H1: np.ndarray, cols: np.ndarray) -> AffineBlock:
+    """The block ``[[X, W], [W^T, X]]`` of the design program, affine in the
+    parameters: the first column of ``cols`` gives the constant term, the
+    others the coefficients (see ``_surfaces``).  ``X > 0`` needs no block
+    of its own: X is a principal submatrix, so by Cauchy interlacing its
+    smallest eigenvalue is at least the whole block's."""
     X, W = _surfaces(H0, H1, cols)
     k, nu, _ = X.shape
     S = np.empty((k, 2 * nu, 2 * nu))
@@ -192,10 +207,7 @@ def _sdp_blocks(
     S[:, :nu, nu:] = W
     S[:, nu:, :nu] = W.transpose(0, 2, 1)
     S[:, nu:, nu:] = X
-    return [
-        AffineBlock(const=X[0], coeff=X[1:]),
-        AffineBlock(const=S[0], coeff=S[1:]),
-    ]
+    return AffineBlock(const=S[0], coeff=S[1:])
 
 
 def solve_feasibility_sdp(
@@ -203,21 +215,19 @@ def solve_feasibility_sdp(
 ) -> SynthesisResult:
     """Margin-maximization solve of the design program.
 
-    Feasible means the achieved margin exceeds ``opts.feas_tol``; the margin
-    is the smallest eigenvalue across both matrix blocks at the returned
-    point.  The interior-point backend is given ``opts.feas_tol`` and stops
-    at the first centred point that certifies this, so the margin is then
-    a certified lower bound on the optimum (within a factor 2 of it, see
-    ``gap_bound``), not the optimum itself.  Problems that do not reach
-    that point, infeasible ones included, are solved to ``opts.gap_tol``.
-    The returned X and Y satisfy the equality constraint by construction up
-    to round-off.
+    Feasible means the margin, the smallest eigenvalue of the stability
+    block at the returned point, exceeds ``opts.feas_tol``.  The
+    interior-point backend stops at the first certified verdict: a feasible
+    margin is a lower bound on the optimum (within a factor 2 of it, see
+    ``gap_bound``); an infeasible solve stops once a dual point bounds the
+    optimum at or below ``opts.feas_tol``, so its margin is the certified
+    value there (about -3e-8 on the wide-output plant), not the optimum near
+    zero.  Otherwise it runs to ``opts.gap_tol``.  X and Y satisfy the
+    equality constraint by construction up to round-off.
     """
     opts = opts or SolverOptions()
     nu, N = prob.nu, prob.n_cols
-    diagnostics = [
-        f"dims: nu={nu} N={N} nhat_w={prob.nhat_w}",
-    ]
+    diagnostics = [f"dims: nu={nu} N={N} nhat_w={prob.nhat_w}"]
 
     elim = _elimination(prob)
     if elim is None:
@@ -225,38 +235,13 @@ def solve_feasibility_sdp(
             "equality constraints admit no normalized solution "
             "(trace(psi0 Y) = nu unreachable); problem infeasible"
         )
-        return SynthesisResult(
-            status="infeasible",
-            margin=-np.inf,
-            X=None,
-            Y=None,
-            K=None,
-            diagnostics=diagnostics,
-        )
+        return SynthesisResult("infeasible", -np.inf, diagnostics=diagnostics)
     null_m, z0, basis = elim
     q = null_m.shape[1]
     diagnostics.append(f"eliminated problem: {basis.shape[1]} free parameters (q={q})")
 
-    H0 = prob.psi0 @ null_m
-    H1 = prob.psi1 @ null_m
-
-    # Quotient out directions that move Y without moving either matrix block
-    # (they exist whenever [psi0; psi1] has a kernel on the regressor
-    # nullspace).  They leave the margin untouched but make the barrier
-    # Hessian singular; dropping them also pins the minimum-norm optimizer.
-    images = np.concatenate(
-        [M.reshape(-1, nu * nu) for M in _surfaces(H0, H1, basis)], axis=1
-    )
-    u_img, s_img, _ = np.linalg.svd(images, full_matrices=False)
-    if s_img.size and s_img[0] > 0:
-        eff_rank = int(np.count_nonzero(s_img > 1e-12 * s_img[0]))
-    else:
-        eff_rank = 0
-    basis = basis @ u_img[:, :eff_rank]
-    n_free = basis.shape[1]
-    diagnostics.append(f"effective free parameters after flat removal: {n_free}")
-
-    blocks = _sdp_blocks(H0, H1, np.column_stack([z0, basis]))
+    H0, H1 = prob.psi0 @ null_m, prob.psi1 @ null_m
+    blocks = [_sdp_block(H0, H1, np.column_stack([z0, basis]))]
 
     if opts.backend == "interior_point":
         try:
@@ -267,24 +252,11 @@ def solve_feasibility_sdp(
                 feas_tol=opts.feas_tol,
             )
         except RuntimeError as exc:
-            return SynthesisResult(
-                status="numerical_failure",
-                margin=float("nan"),
-                X=None,
-                Y=None,
-                K=None,
-                diagnostics=diagnostics + [f"interior point failed: {exc}"],
-            )
+            diagnostics.append(f"interior point failed: {exc}")
+            return SynthesisResult("numerical_failure", np.nan, diagnostics=diagnostics)
         diagnostics.extend(res.log)
         if not res.converged:
-            return SynthesisResult(
-                status="numerical_failure",
-                margin=res.margin,
-                X=None,
-                Y=None,
-                K=None,
-                diagnostics=diagnostics,
-            )
+            return SynthesisResult("numerical_failure", res.margin, diagnostics=diagnostics)
         zeta = res.v
         margin = res.margin
         gap_bound = res.gap_bound
@@ -293,32 +265,18 @@ def solve_feasibility_sdp(
         gap_bound = None
         diagnostics.append(message)
         if zeta is None:
-            return SynthesisResult(
-                status="numerical_failure",
-                margin=float("nan"),
-                X=None,
-                Y=None,
-                K=None,
-                diagnostics=diagnostics,
-            )
+            return SynthesisResult("numerical_failure", np.nan, diagnostics=diagnostics)
     else:
         raise ValueError(f"unknown solver backend: {opts.backend}")
 
-    z_opt = z0 + basis @ zeta if n_free else z0
-    Z = z_opt.reshape(q, nu)
+    Z = (z0 + basis @ zeta).reshape(q, nu)
     Y = null_m @ Z
     X = _sym(prob.psi0 @ Y)
 
     diagnostics.append(f"margin={margin:.6e} feas_tol={opts.feas_tol:.1e}")
     if margin <= opts.feas_tol:
         return SynthesisResult(
-            status="infeasible",
-            margin=margin,
-            X=X,
-            Y=Y,
-            K=None,
-            diagnostics=diagnostics,
-            gap_bound=gap_bound,
+            "infeasible", margin, X, Y, diagnostics=diagnostics, gap_bound=gap_bound
         )
 
     resid_m = np.linalg.norm(prob.mhat @ Y) if prob.nhat_w else 0.0
@@ -328,15 +286,7 @@ def solve_feasibility_sdp(
     )
     K, G, gain_defect = extract_gain(prob, X, Y)
     return SynthesisResult(
-        status="feasible",
-        margin=margin,
-        X=X,
-        Y=Y,
-        K=K,
-        diagnostics=diagnostics,
-        gap_bound=gap_bound,
-        G=G,
-        gain_defect=gain_defect,
+        "feasible", margin, X, Y, K, diagnostics, gap_bound, G=G, gain_defect=gain_defect
     )
 
 

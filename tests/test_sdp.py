@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddreg import sdp, synthesis
 from ddreg.cli import paper_example_config, run_pipeline
-from ddreg.sdp import AffineBlock, _newton_system, _shifted_chol, maximize_margin
+from ddreg.sdp import AffineBlock, _col_scale, _schur_complement, maximize_margin
 
 
 def test_fixed_block_margin_is_min_eigenvalue():
@@ -67,11 +69,11 @@ def test_verdict_stop_certifies_margin_above_threshold():
     assert res.margin == pytest.approx(np.linalg.eigvalsh(block.value(res.v))[0])
     assert f"gap_bound={res.gap_bound:.1e}" in res.log[-1]
     assert res.log[-1].endswith("stop=verdict")
-    # A threshold the optimum never clears leaves the path running to gap_tol.
+    # A threshold the optimum never clears gets the infeasible verdict: a
+    # dual bound at or below the threshold.
     res_high = maximize_margin([block], feas_tol=2.0)
-    assert res_high.stop == "gap_tol"
-    assert res_high.margin == pytest.approx(5.0 / 4.0, abs=1e-7)
-    assert res_high.newton_steps > res.newton_steps
+    assert res_high.stop == "verdict"
+    assert res_high.margin <= 5.0 / 4.0 <= res_high.margin + res_high.gap_bound <= 2.0
 
 
 def test_negative_optimum_reported():
@@ -80,12 +82,13 @@ def test_negative_optimum_reported():
     b2 = AffineBlock(const=np.array([[-1.0]]), coeff=np.array([[[-1.0]]]))
     res = maximize_margin([b1, b2])
     assert res.margin == pytest.approx(-1.0, abs=1e-6)
-    # The verdict rule never fires on an infeasible problem: with feas_tol
-    # the path runs to gap_tol along the same iterates.
-    res_tol = maximize_margin([b1, b2], feas_tol=1e-6)
-    assert res_tol.stop == "gap_tol"
-    assert np.array_equal(res_tol.v, res.v)
-    assert res_tol.margin == res.margin
+    # With feas_tol the solve stops at the infeasible certificate: a dual
+    # bound on the optimum at or below the threshold.
+    feas_tol = 1e-6
+    res_tol = maximize_margin([b1, b2], feas_tol=feas_tol)
+    assert res_tol.stop == "verdict"
+    assert res_tol.margin <= -1.0 <= res_tol.margin + res_tol.gap_bound
+    assert res_tol.margin + res_tol.gap_bound <= feas_tol
 
 
 def test_random_problem_margin_is_locally_optimal():
@@ -105,9 +108,6 @@ def test_random_problem_margin_is_locally_optimal():
     for _ in range(200):
         trial = res.v + 1e-3 * rng.standard_normal(nv)
         assert np.linalg.eigvalsh(block.value(trial))[0] <= res.margin + 1e-6
-    # Every Newton step evaluates at least one trial point.
-    assert res.line_search_evals >= res.newton_steps
-    assert f"line_search_evals={res.line_search_evals}" in res.log[-1]
 
 
 def test_determinism():
@@ -118,23 +118,6 @@ def test_determinism():
     r2 = maximize_margin([block])
     assert r1.margin == r2.margin
     assert np.array_equal(r1.v, r2.v)
-
-
-def test_shifted_chol_matches_value_and_cholesky():
-    rng = np.random.default_rng(5)
-    for nb, nv in ((1, 1), (4, 3), (20, 65), (3, 0)):
-        W = rng.standard_normal((nv, nb, nb))
-        coeff = 0.5 * (W + W.transpose(0, 2, 1))
-        block = AffineBlock(const=4.0 * np.eye(nb), coeff=coeff)
-        v = 0.1 * rng.standard_normal(nv)
-        lam = np.linalg.eigvalsh(block.value(v))[0]
-        flat = block.coeff.reshape(nv, nb * nb)  # (0, nb * nb) without variables
-        t = lam - 0.5
-        L = _shifted_chol(block.const, flat, v, t)
-        L_ref = np.linalg.cholesky(block.value(v) - t * np.eye(nb))
-        assert np.abs(L - L_ref).max() <= 1e-12 * np.abs(L_ref).max()
-        # A shift past the smallest eigenvalue leaves the cone.
-        assert _shifted_chol(block.const, flat, v, lam + 1e-6) is None
 
 
 def test_zero_variable_blocks_solve():
@@ -149,52 +132,150 @@ def test_zero_variable_blocks_solve():
     assert res.margin == pytest.approx(0.5, abs=1e-12)
 
 
-def test_non_finite_newton_system_raises(monkeypatch):
-    def poisoned(ext, chols, tau):
-        grad, hess = _newton_system(ext, chols, tau)
-        hess[0, 0] = np.nan
-        return grad, hess
+def test_unbounded_margin_has_no_certificate():
+    # The block of test_determinism, I + v1 C1 + v2 C2 with C1 > 0: the
+    # margin grows without bound along v1, so no dual point exists and no
+    # gap bound may be claimed.
+    rng = np.random.default_rng(1)
+    coeff = np.array([0.5 * (W + W.T) for W in rng.standard_normal((2, 3, 3))])
+    assert np.linalg.eigvalsh(coeff[0])[0] > 0
+    block = AffineBlock(const=np.eye(3), coeff=coeff)
+    for feas_tol in (None, 1e-6):
+        res = maximize_margin([block], feas_tol=feas_tol)
+        assert res.stop == "unbounded"
+        assert res.gap_bound == np.inf
+        assert np.isfinite(res.margin) and np.isfinite(res.v).all()
+        assert res.margin == pytest.approx(np.linalg.eigvalsh(block.value(res.v))[0])
+        assert res.log[-1].endswith("stop=unbounded")
 
-    monkeypatch.setattr(sdp, "_newton_system", poisoned)
+
+def test_degenerate_dual_stalls_with_certified_margin():
+    # Blocks [c] and [d + e v] with c < d: the optimum c is reached for every
+    # v >= (c - d) / e, so the only dual point, Z = diag(1, 0), is singular
+    # and no Cholesky test can certify it.  The iterates reach round-off and
+    # the solve ends without a gap bound, keeping a certified margin.
+    blocks = [
+        AffineBlock(const=np.array([[0.125]]), coeff=np.zeros((1, 1, 1))),
+        AffineBlock(const=np.array([[0.625]]), coeff=np.array([[[0.1]]])),
+    ]
+    res = maximize_margin(blocks)
+    assert res.stop == "stalled" and not res.converged
+    assert res.gap_bound == np.inf
+    assert res.margin <= 0.125
+    assert res.margin == pytest.approx(0.125, abs=1e-9)
+    assert res.margin == min(np.linalg.eigvalsh(b.value(res.v))[0] for b in blocks)
+
+
+def test_col_scale_matches_loop_reference():
+    rng = np.random.default_rng(2)
+    for sizes, nv in (((3,), 0), ((1,), 1), ((4, 2), 3), ((20, 10), 64)):
+        blocks = [
+            AffineBlock(const=np.eye(nb), coeff=rng.standard_normal((nv, nb, nb)))
+            for nb in sizes
+        ]
+        blocks[0].coeff[nv // 2 :] *= 1e3  # variables on different scales
+        if nv > 1:
+            for b in blocks:
+                b.coeff[0] = 0.0  # a variable no block depends on
+        ref = np.ones(nv)
+        for j in range(nv):
+            norm_j = max(np.linalg.norm(b.coeff[j]) for b in blocks)
+            if norm_j > 0:
+                ref[j] = 1.0 / norm_j
+        # Sums run in another order than np.linalg.norm's: a few ulps apart.
+        np.testing.assert_allclose(_col_scale(blocks), ref, rtol=8 * np.finfo(float).eps, atol=0)
+
+
+def test_non_finite_newton_system_raises(monkeypatch):
+    def poisoned(ext, s_invs, z_chols):
+        M = _schur_complement(ext, s_invs, z_chols)
+        M[0, 0] = np.nan
+        return M
+
+    monkeypatch.setattr(sdp, "_schur_complement", poisoned)
     with pytest.raises(RuntimeError, match="non-finite Newton system"):
         maximize_margin([_tradeoff_block()])
 
 
-def _newton_system_solve(ext, chols, tau):
-    """Reference assembly: broadcast general solves against each factor."""
-    nvar = ext[0].shape[0]
-    grad = np.zeros(nvar)
-    grad[-1] = -tau
-    hess = np.zeros((nvar, nvar))
-    for F, L in zip(ext, chols):
-        half = np.linalg.solve(L[None, :, :], F)
-        sym = np.linalg.solve(L[None, :, :], half.transpose(0, 2, 1))
-        grad -= np.trace(sym, axis1=1, axis2=2)
-        flat = sym.reshape(nvar, -1)
-        hess += flat @ flat.T
-    return grad, hess
+def _random_spd(rng, nb):
+    W = rng.standard_normal((nb, nb))
+    return W @ W.T + nb * np.eye(nb)
 
 
-def test_newton_system_matches_solve_reference():
+def test_schur_complement_matches_trace_reference():
     rng = np.random.default_rng(4)
     for sizes, nv in (((1,), 1), ((3, 6), 4), ((10, 20), 64)):
-        blocks = [
-            AffineBlock(
-                const=np.eye(nb),
-                coeff=np.array(
-                    [0.5 * (W + W.T) for W in rng.standard_normal((nv, nb, nb))]
-                ),
-            )
+        ext = [
+            np.array([0.5 * (W + W.T) for W in rng.standard_normal((nv + 1, nb, nb))])
             for nb in sizes
         ]
-        v = 0.1 * rng.standard_normal(nv)
-        t = min(np.linalg.eigvalsh(b.value(v))[0] for b in blocks) - 0.5
-        ext = [np.concatenate([b.coeff, -np.eye(b.size)[None]]) for b in blocks]
-        chols = [np.linalg.cholesky(b.value(v) - t * np.eye(b.size)) for b in blocks]
-        grad, hess = _newton_system(ext, chols, tau=1e3)
-        grad_ref, hess_ref = _newton_system_solve(ext, chols, tau=1e3)
-        assert np.abs(grad - grad_ref).max() <= 1e-12 * np.abs(grad_ref).max()
-        assert np.abs(hess - hess_ref).max() <= 1e-12 * np.abs(hess_ref).max()
+        S = [_random_spd(rng, nb) for nb in sizes]
+        Z = [_random_spd(rng, nb) for nb in sizes]
+        s_invs = [np.linalg.inv(np.linalg.cholesky(Sb)) for Sb in S]
+        z_chols = [np.linalg.cholesky(Zb) for Zb in Z]
+        M = _schur_complement(ext, s_invs, z_chols)
+        ref = np.zeros((nv + 1, nv + 1))
+        for A, Sb, Zb in zip(ext, S, Z):
+            S_inv = np.linalg.inv(Sb)
+            for i in range(nv + 1):
+                for j in range(nv + 1):
+                    ref[i, j] += np.trace(A[i] @ Zb @ A[j] @ S_inv)
+        assert np.abs(M - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def _lambda_min(blocks, v):
+    return min(np.linalg.eigvalsh(b.value(v))[0] for b in blocks)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    nb0=st.integers(2, 4),
+    more=st.lists(st.integers(1, 4), max_size=1),
+    nvar=st.integers(0, 3),
+    shift=st.floats(-1.0, 3.0),
+)
+def test_certificates_bracket_the_optimum(seed, nb0, more, nvar, shift):
+    # The first block's coefficients are traceless and (generically)
+    # independent, so its trace is pinned and the feasible set is bounded:
+    # the margin is bounded and a strictly feasible dual point exists.  The
+    # shift moves the optimum across feas_tol, so both verdicts occur.
+    nvar = min(nvar, nb0 * (nb0 + 1) // 2 - 1)
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for i, nb in enumerate([nb0] + more):
+        W = rng.standard_normal((nvar + 1, nb, nb))
+        W = 0.5 * (W + W.transpose(0, 2, 1))
+        if i == 0:
+            W[1:] -= np.trace(W[1:], axis1=1, axis2=2)[:, None, None] * np.eye(nb) / nb
+        blocks.append(AffineBlock(const=W[0] + shift * np.eye(nb), coeff=W[1:]))
+    feas_tol = 1e-6
+    ref = maximize_margin(blocks, gap_tol=1e-10)
+    res = maximize_margin(blocks, feas_tol=feas_tol)
+    # Round-off in the dual equalities may end the reference just short of
+    # 1e-10 ("stalled"), with the best certificates it reached.
+    assert ref.stop in ("gap_tol", "stalled") and ref.gap_bound <= 1e-9
+    assert res.converged
+    for r in (ref, res):
+        assert r.margin == pytest.approx(_lambda_min(blocks, r.v), abs=1e-12)
+    # margin <= optimum <= margin + gap_bound, with the optimum bracketed by
+    # the reference solve (plus round-off in the certificates).
+    slack = 1e-9
+    assert res.margin <= ref.margin + ref.gap_bound + slack
+    assert ref.margin <= res.margin + res.gap_bound + slack
+    if res.stop == "verdict":
+        feasible = res.margin > feas_tol
+        assert feasible or res.margin + res.gap_bound <= feas_tol
+        assert feasible == (ref.margin > feas_tol)
+    else:
+        assert res.stop == "gap_tol"
+    if nvar == 1:
+        # Grid oracle: every grid point's margin is a lower bound on the
+        # optimum, and the grid comes close to it.
+        grid = np.linspace(-5.0, 5.0, 2001)
+        best = max(_lambda_min(blocks, np.array([g])) for g in grid)
+        assert best <= res.margin + res.gap_bound + slack
+        assert best >= ref.margin - 1e-2
 
 
 @pytest.mark.parametrize("factorization", ["jordan", "krylov"])

@@ -12,7 +12,7 @@ from ddreg.synthesis import (
     SolverOptions,
     _elimination,
     _nullspace,
-    _sdp_blocks,
+    _sdp_block,
     _surfaces,
     _symmetry_system,
     assemble_sdp,
@@ -154,6 +154,20 @@ def test_symmetry_system_matches_loop_reference():
         assert rhs.tobytes() == rhs_ref.tobytes()
 
 
+def test_elimination_drops_directions_the_blocks_cannot_see():
+    # Y = null_m Z: null_m spans the part of ker(mhat) that [psi0; psi1]
+    # sees, so no direction of Z leaves both X and W unchanged.
+    prob = vtol_problem()
+    null_m = _elimination(prob)[0]
+    full = _nullspace(prob.mhat)
+    H = np.vstack([prob.psi0, prob.psi1])
+    assert null_m.shape[1] == np.linalg.matrix_rank(H @ full) < full.shape[1]
+    assert np.allclose(null_m.T @ null_m, np.eye(null_m.shape[1]), atol=1e-12)
+    assert np.abs(prob.mhat @ null_m).max() < 1e-10 * np.abs(prob.mhat).max()
+    s = np.linalg.svd(H @ null_m, compute_uv=False)
+    assert s[-1] > 1e-8 * s[0]
+
+
 def _blocks_loop(H0, H1, cols):
     """Reference assembly, one column at a time: the X, W and stability
     block stacks."""
@@ -187,9 +201,9 @@ def test_batched_assembly_matches_loop_reference():
         assert X.shape == W.shape == (cols.shape[1], nu, nu)
         stacks = [(X, X_ref), (W, W_ref)]
         if cols.shape[1]:
-            # The first column is the constant term of both blocks.
-            for b, ref in zip(_sdp_blocks(H0, H1, cols), (X_ref, S_ref)):
-                stacks.append((np.concatenate([b.const[None], b.coeff]), ref))
+            # The first column is the constant term of the block.
+            b = _sdp_block(H0, H1, cols)
+            stacks.append((np.concatenate([b.const[None], b.coeff]), S_ref))
         # Same products, same order of operations: byte-identical.
         for got, ref in stacks:
             assert len(got) == len(ref)
@@ -274,6 +288,28 @@ def test_gain_invariant_under_plant_similarity(seed):
     for _ in range(3):
         similarity = rng.standard_normal((4, 4)) + 3.0 * np.eye(4)
         res = solve_feasibility_sdp(vtol_problem(seed=seed, similarity=similarity))
+        assert res.status == "feasible"
+        assert np.abs(res.K - K0).max() < 1e-8 * np.abs(K0).max()
+
+
+@pytest.mark.parametrize("seed", [4, 5, 6, 7])
+def test_gain_stable_under_data_round_off(seed):
+    # Relative changes of 1e-14 in the data must not move the gain beyond
+    # round-off: the returned point is a central point, not wherever the
+    # predictor-corrector path happened to be (which moved K by up to 5e-8
+    # relative under plant similarity).
+    base = vtol_problem(seed=seed)
+    K0 = solve_feasibility_sdp(base).K
+    rng = np.random.default_rng(200 + seed)
+
+    def jitter(M):
+        return M * (1.0 + 1e-14 * rng.standard_normal(M.shape))
+
+    for _ in range(3):
+        prob = SdpProblem(
+            u1=base.u1, psi0=jitter(base.psi0), psi1=jitter(base.psi1), mhat=base.mhat
+        )
+        res = solve_feasibility_sdp(prob)
         assert res.status == "feasible"
         assert np.abs(res.K - K0).max() < 1e-8 * np.abs(K0).max()
 
