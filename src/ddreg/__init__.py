@@ -20,15 +20,13 @@ from .experiment import (
     assemble_data_matrices,
     collect_experiment,
 )
-from .internal_model import InternalModel, build_internal_model, simulate_internal_model
+from .internal_model import InternalModel, build_internal_model
 from .plant import (
     ExoMatrix,
     PlantTruth,
     StructuralMatrices,
-    Trajectory,
     build_structural_matrices,
     observability_index,
-    simulate_plant,
 )
 from .synthesis import (
     SdpProblem,
@@ -70,14 +68,11 @@ __all__ = [
     "collect_experiment",
     "InternalModel",
     "build_internal_model",
-    "simulate_internal_model",
     "ExoMatrix",
     "PlantTruth",
     "StructuralMatrices",
-    "Trajectory",
     "build_structural_matrices",
     "observability_index",
-    "simulate_plant",
     "SdpProblem",
     "SolverOptions",
     "SynthesisResult",

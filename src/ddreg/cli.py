@@ -76,7 +76,7 @@ DEFAULT_TOLERANCES = {
 
 DEFAULT_VERIFY = {"steps": 300, "tail_frac": 0.1}
 INITIAL_STATES = ("w0", "x0", "eta0", "chi0")
-DEFAULT_SOLVER = {"backend": "interior_point", "gap_tol": 1e-8, "max_newton": 2000}
+DEFAULT_SOLVER = {"gap_tol": 1e-8, "max_newton": 2000}
 
 
 class PipelineError(RuntimeError):
@@ -123,6 +123,13 @@ class RunConfig:
         if self.input_policy.get("type") == "normal" and self.seed is None:
             raise PipelineError(
                 "config", "random input policy needs a seed", "set \"seed\""
+            )
+        unknown = sorted(set(self.solver) - set(DEFAULT_SOLVER))
+        if unknown:
+            raise PipelineError(
+                "config",
+                f"unknown solver option(s) {', '.join(unknown)}",
+                f"known options: {', '.join(DEFAULT_SOLVER)}",
             )
         self.tolerances = {**DEFAULT_TOLERANCES, **self.tolerances}
         self.verify = {**DEFAULT_VERIFY, **self.verify}
@@ -316,7 +323,6 @@ def synthesize_stage(config: RunConfig, rec: ExperimentRecord):
         feas_tol=config.tolerances["feas_tol"],
         gap_tol=config.solver["gap_tol"],
         max_newton=int(config.solver["max_newton"]),
-        backend=config.solver["backend"],
     )
     result = _stage("solve", solve_feasibility_sdp, prob, opts)
     return data, reg, prob, pre, result
@@ -336,9 +342,10 @@ def _check(name, value, threshold, op="<", passed=None):
 
 def _oracle_checks(config: RunConfig, exo: ExoMatrix, rec, data, reg):
     """Oracle identity rows: the one-step data relation, the window
-    reconstruction along the record and the factorization of the hidden
-    exosignal stack.  Also returns the internal model and the auxiliary
-    system that the closed-loop rows build on.
+    reconstruction along the record, the factorization of the hidden
+    exosignal stack and the correspondence of the record with the auxiliary
+    system.  Also returns the internal model and the auxiliary system that
+    the closed-loop rows build on.
     """
     tol, plant = config.tolerances, config.plant
     im = build_internal_model(exo, p=plant.p, snap_coeffs_tol=tol["snap_coeffs_tol"])
@@ -353,6 +360,15 @@ def _oracle_checks(config: RunConfig, exo: ExoMatrix, rec, data, reg):
             "factorization_residual",
             oracle_factorization_residual(data, reg.matrix),
             tol["factorization_residual"],
+        ),
+        _check(
+            "correspondence",
+            max(
+                check_solution_correspondence(
+                    aux, exo, rec.oracle.w[0], rec.oracle.x[0], rec.y, rec.u
+                )
+            ),
+            tol["correspondence"],
         ),
     ]
     return rows, im, aux
@@ -457,15 +473,10 @@ def run_pipeline(config: RunConfig, out_dir=None, unmask: bool = False) -> dict:
     }
 
     checks, im, aux = _oracle_checks(config, exo, rec, data, reg)
-    w0, x0 = _initial(config, w0=exo.n_w, x0=plant.n)
-    corr = check_solution_correspondence(
-        plant, aux, exo, rec.u, w0, x0, steps=config.T
-    )
     feasible = result.status == "feasible"
-    checks += [
-        _check("correspondence", max(corr), tol["correspondence"]),
-        _check("sdp_feasible", result.margin, tol["feas_tol"], op=">", passed=feasible),
-    ]
+    checks.append(
+        _check("sdp_feasible", result.margin, tol["feas_tol"], op=">", passed=feasible)
+    )
     run = None
     if feasible:
         checks.append(_check("gain_identity", result.gain_defect, tol["gain_identity"]))
@@ -486,11 +497,13 @@ def run_pipeline(config: RunConfig, out_dir=None, unmask: bool = False) -> dict:
 def verify_gain(config: RunConfig, gain, out_dir=None, unmask: bool = False) -> dict:
     """Verify a precomputed gain against ground truth without re-solving.
 
-    Runs the oracle identity rows on a fresh record and the closed-loop rows
-    for the supplied gain, the same battery as ``run_pipeline`` minus the
-    rows that need the design data.  The steady-state certificate uses the
-    model-side closed-loop matrix ``ext_a + ext_b gain``, which the
-    data-side one equals for any gain produced by the design program.
+    Runs the oracle identity rows (correspondence included) on a fresh
+    record and the closed-loop rows for the supplied gain, the same battery
+    as ``run_pipeline`` minus the rows that need the design data
+    (``sdp_feasible``, ``gain_identity``, ``representation_gap``).  The
+    steady-state certificate uses the model-side closed-loop matrix
+    ``ext_a + ext_b gain``, which the data-side one equals for any gain
+    produced by the design program.
     """
     gain = np.asarray(gain, dtype=float)
     exo = ExoMatrix(config.exo_s)

@@ -1,9 +1,12 @@
 """Data-collection experiment on the plant plus internal model, and assembly
 of the designer-visible data stacks.
 
+The experiment steps exosystem, plant and internal model as one linear
+system on the stacked state ``[w; x; eta]`` (:func:`numerics.simulate_linear`).
 The record keeps the measured input/output/internal-model sequences visible
 and segregates the exosignal (and state) behind an oracle attribute that the
-design path never touches.
+design path never touches.  The data stacks are sliding windows over the
+record (:func:`stacked_windows`).
 """
 
 from __future__ import annotations
@@ -12,9 +15,11 @@ import csv
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .internal_model import InternalModel, simulate_internal_model
-from .plant import ExoMatrix, PlantTruth, simulate_plant
+from .internal_model import InternalModel
+from .numerics import as_vector, simulate_linear
+from .plant import ExoMatrix, PlantTruth
 
 
 @dataclass
@@ -117,15 +122,38 @@ def collect_experiment(
         u = u[: T + 1]
         manifest = {"type": "explicit"}
 
-    traj = simulate_plant(plant, exo, w0, x0, u[:T], T)
-    eta = simulate_internal_model(im, eta0, traj.y)
+    if u.shape[1] != plant.m:
+        raise ValueError(f"u samples must have {plant.m} entries, got {u.shape[1]}")
+    if plant.n_w != exo.n_w:
+        raise ValueError("plant and exosystem disagree on the exosignal dimension")
+    if im.p != plant.p:
+        raise ValueError(f"internal model takes {im.p} outputs, plant has {plant.p}")
+    n_w, n = exo.n_w, plant.n
+    z0 = np.concatenate(
+        [
+            as_vector(w0, "w0", dim=n_w),
+            as_vector(x0, "x0", dim=n),
+            as_vector(eta0, "eta0", dim=im.dim),
+        ]
+    )
+    # One step of [w; x; eta]; the output y = [Q C] [w; x] feeds eta.
+    out = np.hstack([plant.Q, plant.C])
+    F = np.block(
+        [
+            [exo.S, np.zeros((n_w, n + im.dim))],
+            [plant.P, plant.A, np.zeros((n, im.dim))],
+            [im.input_map @ out, im.companion],
+        ]
+    )
+    G = np.vstack([np.zeros((n_w, plant.m)), plant.B, np.zeros((im.dim, plant.m))])
+    z = simulate_linear(F, z0, T + 1, G, u)
     return ExperimentRecord(
         T=T,
         ell=ell,
         u=u,
-        y=traj.y,
-        eta=eta,
-        oracle=OracleTraces(w=traj.w, x=traj.x),
+        y=z[: T + 1, : n_w + n] @ out.T,
+        eta=z[:, n_w + n :],
+        oracle=OracleTraces(w=z[: T + 1, :n_w], x=z[: T + 1, n_w : n_w + n]),
         input_manifest=manifest,
     )
 
@@ -155,25 +183,27 @@ class DataMatrices:
         return self.psi0.shape[0]
 
 
+def stacked_windows(a: np.ndarray, ell: int) -> np.ndarray:
+    """Row j holds the samples ``a[j .. j+ell-1]`` stacked in time order,
+    i.e. ``a[j : j + ell].ravel()``, for every j with a full window."""
+    c = a.shape[1]
+    return sliding_window_view(a.ravel(), ell * c)[::c]
+
+
 def assemble_data_matrices(rec: ExperimentRecord) -> DataMatrices:
     """Stack the record into the design-facing data matrices."""
     T, ell = rec.T, rec.ell
-    N = T - ell + 1
-    u1 = rec.u[ell : T + 1].T.copy()
-
-    def window_col(j, shift):
-        return np.concatenate(
-            [
-                rec.y[j + shift : j + shift + ell].ravel(),
-                rec.u[j + shift : j + shift + ell].ravel(),
-                rec.eta[j + shift + ell],
-            ]
-        )
-
-    psi0 = np.column_stack([window_col(j, 0) for j in range(N)])
-    psi1 = np.column_stack([window_col(j, 1) for j in range(N)])
-    w0 = rec.oracle.w[ell : T + 1].T.copy()
-    return DataMatrices(ell=ell, u1=u1, psi0=psi0, psi1=psi1, w0_oracle=w0)
+    # Column j of the stack is column j of psi0 and column j-1 of psi1.
+    stack = np.hstack(
+        [stacked_windows(rec.y, ell), stacked_windows(rec.u, ell), rec.eta[ell:]]
+    ).T
+    return DataMatrices(
+        ell=ell,
+        u1=rec.u[ell : T + 1].T.copy(),
+        psi0=np.ascontiguousarray(stack[:, :-1]),
+        psi1=np.ascontiguousarray(stack[:, 1:]),
+        w0_oracle=rec.oracle.w[ell : T + 1].T.copy(),
+    )
 
 
 def record_to_csv(rec: ExperimentRecord, path, unmask: bool = False) -> None:
@@ -189,11 +219,11 @@ def record_to_csv(rec: ExperimentRecord, path, unmask: bool = False) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for k in range(rec.T + 1):
-            row = [k, *rec.u[k], *rec.y[k], *rec.eta[k]]
-            if unmask:
-                row += list(rec.oracle.w[k])
-            writer.writerow([row[0]] + [repr(float(v)) for v in row[1:]])
+        cols = [rec.u, rec.y, rec.eta[: rec.T + 1]]
+        if unmask:
+            cols.append(rec.oracle.w)
+        for k, values in enumerate(np.hstack(cols)):
+            writer.writerow([k] + [repr(float(v)) for v in values])
 
 
 def record_from_csv(path, ell: int, im: InternalModel, m: int, p: int) -> ExperimentRecord:

@@ -1,5 +1,10 @@
 """Internal model of the exosystem: a block-companion copy of the minimal
 polynomial of S, driven by the measured output.
+
+This module only builds the model's matrices.  The data-collection
+experiment steps it together with the plant (``experiment.collect_experiment``)
+and the closed loop steps it together with the controller window
+(``verify.assemble_closed_loop``).
 """
 
 from __future__ import annotations
@@ -8,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import PolynomialCoeffs, as_matrix, as_vector, minimal_polynomial
+from .numerics import PolynomialCoeffs, minimal_polynomial
 from .plant import UNIT_CIRCLE_SLACK, ExoMatrix
 
 
@@ -61,32 +66,10 @@ def build_internal_model(
         coeffs = np.where(np.abs(coeffs - snapped) <= snap_coeffs_tol, snapped, coeffs)
 
     d = poly.degree
-    dim = p * d
-    companion = np.zeros((dim, dim))
-    for i in range(d - 1):
-        companion[i * p : (i + 1) * p, (i + 1) * p : (i + 2) * p] = np.eye(p)
-    for j in range(d):
-        companion[(d - 1) * p : d * p, j * p : (j + 1) * p] = -coeffs[j] * np.eye(p)
-    input_map = np.zeros((dim, p))
+    companion = np.kron(np.eye(d, k=1), np.eye(p))
+    companion[(d - 1) * p :] = np.kron(-coeffs, np.eye(p))
+    input_map = np.zeros((p * d, p))
     input_map[(d - 1) * p : d * p, :] = np.eye(p)
     return InternalModel(
         degree=d, coeffs=coeffs, p=p, companion=companion, input_map=input_map
     )
-
-
-def simulate_internal_model(im: InternalModel, eta0, y_seq) -> np.ndarray:
-    """Drive the internal model with an output sequence.
-
-    Returns the state sequence eta(0..K) where K = len(y_seq); one more
-    point than outputs, since each output advances the state once.
-    """
-    eta0 = as_vector(eta0, "eta0", dim=im.dim)
-    y = as_matrix(y_seq, "y_seq")
-    if y.shape[1] != im.p:
-        raise ValueError(f"y samples must have {im.p} entries, got {y.shape[1]}")
-    K = y.shape[0]
-    eta = np.empty((K + 1, im.dim))
-    eta[0] = eta0
-    for k in range(K):
-        eta[k + 1] = im.companion @ eta[k] + im.input_map @ y[k]
-    return eta

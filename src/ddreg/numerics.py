@@ -2,7 +2,8 @@
 
 Everything operates on plain float64 ``numpy`` arrays.  Rank decisions across
 the whole package route through :func:`rank_with_tol` so a single relative
-tolerance governs them all.
+tolerance governs them all, and every linear system the package steps over
+time goes through :func:`simulate_linear`.
 """
 
 from __future__ import annotations
@@ -20,6 +21,10 @@ DEFAULT_RANK_RTOL = 1e-8
 # Two spectra count as overlapping when some pair of eigenvalues is closer
 # than this (absolute distance in the complex plane).
 SPECTRUM_GAP_TOL = 1e-9
+
+# Simulations abort once any state norm passes this bound, signalling
+# divergence instead of emitting Inf.
+DIVERGENCE_GUARD = 1e12
 
 
 def as_matrix(a, name: str = "matrix", square: bool = False) -> np.ndarray:
@@ -158,6 +163,35 @@ def solve_sylvester(A, S, Q) -> np.ndarray:
             f"Sylvester solve residual {resid:.3e} exceeds bound {bound:.3e}"
         )
     return P
+
+
+def simulate_linear(F, z0, steps: int, G=None, u=None) -> np.ndarray:
+    """States z(0..steps) of ``z(k+1) = F z(k) + G u(k)``, one row per step.
+
+    ``G`` and ``u`` come together or not at all; ``u`` needs at least
+    ``steps`` rows.  Deterministic: identical inputs give bit-identical
+    states.  Raises once the state norm passes :data:`DIVERGENCE_GUARD`.
+    """
+    F = as_matrix(F, "F", square=True)
+    z = np.empty((steps + 1, F.shape[0]))
+    z[0] = as_vector(z0, "z0", dim=F.shape[0])
+    drive = None
+    if G is not None:
+        u = np.asarray(u, dtype=float)
+        if u.shape[0] < steps:
+            raise ValueError(f"need at least {steps} input samples, got {u.shape[0]}")
+        drive = u[:steps] @ as_matrix(G, "G").T
+    guard_sq = DIVERGENCE_GUARD**2
+    for k in range(steps):
+        z[k + 1] = F @ z[k]
+        if drive is not None:
+            z[k + 1] += drive[k]
+        if z[k + 1] @ z[k + 1] > guard_sq:
+            raise RuntimeError(
+                f"state norm {np.linalg.norm(z[k + 1]):.3e} exceeded "
+                f"{DIVERGENCE_GUARD:.0e} at step {k + 1}: divergent simulation"
+            )
+    return z
 
 
 def binomial_ext(p: int, q: int) -> int:

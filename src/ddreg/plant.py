@@ -1,6 +1,6 @@
-"""Ground-truth plant/exosystem representation, simulation and the stacked
-window matrices (observability stack, input/exosignal Toeplitz maps,
-reachability rows) the oracle builds on.
+"""Ground-truth plant/exosystem representation and the stacked window
+matrices (observability stack, input/exosignal Toeplitz maps, reachability
+rows) the oracle builds on.
 
 The plant
 
@@ -9,6 +9,9 @@ The plant
     y(k)   = C x(k) + Q w(k)
 
 is known only to the harness; the design pipeline sees input-output data.
+The plant is stepped forward only as one block of a larger linear system:
+the data-collection experiment (``experiment.collect_experiment``) and the
+closed loop (``verify.assemble_closed_loop``).
 """
 
 from __future__ import annotations
@@ -17,20 +20,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import (
-    DEFAULT_RANK_RTOL,
-    as_matrix,
-    as_vector,
-    rank_with_tol,
-)
+from .numerics import DEFAULT_RANK_RTOL, as_matrix, rank_with_tol
 
 # Eigenvalues of the exosystem map may not dip below the unit circle by more
 # than this slack.
 UNIT_CIRCLE_SLACK = 1e-9
-
-# Simulations abort once any state norm passes this bound, signalling
-# divergence instead of emitting Inf.
-DIVERGENCE_GUARD = 1e12
 
 
 def observability_index(A, C, rel_tol: float = DEFAULT_RANK_RTOL) -> int:
@@ -124,79 +118,6 @@ class PlantTruth:
     @property
     def n_w(self) -> int:
         return self.P.shape[1]
-
-
-@dataclass
-class Trajectory:
-    """One simulated run: states carry K+1 points, inputs K points."""
-
-    steps: int
-    w: np.ndarray  # (K+1, n_w)
-    x: np.ndarray  # (K+1, n)
-    y: np.ndarray  # (K+1, p)
-    u: np.ndarray  # (K, m)
-
-    def __post_init__(self):
-        K = self.steps
-        for name in ("w", "x", "y"):
-            arr = getattr(self, name)
-            if arr.shape[0] != K + 1:
-                raise ValueError(f"{name} must have {K + 1} rows, got {arr.shape[0]}")
-        if self.u.shape[0] != K:
-            raise ValueError(f"u must have {K} rows, got {self.u.shape[0]}")
-
-    def recursion_residual(self, plant: PlantTruth, exo: ExoMatrix) -> float:
-        """Worst one-step defect of the stored run against the plant equations."""
-        w, x = self.w, self.x
-        ew = w[1:] - w[:-1] @ exo.S.T
-        ex = x[1:] - (x[:-1] @ plant.A.T + self.u @ plant.B.T + w[:-1] @ plant.P.T)
-        ey = self.y - (x @ plant.C.T + w @ plant.Q.T)
-        return max(
-            float(np.linalg.norm(e, axis=1).max(initial=0.0)) for e in (ew, ex, ey)
-        )
-
-
-def simulate_plant(
-    plant: PlantTruth,
-    exo: ExoMatrix,
-    w0,
-    x0,
-    u_seq,
-    steps: int,
-) -> Trajectory:
-    """Roll the plant forward ``steps`` steps under the given input sequence.
-
-    Deterministic: identical inputs give bit-identical outputs.  Aborts with
-    an error if any state norm exceeds the divergence guard.
-    """
-    w0 = as_vector(w0, "w0", dim=exo.n_w)
-    x0 = as_vector(x0, "x0", dim=plant.n)
-    u_seq = np.asarray(u_seq, dtype=float)
-    if u_seq.ndim == 1:
-        u_seq = u_seq.reshape(-1, 1)
-    if u_seq.shape[0] < steps:
-        raise ValueError(f"need at least {steps} input samples, got {u_seq.shape[0]}")
-    if u_seq.shape[1] != plant.m:
-        raise ValueError(f"u samples must have {plant.m} entries, got {u_seq.shape[1]}")
-    if plant.n_w != exo.n_w:
-        raise ValueError("plant and exosystem disagree on the exosignal dimension")
-
-    w = np.empty((steps + 1, exo.n_w))
-    x = np.empty((steps + 1, plant.n))
-    y = np.empty((steps + 1, plant.p))
-    w[0], x[0] = w0, x0
-    guard_sq = DIVERGENCE_GUARD**2
-    for k in range(steps):
-        y[k] = plant.C @ x[k] + plant.Q @ w[k]
-        x[k + 1] = plant.A @ x[k] + plant.B @ u_seq[k] + plant.P @ w[k]
-        w[k + 1] = exo.S @ w[k]
-        if x[k + 1] @ x[k + 1] > guard_sq:
-            raise RuntimeError(
-                f"state norm {np.linalg.norm(x[k + 1]):.3e} exceeded "
-                f"{DIVERGENCE_GUARD:.0e} at step {k + 1}: divergent simulation"
-            )
-    y[steps] = plant.C @ x[steps] + plant.Q @ w[steps]
-    return Trajectory(steps=steps, w=w, x=x, y=y, u=np.array(u_seq[:steps]))
 
 
 @dataclass

@@ -10,8 +10,8 @@ on the nullspace of ``mhat``, taken modulo the kernel of ``[psi0; psi1]``
 as ``psi0 Y`` with symmetry imposed linearly, and the scale is pinned by
 ``trace X = nu`` (the constraints are jointly homogeneous in (X, Y), so the
 normalization is lossless).  What remains is a margin maximization over one
-affine symmetric block, handed to a pluggable backend; the built-in dense
-interior-point solver is the default.
+affine symmetric block, solved by the dense primal-dual interior-point
+method of ``sdp.py``.
 
 The design question is one of feasibility: any strictly feasible (X, Y)
 yields a valid gain.  The interior-point solve therefore stops as soon as a
@@ -42,7 +42,6 @@ class SolverOptions:
     feas_tol: float = DEFAULT_FEAS_TOL
     gap_tol: float = 1e-9
     max_newton: int = 400
-    backend: str = "interior_point"
 
 
 @dataclass
@@ -217,7 +216,7 @@ def solve_feasibility_sdp(
 
     Feasible means the margin, the smallest eigenvalue of the stability
     block at the returned point, exceeds ``opts.feas_tol``.  The
-    interior-point backend stops at the first certified verdict: a feasible
+    interior-point solve stops at the first certified verdict: a feasible
     margin is a lower bound on the optimum (within a factor 2 of it, see
     ``gap_bound``); an infeasible solve stops once a dual point bounds the
     optimum at or below ``opts.feas_tol``, so its margin is the certified
@@ -243,31 +242,20 @@ def solve_feasibility_sdp(
     H0, H1 = prob.psi0 @ null_m, prob.psi1 @ null_m
     blocks = [_sdp_block(H0, H1, np.column_stack([z0, basis]))]
 
-    if opts.backend == "interior_point":
-        try:
-            res = maximize_margin(
-                blocks,
-                gap_tol=opts.gap_tol,
-                max_newton=opts.max_newton,
-                feas_tol=opts.feas_tol,
-            )
-        except RuntimeError as exc:
-            diagnostics.append(f"interior point failed: {exc}")
-            return SynthesisResult("numerical_failure", np.nan, diagnostics=diagnostics)
-        diagnostics.extend(res.log)
-        if not res.converged:
-            return SynthesisResult("numerical_failure", res.margin, diagnostics=diagnostics)
-        zeta = res.v
-        margin = res.margin
-        gap_bound = res.gap_bound
-    elif opts.backend == "cvxpy":
-        zeta, margin, message = _solve_with_cvxpy(blocks)
-        gap_bound = None
-        diagnostics.append(message)
-        if zeta is None:
-            return SynthesisResult("numerical_failure", np.nan, diagnostics=diagnostics)
-    else:
-        raise ValueError(f"unknown solver backend: {opts.backend}")
+    try:
+        res = maximize_margin(
+            blocks,
+            gap_tol=opts.gap_tol,
+            max_newton=opts.max_newton,
+            feas_tol=opts.feas_tol,
+        )
+    except RuntimeError as exc:
+        diagnostics.append(f"interior point failed: {exc}")
+        return SynthesisResult("numerical_failure", np.nan, diagnostics=diagnostics)
+    diagnostics.extend(res.log)
+    if not res.converged:
+        return SynthesisResult("numerical_failure", res.margin, diagnostics=diagnostics)
+    zeta, margin, gap_bound = res.v, res.margin, res.gap_bound
 
     Z = (z0 + basis @ zeta).reshape(q, nu)
     Y = null_m @ Z
@@ -288,33 +276,6 @@ def solve_feasibility_sdp(
     return SynthesisResult(
         "feasible", margin, X, Y, K, diagnostics, gap_bound, G=G, gain_defect=gain_defect
     )
-
-
-def _solve_with_cvxpy(blocks):
-    """Optional external conic backend over the same eliminated variables."""
-    try:
-        import cvxpy as cp
-    except ImportError:
-        return None, float("nan"), "cvxpy backend unavailable"
-    n_free = blocks[0].nvar
-    zeta = cp.Variable(n_free)
-    t = cp.Variable()
-    cons = []
-    for b in blocks:
-        expr = cp.Constant(b.const)
-        for k in range(n_free):
-            expr = expr + zeta[k] * b.coeff[k]
-        cons.append(expr - t * np.eye(b.size) >> 0)
-    problem = cp.Problem(cp.Maximize(t), cons)
-    try:
-        problem.solve()
-    except cp.error.SolverError as exc:
-        return None, float("nan"), f"cvxpy failed: {exc}"
-    if zeta.value is None or t.value is None:
-        return None, float("nan"), f"cvxpy status: {problem.status}"
-    v = np.asarray(zeta.value).reshape(-1)
-    margin = min(float(np.linalg.eigvalsh(b.value(v))[0]) for b in blocks)
-    return v, margin, f"cvxpy status: {problem.status}"
 
 
 def extract_gain(

@@ -2,7 +2,10 @@
 closed loop of plant plus dynamic controller, and every identity the design
 rests on, each evaluated as a residual.
 
-Everything here may read ground truth; nothing here feeds the design path.
+Identities along a run compare sliding windows of the run
+(``experiment.stacked_windows``) in one batch; the auxiliary system and the
+closed loop are stepped by ``numerics.simulate_linear``.  Everything here may
+read ground truth; nothing here feeds the design path.
 """
 
 from __future__ import annotations
@@ -11,16 +14,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .experiment import DataMatrices, ExperimentRecord
+from .experiment import DataMatrices, ExperimentRecord, stacked_windows
 from .internal_model import InternalModel
-from .numerics import as_matrix, as_vector, solve_sylvester, spectral_radius
-from .plant import (
-    DIVERGENCE_GUARD,
-    ExoMatrix,
-    PlantTruth,
-    StructuralMatrices,
-    simulate_plant,
+from .numerics import (
+    as_matrix,
+    as_vector,
+    simulate_linear,
+    solve_sylvester,
+    spectral_radius,
 )
+from .plant import ExoMatrix, PlantTruth, StructuralMatrices
 
 
 @dataclass
@@ -151,7 +154,7 @@ def check_claim1(
     Returns the worst relative residual of (output window, state, output)
     reconstructed from the trailing windows, over all steps k >= ell.
     """
-    ell = struct.ell
+    ell, T = struct.ell, rec.T
     y, u, w, x = rec.y, rec.u, rec.oracle.w, rec.oracle.x
     a_pow = np.linalg.matrix_power(plant.A, ell)
     state_from_window = a_pow @ struct.obs_pinv
@@ -165,55 +168,51 @@ def check_claim1(
         float(np.abs(w).max()),
         float(np.abs(u).max()),
     )
-    worst = [0.0, 0.0, 0.0]
-    for k in range(ell, rec.T + 1):
-        yw = y[k - ell : k].ravel()
-        uw = u[k - ell : k].ravel()
-        ww = w[k - ell : k].ravel()
-        r1 = yw - (
-            struct.obs @ x[k - ell] + struct.toeplitz_u @ uw + struct.toeplitz_w @ ww
-        )
-        r2 = x[k] - (state_from_window @ yw + ru_eff @ uw + rw_eff @ ww)
-        r3 = y[k] - (
-            plant.C @ state_from_window @ yw
-            + plant.C @ ru_eff @ uw
-            + plant.C @ rw_eff @ ww
-            + plant.Q @ w[k]
-        )
-        for i, r in enumerate((r1, r2, r3)):
-            worst[i] = max(worst[i], float(np.linalg.norm(r)))
-    return tuple(v / scale for v in worst)
+    # Row k - ell of each stack is the trailing window of step k = ell..T.
+    yw, uw, ww = (stacked_windows(a[:T], ell) for a in (y, u, w))
+    r1 = yw - (
+        x[: T + 1 - ell] @ struct.obs.T
+        + uw @ struct.toeplitz_u.T
+        + ww @ struct.toeplitz_w.T
+    )
+    state = yw @ state_from_window.T + uw @ ru_eff.T + ww @ rw_eff.T
+    r2 = x[ell:] - state
+    r3 = y[ell:] - (state @ plant.C.T + w[ell:] @ plant.Q.T)
+    return tuple(float(np.linalg.norm(r, axis=1).max()) / scale for r in (r1, r2, r3))
 
 
 def check_solution_correspondence(
-    plant: PlantTruth,
     aux: AuxiliaryMatrices,
     exo: ExoMatrix,
-    u_seq,
     w0,
     x0,
-    steps: int = 30,
+    y,
+    u,
 ) -> tuple[float, float]:
-    """Lockstep comparison of the actual closed-window system and the
-    auxiliary system started from the prescribed initial stack.
+    """Compare a plant run with the auxiliary system started from the
+    prescribed initial stack.
 
-    The auxiliary run starts at step ell with the window state built from the
-    initial plant state, the first ell inputs and the exosignal history, and
-    its exosignal state advanced ell steps.  Returns the worst relative
-    mismatch over steps ell..steps of (window state against the stacked
-    trailing output and input window of the actual run, output).
+    The run starts from exosignal ``w0`` and plant state ``x0`` and has
+    outputs ``y`` at steps 0..K and inputs ``u`` at steps 0..K-1 (further
+    input rows are ignored).  The auxiliary run starts at step ell with the
+    window state built from ``x0``, the first ell inputs and the exosignal
+    history, and its exosignal state advanced ell steps.  Returns the worst
+    relative mismatch over steps ell..K of (window state against the stacked
+    trailing output and input window of the run, output).
     """
     ell = aux.ell
     struct = aux.struct
+    y = as_matrix(y, "y")
+    steps = y.shape[0] - 1
     if steps <= ell:
         raise ValueError(f"need more than ell={ell} steps, got {steps}")
+    u = as_matrix(u, "u")[:steps]
+    if u.shape[0] < steps:
+        raise ValueError(f"need at least {steps} input samples, got {u.shape[0]}")
     w0 = as_vector(w0, "w0", dim=exo.n_w)
-    x0 = as_vector(x0, "x0", dim=plant.n)
+    x0 = as_vector(x0, "x0", dim=struct.obs.shape[1])
 
-    traj = simulate_plant(plant, exo, w0, x0, u_seq, steps)
-    y, u = traj.y, traj.u
-
-    # Auxiliary system from the prescribed initialization.
+    # Auxiliary system on (xi, omega) from the prescribed initialization.
     exo_hist = np.vstack([np.linalg.matrix_power(exo.S, j) for j in range(ell)])
     xi = np.concatenate(
         [
@@ -224,22 +223,21 @@ def check_solution_correspondence(
         ]
     )
     omega = np.linalg.matrix_power(exo.S, ell) @ w0
+    wd, n_w = aux.window_dim, exo.n_w
+    y_exo = aux.y_from_exo @ aux.exo_window_map
+    F = np.block(
+        [[aux.window_a, aux.inject_y @ y_exo], [np.zeros((n_w, wd)), exo.S]]
+    )
+    G = np.vstack([aux.inject_u, np.zeros((n_w, u.shape[1]))])
+    z = simulate_linear(F, np.concatenate([xi, omega]), steps - ell, G, u[ell:])
+    xi, omega = z[:, :wd], z[:, wd:]
+    phi = xi @ aux.y_from_window.T + omega @ y_exo.T
 
+    # Row k - ell is the trailing (output, input) window of step k = ell..K.
+    window = np.hstack([stacked_windows(y[:steps], ell), stacked_windows(u, ell)])
     scale = max(1.0, float(np.abs(y).max()), float(np.abs(u).max()))
-    worst_state = 0.0
-    worst_out = 0.0
-    for k in range(ell, steps + 1):
-        window = np.concatenate([y[k - ell : k].ravel(), u[k - ell : k].ravel()])
-        phi = aux.y_from_window @ xi + aux.y_from_exo @ aux.exo_window_map @ omega
-        worst_state = max(worst_state, float(np.linalg.norm(xi - window)))
-        worst_out = max(worst_out, float(np.linalg.norm(phi - y[k])))
-        if k < steps:
-            xi = (
-                aux.window_a @ xi
-                + aux.inject_u @ u[k]
-                + aux.inject_y @ aux.y_from_exo @ aux.exo_window_map @ omega
-            )
-            omega = exo.S @ omega
+    worst_state = float(np.linalg.norm(xi - window, axis=1).max())
+    worst_out = float(np.linalg.norm(phi - y[ell:], axis=1).max())
     return worst_state / scale, worst_out / scale
 
 
@@ -341,16 +339,15 @@ def simulate_closed_loop(
 ) -> ClosedLoopRun:
     """Roll the closed loop and measure regulation.
 
-    The stacked state (w, x, chi, eta) is stepped by ``cl.full_map``, one
-    matrix-vector product per step with the divergence guard on the plant
-    state; outputs and inputs are read off the stored states afterwards.
+    The stacked state (w, x, chi, eta) is stepped by ``cl.full_map``
+    (``numerics.simulate_linear``, which raises on divergence); outputs and
+    inputs are read off the stored states afterwards.
     ``tail_max_y`` is the largest output norm over the final ``tail_frac``
     of the horizon; ``settle_step`` is the first step from which the output
     norm stays below ``eps_reg`` to the end (None if it never does).
     """
     n_w, n, wd, di = cl.dims
-    z = np.empty((steps + 1, n_w + n + wd + di))
-    z[0] = np.concatenate(
+    z0 = np.concatenate(
         [
             as_vector(w0, "w0", dim=n_w),
             as_vector(x0, "x0", dim=n),
@@ -358,12 +355,7 @@ def simulate_closed_loop(
             as_vector(eta0, "eta0", dim=di),
         ]
     )
-    guard_sq = DIVERGENCE_GUARD**2
-    for k in range(steps):
-        z[k + 1] = cl.full_map @ z[k]
-        xk = z[k + 1, n_w : n_w + n]
-        if xk @ xk > guard_sq:
-            raise RuntimeError("divergent closed-loop simulation")
+    z = simulate_linear(cl.full_map, z0, steps)
     w, x, chi, eta = np.split(z, np.cumsum([n_w, n, wd]), axis=1)
     y = z[:, : n_w + n] @ np.hstack([cl.plant.Q, cl.plant.C]).T
     u = z[:steps, n_w + n :] @ cl.gain.T

@@ -268,14 +268,19 @@ def test_criterion_6_correspondence():
         ell = observability_index(plant.A, plant.C)
         struct = build_structural_matrices(plant, ell)
         aux = build_auxiliary_matrices(plant, struct, exo, im)
-        r_state, r_out = check_solution_correspondence(
+        rec = collect_experiment(
             plant,
-            aux,
             exo,
-            rng.standard_normal((31, m)),
+            im,
             rng.standard_normal(n_w),
             rng.standard_normal(n),
-            steps=30,
+            np.zeros(im.dim),
+            rng.standard_normal((31, m)),
+            T=30,
+            ell=ell,
+        )
+        r_state, r_out = check_solution_correspondence(
+            aux, exo, rec.oracle.w[0], rec.oracle.x[0], rec.y, rec.u
         )
         worst = max(worst, r_state, r_out)
     announce(6, f"solution correspondence over 30 steps, worst {worst:.2e}", worst < 1e-8)

@@ -104,6 +104,14 @@ def test_config_rejects_unknown_factorization():
         RunConfig.from_dict(d)
 
 
+def test_config_rejects_unknown_solver_option():
+    d = vtol_config_dict()
+    d["solver"] = {"backend": "interior_point", "gap_tol": 1e-8}
+    with pytest.raises(PipelineError, match="unknown solver option.*backend") as exc:
+        RunConfig.from_dict(d)
+    assert exc.value.stage == "config"
+
+
 def test_config_hash_stable_and_sensitive():
     c1 = RunConfig.from_dict(vtol_config_dict(seed=0))
     c2 = RunConfig.from_dict(vtol_config_dict(seed=0))
@@ -165,7 +173,12 @@ def test_reproduce_paper_example_jordan_and_krylov():
         assert report["all_pass"], fact
 
 
-ORACLE_ROWS = ["data_identity", "claim_windows", "factorization_residual"]
+ORACLE_ROWS = [
+    "data_identity",
+    "claim_windows",
+    "factorization_residual",
+    "correspondence",
+]
 CLOSED_LOOP_ROWS = [
     "stability_radius",
     "regulator_identity",
@@ -194,7 +207,6 @@ def test_report_check_names_and_order(monkeypatch):
 
     designed = run_pipeline(paper_example_config(0))
     assert _names(designed) == ORACLE_ROWS + [
-        "correspondence",
         "sdp_feasible",
         "gain_identity",
         "stability_radius",
@@ -208,7 +220,7 @@ def test_report_check_names_and_order(monkeypatch):
     assert calls == [300] * 4
 
     infeasible = run_pipeline(RunConfig.from_dict(wide_output_config_dict()))
-    assert _names(infeasible) == ORACLE_ROWS + ["correspondence", "sdp_feasible"]
+    assert _names(infeasible) == ORACLE_ROWS + ["sdp_feasible"]
     assert "regulation" not in infeasible
     assert len(calls) == 4
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddreg.experiment import (
     NormalInputPolicy,
@@ -11,7 +13,7 @@ from ddreg.experiment import (
 from ddreg.internal_model import build_internal_model
 from ddreg.plant import ExoMatrix, PlantTruth
 
-from _scenarios import vtol
+from _scenarios import random_plant, random_unit_circle_exo, vtol
 
 
 def vtol_setup():
@@ -63,6 +65,41 @@ def test_scalar_hand_recursion():
     np.testing.assert_allclose(rec.y[:, 0], [2.0, 2.0 * 0.5 + 1.0], atol=1e-14)
 
 
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 5),
+    m=st.integers(1, 3),
+    p=st.integers(1, 3),
+    n_w=st.integers(1, 4),
+    conjugate=st.booleans(),
+    T=st.integers(1, 30),
+)
+def test_collect_matches_per_system_loops(seed, n, m, p, n_w, conjugate, T):
+    # Reference: exosystem, plant and internal model each stepped by its
+    # own plain loop, in that order.
+    rng = np.random.default_rng(seed)
+    plant = random_plant(rng, n, m, p, n_w)
+    exo = random_unit_circle_exo(rng, n_w, conjugate=conjugate)
+    im = build_internal_model(exo, p=p)
+    w0, x0, eta0 = (rng.standard_normal(d) for d in (n_w, n, im.dim))
+    u = rng.standard_normal((T + 1, m))
+    rec = collect_experiment(plant, exo, im, w0, x0, eta0, u, T=T, ell=1)
+
+    w, x, eta = [w0], [x0], [eta0]
+    for k in range(T):
+        w.append(exo.S @ w[k])
+        x.append(plant.A @ x[k] + plant.B @ u[k] + plant.P @ w[k])
+    y = [plant.C @ x[k] + plant.Q @ w[k] for k in range(T + 1)]
+    for k in range(T + 1):
+        eta.append(im.companion @ eta[k] + im.input_map @ y[k])
+
+    for got, want in ((rec.oracle.w, w), (rec.oracle.x, x), (rec.y, y), (rec.eta, eta)):
+        want = np.array(want)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
 def test_experiment_too_short():
     plant, exo, im = vtol_setup()
     with pytest.raises(ValueError, match="experiment too short"):
@@ -106,6 +143,23 @@ def test_data_matrix_layout_matches_record():
     np.testing.assert_array_equal(data.psi0[p * ell + m * ell :, j], rec.eta[j + ell])
     np.testing.assert_array_equal(data.u1[:, j], rec.u[ell + j])
     np.testing.assert_array_equal(data.w0_oracle[:, j], rec.oracle.w[ell + j])
+
+
+def test_data_matrices_match_per_column_loop():
+    # Reference: the stacks built one column at a time; the windows hold
+    # the same samples, so the match is exact.
+    rec = vtol_record(seed=8, T=25, ell=5)
+    data = assemble_data_matrices(rec)
+    ell = rec.ell
+
+    def column(j):
+        return np.concatenate(
+            [rec.y[j : j + ell].ravel(), rec.u[j : j + ell].ravel(), rec.eta[j + ell]]
+        )
+
+    columns = [column(j) for j in range(rec.T - ell + 2)]
+    np.testing.assert_array_equal(data.psi0, np.column_stack(columns[:-1]))
+    np.testing.assert_array_equal(data.psi1, np.column_stack(columns[1:]))
 
 
 def test_sliding_window_consistency():

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from ddreg.internal_model import build_internal_model, simulate_internal_model
+from ddreg.internal_model import build_internal_model
+from ddreg.numerics import simulate_linear
 from ddreg.plant import ExoMatrix
 
 from _scenarios import random_unit_circle_exo, rotation
@@ -38,6 +39,11 @@ def test_block_pattern_two_outputs():
 def test_unit_circle_assumption_enforced():
     with pytest.raises(ValueError, match="inside unit circle"):
         ExoMatrix(np.diag([0.9, 1.0]))
+
+
+def simulate_internal_model(im, eta0, y):
+    """The model driven by the outputs ``y``: eta(0..len(y))."""
+    return simulate_linear(im.companion, eta0, len(y), im.input_map, y)
 
 
 def test_simulate_zero_stays_zero():

@@ -6,6 +6,7 @@ from ddreg.numerics import (
     binomial_ext,
     minimal_polynomial,
     rank_with_tol,
+    simulate_linear,
     solve_sylvester,
     spectral_radius,
 )
@@ -198,3 +199,36 @@ def test_spectral_radius_benchmark_plant():
     from ddreg.benchmarks import VTOL_A
 
     assert spectral_radius(VTOL_A) == pytest.approx(1.0, abs=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# simulate_linear
+
+
+def test_simulate_linear_matches_plain_loop():
+    rng = np.random.default_rng(3)
+    F = 0.5 * rng.standard_normal((3, 3))
+    G = rng.standard_normal((3, 2))
+    u = rng.standard_normal((12, 2))
+    z0 = rng.standard_normal(3)
+    z = simulate_linear(F, z0, 10, G, u)
+    assert z.shape == (11, 3)
+    state = z0
+    for k in range(11):
+        np.testing.assert_allclose(z[k], state, rtol=0, atol=1e-14)
+        state = F @ state + G @ u[k]
+    free = simulate_linear(F, z0, 4)
+    np.testing.assert_array_equal(free, simulate_linear(F, z0, 4))
+    np.testing.assert_allclose(free[4], np.linalg.matrix_power(F, 4) @ z0)
+
+
+def test_simulate_linear_needs_enough_inputs():
+    with pytest.raises(ValueError, match="at least 5 input samples"):
+        simulate_linear(np.eye(2), np.ones(2), 5, np.ones((2, 1)), np.ones((4, 1)))
+
+
+def test_simulate_linear_divergence_guard():
+    # The guard watches the whole state, not one block of it.
+    F = np.diag([0.5, 1e3])
+    with pytest.raises(RuntimeError, match="divergent"):
+        simulate_linear(F, [1.0, 1.0], 10)

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from ddreg.experiment import collect_experiment
+from ddreg.internal_model import build_internal_model
 from ddreg.plant import (
     ExoMatrix,
     PlantTruth,
     build_structural_matrices,
     observability_index,
-    simulate_plant,
 )
 
 from _scenarios import vtol
@@ -88,14 +89,22 @@ def test_plant_truth_rejects_shape_mismatch():
 
 
 # ---------------------------------------------------------------------------
-# simulate_plant
+# plant stepping (inside the data-collection experiment)
+
+
+def collect(plant, exo, w0, x0, u):
+    """Plant run under the explicit inputs ``u``, for ``len(u) - 1`` steps."""
+    im = build_internal_model(exo, p=plant.p)
+    return collect_experiment(
+        plant, exo, im, w0, x0, np.zeros(im.dim), u, T=len(u) - 1, ell=1
+    )
 
 
 def test_simulate_all_zero():
     plant = scalar_plant(a=0.0)
-    traj = simulate_plant(plant, scalar_exo(), [0.0], [0.0], np.zeros((5, 1)), 5)
-    assert np.all(traj.x == 0.0)
-    assert np.all(traj.y == 0.0)
+    rec = collect(plant, scalar_exo(), [0.0], [0.0], np.zeros((6, 1)))
+    assert np.all(rec.oracle.x == 0.0)
+    assert np.all(rec.y == 0.0)
 
 
 def test_simulate_one_step_matches_definition():
@@ -103,12 +112,12 @@ def test_simulate_one_step_matches_definition():
     plant, exo = vtol()
     x0 = rng.standard_normal(plant.n)
     w0 = rng.standard_normal(exo.n_w)
-    u = rng.standard_normal((1, plant.m))
-    traj = simulate_plant(plant, exo, w0, x0, u, 1)
+    u = rng.standard_normal((2, plant.m))
+    rec = collect(plant, exo, w0, x0, u)
     np.testing.assert_allclose(
-        traj.x[1], plant.A @ x0 + plant.B @ u[0] + plant.P @ w0, atol=1e-14
+        rec.oracle.x[1], plant.A @ x0 + plant.B @ u[0] + plant.P @ w0, atol=1e-14
     )
-    np.testing.assert_allclose(traj.y[0], plant.C @ x0 + plant.Q @ w0, atol=1e-14)
+    np.testing.assert_allclose(rec.y[0], plant.C @ x0 + plant.Q @ w0, atol=1e-14)
 
 
 def test_simulate_matches_independent_recursion():
@@ -117,50 +126,45 @@ def test_simulate_matches_independent_recursion():
     plant, exo = vtol()
     x0 = rng.standard_normal(plant.n)
     w0 = rng.standard_normal(exo.n_w)
-    u = rng.standard_normal((20, plant.m))
-    traj = simulate_plant(plant, exo, w0, x0, u, 20)
+    u = rng.standard_normal((21, plant.m))
+    rec = collect(plant, exo, w0, x0, u)
 
     w, x = w0.copy(), x0.copy()
-    for k in range(20):
-        np.testing.assert_allclose(traj.w[k], w, atol=1e-12)
-        np.testing.assert_allclose(traj.x[k], x, atol=1e-12)
-        np.testing.assert_allclose(traj.y[k], plant.C @ x + plant.Q @ w, atol=1e-12)
+    for k in range(21):
+        np.testing.assert_allclose(rec.oracle.w[k], w, atol=1e-12)
+        np.testing.assert_allclose(rec.oracle.x[k], x, atol=1e-12)
+        np.testing.assert_allclose(rec.y[k], plant.C @ x + plant.Q @ w, atol=1e-12)
         x = plant.A @ x + plant.B @ u[k] + plant.P @ w
         w = exo.S @ w
-    assert traj.recursion_residual(plant, exo) < 1e-12
-    traj.x[7, 0] += 1e-6
-    assert traj.recursion_residual(plant, exo) > 5e-7
 
 
 def test_simulate_deterministic():
     rng = np.random.default_rng(2)
     plant, exo = vtol()
     x0 = rng.standard_normal(plant.n)
-    u = rng.standard_normal((10, 1))
-    t1 = simulate_plant(plant, exo, [0.1, 0.2], x0, u, 10)
-    t2 = simulate_plant(plant, exo, [0.1, 0.2], x0, u, 10)
-    assert np.array_equal(t1.x, t2.x) and np.array_equal(t1.y, t2.y)
+    u = rng.standard_normal((11, 1))
+    r1 = collect(plant, exo, [0.1, 0.2], x0, u)
+    r2 = collect(plant, exo, [0.1, 0.2], x0, u)
+    assert np.array_equal(r1.oracle.x, r2.oracle.x) and np.array_equal(r1.y, r2.y)
 
 
 def test_exosignal_norm_preserved_for_rotation():
     plant, exo = vtol()
-    traj = simulate_plant(
-        plant, exo, [0.3, -0.4], np.zeros(4), np.zeros((50, 1)), 50
-    )
-    norms = np.linalg.norm(traj.w, axis=1)
+    rec = collect(plant, exo, [0.3, -0.4], np.zeros(4), np.zeros((51, 1)))
+    norms = np.linalg.norm(rec.oracle.w, axis=1)
     np.testing.assert_allclose(norms, norms[0], atol=1e-10)
 
 
 def test_simulate_divergence_guard():
     plant = scalar_plant(a=1e3)
     with pytest.raises(RuntimeError, match="divergent"):
-        simulate_plant(plant, scalar_exo(), [0.0], [1.0], np.zeros((10, 1)), 10)
+        collect(plant, scalar_exo(), [0.0], [1.0], np.zeros((11, 1)))
 
 
 def test_simulate_dimension_mismatch():
     plant, exo = vtol()
     with pytest.raises(ValueError):
-        simulate_plant(plant, exo, [0.1], np.zeros(4), np.zeros((5, 1)), 5)
+        collect(plant, exo, [0.1], np.zeros(4), np.zeros((6, 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -346,26 +346,6 @@ def test_scalar_problem_feasible():
     assert res.K.shape == (1, 3)
 
 
-@pytest.mark.parametrize("backend", ["cvxpy"])
-def test_external_backend_agrees(backend):
-    pytest.importorskip("cvxpy")
-    prob = scalar_problem(T=8)
-    res_ip = solve_feasibility_sdp(prob)
-    res_ext = solve_feasibility_sdp(prob, SolverOptions(backend=backend))
-    assert res_ext.status == res_ip.status == "feasible"
-    # The interior-point solve stops at the certified verdict, so its margin
-    # is a lower bound on the optimum that the external backend reaches,
-    # and its gap bound caps how far below the optimum it may sit.
-    slack = 1e-7
-    assert res_ip.margin - slack <= res_ext.margin
-    assert res_ext.margin <= res_ip.margin + res_ip.gap_bound + slack
-
-
-def test_unknown_backend_rejected():
-    with pytest.raises(ValueError, match="unknown solver backend"):
-        solve_feasibility_sdp(scalar_problem(), SolverOptions(backend="nope"))
-
-
 # ---------------------------------------------------------------------------
 # extract_gain
 

@@ -5,7 +5,12 @@ from ddreg.benchmarks import VTOL_ETA0, VTOL_W0, VTOL_X0, vtol
 from ddreg.exo_factorization import analyze_exosystem, build_M_jordan
 from ddreg.experiment import NormalInputPolicy, assemble_data_matrices, collect_experiment
 from ddreg.internal_model import build_internal_model
-from ddreg.plant import ExoMatrix, PlantTruth, build_structural_matrices
+from ddreg.plant import (
+    ExoMatrix,
+    PlantTruth,
+    build_structural_matrices,
+    observability_index,
+)
 from ddreg.synthesis import assemble_sdp, solve_feasibility_sdp
 from ddreg.verify import (
     assemble_closed_loop,
@@ -20,7 +25,7 @@ from ddreg.verify import (
     simulate_closed_loop,
 )
 
-from _scenarios import random_plant, random_unit_circle_exo
+from _scenarios import random_plant, random_unit_circle_exo, rotation
 
 
 def vtol_setup(seed=0, T=20, ell=4):
@@ -33,6 +38,18 @@ def vtol_setup(seed=0, T=20, ell=4):
     struct = build_structural_matrices(plant, ell)
     aux = build_auxiliary_matrices(plant, struct, exo, im)
     return plant, exo, im, rec, struct, aux
+
+
+def correspondence(aux, exo, plant, u, w0, x0):
+    """Correspondence along the plant run under the explicit inputs ``u``
+    (``len(u) - 1`` steps from ``w0``, ``x0``)."""
+    im = build_internal_model(exo, p=plant.p)
+    rec = collect_experiment(
+        plant, exo, im, w0, x0, np.zeros(im.dim), u, T=len(u) - 1, ell=aux.ell
+    )
+    return check_solution_correspondence(
+        aux, exo, rec.oracle.w[0], rec.oracle.x[0], rec.y, rec.u
+    )
 
 
 def vtol_design(seed=0):
@@ -210,17 +227,15 @@ def test_correspondence_zero():
     im = build_internal_model(exo, p=1)
     struct = build_structural_matrices(plant, 1)
     aux = build_auxiliary_matrices(plant, struct, exo, im)
-    r_state, r_out = check_solution_correspondence(
-        plant, aux, exo, np.zeros((31, 1)), [0.0], [0.0], steps=30
-    )
+    r_state, r_out = correspondence(aux, exo, plant, np.zeros((31, 1)), [0.0], [0.0])
     assert r_state == 0.0 and r_out == 0.0
 
 
 def test_correspondence_vtol_random_input():
     plant, exo, im, rec, struct, aux = vtol_setup()
     rng = np.random.default_rng(4)
-    r_state, r_out = check_solution_correspondence(
-        plant, aux, exo, rng.standard_normal((31, 1)), VTOL_W0, VTOL_X0, steps=30
+    r_state, r_out = correspondence(
+        aux, exo, plant, rng.standard_normal((31, 1)), VTOL_W0, VTOL_X0
     )
     assert r_state < 1e-8 and r_out < 1e-8
 
@@ -232,8 +247,8 @@ def test_correspondence_unstable_scalar():
     struct = build_structural_matrices(plant, 1)
     aux = build_auxiliary_matrices(plant, struct, exo, im)
     rng = np.random.default_rng(5)
-    r_state, r_out = check_solution_correspondence(
-        plant, aux, exo, rng.standard_normal((21, 1)), [0.7], [0.3], steps=20
+    r_state, r_out = correspondence(
+        aux, exo, plant, rng.standard_normal((21, 1)), [0.7], [0.3]
     )
     assert r_state < 1e-8 and r_out < 1e-8
 
@@ -244,9 +259,34 @@ def test_correspondence_with_closed_loop_input():
     cl = assemble_closed_loop(plant, exo, aux, im, res.K)
     run = simulate_closed_loop(cl, VTOL_W0, VTOL_X0, np.zeros(8), VTOL_ETA0, 40)
     r_state, r_out = check_solution_correspondence(
-        plant, aux, exo, run.u, VTOL_W0, VTOL_X0, steps=39
+        aux, exo, run.w[0], run.x[0], run.y, run.u
     )
     assert r_state < 1e-8 and r_out < 1e-8
+
+
+def test_correspondence_flags_perturbed_output():
+    # The check reads the run it is given: one output sample moved by 1e-6
+    # shows in every window that holds it and in the output comparison.
+    # Its residuals are relative to the run's size, so the run comes from a
+    # stable plant with O(1) outputs.
+    rng = np.random.default_rng(13)
+    plant = random_plant(rng, 3, 1, 1, 2)
+    exo = ExoMatrix(rotation(0.9))
+    im = build_internal_model(exo, p=1)
+    ell = observability_index(plant.A, plant.C)
+    aux = build_auxiliary_matrices(
+        plant, build_structural_matrices(plant, ell), exo, im
+    )
+    rec = collect_experiment(
+        plant, exo, im, [0.3, -0.2], rng.standard_normal(3), np.zeros(im.dim),
+        NormalInputPolicy(seed=3), T=20, ell=ell,
+    )
+    assert np.abs(rec.y).max() < 10.0
+    start = (aux, exo, rec.oracle.w[0], rec.oracle.x[0])
+    assert max(check_solution_correspondence(*start, rec.y, rec.u)) < 1e-8
+    y = rec.y.copy()
+    y[10, 0] += 1e-6
+    assert max(check_solution_correspondence(*start, y, rec.u)) > 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +467,7 @@ def test_identities_hold_above_observability_index():
     assert max(r) < 1e-8
     assert check_data_identity(assemble_data_matrices(rec), aux) < 1e-8
     rng = np.random.default_rng(12)
-    r_state, r_out = check_solution_correspondence(
-        plant, aux, exo, rng.standard_normal((31, 1)), VTOL_W0, VTOL_X0, steps=30
+    r_state, r_out = correspondence(
+        aux, exo, plant, rng.standard_normal((31, 1)), VTOL_W0, VTOL_X0
     )
     assert r_state < 1e-8 and r_out < 1e-8
