@@ -35,7 +35,7 @@ from .experiment import (
     record_from_csv,
     record_to_csv,
 )
-from .internal_model import build_internal_model
+from .internal_model import InternalModel, build_internal_model
 from .plant import ExoMatrix, PlantTruth, build_structural_matrices
 from .synthesis import (
     SolverOptions,
@@ -268,7 +268,9 @@ def _initial(config: RunConfig, **dims) -> list[np.ndarray]:
     ]
 
 
-def collect_stage(config: RunConfig) -> ExperimentRecord:
+def collect_stage(config: RunConfig) -> tuple[ExperimentRecord, InternalModel]:
+    """The experiment's record and the internal model it was collected with
+    (the closed-loop checks step the same model)."""
     if config.plant is None:
         raise PipelineError(
             "collect", "no plant in config", "collection needs ground truth"
@@ -288,7 +290,7 @@ def collect_stage(config: RunConfig) -> ExperimentRecord:
         input_policy = np.asarray(policy["values"], dtype=float)
     else:
         raise PipelineError("collect", f"unknown input policy {policy.get('type')!r}")
-    return _stage(
+    rec = _stage(
         "collect",
         collect_experiment,
         plant,
@@ -302,6 +304,7 @@ def collect_stage(config: RunConfig) -> ExperimentRecord:
         config.ell,
         hint="check dimensions and T >= ell",
     )
+    return rec, im
 
 
 def synthesize_stage(config: RunConfig, rec: ExperimentRecord):
@@ -340,15 +343,14 @@ def _check(name, value, threshold, op="<", passed=None):
     }
 
 
-def _oracle_checks(config: RunConfig, exo: ExoMatrix, rec, data, reg):
+def _oracle_checks(config: RunConfig, exo: ExoMatrix, im, rec, data, reg):
     """Oracle identity rows: the one-step data relation, the window
     reconstruction along the record, the factorization of the hidden
     exosignal stack and the correspondence of the record with the auxiliary
-    system.  Also returns the internal model and the auxiliary system that
-    the closed-loop rows build on.
+    system.  Also returns the auxiliary system that the closed-loop rows
+    build on.
     """
     tol, plant = config.tolerances, config.plant
-    im = build_internal_model(exo, p=plant.p, snap_coeffs_tol=tol["snap_coeffs_tol"])
     struct = _stage("verify", build_structural_matrices, plant, config.ell)
     aux = build_auxiliary_matrices(plant, struct, exo, im)
     rows = [
@@ -371,7 +373,7 @@ def _oracle_checks(config: RunConfig, exo: ExoMatrix, rec, data, reg):
             tol["correspondence"],
         ),
     ]
-    return rows, im, aux
+    return rows, aux
 
 
 def _closed_loop_checks(config: RunConfig, exo, im, aux, gain, data_side=None):
@@ -446,7 +448,7 @@ def run_pipeline(config: RunConfig, out_dir=None, unmask: bool = False) -> dict:
     """
     tol = config.tolerances
     exo = ExoMatrix(config.exo_s)
-    rec = collect_stage(config)
+    rec, im = collect_stage(config)
     plant = config.plant
     data, reg, prob, pre, result = synthesize_stage(config, rec)
 
@@ -472,7 +474,7 @@ def run_pipeline(config: RunConfig, out_dir=None, unmask: bool = False) -> dict:
         "synthesis": result.to_dict(),
     }
 
-    checks, im, aux = _oracle_checks(config, exo, rec, data, reg)
+    checks, aux = _oracle_checks(config, exo, im, rec, data, reg)
     feasible = result.status == "feasible"
     checks.append(
         _check("sdp_feasible", result.margin, tol["feas_tol"], op=">", passed=feasible)
@@ -507,11 +509,11 @@ def verify_gain(config: RunConfig, gain, out_dir=None, unmask: bool = False) -> 
     """
     gain = np.asarray(gain, dtype=float)
     exo = ExoMatrix(config.exo_s)
-    rec = collect_stage(config)
+    rec, im = collect_stage(config)
     data = assemble_data_matrices(rec)
     reg = _stage("factorize", build_regressor, config, exo)
 
-    checks, im, aux = _oracle_checks(config, exo, rec, data, reg)
+    checks, aux = _oracle_checks(config, exo, im, rec, data, reg)
     rows, regulation, run = _closed_loop_checks(config, exo, im, aux, gain)
     checks += rows
     report = {
@@ -617,7 +619,7 @@ def _load_config(args) -> RunConfig:
 
 def _cmd_collect(args) -> int:
     config = _load_config(args)
-    rec = collect_stage(config)
+    rec, _ = collect_stage(config)
     out = args.out or Path(".")
     out.mkdir(parents=True, exist_ok=True)
     record_to_csv(rec, out / "record.csv", unmask=args.unmask)
@@ -648,7 +650,7 @@ def _cmd_synthesize(args) -> int:
         )
         rec = record_from_csv(args.record, ell=config.ell, im=im, m=m, p=p)
     else:
-        rec = collect_stage(config)
+        rec, _ = collect_stage(config)
     data, reg, prob, pre, result = synthesize_stage(config, rec)
     out = args.out or Path(".")
     out.mkdir(parents=True, exist_ok=True)

@@ -3,7 +3,8 @@
 Everything operates on plain float64 ``numpy`` arrays.  Rank decisions across
 the whole package route through :func:`rank_with_tol` so a single relative
 tolerance governs them all, and every linear system the package steps over
-time goes through :func:`simulate_linear`.
+time goes through :func:`simulate_linear`, which steps an autonomous system
+in blocks of states and a driven one state by state.
 """
 
 from __future__ import annotations
@@ -25,6 +26,10 @@ SPECTRUM_GAP_TOL = 1e-9
 # Simulations abort once any state norm passes this bound, signalling
 # divergence instead of emitting Inf.
 DIVERGENCE_GUARD = 1e12
+
+# States an autonomous simulation advances per loop iteration (one product
+# with the stacked powers of its map).
+BLOCK_STEPS = 32
 
 
 def as_matrix(a, name: str = "matrix", square: bool = False) -> np.ndarray:
@@ -165,31 +170,80 @@ def solve_sylvester(A, S, Q) -> np.ndarray:
     return P
 
 
+def _powers(F: np.ndarray, count: int) -> np.ndarray:
+    """``F, F^2, ..., F^j`` as a ``(j, n, n)`` stack, for the largest
+    ``j <= count`` whose powers are all finite (``j >= 1``, as F itself is
+    finite).
+
+    Each power is F times the one before, so column i of ``F^j`` is a
+    per-step run from the unit vector e_i, with that run's kind of
+    round-off.  Squaring powers (doubling) takes fewer products but
+    multiplies two rounded powers: on the paper example's closed loop
+    (``|F|`` about 245) the states it gave were 1e-11 relative to the run's
+    largest state away from exact, against 1e-13 this way.
+    """
+    powers = np.empty((count, *F.shape))
+    powers[0] = F
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(1, count):
+            np.matmul(F, powers[j - 1], out=powers[j])
+    finite = np.isfinite(powers).all(axis=(1, 2))
+    return powers if finite.all() else powers[: int(np.argmin(finite))]
+
+
 def simulate_linear(F, z0, steps: int, G=None, u=None) -> np.ndarray:
     """States z(0..steps) of ``z(k+1) = F z(k) + G u(k)``, one row per step.
 
     ``G`` and ``u`` come together or not at all; ``u`` needs at least
     ``steps`` rows.  Deterministic: identical inputs give bit-identical
-    states.  Raises once the state norm passes :data:`DIVERGENCE_GUARD`.
+    states.  Raises once the state norm passes :data:`DIVERGENCE_GUARD`, at
+    the first step whose state is past it or not finite.
+
+    An autonomous system (``G is None``) advances up to
+    :data:`BLOCK_STEPS` states per iteration: each block is one product of
+    the stacked powers ``[F; F^2; ...; F^b]``, built once per call, with the
+    block's first state.  The states agree with a per-step loop to
+    round-off (within 1e-12 of the run's largest state on the tested maps,
+    the paper example's closed loop among them).  A power that overflows is
+    not used, so a map whose square overflows steps one state at a time.
+
+    A driven system steps one state per iteration, bit-identical to the
+    plain recursion.  Lifting the drive term into the blocks adds sums of
+    powers times ``G u`` whose round-off grows with the powers of an
+    open-loop-unstable plant: on the paper plant it took the correspondence
+    residual of a 40-step closed-loop run from 2e-11 to 2e-9.
     """
     F = as_matrix(F, "F", square=True)
-    z = np.empty((steps + 1, F.shape[0]))
-    z[0] = as_vector(z0, "z0", dim=F.shape[0])
+    n = F.shape[0]
+    z = np.empty((steps + 1, n))
+    z[0] = as_vector(z0, "z0", dim=n)
     drive = None
     if G is not None:
         u = np.asarray(u, dtype=float)
         if u.shape[0] < steps:
             raise ValueError(f"need at least {steps} input samples, got {u.shape[0]}")
         drive = u[:steps] @ as_matrix(G, "G").T
-    guard_sq = DIVERGENCE_GUARD**2
-    for k in range(steps):
-        z[k + 1] = F @ z[k]
-        if drive is not None:
-            z[k + 1] += drive[k]
-        if z[k + 1] @ z[k + 1] > guard_sq:
+        powers = F[None]
+    else:
+        powers = _powers(F, max(1, min(BLOCK_STEPS, steps)))
+    b = len(powers)
+    stacked = powers.reshape(b * n, n)
+    flat = z.reshape(-1)  # state k is flat[k * n : (k + 1) * n]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(0, steps, b):
+            m = min(b, steps - k)
+            np.matmul(stacked[: m * n], z[k], out=flat[(k + 1) * n : (k + 1 + m) * n])
+            if drive is not None:
+                z[k + 1] += drive[k]
+        # One test after the loop: a run past the guard may go on to overflow
+        # (silenced above), and the first state past it is the one reported.
+        # Negated so that a non-finite state counts as past the guard.
+        past = np.flatnonzero(~(np.einsum("ij,ij->i", z[1:], z[1:]) <= DIVERGENCE_GUARD**2))
+        if past.size:
+            step = int(past[0]) + 1
             raise RuntimeError(
-                f"state norm {np.linalg.norm(z[k + 1]):.3e} exceeded "
-                f"{DIVERGENCE_GUARD:.0e} at step {k + 1}: divergent simulation"
+                f"state norm {np.linalg.norm(z[step]):.3e} exceeded "
+                f"{DIVERGENCE_GUARD:.0e} at step {step}: divergent simulation"
             )
     return z
 

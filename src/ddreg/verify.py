@@ -340,8 +340,10 @@ def simulate_closed_loop(
     """Roll the closed loop and measure regulation.
 
     The stacked state (w, x, chi, eta) is stepped by ``cl.full_map``
-    (``numerics.simulate_linear``, which raises on divergence); outputs and
-    inputs are read off the stored states afterwards.
+    (``numerics.simulate_linear``, which raises on divergence; the loop is
+    autonomous, so it advances in blocks of states, each one product with
+    the stacked powers of the map); outputs and inputs are read off the
+    stored states afterwards.
     ``tail_max_y`` is the largest output norm over the final ``tail_frac``
     of the horizon; ``settle_step`` is the first step from which the output
     norm stays below ``eps_reg`` to the end (None if it never does).

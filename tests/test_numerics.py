@@ -1,7 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ddreg.cli import paper_example_config, run_pipeline
+from ddreg.internal_model import build_internal_model
 from ddreg.numerics import (
+    BLOCK_STEPS,
+    DIVERGENCE_GUARD,
     PolynomialCoeffs,
     binomial_ext,
     minimal_polynomial,
@@ -10,6 +18,8 @@ from ddreg.numerics import (
     solve_sylvester,
     spectral_radius,
 )
+from ddreg.plant import ExoMatrix, build_structural_matrices
+from ddreg.verify import assemble_closed_loop, build_auxiliary_matrices
 
 
 def rotation(theta):
@@ -232,3 +242,122 @@ def test_simulate_linear_divergence_guard():
     F = np.diag([0.5, 1e3])
     with pytest.raises(RuntimeError, match="divergent"):
         simulate_linear(F, [1.0, 1.0], 10)
+
+
+def per_step(F, z0, steps, G=None, u=None):
+    """Reference: one matrix-vector product per step, the drive precomputed
+    as ``u @ G.T``, and the guard tested after every step (a non-finite
+    state counts as past it)."""
+    z = np.empty((steps + 1, len(z0)))
+    z[0] = z0
+    drive = None if G is None else u[:steps] @ G.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(steps):
+            z[k + 1] = F @ z[k]
+            if drive is not None:
+                z[k + 1] += drive[k]
+            if not z[k + 1] @ z[k + 1] <= DIVERGENCE_GUARD**2:
+                raise RuntimeError(
+                    f"state norm {np.linalg.norm(z[k + 1]):.3e} exceeded "
+                    f"{DIVERGENCE_GUARD:.0e} at step {k + 1}: divergent simulation"
+                )
+    return z
+
+
+@pytest.mark.parametrize("steps", [39, 40, 64, 65])
+def test_simulate_linear_guard_step_matches_per_step_loop(steps):
+    # 2^40 > 1e12 > 2^39: the guard is first passed at step 40, inside the
+    # second block of 32 for 64 steps, in its last state for 40 steps.
+    F, z0 = 2.0 * np.eye(1), [1.0]
+    if steps < 40:
+        np.testing.assert_array_equal(
+            simulate_linear(F, z0, steps), per_step(F, z0, steps)
+        )
+        return
+    with pytest.raises(RuntimeError) as blocked:
+        simulate_linear(F, z0, steps)
+    with pytest.raises(RuntimeError) as plain:
+        per_step(F, z0, steps)
+    assert "at step 40: divergent" in str(blocked.value)
+    assert str(blocked.value) == str(plain.value)
+
+
+def test_simulate_linear_nonfinite_state_is_divergent():
+    # A NaN input sample leaves a NaN state, whose norm compares false
+    # against any bound.
+    u = np.zeros((10, 1))
+    u[3] = np.nan
+    with pytest.raises(RuntimeError, match="state norm nan .* at step 4: divergent"):
+        simulate_linear(0.5 * np.eye(2), [1.0, 1.0], 10, np.ones((2, 1)), u)
+    # 1e300 * 1e9 overflows: inf, or NaN when inf - inf is formed.
+    F = np.array([[1e300, -1e300], [0.0, 0.5]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeError, match="state norm (inf|nan) .* at step 1: "):
+            simulate_linear(F, [1e9, 1e9], 10)
+
+
+def test_simulate_linear_overflowing_powers_step_like_per_step_loop():
+    # F^2 overflows, but the run from (0, 1) stays on the stable axis.
+    F = np.diag([1e200, 0.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        z = simulate_linear(F, [0.0, 1.0], 100)
+    np.testing.assert_array_equal(z, per_step(F, np.array([0.0, 1.0]), 100))
+    np.testing.assert_array_equal(z[:, 1], 0.5 ** np.arange(101))
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 30),
+    steps=st.integers(1, 300).filter(lambda s: s % BLOCK_STEPS),
+)
+def test_simulate_linear_blocks_match_per_step_loop(seed, n, steps):
+    rng = np.random.default_rng(seed)
+    F = rng.standard_normal((n, n))
+    F *= rng.uniform(0.2, 0.99) / spectral_radius(F)
+    z0 = rng.standard_normal(n)
+    want = per_step(F, z0, steps)
+    got = simulate_linear(F, z0, steps)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.fixture(scope="module")
+def paper_loop():
+    """Closed-loop map of the gain designed on the paper example."""
+    config = paper_example_config(0)
+    gain = np.array(run_pipeline(config)["synthesis"]["gain"])
+    plant, exo = config.plant, ExoMatrix(config.exo_s)
+    im = build_internal_model(exo, p=plant.p)
+    struct = build_structural_matrices(plant, config.ell)
+    aux = build_auxiliary_matrices(plant, struct, exo, im)
+    return assemble_closed_loop(plant, exo, aux, im, gain).full_map
+
+
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), steps=st.integers(1, 400))
+def test_simulate_linear_paper_closed_loop_matches_per_step_loop(paper_loop, seed, steps):
+    z0 = np.random.default_rng(seed).standard_normal(paper_loop.shape[0])
+    want = per_step(paper_loop, z0, steps)
+    got = simulate_linear(paper_loop, z0, steps)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 12),
+    m=st.integers(1, 3),
+    steps=st.integers(0, 80),
+    radius=st.floats(0.5, 1.2),
+)
+def test_simulate_linear_driven_is_the_per_step_recursion(seed, n, m, steps, radius):
+    rng = np.random.default_rng(seed)
+    F = rng.standard_normal((n, n))
+    F *= radius / spectral_radius(F)
+    G, u = rng.standard_normal((n, m)), rng.standard_normal((steps, m))
+    z0 = rng.standard_normal(n)
+    np.testing.assert_array_equal(
+        simulate_linear(F, z0, steps, G, u), per_step(F, z0, steps, G, u)
+    )
