@@ -268,14 +268,16 @@ def _initial(config: RunConfig, **dims) -> list[np.ndarray]:
     ]
 
 
-def collect_stage(config: RunConfig) -> tuple[ExperimentRecord, InternalModel]:
+def collect_stage(
+    config: RunConfig, exo: ExoMatrix
+) -> tuple[ExperimentRecord, InternalModel]:
     """The experiment's record and the internal model it was collected with
-    (the closed-loop checks step the same model)."""
+    (the closed-loop checks step the same model); ``exo`` is the config's
+    exosystem, built once per operation by the caller."""
     if config.plant is None:
         raise PipelineError(
             "collect", "no plant in config", "collection needs ground truth"
         )
-    exo = ExoMatrix(config.exo_s)
     plant = config.plant
     im = build_internal_model(
         exo, p=plant.p, snap_coeffs_tol=config.tolerances["snap_coeffs_tol"]
@@ -307,8 +309,7 @@ def collect_stage(config: RunConfig) -> tuple[ExperimentRecord, InternalModel]:
     return rec, im
 
 
-def synthesize_stage(config: RunConfig, rec: ExperimentRecord):
-    exo = ExoMatrix(config.exo_s)
+def synthesize_stage(config: RunConfig, rec: ExperimentRecord, exo: ExoMatrix):
     data = _stage("assemble", assemble_data_matrices, rec)
     reg = _stage(
         "factorize",
@@ -448,9 +449,9 @@ def run_pipeline(config: RunConfig, out_dir=None, unmask: bool = False) -> dict:
     """
     tol = config.tolerances
     exo = ExoMatrix(config.exo_s)
-    rec, im = collect_stage(config)
+    rec, im = collect_stage(config, exo)
     plant = config.plant
-    data, reg, prob, pre, result = synthesize_stage(config, rec)
+    data, reg, prob, pre, result = synthesize_stage(config, rec, exo)
 
     report = {
         "config_hash": config.config_hash(),
@@ -505,15 +506,27 @@ def verify_gain(config: RunConfig, gain, out_dir=None, unmask: bool = False) -> 
     (``sdp_feasible``, ``gain_identity``, ``representation_gap``).  The
     steady-state certificate uses the model-side closed-loop matrix
     ``ext_a + ext_b gain``, which the data-side one equals for any gain
-    produced by the design program.
+    produced by the design program.  A gain that is not a numeric
+    ``m x (window_dim + im.dim)`` matrix raises ``PipelineError`` at the
+    ``verify`` stage.
     """
-    gain = np.asarray(gain, dtype=float)
+    gain = _stage(
+        "verify", np.asarray, gain, dtype=float,
+        hint="the gain is a numeric m x (window_dim + im.dim) matrix",
+    )
     exo = ExoMatrix(config.exo_s)
-    rec, im = collect_stage(config)
+    rec, im = collect_stage(config, exo)
     data = assemble_data_matrices(rec)
     reg = _stage("factorize", build_regressor, config, exo)
 
     checks, aux = _oracle_checks(config, exo, im, rec, data, reg)
+    m, wd, di = config.plant.m, aux.window_dim, im.dim
+    if gain.shape != (m, wd + di):
+        raise PipelineError(
+            "verify",
+            f"gain has shape {gain.shape}, expected ({m}, {wd + di})",
+            f"the gain is m x (window_dim + im.dim) = {m} x ({wd} + {di})",
+        )
     rows, regulation, run = _closed_loop_checks(config, exo, im, aux, gain)
     checks += rows
     report = {
@@ -619,7 +632,7 @@ def _load_config(args) -> RunConfig:
 
 def _cmd_collect(args) -> int:
     config = _load_config(args)
-    rec, _ = collect_stage(config)
+    rec, _ = collect_stage(config, ExoMatrix(config.exo_s))
     out = args.out or Path(".")
     out.mkdir(parents=True, exist_ok=True)
     record_to_csv(rec, out / "record.csv", unmask=args.unmask)
@@ -632,8 +645,8 @@ def _cmd_collect(args) -> int:
 
 def _cmd_synthesize(args) -> int:
     config = _load_config(args)
+    exo = ExoMatrix(config.exo_s)
     if args.record is not None:
-        exo = ExoMatrix(config.exo_s)
         if config.plant is not None:
             m, p = config.plant.m, config.plant.p
         else:
@@ -650,8 +663,8 @@ def _cmd_synthesize(args) -> int:
         )
         rec = record_from_csv(args.record, ell=config.ell, im=im, m=m, p=p)
     else:
-        rec, _ = collect_stage(config)
-    data, reg, prob, pre, result = synthesize_stage(config, rec)
+        rec, _ = collect_stage(config, exo)
+    data, reg, prob, pre, result = synthesize_stage(config, rec, exo)
     out = args.out or Path(".")
     out.mkdir(parents=True, exist_ok=True)
     regressor_to_csv(reg, out / "regressor.csv")

@@ -1,21 +1,22 @@
 """Dense margin-maximization solver for small semidefinite feasibility
-problems: maximize t such that every symmetric block, affine in a shared
-vector v, dominates t * I.  A feasibility question reduces to the sign of
-the optimal margin, and the solve stops once that sign is certified.
+problems: maximize t such that symmetric blocks, affine in a shared vector v,
+all dominate t * I.  A feasibility question reduces to the sign of the
+optimal margin, and the solve stops once that sign is certified.
 
 Primal-dual interior-point method with the HKM direction and Mehrotra
 predictor-corrector steps (Helmberg, Rendl, Vanderbei and Wolkowicz 1996;
-Todd, Toh and Tütüncü 1998).  The primal iterate is ``y = (v, t)``, with the
-slack ``S = F(v) - t I`` recomputed from it, so the primal side is always
-feasible and needs no phase-1; the dual iterate is a block-diagonal
-``Z > 0`` driven towards ``tr(F_j Z) = 0`` and ``tr Z = 1``.  Each iteration
-forms the Schur complement ``M_ij = <L_S^{-1} A_i L_Z, L_S^{-1} A_j L_Z>``
-(``A`` the coefficients extended by the margin coordinate) from one
-``dtrtri`` per block, one batched product and one Gram product, factors it
-once with ``dpotrf`` for predictor and corrector, and steps 0.95 of the way
-to the cone boundary.  Both verdicts are certified: the margin from below by
-an eigenvalue, the optimum from above by a dual point (see
-``maximize_margin``).  Identical inputs produce identical iterates.
+Todd, Toh and Tütüncü 1998) on the blocks folded into one block-diagonal
+``F(v)``.  The primal iterate is ``y = (v, t)``, with the slack
+``S = F(v) - t I`` recomputed from it, so the primal side is always feasible
+and needs no phase-1; the dual iterate ``Z > 0`` is driven towards
+``tr(F_j Z) = 0`` and ``tr Z = 1``.  Each iteration forms the Schur
+complement ``M_ij = <L_S^{-1} A_i L_Z, L_S^{-1} A_j L_Z>`` (``A`` the
+coefficients extended by the margin coordinate) from one ``dtrtri``, two
+GEMMs over all i and one Gram product, factors it once with ``dpotrf`` for
+predictor and corrector, and steps 0.95 of the way to the cone boundary.
+Both verdicts are certified: the margin from below by an eigenvalue, the
+optimum from above by a dual point (see ``maximize_margin``).  Identical
+inputs produce identical iterates.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import block_diag
 from scipy.linalg.lapack import dpotrf, dpotrs, dpstrf, dsyevr, dtrtri
 
 STEP_FRACTION = 0.95  # share of the distance to the cone boundary taken
@@ -91,18 +93,32 @@ def _tri_inv(L: np.ndarray) -> np.ndarray:
     return Li
 
 
+def _lam_min(M: np.ndarray) -> float:
+    """Smallest eigenvalue of the symmetric ``M`` (read from one triangle)."""
+    return dsyevr(M, compute_v=0, range="I", il=1, iu=1)[0][0]
+
+
 def _max_step(Li: np.ndarray, D: np.ndarray) -> float:
     """Largest a with ``L L^T + a D`` positive semidefinite, given ``Li`` the
     inverse of the factor ``L``; inf when D is itself semidefinite."""
-    lam = dsyevr(Li @ D @ Li.T, compute_v=0, range="I", il=1, iu=1)[0][0]
+    lam = _lam_min(Li @ D @ Li.T)
     return -1.0 / lam if lam < 0 else np.inf
 
 
-def _off_centre(z_chols: list[np.ndarray], S: list[np.ndarray], mu: float) -> float:
-    """``||L_Z^T S L_Z / mu - I||_F`` over all blocks: zero exactly at the
-    central point ``Z S = mu I``."""
-    dev = [L.T @ Sb @ L / mu - np.eye(len(Sb)) for L, Sb in zip(z_chols, S)]
-    return float(np.sqrt(sum(np.linalg.norm(D) ** 2 for D in dev)))
+def _off_centre(z_chol: np.ndarray, S: np.ndarray, mu: float) -> float:
+    """``||L_Z^T S L_Z / mu - I||_F``: zero exactly at the central point
+    ``Z S = mu I``."""
+    return float(np.linalg.norm(z_chol.T @ S @ z_chol / mu - np.eye(len(S))))
+
+
+def _fold(blocks: list[AffineBlock]) -> AffineBlock:
+    """The blocks as one block-diagonal block (the block itself when there is
+    only one): its eigenvalues are theirs, so is every margin."""
+    if len(blocks) == 1:
+        return blocks[0]
+    terms = zip(*(np.concatenate([b.const[None], b.coeff]) for b in blocks))
+    folded = np.array([block_diag(*parts) for parts in terms])
+    return AffineBlock(folded[0], folded[1:])
 
 
 def _col_scale(blocks: list[AffineBlock]) -> np.ndarray:
@@ -116,19 +132,18 @@ def _col_scale(blocks: list[AffineBlock]) -> np.ndarray:
     return scale
 
 
-def _schur_complement(
-    ext: list[np.ndarray], s_invs: list[np.ndarray], z_chols: list[np.ndarray]
-) -> np.ndarray:
-    """HKM Schur complement ``M_ij = sum over blocks of tr(A_i Z A_j S^{-1})``,
-    given each block's coefficient tensor extended by the margin coordinate
-    (``ext``), the inverse of its slack's Cholesky factor (``s_invs``) and its
-    dual Cholesky factor (``z_chols``)."""
-    k = ext[0].shape[0]
-    M = np.zeros((k, k))
-    for A, Li, LZ in zip(ext, s_invs, z_chols):
-        flat = (Li @ A @ LZ).reshape(k, -1)
-        M += flat @ flat.T
-    return M
+def _schur_complement(A: np.ndarray, s_inv: np.ndarray, z_chol: np.ndarray, work=None):
+    """HKM Schur complement ``M_ij = tr(A_i Z A_j S^{-1})``: the Gram matrix
+    of the ``L_S^{-1} A_i L_Z``, formed for all i by two GEMMs on the
+    transpose of the ``(k n, n)`` view of the symmetric coefficients ``A``
+    (k, n, n).  ``s_inv`` is ``L_S^{-1}``, ``z_chol`` is ``L_Z``; ``work``,
+    two ``(n, k n)`` arrays a solve reuses, takes the products."""
+    k, n, _ = A.shape
+    P, Q = work if work is not None else (np.empty((n, k * n)), np.empty((n, k * n)))
+    np.matmul(s_inv, A.reshape(k * n, n).T, out=P)  # [d, (i, a)]: L_S^{-1} A_i
+    np.matmul(z_chol.T, P.reshape(n * k, n).T, out=Q)  # [c, (d, i)]: ... L_Z
+    R = Q.reshape(n * n, k)
+    return R.T @ R
 
 
 def maximize_margin(
@@ -139,13 +154,15 @@ def maximize_margin(
 ) -> MarginResult:
     """Maximize t such that ``block_i(v) - t I >= 0`` for all blocks.
 
-    Both sides of the optimum are certified at every iterate.  The *margin*
-    is the smallest block eigenvalue at v.  The *bound* is ``tr(F_0 Z)`` at
-    the projection of Z onto ``tr(F_j Z) = 0``, ``tr Z = 1`` (through the
-    Gram matrix of the extended coefficients, factored once per solve),
-    accepted when it passes a Cholesky test: it is then a dual point and
-    bounds the optimum by weak duality.  ``gap_bound`` is the best bound so
-    far minus the margin (inf without a dual point), so the optimum lies in
+    The blocks are folded once into one block-diagonal matrix (``_fold``),
+    and everything below refers to that matrix.  Both sides of the optimum
+    are certified at every iterate.  The *margin* is its smallest eigenvalue
+    at v.  The *bound* is ``tr(F_0 Z)`` at the projection of Z onto
+    ``tr(F_j Z) = 0``, ``tr Z = 1`` (through the Gram matrix of the extended
+    coefficients, factored once per solve), accepted when it passes a
+    Cholesky test: it is then a dual point and bounds the optimum by weak
+    duality.  ``gap_bound`` is the best bound so far minus the margin (inf
+    without a dual point), so the optimum lies in
     ``[margin, margin + gap_bound]``.  Stop reasons:
 
     - ``"verdict"`` (with ``feas_tol``): the margin exceeds ``feas_tol`` and
@@ -163,7 +180,7 @@ def maximize_margin(
       ``gap_tol`` nor how far the solve would have run.
     - ``"gap_tol"``: ``gap_bound <= gap_tol``.
     - ``"unbounded"``: -I lies in the span of the coefficients, or a step
-      direction grows every block while t increases; no dual point exists.
+      direction grows the block while t increases; no dual point exists.
     - ``"stalled"`` (``converged=False``): a step left the cone in floating
       point first; the previous iterate is returned.  So end problems whose
       dual points are all singular, with ``gap_bound`` inf.
@@ -181,77 +198,65 @@ def maximize_margin(
         if b.nvar != nvar:
             raise ValueError("blocks disagree on the variable dimension")
 
-    n = sum(b.size for b in blocks)
+    block = _fold(blocks)
+    n = block.size
+    C = block.const
     log: list[str] = []
 
-    # Coefficient tensors in the scaled variables, extended by the margin
-    # coordinate (coefficient -I), and their flat (k, nb * nb) views.  A
-    # variable whose scaled coefficients depend linearly on the others' adds
-    # nothing to the feasible set; it is held at zero, which keeps the Schur
-    # complement and the Gram matrix nonsingular.
+    # The solve's one copy of the coefficients, in the scaled variables and
+    # extended by the margin coordinate (coefficient -I); F is its flat view.
+    # A variable whose scaled coefficients depend linearly on the others' is
+    # held at zero, which keeps the Schur complement and Gram nonsingular.
     col_scale = _col_scale(blocks)
-    ext = [
-        np.concatenate([b.coeff * col_scale[:, None, None], -np.eye(b.size)[None]])
-        for b in blocks
-    ]
-    gram = sum(F @ F.T for F in (A.reshape(nvar + 1, -1) for A in ext))
+    A = np.empty((nvar + 1, n, n))
+    np.multiply(block.coeff, col_scale[:, None, None], out=A[:-1])
+    A[-1] = -np.eye(n)
+    F = A.reshape(nvar + 1, -1)
+    gram = F @ F.T
     _, piv, rank, _ = dpstrf(gram[:-1, :-1], lower=1)
     free = np.sort(piv[:rank] - 1)
-    keep = np.append(free, nvar)
-    ext = [A[keep] for A in ext]
-    gram = gram[np.ix_(keep, keep)]
-    k = keep.size
-    flats = [A.reshape(k, -1) for A in ext]
-    consts = [b.const for b in blocks]
+    if rank < nvar:
+        keep = np.append(free, nvar)
+        A, gram = A[keep], gram[np.ix_(keep, keep)]
+        F = A.reshape(keep.size, -1)
+    k = rank + 1
     target = np.zeros(k)  # the dual equalities read (tr(A_i Z))_i = -target
     target[-1] = 1.0
-    eye = np.eye(k)
     gram_chol = _chol(gram)
-
-    def slacks(y: np.ndarray) -> list[np.ndarray]:
-        return [C + (y @ F).reshape(C.shape) for C, F in zip(consts, flats)]
+    work = (np.empty((n, k * n)), np.empty((n, k * n)))
 
     def physical_v(y: np.ndarray) -> np.ndarray:
         v = np.zeros(nvar)
         v[free] = y[:-1] * col_scale[free]
         return v
 
-    def certified_margin(v: np.ndarray) -> float:
-        return min(float(np.linalg.eigvalsh(b.value(v))[0]) for b in blocks)
-
-    def dual_bound(Z: list[np.ndarray]) -> float:
+    def dual_bound(Z: np.ndarray) -> float:
         """tr(F_0 Z) at the projection of Z onto the dual equalities, or inf
         when it is not positive definite.  The projection does not replace
         the iterate: as the iterate it moved the paper gain by 4e-7 relative
         between rescaled copies of one problem."""
-        resid = sum(F @ Zb.ravel() for F, Zb in zip(flats, Z)) + target
-        coef, _ = dpotrs(gram_chol, resid, lower=1)
-        bound = 0.0
-        for C, F, Zb in zip(consts, flats, Z):
-            Zp = Zb - (coef @ F).reshape(Zb.shape)
-            if _chol(Zp) is None:
-                return np.inf
-            bound += float(np.vdot(C, Zp))
-        return bound
+        coef, _ = dpotrs(gram_chol, F @ Z.ravel() + target, lower=1)
+        Zp = Z - (coef @ F).reshape(n, n)
+        return np.inf if _chol(Zp) is None else float(np.vdot(C, Zp))
 
-    def directions(dy, s_invs, Z, sigma_mu, second=None):
+    def directions(dy, S_inv, Z, sigma_mu, second=None):
         """Slack and dual steps for the Schur-system solution dy; ``second``
         holds the corrector's second-order terms."""
-        dS = [(dy @ F).reshape(C.shape) for C, F in zip(consts, flats)]
-        dZ = [sigma_mu * Si - Zb - _sym(Zb @ dSb @ Si) for Si, Zb, dSb in zip(s_invs, Z, dS)]
+        dS = (dy @ F).reshape(n, n)
+        dZ = sigma_mu * S_inv - Z - _sym(Z @ dS @ S_inv)
         if second is not None:
-            dZ = [D - K for D, K in zip(dZ, second)]
+            dZ -= second
         return dS, dZ
 
     y = np.zeros(k)
-    y[-1] = min(float(np.linalg.eigvalsh(_sym(C))[0]) for C in consts)
+    y[-1] = _lam_min(_sym(C))
     y[-1] -= 1.0 + 0.05 * abs(y[-1])
-    Z = [np.eye(b.size) / n for b in blocks]
+    Z = np.eye(n) / n
 
     steps = 0
     converged = True
     v = physical_v(y)
-    margin = certified_margin(v)
+    margin = _lam_min(block.value(v))
     bound = gap = np.inf
     centre_mu = None  # set while centring (see the docstring)
     centring = 0
@@ -259,10 +264,9 @@ def maximize_margin(
     # coefficients: t grows without bound along that combination.
     stop = "unbounded" if gram_chol is None else None
     while stop is None:
-        S = slacks(y)
-        s_chols = [_chol(Sb) for Sb in S]
-        z_chols = [_chol(Zb) for Zb in Z]
-        if any(L is None for L in s_chols + z_chols):
+        S = C + (y @ F).reshape(n, n)
+        s_chol, z_chol = _chol(S), _chol(Z)
+        if s_chol is None or z_chol is None:
             if not steps:
                 raise RuntimeError("interior-point iterate left the cone")
             # A step short of the boundary left the cone in floating point:
@@ -270,17 +274,17 @@ def maximize_margin(
             converged, stop = False, "stalled"
             break
         v = physical_v(y)
-        margin = certified_margin(v)
+        margin = _lam_min(block.value(v))
         # Every dual point bounds the optimum, so the best bound so far
         # holds at this iterate too.
         bound = min(bound, dual_bound(Z))
         gap = bound - margin
-        mu = sum(float(np.vdot(Zb, Sb)) for Zb, Sb in zip(Z, S)) / n
+        mu = float(np.vdot(Z, S)) / n
         feasible = feas_tol is not None and margin > feas_tol and gap < margin
         if feasible and centre_mu is None:
             centre_mu, centring = 2.0 ** np.floor(np.log2(mu)), 0
         centred = centre_mu is not None and (
-            centring >= MAX_CENTRING or _off_centre(z_chols, S, centre_mu) <= CENTRE_TOL
+            centring >= MAX_CENTRING or _off_centre(z_chol, S, centre_mu) <= CENTRE_TOL
         )
         if centred:
             centre_mu = None
@@ -295,52 +299,46 @@ def maximize_margin(
         if stop is not None:
             break
 
-        s_invs_L = [_tri_inv(L) for L in s_chols]
-        z_invs_L = [_tri_inv(L) for L in z_chols]
-        M = _schur_complement(ext, s_invs_L, z_chols)
+        s_inv_L = _tri_inv(s_chol)
+        z_inv_L = _tri_inv(z_chol)
+        M = _schur_complement(A, s_inv_L, z_chol, work)
         if not np.isfinite(M).all():
             raise RuntimeError("non-finite Newton system")
+        cho, info = dpotrf(M, lower=1, clean=0)
         ridge = 0.0
-        while True:
-            cho, info = dpotrf(M + ridge * eye, lower=1, clean=0)
-            if info == 0:
-                break
+        while info != 0:
             ridge = max(10.0 * ridge, 1e-12 * (1.0 + np.trace(M)))
-        s_invs = [Li.T @ Li for Li in s_invs_L]
-        h_sinv = sum(F @ Si.ravel() for F, Si in zip(flats, s_invs))
+            cho, info = dpotrf(M + ridge * np.eye(k), lower=1, clean=0)
+        S_inv = s_inv_L.T @ s_inv_L
+        h_sinv = F @ S_inv.ravel()
 
         if centre_mu is not None:
             # Newton step towards the central point at centre_mu.
             dy, _ = dpotrs(cho, target + centre_mu * h_sinv, lower=1)
-            dS, dZ = directions(dy, s_invs, Z, centre_mu)
+            dS, dZ = directions(dy, S_inv, Z, centre_mu)
             centring += 1
         else:
             # Predictor (affine scaling), then the Mehrotra corrector on the
             # same factorization.
             dy, _ = dpotrs(cho, target, lower=1)
-            dS, dZ = directions(dy, s_invs, Z, 0.0)
-            a_s = min(1.0, min(_max_step(Li, D) for Li, D in zip(s_invs_L, dS)))
-            a_z = min(1.0, min(_max_step(Li, D) for Li, D in zip(z_invs_L, dZ)))
-            mu_aff = sum(
-                float(np.vdot(Zb + a_z * dZb, Sb + a_s * dSb))
-                for Zb, dZb, Sb, dSb in zip(Z, dZ, S, dS)
-            ) / n
+            dS, dZ = directions(dy, S_inv, Z, 0.0)
+            a_s = min(1.0, _max_step(s_inv_L, dS))
+            a_z = min(1.0, _max_step(z_inv_L, dZ))
+            mu_aff = float(np.vdot(Z + a_z * dZ, S + a_s * dS)) / n
             sigma_mu = min(1.0, (max(mu_aff, 0.0) / mu) ** 3) * mu
-            second = [_sym(dZb @ dSb @ Si) for dZb, dSb, Si in zip(dZ, dS, s_invs)]
-            rhs = target + sigma_mu * h_sinv - sum(
-                F @ K.ravel() for F, K in zip(flats, second)
-            )
+            second = _sym(dZ @ dS @ S_inv)
+            rhs = target + sigma_mu * h_sinv - F @ second.ravel()
             dy, _ = dpotrs(cho, rhs, lower=1)
-            dS, dZ = directions(dy, s_invs, Z, sigma_mu, second)
-        max_s = min(_max_step(Li, D) for Li, D in zip(s_invs_L, dS))
+            dS, dZ = directions(dy, S_inv, Z, sigma_mu, second)
+        max_s = _max_step(s_inv_L, dS)
         if max_s == np.inf and dy[-1] > 0:
             # S + a dS >= 0 for every a >= 0 while t grows: a ray along which
             # the margin is unbounded, so no dual point exists.
             stop, gap = "unbounded", np.inf
             break
-        max_z = min(_max_step(Li, D) for Li, D in zip(z_invs_L, dZ))
+        max_z = _max_step(z_inv_L, dZ)
         y = y + min(1.0, STEP_FRACTION * max_s) * dy
-        Z = [Zb + min(1.0, STEP_FRACTION * max_z) * D for Zb, D in zip(Z, dZ)]
+        Z = Z + min(1.0, STEP_FRACTION * max_z) * dZ
         steps += 1
 
     log.append(

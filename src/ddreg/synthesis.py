@@ -115,23 +115,21 @@ def assemble_sdp(data: DataMatrices, reg: Regressor) -> SdpProblem:
     return SdpProblem(u1=data.u1, psi0=data.psi0, psi1=data.psi1, mhat=mhat)
 
 
-def _row_and_null(M: np.ndarray, rtol: float = DEFAULT_RANK_RTOL):
-    """Orthonormal bases (columns) of the row space and of the right
-    nullspace of ``M``, from one SVD at the package-wide rank tolerance."""
+def _svd_split(M: np.ndarray, rtol: float = DEFAULT_RANK_RTOL):
+    """One full SVD of ``M``, split at the package-wide rank tolerance:
+    ``(u, s, rows, null)`` with the leading left singular vectors and values,
+    and orthonormal bases (columns) of the row space and right nullspace."""
     if M.shape[0] == 0:
-        return np.zeros((M.shape[1], 0)), np.eye(M.shape[1])
-    _, s, vh = np.linalg.svd(M)
-    if s.size and s[0] > 0:
-        rank = int(np.count_nonzero(s > rtol * s[0]))
-    else:
-        rank = 0
-    return vh[:rank].T.copy(), vh[rank:].T.copy()
+        n = M.shape[1]
+        return np.zeros((0, 0)), np.zeros(0), np.zeros((n, 0)), np.eye(n)
+    u, s, vh = np.linalg.svd(M)
+    rank = int(np.count_nonzero(s > rtol * s[0])) if s.size and s[0] > 0 else 0
+    return u[:, :rank], s[:rank], vh[:rank].T.copy(), vh[rank:].T.copy()
 
 
 def _nullspace(M: np.ndarray, rtol: float = DEFAULT_RANK_RTOL) -> np.ndarray:
-    """Orthonormal basis of the right nullspace (columns), at the package-wide
-    rank tolerance."""
-    return _row_and_null(M, rtol)[1]
+    """Orthonormal basis (columns) of the right nullspace, see ``_svd_split``."""
+    return _svd_split(M, rtol)[3]
 
 
 def _symmetry_system(H0: np.ndarray):
@@ -159,24 +157,27 @@ def _elimination(prob: SdpProblem):
 
     Returns (null_m, z0, basis) where ``Y = null_m @ Z``, the vectorized Z
     splits as ``z0 + basis @ zeta``, and z0/basis satisfy the symmetry of
-    ``psi0 Y`` and ``trace(psi0 Y) = nu``.  Returns None when the equality
-    system is inconsistent (no normalized point exists at all).
+    ``psi0 Y`` and ``trace(psi0 Y) = nu``.  One SVD of the symmetry system
+    ``E z = rhs`` gives its rank (at the package-wide rank tolerance), the
+    minimum-norm solution z0 (in the row space of E, so orthogonal to the
+    basis) and the orthonormal nullspace basis.  Returns None when the
+    equality system is inconsistent (no normalized point exists at all).
     """
     null_m = _nullspace(prob.mhat)
     # Directions of null_m in the kernel of [psi0; psi1] move Y without
     # moving X or W: the margin cannot see them.  Keeping the row space only
     # removes them before the symmetry system is built, and pins Y to the
     # smallest one that gives the same blocks.
-    rows, _ = _row_and_null(np.vstack([prob.psi0, prob.psi1]) @ null_m)
+    _, _, rows, _ = _svd_split(np.vstack([prob.psi0, prob.psi1]) @ null_m)
     null_m = null_m @ rows
     if null_m.shape[1] == 0:
         return None
     E, rhs = _symmetry_system(prob.psi0 @ null_m)
 
-    z0, *_ = np.linalg.lstsq(E, rhs, rcond=None)
+    u, s, rows, basis = _svd_split(E)
+    z0 = rows @ ((rhs @ u) / s)
     if np.linalg.norm(E @ z0 - rhs) > 1e-8 * max(1.0, np.linalg.norm(rhs)):
         return None
-    basis = _nullspace(E)
     return null_m, z0, basis
 
 

@@ -411,6 +411,24 @@ def test_cli_verify_destabilizing_gain_writes_report(tmp_path, capsys):
     assert "[FAIL] stability_radius" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "gain, message",
+    [
+        ([[1.0, 2.0]], "[verify] gain has shape (1, 2), expected (1, 10)"),
+        ([[1.0, 2.0], [3.0]], "[verify] setting an array element with a sequence"),
+    ],
+)
+def test_cli_verify_wrong_gain_shape_exit_two(tmp_path, capsys, gain, message):
+    path = write_config(tmp_path, vtol_config_dict(seed=0))
+    gain_path = tmp_path / "synthesis.json"
+    gain_path.write_text(json.dumps({"gain": gain}))
+    code = main(["verify", "--config", str(path), "--gain", str(gain_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "m x (window_dim + im.dim)" in err
+
+
 def test_cli_verify_requires_gain(tmp_path, capsys):
     path = write_config(tmp_path, vtol_config_dict(seed=0))
     with pytest.raises(SystemExit) as exc:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import block_diag
 
 from ddreg import sdp, synthesis
 from ddreg.cli import paper_example_config, run_pipeline
@@ -187,8 +188,8 @@ def test_col_scale_matches_loop_reference():
 
 
 def test_non_finite_newton_system_raises(monkeypatch):
-    def poisoned(ext, s_invs, z_chols):
-        M = _schur_complement(ext, s_invs, z_chols)
+    def poisoned(A, s_inv, z_chol, work):
+        M = _schur_complement(A, s_inv, z_chol, work)
         M[0, 0] = np.nan
         return M
 
@@ -211,9 +212,11 @@ def test_schur_complement_matches_trace_reference():
         ]
         S = [_random_spd(rng, nb) for nb in sizes]
         Z = [_random_spd(rng, nb) for nb in sizes]
-        s_invs = [np.linalg.inv(np.linalg.cholesky(Sb)) for Sb in S]
-        z_chols = [np.linalg.cholesky(Zb) for Zb in Z]
-        M = _schur_complement(ext, s_invs, z_chols)
+        # The solver's form: the blocks folded into one block-diagonal matrix.
+        A = np.array([block_diag(*(E[i] for E in ext)) for i in range(nv + 1)])
+        s_inv = np.linalg.inv(np.linalg.cholesky(block_diag(*S)))
+        z_chol = np.linalg.cholesky(block_diag(*Z))
+        M = _schur_complement(A, s_inv, z_chol)
         ref = np.zeros((nv + 1, nv + 1))
         for A, Sb, Zb in zip(ext, S, Z):
             S_inv = np.linalg.inv(Sb)

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+from ddreg import synthesis
 from ddreg.benchmarks import VTOL_ETA0, VTOL_W0, VTOL_X0, vtol, wide_output
+from ddreg.cli import build_regressor, collect_stage, paper_example_config
 from ddreg.exo_factorization import JordanSpec, analyze_exosystem, build_M_jordan
 from ddreg.experiment import NormalInputPolicy, assemble_data_matrices, collect_experiment
 from ddreg.internal_model import build_internal_model
+from ddreg.numerics import rank_with_tol
 from ddreg.plant import ExoMatrix, PlantTruth
 from ddreg.synthesis import (
     DEFAULT_FEAS_TOL,
@@ -44,6 +47,28 @@ def vtol_problem(seed=0, T=20, ell=4, similarity=None):
     )
     data = assemble_data_matrices(rec)
     reg = build_M_jordan(analyze_exosystem(exo), ell=ell, T=T).reduced()
+    return assemble_sdp(data, reg)
+
+
+def paper_problem(seed, factorization):
+    """The design problem of ``ddreg paper-example`` at one probing seed."""
+    config = paper_example_config(seed, factorization)
+    exo = ExoMatrix(config.exo_s)
+    rec, _ = collect_stage(config, exo)
+    return assemble_sdp(assemble_data_matrices(rec), build_regressor(config, exo))
+
+
+def wide_problem(seed=7):
+    # Over-instrumented plant (p * ell > n): the design is infeasible.
+    plant, exo = wide_output()
+    im = build_internal_model(exo, p=plant.p)
+    rng = np.random.default_rng(seed)
+    rec = collect_experiment(
+        plant, exo, im, [0.2, -0.1], rng.standard_normal(3), np.zeros(im.dim),
+        NormalInputPolicy(seed=seed), T=20, ell=2,
+    )
+    data = assemble_data_matrices(rec)
+    reg = build_M_jordan(analyze_exosystem(exo), ell=2, T=20).reduced()
     return assemble_sdp(data, reg)
 
 
@@ -168,6 +193,59 @@ def test_elimination_drops_directions_the_blocks_cannot_see():
     assert s[-1] > 1e-8 * s[0]
 
 
+@pytest.mark.parametrize(
+    "prob",
+    [
+        paper_problem(0, "jordan"),
+        paper_problem(1, "krylov"),
+        wide_problem(7),
+        wide_problem(8),
+    ],
+    ids=["paper-jordan", "paper-krylov", "wide-7", "wide-8"],
+)
+def test_elimination_contract(prob):
+    # z0 is the minimum-norm solution of the symmetry system E z = rhs, and
+    # basis an orthonormal basis of the nullspace of E.
+    null_m, z0, basis = _elimination(prob)
+    E, rhs = _symmetry_system(prob.psi0 @ null_m)
+    assert np.linalg.norm(E @ z0 - rhs) <= 1e-12 * np.linalg.norm(rhs)
+    assert np.abs(basis.T @ z0).max() <= 1e-12 * np.linalg.norm(z0)
+    assert np.abs(basis.T @ basis - np.eye(basis.shape[1])).max() <= 1e-12
+    assert np.abs(E @ basis).max() <= 1e-12 * np.abs(E).max()
+    assert basis.shape[1] == E.shape[1] - rank_with_tol(E)
+
+
+@pytest.mark.parametrize("factorization", ["jordan", "krylov"])
+def test_design_invariant_under_nullspace_basis(factorization, monkeypatch):
+    # The HKM direction does not change under a change of basis of the free
+    # variables, so rotating the elimination's nullspace basis moves the
+    # returned central point by round-off only.  This is what makes any
+    # orthonormal basis of ker E, however E is factored, a valid choice.
+    rng = np.random.default_rng(11)
+    elimination, solve = synthesis._elimination, synthesis.maximize_margin
+    solves = []
+
+    def recording(*args, **kwargs):
+        solves.append(solve(*args, **kwargs))
+        return solves[-1]
+
+    monkeypatch.setattr(synthesis, "maximize_margin", recording)
+    for seed in range(3):
+        prob = paper_problem(seed, factorization)
+        null_m, z0, basis = elimination(prob)
+        Q, _ = np.linalg.qr(rng.standard_normal((basis.shape[1], basis.shape[1])))
+        base = solve_feasibility_sdp(prob)
+        monkeypatch.setattr(synthesis, "_elimination", lambda p: (null_m, z0, basis @ Q))
+        rotated = solve_feasibility_sdp(prob)
+        monkeypatch.setattr(synthesis, "_elimination", elimination)
+        base_solve, rotated_solve = solves[-2:]
+        assert base.status == rotated.status == "feasible"
+        assert rotated_solve.stop == base_solve.stop == "verdict"
+        assert rotated_solve.newton_steps == base_solve.newton_steps
+        assert abs(rotated.margin - base.margin) <= 1e-9 * abs(base.margin)
+        assert np.linalg.norm(rotated.K - base.K) <= 1e-8 * np.linalg.norm(base.K)
+
+
 def _blocks_loop(H0, H1, cols):
     """Reference assembly, one column at a time: the X, W and stability
     block stacks."""
@@ -249,17 +327,7 @@ def test_zero_psi0_is_infeasible():
 
 
 def test_wide_output_plant_infeasible():
-    plant, exo = wide_output()
-    im = build_internal_model(exo, p=plant.p)
-    rng = np.random.default_rng(7)
-    rec = collect_experiment(
-        plant, exo, im, [0.2, -0.1], rng.standard_normal(3), np.zeros(im.dim),
-        NormalInputPolicy(seed=7), T=20, ell=2,
-    )
-    data = assemble_data_matrices(rec)
-    reg = build_M_jordan(analyze_exosystem(exo), ell=2, T=20).reduced()
-    prob = assemble_sdp(data, reg)
-    res = solve_feasibility_sdp(prob)
+    res = solve_feasibility_sdp(wide_problem())
     assert res.status == "infeasible"
     assert res.margin <= 1e-6
 
