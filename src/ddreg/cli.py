@@ -1,25 +1,24 @@
 """Config-driven pipeline: collect -> factorize -> synthesize -> verify ->
 report, plus a canned reproduction of the benchmark scenario.
 
-One JSON config describes a run; every default is materialized into an
-"effective config" whose hash stamps the report, so identical configs
-reproduce identical reports bit for bit.
+One JSON config (``config.RunConfig``, validated when it is built) describes
+a run; the stages trust it.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import benchmarks
+from .config import PipelineError, RunConfig
 from .exo_factorization import (
     JordanSpec,
     analyze_exosystem,
@@ -36,7 +35,7 @@ from .experiment import (
     record_to_csv,
 )
 from .internal_model import InternalModel, build_internal_model
-from .plant import ExoMatrix, PlantTruth, build_structural_matrices
+from .plant import build_structural_matrices
 from .synthesis import (
     SolverOptions,
     assemble_sdp,
@@ -56,161 +55,12 @@ from .verify import (
     simulate_closed_loop,
 )
 
-DEFAULT_TOLERANCES = {
-    "rank_rtol": 1e-8,
-    "reduce_tol": 1e-8,
-    "exo_cluster_tol": 1e-8,
-    "snap_coeffs_tol": None,
-    "feas_tol": 1e-6,
-    "data_identity": 1e-8,
-    "claim_residual": 1e-8,
-    "correspondence": 1e-8,
-    "factorization_residual": 1e-8,
-    "regulator_identity": 1e-6,
-    "sylvester_residual": 1e-8,
-    "representation_gap": 1e-8,
-    "gain_identity": 1e-6,
-    "eps_reg": 1e-4,
-    "zero_exo_decay": 1e-6,
-}
-
-DEFAULT_VERIFY = {"steps": 300, "tail_frac": 0.1}
-INITIAL_STATES = ("w0", "x0", "eta0", "chi0")
-DEFAULT_SOLVER = {"gap_tol": 1e-8, "max_newton": 2000}
-
-
-class PipelineError(RuntimeError):
-    """Stage failure with a remediation hint."""
-
-    def __init__(self, stage: str, message: str, hint: str = ""):
-        self.stage = stage
-        self.hint = hint
-        text = f"[{stage}] {message}"
-        if hint:
-            text += f" (hint: {hint})"
-        super().__init__(text)
-
-
-@dataclass
-class RunConfig:
-    exo_s: np.ndarray
-    ell: int
-    T: int
-    seed: int | None = None
-    plant: PlantTruth | None = None
-    input_policy: dict = field(default_factory=lambda: {"type": "normal", "scale": 1.0})
-    w0: np.ndarray | None = None
-    x0: np.ndarray | None = None
-    eta0: np.ndarray | None = None
-    chi0: np.ndarray | None = None
-    factorization: dict = field(default_factory=lambda: {"method": "jordan", "mode": "auto"})
-    tolerances: dict = field(default_factory=dict)
-    verify: dict = field(default_factory=dict)
-    solver: dict = field(default_factory=dict)
-    dims: dict = field(default_factory=dict)  # m, p for plant-free runs
-    output_dir: str | None = None
-
-    def __post_init__(self):
-        self.exo_s = np.asarray(self.exo_s, dtype=float)
-        if self.T < self.ell:
-            raise PipelineError("config", "experiment too short", "require T >= ell")
-        method = self.factorization.get("method")
-        if method not in ("jordan", "krylov"):
-            raise PipelineError(
-                "config",
-                f"factorization method must be jordan or krylov, got {method!r}",
-            )
-        if self.input_policy.get("type") == "normal" and self.seed is None:
-            raise PipelineError(
-                "config", "random input policy needs a seed", "set \"seed\""
-            )
-        unknown = sorted(set(self.solver) - set(DEFAULT_SOLVER))
-        if unknown:
-            raise PipelineError(
-                "config",
-                f"unknown solver option(s) {', '.join(unknown)}",
-                f"known options: {', '.join(DEFAULT_SOLVER)}",
-            )
-        self.tolerances = {**DEFAULT_TOLERANCES, **self.tolerances}
-        self.verify = {**DEFAULT_VERIFY, **self.verify}
-        self.solver = {**DEFAULT_SOLVER, **self.solver}
-
-    # -- construction ------------------------------------------------------
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "RunConfig":
-        plant = None
-        if raw.get("plant"):
-            pm = raw["plant"]
-            plant = PlantTruth(A=pm["A"], B=pm["B"], P=pm["P"], C=pm["C"], Q=pm["Q"])
-        initial = raw.get("initial", {})
-        states = {
-            k: None if initial.get(k) is None else np.asarray(initial[k], dtype=float)
-            for k in INITIAL_STATES
-        }
-        return cls(
-            exo_s=np.asarray(raw["exosystem"]["S"], dtype=float),
-            ell=int(raw["ell"]),
-            T=int(raw["T"]),
-            seed=None if raw.get("seed") is None else int(raw["seed"]),
-            plant=plant,
-            input_policy=dict(raw.get("input_policy", {"type": "normal", "scale": 1.0})),
-            **states,
-            factorization=dict(raw.get("factorization", {"method": "jordan", "mode": "auto"})),
-            tolerances=dict(raw.get("tolerances", {})),
-            verify=dict(raw.get("verify", {})),
-            solver=dict(raw.get("solver", {})),
-            dims=dict(raw.get("dims", {})),
-            output_dir=raw.get("output_dir"),
-        )
-
-    @classmethod
-    def from_json(cls, path) -> "RunConfig":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
-
-    # -- serialization -----------------------------------------------------
-
-    def effective_dict(self) -> dict:
-        d = {
-            "exosystem": {"S": self.exo_s.tolist()},
-            "ell": self.ell,
-            "T": self.T,
-            "seed": self.seed,
-            "input_policy": self.input_policy,
-            "factorization": self.factorization,
-            "tolerances": self.tolerances,
-            "verify": self.verify,
-            "solver": self.solver,
-            "initial": {
-                k: None if getattr(self, k) is None else getattr(self, k).tolist()
-                for k in INITIAL_STATES
-            },
-            "dims": self.dims,
-            "output_dir": self.output_dir,
-        }
-        if self.plant is not None:
-            d["plant"] = {
-                "A": self.plant.A.tolist(),
-                "B": self.plant.B.tolist(),
-                "P": self.plant.P.tolist(),
-                "C": self.plant.C.tolist(),
-                "Q": self.plant.Q.tolist(),
-            }
-        return d
-
-    def config_hash(self) -> str:
-        canon = json.dumps(self.effective_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canon.encode()).hexdigest()
-
 
 def paper_example_config(seed: int, factorization: str = "jordan") -> RunConfig:
     """The benchmark aircraft scenario: unstable 4-state SISO plant with a
     sinusoidal exosignal, window 4, 21-sample experiment.
     """
-    fact = {"method": "jordan", "mode": "auto"}
-    if factorization == "krylov":
-        fact = {"method": "krylov", "w_star": [1.0, 0.0]}
+    fact = {"method": "krylov", "w_star": [1.0, 0.0]} if factorization == "krylov" else {}
     plant, exo = benchmarks.vtol()
     return RunConfig(
         exo_s=exo.S,
@@ -238,14 +88,14 @@ def _stage(stage, fn, *args, hint="", **kwargs):
         raise PipelineError(stage, str(exc), hint) from exc
 
 
-def build_regressor(config: RunConfig, exo: ExoMatrix):
-    fact = config.factorization
+def build_regressor(config: RunConfig):
+    fact, exo = config.factorization, config.exo
     if fact["method"] == "jordan":
         declared = None
-        if fact.get("mode") == "declared":
+        if fact["mode"] == "declared":
             declared = JordanSpec(
-                real_blocks=[tuple(b) for b in fact.get("real_blocks", [])],
-                complex_blocks=[tuple(b) for b in fact.get("complex_blocks", [])],
+                real_blocks=fact["real_blocks"] or [],
+                complex_blocks=fact["complex_blocks"] or [],
             )
         spec = analyze_exosystem(
             exo, declared=declared, tol=config.tolerances["exo_cluster_tol"]
@@ -268,35 +118,32 @@ def _initial(config: RunConfig, **dims) -> list[np.ndarray]:
     ]
 
 
-def collect_stage(
-    config: RunConfig, exo: ExoMatrix
-) -> tuple[ExperimentRecord, InternalModel]:
+def _internal_model(config: RunConfig, p: int) -> InternalModel:
+    return build_internal_model(
+        config.exo, p=p, snap_coeffs_tol=config.tolerances["snap_coeffs_tol"]
+    )
+
+
+def collect_stage(config: RunConfig) -> tuple[ExperimentRecord, InternalModel]:
     """The experiment's record and the internal model it was collected with
-    (the closed-loop checks step the same model); ``exo`` is the config's
-    exosystem, built once per operation by the caller."""
+    (the closed-loop checks step the same model)."""
     if config.plant is None:
         raise PipelineError(
             "collect", "no plant in config", "collection needs ground truth"
         )
     plant = config.plant
-    im = build_internal_model(
-        exo, p=plant.p, snap_coeffs_tol=config.tolerances["snap_coeffs_tol"]
-    )
-    w0, x0, eta0 = _initial(config, w0=exo.n_w, x0=plant.n, eta0=im.dim)
+    im = _internal_model(config, plant.p)
+    w0, x0, eta0 = _initial(config, w0=config.exo.n_w, x0=plant.n, eta0=im.dim)
     policy = config.input_policy
-    if policy.get("type") == "normal":
-        input_policy = NormalInputPolicy(
-            seed=config.seed, scale=float(policy.get("scale", 1.0))
-        )
-    elif policy.get("type") == "explicit":
-        input_policy = np.asarray(policy["values"], dtype=float)
+    if policy["type"] == "normal":
+        input_policy = NormalInputPolicy(seed=config.seed, scale=policy["scale"])
     else:
-        raise PipelineError("collect", f"unknown input policy {policy.get('type')!r}")
+        input_policy = policy["values"]
     rec = _stage(
         "collect",
         collect_experiment,
         plant,
-        exo,
+        config.exo,
         im,
         w0,
         x0,
@@ -309,13 +156,12 @@ def collect_stage(
     return rec, im
 
 
-def synthesize_stage(config: RunConfig, rec: ExperimentRecord, exo: ExoMatrix):
+def synthesize_stage(config: RunConfig, rec: ExperimentRecord):
     data = _stage("assemble", assemble_data_matrices, rec)
     reg = _stage(
         "factorize",
         build_regressor,
         config,
-        exo,
         hint="declare the Jordan structure or pick a cyclic vector",
     )
     prob = _stage("assemble-sdp", assemble_sdp, data, reg)
@@ -325,8 +171,8 @@ def synthesize_stage(config: RunConfig, rec: ExperimentRecord, exo: ExoMatrix):
     )
     opts = SolverOptions(
         feas_tol=config.tolerances["feas_tol"],
-        gap_tol=config.solver["gap_tol"],
-        max_newton=int(config.solver["max_newton"]),
+        gain_identity=config.tolerances["gain_identity"],
+        **config.solver,
     )
     result = _stage("solve", solve_feasibility_sdp, prob, opts)
     return data, reg, prob, pre, result
@@ -344,14 +190,14 @@ def _check(name, value, threshold, op="<", passed=None):
     }
 
 
-def _oracle_checks(config: RunConfig, exo: ExoMatrix, im, rec, data, reg):
+def _oracle_checks(config: RunConfig, im, rec, data, reg):
     """Oracle identity rows: the one-step data relation, the window
     reconstruction along the record, the factorization of the hidden
     exosignal stack and the correspondence of the record with the auxiliary
     system.  Also returns the auxiliary system that the closed-loop rows
     build on.
     """
-    tol, plant = config.tolerances, config.plant
+    tol, plant, exo = config.tolerances, config.plant, config.exo
     struct = _stage("verify", build_structural_matrices, plant, config.ell)
     aux = build_auxiliary_matrices(plant, struct, exo, im)
     rows = [
@@ -377,7 +223,7 @@ def _oracle_checks(config: RunConfig, exo: ExoMatrix, im, rec, data, reg):
     return rows, aux
 
 
-def _closed_loop_checks(config: RunConfig, exo, im, aux, gain, data_side=None):
+def _closed_loop_checks(config: RunConfig, im, aux, gain, data_side=None):
     """Closed-loop rows for ``gain``, the ``regulation`` section, and the
     run under the persistent exosignal.
 
@@ -391,7 +237,7 @@ def _closed_loop_checks(config: RunConfig, exo, im, aux, gain, data_side=None):
     simulation) is NaN, and NaN fails its row; the returned run is None
     when its simulation diverged.
     """
-    tol, plant = config.tolerances, config.plant
+    tol, plant, exo = config.tolerances, config.plant, config.exo
     cl = assemble_closed_loop(plant, exo, aux, im, gain)
     rho = check_internal_stability(cl)
     rows = [_check("stability_radius", rho, 1.0)]
@@ -406,14 +252,14 @@ def _closed_loop_checks(config: RunConfig, exo, im, aux, gain, data_side=None):
     except ValueError:  # closed loop not Schur
         identity = syl = float("nan")
 
-    steps, eps_reg = int(config.verify["steps"]), tol["eps_reg"]
+    steps, eps_reg = config.verify["steps"], tol["eps_reg"]
     w0, x0, chi0, eta0 = _initial(
         config, w0=exo.n_w, x0=plant.n, chi0=aux.window_dim, eta0=im.dim
     )
     try:
         run = simulate_closed_loop(
             cl, w0, x0, chi0, eta0, steps,
-            eps_reg=eps_reg, tail_frac=float(config.verify["tail_frac"]),
+            eps_reg=eps_reg, tail_frac=config.verify["tail_frac"],
         )
     except RuntimeError:  # divergent closed loop
         run = None
@@ -448,10 +294,9 @@ def run_pipeline(config: RunConfig, out_dir=None, unmask: bool = False) -> dict:
     conjunction plus SDP feasibility.
     """
     tol = config.tolerances
-    exo = ExoMatrix(config.exo_s)
-    rec, im = collect_stage(config, exo)
+    rec, im = collect_stage(config)
     plant = config.plant
-    data, reg, prob, pre, result = synthesize_stage(config, rec, exo)
+    data, reg, prob, pre, result = synthesize_stage(config, rec)
 
     report = {
         "config_hash": config.config_hash(),
@@ -460,7 +305,7 @@ def run_pipeline(config: RunConfig, out_dir=None, unmask: bool = False) -> dict:
             "n": plant.n,
             "m": plant.m,
             "p": plant.p,
-            "n_w": exo.n_w,
+            "n_w": config.exo.n_w,
             "ell": config.ell,
             "T": config.T,
             "nu": prob.nu,
@@ -468,14 +313,11 @@ def run_pipeline(config: RunConfig, out_dir=None, unmask: bool = False) -> dict:
             "nhat_w": prob.nhat_w,
         },
         "input_manifest": rec.input_manifest,
-        "precheck": {
-            "messages": pre.messages,
-            "provably_infeasible": pre.provably_infeasible,
-        },
+        "precheck": asdict(pre),
         "synthesis": result.to_dict(),
     }
 
-    checks, aux = _oracle_checks(config, exo, im, rec, data, reg)
+    checks, aux = _oracle_checks(config, im, rec, data, reg)
     feasible = result.status == "feasible"
     checks.append(
         _check("sdp_feasible", result.margin, tol["feas_tol"], op=">", passed=feasible)
@@ -484,7 +326,7 @@ def run_pipeline(config: RunConfig, out_dir=None, unmask: bool = False) -> dict:
     if feasible:
         checks.append(_check("gain_identity", result.gain_defect, tol["gain_identity"]))
         rows, report["regulation"], run = _closed_loop_checks(
-            config, exo, im, aux, result.K, data_side=prob.psi1 @ result.G
+            config, im, aux, result.K, data_side=prob.psi1 @ result.G
         )
         checks += rows
     report["checks"] = checks
@@ -514,12 +356,11 @@ def verify_gain(config: RunConfig, gain, out_dir=None, unmask: bool = False) -> 
         "verify", np.asarray, gain, dtype=float,
         hint="the gain is a numeric m x (window_dim + im.dim) matrix",
     )
-    exo = ExoMatrix(config.exo_s)
-    rec, im = collect_stage(config, exo)
+    rec, im = collect_stage(config)
     data = assemble_data_matrices(rec)
-    reg = _stage("factorize", build_regressor, config, exo)
+    reg = _stage("factorize", build_regressor, config)
 
-    checks, aux = _oracle_checks(config, exo, im, rec, data, reg)
+    checks, aux = _oracle_checks(config, im, rec, data, reg)
     m, wd, di = config.plant.m, aux.window_dim, im.dim
     if gain.shape != (m, wd + di):
         raise PipelineError(
@@ -527,7 +368,7 @@ def verify_gain(config: RunConfig, gain, out_dir=None, unmask: bool = False) -> 
             f"gain has shape {gain.shape}, expected ({m}, {wd + di})",
             f"the gain is m x (window_dim + im.dim) = {m} x ({wd} + {di})",
         )
-    rows, regulation, run = _closed_loop_checks(config, exo, im, aux, gain)
+    rows, regulation, run = _closed_loop_checks(config, im, aux, gain)
     checks += rows
     report = {
         "config_hash": config.config_hash(),
@@ -556,6 +397,7 @@ def _write_outputs(out_dir, report: dict, run, unmask: bool) -> Path:
 
 
 def write_report(report: dict, path) -> None:
+    """Write a JSON output: indented, keys sorted, newline-terminated."""
     with open(path, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -613,71 +455,45 @@ def _add_common(parser):
 
 
 def _load_config(args) -> RunConfig:
+    """The ``--config`` file with the ``--seed`` and ``--factorization``
+    overrides; ``args.out`` falls back to the config's ``output_dir``."""
     if args.config is None:
         raise PipelineError("config", "--config is required for this command")
-    config = RunConfig.from_json(args.config)
+    config = RunConfig.from_json(args.config, args.seed, args.factorization)
     if args.out is None and config.output_dir is not None:
         args.out = Path(config.output_dir)
-    if args.seed is not None:
-        config.seed = args.seed
-    if args.factorization == "jordan":
-        config.factorization = {"method": "jordan", "mode": "auto"}
-    elif args.factorization == "krylov":
-        if "w_star" not in config.factorization:
-            raise PipelineError(
-                "config", "krylov override needs w_star in the config factorization"
-            )
     return config
 
 
 def _cmd_collect(args) -> int:
     config = _load_config(args)
-    rec, _ = collect_stage(config, ExoMatrix(config.exo_s))
+    rec, _ = collect_stage(config)
     out = args.out or Path(".")
     out.mkdir(parents=True, exist_ok=True)
     record_to_csv(rec, out / "record.csv", unmask=args.unmask)
-    with open(out / "effective_config.json", "w") as fh:
-        json.dump(config.effective_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_report(config.effective_dict(), out / "effective_config.json")
     print(f"record written to {out / 'record.csv'} ({rec.T + 1} samples)")
     return 0
 
 
 def _cmd_synthesize(args) -> int:
     config = _load_config(args)
-    exo = ExoMatrix(config.exo_s)
     if args.record is not None:
-        if config.plant is not None:
-            m, p = config.plant.m, config.plant.p
-        else:
-            try:
-                m, p = int(config.dims["m"]), int(config.dims["p"])
-            except KeyError:
-                raise PipelineError(
-                    "config",
-                    "plant-free synthesis needs dims.m and dims.p",
-                    "add \"dims\": {\"m\": ..., \"p\": ...}",
-                )
-        im = build_internal_model(
-            exo, p=p, snap_coeffs_tol=config.tolerances["snap_coeffs_tol"]
-        )
+        plant, dims = config.plant, config.dims
+        m, p = (plant.m, plant.p) if plant else (int(dims["m"]), int(dims["p"]))
+        im = _internal_model(config, p)
         rec = record_from_csv(args.record, ell=config.ell, im=im, m=m, p=p)
     else:
-        rec, _ = collect_stage(config, exo)
-    data, reg, prob, pre, result = synthesize_stage(config, rec, exo)
+        rec, _ = collect_stage(config)
+    data, reg, prob, pre, result = synthesize_stage(config, rec)
     out = args.out or Path(".")
     out.mkdir(parents=True, exist_ok=True)
     regressor_to_csv(reg, out / "regressor.csv")
     payload = result.to_dict()
     payload["config_hash"] = config.config_hash()
     payload["tolerances"] = config.tolerances
-    payload["precheck"] = {
-        "messages": pre.messages,
-        "provably_infeasible": pre.provably_infeasible,
-    }
-    with open(out / "synthesis.json", "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    payload["precheck"] = asdict(pre)
+    write_report(payload, out / "synthesis.json")
     for msg in pre.messages:
         print(f"precheck: {msg}")
     print(f"synthesis status: {result.status} (margin {result.margin:.3e})")
@@ -704,12 +520,7 @@ def _cmd_run(args) -> int:
         ]
         with ThreadPoolExecutor(max_workers=min(4, len(configs))) as pool:
             reports = list(
-                pool.map(
-                    lambda cfg_out: run_pipeline(
-                        cfg_out[0], out_dir=cfg_out[1], unmask=args.unmask
-                    ),
-                    zip(configs, outs),
-                )
+                pool.map(lambda c, o: run_pipeline(c, o, args.unmask), configs, outs)
             )
         ok = all(r["all_pass"] for r in reports)
         for i, r in enumerate(reports):

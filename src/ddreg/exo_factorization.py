@@ -14,10 +14,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import DEFAULTS
 from .numerics import as_matrix, as_vector, binomial_ext, minimal_polynomial, rank_with_tol
 from .plant import UNIT_CIRCLE_SLACK, ExoMatrix
 
-DEFAULT_REDUCE_TOL = 1e-8
+DEFAULT_REDUCE_TOL = DEFAULTS["tolerances"]["reduce_tol"]
 
 
 @dataclass
@@ -110,7 +111,7 @@ def _cluster(values: np.ndarray, radius: float) -> list[tuple[complex, int]]:
 def analyze_exosystem(
     exo: ExoMatrix,
     declared: JordanSpec | None = None,
-    tol: float = 1e-8,
+    tol: float = DEFAULTS["tolerances"]["exo_cluster_tol"],
 ) -> JordanSpec:
     """Jordan structure of the exosystem map.
 

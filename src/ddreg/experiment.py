@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .config import DEFAULTS
 from .internal_model import InternalModel
 from .numerics import as_vector, simulate_linear
 from .plant import ExoMatrix, PlantTruth
@@ -27,7 +28,7 @@ class NormalInputPolicy:
     """Seeded standard-normal probing input, one draw per channel and step."""
 
     seed: int
-    scale: float = 1.0
+    scale: float = DEFAULTS["input_policy"]["scale"]
 
     def sample(self, steps: int, m: int) -> np.ndarray:
         rng = np.random.default_rng(self.seed)

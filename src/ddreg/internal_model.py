@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import DEFAULTS
 from .numerics import PolynomialCoeffs, minimal_polynomial
 from .plant import UNIT_CIRCLE_SLACK, ExoMatrix
 
@@ -45,7 +46,7 @@ def build_internal_model(
     exo: ExoMatrix,
     p: int,
     tol: float = 1e-8,
-    snap_coeffs_tol: float | None = None,
+    snap_coeffs_tol: float | None = DEFAULTS["tolerances"]["snap_coeffs_tol"],
 ) -> InternalModel:
     """Assemble the internal model for a ``p``-output plant from S.
 

@@ -27,6 +27,8 @@ import numpy as np
 from scipy.linalg import block_diag
 from scipy.linalg.lapack import dpotrf, dpotrs, dpstrf, dsyevr, dtrtri
 
+from .config import DEFAULTS
+
 STEP_FRACTION = 0.95  # share of the distance to the cone boundary taken
 CENTRE_TOL = 1e-6  # off-centre distance at which the returned point is centred
 MAX_CENTRING = 8  # centring steps before the point is returned regardless
@@ -148,8 +150,8 @@ def _schur_complement(A: np.ndarray, s_inv: np.ndarray, z_chol: np.ndarray, work
 
 def maximize_margin(
     blocks: list[AffineBlock],
-    gap_tol: float = 1e-8,
-    max_newton: int = 2000,
+    gap_tol: float = DEFAULTS["solver"]["gap_tol"],
+    max_newton: int = DEFAULTS["solver"]["max_newton"],
     feas_tol: float | None = None,
 ) -> MarginResult:
     """Maximize t such that ``block_i(v) - t I >= 0`` for all blocks.

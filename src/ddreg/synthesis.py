@@ -29,19 +29,23 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import DEFAULTS
 from .exo_factorization import Regressor
 from .experiment import DataMatrices
 from .numerics import DEFAULT_RANK_RTOL, as_matrix, rank_with_tol
 from .sdp import AffineBlock, maximize_margin
 
-DEFAULT_FEAS_TOL = 1e-6
+DEFAULT_FEAS_TOL = DEFAULTS["tolerances"]["feas_tol"]
 
 
 @dataclass
 class SolverOptions:
+    """The solve's knobs; the defaults are those of a run's config."""
+
     feas_tol: float = DEFAULT_FEAS_TOL
-    gap_tol: float = 1e-9
-    max_newton: int = 400
+    gap_tol: float = DEFAULTS["solver"]["gap_tol"]
+    max_newton: int = DEFAULTS["solver"]["max_newton"]
+    gain_identity: float = DEFAULTS["tolerances"]["gain_identity"]
 
 
 @dataclass
@@ -273,14 +277,14 @@ def solve_feasibility_sdp(
     diagnostics.append(
         f"residuals: |mhat Y|={resid_m:.2e} |psi0 Y - X|={resid_eq:.2e}"
     )
-    K, G, gain_defect = extract_gain(prob, X, Y)
+    K, G, gain_defect = extract_gain(prob, X, Y, opts.gain_identity)
     return SynthesisResult(
         "feasible", margin, X, Y, K, diagnostics, gap_bound, G=G, gain_defect=gain_defect
     )
 
 
 def extract_gain(
-    prob: SdpProblem, X, Y, identity_tol: float = 1e-6
+    prob: SdpProblem, X, Y, identity_tol: float = DEFAULTS["tolerances"]["gain_identity"]
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Gain ``K = u1 G`` with ``G = Y X^{-1}``, with the stacked interpolation
     identity ``[K; I; 0] = [u1; psi0; mhat] G`` verified before returning.

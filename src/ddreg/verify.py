@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import DEFAULTS
 from .experiment import DataMatrices, ExperimentRecord, stacked_windows
 from .internal_model import InternalModel
 from .numerics import (
@@ -334,8 +335,8 @@ def simulate_closed_loop(
     chi0,
     eta0,
     steps: int,
-    eps_reg: float = 1e-4,
-    tail_frac: float = 0.1,
+    eps_reg: float = DEFAULTS["tolerances"]["eps_reg"],
+    tail_frac: float = DEFAULTS["verify"]["tail_frac"],
 ) -> ClosedLoopRun:
     """Roll the closed loop and measure regulation.
 

@@ -19,6 +19,7 @@ from ddreg.cli import (
     run_pipeline,
     verify_gain,
 )
+from ddreg.synthesis import SolverOptions
 
 
 def vtol_config_dict(seed=0, factorization=None):
@@ -104,12 +105,42 @@ def test_config_rejects_unknown_factorization():
         RunConfig.from_dict(d)
 
 
-def test_config_rejects_unknown_solver_option():
+@pytest.mark.parametrize(
+    "section, key",
+    [
+        ("tolerances", "rank_rtol"),
+        ("verify", "stepz"),
+        ("solver", "backend"),
+        ("factorization", "w_start"),
+        ("input_policy", "sigma"),
+        ("dims", "n"),
+    ],
+)
+def test_config_rejects_unknown_solver_option(section, key):
+    # Every section holds exactly the keys of its defaults table.
     d = vtol_config_dict()
-    d["solver"] = {"backend": "interior_point", "gap_tol": 1e-8}
-    with pytest.raises(PipelineError, match="unknown solver option.*backend") as exc:
+    d.setdefault(section, {})[key] = 1
+    with pytest.raises(PipelineError, match=f"unknown {section} option.*{key}") as exc:
         RunConfig.from_dict(d)
     assert exc.value.stage == "config"
+
+
+def test_solver_options_defaults_are_the_config_defaults():
+    config = RunConfig.from_dict(vtol_config_dict())
+    opts = SolverOptions()
+    assert (opts.feas_tol, opts.gap_tol, opts.max_newton, opts.gain_identity) == (
+        config.tolerances["feas_tol"],
+        config.solver["gap_tol"],
+        config.solver["max_newton"],
+        config.tolerances["gain_identity"],
+    )
+
+
+def test_configured_gain_identity_reaches_extract_gain():
+    d = vtol_config_dict()
+    d["tolerances"] = {"gain_identity": 1e-30}
+    with pytest.raises(PipelineError, match=r"\[solve\] gain interpolation identity"):
+        run_pipeline(RunConfig.from_dict(d))
 
 
 def test_config_hash_stable_and_sensitive():
@@ -251,13 +282,66 @@ def test_cli_run_infeasible_exit_nonzero(tmp_path, capsys):
     assert "precheck: provably infeasible" in out
 
 
-def test_cli_config_error_exit_two(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        pytest.param(lambda d: d.update(T=1), "experiment too short", id="short"),
+        pytest.param(
+            lambda d: d["exosystem"].update(S=[[0.5, 0.0], [0.0, 0.5]]),
+            "exosystem eigenvalue inside unit circle",
+            id="stable-exosystem",
+        ),
+        pytest.param(lambda d: d.pop("ell"), "missing key 'ell'", id="no-ell"),
+        pytest.param(
+            lambda d: d["plant"].update(C=[[0.0] * 4]),
+            "unobservable pair",
+            id="unobservable-plant",
+        ),
+        pytest.param(
+            lambda d: d.update(factorization={"method": "krylov"}),
+            "krylov factorization needs w_star",
+            id="krylov-without-w_star",
+        ),
+        pytest.param(
+            lambda d: d.update(factorization={"method": "jordan", "mode": "guess"}),
+            "factorization.mode must be auto or declared, got 'guess'",
+            id="unknown-mode",
+        ),
+        pytest.param(
+            lambda d: d.update(tolerance={"eps_reg": 1e-3}),
+            "unknown config option(s) tolerance",
+            id="unknown-top-level-key",
+        ),
+    ],
+)
+def test_cli_config_error_exit_two(tmp_path, capsys, edit, message):
     d = vtol_config_dict()
-    d["T"] = 1
+    edit(d)
     path = write_config(tmp_path, d)
     code = main(["run", "--config", str(path)])
     assert code == 2
-    assert "experiment too short" in capsys.readouterr().err
+    assert f"[config] {message}" in capsys.readouterr().err
+
+
+def test_cli_overrides_apply_before_validation(tmp_path, capsys):
+    d = vtol_config_dict()
+    d.pop("seed")
+    path = write_config(tmp_path, d)
+    assert main(["run", "--config", str(path), "--seed", "3", "--out", str(tmp_path / "s")]) == 0
+    report = json.loads((tmp_path / "s" / "report.json").read_text())
+    assert report["effective_config"]["seed"] == 3
+
+    fact = {"method": "jordan", "mode": "auto", "w_star": [1.0, 0.0]}
+    path = write_config(tmp_path, vtol_config_dict(factorization=fact))
+    argv = ["run", "--config", str(path), "--factorization", "krylov"]
+    assert main([*argv, "--out", str(tmp_path / "k")]) == 0
+    report = json.loads((tmp_path / "k" / "report.json").read_text())
+    assert report["effective_config"]["factorization"]["method"] == "krylov"
+
+    path = write_config(tmp_path, vtol_config_dict())
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert "[config] krylov factorization needs w_star" in capsys.readouterr().err
 
 
 def test_cli_collect_writes_record(tmp_path):

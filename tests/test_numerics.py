@@ -18,7 +18,7 @@ from ddreg.numerics import (
     solve_sylvester,
     spectral_radius,
 )
-from ddreg.plant import ExoMatrix, build_structural_matrices
+from ddreg.plant import build_structural_matrices
 from ddreg.verify import assemble_closed_loop, build_auxiliary_matrices
 
 
@@ -328,7 +328,7 @@ def paper_loop():
     """Closed-loop map of the gain designed on the paper example."""
     config = paper_example_config(0)
     gain = np.array(run_pipeline(config)["synthesis"]["gain"])
-    plant, exo = config.plant, ExoMatrix(config.exo_s)
+    plant, exo = config.plant, config.exo
     im = build_internal_model(exo, p=plant.p)
     struct = build_structural_matrices(plant, config.ell)
     aux = build_auxiliary_matrices(plant, struct, exo, im)

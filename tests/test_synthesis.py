@@ -53,9 +53,8 @@ def vtol_problem(seed=0, T=20, ell=4, similarity=None):
 def paper_problem(seed, factorization):
     """The design problem of ``ddreg paper-example`` at one probing seed."""
     config = paper_example_config(seed, factorization)
-    exo = ExoMatrix(config.exo_s)
-    rec, _ = collect_stage(config, exo)
-    return assemble_sdp(assemble_data_matrices(rec), build_regressor(config, exo))
+    rec, _ = collect_stage(config)
+    return assemble_sdp(assemble_data_matrices(rec), build_regressor(config))
 
 
 def wide_problem(seed=7):
