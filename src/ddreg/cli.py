@@ -82,7 +82,7 @@ def paper_example_config(seed: int, factorization: str = "jordan") -> RunConfig:
 def _stage(stage, fn, *args, hint="", **kwargs):
     try:
         return fn(*args, **kwargs)
-    except (ValueError, RuntimeError) as exc:
+    except (OSError, ValueError, RuntimeError) as exc:
         if isinstance(exc, PipelineError):
             raise
         raise PipelineError(stage, str(exc), hint) from exc
@@ -482,7 +482,9 @@ def _cmd_synthesize(args) -> int:
         plant, dims = config.plant, config.dims
         m, p = (plant.m, plant.p) if plant else (int(dims["m"]), int(dims["p"]))
         im = _internal_model(config, p)
-        rec = record_from_csv(args.record, ell=config.ell, im=im, m=m, p=p)
+        rec = _stage(
+            "collect", record_from_csv, args.record, ell=config.ell, im=im, m=m, p=p
+        )
     else:
         rec, _ = collect_stage(config)
     data, reg, prob, pre, result = synthesize_stage(config, rec)
@@ -534,11 +536,15 @@ def _cmd_run(args) -> int:
     return _print_checks(report)
 
 
+def _read_json(path):
+    with open(path) as fh:
+        return json.load(fh)
+
+
 def _cmd_verify(args) -> int:
     config = _load_config(args)
-    with open(args.gain) as fh:
-        payload = json.load(fh)
-    if payload.get("gain") is None:
+    payload = _stage("verify", _read_json, args.gain)
+    if not isinstance(payload, dict) or payload.get("gain") is None:
         raise PipelineError(
             "verify", f"no gain stored in {args.gain}", "run synthesize first"
         )

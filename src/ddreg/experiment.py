@@ -235,6 +235,8 @@ def record_from_csv(path, ell: int, im: InternalModel, m: int, p: int) -> Experi
     """
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
+    if len(rows) < 2:
+        raise ValueError("CSV needs a header row and at least one sample")
     header, body = rows[0], rows[1:]
     expected = 1 + m + p + im.dim
     if len(header) < expected:

@@ -165,7 +165,16 @@ def maximize_margin(
     Cholesky test: it is then a dual point and bounds the optimum by weak
     duality.  ``gap_bound`` is the best bound so far minus the margin (inf
     without a dual point), so the optimum lies in
-    ``[margin, margin + gap_bound]``.  Stop reasons:
+    ``[margin, margin + gap_bound]``.
+
+    The primal start is the point of least Frobenius norm on the extended
+    affine set ``{F(v) - t I}`` (one solve with the Gram factor), with t
+    then lowered below the smallest eigenvalue there; the dual start is
+    ``I / n``.  Every step after it (the HKM and Mehrotra directions, the
+    column scaling, the centring, both certificates) is invariant under an
+    invertible linear change and a shift of the variables, and so is this
+    start, so the returned point depends on the set ``{F(v)}`` alone, not
+    on its coordinates or offset.  Stop reasons:
 
     - ``"verdict"`` (with ``feas_tol``): the margin exceeds ``feas_tol`` and
       ``gap_bound < margin`` (feasible; the optimum is below twice the
@@ -250,8 +259,11 @@ def maximize_margin(
             dZ -= second
         return dS, dZ
 
+    # The start point of the docstring: least norm on the extended set.
     y = np.zeros(k)
-    y[-1] = _lam_min(_sym(C))
+    if gram_chol is not None:
+        y, _ = dpotrs(gram_chol, -(F @ C.ravel()), lower=1)
+    y[-1] = _lam_min(_sym(C + (y[:-1] @ F[:-1]).reshape(n, n)))
     y[-1] -= 1.0 + 0.05 * abs(y[-1])
     Z = np.eye(n) / n
 

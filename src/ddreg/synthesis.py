@@ -4,14 +4,19 @@ data only, and extract the feedback gain.
 The decision variables are a symmetric matrix X and a rectangular Y tied by
 ``[X; 0] = [psi0; mhat] Y`` with the stability block
 ``[[X, psi1 Y], [(psi1 Y)^T, X]] > 0``, which implies ``X > 0`` (see
-``_sdp_block``).  The equality is eliminated exactly: Y is parameterized
-on the nullspace of ``mhat``, taken modulo the kernel of ``[psi0; psi1]``
-(directions that move Y without moving either X or ``psi1 Y``), X is defined
-as ``psi0 Y`` with symmetry imposed linearly, and the scale is pinned by
+``_sdp_block``).  The equality is eliminated in closed form: Y is
+parameterized as ``null_m Z`` on the nullspace of ``mhat``, taken modulo the
+kernel of ``[psi0; psi1]`` (directions that move Y without moving either X
+or ``psi1 Y``).  When ``H0 = psi0 null_m`` has full row rank nu, every Z
+with ``H0 Z`` symmetric is ``Z = H0^+ X + N R`` (N a basis of ker H0, R
+free), so the free parameters are X itself, with its scale pinned by
 ``trace X = nu`` (the constraints are jointly homogeneous in (X, Y), so the
-normalization is lossless).  What remains is a margin maximization over one
-affine symmetric block, solved by the dense primal-dual interior-point
-method of ``sdp.py``.
+normalization is lossless), and R; the off-diagonal block is then
+``psi1 Y = Gamma X + Lambda R``.  When H0 is rank deficient, X is singular
+for every Y, so the margin is at most 0 and the problem is infeasible with
+no solve.  Otherwise what remains is a margin maximization over one affine
+symmetric block, solved by the dense primal-dual interior-point method of
+``sdp.py``.
 
 The design question is one of feasibility: any strictly feasible (X, Y)
 yields a valid gain.  The interior-point solve therefore stops as soon as a
@@ -121,14 +126,15 @@ def assemble_sdp(data: DataMatrices, reg: Regressor) -> SdpProblem:
 
 def _svd_split(M: np.ndarray, rtol: float = DEFAULT_RANK_RTOL):
     """One full SVD of ``M``, split at the package-wide rank tolerance:
-    ``(u, s, rows, null)`` with the leading left singular vectors and values,
-    and orthonormal bases (columns) of the row space and right nullspace."""
+    ``(u, s, rows, null)`` with the leading left singular vectors, all the
+    singular values (descending), and orthonormal bases (columns) of the row
+    space and right nullspace."""
     if M.shape[0] == 0:
         n = M.shape[1]
         return np.zeros((0, 0)), np.zeros(0), np.zeros((n, 0)), np.eye(n)
     u, s, vh = np.linalg.svd(M)
     rank = int(np.count_nonzero(s > rtol * s[0])) if s.size and s[0] > 0 else 0
-    return u[:, :rank], s[:rank], vh[:rank].T.copy(), vh[rank:].T.copy()
+    return u[:, :rank], s, vh[:rank].T.copy(), vh[rank:].T.copy()
 
 
 def _nullspace(M: np.ndarray, rtol: float = DEFAULT_RANK_RTOL) -> np.ndarray:
@@ -136,82 +142,76 @@ def _nullspace(M: np.ndarray, rtol: float = DEFAULT_RANK_RTOL) -> np.ndarray:
     return _svd_split(M, rtol)[3]
 
 
-def _symmetry_system(H0: np.ndarray):
-    """Linear system ``E z = rhs`` on ``z = vec(Z)``, ``Z`` in R^(q x nu) with
-    index (a, b) -> a * nu + b, stating that ``H0 Z`` is symmetric (one row
-    per pair i < j, in row-major order) and has trace nu (last row).
-    """
-    nu, q = H0.shape
-    n_sym = nu * (nu - 1) // 2
-    E = np.zeros((n_sym + 1, q * nu))
-    rhs = np.zeros(n_sym + 1)
-    i, j = np.triu_indices(nu, k=1)
-    pairs = np.arange(n_sym)
-    # View of the symmetry rows as (row, a, b); no entry is written twice.
-    E_sym = E[:n_sym].reshape(n_sym, q, nu)
-    E_sym[pairs, :, j] += H0[i]
-    E_sym[pairs, :, i] -= H0[j]
-    E[n_sym] += H0.T.ravel()
-    rhs[n_sym] = float(nu)
-    return E, rhs
-
-
 def _elimination(prob: SdpProblem):
-    """Linear-equality elimination.
+    """Linear-equality elimination in closed form.
 
-    Returns (null_m, z0, basis) where ``Y = null_m @ Z``, the vectorized Z
-    splits as ``z0 + basis @ zeta``, and z0/basis satisfy the symmetry of
-    ``psi0 Y`` and ``trace(psi0 Y) = nu``.  One SVD of the symmetry system
-    ``E z = rhs`` gives its rank (at the package-wide rank tolerance), the
-    minimum-norm solution z0 (in the row space of E, so orthogonal to the
-    basis) and the orthonormal nullspace basis.  Returns None when the
-    equality system is inconsistent (no normalized point exists at all).
+    Returns ``(null_m, s, pinv, kernel)``: ``Y = null_m Z`` satisfies
+    ``mhat Y = 0``, and one SVD of ``H0 = psi0 null_m`` (q columns) gives
+    its singular values ``s``, its pseudo-inverse ``pinv`` (at the
+    package-wide rank tolerance) and an orthonormal basis ``kernel`` of
+    ker H0, so rank H0 is ``q - kernel.shape[1]``.  When that rank is nu,
+    every Z with ``H0 Z`` symmetric is ``Z = H0^+ X + N R``, with X
+    symmetric (and then ``X = H0 Z``), N the kernel basis and R free.
     """
     null_m = _nullspace(prob.mhat)
     # Directions of null_m in the kernel of [psi0; psi1] move Y without
     # moving X or W: the margin cannot see them.  Keeping the row space only
-    # removes them before the symmetry system is built, and pins Y to the
-    # smallest one that gives the same blocks.
+    # removes them, and pins Y to the smallest one that gives the same
+    # blocks.
     _, _, rows, _ = _svd_split(np.vstack([prob.psi0, prob.psi1]) @ null_m)
     null_m = null_m @ rows
-    if null_m.shape[1] == 0:
-        return None
-    E, rhs = _symmetry_system(prob.psi0 @ null_m)
-
-    u, s, rows, basis = _svd_split(E)
-    z0 = rows @ ((rhs @ u) / s)
-    if np.linalg.norm(E @ z0 - rhs) > 1e-8 * max(1.0, np.linalg.norm(rhs)):
-        return None
-    return null_m, z0, basis
+    u, s, rows, kernel = _svd_split(prob.psi0 @ null_m)
+    return null_m, s, rows @ (u / s[: u.shape[1]]).T, kernel
 
 
 def _sym(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + M.T)
 
 
-def _surfaces(H0: np.ndarray, H1: np.ndarray, cols: np.ndarray):
-    """Block images of the vectorized ``Z`` in each column of ``cols``:
-    stacks of ``X_k = sym(H0 Z_k)`` and ``W_k = H1 Z_k``, one matmul each."""
-    nu, q = H0.shape
-    Z = cols.T.reshape(-1, q, nu)
-    P = H0 @ Z
-    return 0.5 * (P + P.transpose(0, 2, 1)), H1 @ Z
+def _sym_basis(nu: int) -> np.ndarray:
+    """The identity, then a basis of the trace-zero symmetric nu x nu
+    matrices: ``E_ii - E_ll`` for every i but the last index l, then
+    ``E_ij + E_ji`` for i < j in row-major order."""
+    B = np.zeros((nu * (nu + 1) // 2, nu, nu))
+    B[0] = np.eye(nu)
+    d = np.arange(nu - 1)
+    B[1 + d, d, d] = 1.0
+    B[1:nu, -1, -1] = -1.0
+    i, j = np.triu_indices(nu, k=1)
+    off = np.arange(nu, B.shape[0])
+    B[off, i, j] = B[off, j, i] = 1.0
+    return B
 
 
-def _sdp_block(H0: np.ndarray, H1: np.ndarray, cols: np.ndarray) -> AffineBlock:
-    """The block ``[[X, W], [W^T, X]]`` of the design program, affine in the
-    parameters: the first column of ``cols`` gives the constant term, the
-    others the coefficients (see ``_surfaces``).  ``X > 0`` needs no block
-    of its own: X is a principal submatrix, so by Cauchy interlacing its
-    smallest eigenvalue is at least the whole block's."""
-    X, W = _surfaces(H0, H1, cols)
-    k, nu, _ = X.shape
-    S = np.empty((k, 2 * nu, 2 * nu))
-    S[:, :nu, :nu] = X
-    S[:, :nu, nu:] = W
-    S[:, nu:, :nu] = W.transpose(0, 2, 1)
-    S[:, nu:, nu:] = X
+def _sdp_block(H1: np.ndarray, pinv: np.ndarray, kernel: np.ndarray) -> AffineBlock:
+    """The block ``[[X, W], [W^T, X]]`` of the design program, with
+    ``W = H1 Z = Gamma X + Lambda R`` for ``Gamma = H1 H0^+`` and
+    ``Lambda = H1 N``, affine in the free parameters.  Its constant term is
+    X = I, R = 0 (so trace X = nu); its coefficients are the trace-zero
+    symmetric basis of ``_sym_basis`` for X, then the unit entries of R in
+    row-major order.  ``X > 0`` needs no block of its own: X is a principal
+    submatrix, so by Cauchy interlacing its smallest eigenvalue is at least
+    the whole block's."""
+    gamma, lam = H1 @ pinv, H1 @ kernel
+    nu, r = lam.shape
+    X = _sym_basis(nu)
+    nx = X.shape[0]
+    S = np.zeros((nx + r * nu, 2 * nu, 2 * nu))
+    S[:nx, :nu, :nu] = S[:nx, nu:, nu:] = X
+    S[:nx, :nu, nu:] = gamma @ X
+    # Entry (a, b) of R puts column a of Lambda into column b of W.
+    S[nx:, :nu, nu:] = np.einsum("ia,bj->abij", lam, np.eye(nu)).reshape(r * nu, nu, nu)
+    S[:, nu:, :nu] = S[:, :nu, nu:].transpose(0, 2, 1)
     return AffineBlock(const=S[0], coeff=S[1:])
+
+
+def _design_z(v: np.ndarray, pinv: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """``Z = H0^+ X + N R`` at the parameters v of ``_sdp_block``."""
+    nu, r = pinv.shape[1], kernel.shape[1]
+    B = _sym_basis(nu)
+    nx = len(B) - 1
+    X = B[0] + np.tensordot(v[:nx], B[1:], axes=1)
+    return pinv @ X + kernel @ v[nx:].reshape(r, nu)
 
 
 def solve_feasibility_sdp(
@@ -225,31 +225,34 @@ def solve_feasibility_sdp(
     margin is a lower bound on the optimum (within a factor 2 of it, see
     ``gap_bound``); an infeasible solve stops once a dual point bounds the
     optimum at or below ``opts.feas_tol``, so its margin is the certified
-    value there (about -3e-8 on the wide-output plant), not the optimum near
-    zero.  Otherwise it runs to ``opts.gap_tol``.  X and Y satisfy the
-    equality constraint by construction up to round-off.
+    value there, not the optimum.  Otherwise it runs to ``opts.gap_tol``.
+    A rank-deficient ``psi0 null_m`` (the wide-output plant) is infeasible
+    with margin -inf and no solve.  X and Y satisfy the equality constraint
+    by construction up to round-off.
     """
     opts = opts or SolverOptions()
     nu, N = prob.nu, prob.n_cols
     diagnostics = [f"dims: nu={nu} N={N} nhat_w={prob.nhat_w}"]
 
-    elim = _elimination(prob)
-    if elim is None:
+    null_m, s, pinv, kernel = _elimination(prob)
+    q = null_m.shape[1]
+    rank = q - kernel.shape[1]
+    if rank < nu:
+        # X = psi0 Y = H0 Z has rank below nu for every Z, and X is a
+        # principal submatrix of the block: the margin is at most 0.
+        ratio = s[nu - 1] / s[0] if s.size >= nu and s[0] > 0 else 0.0
         diagnostics.append(
-            "equality constraints admit no normalized solution "
-            "(trace(psi0 Y) = nu unreachable); problem infeasible"
+            f"rank psi0 null_m = {rank} < nu = {nu} "
+            f"(sigma_min/sigma_max = {ratio:.1e}): X = psi0 Y is singular "
+            "for every Y; problem infeasible"
         )
         return SynthesisResult("infeasible", -np.inf, diagnostics=diagnostics)
-    null_m, z0, basis = elim
-    q = null_m.shape[1]
-    diagnostics.append(f"eliminated problem: {basis.shape[1]} free parameters (q={q})")
 
-    H0, H1 = prob.psi0 @ null_m, prob.psi1 @ null_m
-    blocks = [_sdp_block(H0, H1, np.column_stack([z0, basis]))]
-
+    block = _sdp_block(prob.psi1 @ null_m, pinv, kernel)
+    diagnostics.append(f"eliminated problem: {block.nvar} free parameters (q={q})")
     try:
         res = maximize_margin(
-            blocks,
+            [block],
             gap_tol=opts.gap_tol,
             max_newton=opts.max_newton,
             feas_tol=opts.feas_tol,
@@ -260,10 +263,9 @@ def solve_feasibility_sdp(
     diagnostics.extend(res.log)
     if not res.converged:
         return SynthesisResult("numerical_failure", res.margin, diagnostics=diagnostics)
-    zeta, margin, gap_bound = res.v, res.margin, res.gap_bound
+    v, margin, gap_bound = res.v, res.margin, res.gap_bound
 
-    Z = (z0 + basis @ zeta).reshape(q, nu)
-    Y = null_m @ Z
+    Y = null_m @ _design_z(v, pinv, kernel)
     X = _sym(prob.psi0 @ Y)
 
     diagnostics.append(f"margin={margin:.6e} feas_tol={opts.feas_tol:.1e}")

@@ -402,6 +402,23 @@ def test_cli_synthesize_plant_free(tmp_path):
     assert payload["status"] == "feasible"
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("k,u_1\n0,0.5\n1,-0.2\n", "CSV needs at least 5 columns, got 2"),
+        ("", "CSV needs a header row and at least one sample"),
+    ],
+    ids=["two-columns", "empty"],
+)
+def test_cli_synthesize_malformed_record_exit_two(tmp_path, capsys, text, message):
+    path = write_config(tmp_path, vtol_config_dict(seed=5))
+    record = tmp_path / "record.csv"
+    record.write_text(text)
+    code = main(["synthesize", "--config", str(path), "--record", str(record)])
+    assert code == 2
+    assert f"[collect] {message}" in capsys.readouterr().err
+
+
 def test_cli_paper_example(tmp_path, capsys):
     code = main(["paper-example", "--seed", "1", "--out", str(tmp_path / "p")])
     assert code == 0
@@ -511,6 +528,27 @@ def test_cli_verify_wrong_gain_shape_exit_two(tmp_path, capsys, gain, message):
     err = capsys.readouterr().err
     assert message in err
     assert "m x (window_dim + im.dim)" in err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (None, "No such file or directory"),
+        ("{", "Expecting property name enclosed in double quotes"),
+        ("[]", "no gain stored in"),
+    ],
+    ids=["missing", "malformed", "not-an-object"],
+)
+def test_cli_verify_unreadable_gain_file_exit_two(tmp_path, capsys, text, message):
+    path = write_config(tmp_path, vtol_config_dict(seed=0))
+    gain_path = tmp_path / "synthesis.json"
+    if text is not None:
+        gain_path.write_text(text)
+    code = main(["verify", "--config", str(path), "--gain", str(gain_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [verify] ")
+    assert message in err
 
 
 def test_cli_verify_requires_gain(tmp_path, capsys):

@@ -187,15 +187,28 @@ def test_col_scale_matches_loop_reference():
         np.testing.assert_allclose(_col_scale(blocks), ref, rtol=8 * np.finfo(float).eps, atol=0)
 
 
+def _bounded_block(rng, nb, nvar, shift=1.0):
+    """Random block whose coefficients are traceless: its trace is pinned, so
+    the margin is bounded and a strictly feasible dual point exists."""
+    W = rng.standard_normal((nvar + 1, nb, nb))
+    W = 0.5 * (W + W.transpose(0, 2, 1))
+    W[1:] -= np.trace(W[1:], axis1=1, axis2=2)[:, None, None] * np.eye(nb) / nb
+    return AffineBlock(const=W[0] + shift * np.eye(nb), coeff=W[1:])
+
+
 def test_non_finite_newton_system_raises(monkeypatch):
     def poisoned(A, s_inv, z_chol, work):
         M = _schur_complement(A, s_inv, z_chol, work)
         M[0, 0] = np.nan
         return M
 
+    # The trade-off block starts at its optimum and takes no step; this one
+    # iterates.
+    block = _bounded_block(np.random.default_rng(1), 3, 2)
+    assert maximize_margin([block]).newton_steps > 0
     monkeypatch.setattr(sdp, "_schur_complement", poisoned)
     with pytest.raises(RuntimeError, match="non-finite Newton system"):
-        maximize_margin([_tradeoff_block()])
+        maximize_margin([block])
 
 
 def _random_spd(rng, nb):
@@ -283,7 +296,7 @@ def test_certificates_bracket_the_optimum(seed, nb0, more, nvar, shift):
 
 @pytest.mark.parametrize("factorization", ["jordan", "krylov"])
 def test_paper_example_iteration_budget(monkeypatch, factorization):
-    # The paper design solve ends at its certified verdict in 14-15
+    # The paper design solve ends at its certified verdict in 13
     # primal-dual iterations on these probing seeds, and every run passes
     # its checks.  A solve that stalls near the boundary or misses the
     # verdict stop runs far past the budget of 100.
@@ -299,3 +312,34 @@ def test_paper_example_iteration_budget(monkeypatch, factorization):
         assert run_pipeline(paper_example_config(seed, factorization))["all_pass"]
     assert len(steps) == 4
     assert max(steps) <= 100
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    nb=st.integers(2, 4),
+    nvar=st.integers(1, 3),
+    shift=st.floats(-1.0, 3.0),
+    log_cond=st.floats(0.0, 2.0),
+)
+def test_path_invariant_under_change_of_variables(seed, nb, nvar, shift, log_cond):
+    # v = s + T w, with T invertible: the solve starts at a point the set
+    # {F(v)} defines, and every step of the path is invariant under such a
+    # change, so the verdict, the stop reason, the margin and the returned
+    # block value move by round-off only.
+    nvar = min(nvar, nb * (nb + 1) // 2 - 1)
+    rng = np.random.default_rng(seed)
+    block = _bounded_block(rng, nb, nvar, shift)
+    Q1, Q2 = (np.linalg.qr(rng.standard_normal((nvar, nvar)))[0] for _ in range(2))
+    T = Q1 @ np.diag(10.0 ** rng.uniform(-log_cond, log_cond, nvar)) @ Q2
+    s = 3.0 * rng.standard_normal(nvar)
+    # F'(w) = F(s + T w).
+    moved = AffineBlock(block.value(s), np.tensordot(T.T, block.coeff, axes=1))
+    feas_tol = 1e-6
+    res = maximize_margin([block], feas_tol=feas_tol)
+    res_moved = maximize_margin([moved], feas_tol=feas_tol)
+    assert res_moved.stop == res.stop
+    assert (res_moved.margin > feas_tol) == (res.margin > feas_tol)
+    assert res_moved.margin == pytest.approx(res.margin, abs=1e-9)
+    value = block.value(res.v)
+    assert np.abs(moved.value(res_moved.v) - value).max() <= 1e-8

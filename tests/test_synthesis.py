@@ -1,28 +1,40 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddreg import synthesis
 from ddreg.benchmarks import VTOL_ETA0, VTOL_W0, VTOL_X0, vtol, wide_output
-from ddreg.cli import build_regressor, collect_stage, paper_example_config
+from ddreg.cli import (
+    RunConfig,
+    build_regressor,
+    collect_stage,
+    paper_example_config,
+    synthesize_stage,
+)
 from ddreg.exo_factorization import JordanSpec, analyze_exosystem, build_M_jordan
 from ddreg.experiment import NormalInputPolicy, assemble_data_matrices, collect_experiment
 from ddreg.internal_model import build_internal_model
 from ddreg.numerics import rank_with_tol
-from ddreg.plant import ExoMatrix, PlantTruth
+from ddreg.plant import ExoMatrix, PlantTruth, observability_index
+from ddreg.sdp import AffineBlock
 from ddreg.synthesis import (
     DEFAULT_FEAS_TOL,
     SdpProblem,
     SolverOptions,
+    _design_z,
     _elimination,
     _nullspace,
     _sdp_block,
-    _surfaces,
-    _symmetry_system,
     assemble_sdp,
     extract_gain,
     feasibility_precheck,
     solve_feasibility_sdp,
 )
+
+from _scenarios import random_plant, random_unit_circle_exo
 
 
 def vtol_problem(seed=0, T=20, ell=4, similarity=None):
@@ -140,44 +152,6 @@ def test_reduction_reflected_in_regressor_rows():
 # equality elimination
 
 
-def _symmetry_system_loop(H0):
-    """Loop reference for the symmetry-and-trace system on vec(Z)."""
-    nu, q = H0.shape
-    n_sym = nu * (nu - 1) // 2
-    E = np.zeros((n_sym + 1, q * nu))
-    rhs = np.zeros(n_sym + 1)
-    row = 0
-    for i in range(nu):
-        for j in range(i + 1, nu):
-            for a in range(q):
-                E[row, a * nu + j] += H0[i, a]
-                E[row, a * nu + i] -= H0[j, a]
-            row += 1
-    for i in range(nu):
-        for a in range(q):
-            E[n_sym, a * nu + i] += H0[i, a]
-    rhs[n_sym] = float(nu)
-    return E, rhs
-
-
-def test_symmetry_system_matches_loop_reference():
-    rng = np.random.default_rng(3)
-    prob = vtol_problem()
-    cases = [
-        prob.psi0 @ _nullspace(prob.mhat),
-        rng.standard_normal((1, 3)),
-        rng.standard_normal((5, 2)),
-        rng.standard_normal((3, 7)),
-        np.array([[0.0, -0.0], [-0.0, 1.5], [2.0, 0.0]]),  # signed zeros
-    ]
-    for H0 in cases:
-        E, rhs = _symmetry_system(H0)
-        E_ref, rhs_ref = _symmetry_system_loop(H0)
-        # Every entry is written once, so the result is bit-identical.
-        assert E.tobytes() == E_ref.tobytes()
-        assert rhs.tobytes() == rhs_ref.tobytes()
-
-
 def test_elimination_drops_directions_the_blocks_cannot_see():
     # Y = null_m Z: null_m spans the part of ker(mhat) that [psi0; psi1]
     # sees, so no direction of Z leaves both X and W unchanged.
@@ -193,50 +167,87 @@ def test_elimination_drops_directions_the_blocks_cannot_see():
 
 
 @pytest.mark.parametrize(
-    "prob",
+    "prob, full_rank",
     [
-        paper_problem(0, "jordan"),
-        paper_problem(1, "krylov"),
-        wide_problem(7),
-        wide_problem(8),
+        (paper_problem(0, "jordan"), True),
+        (paper_problem(1, "krylov"), True),
+        (wide_problem(7), False),
+        (wide_problem(8), False),
     ],
     ids=["paper-jordan", "paper-krylov", "wide-7", "wide-8"],
 )
-def test_elimination_contract(prob):
-    # z0 is the minimum-norm solution of the symmetry system E z = rhs, and
-    # basis an orthonormal basis of the nullspace of E.
-    null_m, z0, basis = _elimination(prob)
-    E, rhs = _symmetry_system(prob.psi0 @ null_m)
-    assert np.linalg.norm(E @ z0 - rhs) <= 1e-12 * np.linalg.norm(rhs)
-    assert np.abs(basis.T @ z0).max() <= 1e-12 * np.linalg.norm(z0)
-    assert np.abs(basis.T @ basis - np.eye(basis.shape[1])).max() <= 1e-12
-    assert np.abs(E @ basis).max() <= 1e-12 * np.abs(E).max()
-    assert basis.shape[1] == E.shape[1] - rank_with_tol(E)
+def test_elimination_contract(prob, full_rank):
+    # kernel is an orthonormal basis of ker H0 and pinv is H0^+, so rank H0
+    # is q minus the kernel's columns.  With full row rank, Z = H0^+ X + N R
+    # gives H0 Z = X for every symmetric X and every R.
+    null_m, s, pinv, kernel = _elimination(prob)
+    H0 = prob.psi0 @ null_m
+    nu, q = H0.shape
+    rank = q - kernel.shape[1]
+    assert np.abs(kernel.T @ kernel - np.eye(q - rank)).max() <= 1e-12
+    assert np.abs(H0 @ kernel).max() <= 1e-12 * s[0]
+    assert np.abs(kernel.T @ pinv).max() <= 1e-12 * np.abs(pinv).max()
+    assert np.allclose(s, np.linalg.svd(H0, compute_uv=False), rtol=1e-12, atol=0)
+    if not full_rank:
+        # The wide-output plant: X = psi0 Y is singular for every Y, with a
+        # wide gap between round-off and the next singular value.
+        assert rank == nu - 1
+        assert s[nu - 1] < 1e-14 * s[0] and s[nu - 2] > 1e-4 * s[0]
+        return
+    assert rank == nu
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((nu, nu))
+    X = X + X.T
+    R = rng.standard_normal((q - nu, nu))
+    assert np.abs(H0 @ (pinv @ X + kernel @ R) - X).max() <= 1e-10 * np.abs(X).max()
+
+
+def test_wide_output_rank_branch_skips_the_solve(monkeypatch):
+    # rank H0 < nu settles the verdict: no interior-point solve runs.
+    def no_solve(*args, **kwargs):
+        raise AssertionError("maximize_margin called")
+
+    monkeypatch.setattr(synthesis, "maximize_margin", no_solve)
+    for seed in (7, 8):
+        res = solve_feasibility_sdp(wide_problem(seed))
+        assert res.status == "infeasible"
+        assert res.margin == -np.inf and res.gap_bound is None
+        assert any(line.startswith("rank psi0 null_m = 9 < nu = 10") for line in res.diagnostics)
 
 
 @pytest.mark.parametrize("factorization", ["jordan", "krylov"])
 def test_design_invariant_under_nullspace_basis(factorization, monkeypatch):
-    # The HKM direction does not change under a change of basis of the free
-    # variables, so rotating the elimination's nullspace basis moves the
-    # returned central point by round-off only.  This is what makes any
-    # orthonormal basis of ker E, however E is factored, a valid choice.
+    # The HKM direction and the start point do not change under a change of
+    # basis of the free variables, so rotating the (X, R) basis of the
+    # design block moves the returned central point by round-off only.
+    # This is what makes any basis of the trace-zero symmetric X and any
+    # orthonormal N a valid choice.
     rng = np.random.default_rng(11)
-    elimination, solve = synthesis._elimination, synthesis.maximize_margin
-    solves = []
+    sdp_block, solve = synthesis._sdp_block, synthesis.maximize_margin
+    solves, Q = [], []
+
+    def rotated_block(*args):
+        # F'(w) = F(Q w): the coefficients mix through Q.
+        b = sdp_block(*args)
+        Q.append(np.linalg.qr(rng.standard_normal((b.nvar, b.nvar)))[0])
+        return AffineBlock(b.const, np.tensordot(Q[-1].T, b.coeff, axes=1))
 
     def recording(*args, **kwargs):
         solves.append(solve(*args, **kwargs))
         return solves[-1]
 
-    monkeypatch.setattr(synthesis, "maximize_margin", recording)
+    def rotated_recording(*args, **kwargs):
+        res = recording(*args, **kwargs)
+        return dataclasses.replace(res, v=Q[-1] @ res.v)
+
     for seed in range(3):
         prob = paper_problem(seed, factorization)
-        null_m, z0, basis = elimination(prob)
-        Q, _ = np.linalg.qr(rng.standard_normal((basis.shape[1], basis.shape[1])))
+        monkeypatch.setattr(synthesis, "maximize_margin", recording)
         base = solve_feasibility_sdp(prob)
-        monkeypatch.setattr(synthesis, "_elimination", lambda p: (null_m, z0, basis @ Q))
+        monkeypatch.setattr(synthesis, "_sdp_block", rotated_block)
+        monkeypatch.setattr(synthesis, "maximize_margin", rotated_recording)
         rotated = solve_feasibility_sdp(prob)
-        monkeypatch.setattr(synthesis, "_elimination", elimination)
+        monkeypatch.setattr(synthesis, "_sdp_block", sdp_block)
         base_solve, rotated_solve = solves[-2:]
         assert base.status == rotated.status == "feasible"
         assert rotated_solve.stop == base_solve.stop == "verdict"
@@ -245,46 +256,79 @@ def test_design_invariant_under_nullspace_basis(factorization, monkeypatch):
         assert np.linalg.norm(rotated.K - base.K) <= 1e-8 * np.linalg.norm(base.K)
 
 
-def _blocks_loop(H0, H1, cols):
-    """Reference assembly, one column at a time: the X, W and stability
-    block stacks."""
-    nu, q = H0.shape
-    X, W, S = [], [], []
-    for k in range(cols.shape[1]):
-        Z = cols[:, k].reshape(q, nu)
-        P = H0 @ Z
-        Xk = 0.5 * (P + P.T)
-        Wk = H1 @ Z
-        X.append(Xk)
-        W.append(Wk)
-        S.append(np.block([[Xk, Wk], [Wk.T, Xk]]))
-    return X, W, S
+def _design_block_loop(H1, pinv, kernel):
+    """Reference assembly, one parameter at a time: the (X, R) pairs of the
+    constant term and of every coefficient, each mapped to
+    ``Z = H0^+ X + N R`` and to the block ``[[X, H1 Z], [(H1 Z)^T, X]]``."""
+    nu, r = pinv.shape[1], kernel.shape[1]
+    pairs = [(np.eye(nu), np.zeros((r, nu)))]
+    for i in range(nu - 1):
+        X = np.zeros((nu, nu))
+        X[i, i], X[-1, -1] = 1.0, -1.0
+        pairs.append((X, np.zeros((r, nu))))
+    for i in range(nu):
+        for j in range(i + 1, nu):
+            X = np.zeros((nu, nu))
+            X[i, j] = X[j, i] = 1.0
+            pairs.append((X, np.zeros((r, nu))))
+    for a in range(r):
+        for b in range(nu):
+            R = np.zeros((r, nu))
+            R[a, b] = 1.0
+            pairs.append((np.zeros((nu, nu)), R))
+    blocks = []
+    for X, R in pairs:
+        W = H1 @ (pinv @ X + kernel @ R)
+        blocks.append(np.block([[X, W], [W.T, X]]))
+    return np.array(blocks)
 
 
 def test_batched_assembly_matches_loop_reference():
     rng = np.random.default_rng(6)
     prob = vtol_problem()
-    null_m, z0, basis = _elimination(prob)
-    # (nu, q, number of columns).  Without free parameters the images have
-    # no columns and the blocks one (their constant term).
-    cases = [(prob.psi0 @ null_m, prob.psi1 @ null_m, np.column_stack([z0, basis]))]
-    for nu, q, k in ((1, 2, 3), (3, 5, 7), (2, 3, 0), (2, 3, 1)):
-        H0, H1 = rng.standard_normal((2, nu, q))
-        cases.append((H0, H1, rng.standard_normal((q * nu, k))))
-    for H0, H1, cols in cases:
-        X, W = _surfaces(H0, H1, cols)
-        X_ref, W_ref, S_ref = _blocks_loop(H0, H1, cols)
-        nu = H0.shape[0]
-        assert X.shape == W.shape == (cols.shape[1], nu, nu)
-        stacks = [(X, X_ref), (W, W_ref)]
-        if cols.shape[1]:
-            # The first column is the constant term of the block.
-            b = _sdp_block(H0, H1, cols)
-            stacks.append((np.concatenate([b.const[None], b.coeff]), S_ref))
-        # Same products, same order of operations: byte-identical.
-        for got, ref in stacks:
-            assert len(got) == len(ref)
-            assert all(g.tobytes() == r.tobytes() for g, r in zip(got, ref))
+    null_m, _, pinv, kernel = _elimination(prob)
+    cases = [(prob.psi1 @ null_m, pinv, kernel)]
+    # (nu, q): one row, no R (q = nu), and wider ones.
+    for nu, q in ((1, 2), (2, 2), (3, 5), (4, 6)):
+        cases.append(
+            (
+                rng.standard_normal((nu, q)),
+                rng.standard_normal((q, nu)),
+                rng.standard_normal((q, q - nu)),
+            )
+        )
+    for H1, pinv, kernel in cases:
+        nu, q = pinv.shape[1], pinv.shape[0]
+        b = _sdp_block(H1, pinv, kernel)
+        ref = _design_block_loop(H1, pinv, kernel)
+        assert b.nvar == nu * (nu + 1) // 2 - 1 + (q - nu) * nu
+        got = np.concatenate([b.const[None], b.coeff])
+        # Gamma X + Lambda R associates the products differently.
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert np.array_equal(got, got.transpose(0, 2, 1))
+        # _design_z maps the parameters back to the Z whose image is W.
+        v = rng.standard_normal(b.nvar)
+        W = H1 @ _design_z(v, pinv, kernel)
+        assert np.abs(b.value(v)[:nu, nu:] - W).max() <= 1e-12 * np.abs(W).max()
+
+
+@pytest.mark.parametrize("factorization", ["jordan", "krylov"])
+def test_gain_invariant_under_column_scaling(factorization):
+    # Scaling the data columns, Y -> D^{-1} Y, is an exact change of
+    # variables: the set of blocks and the map to K do not move.  Since the
+    # solve starts at a point the set defines, neither does K.
+    rng = np.random.default_rng(12)
+    for seed in range(6):
+        prob = paper_problem(seed, factorization)
+        base = solve_feasibility_sdp(prob)
+        d = np.exp(rng.uniform(-2.0, 2.0, prob.n_cols))
+        scaled = SdpProblem(
+            u1=prob.u1 * d, psi0=prob.psi0 * d, psi1=prob.psi1 * d, mhat=prob.mhat * d
+        )
+        res = solve_feasibility_sdp(scaled)
+        assert base.status == res.status == "feasible"
+        assert abs(res.margin - base.margin) <= 1e-9 * abs(base.margin)
+        assert np.linalg.norm(res.K - base.K) <= 1e-8 * np.linalg.norm(base.K)
 
 
 # ---------------------------------------------------------------------------
@@ -411,6 +455,38 @@ def test_scalar_problem_feasible():
     res = solve_feasibility_sdp(scalar_problem())
     assert res.status == "feasible"
     assert res.K.shape == (1, 3)
+
+
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 4),
+    m=st.integers(1, 2),
+    p=st.integers(2, 3),
+    n_w=st.integers(1, 3),
+)
+def test_wide_window_is_infeasible(seed, n, m, p, n_w):
+    # p * ell > n with a full-row-rank regressor: the output window carries
+    # more rows than the plant has states, so X = psi0 Y is singular for
+    # every Y and the design is infeasible.
+    rng = np.random.default_rng(seed)
+    plant = random_plant(rng, n, m, p, n_w)
+    exo = random_unit_circle_exo(rng, n_w)
+    ell = max(observability_index(plant.A, plant.C), n // p + 1)
+    config = RunConfig(
+        exo_s=exo.S,
+        ell=ell,
+        T=ell + 20,
+        seed=seed % 1000,
+        plant=plant,
+        w0=rng.standard_normal(n_w),
+        x0=rng.standard_normal(n),
+    )
+    rec, _ = collect_stage(config)
+    _, _, prob, pre, res = synthesize_stage(config, rec)
+    assert rank_with_tol(prob.mhat) == prob.nhat_w
+    assert pre.provably_infeasible
+    assert res.status == "infeasible"
 
 
 # ---------------------------------------------------------------------------
