@@ -11,7 +11,6 @@ import argparse
 import csv
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 from pathlib import Path
 
@@ -516,14 +515,10 @@ def _print_checks(report: dict) -> int:
 def _cmd_run(args) -> int:
     if args.sweep:
         configs = [RunConfig.from_json(p) for p in args.sweep]
-        outs = [
-            (args.out / f"sweep_{i:03d}") if args.out else None
-            for i in range(len(configs))
+        reports = [
+            run_pipeline(c, args.out and args.out / f"sweep_{i:03d}", args.unmask)
+            for i, c in enumerate(configs)
         ]
-        with ThreadPoolExecutor(max_workers=min(4, len(configs))) as pool:
-            reports = list(
-                pool.map(lambda c, o: run_pipeline(c, o, args.unmask), configs, outs)
-            )
         ok = all(r["all_pass"] for r in reports)
         for i, r in enumerate(reports):
             print(f"sweep {i}: all_pass={r['all_pass']}")
@@ -588,7 +583,7 @@ def main(argv=None) -> int:
 
     p_run = sub.add_parser("run", help="collect, synthesize, verify, report")
     _add_common(p_run)
-    p_run.add_argument("--sweep", nargs="+", type=Path, help="configs to fan out")
+    p_run.add_argument("--sweep", nargs="+", type=Path, help="configs to run in turn")
     p_run.set_defaults(fn=_cmd_run)
 
     p_paper = sub.add_parser(

@@ -1,10 +1,11 @@
 """Known regressors that factor the hidden exosignal data block.
 
 The exosignal stack W0 = [w(ell) ... w(T)] always factors as
-``(unknown coefficient) @ (known regressor)``.  Two constructions are
-available: one from the declared or detected Jordan structure of the
-exosystem map (binomially weighted powers / cosine-sine pairs), and a Krylov
-one from a user-supplied cyclic vector.  A greedy row reduction turns either
+``(unknown coefficient) @ (known regressor)``.  Both constructions build the
+regressor as a Krylov sequence ``[F^t v]`` by one routine: from the real
+Jordan matrix of the declared or detected Jordan structure of the exosystem
+map with the last unit vector of each block, or from the exosystem map with
+a user-supplied cyclic vector.  A greedy row reduction turns either
 regressor into a full-row-rank matrix for the design program.
 """
 
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DEFAULTS
-from .numerics import as_matrix, as_vector, binomial_ext, minimal_polynomial, rank_with_tol
+from .numerics import as_matrix, as_vector, minimal_polynomial, rank_with_tol
 from .plant import UNIT_CIRCLE_SLACK, ExoMatrix
 
 DEFAULT_REDUCE_TOL = DEFAULTS["tolerances"]["reduce_tol"]
@@ -207,61 +208,49 @@ class Regressor:
         return Regressor(matrix=self.matrix, method=self.method, selection=selection)
 
 
-def _real_block_column(lam: float, k: int, t: int) -> np.ndarray:
-    """Entries contributed at time t by a real Jordan block of size k."""
-    col = np.zeros(k)
-    for j in range(1, k + 1):
-        e = t - k + j
-        b = binomial_ext(t, e)
-        if b:
-            col[j - 1] = b * lam**e
-    return col
-
-
-def _complex_block_column(rho: float, theta: float, k: int, t: int) -> np.ndarray:
-    """Cosine/sine pair entries contributed at time t by a conjugate block pair."""
-    col = np.zeros(2 * k)
-    for j in range(1, k + 1):
-        e = t - k + j
-        b = binomial_ext(t, e)
-        if b:
-            scale = b * rho**e
-            col[2 * (j - 1)] = scale * np.cos(theta * e)
-            col[2 * (j - 1) + 1] = scale * np.sin(theta * e)
-    return col
+def _krylov(F: np.ndarray, v: np.ndarray, first: int, last: int) -> np.ndarray:
+    """Columns ``F^first v, ..., F^last v``, each F times the one before.
+    No divergence guard: an exosystem may grow (|lambda| > 1) over a long
+    record."""
+    for _ in range(first):
+        v = F @ v
+    cols = [v]
+    for _ in range(last - first):
+        cols.append(F @ cols[-1])
+    return np.column_stack(cols)
 
 
 def build_M_jordan(spec: JordanSpec, ell: int, T: int) -> Regressor:
-    """Regressor from the Jordan structure, one column per time ell..T.
-
-    Rows are ordered real blocks first, then cosine/sine pairs of the complex
-    blocks; within a block, binomially weighted powers with ascending
-    exponent offset (the extended binomial zeroes entries with t below the
-    block reach).
+    """Regressor ``[J^ell e, ..., J^T e]``.  J is the real Jordan matrix of
+    ``spec``: real blocks ``lam I`` plus superdiagonal ones first, then
+    blocks ``I_k (x) rho [[cos, -sin], [sin, cos]]`` plus ``I_2`` on the
+    block superdiagonal.  e is the last unit vector of each block (for a
+    complex block, the cosine row of its last pair).  So row j of a size-k
+    real block at time t is ``C(t, k - j) lam^(t - k + j)``, and pair j of a
+    complex block is that with rho for lam, times (cos, sin) of its angle.
     """
     if T < ell:
         raise ValueError("experiment too short")
-    cols = []
-    for t in range(ell, T + 1):
-        parts = [_real_block_column(lam, k, t) for lam, k in spec.real_blocks]
-        parts += [
-            _complex_block_column(rho, theta, k, t)
-            for rho, theta, k in spec.complex_blocks
-        ]
-        cols.append(np.concatenate(parts) if parts else np.zeros(0))
-    return Regressor(matrix=np.column_stack(cols), method="jordan")
+    J, e = np.zeros((spec.n_w, spec.n_w)), np.zeros(spec.n_w)
+    at = 0
+    for lam, k in spec.real_blocks:
+        J[at : at + k, at : at + k] = lam * np.eye(k) + np.eye(k, k=1)
+        at += k
+        e[at - 1] = 1.0
+    for rho, theta, k in spec.complex_blocks:
+        c, s, blk = rho * np.cos(theta), rho * np.sin(theta), slice(at, at + 2 * k)
+        J[blk, blk] = np.kron(np.eye(k), [[c, -s], [s, c]]) + np.eye(2 * k, k=2)
+        at += 2 * k
+        e[at - 2] = 1.0
+    return Regressor(matrix=_krylov(J, e, ell, T), method="jordan")
 
 
 def build_M_krylov(exo: ExoMatrix, w_star, ell: int, T: int) -> Regressor:
     """Krylov regressor [w*, S w*, ..., S^(T-ell) w*]; needs a cyclic vector."""
     w_star = as_vector(w_star, "w_star", dim=exo.n_w)
-    n_cols = T - ell + 1
-    if n_cols < exo.n_w:
+    if T - ell + 1 < exo.n_w:
         raise ValueError("experiment too short for Krylov factorization")
-    cols = [w_star]
-    for _ in range(n_cols - 1):
-        cols.append(exo.S @ cols[-1])
-    M = np.column_stack(cols)
+    M = _krylov(exo.S, w_star, 0, T - ell)
     if rank_with_tol(M) < exo.n_w:
         raise ValueError("w_star not cyclic for S")
     return Regressor(matrix=M, method="krylov")

@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import DEFAULTS
 from .numerics import PolynomialCoeffs, minimal_polynomial
-from .plant import UNIT_CIRCLE_SLACK, ExoMatrix
+from .plant import ExoMatrix
 
 
 @dataclass
@@ -56,11 +56,7 @@ def build_internal_model(
     """
     if p < 1:
         raise ValueError(f"output count must be >= 1, got {p}")
-    S = exo.S
-    moduli = np.abs(np.linalg.eigvals(S))
-    if np.any(moduli < 1.0 - UNIT_CIRCLE_SLACK):
-        raise ValueError("exosystem eigenvalue inside unit circle")
-    poly = minimal_polynomial(S, tol=tol)
+    poly = minimal_polynomial(exo.S, tol=tol)
     coeffs = poly.coeffs
     if snap_coeffs_tol is not None:
         snapped = np.round(coeffs)

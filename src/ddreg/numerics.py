@@ -1,22 +1,28 @@
 """Dense real-matrix primitives shared by the rest of the toolkit.
 
-Everything operates on plain float64 ``numpy`` arrays.  Rank decisions across
-the whole package route through :func:`rank_with_tol` so a single relative
-tolerance governs them all, and every linear system the package steps over
-time goes through :func:`simulate_linear`, which steps an autonomous system
-in blocks of states and a driven one state by state.
+Everything operates on plain float64 ``numpy`` arrays.  Every linear system
+the package steps over time goes through :func:`simulate_linear`, which
+steps an autonomous system in blocks of states and a driven one state by
+state.  Rank decisions are relative, each under one of four tolerances:
+:data:`DEFAULT_RANK_RTOL` in :func:`rank_with_tol` and in
+``synthesis._svd_split`` (the nullspace of ``mhat``, and the rank of
+``psi0 null_m`` that decides the design program's rank branch);
+``tolerances.reduce_tol`` in ``exo_factorization.reduce_to_full_row_rank``;
+``tolerances.exo_cluster_tol`` in ``analyze_exosystem`` (eigenvalue
+clusters, ``_complex_rank`` and the minimal-polynomial degree); and
+LAPACK's default in the solver's pivoted Cholesky, which holds linearly
+dependent variables at zero.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-# Single rank-tolerance knob for the whole toolkit (relative to the largest
-# singular value of the matrix under test).
+# Rank tolerance of rank_with_tol and synthesis._svd_split (relative to the
+# largest singular value of the matrix under test).
 DEFAULT_RANK_RTOL = 1e-8
 
 # Two spectra count as overlapping when some pair of eigenvalues is closer
@@ -247,17 +253,3 @@ def simulate_linear(F, z0, steps: int, G=None, u=None) -> np.ndarray:
             )
     return z
 
-
-def binomial_ext(p: int, q: int) -> int:
-    """Binomial coefficient extended by the convention C(p, q) = 0 for q < 0.
-
-    Requires ``p >= q`` and ``p >= 0``; other inputs are outside the
-    convention's domain.
-    """
-    p = int(p)
-    q = int(q)
-    if p < 0 or p < q:
-        raise ValueError("out of convention domain")
-    if q < 0:
-        return 0
-    return math.comb(p, q)

@@ -1,12 +1,11 @@
 """Dense margin-maximization solver for small semidefinite feasibility
-problems: maximize t such that symmetric blocks, affine in a shared vector v,
-all dominate t * I.  A feasibility question reduces to the sign of the
-optimal margin, and the solve stops once that sign is certified.
+problems: maximize t such that one symmetric block ``F(v)``, affine in a
+vector v, dominates t * I.  A feasibility question reduces to the sign of
+the optimal margin, and the solve stops once that sign is certified.
 
 Primal-dual interior-point method with the HKM direction and Mehrotra
 predictor-corrector steps (Helmberg, Rendl, Vanderbei and Wolkowicz 1996;
-Todd, Toh and Tütüncü 1998) on the blocks folded into one block-diagonal
-``F(v)``.  The primal iterate is ``y = (v, t)``, with the slack
+Todd, Toh and Tütüncü 1998).  The primal iterate is ``y = (v, t)``, with the slack
 ``S = F(v) - t I`` recomputed from it, so the primal side is always feasible
 and needs no phase-1; the dual iterate ``Z > 0`` is driven towards
 ``tr(F_j Z) = 0`` and ``tr Z = 1``.  Each iteration forms the Schur
@@ -24,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import block_diag
 from scipy.linalg.lapack import dpotrf, dpotrs, dpstrf, dsyevr, dtrtri
 
 from .config import DEFAULTS
@@ -113,22 +111,12 @@ def _off_centre(z_chol: np.ndarray, S: np.ndarray, mu: float) -> float:
     return float(np.linalg.norm(z_chol.T @ S @ z_chol / mu - np.eye(len(S))))
 
 
-def _fold(blocks: list[AffineBlock]) -> AffineBlock:
-    """The blocks as one block-diagonal block (the block itself when there is
-    only one): its eigenvalues are theirs, so is every margin."""
-    if len(blocks) == 1:
-        return blocks[0]
-    terms = zip(*(np.concatenate([b.const[None], b.coeff]) for b in blocks))
-    folded = np.array([block_diag(*parts) for parts in terms])
-    return AffineBlock(folded[0], folded[1:])
-
-
-def _col_scale(blocks: list[AffineBlock]) -> np.ndarray:
-    """Per-variable scaling ``1 / max_i ||coeff_i[j]||_F`` (1 for a variable
-    no block depends on).  It equalizes the coefficient-tensor norms, an
-    exact reparameterization (margins unchanged) that conditions the Schur
-    complement when data columns live on very different scales."""
-    norms = np.max([np.einsum("jab,jab->j", b.coeff, b.coeff) for b in blocks], axis=0)
+def _col_scale(block: AffineBlock) -> np.ndarray:
+    """Per-variable scaling ``1 / ||coeff[j]||_F`` (1 for a variable the
+    block does not depend on).  It equalizes the coefficient-tensor norms,
+    an exact reparameterization (margins unchanged) that conditions the
+    Schur complement when data columns live on very different scales."""
+    norms = np.einsum("jab,jab->j", block.coeff, block.coeff)
     scale = np.ones(norms.shape)
     np.divide(1.0, np.sqrt(norms), out=scale, where=norms > 0)
     return scale
@@ -154,18 +142,16 @@ def maximize_margin(
     max_newton: int = DEFAULTS["solver"]["max_newton"],
     feas_tol: float | None = None,
 ) -> MarginResult:
-    """Maximize t such that ``block_i(v) - t I >= 0`` for all blocks.
-
-    The blocks are folded once into one block-diagonal matrix (``_fold``),
-    and everything below refers to that matrix.  Both sides of the optimum
-    are certified at every iterate.  The *margin* is its smallest eigenvalue
-    at v.  The *bound* is ``tr(F_0 Z)`` at the projection of Z onto
-    ``tr(F_j Z) = 0``, ``tr Z = 1`` (through the Gram matrix of the extended
-    coefficients, factored once per solve), accepted when it passes a
-    Cholesky test: it is then a dual point and bounds the optimum by weak
-    duality.  ``gap_bound`` is the best bound so far minus the margin (inf
-    without a dual point), so the optimum lies in
-    ``[margin, margin + gap_bound]``.
+    """Maximize t such that ``F(v) - t I >= 0``, with ``blocks = [F]``: a
+    list of exactly one block (several fold into one block-diagonal block
+    with the same margins).  Both sides of the optimum are certified at
+    every iterate.  The *margin* is the smallest eigenvalue of F at v.  The
+    *bound* is ``tr(F_0 Z)`` at the projection of Z onto ``tr(F_j Z) = 0``,
+    ``tr Z = 1`` (through the Gram matrix of the extended coefficients,
+    factored once per solve), accepted when it passes a Cholesky test: it
+    is then a dual point and bounds the optimum by weak duality.
+    ``gap_bound`` is the best bound so far minus the margin (inf without a
+    dual point), so the optimum lies in ``[margin, margin + gap_bound]``.
 
     The primal start is the point of least Frobenius norm on the extended
     affine set ``{F(v) - t I}`` (one solve with the Gram factor), with t
@@ -202,15 +188,10 @@ def maximize_margin(
     tested for finiteness (``RuntimeError`` otherwise) and factored with
     ``dpotrf``, with a ridge added while that fails.
     """
-    if not blocks:
-        raise ValueError("need at least one block")
-    nvar = blocks[0].nvar
-    for b in blocks:
-        if b.nvar != nvar:
-            raise ValueError("blocks disagree on the variable dimension")
-
-    block = _fold(blocks)
-    n = block.size
+    if len(blocks) != 1:
+        raise ValueError(f"need a list of one block, got {len(blocks)}")
+    (block,) = blocks
+    nvar, n = block.nvar, block.size
     C = block.const
     log: list[str] = []
 
@@ -218,7 +199,7 @@ def maximize_margin(
     # extended by the margin coordinate (coefficient -I); F is its flat view.
     # A variable whose scaled coefficients depend linearly on the others' is
     # held at zero, which keeps the Schur complement and Gram nonsingular.
-    col_scale = _col_scale(blocks)
+    col_scale = _col_scale(block)
     A = np.empty((nvar + 1, n, n))
     np.multiply(block.coeff, col_scale[:, None, None], out=A[:-1])
     A[-1] = -np.eye(n)

@@ -330,13 +330,12 @@ def feasibility_precheck(
     """Cheap feasibility diagnostics run before the solver.
 
     With ground-truth access, ``p * ell > n`` and a full-row-rank regressor
-    certify infeasibility.  Designer-side, a rank-deficient ``[psi0; mhat]``
-    stack usually prevents the equality constraint from producing X > 0
-    (heuristic, not a proof), and short experiments are flagged.
+    certify infeasibility.  Experiments with fewer data columns than rows of
+    ``[psi0; mhat]`` are flagged.  The designer-side rank decision (X is
+    singular for every Y when ``psi0 null_m`` has rank below nu) is made and
+    reported by ``solve_feasibility_sdp``.
     """
-    mhat = as_matrix(mhat, "mhat")
-    psi0 = as_matrix(psi0, "psi0")
-    nu, N = psi0.shape
+    nu, N = as_matrix(psi0, "psi0").shape
     messages = []
     provably = False
     if n_truth is not None and p * ell > n_truth:
@@ -345,14 +344,7 @@ def feasibility_precheck(
             f"provably infeasible: full-row-rank regressor with p*ell = "
             f"{p * ell} > n = {n_truth}"
         )
-    stack = np.vstack([psi0, mhat]) if mhat.size else psi0
-    need = nu + mhat.shape[0]
-    have = rank_with_tol(stack) if stack.size else 0
-    if have < need:
-        messages.append(
-            f"heuristic: rank [psi0; mhat] = {have} < {need}; the equality "
-            "constraint generically cannot produce a positive definite X"
-        )
+    need = nu + as_matrix(mhat, "mhat").shape[0]
     if N < need:
         messages.append(
             f"experiment-length guidance: {N} data columns < {need} "

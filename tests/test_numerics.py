@@ -11,7 +11,6 @@ from ddreg.numerics import (
     BLOCK_STEPS,
     DIVERGENCE_GUARD,
     PolynomialCoeffs,
-    binomial_ext,
     minimal_polynomial,
     rank_with_tol,
     simulate_linear,
@@ -171,36 +170,6 @@ def test_sylvester_resonant_spectra_rejected():
     S = np.diag([1.0, 2.0])
     with pytest.raises(ValueError, match="resonant spectra"):
         solve_sylvester(A, S, np.ones((2, 2)))
-
-
-# ---------------------------------------------------------------------------
-# binomial_ext
-
-
-def test_binomial_basic():
-    assert binomial_ext(3, 1) == 3
-    assert binomial_ext(0, 0) == 1
-
-
-def test_binomial_negative_bottom_is_zero():
-    assert binomial_ext(2, -1) == 0
-
-
-def test_binomial_domain_errors():
-    with pytest.raises(ValueError, match="out of convention domain"):
-        binomial_ext(1, 2)
-    with pytest.raises(ValueError, match="out of convention domain"):
-        binomial_ext(-1, -2)
-
-
-def test_binomial_pascal_identity():
-    # Both right-hand terms stay inside the convention domain for q <= p - 1,
-    # which is exactly the range the Jordan-power induction uses.
-    for p in range(1, 12):
-        for q in range(-3, p):
-            assert binomial_ext(p, q) == binomial_ext(p - 1, q - 1) + binomial_ext(
-                p - 1, q
-            )
 
 
 def test_spectral_radius_benchmark_plant():

@@ -9,6 +9,14 @@ from ddreg.cli import paper_example_config, run_pipeline
 from ddreg.sdp import AffineBlock, _col_scale, _schur_complement, maximize_margin
 
 
+def _fold(*blocks):
+    """Several blocks as the one block-diagonal block the solver takes: its
+    eigenvalues are theirs, and so is every margin."""
+    terms = zip(*(np.concatenate([b.const[None], b.coeff]) for b in blocks))
+    folded = np.array([block_diag(*parts) for parts in terms])
+    return AffineBlock(folded[0], folded[1:])
+
+
 def test_fixed_block_margin_is_min_eigenvalue():
     # No free variables: the optimal margin is just the smallest eigenvalue.
     A = np.diag([3.0, 1.0, 0.5])
@@ -20,7 +28,7 @@ def test_fixed_block_margin_is_min_eigenvalue():
 def test_two_fixed_blocks_take_worst():
     b1 = AffineBlock(const=np.diag([2.0, 1.0]), coeff=np.zeros((0, 2, 2)))
     b2 = AffineBlock(const=np.diag([-0.25, 4.0]), coeff=np.zeros((0, 2, 2)))
-    res = maximize_margin([b1, b2])
+    res = maximize_margin([_fold(b1, b2)])
     assert res.margin == pytest.approx(-0.25, abs=1e-7)
 
 
@@ -30,7 +38,7 @@ def test_scalar_balancing():
     coeff_minus = np.array([[[-1.0]]])
     b1 = AffineBlock(const=np.array([[1.0]]), coeff=coeff_plus)
     b2 = AffineBlock(const=np.array([[1.0]]), coeff=coeff_minus)
-    res = maximize_margin([b1, b2])
+    res = maximize_margin([_fold(b1, b2)])
     assert res.margin == pytest.approx(1.0, abs=1e-7)
     assert abs(res.v[0]) < 1e-6
 
@@ -81,12 +89,12 @@ def test_negative_optimum_reported():
     # Contradictory blocks [v - 1] and [-v - 1]: best margin is -1 at v = 0.
     b1 = AffineBlock(const=np.array([[-1.0]]), coeff=np.array([[[1.0]]]))
     b2 = AffineBlock(const=np.array([[-1.0]]), coeff=np.array([[[-1.0]]]))
-    res = maximize_margin([b1, b2])
+    res = maximize_margin([_fold(b1, b2)])
     assert res.margin == pytest.approx(-1.0, abs=1e-6)
     # With feas_tol the solve stops at the infeasible certificate: a dual
     # bound on the optimum at or below the threshold.
     feas_tol = 1e-6
-    res_tol = maximize_margin([b1, b2], feas_tol=feas_tol)
+    res_tol = maximize_margin([_fold(b1, b2)], feas_tol=feas_tol)
     assert res_tol.stop == "verdict"
     assert res_tol.margin <= -1.0 <= res_tol.margin + res_tol.gap_bound
     assert res_tol.margin + res_tol.gap_bound <= feas_tol
@@ -128,7 +136,7 @@ def test_zero_variable_blocks_solve():
             const=np.array([[1.0, 0.5], [0.5, 1.0]]), coeff=np.zeros((0, 2, 2))
         ),
     ]
-    res = maximize_margin(blocks, feas_tol=1e-6)
+    res = maximize_margin([_fold(*blocks)], feas_tol=1e-6)
     assert res.converged and res.v.shape == (0,)
     assert res.margin == pytest.approx(0.5, abs=1e-12)
 
@@ -159,7 +167,7 @@ def test_degenerate_dual_stalls_with_certified_margin():
         AffineBlock(const=np.array([[0.125]]), coeff=np.zeros((1, 1, 1))),
         AffineBlock(const=np.array([[0.625]]), coeff=np.array([[[0.1]]])),
     ]
-    res = maximize_margin(blocks)
+    res = maximize_margin([_fold(*blocks)])
     assert res.stop == "stalled" and not res.converged
     assert res.gap_bound == np.inf
     assert res.margin <= 0.125
@@ -169,22 +177,25 @@ def test_degenerate_dual_stalls_with_certified_margin():
 
 def test_col_scale_matches_loop_reference():
     rng = np.random.default_rng(2)
-    for sizes, nv in (((3,), 0), ((1,), 1), ((4, 2), 3), ((20, 10), 64)):
-        blocks = [
-            AffineBlock(const=np.eye(nb), coeff=rng.standard_normal((nv, nb, nb)))
-            for nb in sizes
-        ]
-        blocks[0].coeff[nv // 2 :] *= 1e3  # variables on different scales
+    for nb, nv in ((3, 0), (1, 1), (6, 3), (30, 64)):
+        block = AffineBlock(const=np.eye(nb), coeff=rng.standard_normal((nv, nb, nb)))
+        block.coeff[nv // 2 :] *= 1e3  # variables on different scales
         if nv > 1:
-            for b in blocks:
-                b.coeff[0] = 0.0  # a variable no block depends on
+            block.coeff[0] = 0.0  # a variable the block does not depend on
         ref = np.ones(nv)
         for j in range(nv):
-            norm_j = max(np.linalg.norm(b.coeff[j]) for b in blocks)
+            norm_j = np.linalg.norm(block.coeff[j])
             if norm_j > 0:
                 ref[j] = 1.0 / norm_j
         # Sums run in another order than np.linalg.norm's: a few ulps apart.
-        np.testing.assert_allclose(_col_scale(blocks), ref, rtol=8 * np.finfo(float).eps, atol=0)
+        np.testing.assert_allclose(_col_scale(block), ref, rtol=8 * np.finfo(float).eps, atol=0)
+
+
+def test_maximize_margin_takes_one_block():
+    block = _tradeoff_block()
+    for blocks in ([], [block, block]):
+        with pytest.raises(ValueError, match="list of one block"):
+            maximize_margin(blocks)
 
 
 def _bounded_block(rng, nb, nvar, shift=1.0):
@@ -266,8 +277,8 @@ def test_certificates_bracket_the_optimum(seed, nb0, more, nvar, shift):
             W[1:] -= np.trace(W[1:], axis1=1, axis2=2)[:, None, None] * np.eye(nb) / nb
         blocks.append(AffineBlock(const=W[0] + shift * np.eye(nb), coeff=W[1:]))
     feas_tol = 1e-6
-    ref = maximize_margin(blocks, gap_tol=1e-10)
-    res = maximize_margin(blocks, feas_tol=feas_tol)
+    ref = maximize_margin([_fold(*blocks)], gap_tol=1e-10)
+    res = maximize_margin([_fold(*blocks)], feas_tol=feas_tol)
     # Round-off in the dual equalities may end the reference just short of
     # 1e-10 ("stalled"), with the best certificates it reached.
     assert ref.stop in ("gap_tol", "stalled") and ref.gap_bound <= 1e-9
