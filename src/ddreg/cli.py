@@ -101,9 +101,7 @@ def build_regressor(config: RunConfig):
         )
         reg = build_M_jordan(spec, ell=config.ell, T=config.T)
     else:
-        reg = build_M_krylov(
-            exo, np.asarray(fact["w_star"], dtype=float), ell=config.ell, T=config.T
-        )
+        reg = build_M_krylov(exo, fact["w_star"], ell=config.ell, T=config.T)
     return reg.reduced(config.tolerances["reduce_tol"])
 
 
@@ -118,9 +116,18 @@ def _initial(config: RunConfig, **dims) -> list[np.ndarray]:
 
 
 def _internal_model(config: RunConfig, p: int) -> InternalModel:
-    return build_internal_model(
+    """The internal model for ``p`` outputs; a configured ``eta0`` must have
+    its dimension, which only the model knows."""
+    im = build_internal_model(
         config.exo, p=p, snap_coeffs_tol=config.tolerances["snap_coeffs_tol"]
     )
+    if config.eta0 is not None and config.eta0.size != im.dim:
+        raise PipelineError(
+            "config",
+            f"initial.eta0 must have length {im.dim}, got {config.eta0.size}",
+            "p times the degree of the minimal polynomial of S",
+        )
+    return im
 
 
 def collect_stage(config: RunConfig) -> tuple[ExperimentRecord, InternalModel]:
@@ -150,7 +157,6 @@ def collect_stage(config: RunConfig) -> tuple[ExperimentRecord, InternalModel]:
         input_policy,
         config.T,
         config.ell,
-        hint="check dimensions and T >= ell",
     )
     return rec, im
 
@@ -347,14 +353,14 @@ def verify_gain(config: RunConfig, gain, out_dir=None, unmask: bool = False) -> 
     (``sdp_feasible``, ``gain_identity``, ``representation_gap``).  The
     steady-state certificate uses the model-side closed-loop matrix
     ``ext_a + ext_b gain``, which the data-side one equals for any gain
-    produced by the design program.  A gain that is not a numeric
+    produced by the design program.  A gain that is not a finite
     ``m x (window_dim + im.dim)`` matrix raises ``PipelineError`` at the
     ``verify`` stage.
     """
-    gain = _stage(
-        "verify", np.asarray, gain, dtype=float,
-        hint="the gain is a numeric m x (window_dim + im.dim) matrix",
-    )
+    hint = "the gain is a finite m x (window_dim + im.dim) matrix"
+    gain = _stage("verify", np.asarray, gain, dtype=float, hint=hint)
+    if not np.isfinite(gain).all():
+        raise PipelineError("verify", "gain contains non-finite entries", hint)
     rec, im = collect_stage(config)
     data = assemble_data_matrices(rec)
     reg = _stage("factorize", build_regressor, config)
@@ -479,7 +485,7 @@ def _cmd_synthesize(args) -> int:
     config = _load_config(args)
     if args.record is not None:
         plant, dims = config.plant, config.dims
-        m, p = (plant.m, plant.p) if plant else (int(dims["m"]), int(dims["p"]))
+        m, p = (plant.m, plant.p) if plant else (dims["m"], dims["p"])
         im = _internal_model(config, p)
         rec = _stage(
             "collect", record_from_csv, args.record, ell=config.ell, im=im, m=m, p=p

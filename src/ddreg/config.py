@@ -15,11 +15,13 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
+from .numerics import as_vector
 from .plant import ExoMatrix, PlantTruth
 
 # Section -> key -> default.  A tuple lists the allowed values, the first
-# being the default; another value is converted to its default's type, and
-# a None default takes the value as given (None: unset).
+# being the default; another value is converted to its default's type and
+# must be finite and >= 0, and a None default takes the value as given
+# (None: unset).
 DEFAULTS = {
     "tolerances": {
         "reduce_tol": 1e-8,
@@ -108,8 +110,29 @@ def _section(name: str, given: dict) -> dict:
             if default is not None:
                 with _config_errors(f"{name}.{key}: "):
                     value = type(default)(value)
+                _require(
+                    0 <= value < float("inf"),
+                    f"{name}.{key} must be finite and >= 0, got {value!r}",
+                )
         section[key] = value
     return section
+
+
+def _check_inputs(values, rows: int, m: int) -> None:
+    """Explicit input samples: at least ``rows`` rows of ``m`` finite
+    numbers (a flat list when ``m`` is 1)."""
+    with _config_errors("input_policy.values: "):
+        u = np.asarray(values, dtype=float)
+    u = u[:, None] if u.ndim == 1 and m == 1 else u
+    _require(
+        u.ndim == 2 and u.shape[1] == m,
+        f"input_policy.values must be samples of m = {m} entries, got shape {u.shape}",
+    )
+    _require(
+        u.shape[0] >= rows,
+        f"input_policy.values needs {rows} samples (T + 1), got {u.shape[0]}",
+    )
+    _require(np.isfinite(u).all(), "input_policy.values contains non-finite entries")
 
 
 @dataclass
@@ -142,11 +165,12 @@ class RunConfig:
             self.exo = ExoMatrix(exo_s)
             self.ell, self.T = int(self.ell), int(self.T)
             self.seed = None if self.seed is None else int(self.seed)
-            for name in INITIAL_STATES:
-                value = getattr(self, name)
-                setattr(self, name, None if value is None else np.asarray(value, dtype=float))
         fact, policy, dims = self.factorization, self.input_policy, self.dims
+        plant = self.plant
         _require(self.ell >= 1, f"window length must be >= 1, got {self.ell}")
+        _require(
+            self.seed is None or self.seed >= 0, f"seed must be >= 0, got {self.seed}"
+        )
         _require(self.T >= self.ell, "experiment too short", "require T >= ell")
         _require(
             fact["method"] != "krylov" or fact["w_star"] is not None,
@@ -163,10 +187,36 @@ class RunConfig:
             "explicit input policy needs values",
         )
         _require(
-            self.plant is not None or None not in (dims["m"], dims["p"]),
+            plant is not None or None not in (dims["m"], dims["p"]),
             "plant-free config needs dims.m and dims.p",
             'add "dims": {"m": ..., "p": ...}',
         )
+        n_w = self.exo.n_w
+        # eta0's length is the internal model's dimension, checked where that
+        # model is built.
+        lengths = {"w0": n_w, "x0": None, "eta0": None, "chi0": None}
+        if plant is None:
+            with _config_errors("dims: "):
+                dims["m"], dims["p"] = int(dims["m"]), int(dims["p"])
+            _require(
+                min(dims["m"], dims["p"]) >= 1,
+                f"dims.m and dims.p must be >= 1, got {dims['m']} and {dims['p']}",
+            )
+        else:
+            _require(
+                plant.n_w == n_w,
+                f"plant P has {plant.n_w} columns, exosystem S is {n_w} x {n_w}",
+            )
+            lengths.update(x0=plant.n, chi0=(plant.m + plant.p) * self.ell)
+            if policy["type"] == "explicit":
+                _check_inputs(policy["values"], self.T + 1, plant.m)
+        with _config_errors():
+            for name, dim in lengths.items():
+                value = getattr(self, name)
+                if value is not None:
+                    setattr(self, name, as_vector(value, f"initial.{name}", dim))
+            if fact["w_star"] is not None:
+                as_vector(fact["w_star"], "factorization.w_star", n_w)
 
     # -- construction ------------------------------------------------------
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DEFAULTS
-from .numerics import as_matrix, as_vector, minimal_polynomial, rank_with_tol
+from .numerics import minimal_polynomial, rank_with_tol
 from .plant import UNIT_CIRCLE_SLACK, ExoMatrix
 
 DEFAULT_REDUCE_TOL = DEFAULTS["tolerances"]["reduce_tol"]
@@ -229,8 +229,6 @@ def build_M_jordan(spec: JordanSpec, ell: int, T: int) -> Regressor:
     real block at time t is ``C(t, k - j) lam^(t - k + j)``, and pair j of a
     complex block is that with rho for lam, times (cos, sin) of its angle.
     """
-    if T < ell:
-        raise ValueError("experiment too short")
     J, e = np.zeros((spec.n_w, spec.n_w)), np.zeros(spec.n_w)
     at = 0
     for lam, k in spec.real_blocks:
@@ -247,7 +245,7 @@ def build_M_jordan(spec: JordanSpec, ell: int, T: int) -> Regressor:
 
 def build_M_krylov(exo: ExoMatrix, w_star, ell: int, T: int) -> Regressor:
     """Krylov regressor [w*, S w*, ..., S^(T-ell) w*]; needs a cyclic vector."""
-    w_star = as_vector(w_star, "w_star", dim=exo.n_w)
+    w_star = np.asarray(w_star, dtype=float)
     if T - ell + 1 < exo.n_w:
         raise ValueError("experiment too short for Krylov factorization")
     M = _krylov(exo.S, w_star, 0, T - ell)
@@ -279,9 +277,6 @@ def reduce_to_full_row_rank(
     ``tol * max row norm``.  Zero rows (and exact duplicates) are dropped.
     Returns the reduced matrix and the kept row indices.
     """
-    M = as_matrix(M, "M")
-    if M.size == 0:
-        raise ValueError("empty input")
     scale = float(np.max(np.linalg.norm(M, axis=1)))
     threshold = tol * max(scale, 1e-300)
     basis: list[np.ndarray] = []

@@ -7,6 +7,10 @@ The record keeps the measured input/output/internal-model sequences visible
 and segregates the exosignal (and state) behind an oracle attribute that the
 design path never touches.  The data stacks are sliding windows over the
 record (:func:`stacked_windows`).
+
+Outside input is validated where it enters, at one of three boundaries: the
+run config (``config.RunConfig``), a record CSV (:func:`record_from_csv`) or
+a gain file (``cli.verify_gain``).  The functions here trust the rest.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import DEFAULTS
 from .internal_model import InternalModel
-from .numerics import as_vector, simulate_linear
+from .numerics import simulate_linear
 from .plant import ExoMatrix, PlantTruth
 
 
@@ -67,14 +71,6 @@ class ExperimentRecord:
     oracle: OracleTraces = field(repr=False)
     input_manifest: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        if self.T < self.ell:
-            raise ValueError("experiment too short")
-        if self.u.shape[0] != self.T + 1 or self.y.shape[0] != self.T + 1:
-            raise ValueError("u and y must cover steps 0..T")
-        if self.eta.shape[0] != self.T + 2:
-            raise ValueError("eta must cover steps 0..T+1")
-
     @property
     def m(self) -> int:
         return self.u.shape[1]
@@ -106,37 +102,20 @@ def collect_experiment(
 ) -> ExperimentRecord:
     """Run one experiment of length T with window length ell.
 
-    ``input_policy`` is either an explicit (T+1) x m array of input samples or
-    a :class:`NormalInputPolicy`.
+    ``input_policy`` is either an explicit array of at least T+1 input
+    samples of m entries (flat when m is 1) or a :class:`NormalInputPolicy`.
+    The arguments are trusted as ``RunConfig`` validated them: matching
+    dimensions, finite entries, ``T >= ell``.
     """
-    if T < ell:
-        raise ValueError("experiment too short")
     if isinstance(input_policy, NormalInputPolicy):
         u = input_policy.sample(T + 1, plant.m)
         manifest = input_policy.manifest()
     else:
-        u = np.asarray(input_policy, dtype=float)
-        if u.ndim == 1:
-            u = u.reshape(-1, 1)
-        if u.shape[0] < T + 1:
-            raise ValueError(f"explicit input needs {T + 1} samples, got {u.shape[0]}")
-        u = u[: T + 1]
+        u = np.asarray(input_policy, dtype=float).reshape(-1, plant.m)[: T + 1]
         manifest = {"type": "explicit"}
 
-    if u.shape[1] != plant.m:
-        raise ValueError(f"u samples must have {plant.m} entries, got {u.shape[1]}")
-    if plant.n_w != exo.n_w:
-        raise ValueError("plant and exosystem disagree on the exosignal dimension")
-    if im.p != plant.p:
-        raise ValueError(f"internal model takes {im.p} outputs, plant has {plant.p}")
     n_w, n = exo.n_w, plant.n
-    z0 = np.concatenate(
-        [
-            as_vector(w0, "w0", dim=n_w),
-            as_vector(x0, "x0", dim=n),
-            as_vector(eta0, "eta0", dim=im.dim),
-        ]
-    )
+    z0 = np.concatenate([w0, x0, eta0])
     # One step of [w; x; eta]; the output y = [Q C] [w; x] feeds eta.
     out = np.hstack([plant.Q, plant.C])
     F = np.block(
@@ -178,10 +157,6 @@ class DataMatrices:
     @property
     def n_cols(self) -> int:
         return self.u1.shape[1]
-
-    @property
-    def n_rows(self) -> int:
-        return self.psi0.shape[0]
 
 
 def stacked_windows(a: np.ndarray, ell: int) -> np.ndarray:
@@ -232,6 +207,8 @@ def record_from_csv(path, ell: int, im: InternalModel, m: int, p: int) -> Experi
 
     The stored eta rows cover 0..T; the final state eta(T+1) is recomputed
     from the recursion, and the whole eta sequence is validated against it.
+    A record is outside input: every entry must be finite and it must hold
+    T >= ell steps, and the stages trust the record this returns.
     """
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -242,7 +219,11 @@ def record_from_csv(path, ell: int, im: InternalModel, m: int, p: int) -> Experi
     if len(header) < expected:
         raise ValueError(f"CSV needs at least {expected} columns, got {len(header)}")
     data = np.array([[float(v) for v in row[1:expected]] for row in body])
+    if not np.isfinite(data).all():
+        raise ValueError("CSV record contains non-finite entries")
     T = len(body) - 1
+    if T < ell:
+        raise ValueError(f"experiment too short: the CSV holds T = {T}, ell = {ell}")
     u = data[:, :m]
     y = data[:, m : m + p]
     eta_stored = data[:, m + p : m + p + im.dim]

@@ -54,8 +54,6 @@ def build_internal_model(
     optionally rounds each coefficient to the nearest integer when it is
     already within that tolerance of one (off by default).
     """
-    if p < 1:
-        raise ValueError(f"output count must be >= 1, got {p}")
     poly = minimal_polynomial(exo.S, tol=tol)
     coeffs = poly.coeffs
     if snap_coeffs_tol is not None:

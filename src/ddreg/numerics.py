@@ -89,14 +89,8 @@ class PolynomialCoeffs:
     degree: int
     coeffs: np.ndarray
 
-    def __post_init__(self):
-        self.coeffs = as_vector(self.coeffs, "coeffs", dim=self.degree)
-        if self.degree < 1:
-            raise ValueError(f"degree must be >= 1, got {self.degree}")
-
-    def eval_matrix(self, M) -> np.ndarray:
+    def eval_matrix(self, M: np.ndarray) -> np.ndarray:
         """Evaluate the monic polynomial at a square matrix (Horner)."""
-        M = as_matrix(M, "polynomial argument", square=True)
         eye = np.eye(M.shape[0])
         R = eye.copy()
         for c in self.coeffs[::-1]:
@@ -117,10 +111,7 @@ def minimal_polynomial(S, tol: float = 1e-8) -> PolynomialCoeffs:
     ``d`` such that ``vec(S^d)`` lies, within ``tol`` relative residual, in
     the span of ``vec(S^0) .. vec(S^(d-1))``.  ``d = n`` always succeeds.
     """
-    S = as_matrix(S, "S", square=True)
     n = S.shape[0]
-    if n == 0:
-        raise ValueError("empty input")
     power = np.eye(n)
     basis = [power.ravel()]
     for d in range(1, n + 1):
@@ -137,16 +128,12 @@ def minimal_polynomial(S, tol: float = 1e-8) -> PolynomialCoeffs:
 
 def spectral_radius(M) -> float:
     """Maximum eigenvalue modulus of a square matrix."""
-    M = as_matrix(M, "M", square=True)
-    if M.size == 0:
-        raise ValueError("empty input")
     return float(np.max(np.abs(np.linalg.eigvals(M))))
 
 
 def spectra_disjoint(A, S, gap_tol: float = SPECTRUM_GAP_TOL) -> bool:
     """True when every eigenvalue pair of A and S is further apart than gap_tol."""
-    la = np.linalg.eigvals(as_matrix(A, "A", square=True))
-    ls = np.linalg.eigvals(as_matrix(S, "S", square=True))
+    la, ls = np.linalg.eigvals(A), np.linalg.eigvals(S)
     gap = np.min(np.abs(la[:, None] - ls[None, :]))
     return bool(gap > gap_tol)
 
@@ -157,13 +144,6 @@ def solve_sylvester(A, S, Q) -> np.ndarray:
     The residual is verified against ``1e-8 * (|A| + |S|) * |P| + 1e-12``
     (Frobenius norms); a violation indicates numerical breakdown.
     """
-    A = as_matrix(A, "A", square=True)
-    S = as_matrix(S, "S", square=True)
-    Q = as_matrix(Q, "Q")
-    if Q.shape != (A.shape[0], S.shape[0]):
-        raise ValueError(
-            f"Q must be {A.shape[0]}x{S.shape[0]}, got {Q.shape[0]}x{Q.shape[1]}"
-        )
     if not spectra_disjoint(A, S):
         raise ValueError("resonant spectra")
     P = scipy.linalg.solve_sylvester(A, -S, Q)
@@ -219,16 +199,14 @@ def simulate_linear(F, z0, steps: int, G=None, u=None) -> np.ndarray:
     open-loop-unstable plant: on the paper plant it took the correspondence
     residual of a 40-step closed-loop run from 2e-11 to 2e-9.
     """
-    F = as_matrix(F, "F", square=True)
     n = F.shape[0]
     z = np.empty((steps + 1, n))
-    z[0] = as_vector(z0, "z0", dim=n)
+    z[0] = z0
     drive = None
     if G is not None:
-        u = np.asarray(u, dtype=float)
         if u.shape[0] < steps:
             raise ValueError(f"need at least {steps} input samples, got {u.shape[0]}")
-        drive = u[:steps] @ as_matrix(G, "G").T
+        drive = u[:steps] @ G.T
         powers = F[None]
     else:
         powers = _powers(F, max(1, min(BLOCK_STEPS, steps)))

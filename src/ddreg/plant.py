@@ -141,9 +141,8 @@ class StructuralMatrices:
 
 
 def build_structural_matrices(plant: PlantTruth, ell: int) -> StructuralMatrices:
-    """Window maps for a window of ``ell`` steps; requires observability at ell."""
-    if ell < 1:
-        raise ValueError(f"window length must be >= 1, got {ell}")
+    """Window maps for a window of ``ell >= 1`` steps; requires observability
+    at ell."""
     n, m, p, n_w = plant.n, plant.m, plant.p, plant.n_w
     A, B, P, C, Q = plant.A, plant.B, plant.P, plant.C, plant.Q
 

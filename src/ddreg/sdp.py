@@ -46,15 +46,6 @@ class AffineBlock:
     const: np.ndarray  # (nb, nb)
     coeff: np.ndarray  # (nvar, nb, nb)
 
-    def __post_init__(self):
-        self.const = np.asarray(self.const, dtype=float)
-        self.coeff = np.asarray(self.coeff, dtype=float)
-        nb = self.const.shape[0]
-        if self.const.shape != (nb, nb):
-            raise ValueError("block constant must be square")
-        if self.coeff.ndim != 3 or self.coeff.shape[1:] != (nb, nb):
-            raise ValueError("coefficient tensor must be (nvar, nb, nb)")
-
     @property
     def size(self) -> int:
         return self.const.shape[0]

@@ -26,6 +26,10 @@ Driving the margin to its optimum instead leaves X nearly singular and the
 gain ``K = u1 Y X^{-1}`` ill-determined: it would move with round-off in
 the data and with the solver tolerance, although the homogeneity says it
 should not.
+
+Outside input is validated at three boundaries, the run config
+(``config.RunConfig``), a record CSV (``experiment.record_from_csv``) and a
+gain file (``cli.verify_gain``); nothing here re-checks the data stacks.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ import numpy as np
 from .config import DEFAULTS
 from .exo_factorization import Regressor
 from .experiment import DataMatrices
-from .numerics import DEFAULT_RANK_RTOL, as_matrix, rank_with_tol
+from .numerics import DEFAULT_RANK_RTOL, rank_with_tol
 from .sdp import AffineBlock, maximize_margin
 
 DEFAULT_FEAS_TOL = DEFAULTS["tolerances"]["feas_tol"]
@@ -61,17 +65,6 @@ class SdpProblem:
     psi0: np.ndarray
     psi1: np.ndarray
     mhat: np.ndarray
-
-    def __post_init__(self):
-        self.u1 = as_matrix(self.u1, "u1")
-        self.psi0 = as_matrix(self.psi0, "psi0")
-        self.psi1 = as_matrix(self.psi1, "psi1")
-        self.mhat = as_matrix(self.mhat, "mhat")
-        if self.psi1.shape != self.psi0.shape:
-            raise ValueError("psi0 and psi1 must have identical shapes")
-        N = self.psi0.shape[1]
-        if self.u1.shape[1] != N or (self.mhat.size and self.mhat.shape[1] != N):
-            raise ValueError("data matrices disagree on the number of columns")
 
     @property
     def nu(self) -> int:
@@ -294,8 +287,6 @@ def extract_gain(
     Returns ``(K, G, defect)``, the defect being the norm of the identity's
     residual.
     """
-    X = as_matrix(X, "X", square=True)
-    Y = as_matrix(Y, "Y")
     eigs = np.linalg.eigvalsh(_sym(X))
     if eigs[0] <= 1e-10:
         raise ValueError(
@@ -335,7 +326,7 @@ def feasibility_precheck(
     singular for every Y when ``psi0 null_m`` has rank below nu) is made and
     reported by ``solve_feasibility_sdp``.
     """
-    nu, N = as_matrix(psi0, "psi0").shape
+    nu, N = psi0.shape
     messages = []
     provably = False
     if n_truth is not None and p * ell > n_truth:
@@ -344,7 +335,7 @@ def feasibility_precheck(
             f"provably infeasible: full-row-rank regressor with p*ell = "
             f"{p * ell} > n = {n_truth}"
         )
-    need = nu + as_matrix(mhat, "mhat").shape[0]
+    need = nu + mhat.shape[0]
     if N < need:
         messages.append(
             f"experiment-length guidance: {N} data columns < {need} "

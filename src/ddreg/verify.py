@@ -6,6 +6,10 @@ Identities along a run compare sliding windows of the run
 (``experiment.stacked_windows``) in one batch; the auxiliary system and the
 closed loop are stepped by ``numerics.simulate_linear``.  Everything here may
 read ground truth; nothing here feeds the design path.
+
+Outside input is validated at three boundaries, the run config
+(``config.RunConfig``), a record CSV (``experiment.record_from_csv``) and a
+gain file (``cli.verify_gain``); no function here re-checks its arrays.
 """
 
 from __future__ import annotations
@@ -17,13 +21,7 @@ import numpy as np
 from .config import DEFAULTS
 from .experiment import DataMatrices, ExperimentRecord, stacked_windows
 from .internal_model import InternalModel
-from .numerics import (
-    as_matrix,
-    as_vector,
-    simulate_linear,
-    solve_sylvester,
-    spectral_radius,
-)
+from .numerics import simulate_linear, solve_sylvester, spectral_radius
 from .plant import ExoMatrix, PlantTruth, StructuralMatrices
 
 
@@ -139,8 +137,7 @@ def oracle_factorization_residual(data: DataMatrices, regressor_matrix) -> float
     """Best least-squares factorization of the hidden exosignal stack against
     the rows of the known regressor, as a relative residual.
     """
-    M = as_matrix(regressor_matrix, "regressor")
-    W0 = data.w0_oracle
+    M, W0 = regressor_matrix, data.w0_oracle
     L, *_ = np.linalg.lstsq(M.T, W0.T, rcond=None)
     return float(np.linalg.norm(W0 - L.T @ M) / max(np.linalg.norm(W0), 1e-300))
 
@@ -194,8 +191,8 @@ def check_solution_correspondence(
     prescribed initial stack.
 
     The run starts from exosignal ``w0`` and plant state ``x0`` and has
-    outputs ``y`` at steps 0..K and inputs ``u`` at steps 0..K-1 (further
-    input rows are ignored).  The auxiliary run starts at step ell with the
+    outputs ``y`` at steps 0..K, K >= ell, and inputs ``u`` at steps
+    0..K-1 (further input rows are ignored).  The auxiliary run starts at step ell with the
     window state built from ``x0``, the first ell inputs and the exosignal
     history, and its exosignal state advanced ell steps.  Returns the worst
     relative mismatch over steps ell..K of (window state against the stacked
@@ -203,15 +200,8 @@ def check_solution_correspondence(
     """
     ell = aux.ell
     struct = aux.struct
-    y = as_matrix(y, "y")
     steps = y.shape[0] - 1
-    if steps <= ell:
-        raise ValueError(f"need more than ell={ell} steps, got {steps}")
-    u = as_matrix(u, "u")[:steps]
-    if u.shape[0] < steps:
-        raise ValueError(f"need at least {steps} input samples, got {u.shape[0]}")
-    w0 = as_vector(w0, "w0", dim=exo.n_w)
-    x0 = as_vector(x0, "x0", dim=struct.obs.shape[1])
+    u = u[:steps]
 
     # Auxiliary system on (xi, omega) from the prescribed initialization.
     exo_hist = np.vstack([np.linalg.matrix_power(exo.S, j) for j in range(ell)])
@@ -272,12 +262,10 @@ def assemble_closed_loop(
     im: InternalModel,
     gain,
 ) -> ClosedLoopModel:
-    """One-step block map of the closed loop under u = gain @ (chi, eta)."""
-    gain = as_matrix(gain, "gain")
+    """One-step block map of the closed loop under u = gain @ (chi, eta),
+    for an ``m x (window_dim + im.dim)`` gain."""
     wd, di = aux.window_dim, im.dim
-    n, m, p, n_w = plant.n, plant.m, plant.p, plant.n_w
-    if gain.shape != (m, wd + di):
-        raise ValueError(f"gain must be {m}x{wd + di}, got {gain.shape}")
+    n, n_w = plant.n, plant.n_w
     k_chi = gain[:, :wd]
     k_eta = gain[:, wd:]
 
@@ -350,15 +338,7 @@ def simulate_closed_loop(
     norm stays below ``eps_reg`` to the end (None if it never does).
     """
     n_w, n, wd, di = cl.dims
-    z0 = np.concatenate(
-        [
-            as_vector(w0, "w0", dim=n_w),
-            as_vector(x0, "x0", dim=n),
-            as_vector(chi0, "chi0", dim=wd),
-            as_vector(eta0, "eta0", dim=di),
-        ]
-    )
-    z = simulate_linear(cl.full_map, z0, steps)
+    z = simulate_linear(cl.full_map, np.concatenate([w0, x0, chi0, eta0]), steps)
     w, x, chi, eta = np.split(z, np.cumsum([n_w, n, wd]), axis=1)
     y = z[:, : n_w + n] @ np.hstack([cl.plant.Q, cl.plant.C]).T
     u = z[:steps, n_w + n :] @ cl.gain.T
@@ -392,7 +372,7 @@ def check_regulator_equations(
     ``y_from_exo exo_window_map + y_from_window P_top`` together with the
     relative Sylvester residual.
     """
-    A_cl = as_matrix(closed_data_matrix, "closed-loop matrix", square=True)
+    A_cl = closed_data_matrix
     rho = spectral_radius(A_cl)
     if rho >= 1.0:
         raise ValueError(f"closed-loop matrix is not Schur (radius {rho:.4f})")
@@ -417,6 +397,5 @@ def check_representation_equivalence(
     """Gap between the spectral radii of the model-side closed loop
     (ext_a + ext_b gain) and its data-side representation.
     """
-    gain = as_matrix(gain, "gain")
     model_side = aux.ext_a + aux.ext_b @ gain
     return abs(spectral_radius(model_side) - spectral_radius(closed_data_matrix))

@@ -19,6 +19,7 @@ from ddreg.cli import (
     run_pipeline,
     verify_gain,
 )
+from ddreg.experiment import NormalInputPolicy
 from ddreg.synthesis import SolverOptions
 
 
@@ -256,6 +257,18 @@ def test_report_check_names_and_order(monkeypatch):
     assert len(calls) == 4
 
 
+def test_explicit_inputs_reproduce_seeded_run():
+    seeded = run_pipeline(RunConfig.from_dict(vtol_config_dict(seed=3)))
+    d = vtol_config_dict(seed=3)
+    values = NormalInputPolicy(seed=3).sample(21, 1).tolist()
+    d["input_policy"] = {"type": "explicit", "values": values}
+    explicit = run_pipeline(RunConfig.from_dict(d))
+    assert explicit["input_manifest"] == {"type": "explicit"}
+    differ = {key for key in seeded if seeded[key] != explicit[key]}
+    assert differ == {"input_manifest", "effective_config", "config_hash"}
+    assert explicit["synthesis"]["gain"] == seeded["synthesis"]["gain"]
+
+
 def test_paper_example_config_matches_benchmark():
     config = paper_example_config(0)
     assert config.ell == 4 and config.T == 20
@@ -272,6 +285,18 @@ def test_cli_run_exit_zero(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "all_pass: True" in out
+
+
+def test_cli_run_at_t_equal_ell(tmp_path, capsys):
+    # T = ell leaves one data column: the Jordan design is infeasible and
+    # still reported; the record is too short for a Krylov regressor.
+    d = vtol_config_dict()
+    d["T"] = 4
+    assert main(["run", "--config", str(write_config(tmp_path, d))]) == 1
+    assert "synthesis: infeasible" in capsys.readouterr().out
+    d["factorization"] = {"method": "krylov", "w_star": [1.0, 0.0]}
+    assert main(["run", "--config", str(write_config(tmp_path, d))]) == 2
+    assert "[factorize] experiment too short for Krylov" in capsys.readouterr().err
 
 
 def test_cli_run_infeasible_exit_nonzero(tmp_path, capsys):
@@ -311,6 +336,66 @@ def test_cli_run_infeasible_exit_nonzero(tmp_path, capsys):
             lambda d: d.update(tolerance={"eps_reg": 1e-3}),
             "unknown config option(s) tolerance",
             id="unknown-top-level-key",
+        ),
+        pytest.param(
+            lambda d: d["initial"].update(chi0=[0.0] * 3),
+            "initial.chi0 must have length 8, got 3",
+            id="chi0-length",
+        ),
+        pytest.param(
+            lambda d: d["initial"].update(x0=[0.0] * 3),
+            "initial.x0 must have length 4, got 3",
+            id="x0-length",
+        ),
+        pytest.param(
+            lambda d: d["initial"].update(eta0=[0.0] * 3),
+            "initial.eta0 must have length 2, got 3",
+            id="eta0-length",
+        ),
+        pytest.param(
+            lambda d: d["initial"].update(w0=[float("nan"), 0.0]),
+            "initial.w0 contains non-finite entries",
+            id="w0-nan",
+        ),
+        pytest.param(
+            lambda d: d["plant"].update(P=[[0.0] * 3] * 4, Q=[[1.0, 0.0, 0.0]]),
+            "plant P has 3 columns, exosystem S is 2 x 2",
+            id="plant-exosignal-dimension",
+        ),
+        pytest.param(
+            lambda d: d.update(input_policy={"type": "explicit", "values": [0.0] * 20}),
+            "input_policy.values needs 21 samples (T + 1), got 20",
+            id="explicit-values-short",
+        ),
+        pytest.param(
+            lambda d: d.update(
+                input_policy={"type": "explicit", "values": [[0.0, 0.0]] * 21}
+            ),
+            "input_policy.values must be samples of m = 1 entries, got shape (21, 2)",
+            id="explicit-values-columns",
+        ),
+        pytest.param(
+            lambda d: d.update(factorization={"method": "krylov", "w_star": [1, 0, 0]}),
+            "factorization.w_star must have length 2, got 3",
+            id="w_star-length",
+        ),
+        pytest.param(
+            lambda d: (d.pop("plant"), d.update(dims={"m": 1, "p": 0})),
+            "dims.m and dims.p must be >= 1, got 1 and 0",
+            id="plant-free-dims",
+        ),
+        pytest.param(
+            lambda d: d.update(verify={"steps": -1}),
+            "verify.steps must be finite and >= 0, got -1",
+            id="negative-steps",
+        ),
+        pytest.param(
+            lambda d: d.update(tolerances={"feas_tol": float("nan")}),
+            "tolerances.feas_tol must be finite and >= 0, got nan",
+            id="nan-tolerance",
+        ),
+        pytest.param(
+            lambda d: d.update(seed=-1), "seed must be >= 0, got -1", id="negative-seed"
         ),
     ],
 )
@@ -407,8 +492,12 @@ def test_cli_synthesize_plant_free(tmp_path):
     [
         ("k,u_1\n0,0.5\n1,-0.2\n", "CSV needs at least 5 columns, got 2"),
         ("", "CSV needs a header row and at least one sample"),
+        (
+            "k,u_1,y_1,eta_1,eta_2\n0,0.5,0.1,nan,0.0\n",
+            "CSV record contains non-finite entries",
+        ),
     ],
-    ids=["two-columns", "empty"],
+    ids=["two-columns", "empty", "nan-eta"],
 )
 def test_cli_synthesize_malformed_record_exit_two(tmp_path, capsys, text, message):
     path = write_config(tmp_path, vtol_config_dict(seed=5))
@@ -517,6 +606,8 @@ def test_cli_verify_destabilizing_gain_writes_report(tmp_path, capsys):
     [
         ([[1.0, 2.0]], "[verify] gain has shape (1, 2), expected (1, 10)"),
         ([[1.0, 2.0], [3.0]], "[verify] setting an array element with a sequence"),
+        ([[float("nan")] * 10], "[verify] gain contains non-finite entries"),
+        ([[float("inf")] * 10], "[verify] gain contains non-finite entries"),
     ],
 )
 def test_cli_verify_wrong_gain_shape_exit_two(tmp_path, capsys, gain, message):

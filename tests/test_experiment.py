@@ -100,13 +100,13 @@ def test_collect_matches_per_system_loops(seed, n, m, p, n_w, conjugate, T):
         assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
 
-def test_experiment_too_short():
-    plant, exo, im = vtol_setup()
-    with pytest.raises(ValueError, match="experiment too short"):
-        collect_experiment(
-            plant, exo, im, [0.0, 0.0], np.zeros(4), np.zeros(2),
-            NormalInputPolicy(seed=0), T=3, ell=4,
-        )
+def test_experiment_too_short(tmp_path):
+    # A record read from CSV is checked where it enters: T >= ell.
+    _, _, im = vtol_setup()
+    path = tmp_path / "record.csv"
+    record_to_csv(vtol_record(T=3), path)
+    with pytest.raises(ValueError, match="experiment too short: the CSV holds T = 3"):
+        record_from_csv(path, ell=4, im=im, m=1, p=1)
 
 
 def test_internal_model_invariant_holds():
