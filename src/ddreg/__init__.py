@@ -6,7 +6,6 @@ design against a ground-truth oracle.
 """
 
 from .exo_factorization import (
-    JordanSpec,
     Regressor,
     analyze_exosystem,
     build_M_jordan,
@@ -23,6 +22,7 @@ from .experiment import (
 from .internal_model import InternalModel, build_internal_model
 from .plant import (
     ExoMatrix,
+    JordanSpec,
     PlantTruth,
     StructuralMatrices,
     build_structural_matrices,

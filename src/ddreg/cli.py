@@ -19,7 +19,6 @@ import numpy as np
 from . import benchmarks
 from .config import PipelineError, RunConfig
 from .exo_factorization import (
-    JordanSpec,
     analyze_exosystem,
     build_M_jordan,
     build_M_krylov,
@@ -90,14 +89,8 @@ def _stage(stage, fn, *args, hint="", **kwargs):
 def build_regressor(config: RunConfig):
     fact, exo = config.factorization, config.exo
     if fact["method"] == "jordan":
-        declared = None
-        if fact["mode"] == "declared":
-            declared = JordanSpec(
-                real_blocks=fact["real_blocks"] or [],
-                complex_blocks=fact["complex_blocks"] or [],
-            )
         spec = analyze_exosystem(
-            exo, declared=declared, tol=config.tolerances["exo_cluster_tol"]
+            exo, declared=config.jordan, tol=config.tolerances["exo_cluster_tol"]
         )
         reg = build_M_jordan(spec, ell=config.ell, T=config.T)
     else:

@@ -16,12 +16,12 @@ from dataclasses import InitVar, dataclass, field
 import numpy as np
 
 from .numerics import as_vector
-from .plant import ExoMatrix, PlantTruth
+from .plant import ExoMatrix, JordanSpec, PlantTruth, observability_index
 
 # Section -> key -> default.  A tuple lists the allowed values, the first
-# being the default; another value is converted to its default's type and
-# must be finite and >= 0, and a None default takes the value as given
-# (None: unset).
+# being the default; another value is converted to its default's type (an
+# int default takes integral numbers only) and must be finite and >= 0, and
+# a None default takes the value as given (None: unset).
 DEFAULTS = {
     "tolerances": {
         "reduce_tol": 1e-8,
@@ -93,6 +93,17 @@ def _require(ok: bool, message: str, hint: str = "") -> None:
         raise PipelineError("config", message, hint)
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an int.  An integral float such as 20.0 is accepted; a
+    non-integral number is an error, not truncated."""
+    _require(
+        not isinstance(value, float) or value.is_integer(),
+        f"{name} must be an integer, got {value!r}",
+    )
+    with _config_errors(f"{name}: "):
+        return int(value)
+
+
 def _section(name: str, given: dict) -> dict:
     """``given`` completed and checked against its ``DEFAULTS`` table."""
     table = DEFAULTS[name]
@@ -108,8 +119,11 @@ def _section(name: str, given: dict) -> dict:
         else:
             value = given.get(key, default)
             if default is not None:
-                with _config_errors(f"{name}.{key}: "):
-                    value = type(default)(value)
+                if isinstance(default, int):
+                    value = _integer(value, f"{name}.{key}")
+                else:
+                    with _config_errors(f"{name}.{key}: "):
+                        value = float(value)
                 _require(
                     0 <= value < float("inf"),
                     f"{name}.{key} must be finite and >= 0, got {value!r}",
@@ -157,14 +171,16 @@ class RunConfig:
     dims: dict = field(default_factory=dict)
     output_dir: str | None = None
     exo: ExoMatrix = field(init=False, repr=False)
+    # The declared Jordan structure (jordan method, declared mode), else None.
+    jordan: JordanSpec | None = field(init=False, repr=False)
 
     def __post_init__(self, exo_s):
         with _config_errors():
             for name in DEFAULTS:
                 setattr(self, name, _section(name, getattr(self, name)))
             self.exo = ExoMatrix(exo_s)
-            self.ell, self.T = int(self.ell), int(self.T)
-            self.seed = None if self.seed is None else int(self.seed)
+        self.ell, self.T = _integer(self.ell, "ell"), _integer(self.T, "T")
+        self.seed = None if self.seed is None else _integer(self.seed, "seed")
         fact, policy, dims = self.factorization, self.input_policy, self.dims
         plant = self.plant
         _require(self.ell >= 1, f"window length must be >= 1, got {self.ell}")
@@ -177,6 +193,18 @@ class RunConfig:
             "krylov factorization needs w_star",
             'give the cyclic vector "w_star"',
         )
+        self.jordan = None
+        if fact["method"] == "jordan" and fact["mode"] == "declared":
+            _require(
+                bool(fact["real_blocks"] or fact["complex_blocks"]),
+                "declared Jordan structure has no blocks",
+                "give factorization.real_blocks and/or complex_blocks",
+            )
+            with _config_errors("factorization: "):
+                self.jordan = JordanSpec(
+                    real_blocks=fact["real_blocks"] or [],
+                    complex_blocks=fact["complex_blocks"] or [],
+                )
         _require(
             policy["type"] != "normal" or self.seed is not None,
             "random input policy needs a seed",
@@ -196,8 +224,8 @@ class RunConfig:
         # model is built.
         lengths = {"w0": n_w, "x0": None, "eta0": None, "chi0": None}
         if plant is None:
-            with _config_errors("dims: "):
-                dims["m"], dims["p"] = int(dims["m"]), int(dims["p"])
+            for key in ("m", "p"):
+                dims[key] = _integer(dims[key], f"dims.{key}")
             _require(
                 min(dims["m"], dims["p"]) >= 1,
                 f"dims.m and dims.p must be >= 1, got {dims['m']} and {dims['p']}",
@@ -206,6 +234,13 @@ class RunConfig:
             _require(
                 plant.n_w == n_w,
                 f"plant P has {plant.n_w} columns, exosystem S is {n_w} x {n_w}",
+            )
+            # PlantTruth has rejected an unobservable plant already.
+            index = observability_index(plant.A, plant.C)
+            _require(
+                self.ell >= index,
+                f"ell = {self.ell} is below the plant's observability index {index}",
+                f"set ell >= {index}",
             )
             lengths.update(x0=plant.n, chi0=(plant.m + plant.p) * self.ell)
             if policy["type"] == "explicit":

@@ -5,17 +5,19 @@ the optimal margin, and the solve stops once that sign is certified.
 
 Primal-dual interior-point method with the HKM direction and Mehrotra
 predictor-corrector steps (Helmberg, Rendl, Vanderbei and Wolkowicz 1996;
-Todd, Toh and Tütüncü 1998).  The primal iterate is ``y = (v, t)``, with the slack
-``S = F(v) - t I`` recomputed from it, so the primal side is always feasible
-and needs no phase-1; the dual iterate ``Z > 0`` is driven towards
+Todd, Toh and Tütüncü 1998; Mehrotra 1992).  The primal iterate is
+``y = (v, t)``, with the slack ``S = F(v) - t I`` recomputed from it, so the
+primal side is always feasible and needs no phase-1; the dual iterate
+``Z > 0`` starts central, ``Z S = mu I``, and is driven towards
 ``tr(F_j Z) = 0`` and ``tr Z = 1``.  Each iteration forms the Schur
 complement ``M_ij = <L_S^{-1} A_i L_Z, L_S^{-1} A_j L_Z>`` (``A`` the
 coefficients extended by the margin coordinate) from one ``dtrtri``, two
-GEMMs over all i and one Gram product, factors it once with ``dpotrf`` for
-predictor and corrector, and steps 0.95 of the way to the cone boundary.
-Both verdicts are certified: the margin from below by an eigenvalue, the
-optimum from above by a dual point (see ``maximize_margin``).  Identical
-inputs produce identical iterates.
+GEMMs over all i and one Gram product, factors it once with ``dpotrf``, solves
+it twice (a first-order direction, then the same system with its
+second-order term), and steps 0.95 of the way to the cone boundary.  Both
+verdicts are certified: the margin from below by an eigenvalue, the optimum
+from above by a dual point (see ``maximize_margin``).  Identical inputs
+produce identical iterates.
 """
 
 from __future__ import annotations
@@ -146,32 +148,38 @@ def maximize_margin(
 
     The primal start is the point of least Frobenius norm on the extended
     affine set ``{F(v) - t I}`` (one solve with the Gram factor), with t
-    then lowered below the smallest eigenvalue there; the dual start is
-    ``I / n``.  Every step after it (the HKM and Mehrotra directions, the
-    column scaling, the centring, both certificates) is invariant under an
-    invertible linear change and a shift of the variables, and so is this
-    start, so the returned point depends on the set ``{F(v)}`` alone, not
-    on its coordinates or offset.  Stop reasons:
+    then lowered below the smallest eigenvalue there, so ``S0 > 0``; the
+    dual start is the central ``S0^{-1} / tr S0^{-1}`` (``Z0 S0 = mu0 I``),
+    from S0's Cholesky factor.  Every step after it (the HKM and Mehrotra
+    directions, the column scaling, the centring, both certificates) is
+    invariant under an invertible linear change and a shift of the
+    variables, and so is this start, so the returned point depends on the
+    set ``{F(v)}`` alone, not on its coordinates or offset.
+
+    Inside the loop the margin is read off the slack, ``lam_min(S) + t``;
+    the returned margin is ``lam_min(F(v))`` evaluated once at the returned
+    v, and ``gap_bound`` is taken against it.  Stop reasons:
 
     - ``"verdict"`` (with ``feas_tol``): the margin exceeds ``feas_tol`` and
       ``gap_bound < margin`` (feasible; the optimum is below twice the
       margin), or the bound is at most ``feas_tol`` (infeasible).  Before a
       feasible verdict is returned the iterate is centred: Newton steps to
       the central point ``Z S = mu_c I``, ``mu_c`` the power of 2 at or
-      below the current ``mu``, until ``_off_centre`` is at most
-      ``CENTRE_TOL`` (or after ``MAX_CENTRING`` steps), and the verdict is
-      checked again there.  The predictor-corrector iterates carry the
-      round-off of their whole path (a 1e-15 relative change in the paper
-      block's constant moved v by 3e-7 relative at the verdict); the
-      central point at a data-independent ``mu_c`` does not, so the gain
-      read off it is well determined, and it depends on neither
-      ``gap_tol`` nor how far the solve would have run.
+      below the current ``mu``, each with the corrector's second-order
+      term, until ``_off_centre`` is at most ``CENTRE_TOL`` (or after
+      ``MAX_CENTRING`` steps), and the verdict is checked again there.
+      The predictor-corrector iterates carry the round-off of their whole
+      path (a 1e-15 relative change in the paper block's constant moved v
+      by 3e-7 relative at the verdict); the central point at a
+      data-independent ``mu_c`` does not, so the gain read off it is well
+      determined, and it depends on neither ``gap_tol`` nor how far the
+      solve would have run.
     - ``"gap_tol"``: ``gap_bound <= gap_tol``.
     - ``"unbounded"``: -I lies in the span of the coefficients, or a step
       direction grows the block while t increases; no dual point exists.
     - ``"stalled"`` (``converged=False``): a step left the cone in floating
-      point first; the previous iterate is returned.  So end problems whose
-      dual points are all singular, with ``gap_bound`` inf.
+      point first; the last iterate inside it is returned.  So end problems
+      whose dual points are all singular, with ``gap_bound`` inf.
     - ``"newton_budget"`` (``converged=False``): ``max_newton`` iterations.
 
     Variables whose coefficients depend linearly on the others' (pivoted
@@ -208,11 +216,6 @@ def maximize_margin(
     gram_chol = _chol(gram)
     work = (np.empty((n, k * n)), np.empty((n, k * n)))
 
-    def physical_v(y: np.ndarray) -> np.ndarray:
-        v = np.zeros(nvar)
-        v[free] = y[:-1] * col_scale[free]
-        return v
-
     def dual_bound(Z: np.ndarray) -> float:
         """tr(F_0 Z) at the projection of Z onto the dual equalities, or inf
         when it is not positive definite.  The projection does not replace
@@ -237,12 +240,14 @@ def maximize_margin(
         y, _ = dpotrs(gram_chol, -(F @ C.ravel()), lower=1)
     y[-1] = _lam_min(_sym(C + (y[:-1] @ F[:-1]).reshape(n, n)))
     y[-1] -= 1.0 + 0.05 * abs(y[-1])
-    Z = np.eye(n) / n
+    # The central dual start S0^{-1} / tr S0^{-1}, so Z0 S0 = mu0 I.
+    s_inv_L = _tri_inv(_chol(C + (y @ F).reshape(n, n)))
+    Z = s_inv_L.T @ s_inv_L
+    Z /= np.trace(Z)
 
     steps = 0
     converged = True
-    v = physical_v(y)
-    margin = _lam_min(block.value(v))
+    accepted = y  # the last iterate inside the cone
     bound = gap = np.inf
     centre_mu = None  # set while centring (see the docstring)
     centring = 0
@@ -256,11 +261,12 @@ def maximize_margin(
             if not steps:
                 raise RuntimeError("interior-point iterate left the cone")
             # A step short of the boundary left the cone in floating point:
-            # the iterates have reached round-off.  Keep the previous iterate.
+            # the iterates have reached round-off.  Keep the accepted iterate.
             converged, stop = False, "stalled"
             break
-        v = physical_v(y)
-        margin = _lam_min(block.value(v))
+        accepted = y
+        # S = F(v) - t I is at hand, so the margin at v is lam_min(S) + t.
+        margin = _lam_min(S) + y[-1]
         # Every dual point bounds the optimum, so the best bound so far
         # holds at this iterate too.
         bound = min(bound, dual_bound(Z))
@@ -299,23 +305,26 @@ def maximize_margin(
         h_sinv = F @ S_inv.ravel()
 
         if centre_mu is not None:
-            # Newton step towards the central point at centre_mu.
+            # Newton step towards the central point at centre_mu, with the
+            # corrector's second-order term.
             dy, _ = dpotrs(cho, target + centre_mu * h_sinv, lower=1)
             dS, dZ = directions(dy, S_inv, Z, centre_mu)
+            sigma_mu = centre_mu
             centring += 1
         else:
-            # Predictor (affine scaling), then the Mehrotra corrector on the
-            # same factorization.
+            # Predictor (affine scaling), then the Mehrotra corrector.
             dy, _ = dpotrs(cho, target, lower=1)
             dS, dZ = directions(dy, S_inv, Z, 0.0)
             a_s = min(1.0, _max_step(s_inv_L, dS))
             a_z = min(1.0, _max_step(z_inv_L, dZ))
             mu_aff = float(np.vdot(Z + a_z * dZ, S + a_s * dS)) / n
             sigma_mu = min(1.0, (max(mu_aff, 0.0) / mu) ** 3) * mu
-            second = _sym(dZ @ dS @ S_inv)
-            rhs = target + sigma_mu * h_sinv - F @ second.ravel()
-            dy, _ = dpotrs(cho, rhs, lower=1)
-            dS, dZ = directions(dy, S_inv, Z, sigma_mu, second)
+        # Either way, re-solve on the same factorization with the
+        # second-order term of the first direction.
+        second = _sym(dZ @ dS @ S_inv)
+        rhs = target + sigma_mu * h_sinv - F @ second.ravel()
+        dy, _ = dpotrs(cho, rhs, lower=1)
+        dS, dZ = directions(dy, S_inv, Z, sigma_mu, second)
         max_s = _max_step(s_inv_L, dS)
         if max_s == np.inf and dy[-1] > 0:
             # S + a dS >= 0 for every a >= 0 while t grows: a ray along which
@@ -327,6 +336,12 @@ def maximize_margin(
         Z = Z + min(1.0, STEP_FRACTION * max_z) * dZ
         steps += 1
 
+    # The returned margin is evaluated once, at the returned v.
+    v = np.zeros(nvar)
+    v[free] = accepted[:-1] * col_scale[free]
+    margin = _lam_min(block.value(v))
+    if stop != "unbounded":
+        gap = bound - margin
     log.append(
         f"margin={margin:.6e} iterations={steps} gap_bound={gap:.1e} stop={stop}"
     )

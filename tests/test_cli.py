@@ -66,6 +66,9 @@ def wide_output_config_dict(seed=0):
     }
 
 
+DECLARED = {"method": "jordan", "mode": "declared"}
+
+
 def write_config(tmp_path, d, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(d))
@@ -397,6 +400,36 @@ def test_cli_run_infeasible_exit_nonzero(tmp_path, capsys):
         pytest.param(
             lambda d: d.update(seed=-1), "seed must be >= 0, got -1", id="negative-seed"
         ),
+        pytest.param(
+            lambda d: d.update(T=20.7),
+            "T must be an integer, got 20.7",
+            id="non-integral-T",
+        ),
+        pytest.param(
+            lambda d: d.update(verify={"steps": 2.9}),
+            "verify.steps must be an integer, got 2.9",
+            id="non-integral-steps",
+        ),
+        pytest.param(
+            lambda d: d.update(factorization={**DECLARED, "real_blocks": [["a", 1]]}),
+            "factorization: could not convert string to float: 'a'",
+            id="declared-malformed-block",
+        ),
+        pytest.param(
+            lambda d: d.update(factorization={**DECLARED, "complex_blocks": [[1.0, 1.5]]}),
+            "factorization: not enough values to unpack",
+            id="declared-short-block",
+        ),
+        pytest.param(
+            lambda d: d.update(factorization=DECLARED),
+            "declared Jordan structure has no blocks",
+            id="declared-no-blocks",
+        ),
+        pytest.param(
+            lambda d: d.update(ell=2),
+            "ell = 2 is below the plant's observability index 4",
+            id="ell-below-observability-index",
+        ),
     ],
 )
 def test_cli_config_error_exit_two(tmp_path, capsys, edit, message):
@@ -406,6 +439,38 @@ def test_cli_config_error_exit_two(tmp_path, capsys, edit, message):
     code = main(["run", "--config", str(path)])
     assert code == 2
     assert f"[config] {message}" in capsys.readouterr().err
+
+
+def test_config_errors_stop_before_any_stage(tmp_path, capsys, monkeypatch):
+    # The FOUND configs: each used to run the experiment (and, at ell = 2,
+    # the whole design) before failing.
+    def not_run(*args, **kwargs):
+        raise AssertionError("a stage ran on a malformed config")
+
+    monkeypatch.setattr(cli, "collect_experiment", not_run)
+    monkeypatch.setattr(cli, "solve_feasibility_sdp", not_run)
+    declared = {**DECLARED, "real_blocks": [["a", 1]]}
+    for edit in ({"T": 20.7}, {"factorization": declared}, {"ell": 2}):
+        path = write_config(tmp_path, {**vtol_config_dict(), **edit})
+        assert main(["run", "--config", str(path)]) == 2
+        assert "[config] " in capsys.readouterr().err
+
+
+def test_integral_floats_are_integers():
+    d = {**vtol_config_dict(), "T": 20.0, "verify": {"steps": 300.0}}
+    config = RunConfig.from_dict(d)
+    assert (config.T, config.verify["steps"]) == (20, 300)
+    assert type(config.T) is int and type(config.verify["steps"]) is int
+
+
+def test_declared_jordan_structure_is_built_with_the_config():
+    # The quarter-turn exosystem: one complex block at modulus 1, angle pi/2.
+    fact = {**DECLARED, "complex_blocks": [[1.0, np.pi / 2, 1]]}
+    config = RunConfig.from_dict(vtol_config_dict(factorization=fact))
+    assert config.jordan.complex_blocks == [(1.0, np.pi / 2, 1)]
+    assert config.jordan.real_blocks == []
+    assert RunConfig.from_dict(vtol_config_dict()).jordan is None
+    assert run_pipeline(config)["all_pass"]
 
 
 def test_cli_overrides_apply_before_validation(tmp_path, capsys):

@@ -307,7 +307,7 @@ def test_certificates_bracket_the_optimum(seed, nb0, more, nvar, shift):
 
 @pytest.mark.parametrize("factorization", ["jordan", "krylov"])
 def test_paper_example_iteration_budget(monkeypatch, factorization):
-    # The paper design solve ends at its certified verdict in 13
+    # The paper design solve ends at its certified verdict in 11
     # primal-dual iterations on these probing seeds, and every run passes
     # its checks.  A solve that stalls near the boundary or misses the
     # verdict stop runs far past the budget of 100.
@@ -323,6 +323,24 @@ def test_paper_example_iteration_budget(monkeypatch, factorization):
         assert run_pipeline(paper_example_config(seed, factorization))["all_pass"]
     assert len(steps) == 4
     assert max(steps) <= 100
+    assert max(steps) <= 11
+
+
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    nb=st.integers(2, 4),
+    nvar=st.integers(1, 3),
+    shift=st.floats(-1.0, 3.0),
+)
+def test_margin_is_lambda_min_at_returned_v(seed, nb, nvar, shift):
+    # The loop reads the margin off the slack, lam_min(S) + t; the returned
+    # margin is re-evaluated on the block at the returned v.
+    nvar = min(nvar, nb * (nb + 1) // 2 - 1)
+    block = _bounded_block(np.random.default_rng(seed), nb, nvar, shift)
+    res = maximize_margin([block], feas_tol=1e-6)
+    exact = np.linalg.eigvalsh(block.value(res.v))[0]
+    assert res.margin == pytest.approx(exact, rel=1e-12)
 
 
 @settings(max_examples=30, derandomize=True, deadline=None)

@@ -1,0 +1,167 @@
+"""Re-check the design solve on a fixed set of 66 inputs.
+
+The inputs are the paper example at probing seeds 0-29 with the Jordan and
+the Krylov regressor, the wide-output plant at seeds 0-2 (T = 20, ell = 2,
+zero initial states), and the n = 10 ladder rung at s = 0-2: the plant
+``random_plant(default_rng(s), 10, 3, 2, 4)``, probing seed s, zero initial
+states, S = rotation(0.7) + rotation(1.9) (block diagonal), ell its
+observability index and T = 10 ell + 11.
+
+    python tools/recheck.py [--out FILE]
+
+runs every input and writes one JSON record per line (stdout by default):
+verdict, ``all_pass``, the solver's stop reason, iterations, margin, gap
+bound and gain K.  It exits 1 when an input misses its expected verdict
+(paper and rung: feasible with every check passing; wide-output:
+infeasible).
+
+    python tools/recheck.py --compare OLD NEW
+
+prints the per-input table of two such files: iterations, margin, the
+relative margin and K shifts, and whether the certified brackets
+[margin, margin + gap_bound] overlap.  It exits 1 when a verdict,
+``all_pass`` or stop reason differs, or when two brackets are disjoint.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+from scipy.linalg import block_diag
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+
+from _scenarios import random_plant, rotation  # noqa: E402
+
+from ddreg import benchmarks, synthesis  # noqa: E402
+from ddreg.cli import RunConfig, paper_example_config, run_pipeline  # noqa: E402
+from ddreg.plant import observability_index  # noqa: E402
+
+
+def inputs():
+    """(name, config, expected verdict) for every input, in a fixed order."""
+    for seed in range(30):
+        for method in ("jordan", "krylov"):
+            yield f"paper-{seed}-{method}", paper_example_config(seed, method), "feasible"
+    plant, exo = benchmarks.wide_output()
+    for seed in range(3):
+        config = RunConfig(exo_s=exo.S, ell=2, T=20, seed=seed, plant=plant)
+        yield f"wide-{seed}", config, "infeasible"
+    S = block_diag(rotation(0.7), rotation(1.9))
+    for seed in range(3):
+        plant = random_plant(np.random.default_rng(seed), 10, 3, 2, 4)
+        ell = observability_index(plant.A, plant.C)
+        config = RunConfig(exo_s=S, ell=ell, T=10 * ell + 11, seed=seed, plant=plant)
+        yield f"n10-{seed}", config, "feasible"
+
+
+def record(name, config) -> dict:
+    """One input's verdict and solver outcome."""
+    solves, solve = [], synthesis.maximize_margin
+
+    def recording(*args, **kwargs):
+        solves.append(solve(*args, **kwargs))
+        return solves[-1]
+
+    synthesis.maximize_margin = recording
+    try:
+        report = run_pipeline(config)
+    finally:
+        synthesis.maximize_margin = solve
+    res = solves[-1] if solves else None
+    return {
+        "input": name,
+        "verdict": report["synthesis"]["status"],
+        "all_pass": report["all_pass"],
+        "stop": res.stop if res else "no solve",
+        "iterations": res.newton_steps if res else 0,
+        "margin": report["synthesis"]["margin"],
+        "gap_bound": res.gap_bound if res else None,
+        "K": report["synthesis"]["gain"],
+    }
+
+
+def run(out) -> int:
+    unexpected = []
+    for name, config, expected in inputs():
+        rec = record(name, config)
+        out.write(json.dumps(rec) + "\n")
+        ok = rec["verdict"] == expected and (expected != "feasible" or rec["all_pass"])
+        if not ok:
+            unexpected.append(f"{name}: {rec['verdict']}, all_pass={rec['all_pass']}")
+    for line in unexpected:
+        print(f"unexpected verdict on {line}", file=sys.stderr)
+    return 1 if unexpected else 0
+
+
+def _load(path) -> dict:
+    with open(path) as fh:
+        return {rec["input"]: rec for rec in map(json.loads, fh)}
+
+
+def _brackets(a: dict, b: dict) -> str:
+    """Whether the brackets [margin, margin + gap_bound] of two records
+    meet ("—" when a record has no solve)."""
+    if a["gap_bound"] is None or b["gap_bound"] is None:
+        return "—"
+    lo = max(a["margin"], b["margin"])
+    hi = min(a["margin"] + a["gap_bound"], b["margin"] + b["gap_bound"])
+    return "overlap" if lo <= hi else "DISJOINT"
+
+
+def compare(old_path, new_path) -> int:
+    old, new = _load(old_path), _load(new_path)
+    print(
+        "| input | verdict | all_pass | stop | iterations | margin | margin shift "
+        "| K shift | brackets |"
+    )
+    print("|---|---|---|---|---|---|---|---|---|")
+    bad = sorted(set(old) ^ set(new))  # inputs only one side ran
+    for name, b in new.items():
+        a = old.get(name)
+        if a is None:
+            continue
+        same = all(a[key] == b[key] for key in ("verdict", "all_pass", "stop"))
+        brackets = _brackets(a, b)
+        if not same or brackets == "DISJOINT":
+            bad.append(name)
+        if a["K"] is None or b["K"] is None:
+            k_shift = "—"
+        else:
+            Ka, Kb = np.asarray(a["K"]), np.asarray(b["K"])
+            k_shift = f"{np.linalg.norm(Kb - Ka) / np.linalg.norm(Ka):.1e}"
+        margin_shift = 0.0
+        if np.isfinite(a["margin"]) and a["margin"] != b["margin"]:
+            margin_shift = abs(b["margin"] - a["margin"]) / abs(a["margin"])
+        verdict = b["verdict"] if same else f"{a['verdict']} → {b['verdict']}"
+        all_pass = b["all_pass"] if same else f"{a['all_pass']} → {b['all_pass']}"
+        stop = b["stop"] if same else f"{a['stop']} → {b['stop']}"
+        print(
+            f"| {name} | {verdict} | {all_pass} | {stop} "
+            f"| {a['iterations']} → {b['iterations']} | {b['margin']:.5e} "
+            f"| {margin_shift:.1e} | {k_shift} | {brackets} |"
+        )
+    for name in bad:
+        print(f"mismatch: {name}", file=sys.stderr)
+    return 1 if bad else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--out", help="write the records here (default: stdout)")
+    parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"))
+    args = parser.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare)
+    if args.out is None:
+        return run(sys.stdout)
+    with open(args.out, "w") as fh:
+        return run(fh)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
