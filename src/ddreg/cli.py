@@ -33,6 +33,7 @@ from .experiment import (
     record_to_csv,
 )
 from .internal_model import InternalModel, build_internal_model
+from .numerics import simulate_linear
 from .plant import build_structural_matrices
 from .synthesis import (
     SolverOptions,
@@ -167,11 +168,7 @@ def synthesize_stage(config: RunConfig, rec: ExperimentRecord):
     pre = feasibility_precheck(
         rec.p, config.ell, prob.mhat, prob.psi0, n_truth=n_truth
     )
-    opts = SolverOptions(
-        feas_tol=config.tolerances["feas_tol"],
-        gain_identity=config.tolerances["gain_identity"],
-        **config.solver,
-    )
+    opts = SolverOptions(feas_tol=config.tolerances["feas_tol"], **config.solver)
     result = _stage("solve", solve_feasibility_sdp, prob, opts)
     return data, reg, prob, pre, result
 
@@ -186,6 +183,19 @@ def _check(name, value, threshold, op="<", passed=None):
         "op": op,
         "pass": bool(value < threshold if passed is None else passed),
     }
+
+
+def _design_checks(config: RunConfig, result) -> list[dict]:
+    """Designer rows: the SDP verdict and, for a feasible design, the
+    gain's interpolation identity."""
+    tol = config.tolerances
+    feasible = result.status == "feasible"
+    rows = [
+        _check("sdp_feasible", result.margin, tol["feas_tol"], op=">", passed=feasible)
+    ]
+    if feasible:
+        rows.append(_check("gain_identity", result.gain_defect, tol["gain_identity"]))
+    return rows
 
 
 def _oracle_checks(config: RunConfig, im, rec, data, reg):
@@ -239,11 +249,10 @@ def _closed_loop_checks(config: RunConfig, im, aux, gain, data_side=None):
     cl = assemble_closed_loop(plant, exo, aux, im, gain)
     rho = check_internal_stability(cl)
     rows = [_check("stability_radius", rho, 1.0)]
-    if data_side is None:
-        a_cl = aux.ext_a + aux.ext_b @ gain
-    else:
+    a_cl = model_side = aux.ext_a + aux.ext_b @ gain
+    if data_side is not None:
         a_cl = data_side
-        gap = check_representation_equivalence(aux, gain, data_side)
+        gap = check_representation_equivalence(model_side, data_side)
         rows.append(_check("representation_gap", gap, tol["representation_gap"]))
     try:
         identity, syl = check_regulator_equations(aux, exo, a_cl)
@@ -261,11 +270,10 @@ def _closed_loop_checks(config: RunConfig, im, aux, gain, data_side=None):
         )
     except RuntimeError:  # divergent closed loop
         run = None
+    # With w0 = 0 the exosignal stays 0: the loop is its core map alone.
     try:
-        zero = simulate_closed_loop(
-            cl, np.zeros(exo.n_w), x0, chi0, eta0, steps, eps_reg=eps_reg
-        )
-        decay = zero.core_norm(steps) / max(zero.core_norm(0), 1e-300)
+        core = simulate_linear(cl.core_map, np.concatenate([x0, chi0, eta0]), steps)
+        decay = np.linalg.norm(core[-1]) / max(np.linalg.norm(core[0]), 1e-300)
     except RuntimeError:
         decay = float("nan")
     tail = float("nan") if run is None else run.tail_max_y
@@ -288,10 +296,9 @@ def _closed_loop_checks(config: RunConfig, im, aux, gain, data_side=None):
 def run_pipeline(config: RunConfig, out_dir=None, unmask: bool = False) -> dict:
     """Full pipeline; returns the report dict (and writes it when out_dir set).
 
-    The report carries one row per enabled check; ``all_pass`` is their
-    conjunction plus SDP feasibility.
+    The report carries one row per enabled check, SDP feasibility among
+    them; ``all_pass`` is their conjunction.
     """
-    tol = config.tolerances
     rec, im = collect_stage(config)
     plant = config.plant
     data, reg, prob, pre, result = synthesize_stage(config, rec)
@@ -316,13 +323,9 @@ def run_pipeline(config: RunConfig, out_dir=None, unmask: bool = False) -> dict:
     }
 
     checks, aux = _oracle_checks(config, im, rec, data, reg)
-    feasible = result.status == "feasible"
-    checks.append(
-        _check("sdp_feasible", result.margin, tol["feas_tol"], op=">", passed=feasible)
-    )
+    checks += _design_checks(config, result)
     run = None
-    if feasible:
-        checks.append(_check("gain_identity", result.gain_defect, tol["gain_identity"]))
+    if result.status == "feasible":
         rows, report["regulation"], run = _closed_loop_checks(
             config, im, aux, result.K, data_side=prob.psi1 @ result.G
         )
@@ -493,22 +496,24 @@ def _cmd_synthesize(args) -> int:
     payload["config_hash"] = config.config_hash()
     payload["tolerances"] = config.tolerances
     payload["precheck"] = asdict(pre)
+    payload["checks"] = _design_checks(config, result)
     write_report(payload, out / "synthesis.json")
     for msg in pre.messages:
         print(f"precheck: {msg}")
     print(f"synthesis status: {result.status} (margin {result.margin:.3e})")
-    return 0 if result.status == "feasible" else 1
+    return _print_checks(payload["checks"])
 
 
-def _print_checks(report: dict) -> int:
-    """Print the check rows and ``all_pass``; returns the exit code."""
-    for c in report["checks"]:
+def _print_checks(checks: list[dict]) -> int:
+    """Print the check rows and whether all pass; returns the exit code."""
+    for c in checks:
         mark = "PASS" if c["pass"] else "FAIL"
         print(
             f"  [{mark}] {c['name']}: {c['value']:.3e} {c['op']} {c['threshold']:.1e}"
         )
-    print(f"all_pass: {report['all_pass']}")
-    return 0 if report["all_pass"] else 1
+    all_pass = all(c["pass"] for c in checks)
+    print(f"all_pass: {all_pass}")
+    return 0 if all_pass else 1
 
 
 def _cmd_run(args) -> int:
@@ -527,7 +532,7 @@ def _cmd_run(args) -> int:
     for msg in report["precheck"]["messages"]:
         print(f"precheck: {msg}")
     print(f"synthesis: {report['synthesis']['status']}")
-    return _print_checks(report)
+    return _print_checks(report["checks"])
 
 
 def _read_json(path):
@@ -543,7 +548,7 @@ def _cmd_verify(args) -> int:
             "verify", f"no gain stored in {args.gain}", "run synthesize first"
         )
     report = verify_gain(config, payload["gain"], out_dir=args.out, unmask=args.unmask)
-    return _print_checks(report)
+    return _print_checks(report["checks"])
 
 
 def _cmd_paper_example(args) -> int:
@@ -551,7 +556,7 @@ def _cmd_paper_example(args) -> int:
     config = paper_example_config(seed, args.factorization or "jordan")
     report = run_pipeline(config, out_dir=args.out)
     print(f"benchmark example, seed {seed}:")
-    return _print_checks(report)
+    return _print_checks(report["checks"])
 
 
 def main(argv=None) -> int:

@@ -15,8 +15,8 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .numerics import as_vector
-from .plant import ExoMatrix, JordanSpec, PlantTruth, observability_index
+from .numerics import as_integer, as_vector
+from .plant import ExoMatrix, JordanSpec, PlantTruth
 
 # Section -> key -> default.  A tuple lists the allowed values, the first
 # being the default; another value is converted to its default's type (an
@@ -93,17 +93,6 @@ def _require(ok: bool, message: str, hint: str = "") -> None:
         raise PipelineError("config", message, hint)
 
 
-def _integer(value, name: str) -> int:
-    """``value`` as an int.  An integral float such as 20.0 is accepted; a
-    non-integral number is an error, not truncated."""
-    _require(
-        not isinstance(value, float) or value.is_integer(),
-        f"{name} must be an integer, got {value!r}",
-    )
-    with _config_errors(f"{name}: "):
-        return int(value)
-
-
 def _section(name: str, given: dict) -> dict:
     """``given`` completed and checked against its ``DEFAULTS`` table."""
     table = DEFAULTS[name]
@@ -120,7 +109,7 @@ def _section(name: str, given: dict) -> dict:
             value = given.get(key, default)
             if default is not None:
                 if isinstance(default, int):
-                    value = _integer(value, f"{name}.{key}")
+                    value = as_integer(value, f"{name}.{key}")
                 else:
                     with _config_errors(f"{name}.{key}: "):
                         value = float(value)
@@ -179,8 +168,8 @@ class RunConfig:
             for name in DEFAULTS:
                 setattr(self, name, _section(name, getattr(self, name)))
             self.exo = ExoMatrix(exo_s)
-        self.ell, self.T = _integer(self.ell, "ell"), _integer(self.T, "T")
-        self.seed = None if self.seed is None else _integer(self.seed, "seed")
+            self.ell, self.T = as_integer(self.ell, "ell"), as_integer(self.T, "T")
+            self.seed = None if self.seed is None else as_integer(self.seed, "seed")
         fact, policy, dims = self.factorization, self.input_policy, self.dims
         plant = self.plant
         _require(self.ell >= 1, f"window length must be >= 1, got {self.ell}")
@@ -224,8 +213,9 @@ class RunConfig:
         # model is built.
         lengths = {"w0": n_w, "x0": None, "eta0": None, "chi0": None}
         if plant is None:
-            for key in ("m", "p"):
-                dims[key] = _integer(dims[key], f"dims.{key}")
+            with _config_errors():
+                for key in ("m", "p"):
+                    dims[key] = as_integer(dims[key], f"dims.{key}")
             _require(
                 min(dims["m"], dims["p"]) >= 1,
                 f"dims.m and dims.p must be >= 1, got {dims['m']} and {dims['p']}",
@@ -235,8 +225,7 @@ class RunConfig:
                 plant.n_w == n_w,
                 f"plant P has {plant.n_w} columns, exosystem S is {n_w} x {n_w}",
             )
-            # PlantTruth has rejected an unobservable plant already.
-            index = observability_index(plant.A, plant.C)
+            index = plant.obs_index
             _require(
                 self.ell >= index,
                 f"ell = {self.ell} is below the plant's observability index {index}",

@@ -12,6 +12,9 @@ state.  Rank decisions are relative, each under one of four tolerances:
 clusters, ``_complex_rank`` and the minimal-polynomial degree); and
 LAPACK's default in the solver's pivoted Cholesky, which holds linearly
 dependent variables at zero.
+
+:func:`as_integer` reads a whole number without truncating it (the run
+config, the block sizes of a declared Jordan structure).
 """
 
 from __future__ import annotations
@@ -19,15 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 # Rank tolerance of rank_with_tol and synthesis._svd_split (relative to the
 # largest singular value of the matrix under test).
 DEFAULT_RANK_RTOL = 1e-8
-
-# Two spectra count as overlapping when some pair of eigenvalues is closer
-# than this (absolute distance in the complex plane).
-SPECTRUM_GAP_TOL = 1e-9
 
 # Simulations abort once any state norm passes this bound, signalling
 # divergence instead of emitting Inf.
@@ -60,6 +58,17 @@ def as_vector(a, name: str = "vector", dim: int | None = None) -> np.ndarray:
     if dim is not None and v.size != dim:
         raise ValueError(f"{name} must have length {dim}, got {v.size}")
     return v
+
+
+def as_integer(value, name: str = "value") -> int:
+    """``value`` as an int.  An integral float such as 20.0 is accepted; a
+    non-integral number raises ``ValueError``, it is not truncated."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name}: {exc}") from exc
 
 
 def rank_with_tol(M, rel_tol: float = DEFAULT_RANK_RTOL) -> int:
@@ -129,31 +138,6 @@ def minimal_polynomial(S, tol: float = 1e-8) -> PolynomialCoeffs:
 def spectral_radius(M) -> float:
     """Maximum eigenvalue modulus of a square matrix."""
     return float(np.max(np.abs(np.linalg.eigvals(M))))
-
-
-def spectra_disjoint(A, S, gap_tol: float = SPECTRUM_GAP_TOL) -> bool:
-    """True when every eigenvalue pair of A and S is further apart than gap_tol."""
-    la, ls = np.linalg.eigvals(A), np.linalg.eigvals(S)
-    gap = np.min(np.abs(la[:, None] - ls[None, :]))
-    return bool(gap > gap_tol)
-
-
-def solve_sylvester(A, S, Q) -> np.ndarray:
-    """Solve ``A @ P - P @ S = Q`` for P, requiring disjoint spectra.
-
-    The residual is verified against ``1e-8 * (|A| + |S|) * |P| + 1e-12``
-    (Frobenius norms); a violation indicates numerical breakdown.
-    """
-    if not spectra_disjoint(A, S):
-        raise ValueError("resonant spectra")
-    P = scipy.linalg.solve_sylvester(A, -S, Q)
-    resid = np.linalg.norm(A @ P - P @ S - Q)
-    bound = 1e-8 * (np.linalg.norm(A) + np.linalg.norm(S)) * np.linalg.norm(P) + 1e-12
-    if resid > bound:
-        raise RuntimeError(
-            f"Sylvester solve residual {resid:.3e} exceeds bound {bound:.3e}"
-        )
-    return P
 
 
 def _powers(F: np.ndarray, count: int) -> np.ndarray:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import DEFAULT_RANK_RTOL, as_matrix, rank_with_tol
+from .numerics import DEFAULT_RANK_RTOL, as_integer, as_matrix, rank_with_tol
 
 # Eigenvalues of the exosystem map may not dip below the unit circle by more
 # than this slack.
@@ -75,7 +75,8 @@ class JordanSpec:
 
     ``real_blocks`` holds (eigenvalue, block size) pairs; ``complex_blocks``
     holds (modulus, angle, block size) triples with the angle in (0, pi),
-    conjugate blocks implicit.  Block dimensions must add up to the exosystem
+    conjugate blocks implicit.  A block size is a whole number (``2.0`` is
+    accepted, ``1.5`` raises).  Block dimensions must add up to the exosystem
     dimension: sum of real sizes plus twice the sum of complex sizes.
     """
 
@@ -83,9 +84,12 @@ class JordanSpec:
     complex_blocks: list[tuple[float, float, int]] = field(default_factory=list)
 
     def __post_init__(self):
-        self.real_blocks = [(float(lam), int(k)) for lam, k in self.real_blocks]
+        self.real_blocks = [
+            (float(lam), as_integer(k, "block size")) for lam, k in self.real_blocks
+        ]
         self.complex_blocks = [
-            (float(rho), float(theta), int(k)) for rho, theta, k in self.complex_blocks
+            (float(rho), float(theta), as_integer(k, "block size"))
+            for rho, theta, k in self.complex_blocks
         ]
         for lam, k in self.real_blocks:
             if k < 1:
@@ -132,13 +136,17 @@ class JordanSpec:
 
 @dataclass
 class PlantTruth:
-    """Hidden ground-truth matrices of the plant; oracle/verifier use only."""
+    """Hidden ground-truth matrices of the plant; oracle/verifier use only.
+
+    ``obs_index`` is the observability index of (A, C), decided once when
+    the plant is built (an unobservable plant raises)."""
 
     A: np.ndarray
     B: np.ndarray
     P: np.ndarray
     C: np.ndarray
     Q: np.ndarray
+    obs_index: int = field(init=False, repr=False)
 
     def __post_init__(self):
         self.A = as_matrix(self.A, "A", square=True)
@@ -162,7 +170,7 @@ class PlantTruth:
                 f"Q must have {self.P.shape[1]} columns, got {self.Q.shape[1]}"
             )
         # Observability of (A, C) underpins the whole construction.
-        observability_index(self.A, self.C)
+        self.obs_index = observability_index(self.A, self.C)
 
     @property
     def n(self) -> int:

@@ -54,7 +54,6 @@ class SolverOptions:
     feas_tol: float = DEFAULT_FEAS_TOL
     gap_tol: float = DEFAULTS["solver"]["gap_tol"]
     max_newton: int = DEFAULTS["solver"]["max_newton"]
-    gain_identity: float = DEFAULTS["tolerances"]["gain_identity"]
 
 
 @dataclass
@@ -91,8 +90,8 @@ class SynthesisResult:
     # margin + gap_bound.  None when no interior-point solve produced the
     # point.
     gap_bound: float | None = None
-    # G = Y X^{-1} and the norm defect of the interpolation identity it was
-    # checked against; set with K.
+    # G = Y X^{-1} and the norm defect of its interpolation identity (the
+    # report's gain_identity row); set with K.
     G: np.ndarray | None = None
     gain_defect: float | None = None
 
@@ -272,20 +271,18 @@ def solve_feasibility_sdp(
     diagnostics.append(
         f"residuals: |mhat Y|={resid_m:.2e} |psi0 Y - X|={resid_eq:.2e}"
     )
-    K, G, gain_defect = extract_gain(prob, X, Y, opts.gain_identity)
+    K, G, gain_defect = extract_gain(prob, X, Y)
     return SynthesisResult(
         "feasible", margin, X, Y, K, diagnostics, gap_bound, G=G, gain_defect=gain_defect
     )
 
 
-def extract_gain(
-    prob: SdpProblem, X, Y, identity_tol: float = DEFAULTS["tolerances"]["gain_identity"]
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Gain ``K = u1 G`` with ``G = Y X^{-1}``, with the stacked interpolation
-    identity ``[K; I; 0] = [u1; psi0; mhat] G`` verified before returning.
+def extract_gain(prob: SdpProblem, X, Y) -> tuple[np.ndarray, np.ndarray, float]:
+    """Gain ``K = u1 G`` with ``G = Y X^{-1}``.
 
-    Returns ``(K, G, defect)``, the defect being the norm of the identity's
-    residual.
+    Returns ``(K, G, defect)``, the defect being the norm of the residual of
+    the stacked interpolation identity ``[K; I; 0] = [u1; psi0; mhat] G``;
+    the report's ``gain_identity`` row decides whether it is small enough.
     """
     eigs = np.linalg.eigvalsh(_sym(X))
     if eigs[0] <= 1e-10:
@@ -297,12 +294,7 @@ def extract_gain(
     nu = prob.nu
     stacked_lhs = np.vstack([K, np.eye(nu), np.zeros((prob.nhat_w, nu))])
     stacked_rhs = np.vstack([prob.u1, prob.psi0, prob.mhat]) @ G
-    defect = np.linalg.norm(stacked_lhs - stacked_rhs)
-    if defect > identity_tol:
-        raise RuntimeError(
-            f"gain interpolation identity violated: defect {defect:.2e}"
-        )
-    return K, G, float(defect)
+    return K, G, float(np.linalg.norm(stacked_lhs - stacked_rhs))
 
 
 @dataclass

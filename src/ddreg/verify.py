@@ -7,6 +7,11 @@ Identities along a run compare sliding windows of the run
 closed loop are stepped by ``numerics.simulate_linear``.  Everything here may
 read ground truth; nothing here feeds the design path.
 
+Nothing here passes or fails: the check battery in ``cli`` decides each
+report row once, from the value returned here.  A value that does not exist
+raises (``ValueError``: no unique steady state; ``RuntimeError``: a
+diverging simulation), and the battery reports it as NaN, which fails.
+
 Outside input is validated at three boundaries, the run config
 (``config.RunConfig``), a record CSV (``experiment.record_from_csv``) and a
 gain file (``cli.verify_gain``); no function here re-checks its arrays.
@@ -17,12 +22,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from .config import DEFAULTS
 from .experiment import DataMatrices, ExperimentRecord, stacked_windows
 from .internal_model import InternalModel
-from .numerics import simulate_linear, solve_sylvester, spectral_radius
+from .numerics import simulate_linear, spectral_radius
 from .plant import ExoMatrix, PlantTruth, StructuralMatrices
+
+# Closest an eigenvalue of the closed loop may come to one of S's (absolute,
+# in the complex plane) for the steady state to count as unique.
+SPECTRUM_GAP_TOL = 1e-9
 
 
 @dataclass
@@ -310,11 +320,6 @@ class ClosedLoopRun:
     tail_max_y: float
     settle_step: int | None
 
-    def core_norm(self, k: int) -> float:
-        return float(
-            np.linalg.norm(np.concatenate([self.x[k], self.chi[k], self.eta[k]]))
-        )
-
 
 def simulate_closed_loop(
     cl: ClosedLoopModel,
@@ -370,14 +375,19 @@ def check_regulator_equations(
     Solves ``A_cl P - P S = -ext_p exo_window_map`` for the closed-loop
     matrix ``A_cl`` (in its data representation) and returns the norm of
     ``y_from_exo exo_window_map + y_from_window P_top`` together with the
-    relative Sylvester residual.
+    relative Sylvester residual.  Raises ``ValueError`` when ``A_cl`` is
+    not Schur or is resonant with S (an eigenvalue within
+    :data:`SPECTRUM_GAP_TOL` of one of S's): no unique steady state.
     """
     A_cl = closed_data_matrix
-    rho = spectral_radius(A_cl)
+    eigs = np.linalg.eigvals(A_cl)
+    rho = float(np.max(np.abs(eigs)))
     if rho >= 1.0:
         raise ValueError(f"closed-loop matrix is not Schur (radius {rho:.4f})")
+    if np.min(np.abs(eigs[:, None] - np.linalg.eigvals(exo.S))) <= SPECTRUM_GAP_TOL:
+        raise ValueError("resonant spectra")
     rhs = -(aux.ext_p @ aux.exo_window_map)
-    Pi = solve_sylvester(A_cl, exo.S, rhs)
+    Pi = scipy.linalg.solve_sylvester(A_cl, -exo.S, rhs)
     syl = np.linalg.norm(A_cl @ Pi - Pi @ exo.S - rhs)
     denom = (
         (np.linalg.norm(A_cl) + np.linalg.norm(exo.S)) * np.linalg.norm(Pi) + 1e-300
@@ -391,11 +401,7 @@ def check_regulator_equations(
     return identity, float(syl / denom)
 
 
-def check_representation_equivalence(
-    aux: AuxiliaryMatrices, gain, closed_data_matrix
-) -> float:
+def check_representation_equivalence(model_side, data_side) -> float:
     """Gap between the spectral radii of the model-side closed loop
-    (ext_a + ext_b gain) and its data-side representation.
-    """
-    model_side = aux.ext_a + aux.ext_b @ gain
-    return abs(spectral_radius(model_side) - spectral_radius(closed_data_matrix))
+    ``ext_a + ext_b gain`` and its data-side representation."""
+    return abs(spectral_radius(model_side) - spectral_radius(data_side))

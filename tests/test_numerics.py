@@ -11,10 +11,10 @@ from ddreg.numerics import (
     BLOCK_STEPS,
     DIVERGENCE_GUARD,
     PolynomialCoeffs,
+    as_integer,
     minimal_polynomial,
     rank_with_tol,
     simulate_linear,
-    solve_sylvester,
     spectral_radius,
 )
 from ddreg.plant import build_structural_matrices
@@ -124,6 +124,20 @@ def test_polynomial_horner_scalar_matches_matrix():
 
 
 # ---------------------------------------------------------------------------
+# as_integer
+
+
+def test_as_integer_takes_whole_numbers_only():
+    assert as_integer(20.0, "T") == 20 and type(as_integer(20.0, "T")) is int
+    assert as_integer(np.int64(3)) == 3
+    for value in (20.7, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=f"T must be an integer, got {value!r}"):
+            as_integer(value, "T")
+    with pytest.raises(ValueError, match="T: invalid literal"):
+        as_integer("x", "T")
+
+
+# ---------------------------------------------------------------------------
 # spectral_radius
 
 
@@ -133,43 +147,6 @@ def test_spectral_radius_diagonal():
 
 def test_spectral_radius_rotation():
     assert spectral_radius(np.array([[0.0, 1.0], [-1.0, 0.0]])) == pytest.approx(1.0)
-
-
-# ---------------------------------------------------------------------------
-# solve_sylvester
-
-
-def test_sylvester_scalar():
-    P = solve_sylvester(np.array([[0.5]]), np.array([[2.0]]), np.array([[1.5]]))
-    np.testing.assert_allclose(P, [[-1.0]], atol=1e-12)
-
-
-def test_sylvester_zero_rhs():
-    A = np.diag([0.5, 0.2])
-    S = rotation(0.7)
-    P = solve_sylvester(A, S, np.zeros((2, 2)))
-    np.testing.assert_allclose(P, np.zeros((2, 2)), atol=1e-12)
-
-
-def test_sylvester_against_vectorized_solve():
-    # Independent oracle: solve the Kronecker-vectorized linear system.
-    rng = np.random.default_rng(3)
-    A = rng.standard_normal((3, 3))
-    A *= 0.8 / spectral_radius(A)
-    S = rotation(np.pi / 3)
-    Q = rng.standard_normal((3, 2))
-    P = solve_sylvester(A, S, Q)
-    K = np.kron(np.eye(2), A) - np.kron(S.T, np.eye(3))
-    P_vec = np.linalg.solve(K, Q.ravel(order="F")).reshape((3, 2), order="F")
-    np.testing.assert_allclose(P, P_vec, atol=1e-9)
-    assert np.linalg.norm(A @ P - P @ S - Q) < 1e-9
-
-
-def test_sylvester_resonant_spectra_rejected():
-    A = np.diag([1.0, 0.3])
-    S = np.diag([1.0, 2.0])
-    with pytest.raises(ValueError, match="resonant spectra"):
-        solve_sylvester(A, S, np.ones((2, 2)))
 
 
 def test_spectral_radius_benchmark_plant():

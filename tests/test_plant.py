@@ -5,6 +5,7 @@ from ddreg.experiment import collect_experiment
 from ddreg.internal_model import build_internal_model
 from ddreg.plant import (
     ExoMatrix,
+    JordanSpec,
     PlantTruth,
     build_structural_matrices,
     observability_index,
@@ -75,6 +76,21 @@ def test_plant_truth_rejects_unobservable():
             C=[[1.0, 0.0]],
             Q=[[0.0]],
         )
+
+
+def test_plant_truth_keeps_its_observability_index():
+    plant, _ = vtol()
+    assert plant.obs_index == 4
+
+
+def test_jordan_spec_block_sizes_are_whole_numbers():
+    spec = JordanSpec(real_blocks=[[1.0, 2.0]], complex_blocks=[[1.0, 0.5, 1.0]])
+    assert spec.real_blocks == [(1.0, 2)] and spec.complex_blocks == [(1.0, 0.5, 1)]
+    assert type(spec.real_blocks[0][1]) is int and spec.n_w == 4
+    with pytest.raises(ValueError, match="block size must be an integer, got 1.5"):
+        JordanSpec(real_blocks=[[1.0, 1.5]])
+    with pytest.raises(ValueError, match="block size must be an integer, got 0.5"):
+        JordanSpec(complex_blocks=[[1.0, 0.5, 0.5]])
 
 
 def test_plant_truth_rejects_shape_mismatch():

@@ -362,7 +362,8 @@ def test_simulation_zero_exosignal_decays():
     plant, exo, im, aux, data, res, psi1_g = vtol_design()
     cl = assemble_closed_loop(plant, exo, aux, im, res.K)
     run = simulate_closed_loop(cl, np.zeros(2), VTOL_X0, np.zeros(8), VTOL_ETA0, 300)
-    assert run.core_norm(300) < 1e-6 * run.core_norm(0)
+    core = np.linalg.norm(np.hstack([run.x, run.chi, run.eta]), axis=1)
+    assert core[300] < 1e-6 * core[0]
     assert run.tail_max_y < 1e-6
 
 
@@ -447,9 +448,44 @@ def test_regulator_equations_rejects_unstable():
         check_regulator_equations(aux, exo, 1.5 * np.eye(10))
 
 
+def test_regulator_equations_against_vectorized_solve():
+    # Independent oracle: solve the Kronecker-vectorized Sylvester system
+    # A P - P S = -ext_p exo_window_map and evaluate the identity on it.
+    plant, exo, im, rec, struct, aux = vtol_setup()
+    rng = np.random.default_rng(3)
+    a_cl = rng.standard_normal((10, 10))
+    a_cl *= 0.8 / np.max(np.abs(np.linalg.eigvals(a_cl)))
+    rhs = -(aux.ext_p @ aux.exo_window_map)
+    kron = np.kron(np.eye(2), a_cl) - np.kron(exo.S.T, np.eye(10))
+    Pi = np.linalg.solve(kron, rhs.ravel(order="F")).reshape((10, 2), order="F")
+    expected = np.linalg.norm(
+        aux.y_from_exo @ aux.exo_window_map + aux.y_from_window @ Pi[:8]
+    )
+    identity, syl = check_regulator_equations(aux, exo, a_cl)
+    assert identity == pytest.approx(expected, rel=1e-9)
+    assert identity > 1e-3  # a random loop does not regulate
+    assert syl < 1e-14
+
+
+def test_regulator_equations_resonant_spectra_rejected():
+    # S's eigenvalue 1 - 5e-10 lies inside the unit circle's slack, so a
+    # Schur closed loop can come within 1e-9 of it: no unique steady state.
+    plant = PlantTruth(A=[[0.5]], B=[[1.0]], P=[[0.0]], C=[[1.0]], Q=[[0.0]])
+    exo = ExoMatrix([[1.0 - 5e-10]])
+    im = build_internal_model(exo, p=1)
+    aux = build_auxiliary_matrices(
+        plant, build_structural_matrices(plant, 1), exo, im
+    )
+    with pytest.raises(ValueError, match="resonant spectra"):
+        check_regulator_equations(aux, exo, np.diag([1.0 - 1e-9, 0.4, 0.3]))
+    identity, syl = check_regulator_equations(aux, exo, np.diag([0.5, 0.4, 0.3]))
+    assert identity == pytest.approx(0.0, abs=1e-14)
+
+
 def test_representation_equivalence():
     plant, exo, im, aux, data, res, psi1_g = vtol_design()
-    assert check_representation_equivalence(aux, res.K, psi1_g) < 1e-8
+    model_side = aux.ext_a + aux.ext_b @ res.K
+    assert check_representation_equivalence(model_side, psi1_g) < 1e-8
 
 
 def test_oracle_factorization_residual():

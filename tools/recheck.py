@@ -11,7 +11,7 @@ observability index and T = 10 ell + 11.
 
 runs every input and writes one JSON record per line (stdout by default):
 verdict, ``all_pass``, the solver's stop reason, iterations, margin, gap
-bound and gain K.  It exits 1 when an input misses its expected verdict
+bound, gain K, and the value and pass flag of every check row.  It exits 1 when an input misses its expected verdict
 (paper and rung: feasible with every check passing; wide-output:
 infeasible).
 
@@ -19,8 +19,10 @@ infeasible).
 
 prints the per-input table of two such files: iterations, margin, the
 relative margin and K shifts, and whether the certified brackets
-[margin, margin + gap_bound] overlap.  It exits 1 when a verdict,
-``all_pass`` or stop reason differs, or when two brackets are disjoint.
+[margin, margin + gap_bound] overlap; then, per check row name, the
+largest relative shift of its value over the inputs.  It exits 1 when a
+verdict, ``all_pass``, stop reason, set of rows or row pass flag differs,
+or when two brackets are disjoint.
 """
 
 from __future__ import annotations
@@ -82,6 +84,7 @@ def record(name, config) -> dict:
         "margin": report["synthesis"]["margin"],
         "gap_bound": res.gap_bound if res else None,
         "K": report["synthesis"]["gain"],
+        "rows": {c["name"]: [c["value"], c["pass"]] for c in report["checks"]},
     }
 
 
@@ -111,6 +114,36 @@ def _brackets(a: dict, b: dict) -> str:
     lo = max(a["margin"], b["margin"])
     hi = min(a["margin"] + a["gap_bound"], b["margin"] + b["gap_bound"])
     return "overlap" if lo <= hi else "DISJOINT"
+
+
+def _shift(a: float, b: float) -> float:
+    """Relative shift from ``a`` to ``b``: 0 when equal (NaN included), inf
+    when only one is NaN or ``a`` is 0."""
+    if a == b or (np.isnan(a) and np.isnan(b)):
+        return 0.0
+    if np.isnan(a) or np.isnan(b) or a == 0.0:
+        return float("inf")
+    return abs(b - a) / abs(a)
+
+
+def _row_shifts(old: dict, new: dict, bad: list) -> dict:
+    """Largest relative value shift per row name over the inputs both files
+    ran; an input whose row set or some row's pass flag differs goes into
+    ``bad``."""
+    shifts = {}
+    for name, b in new.items():
+        a = old.get(name)
+        if a is None:
+            continue
+        if a["rows"].keys() != b["rows"].keys():
+            bad.append(f"{name} (rows differ)")
+            continue
+        for row, (va, pa) in a["rows"].items():
+            vb, pb = b["rows"][row]
+            shifts[row] = max(shifts.get(row, 0.0), _shift(va, vb))
+            if pa != pb:
+                bad.append(f"{name} ({row} pass {pa} → {pb})")
+    return shifts
 
 
 def compare(old_path, new_path) -> int:
@@ -145,6 +178,9 @@ def compare(old_path, new_path) -> int:
             f"| {a['iterations']} → {b['iterations']} | {b['margin']:.5e} "
             f"| {margin_shift:.1e} | {k_shift} | {brackets} |"
         )
+    print("\n| row | largest relative shift |\n|---|---|")
+    for row, shift in _row_shifts(old, new, bad).items():
+        print(f"| {row} | {shift:.1e} |")
     for name in bad:
         print(f"mismatch: {name}", file=sys.stderr)
     return 1 if bad else 0
