@@ -11,7 +11,6 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -164,10 +163,7 @@ def synthesize_stage(config: RunConfig, rec: ExperimentRecord):
         hint="declare the Jordan structure or pick a cyclic vector",
     )
     prob = _stage("assemble-sdp", assemble_sdp, data, reg)
-    n_truth = None if config.plant is None else config.plant.n
-    pre = feasibility_precheck(
-        rec.p, config.ell, prob.mhat, prob.psi0, n_truth=n_truth
-    )
+    pre = feasibility_precheck(prob)
     opts = SolverOptions(feas_tol=config.tolerances["feas_tol"], **config.solver)
     result = _stage("solve", solve_feasibility_sdp, prob, opts)
     return data, reg, prob, pre, result
@@ -249,13 +245,14 @@ def _closed_loop_checks(config: RunConfig, im, aux, gain, data_side=None):
     cl = assemble_closed_loop(plant, exo, aux, im, gain)
     rho = check_internal_stability(cl)
     rows = [_check("stability_radius", rho, 1.0)]
-    a_cl = model_side = aux.ext_a + aux.ext_b @ gain
+    model_side = aux.ext_a + aux.ext_b @ gain
+    a_cl = model_side if data_side is None else data_side
+    eigs = np.linalg.eigvals(a_cl)
     if data_side is not None:
-        a_cl = data_side
-        gap = check_representation_equivalence(model_side, data_side)
+        gap = check_representation_equivalence(model_side, eigs)
         rows.append(_check("representation_gap", gap, tol["representation_gap"]))
     try:
-        identity, syl = check_regulator_equations(aux, exo, a_cl)
+        identity, syl = check_regulator_equations(aux, exo, a_cl, eigs)
     except ValueError:  # closed loop not Schur
         identity = syl = float("nan")
 
@@ -318,7 +315,7 @@ def run_pipeline(config: RunConfig, out_dir=None, unmask: bool = False) -> dict:
             "nhat_w": prob.nhat_w,
         },
         "input_manifest": rec.input_manifest,
-        "precheck": asdict(pre),
+        "precheck": pre,
         "synthesis": result.to_dict(),
     }
 
@@ -495,13 +492,27 @@ def _cmd_synthesize(args) -> int:
     payload = result.to_dict()
     payload["config_hash"] = config.config_hash()
     payload["tolerances"] = config.tolerances
-    payload["precheck"] = asdict(pre)
+    payload["precheck"] = pre
     payload["checks"] = _design_checks(config, result)
     write_report(payload, out / "synthesis.json")
-    for msg in pre.messages:
-        print(f"precheck: {msg}")
-    print(f"synthesis status: {result.status} (margin {result.margin:.3e})")
+    _print_synthesis(pre, payload, prob.nu)
     return _print_checks(payload["checks"])
+
+
+def _print_synthesis(pre: dict, syn: dict, nu: int) -> None:
+    """Print the design's summary from the precheck and synthesis fields."""
+    if pre["columns"] < pre["columns_needed"]:
+        print(
+            f"precheck: {pre['columns']} data columns < {pre['columns_needed']} "
+            "(rows of psi0 plus reduced regressor); collect a longer run"
+        )
+    if syn["stop"] is not None:
+        how = f"stop {syn['stop']} after {syn['iterations']} iterations"
+    elif syn["error"] is not None:
+        how = f"interior point failed: {syn['error']}"
+    else:
+        how = f"rank psi0 null_m = {syn['rank']} < nu = {nu}, no solve"
+    print(f"synthesis: {syn['status']} (margin {syn['margin']:.3e}; {how})")
 
 
 def _print_checks(checks: list[dict]) -> int:
@@ -529,9 +540,7 @@ def _cmd_run(args) -> int:
         return 0 if ok else 1
     config = _load_config(args)
     report = run_pipeline(config, out_dir=args.out, unmask=args.unmask)
-    for msg in report["precheck"]["messages"]:
-        print(f"precheck: {msg}")
-    print(f"synthesis: {report['synthesis']['status']}")
+    _print_synthesis(report["precheck"], report["synthesis"], report["dims"]["nu"])
     return _print_checks(report["checks"])
 
 

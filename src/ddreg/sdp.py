@@ -17,12 +17,14 @@ it twice (a first-order direction, then the same system with its
 second-order term), and steps 0.95 of the way to the cone boundary.  Both
 verdicts are certified: the margin from below by an eigenvalue, the optimum
 from above by a dual point (see ``maximize_margin``).  Identical inputs
-produce identical iterates.
+produce identical iterates.  The outcome is returned as data
+(``MarginResult``: the point, the margin, its gap bound, the stop reason and
+the iteration count), never as text.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs, dpstrf, dsyevr, dtrtri
@@ -69,7 +71,6 @@ class MarginResult:
     newton_steps: int  # primal-dual iterations
     gap_bound: float  # optimum <= margin + gap_bound; inf without a dual point
     stop: str  # "verdict" | "gap_tol" | "unbounded" | "stalled" | "newton_budget"
-    log: list[str] = field(default_factory=list)
 
 
 def _chol(M: np.ndarray):
@@ -192,7 +193,6 @@ def maximize_margin(
     (block,) = blocks
     nvar, n = block.nvar, block.size
     C = block.const
-    log: list[str] = []
 
     # The solve's one copy of the coefficients, in the scaled variables and
     # extended by the margin coordinate (coefficient -I); F is its flat view.
@@ -285,7 +285,6 @@ def maximize_margin(
         elif gap <= gap_tol and centre_mu is None:
             stop = "gap_tol"
         elif steps >= max_newton:
-            log.append(f"iteration budget exhausted at gap_bound={gap:.1e}")
             converged = False
             stop = "newton_budget"
         if stop is not None:
@@ -342,7 +341,4 @@ def maximize_margin(
     margin = _lam_min(block.value(v))
     if stop != "unbounded":
         gap = bound - margin
-    log.append(
-        f"margin={margin:.6e} iterations={steps} gap_bound={gap:.1e} stop={stop}"
-    )
-    return MarginResult(v, margin, converged, steps, gap, stop, log)
+    return MarginResult(v, margin, converged, steps, gap, stop)

@@ -27,6 +27,10 @@ gain ``K = u1 Y X^{-1}`` ill-determined: it would move with round-off in
 the data and with the solver tolerance, although the homogeneity says it
 should not.
 
+Nothing here reads the plant: the design sees the data stacks, the reduced
+regressor and the solver options, and returns what it decided as data
+(``SynthesisResult``), not text.
+
 Outside input is validated at three boundaries, the run config
 (``config.RunConfig``), a record CSV (``experiment.record_from_csv``) and a
 gain file (``cli.verify_gain``); nothing here re-checks the data stacks.
@@ -34,7 +38,7 @@ gain file (``cli.verify_gain``); nothing here re-checks the data stacks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,28 +84,48 @@ class SdpProblem:
 
 @dataclass
 class SynthesisResult:
+    """The design's verdict and the solver state behind it, as data.
+
+    ``rank`` is the rank of ``H0 = psi0 null_m``, and ``sigma_kept`` and
+    ``sigma_dropped`` are its singular values on either side of the rank
+    cut, relative to the largest (None where there is none: with fewer
+    columns than nu rows, H0 is short of rank nu by its shape alone).
+    ``stop``, ``iterations`` and ``gap_bound`` are the interior-point
+    solve's (``sdp.MarginResult``; the optimum is at most
+    ``margin + gap_bound``): None, 0 and None when no solve ran or the
+    solve raised.  ``error`` is the text of a solve that raised.
+    """
+
     status: str  # feasible | infeasible | numerical_failure
     margin: float
+    rank: int
+    sigma_kept: float | None
+    sigma_dropped: float | None
+    free_params: int | None = None  # of the design block, once assembled
+    stop: str | None = None
+    iterations: int = 0
+    gap_bound: float | None = None
+    error: str | None = None
     X: np.ndarray | None = None
     Y: np.ndarray | None = None
+    # |mhat Y| and |psi0 Y - X|, set with Y.
+    mhat_residual: float | None = None
+    equality_residual: float | None = None
     K: np.ndarray | None = None
-    diagnostics: list[str] = field(default_factory=list)
-    # Interior-point certificate: the optimal margin is at most
-    # margin + gap_bound.  None when no interior-point solve produced the
-    # point.
-    gap_bound: float | None = None
     # G = Y X^{-1} and the norm defect of its interpolation identity (the
     # report's gain_identity row); set with K.
     G: np.ndarray | None = None
     gain_defect: float | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "margin": self.margin,
-            "gain": None if self.K is None else self.K.tolist(),
-            "diagnostics": list(self.diagnostics),
-        }
+        names = (
+            "status", "margin", "stop", "iterations", "gap_bound", "free_params",
+            "rank", "sigma_kept", "sigma_dropped", "mhat_residual",
+            "equality_residual", "error",
+        )
+        d = {name: getattr(self, name) for name in names}
+        d["gain"] = None if self.K is None else self.K.tolist()
+        return d
 
 
 def assemble_sdp(data: DataMatrices, reg: Regressor) -> SdpProblem:
@@ -223,25 +247,19 @@ def solve_feasibility_sdp(
     by construction up to round-off.
     """
     opts = opts or SolverOptions()
-    nu, N = prob.nu, prob.n_cols
-    diagnostics = [f"dims: nu={nu} N={N} nhat_w={prob.nhat_w}"]
-
     null_m, s, pinv, kernel = _elimination(prob)
-    q = null_m.shape[1]
-    rank = q - kernel.shape[1]
-    if rank < nu:
+    rank = null_m.shape[1] - kernel.shape[1]
+    rel = s / s[0] if rank else s[:0]  # rank 0: H0 is zero or empty
+    kept = float(rel[rank - 1]) if rank else None
+    dropped = float(rel[rank]) if rank < rel.size else None
+    result = SynthesisResult("infeasible", -np.inf, rank, kept, dropped)
+    if rank < prob.nu:
         # X = psi0 Y = H0 Z has rank below nu for every Z, and X is a
         # principal submatrix of the block: the margin is at most 0.
-        ratio = s[nu - 1] / s[0] if s.size >= nu and s[0] > 0 else 0.0
-        diagnostics.append(
-            f"rank psi0 null_m = {rank} < nu = {nu} "
-            f"(sigma_min/sigma_max = {ratio:.1e}): X = psi0 Y is singular "
-            "for every Y; problem infeasible"
-        )
-        return SynthesisResult("infeasible", -np.inf, diagnostics=diagnostics)
+        return result
 
     block = _sdp_block(prob.psi1 @ null_m, pinv, kernel)
-    diagnostics.append(f"eliminated problem: {block.nvar} free parameters (q={q})")
+    result.free_params = block.nvar
     try:
         res = maximize_margin(
             [block],
@@ -250,31 +268,23 @@ def solve_feasibility_sdp(
             feas_tol=opts.feas_tol,
         )
     except RuntimeError as exc:
-        diagnostics.append(f"interior point failed: {exc}")
-        return SynthesisResult("numerical_failure", np.nan, diagnostics=diagnostics)
-    diagnostics.extend(res.log)
+        result.status, result.margin = "numerical_failure", np.nan
+        result.error = str(exc)
+        return result
+    result.margin, result.stop = res.margin, res.stop
+    result.iterations, result.gap_bound = res.newton_steps, res.gap_bound
     if not res.converged:
-        return SynthesisResult("numerical_failure", res.margin, diagnostics=diagnostics)
-    v, margin, gap_bound = res.v, res.margin, res.gap_bound
+        result.status = "numerical_failure"
+        return result
 
-    Y = null_m @ _design_z(v, pinv, kernel)
-    X = _sym(prob.psi0 @ Y)
-
-    diagnostics.append(f"margin={margin:.6e} feas_tol={opts.feas_tol:.1e}")
-    if margin <= opts.feas_tol:
-        return SynthesisResult(
-            "infeasible", margin, X, Y, diagnostics=diagnostics, gap_bound=gap_bound
-        )
-
-    resid_m = np.linalg.norm(prob.mhat @ Y) if prob.nhat_w else 0.0
-    resid_eq = np.linalg.norm(prob.psi0 @ Y - X)
-    diagnostics.append(
-        f"residuals: |mhat Y|={resid_m:.2e} |psi0 Y - X|={resid_eq:.2e}"
-    )
-    K, G, gain_defect = extract_gain(prob, X, Y)
-    return SynthesisResult(
-        "feasible", margin, X, Y, K, diagnostics, gap_bound, G=G, gain_defect=gain_defect
-    )
+    result.Y = Y = null_m @ _design_z(res.v, pinv, kernel)
+    result.X = X = _sym(prob.psi0 @ Y)
+    result.mhat_residual = float(np.linalg.norm(prob.mhat @ Y))
+    result.equality_residual = float(np.linalg.norm(prob.psi0 @ Y - X))
+    if res.margin > opts.feas_tol:
+        result.status = "feasible"
+        result.K, result.G, result.gain_defect = extract_gain(prob, X, Y)
+    return result
 
 
 def extract_gain(prob: SdpProblem, X, Y) -> tuple[np.ndarray, np.ndarray, float]:
@@ -297,40 +307,11 @@ def extract_gain(prob: SdpProblem, X, Y) -> tuple[np.ndarray, np.ndarray, float]
     return K, G, float(np.linalg.norm(stacked_lhs - stacked_rhs))
 
 
-@dataclass
-class PrecheckReport:
-    messages: list[str]
-    provably_infeasible: bool
-
-
-def feasibility_precheck(
-    p: int,
-    ell: int,
-    mhat: np.ndarray,
-    psi0: np.ndarray,
-    n_truth: int | None = None,
-) -> PrecheckReport:
-    """Cheap feasibility diagnostics run before the solver.
-
-    With ground-truth access, ``p * ell > n`` and a full-row-rank regressor
-    certify infeasibility.  Experiments with fewer data columns than rows of
-    ``[psi0; mhat]`` are flagged.  The designer-side rank decision (X is
+def feasibility_precheck(prob: SdpProblem) -> dict:
+    """Experiment-length guidance from designer data, before the solver: the
+    data ``columns`` and the rows of ``[psi0; mhat]``, ``columns_needed``; a
+    run with fewer columns than that is too short.  The rank decision (X is
     singular for every Y when ``psi0 null_m`` has rank below nu) is made and
     reported by ``solve_feasibility_sdp``.
     """
-    nu, N = psi0.shape
-    messages = []
-    provably = False
-    if n_truth is not None and p * ell > n_truth:
-        provably = True
-        messages.append(
-            f"provably infeasible: full-row-rank regressor with p*ell = "
-            f"{p * ell} > n = {n_truth}"
-        )
-    need = nu + mhat.shape[0]
-    if N < need:
-        messages.append(
-            f"experiment-length guidance: {N} data columns < {need} "
-            "(rows of psi0 plus reduced regressor); collect a longer run"
-        )
-    return PrecheckReport(messages=messages, provably_infeasible=provably)
+    return {"columns": prob.n_cols, "columns_needed": prob.nu + prob.nhat_w}

@@ -369,18 +369,19 @@ def check_regulator_equations(
     aux: AuxiliaryMatrices,
     exo: ExoMatrix,
     closed_data_matrix,
+    eigs,
 ) -> tuple[float, float]:
     """Steady-state (Sylvester) certificate for zero asymptotic output.
 
     Solves ``A_cl P - P S = -ext_p exo_window_map`` for the closed-loop
-    matrix ``A_cl`` (in its data representation) and returns the norm of
+    matrix ``A_cl`` (in its data representation), whose eigenvalues are
+    ``eigs``, and returns the norm of
     ``y_from_exo exo_window_map + y_from_window P_top`` together with the
     relative Sylvester residual.  Raises ``ValueError`` when ``A_cl`` is
     not Schur or is resonant with S (an eigenvalue within
     :data:`SPECTRUM_GAP_TOL` of one of S's): no unique steady state.
     """
     A_cl = closed_data_matrix
-    eigs = np.linalg.eigvals(A_cl)
     rho = float(np.max(np.abs(eigs)))
     if rho >= 1.0:
         raise ValueError(f"closed-loop matrix is not Schur (radius {rho:.4f})")
@@ -401,7 +402,8 @@ def check_regulator_equations(
     return identity, float(syl / denom)
 
 
-def check_representation_equivalence(model_side, data_side) -> float:
+def check_representation_equivalence(model_side, data_eigs) -> float:
     """Gap between the spectral radii of the model-side closed loop
-    ``ext_a + ext_b gain`` and its data-side representation."""
-    return abs(spectral_radius(model_side) - spectral_radius(data_side))
+    ``ext_a + ext_b gain`` and its data-side representation, whose
+    eigenvalues are ``data_eigs``."""
+    return abs(spectral_radius(model_side) - float(np.max(np.abs(data_eigs))))

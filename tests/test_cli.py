@@ -230,8 +230,13 @@ def test_wide_output_config_infeasible_with_warning():
     config = RunConfig.from_dict(wide_output_config_dict())
     report = run_pipeline(config)
     assert report["synthesis"]["status"] == "infeasible"
-    assert report["precheck"]["provably_infeasible"]
-    assert any("provably infeasible" in m for m in report["precheck"]["messages"])
+    # The rank test on designer data settles it, with no solve; the
+    # experiment is long enough, so the precheck has nothing to say.
+    assert report["synthesis"]["rank"] < report["dims"]["nu"]
+    assert report["synthesis"]["stop"] is None
+    assert report["synthesis"]["gap_bound"] is None
+    pre = report["precheck"]
+    assert pre["columns"] == report["dims"]["N"] >= pre["columns_needed"]
     assert not report["all_pass"]
 
 
@@ -350,7 +355,7 @@ def test_cli_run_infeasible_exit_nonzero(tmp_path, capsys):
     code = main(["run", "--config", str(path)])
     assert code == 1
     out = capsys.readouterr().out
-    assert "precheck: provably infeasible" in out
+    assert "synthesis: infeasible (margin -inf; rank psi0 null_m = 9 < nu = 10" in out
 
 
 @pytest.mark.parametrize(
@@ -602,6 +607,28 @@ def test_cli_synthesize_plant_free(tmp_path):
     assert code == 0
     payload = json.loads((tmp_path / "s2" / "synthesis.json").read_text())
     assert payload["status"] == "feasible"
+
+
+def test_design_stage_reads_no_ground_truth(tmp_path):
+    # One wide-output record designed from a config with the plant and from
+    # a plant-free one (dims only): the design sees the record, the
+    # exosystem and the options alone, so the two synthesis.json files
+    # differ only in the config hash.
+    d = wide_output_config_dict()
+    path = write_config(tmp_path, d)
+    assert main(["collect", "--config", str(path), "--out", str(tmp_path / "c")]) == 0
+    d.pop("plant")
+    d.pop("initial")
+    d["dims"] = {"m": 1, "p": 2}
+    blind = write_config(tmp_path, d, name="blind.json")
+    texts = []
+    for config, out in ((path, tmp_path / "s"), (blind, tmp_path / "s2")):
+        argv = ["synthesize", "--config", str(config), "--out", str(out)]
+        assert main(argv + ["--record", str(tmp_path / "c" / "record.csv")]) == 1
+        lines = (out / "synthesis.json").read_text().splitlines()
+        texts.append([line for line in lines if '"config_hash"' not in line])
+    assert texts[0] == texts[1]
+    assert '  "status": "infeasible",' in texts[0]
 
 
 @pytest.mark.parametrize(

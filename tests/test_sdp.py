@@ -6,6 +6,7 @@ from scipy.linalg import block_diag
 
 from ddreg import sdp, synthesis
 from ddreg.cli import paper_example_config, run_pipeline
+from ddreg.config import DEFAULTS
 from ddreg.sdp import AffineBlock, _col_scale, _schur_complement, maximize_margin
 
 
@@ -76,8 +77,7 @@ def test_verdict_stop_certifies_margin_above_threshold():
     # The certificate brackets the optimum, which is below twice the margin.
     assert res.margin <= 5.0 / 4.0 <= res.margin + res.gap_bound
     assert res.margin == pytest.approx(np.linalg.eigvalsh(block.value(res.v))[0])
-    assert f"gap_bound={res.gap_bound:.1e}" in res.log[-1]
-    assert res.log[-1].endswith("stop=verdict")
+    assert 0 < res.newton_steps <= DEFAULTS["solver"]["max_newton"]
     # A threshold the optimum never clears gets the infeasible verdict: a
     # dual bound at or below the threshold.
     res_high = maximize_margin([block], feas_tol=2.0)
@@ -155,7 +155,7 @@ def test_unbounded_margin_has_no_certificate():
         assert res.gap_bound == np.inf
         assert np.isfinite(res.margin) and np.isfinite(res.v).all()
         assert res.margin == pytest.approx(np.linalg.eigvalsh(block.value(res.v))[0])
-        assert res.log[-1].endswith("stop=unbounded")
+        assert res.converged
 
 
 def test_degenerate_dual_stalls_with_certified_margin():

@@ -212,7 +212,10 @@ def test_wide_output_rank_branch_skips_the_solve(monkeypatch):
         res = solve_feasibility_sdp(wide_problem(seed))
         assert res.status == "infeasible"
         assert res.margin == -np.inf and res.gap_bound is None
-        assert any(line.startswith("rank psi0 null_m = 9 < nu = 10") for line in res.diagnostics)
+        assert res.rank == 9 < wide_problem(seed).nu == 10
+        assert res.stop is None and res.iterations == 0 and res.free_params is None
+        # The cut falls between a clear and a round-off singular value.
+        assert res.sigma_kept > 1e-4 and res.sigma_dropped < 1e-14
 
 
 @pytest.mark.parametrize("factorization", ["jordan", "krylov"])
@@ -435,11 +438,31 @@ def test_gain_independent_of_gap_tol():
     tight = solve_feasibility_sdp(prob, SolverOptions(gap_tol=1e-12))
     for res in (loose, tight):
         assert res.status == "feasible"
-        assert any("stop=verdict" in line for line in res.diagnostics)
+        assert res.stop == "verdict"
         assert res.margin > DEFAULT_FEAS_TOL
         assert res.gap_bound < res.margin
     scale = np.abs(loose.K).max()
     assert np.abs(tight.K - loose.K).max() < 1e-8 * scale
+
+
+def test_failed_solve_keeps_its_solver_state(monkeypatch):
+    # A solve cut short by its iteration budget still reports where it
+    # stopped, with its certificate; one that raises reports the error.
+    prob = vtol_problem(seed=0)
+    res = solve_feasibility_sdp(prob, SolverOptions(max_newton=2))
+    assert res.status == "numerical_failure"
+    assert (res.stop, res.iterations) == ("newton_budget", 2)
+    assert res.gap_bound is not None and res.gap_bound > 0
+    assert res.free_params == 64 and res.rank == prob.nu
+
+    def raising(*args, **kwargs):
+        raise RuntimeError("non-finite Newton system")
+
+    monkeypatch.setattr(synthesis, "maximize_margin", raising)
+    res = solve_feasibility_sdp(prob)
+    assert res.status == "numerical_failure" and np.isnan(res.margin)
+    assert res.stop is None and res.gap_bound is None
+    assert res.to_dict()["error"] == "non-finite Newton system"
 
 
 def test_determinism():
@@ -485,7 +508,9 @@ def test_wide_window_is_infeasible(seed, n, m, p, n_w):
     rec, _ = collect_stage(config)
     _, _, prob, pre, res = synthesize_stage(config, rec)
     assert rank_with_tol(prob.mhat) == prob.nhat_w
-    assert pre.provably_infeasible
+    # The designer-side rank test settles it: psi0 null_m is short of rank
+    # nu, so no solve runs.
+    assert res.rank < prob.nu and res.stop is None
     assert res.status == "infeasible"
 
 
@@ -516,30 +541,15 @@ def test_extract_gain_rejects_singular_x():
 
 
 def test_precheck_vtol_no_warnings():
-    prob = vtol_problem(seed=0)
-    report = feasibility_precheck(1, 4, prob.mhat, prob.psi0, n_truth=4)
-    assert not report.provably_infeasible
-    assert report.messages == []
-
-
-def test_precheck_wide_output_warns():
-    plant, exo = wide_output()
-    im = build_internal_model(exo, p=plant.p)
-    rec = collect_experiment(
-        plant, exo, im, [0.2, -0.1], [0.5, -0.3, 0.2], np.zeros(im.dim),
-        NormalInputPolicy(seed=0), T=20, ell=2,
-    )
-    data = assemble_data_matrices(rec)
-    reg = build_M_jordan(analyze_exosystem(exo), ell=2, T=20).reduced()
-    prob = assemble_sdp(data, reg)
-    report = feasibility_precheck(plant.p, 2, prob.mhat, prob.psi0, n_truth=plant.n)
-    assert report.provably_infeasible
-    assert any("provably infeasible" in msg for msg in report.messages)
+    # 17 data columns against nu = 10 rows of psi0 and 2 of the regressor.
+    report = feasibility_precheck(vtol_problem(seed=0))
+    assert report == {"columns": 17, "columns_needed": 12}
 
 
 def test_precheck_empty_regressor_guidance_only():
     rng = np.random.default_rng(1)
     psi0 = rng.standard_normal((4, 3))  # too few columns
-    report = feasibility_precheck(1, 1, np.zeros((0, 3)), psi0)
-    assert not report.provably_infeasible
-    assert any("experiment-length guidance" in msg for msg in report.messages)
+    prob = SdpProblem(
+        u1=np.zeros((1, 3)), psi0=psi0, psi1=np.zeros((4, 3)), mhat=np.zeros((0, 3))
+    )
+    assert feasibility_precheck(prob) == {"columns": 3, "columns_needed": 4}

@@ -10,10 +10,12 @@ observability index and T = 10 ell + 11.
     python tools/recheck.py [--out FILE]
 
 runs every input and writes one JSON record per line (stdout by default):
-verdict, ``all_pass``, the solver's stop reason, iterations, margin, gap
-bound, gain K, and the value and pass flag of every check row.  It exits 1 when an input misses its expected verdict
-(paper and rung: feasible with every check passing; wide-output:
-infeasible).
+verdict, ``all_pass``, the solver's stop reason ("no solve" when none
+ran), iterations, margin, gap bound, gain K, and the value and pass flag of
+every check row, all read off the report.  It exits 1 when an input misses
+its expected verdict (paper and rung: feasible with every check passing;
+wide-output: infeasible).  ``ddreg`` is imported from this checkout's
+``src``, ahead of any installed copy.
 
     python tools/recheck.py --compare OLD NEW
 
@@ -35,11 +37,13 @@ from pathlib import Path
 import numpy as np
 from scipy.linalg import block_diag
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+# This checkout's package and test scenarios, ahead of any installed copy.
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from _scenarios import random_plant, rotation  # noqa: E402
 
-from ddreg import benchmarks, synthesis  # noqa: E402
+from ddreg import benchmarks  # noqa: E402
 from ddreg.cli import RunConfig, paper_example_config, run_pipeline  # noqa: E402
 from ddreg.plant import observability_index  # noqa: E402
 
@@ -63,27 +67,17 @@ def inputs():
 
 def record(name, config) -> dict:
     """One input's verdict and solver outcome."""
-    solves, solve = [], synthesis.maximize_margin
-
-    def recording(*args, **kwargs):
-        solves.append(solve(*args, **kwargs))
-        return solves[-1]
-
-    synthesis.maximize_margin = recording
-    try:
-        report = run_pipeline(config)
-    finally:
-        synthesis.maximize_margin = solve
-    res = solves[-1] if solves else None
+    report = run_pipeline(config)
+    syn = report["synthesis"]
     return {
         "input": name,
-        "verdict": report["synthesis"]["status"],
+        "verdict": syn["status"],
         "all_pass": report["all_pass"],
-        "stop": res.stop if res else "no solve",
-        "iterations": res.newton_steps if res else 0,
-        "margin": report["synthesis"]["margin"],
-        "gap_bound": res.gap_bound if res else None,
-        "K": report["synthesis"]["gain"],
+        "stop": syn["stop"] or "no solve",
+        "iterations": syn["iterations"],
+        "margin": syn["margin"],
+        "gap_bound": syn["gap_bound"],
+        "K": syn["gain"],
         "rows": {c["name"]: [c["value"], c["pass"]] for c in report["checks"]},
     }
 
