@@ -267,9 +267,12 @@ def _closed_loop_checks(config: RunConfig, im, aux, gain, data_side=None):
         )
     except RuntimeError:  # divergent closed loop
         run = None
-    # With w0 = 0 the exosignal stays 0: the loop is its core map alone.
+    # With w0 = 0 the exosignal stays 0: the loop is its core map alone.  A
+    # zero core state stays zero under any gain: probe from ones / sqrt(dim).
+    core0 = np.concatenate([x0, chi0, eta0])
+    core0 = core0 if core0.any() else np.ones(core0.size) / np.sqrt(core0.size)
     try:
-        core = simulate_linear(cl.core_map, np.concatenate([x0, chi0, eta0]), steps)
+        core = simulate_linear(cl.core_map, core0, steps)
         decay = np.linalg.norm(core[-1]) / max(np.linalg.norm(core[0]), 1e-300)
     except RuntimeError:
         decay = float("nan")

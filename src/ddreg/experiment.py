@@ -19,7 +19,6 @@ import csv
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import DEFAULTS
 from .internal_model import InternalModel
@@ -115,25 +114,25 @@ def collect_experiment(
         manifest = {"type": "explicit"}
 
     n_w, n = exo.n_w, plant.n
+    nz = n_w + n
     z0 = np.concatenate([w0, x0, eta0])
     # One step of [w; x; eta]; the output y = [Q C] [w; x] feeds eta.
     out = np.hstack([plant.Q, plant.C])
-    F = np.block(
-        [
-            [exo.S, np.zeros((n_w, n + im.dim))],
-            [plant.P, plant.A, np.zeros((n, im.dim))],
-            [im.input_map @ out, im.companion],
-        ]
-    )
+    F = np.zeros((nz + im.dim, nz + im.dim))
+    F[:n_w, :n_w] = exo.S
+    F[n_w:nz, :n_w] = plant.P
+    F[n_w:nz, n_w:nz] = plant.A
+    F[nz:, :nz] = im.input_map @ out
+    F[nz:, nz:] = im.companion
     G = np.vstack([np.zeros((n_w, plant.m)), plant.B, np.zeros((im.dim, plant.m))])
     z = simulate_linear(F, z0, T + 1, G, u)
     return ExperimentRecord(
         T=T,
         ell=ell,
         u=u,
-        y=z[: T + 1, : n_w + n] @ out.T,
-        eta=z[:, n_w + n :],
-        oracle=OracleTraces(w=z[: T + 1, :n_w], x=z[: T + 1, n_w : n_w + n]),
+        y=z[: T + 1, :nz] @ out.T,
+        eta=z[:, nz:],
+        oracle=OracleTraces(w=z[: T + 1, :n_w], x=z[: T + 1, n_w:nz]),
         input_manifest=manifest,
     )
 
@@ -161,9 +160,13 @@ class DataMatrices:
 
 def stacked_windows(a: np.ndarray, ell: int) -> np.ndarray:
     """Row j holds the samples ``a[j .. j+ell-1]`` stacked in time order,
-    i.e. ``a[j : j + ell].ravel()``, for every j with a full window."""
-    c = a.shape[1]
-    return sliding_window_view(a.ravel(), ell * c)[::c]
+    i.e. ``a[j : j + ell].ravel()``, for every j with a full window: a
+    read-only strided view of ``a``, or of its contiguous copy."""
+    a = np.ascontiguousarray(a)
+    rows, c = a.shape[0] - ell + 1, a.shape[1]
+    windows = np.ndarray((rows, ell * c), a.dtype, a, 0, (a.strides[0], a.itemsize))
+    windows.flags.writeable = False
+    return windows
 
 
 def assemble_data_matrices(rec: ExperimentRecord) -> DataMatrices:

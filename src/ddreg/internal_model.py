@@ -61,8 +61,9 @@ def build_internal_model(
         coeffs = np.where(np.abs(coeffs - snapped) <= snap_coeffs_tol, snapped, coeffs)
 
     d = poly.degree
-    companion = np.kron(np.eye(d, k=1), np.eye(p))
-    companion[(d - 1) * p :] = np.kron(-coeffs, np.eye(p))
+    companion = np.eye(d * p, k=p)
+    i = np.arange(p)[:, None]
+    companion[(d - 1) * p + i, np.arange(d) * p + i] = -coeffs
     input_map = np.zeros((p * d, p))
     input_map[(d - 1) * p : d * p, :] = np.eye(p)
     return InternalModel(

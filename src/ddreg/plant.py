@@ -220,21 +220,24 @@ def build_structural_matrices(plant: PlantTruth, ell: int) -> StructuralMatrices
         powers.append(powers[-1] @ A)
 
     obs = np.vstack([C @ powers[j] for j in range(ell)])
-    if rank_with_tol(obs) < n:
+    # One thin SVD gives the rank test and, in np.linalg.pinv's arithmetic,
+    # the pseudo-inverse (every singular value left is above pinv's cutoff).
+    u, s, vt = np.linalg.svd(obs, full_matrices=False)
+    if np.count_nonzero(s > DEFAULT_RANK_RTOL * s[0]) < n:
         raise ValueError("ell below observability index")
+    obs_pinv = vt.T @ ((1 / s)[:, None] * u.T)
 
+    cb, cp = (obs.reshape(ell, p, n) @ M for M in (B, P))  # C A^d B, C A^d P
     toeplitz_u = np.zeros((p * ell, m * ell))
     toeplitz_w = np.zeros((p * ell, n_w * ell))
     for i in range(ell):
         toeplitz_w[i * p : (i + 1) * p, i * n_w : (i + 1) * n_w] = Q
         for j in range(i):
-            blk = C @ powers[i - j - 1]
-            toeplitz_u[i * p : (i + 1) * p, j * m : (j + 1) * m] = blk @ B
-            toeplitz_w[i * p : (i + 1) * p, j * n_w : (j + 1) * n_w] = blk @ P
+            toeplitz_u[i * p : (i + 1) * p, j * m : (j + 1) * m] = cb[i - j - 1]
+            toeplitz_w[i * p : (i + 1) * p, j * n_w : (j + 1) * n_w] = cp[i - j - 1]
 
     reach_u = np.hstack([powers[ell - 1 - j] @ B for j in range(ell)])
     reach_w = np.hstack([powers[ell - 1 - j] @ P for j in range(ell)])
-    obs_pinv = np.linalg.pinv(obs)
     return StructuralMatrices(
         ell=ell,
         obs=obs,

@@ -199,34 +199,32 @@ def _sym_basis(nu: int) -> np.ndarray:
     return B
 
 
-def _sdp_block(H1: np.ndarray, pinv: np.ndarray, kernel: np.ndarray) -> AffineBlock:
+def _sdp_block(H1, pinv, kernel, basis) -> AffineBlock:
     """The block ``[[X, W], [W^T, X]]`` of the design program, with
     ``W = H1 Z = Gamma X + Lambda R`` for ``Gamma = H1 H0^+`` and
     ``Lambda = H1 N``, affine in the free parameters.  Its constant term is
     X = I, R = 0 (so trace X = nu); its coefficients are the trace-zero
-    symmetric basis of ``_sym_basis`` for X, then the unit entries of R in
-    row-major order.  ``X > 0`` needs no block of its own: X is a principal
-    submatrix, so by Cauchy interlacing its smallest eigenvalue is at least
-    the whole block's."""
+    symmetric basis ``basis = _sym_basis(nu)`` for X, then the unit entries
+    of R in row-major order.  ``X > 0`` needs no block of its own: X is a
+    principal submatrix, so by Cauchy interlacing its smallest eigenvalue is
+    at least the whole block's."""
     gamma, lam = H1 @ pinv, H1 @ kernel
     nu, r = lam.shape
-    X = _sym_basis(nu)
-    nx = X.shape[0]
+    nx = basis.shape[0]
     S = np.zeros((nx + r * nu, 2 * nu, 2 * nu))
-    S[:nx, :nu, :nu] = S[:nx, nu:, nu:] = X
-    S[:nx, :nu, nu:] = gamma @ X
+    S[:nx, :nu, :nu] = S[:nx, nu:, nu:] = basis
+    S[:nx, :nu, nu:] = gamma @ basis
     # Entry (a, b) of R puts column a of Lambda into column b of W.
     S[nx:, :nu, nu:] = np.einsum("ia,bj->abij", lam, np.eye(nu)).reshape(r * nu, nu, nu)
     S[:, nu:, :nu] = S[:, :nu, nu:].transpose(0, 2, 1)
     return AffineBlock(const=S[0], coeff=S[1:])
 
 
-def _design_z(v: np.ndarray, pinv: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+def _design_z(v, pinv, kernel, basis) -> np.ndarray:
     """``Z = H0^+ X + N R`` at the parameters v of ``_sdp_block``."""
     nu, r = pinv.shape[1], kernel.shape[1]
-    B = _sym_basis(nu)
-    nx = len(B) - 1
-    X = B[0] + np.tensordot(v[:nx], B[1:], axes=1)
+    nx = len(basis) - 1
+    X = basis[0] + np.tensordot(v[:nx], basis[1:], axes=1)
     return pinv @ X + kernel @ v[nx:].reshape(r, nu)
 
 
@@ -258,7 +256,8 @@ def solve_feasibility_sdp(
         # principal submatrix of the block: the margin is at most 0.
         return result
 
-    block = _sdp_block(prob.psi1 @ null_m, pinv, kernel)
+    basis = _sym_basis(prob.nu)
+    block = _sdp_block(prob.psi1 @ null_m, pinv, kernel, basis)
     result.free_params = block.nvar
     try:
         res = maximize_margin(
@@ -277,7 +276,7 @@ def solve_feasibility_sdp(
         result.status = "numerical_failure"
         return result
 
-    result.Y = Y = null_m @ _design_z(res.v, pinv, kernel)
+    result.Y = Y = null_m @ _design_z(res.v, pinv, kernel, basis)
     result.X = X = _sym(prob.psi0 @ Y)
     result.mhat_residual = float(np.linalg.norm(prob.mhat @ Y))
     result.equality_residual = float(np.linalg.norm(prob.psi0 @ Y - X))

@@ -104,12 +104,10 @@ def build_auxiliary_matrices(
     window_a = window_shift + inject_y @ y_from_window
 
     dim_im = im.dim
-    ext_a = np.block(
-        [
-            [window_a, np.zeros((wd, dim_im))],
-            [im.input_map @ y_from_window, im.companion],
-        ]
-    )
+    ext_a = np.zeros((wd + dim_im, wd + dim_im))
+    ext_a[:wd, :wd] = window_a
+    ext_a[wd:, :wd] = im.input_map @ y_from_window
+    ext_a[wd:, wd:] = im.companion
     ext_b = np.vstack([inject_u, np.zeros((dim_im, m))])
     ext_p = np.vstack([inject_y @ y_from_exo, im.input_map @ y_from_exo])
 
@@ -226,9 +224,10 @@ def check_solution_correspondence(
     omega = np.linalg.matrix_power(exo.S, ell) @ w0
     wd, n_w = aux.window_dim, exo.n_w
     y_exo = aux.y_from_exo @ aux.exo_window_map
-    F = np.block(
-        [[aux.window_a, aux.inject_y @ y_exo], [np.zeros((n_w, wd)), exo.S]]
-    )
+    F = np.zeros((wd + n_w, wd + n_w))
+    F[:wd, :wd] = aux.window_a
+    F[:wd, wd:] = aux.inject_y @ y_exo
+    F[wd:, wd:] = exo.S
     G = np.vstack([aux.inject_u, np.zeros((n_w, u.shape[1]))])
     z = simulate_linear(F, np.concatenate([xi, omega]), steps - ell, G, u[ell:])
     xi, omega = z[:, :wd], z[:, wd:]
@@ -280,24 +279,21 @@ def assemble_closed_loop(
     k_eta = gain[:, wd:]
 
     A, B, P, C, Q = plant.A, plant.B, plant.P, plant.C, plant.Q
-    core = np.block(
-        [
-            [A, B @ k_chi, B @ k_eta],
-            [
-                aux.inject_y @ C,
-                aux.window_shift + aux.inject_u @ k_chi,
-                aux.inject_u @ k_eta,
-            ],
-            [im.input_map @ C, np.zeros((di, wd)), im.companion],
-        ]
-    )
-    w_col = np.vstack([P, aux.inject_y @ Q, im.input_map @ Q])
-    full = np.block(
-        [
-            [exo.S, np.zeros((n_w, n + wd + di))],
-            [w_col, core],
-        ]
-    )
+    x, c, e = n_w, n_w + n, n_w + n + wd  # where x, chi and eta start
+    full = np.zeros((e + di, e + di))
+    full[:x, :x] = exo.S
+    full[x:c, :x] = P
+    full[x:c, x:c] = A
+    full[x:c, c:e] = B @ k_chi
+    full[x:c, e:] = B @ k_eta
+    full[c:e, :x] = aux.inject_y @ Q
+    full[c:e, x:c] = aux.inject_y @ C
+    full[c:e, c:e] = aux.window_shift + aux.inject_u @ k_chi
+    full[c:e, e:] = aux.inject_u @ k_eta
+    full[e:, :x] = im.input_map @ Q
+    full[e:, x:c] = im.input_map @ C
+    full[e:, e:] = im.companion
+    core = full[x:, x:].copy()
     return ClosedLoopModel(
         plant=plant, exo=exo, aux=aux, im=im, gain=gain, full_map=full, core_map=core
     )

@@ -717,6 +717,24 @@ def test_verify_destabilizing_gain_fails_rows(gain_value):
         assert rows[name]["pass"]
 
 
+def test_zero_exo_decay_probes_a_zero_core_state():
+    # With x0, chi0 and eta0 unset the core state is zero, and it would stay
+    # zero under any gain: the row steps a unit probe instead, so the zero
+    # gain (radius 1) fails it and the designed gain passes it.
+    d = vtol_config_dict(seed=0)
+    del d["initial"]["x0"], d["initial"]["eta0"]
+    config = RunConfig.from_dict(d)
+    zero = {c["name"]: c for c in verify_gain(config, [[0.0] * 10])["checks"]}
+    assert zero["stability_radius"]["value"] >= 1.0
+    assert zero["zero_exo_decay"]["value"] > 0.1
+    assert not zero["zero_exo_decay"]["pass"]
+    designed = run_pipeline(config)
+    assert designed["synthesis"]["status"] == "feasible"
+    for report in (designed, verify_gain(config, designed["synthesis"]["gain"])):
+        row = next(c for c in report["checks"] if c["name"] == "zero_exo_decay")
+        assert 0.0 < row["value"] and row["pass"]
+
+
 def test_cli_verify_destabilizing_gain_writes_report(tmp_path, capsys):
     path = write_config(tmp_path, vtol_config_dict(seed=0))
     gain_path = tmp_path / "synthesis.json"

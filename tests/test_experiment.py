@@ -9,6 +9,7 @@ from ddreg.experiment import (
     collect_experiment,
     record_from_csv,
     record_to_csv,
+    stacked_windows,
 )
 from ddreg.internal_model import build_internal_model
 from ddreg.plant import ExoMatrix, PlantTruth
@@ -166,6 +167,21 @@ def test_sliding_window_consistency():
     # psi1 column j equals psi0 column j+1 except for anything beyond T-ell.
     data = assemble_data_matrices(vtol_record(seed=4))
     np.testing.assert_array_equal(data.psi1[:, :-1], data.psi0[:, 1:])
+
+
+@pytest.mark.parametrize(
+    "a, ell",
+    [
+        (np.arange(30.0).reshape(10, 3), 4),  # contiguous
+        (np.arange(70.0).reshape(10, 7)[:, 2:4], 3),  # column slice of a wider array
+        (np.arange(12.0).reshape(4, 3), 4),  # a single window
+    ],
+)
+def test_stacked_windows_match_explicit_loop(a, ell):
+    windows = stacked_windows(a, ell)
+    ref = np.array([a[j : j + ell].ravel() for j in range(len(a) - ell + 1)])
+    np.testing.assert_array_equal(windows, ref)
+    assert not windows.flags.writeable
 
 
 def test_determinism_same_seed_bit_identical():

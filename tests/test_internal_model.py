@@ -36,6 +36,17 @@ def test_block_pattern_two_outputs():
     np.testing.assert_allclose(im.input_map[2:], np.eye(2), atol=1e-12)
 
 
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_companion_matches_kronecker_form(seed, p):
+    exo = random_unit_circle_exo(np.random.default_rng(seed), 2 + seed, conjugate=True)
+    im = build_internal_model(exo, p=p)
+    d = im.degree
+    ref = np.kron(np.eye(d, k=1), np.eye(p))
+    ref[(d - 1) * p :] = np.kron(-im.coeffs, np.eye(p))
+    np.testing.assert_array_equal(im.companion, ref)
+
+
 def test_unit_circle_assumption_enforced():
     with pytest.raises(ValueError, match="inside unit circle"):
         ExoMatrix(np.diag([0.9, 1.0]))

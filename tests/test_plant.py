@@ -11,7 +11,7 @@ from ddreg.plant import (
     observability_index,
 )
 
-from _scenarios import vtol
+from _scenarios import random_plant, vtol
 
 
 def scalar_plant(a=0.5, b=1.0, c=1.0, p=0.0, q=0.0):
@@ -222,6 +222,33 @@ def test_structural_matrices_left_inverse_vtol():
     plant, _ = vtol()
     sm = build_structural_matrices(plant, 4)
     np.testing.assert_allclose(sm.obs_pinv @ sm.obs, np.eye(plant.n), atol=1e-9)
+
+
+@pytest.mark.parametrize("draw", [None, (0, 3, 1, 1, 2), (1, 5, 2, 2, 2), (2, 6, 2, 3, 4)])
+def test_structural_matrices_match_reference_formulation(draw):
+    # The paper plant, or random_plant(default_rng(s), n, m, p, n_w), at its
+    # observability index and two steps past it; exact equality.
+    if draw is None:
+        plant = vtol()[0]
+    else:
+        plant = random_plant(np.random.default_rng(draw[0]), *draw[1:])
+    p, m, n_w = plant.p, plant.m, plant.n_w
+    for ell in (plant.obs_index, plant.obs_index + 2):
+        sm = build_structural_matrices(plant, ell)
+        np.testing.assert_array_equal(sm.obs_pinv, np.linalg.pinv(sm.obs))
+        powers = [np.eye(plant.n)]
+        for _ in range(ell):
+            powers.append(powers[-1] @ plant.A)
+        toeplitz_u = np.zeros((p * ell, m * ell))
+        toeplitz_w = np.zeros((p * ell, n_w * ell))
+        for i in range(ell):
+            toeplitz_w[i * p : (i + 1) * p, i * n_w : (i + 1) * n_w] = plant.Q
+            for j in range(i):
+                blk = plant.C @ powers[i - j - 1]
+                toeplitz_u[i * p : (i + 1) * p, j * m : (j + 1) * m] = blk @ plant.B
+                toeplitz_w[i * p : (i + 1) * p, j * n_w : (j + 1) * n_w] = blk @ plant.P
+        np.testing.assert_array_equal(sm.toeplitz_u, toeplitz_u)
+        np.testing.assert_array_equal(sm.toeplitz_w, toeplitz_w)
 
 
 def test_structural_matrices_window_too_short():

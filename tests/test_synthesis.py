@@ -28,6 +28,7 @@ from ddreg.synthesis import (
     _elimination,
     _nullspace,
     _sdp_block,
+    _sym_basis,
     assemble_sdp,
     extract_gain,
     feasibility_precheck,
@@ -302,7 +303,8 @@ def test_batched_assembly_matches_loop_reference():
         )
     for H1, pinv, kernel in cases:
         nu, q = pinv.shape[1], pinv.shape[0]
-        b = _sdp_block(H1, pinv, kernel)
+        basis = _sym_basis(nu)
+        b = _sdp_block(H1, pinv, kernel, basis)
         ref = _design_block_loop(H1, pinv, kernel)
         assert b.nvar == nu * (nu + 1) // 2 - 1 + (q - nu) * nu
         got = np.concatenate([b.const[None], b.coeff])
@@ -311,7 +313,7 @@ def test_batched_assembly_matches_loop_reference():
         assert np.array_equal(got, got.transpose(0, 2, 1))
         # _design_z maps the parameters back to the Z whose image is W.
         v = rng.standard_normal(b.nvar)
-        W = H1 @ _design_z(v, pinv, kernel)
+        W = H1 @ _design_z(v, pinv, kernel, basis)
         assert np.abs(b.value(v)[:nu, nu:] - W).max() <= 1e-12 * np.abs(W).max()
 
 

@@ -321,6 +321,53 @@ def test_closed_loop_matches_hand_assembled_map():
     np.testing.assert_allclose(cl.full_map, np.column_stack(cols), atol=1e-12)
 
 
+@pytest.mark.parametrize("draw", [None, (0, 3, 1, 1, 2), (1, 5, 2, 2, 2), (2, 6, 2, 3, 4)])
+def test_assembled_maps_match_block_formulation(draw):
+    # The paper plant, or random_plant(default_rng(s), n, m, p, n_w) with a
+    # random unit-circle exosystem, under a random gain: ext_a, full_map and
+    # core_map equal their np.block forms exactly.
+    if draw is None:
+        plant, exo = vtol()
+        rng = np.random.default_rng(9)
+    else:
+        rng = np.random.default_rng(draw[0])
+        plant = random_plant(rng, *draw[1:])
+        exo = random_unit_circle_exo(rng, plant.n_w)
+    im = build_internal_model(exo, p=plant.p)
+    aux = build_auxiliary_matrices(
+        plant, build_structural_matrices(plant, plant.obs_index), exo, im
+    )
+    wd, di, n, n_w = aux.window_dim, im.dim, plant.n, plant.n_w
+    ext_a = np.block(
+        [
+            [aux.window_a, np.zeros((wd, di))],
+            [im.input_map @ aux.y_from_window, im.companion],
+        ]
+    )
+    np.testing.assert_array_equal(aux.ext_a, ext_a)
+
+    gain = rng.standard_normal((plant.m, wd + di))
+    cl = assemble_closed_loop(plant, exo, aux, im, gain)
+    k_chi, k_eta = gain[:, :wd], gain[:, wd:]
+    A, B, P, C, Q = plant.A, plant.B, plant.P, plant.C, plant.Q
+    core = np.block(
+        [
+            [A, B @ k_chi, B @ k_eta],
+            [
+                aux.inject_y @ C,
+                aux.window_shift + aux.inject_u @ k_chi,
+                aux.inject_u @ k_eta,
+            ],
+            [im.input_map @ C, np.zeros((di, wd)), im.companion],
+        ]
+    )
+    w_col = np.vstack([P, aux.inject_y @ Q, im.input_map @ Q])
+    full = np.block([[exo.S, np.zeros((n_w, n + wd + di))], [w_col, core]])
+    np.testing.assert_array_equal(cl.core_map, core)
+    np.testing.assert_array_equal(cl.full_map, full)
+    assert cl.core_map.flags.c_contiguous and cl.full_map.flags.c_contiguous
+
+
 def test_closed_loop_dims_vtol():
     plant, exo, im, rec, struct, aux = vtol_setup()
     cl = assemble_closed_loop(plant, exo, aux, im, np.zeros((1, 10)))

@@ -12,19 +12,22 @@ observability index and T = 10 ell + 11.
 runs every input and writes one JSON record per line (stdout by default):
 verdict, ``all_pass``, the solver's stop reason ("no solve" when none
 ran), iterations, margin, gap bound, gain K, and the value and pass flag of
-every check row, all read off the report.  It exits 1 when an input misses
-its expected verdict (paper and rung: feasible with every check passing;
-wide-output: infeasible).  ``ddreg`` is imported from this checkout's
-``src``, ahead of any installed copy.
+every check row, all read off the report.  For a feasible input it also
+runs ``verify_gain(config, K)`` and records the value and pass flag of each
+of its rows (``verify_rows``; null for an infeasible input).  It exits 1
+when an input misses its expected verdict (paper and rung: feasible with
+every check passing; wide-output: infeasible).  ``ddreg`` is imported from
+this checkout's ``src``, ahead of any installed copy.
 
     python tools/recheck.py --compare OLD NEW
 
 prints the per-input table of two such files: iterations, margin, the
 relative margin and K shifts, and whether the certified brackets
-[margin, margin + gap_bound] overlap; then, per check row name, the
-largest relative shift of its value over the inputs.  It exits 1 when a
-verdict, ``all_pass``, stop reason, set of rows or row pass flag differs,
-or when two brackets are disjoint.
+[margin, margin + gap_bound] overlap; then, per check row name (the
+``verify_gain`` rows prefixed ``verify_gain.``), the largest relative shift
+of its value over the inputs.  It exits 1 when a verdict, ``all_pass``,
+stop reason, set of rows or row pass flag differs, or when two brackets
+are disjoint.
 """
 
 from __future__ import annotations
@@ -44,7 +47,12 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 from _scenarios import random_plant, rotation  # noqa: E402
 
 from ddreg import benchmarks  # noqa: E402
-from ddreg.cli import RunConfig, paper_example_config, run_pipeline  # noqa: E402
+from ddreg.cli import (  # noqa: E402
+    RunConfig,
+    paper_example_config,
+    run_pipeline,
+    verify_gain,
+)
 from ddreg.plant import observability_index  # noqa: E402
 
 
@@ -65,10 +73,18 @@ def inputs():
         yield f"n10-{seed}", config, "feasible"
 
 
+def _rows(report) -> dict:
+    return {c["name"]: [c["value"], c["pass"]] for c in report["checks"]}
+
+
 def record(name, config) -> dict:
-    """One input's verdict and solver outcome."""
+    """One input's verdict, solver outcome and rows, and the rows of
+    ``verify_gain`` on its gain."""
     report = run_pipeline(config)
     syn = report["synthesis"]
+    verify_rows = None
+    if syn["gain"] is not None:
+        verify_rows = _rows(verify_gain(config, syn["gain"]))
     return {
         "input": name,
         "verdict": syn["status"],
@@ -78,7 +94,8 @@ def record(name, config) -> dict:
         "margin": syn["margin"],
         "gap_bound": syn["gap_bound"],
         "K": syn["gain"],
-        "rows": {c["name"]: [c["value"], c["pass"]] for c in report["checks"]},
+        "rows": _rows(report),
+        "verify_rows": verify_rows,
     }
 
 
@@ -120,20 +137,26 @@ def _shift(a: float, b: float) -> float:
     return abs(b - a) / abs(a)
 
 
+def _all_rows(rec: dict) -> dict:
+    """The record's rows, then its ``verify_gain`` rows under a prefix."""
+    verify = rec.get("verify_rows") or {}
+    return rec["rows"] | {f"verify_gain.{k}": v for k, v in verify.items()}
+
+
 def _row_shifts(old: dict, new: dict, bad: list) -> dict:
     """Largest relative value shift per row name over the inputs both files
     ran; an input whose row set or some row's pass flag differs goes into
     ``bad``."""
     shifts = {}
-    for name, b in new.items():
-        a = old.get(name)
-        if a is None:
+    for name, rec in new.items():
+        if name not in old:
             continue
-        if a["rows"].keys() != b["rows"].keys():
+        a, b = _all_rows(old[name]), _all_rows(rec)
+        if a.keys() != b.keys():
             bad.append(f"{name} (rows differ)")
             continue
-        for row, (va, pa) in a["rows"].items():
-            vb, pb = b["rows"][row]
+        for row, (va, pa) in a.items():
+            vb, pb = b[row]
             shifts[row] = max(shifts.get(row, 0.0), _shift(va, vb))
             if pa != pb:
                 bad.append(f"{name} ({row} pass {pa} → {pb})")
