@@ -218,7 +218,7 @@ def _oracle_checks(config: RunConfig, im, rec, data, reg):
             "correspondence",
             max(
                 check_solution_correspondence(
-                    aux, exo, rec.oracle.w[0], rec.oracle.x[0], rec.y, rec.u
+                    aux, rec.oracle.w, rec.oracle.x[0], rec.y, rec.u
                 )
             ),
             tol["correspondence"],
@@ -227,7 +227,7 @@ def _oracle_checks(config: RunConfig, im, rec, data, reg):
     return rows, aux
 
 
-def _closed_loop_checks(config: RunConfig, im, aux, gain, data_side=None):
+def _closed_loop_checks(config: RunConfig, aux, gain, data_side=None):
     """Closed-loop rows for ``gain``, the ``regulation`` section, and the
     run under the persistent exosignal.
 
@@ -241,8 +241,8 @@ def _closed_loop_checks(config: RunConfig, im, aux, gain, data_side=None):
     simulation) is NaN, and NaN fails its row; the returned run is None
     when its simulation diverged.
     """
-    tol, plant, exo = config.tolerances, config.plant, config.exo
-    cl = assemble_closed_loop(plant, exo, aux, im, gain)
+    tol = config.tolerances
+    cl = assemble_closed_loop(aux, gain)
     rho = check_internal_stability(cl)
     rows = [_check("stability_radius", rho, 1.0)]
     model_side = aux.ext_a + aux.ext_b @ gain
@@ -252,14 +252,13 @@ def _closed_loop_checks(config: RunConfig, im, aux, gain, data_side=None):
         gap = check_representation_equivalence(model_side, eigs)
         rows.append(_check("representation_gap", gap, tol["representation_gap"]))
     try:
-        identity, syl = check_regulator_equations(aux, exo, a_cl, eigs)
+        identity, syl = check_regulator_equations(aux, a_cl, eigs)
     except ValueError:  # closed loop not Schur
         identity = syl = float("nan")
 
     steps, eps_reg = config.verify["steps"], tol["eps_reg"]
-    w0, x0, chi0, eta0 = _initial(
-        config, w0=exo.n_w, x0=plant.n, chi0=aux.window_dim, eta0=im.dim
-    )
+    n_w, n, wd, di = cl.dims
+    w0, x0, chi0, eta0 = _initial(config, w0=n_w, x0=n, chi0=wd, eta0=di)
     try:
         run = simulate_closed_loop(
             cl, w0, x0, chi0, eta0, steps,
@@ -327,7 +326,7 @@ def run_pipeline(config: RunConfig, out_dir=None, unmask: bool = False) -> dict:
     run = None
     if result.status == "feasible":
         rows, report["regulation"], run = _closed_loop_checks(
-            config, im, aux, result.K, data_side=prob.psi1 @ result.G
+            config, aux, result.K, data_side=prob.psi1 @ result.G
         )
         checks += rows
     report["checks"] = checks
@@ -354,22 +353,26 @@ def verify_gain(config: RunConfig, gain, out_dir=None, unmask: bool = False) -> 
     ``verify`` stage.
     """
     hint = "the gain is a finite m x (window_dim + im.dim) matrix"
-    gain = _stage("verify", np.asarray, gain, dtype=float, hint=hint)
+    try:
+        gain = np.asarray(gain, dtype=float)
+    except (TypeError, ValueError) as exc:  # ragged or non-numeric entries
+        raise PipelineError("verify", str(exc), hint) from exc
     if not np.isfinite(gain).all():
         raise PipelineError("verify", "gain contains non-finite entries", hint)
     rec, im = collect_stage(config)
-    data = assemble_data_matrices(rec)
-    reg = _stage("factorize", build_regressor, config)
-
-    checks, aux = _oracle_checks(config, im, rec, data, reg)
-    m, wd, di = config.plant.m, aux.window_dim, im.dim
+    plant = config.plant
+    m, wd, di = plant.m, (plant.m + plant.p) * config.ell, im.dim
     if gain.shape != (m, wd + di):
         raise PipelineError(
             "verify",
             f"gain has shape {gain.shape}, expected ({m}, {wd + di})",
             f"the gain is m x (window_dim + im.dim) = {m} x ({wd} + {di})",
         )
-    rows, regulation, run = _closed_loop_checks(config, im, aux, gain)
+    data = assemble_data_matrices(rec)
+    reg = _stage("factorize", build_regressor, config)
+
+    checks, aux = _oracle_checks(config, im, rec, data, reg)
+    rows, regulation, run = _closed_loop_checks(config, aux, gain)
     checks += rows
     report = {
         "config_hash": config.config_hash(),

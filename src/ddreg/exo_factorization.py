@@ -64,7 +64,7 @@ def analyze_exosystem(
     S = exo.S
     n_w = exo.n_w
     radius = tol * max(1.0, np.linalg.norm(S, 2))
-    eigs = np.linalg.eigvals(S)
+    eigs = exo.eigs
 
     if declared is not None:
         if declared.n_w != n_w:

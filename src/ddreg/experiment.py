@@ -83,9 +83,12 @@ class ExperimentRecord:
         return self.eta.shape[1]
 
     def internal_model_residual(self, im: InternalModel) -> float:
-        """Worst defect of the stored eta sequence against its recursion."""
+        """Worst defect of the stored eta sequence against its recursion,
+        relative to the record's scale (its largest |y| or |eta| entry, at
+        least 1): the defect's round-off grows with the data."""
         e = self.eta[1:] - (self.eta[:-1] @ im.companion.T + self.y @ im.input_map.T)
-        return float(np.linalg.norm(e, axis=1).max())
+        scale = max(1.0, float(np.abs(self.y).max()), float(np.abs(self.eta).max()))
+        return float(np.linalg.norm(e, axis=1).max()) / scale
 
 
 def collect_experiment(

@@ -51,14 +51,19 @@ def observability_index(A, C, rel_tol: float = DEFAULT_RANK_RTOL) -> int:
 
 @dataclass
 class ExoMatrix:
-    """Known exosystem map S.  All eigenvalue moduli must be >= 1."""
+    """Known exosystem map S.  All eigenvalue moduli must be >= 1.
+
+    ``eigs`` holds the eigenvalues of S, taken once by the validation; every
+    reader of S's spectrum reads them here."""
 
     S: np.ndarray
+    eigs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.S = as_matrix(self.S, "S", square=True)
-        moduli = np.abs(np.linalg.eigvals(self.S))
-        if np.any(moduli < 1.0 - UNIT_CIRCLE_SLACK):
+        self.eigs = np.linalg.eigvals(self.S)
+        self.eigs.flags.writeable = False
+        if np.any(np.abs(self.eigs) < 1.0 - UNIT_CIRCLE_SLACK):
             raise ValueError("exosystem eigenvalue inside unit circle")
         # Invertibility is implied by the modulus bound; double-check via rank.
         if rank_with_tol(self.S) < self.S.shape[0]:

@@ -2,6 +2,11 @@
 closed loop of plant plus dynamic controller, and every identity the design
 rests on, each evaluated as a residual.
 
+Every oracle map is formed once, by the builder that owns it: the plant's
+window maps and A^ell by ``plant.build_structural_matrices``, the auxiliary
+system and its exosignal maps by :func:`build_auxiliary_matrices`.  The
+checks only apply those maps to data; none re-derives a power of A or S.
+
 Identities along a run compare sliding windows of the run
 (``experiment.stacked_windows``) in one batch; the auxiliary system and the
 closed loop are stepped by ``numerics.simulate_linear``.  Everything here may
@@ -37,15 +42,18 @@ SPECTRUM_GAP_TOL = 1e-9
 
 @dataclass
 class AuxiliaryMatrices:
-    """Stacked-window auxiliary system and its cascade with the internal model.
+    """Stacked-window auxiliary system and its cascade with the internal model,
+    with the plant, exosystem and internal model it was built from.
 
     ``window_shift`` advances the (output, input) window one step;
     ``inject_y``/``inject_u`` write the newest output/input into the window;
     ``exo_window_map`` maps the current exosignal state to the stacked values
     over the trailing window (inverse powers of S, then identity);
     ``y_from_window``/``y_from_exo`` reproduce the plant output from the
-    window and the stacked exosignal.  ``ext_*`` are the one-step matrices of
-    the window state cascaded with the internal model.
+    window and from the current exosignal state w(k).  ``ext_*`` are the
+    one-step matrices of the window state cascaded with the internal model;
+    ``ext_p`` also maps w(k).  :func:`build_auxiliary_matrices` forms every
+    map; the checks only apply them.
     """
 
     ell: int
@@ -60,6 +68,9 @@ class AuxiliaryMatrices:
     ext_b: np.ndarray
     ext_p: np.ndarray
     struct: StructuralMatrices = field(repr=False)
+    plant: PlantTruth = field(repr=False)
+    exo: ExoMatrix = field(repr=False)
+    im: InternalModel = field(repr=False)
 
     @property
     def window_dim(self) -> int:
@@ -74,7 +85,7 @@ def build_auxiliary_matrices(
 ) -> AuxiliaryMatrices:
     """Assemble the auxiliary system at the window length of ``struct``."""
     ell = struct.ell
-    n, m, p, n_w = plant.n, plant.m, plant.p, plant.n_w
+    m, p, n_w = plant.m, plant.p, plant.n_w
     A, C, Q = plant.A, plant.C, plant.Q
 
     wd = (m + p) * ell
@@ -99,7 +110,10 @@ def build_auxiliary_matrices(
     y_from_window = np.hstack(
         [core, C @ struct.reach_u - core @ struct.toeplitz_u]
     )
-    y_from_exo = np.hstack([C @ struct.reach_w - core @ struct.toeplitz_w, Q])
+    # Output and cascade maps of the stacked exosignal, composed with
+    # exo_window_map once so that they map the current exosignal state.
+    y_from_stack = np.hstack([C @ struct.reach_w - core @ struct.toeplitz_w, Q])
+    y_from_exo = y_from_stack @ exo_window_map
 
     window_a = window_shift + inject_y @ y_from_window
 
@@ -109,7 +123,10 @@ def build_auxiliary_matrices(
     ext_a[wd:, :wd] = im.input_map @ y_from_window
     ext_a[wd:, wd:] = im.companion
     ext_b = np.vstack([inject_u, np.zeros((dim_im, m))])
-    ext_p = np.vstack([inject_y @ y_from_exo, im.input_map @ y_from_exo])
+    ext_p = (
+        np.vstack([inject_y @ y_from_stack, im.input_map @ y_from_stack])
+        @ exo_window_map
+    )
 
     return AuxiliaryMatrices(
         ell=ell,
@@ -124,17 +141,18 @@ def build_auxiliary_matrices(
         ext_b=ext_b,
         ext_p=ext_p,
         struct=struct,
+        plant=plant,
+        exo=exo,
+        im=im,
     )
 
 
 def check_data_identity(data: DataMatrices, aux: AuxiliaryMatrices) -> float:
     """Relative defect of the one-step data relation, using the hidden
-    exosignal stack: psi1 against ext_a psi0 + ext_b u1 + ext_p (stacked w).
+    exosignal stack: psi1 against ext_a psi0 + ext_b u1 + ext_p w.
     """
     predicted = (
-        aux.ext_a @ data.psi0
-        + aux.ext_b @ data.u1
-        + aux.ext_p @ aux.exo_window_map @ data.w0_oracle
+        aux.ext_a @ data.psi0 + aux.ext_b @ data.u1 + aux.ext_p @ data.w0_oracle
     )
     return float(
         np.linalg.norm(data.psi1 - predicted) / max(1.0, np.linalg.norm(data.psi1))
@@ -189,8 +207,7 @@ def check_claim1(
 
 def check_solution_correspondence(
     aux: AuxiliaryMatrices,
-    exo: ExoMatrix,
-    w0,
+    w,
     x0,
     y,
     u,
@@ -198,13 +215,14 @@ def check_solution_correspondence(
     """Compare a plant run with the auxiliary system started from the
     prescribed initial stack.
 
-    The run starts from exosignal ``w0`` and plant state ``x0`` and has
-    outputs ``y`` at steps 0..K, K >= ell, and inputs ``u`` at steps
-    0..K-1 (further input rows are ignored).  The auxiliary run starts at step ell with the
-    window state built from ``x0``, the first ell inputs and the exosignal
-    history, and its exosignal state advanced ell steps.  Returns the worst
-    relative mismatch over steps ell..K of (window state against the stacked
-    trailing output and input window of the run, output).
+    The run has exosignal samples ``w`` at steps 0..ell at least (further
+    rows are ignored), starts from plant state ``x0``, and has outputs ``y``
+    at steps 0..K, K >= ell, and inputs ``u`` at steps 0..K-1 (further input
+    rows are ignored).  The auxiliary run starts at step ell with the window
+    state built from ``x0``, the first ell inputs and exosignal samples, and
+    its exosignal state at w(ell).  Returns the worst relative mismatch over
+    steps ell..K of (window state against the stacked trailing output and
+    input window of the run, output).
     """
     ell = aux.ell
     struct = aux.struct
@@ -212,26 +230,24 @@ def check_solution_correspondence(
     u = u[:steps]
 
     # Auxiliary system on (xi, omega) from the prescribed initialization.
-    exo_hist = np.vstack([np.linalg.matrix_power(exo.S, j) for j in range(ell)])
     xi = np.concatenate(
         [
             struct.obs @ x0
             + struct.toeplitz_u @ u[:ell].ravel()
-            + struct.toeplitz_w @ (exo_hist @ w0),
+            + struct.toeplitz_w @ w[:ell].ravel(),
             u[:ell].ravel(),
         ]
     )
-    omega = np.linalg.matrix_power(exo.S, ell) @ w0
-    wd, n_w = aux.window_dim, exo.n_w
-    y_exo = aux.y_from_exo @ aux.exo_window_map
+    wd, S = aux.window_dim, aux.exo.S
+    n_w = S.shape[0]
     F = np.zeros((wd + n_w, wd + n_w))
     F[:wd, :wd] = aux.window_a
-    F[:wd, wd:] = aux.inject_y @ y_exo
-    F[wd:, wd:] = exo.S
+    F[:wd, wd:] = aux.inject_y @ aux.y_from_exo
+    F[wd:, wd:] = S
     G = np.vstack([aux.inject_u, np.zeros((n_w, u.shape[1]))])
-    z = simulate_linear(F, np.concatenate([xi, omega]), steps - ell, G, u[ell:])
+    z = simulate_linear(F, np.concatenate([xi, w[ell]]), steps - ell, G, u[ell:])
     xi, omega = z[:, :wd], z[:, wd:]
-    phi = xi @ aux.y_from_window.T + omega @ y_exo.T
+    phi = xi @ aux.y_from_window.T + omega @ aux.y_from_exo.T
 
     # Row k - ell is the trailing (output, input) window of step k = ell..K.
     window = np.hstack([stacked_windows(y[:steps], ell), stacked_windows(u, ell)])
@@ -248,31 +264,25 @@ class ClosedLoopModel:
     State blocks, in order: exosignal w, plant state x, window state chi,
     internal-model state eta.  ``full_map`` is the one-step matrix on the
     whole stack; ``core_map`` drops the exosignal row/column (the autonomous
-    part whose spectral radius decides internal stability).
+    part whose spectral radius decides internal stability).  The plant,
+    exosystem and internal model are those of ``aux``.
     """
 
-    plant: PlantTruth
-    exo: ExoMatrix
     aux: AuxiliaryMatrices
-    im: InternalModel
     gain: np.ndarray
     full_map: np.ndarray = field(repr=False)
     core_map: np.ndarray = field(repr=False)
 
     @property
     def dims(self) -> tuple[int, int, int, int]:
-        return (self.exo.n_w, self.plant.n, self.aux.window_dim, self.im.dim)
+        aux = self.aux
+        return (aux.exo.n_w, aux.plant.n, aux.window_dim, aux.im.dim)
 
 
-def assemble_closed_loop(
-    plant: PlantTruth,
-    exo: ExoMatrix,
-    aux: AuxiliaryMatrices,
-    im: InternalModel,
-    gain,
-) -> ClosedLoopModel:
+def assemble_closed_loop(aux: AuxiliaryMatrices, gain) -> ClosedLoopModel:
     """One-step block map of the closed loop under u = gain @ (chi, eta),
     for an ``m x (window_dim + im.dim)`` gain."""
+    plant, im = aux.plant, aux.im
     wd, di = aux.window_dim, im.dim
     n, n_w = plant.n, plant.n_w
     k_chi = gain[:, :wd]
@@ -281,7 +291,7 @@ def assemble_closed_loop(
     A, B, P, C, Q = plant.A, plant.B, plant.P, plant.C, plant.Q
     x, c, e = n_w, n_w + n, n_w + n + wd  # where x, chi and eta start
     full = np.zeros((e + di, e + di))
-    full[:x, :x] = exo.S
+    full[:x, :x] = aux.exo.S
     full[x:c, :x] = P
     full[x:c, x:c] = A
     full[x:c, c:e] = B @ k_chi
@@ -294,9 +304,7 @@ def assemble_closed_loop(
     full[e:, x:c] = im.input_map @ C
     full[e:, e:] = im.companion
     core = full[x:, x:].copy()
-    return ClosedLoopModel(
-        plant=plant, exo=exo, aux=aux, im=im, gain=gain, full_map=full, core_map=core
-    )
+    return ClosedLoopModel(aux=aux, gain=gain, full_map=full, core_map=core)
 
 
 def check_internal_stability(cl: ClosedLoopModel) -> float:
@@ -341,7 +349,7 @@ def simulate_closed_loop(
     n_w, n, wd, di = cl.dims
     z = simulate_linear(cl.full_map, np.concatenate([w0, x0, chi0, eta0]), steps)
     w, x, chi, eta = np.split(z, np.cumsum([n_w, n, wd]), axis=1)
-    y = z[:, : n_w + n] @ np.hstack([cl.plant.Q, cl.plant.C]).T
+    y = z[:, : n_w + n] @ np.hstack([cl.aux.plant.Q, cl.aux.plant.C]).T
     u = z[:steps, n_w + n :] @ cl.gain.T
 
     y_norms = np.linalg.norm(y, axis=1)
@@ -363,38 +371,30 @@ def simulate_closed_loop(
 
 def check_regulator_equations(
     aux: AuxiliaryMatrices,
-    exo: ExoMatrix,
     closed_data_matrix,
     eigs,
 ) -> tuple[float, float]:
     """Steady-state (Sylvester) certificate for zero asymptotic output.
 
-    Solves ``A_cl P - P S = -ext_p exo_window_map`` for the closed-loop
-    matrix ``A_cl`` (in its data representation), whose eigenvalues are
-    ``eigs``, and returns the norm of
-    ``y_from_exo exo_window_map + y_from_window P_top`` together with the
-    relative Sylvester residual.  Raises ``ValueError`` when ``A_cl`` is
+    Solves ``A_cl P - P S = -ext_p`` for the closed-loop matrix ``A_cl``
+    (in its data representation), whose eigenvalues are ``eigs``, and
+    returns the norm of ``y_from_exo + y_from_window P_top`` together with
+    the relative Sylvester residual.  Raises ``ValueError`` when ``A_cl`` is
     not Schur or is resonant with S (an eigenvalue within
     :data:`SPECTRUM_GAP_TOL` of one of S's): no unique steady state.
     """
-    A_cl = closed_data_matrix
+    A_cl, S = closed_data_matrix, aux.exo.S
     rho = float(np.max(np.abs(eigs)))
     if rho >= 1.0:
         raise ValueError(f"closed-loop matrix is not Schur (radius {rho:.4f})")
-    if np.min(np.abs(eigs[:, None] - np.linalg.eigvals(exo.S))) <= SPECTRUM_GAP_TOL:
+    if np.min(np.abs(eigs[:, None] - aux.exo.eigs)) <= SPECTRUM_GAP_TOL:
         raise ValueError("resonant spectra")
-    rhs = -(aux.ext_p @ aux.exo_window_map)
-    Pi = scipy.linalg.solve_sylvester(A_cl, -exo.S, rhs)
-    syl = np.linalg.norm(A_cl @ Pi - Pi @ exo.S - rhs)
-    denom = (
-        (np.linalg.norm(A_cl) + np.linalg.norm(exo.S)) * np.linalg.norm(Pi) + 1e-300
-    )
+    rhs = -aux.ext_p
+    Pi = scipy.linalg.solve_sylvester(A_cl, -S, rhs)
+    syl = np.linalg.norm(A_cl @ Pi - Pi @ S - rhs)
+    denom = (np.linalg.norm(A_cl) + np.linalg.norm(S)) * np.linalg.norm(Pi) + 1e-300
     pi_top = Pi[: aux.window_dim]
-    identity = float(
-        np.linalg.norm(
-            aux.y_from_exo @ aux.exo_window_map + aux.y_from_window @ pi_top
-        )
-    )
+    identity = float(np.linalg.norm(aux.y_from_exo + aux.y_from_window @ pi_top))
     return identity, float(syl / denom)
 
 

@@ -280,7 +280,7 @@ def test_criterion_6_correspondence():
             ell=ell,
         )
         r_state, r_out = check_solution_correspondence(
-            aux, exo, rec.oracle.w[0], rec.oracle.x[0], rec.y, rec.u
+            aux, rec.oracle.w, rec.oracle.x[0], rec.y, rec.u
         )
         worst = max(worst, r_state, r_out)
     announce(6, f"solution correspondence over 30 steps, worst {worst:.2e}", worst < 1e-8)

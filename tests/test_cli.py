@@ -770,6 +770,7 @@ def test_cli_verify_destabilizing_gain_writes_report(tmp_path, capsys):
         ([[1.0, 2.0], [3.0]], "[verify] setting an array element with a sequence"),
         ([[float("nan")] * 10], "[verify] gain contains non-finite entries"),
         ([[float("inf")] * 10], "[verify] gain contains non-finite entries"),
+        ({"a": 1}, "[verify] float() argument must be a string or a real number"),
     ],
 )
 def test_cli_verify_wrong_gain_shape_exit_two(tmp_path, capsys, gain, message):

@@ -278,7 +278,7 @@ def paper_loop():
     im = build_internal_model(exo, p=plant.p)
     struct = build_structural_matrices(plant, config.ell)
     aux = build_auxiliary_matrices(plant, struct, exo, im)
-    return assemble_closed_loop(plant, exo, aux, im, gain).full_map
+    return assemble_closed_loop(aux, gain).full_map
 
 
 @settings(max_examples=10, derandomize=True, deadline=None)

@@ -67,6 +67,15 @@ def test_exo_matrix_rejects_contracting_eigenvalue():
         ExoMatrix([[0.5]])
 
 
+def test_exo_matrix_keeps_its_eigenvalues():
+    # The validation's eigenvalues are kept, read-only, for every reader of
+    # S's spectrum.
+    exo = ExoMatrix([[0.0, 1.0], [-1.0, 0.0]])
+    np.testing.assert_array_equal(exo.eigs, np.linalg.eigvals(exo.S))
+    np.testing.assert_allclose(np.sort_complex(exo.eigs), [-1j, 1j], atol=1e-15)
+    assert not exo.eigs.flags.writeable
+
+
 def test_plant_truth_rejects_unobservable():
     with pytest.raises(ValueError, match="unobservable pair"):
         PlantTruth(

@@ -48,7 +48,7 @@ def correspondence(aux, exo, plant, u, w0, x0):
         plant, exo, im, w0, x0, np.zeros(im.dim), u, T=len(u) - 1, ell=aux.ell
     )
     return check_solution_correspondence(
-        aux, exo, rec.oracle.w[0], rec.oracle.x[0], rec.y, rec.u
+        aux, rec.oracle.w, rec.oracle.x[0], rec.y, rec.u
     )
 
 
@@ -93,19 +93,49 @@ def test_aux_output_maps_scalar_window_one():
     struct = build_structural_matrices(plant, 1)
     aux = build_auxiliary_matrices(plant, struct, exo, im)
     np.testing.assert_allclose(aux.y_from_window, [[0.7, 2.0]], atol=1e-12)
+    # The exosignal output map is the stacked one, [P - A Q, Q], composed
+    # with exo_window_map = [S^-1; I].
+    np.testing.assert_array_equal(aux.exo_window_map, [[1.0], [1.0]])
     np.testing.assert_allclose(
-        aux.y_from_exo, [[0.4 - 0.7 * 0.3, 0.3]], atol=1e-12
+        aux.y_from_exo,
+        np.array([[0.4 - 0.7 * 0.3, 0.3]]) @ aux.exo_window_map,
+        atol=1e-12,
     )
 
 
 def test_aux_dimensions_vtol():
     _, _, _, _, _, aux = vtol_setup()
     assert aux.y_from_window.shape == (1, 8)
-    assert aux.y_from_exo.shape == (1, 10)
     assert aux.exo_window_map.shape == (10, 2)
+    # The stacked exosignal maps have 10 columns; composed with
+    # exo_window_map they map the 2-dimensional exosignal state.
+    assert aux.y_from_exo.shape == (1, 2)
     assert aux.ext_a.shape == (10, 10)
     assert aux.ext_b.shape == (10, 1)
-    assert aux.ext_p.shape == (10, 10)
+    assert aux.ext_p.shape == (10, 2)
+
+
+@pytest.mark.parametrize("draw", [None, (0, 3, 1, 1, 2), (1, 5, 2, 2, 2), (2, 6, 2, 3, 4)])
+def test_exo_maps_compose_stacked_maps_with_exo_window_map(draw):
+    # y_from_exo and ext_p are the stacked-exosignal maps times
+    # exo_window_map, bit for bit, on the paper plant and on
+    # random_plant(default_rng(s), n, m, p, n_w) draws.
+    if draw is None:
+        plant, exo = vtol()
+    else:
+        rng = np.random.default_rng(draw[0])
+        plant = random_plant(rng, *draw[1:])
+        exo = random_unit_circle_exo(rng, plant.n_w)
+    im = build_internal_model(exo, p=plant.p)
+    ell = plant.obs_index
+    struct = build_structural_matrices(plant, ell)
+    aux = build_auxiliary_matrices(plant, struct, exo, im)
+    assert aux.plant is plant and aux.exo is exo and aux.im is im
+    core = aux.y_from_window[:, : plant.p * ell]  # C A^ell obs_pinv
+    stacked = np.hstack([plant.C @ struct.reach_w - core @ struct.toeplitz_w, plant.Q])
+    np.testing.assert_array_equal(aux.y_from_exo, stacked @ aux.exo_window_map)
+    ext_p = np.vstack([aux.inject_y @ stacked, im.input_map @ stacked])
+    np.testing.assert_array_equal(aux.ext_p, ext_p @ aux.exo_window_map)
 
 
 def test_exo_window_map_stacks_inverse_powers():
@@ -256,11 +286,9 @@ def test_correspondence_unstable_scalar():
 def test_correspondence_with_closed_loop_input():
     # The correspondence also holds along the closed loop's own input.
     plant, exo, im, aux, data, res, psi1_g = vtol_design(seed=0)
-    cl = assemble_closed_loop(plant, exo, aux, im, res.K)
+    cl = assemble_closed_loop(aux, res.K)
     run = simulate_closed_loop(cl, VTOL_W0, VTOL_X0, np.zeros(8), VTOL_ETA0, 40)
-    r_state, r_out = check_solution_correspondence(
-        aux, exo, run.w[0], run.x[0], run.y, run.u
-    )
+    r_state, r_out = check_solution_correspondence(aux, run.w, run.x[0], run.y, run.u)
     assert r_state < 1e-8 and r_out < 1e-8
 
 
@@ -282,7 +310,7 @@ def test_correspondence_flags_perturbed_output():
         NormalInputPolicy(seed=3), T=20, ell=ell,
     )
     assert np.abs(rec.y).max() < 10.0
-    start = (aux, exo, rec.oracle.w[0], rec.oracle.x[0])
+    start = (aux, rec.oracle.w, rec.oracle.x[0])
     assert max(check_solution_correspondence(*start, rec.y, rec.u)) < 1e-8
     y = rec.y.copy()
     y[10, 0] += 1e-6
@@ -297,7 +325,7 @@ def test_closed_loop_matches_hand_assembled_map():
     plant, exo, im, rec, struct, aux = vtol_setup()
     rng = np.random.default_rng(6)
     K = rng.standard_normal((1, 10))
-    cl = assemble_closed_loop(plant, exo, aux, im, K)
+    cl = assemble_closed_loop(aux, K)
     # Independent oracle: push basis vectors through the raw block equations.
     dim = sum(cl.dims)
     n_w, n, wd, di = cl.dims
@@ -347,7 +375,7 @@ def test_assembled_maps_match_block_formulation(draw):
     np.testing.assert_array_equal(aux.ext_a, ext_a)
 
     gain = rng.standard_normal((plant.m, wd + di))
-    cl = assemble_closed_loop(plant, exo, aux, im, gain)
+    cl = assemble_closed_loop(aux, gain)
     k_chi, k_eta = gain[:, :wd], gain[:, wd:]
     A, B, P, C, Q = plant.A, plant.B, plant.P, plant.C, plant.Q
     core = np.block(
@@ -370,14 +398,14 @@ def test_assembled_maps_match_block_formulation(draw):
 
 def test_closed_loop_dims_vtol():
     plant, exo, im, rec, struct, aux = vtol_setup()
-    cl = assemble_closed_loop(plant, exo, aux, im, np.zeros((1, 10)))
+    cl = assemble_closed_loop(aux, np.zeros((1, 10)))
     assert cl.dims == (2, 4, 8, 2)
     assert cl.full_map.shape == (16, 16)
 
 
 def test_zero_gain_block_structure():
     plant, exo, im, rec, struct, aux = vtol_setup()
-    cl = assemble_closed_loop(plant, exo, aux, im, np.zeros((1, 10)))
+    cl = assemble_closed_loop(aux, np.zeros((1, 10)))
     # With zero gain the core map is block lower-triangular: its spectrum is
     # the union of the plant, shift, and companion spectra.
     rho = check_internal_stability(cl)
@@ -389,7 +417,7 @@ def test_zero_gain_block_structure():
 
 def test_internal_stability_feasible_design():
     plant, exo, im, aux, data, res, psi1_g = vtol_design()
-    cl = assemble_closed_loop(plant, exo, aux, im, res.K)
+    cl = assemble_closed_loop(aux, res.K)
     assert check_internal_stability(cl) < 1.0
 
 
@@ -401,13 +429,13 @@ def test_stability_trivial_union_case():
     im = build_internal_model(exo, p=1)
     struct = build_structural_matrices(plant, 1)
     aux = build_auxiliary_matrices(plant, struct, exo, im)
-    cl = assemble_closed_loop(plant, exo, aux, im, np.zeros((1, 3)))
+    cl = assemble_closed_loop(aux, np.zeros((1, 3)))
     assert check_internal_stability(cl) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_simulation_zero_exosignal_decays():
     plant, exo, im, aux, data, res, psi1_g = vtol_design()
-    cl = assemble_closed_loop(plant, exo, aux, im, res.K)
+    cl = assemble_closed_loop(aux, res.K)
     run = simulate_closed_loop(cl, np.zeros(2), VTOL_X0, np.zeros(8), VTOL_ETA0, 300)
     core = np.linalg.norm(np.hstack([run.x, run.chi, run.eta]), axis=1)
     assert core[300] < 1e-6 * core[0]
@@ -416,7 +444,7 @@ def test_simulation_zero_exosignal_decays():
 
 def test_simulation_regulates_with_persistent_exosignal():
     plant, exo, im, aux, data, res, psi1_g = vtol_design()
-    cl = assemble_closed_loop(plant, exo, aux, im, res.K)
+    cl = assemble_closed_loop(aux, res.K)
     run = simulate_closed_loop(cl, VTOL_W0, VTOL_X0, np.zeros(8), VTOL_ETA0, 300)
     assert run.tail_max_y < 1e-4
     assert run.settle_step is not None
@@ -428,7 +456,7 @@ def test_simulation_regulates_with_persistent_exosignal():
 
 def test_zero_gain_does_not_regulate():
     plant, exo, im, rec, struct, aux = vtol_setup()
-    cl = assemble_closed_loop(plant, exo, aux, im, np.zeros((1, 10)))
+    cl = assemble_closed_loop(aux, np.zeros((1, 10)))
     run = simulate_closed_loop(cl, VTOL_W0, VTOL_X0, np.zeros(8), VTOL_ETA0, 300)
     assert run.tail_max_y > 1e-2
 
@@ -437,14 +465,14 @@ def test_zero_gain_does_not_regulate():
 # regulator equations and representation equivalence
 
 
-def regulator_equations(aux, exo, a_cl):
+def regulator_equations(aux, a_cl):
     """``check_regulator_equations`` with the eigenvalues of ``a_cl``."""
-    return check_regulator_equations(aux, exo, a_cl, np.linalg.eigvals(a_cl))
+    return check_regulator_equations(aux, a_cl, np.linalg.eigvals(a_cl))
 
 
 def test_regulator_equations_feasible_design():
     plant, exo, im, aux, data, res, psi1_g = vtol_design()
-    identity, syl = regulator_equations(aux, exo, psi1_g)
+    identity, syl = regulator_equations(aux, psi1_g)
     assert identity < 1e-6
     assert syl < 1e-8
 
@@ -456,7 +484,7 @@ def test_regulator_equations_noise_free_world():
     struct = build_structural_matrices(plant, 1)
     aux = build_auxiliary_matrices(plant, struct, exo, im)
     a_cl = np.diag([0.5, 0.4, 0.3])
-    identity, syl = regulator_equations(aux, exo, a_cl)
+    identity, syl = regulator_equations(aux, a_cl)
     assert identity == pytest.approx(0.0, abs=1e-14)
     assert syl == pytest.approx(0.0, abs=1e-14)
 
@@ -469,7 +497,7 @@ def test_regulator_equations_negative_control():
     for _ in range(50):
         wrong = psi1_g + 1e-3 * rng.standard_normal(psi1_g.shape)
         if np.max(np.abs(np.linalg.eigvals(wrong))) < 1.0:
-            identity, _ = regulator_equations(aux, exo, wrong)
+            identity, _ = regulator_equations(aux, wrong)
             assert identity > 1e-4
             found += 1
             if found >= 3:
@@ -488,7 +516,7 @@ def test_regulator_identity_holds_for_any_structured_stabilizer():
         gain = res.K + 0.01 * rng.standard_normal(res.K.shape)
         a_cl = aux.ext_a + aux.ext_b @ gain
         if np.max(np.abs(np.linalg.eigvals(a_cl))) < 1.0:
-            identity, _ = regulator_equations(aux, exo, a_cl)
+            identity, _ = regulator_equations(aux, a_cl)
             assert identity < 1e-8
             checked += 1
     assert checked > 0
@@ -497,23 +525,21 @@ def test_regulator_identity_holds_for_any_structured_stabilizer():
 def test_regulator_equations_rejects_unstable():
     plant, exo, im, rec, struct, aux = vtol_setup()
     with pytest.raises(ValueError, match="not Schur"):
-        regulator_equations(aux, exo, 1.5 * np.eye(10))
+        regulator_equations(aux, 1.5 * np.eye(10))
 
 
 def test_regulator_equations_against_vectorized_solve():
     # Independent oracle: solve the Kronecker-vectorized Sylvester system
-    # A P - P S = -ext_p exo_window_map and evaluate the identity on it.
+    # A P - P S = -ext_p and evaluate the identity on it.
     plant, exo, im, rec, struct, aux = vtol_setup()
     rng = np.random.default_rng(3)
     a_cl = rng.standard_normal((10, 10))
     a_cl *= 0.8 / np.max(np.abs(np.linalg.eigvals(a_cl)))
-    rhs = -(aux.ext_p @ aux.exo_window_map)
+    rhs = -aux.ext_p
     kron = np.kron(np.eye(2), a_cl) - np.kron(exo.S.T, np.eye(10))
     Pi = np.linalg.solve(kron, rhs.ravel(order="F")).reshape((10, 2), order="F")
-    expected = np.linalg.norm(
-        aux.y_from_exo @ aux.exo_window_map + aux.y_from_window @ Pi[:8]
-    )
-    identity, syl = regulator_equations(aux, exo, a_cl)
+    expected = np.linalg.norm(aux.y_from_exo + aux.y_from_window @ Pi[:8])
+    identity, syl = regulator_equations(aux, a_cl)
     assert identity == pytest.approx(expected, rel=1e-9)
     assert identity > 1e-3  # a random loop does not regulate
     assert syl < 1e-14
@@ -529,8 +555,8 @@ def test_regulator_equations_resonant_spectra_rejected():
         plant, build_structural_matrices(plant, 1), exo, im
     )
     with pytest.raises(ValueError, match="resonant spectra"):
-        regulator_equations(aux, exo, np.diag([1.0 - 1e-9, 0.4, 0.3]))
-    identity, syl = regulator_equations(aux, exo, np.diag([0.5, 0.4, 0.3]))
+        regulator_equations(aux, np.diag([1.0 - 1e-9, 0.4, 0.3]))
+    identity, syl = regulator_equations(aux, np.diag([0.5, 0.4, 0.3]))
     assert identity == pytest.approx(0.0, abs=1e-14)
 
 

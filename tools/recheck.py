@@ -11,9 +11,9 @@ observability index and T = 10 ell + 11.
 
 runs every input and writes one JSON record per line (stdout by default):
 verdict, ``all_pass``, the solver's stop reason ("no solve" when none
-ran), iterations, margin, gap bound, gain K, and the value and pass flag of
-every check row, all read off the report.  For a feasible input it also
-runs ``verify_gain(config, K)`` and records the value and pass flag of each
+ran), iterations, margin, gap bound, gain K, and the value, pass flag and
+threshold of every check row, all read off the report.  For a feasible
+input it also runs ``verify_gain(config, K)`` and records the same of each
 of its rows (``verify_rows``; null for an infeasible input).  It exits 1
 when an input misses its expected verdict (paper and rung: feasible with
 every check passing; wide-output: infeasible).  ``ddreg`` is imported from
@@ -25,9 +25,10 @@ prints the per-input table of two such files: iterations, margin, the
 relative margin and K shifts, and whether the certified brackets
 [margin, margin + gap_bound] overlap; then, per check row name (the
 ``verify_gain`` rows prefixed ``verify_gain.``), the largest relative shift
-of its value over the inputs.  It exits 1 when a verdict, ``all_pass``,
-stop reason, set of rows or row pass flag differs, or when two brackets
-are disjoint.
+of its value over the inputs, each file's largest value and the row's
+threshold, so that a large relative shift of a round-off-level value reads
+as what it is.  It exits 1 when a verdict, ``all_pass``, stop reason, set
+of rows or row pass flag differs, or when two brackets are disjoint.
 """
 
 from __future__ import annotations
@@ -74,7 +75,9 @@ def inputs():
 
 
 def _rows(report) -> dict:
-    return {c["name"]: [c["value"], c["pass"]] for c in report["checks"]}
+    return {
+        c["name"]: [c["value"], c["pass"], c["threshold"]] for c in report["checks"]
+    }
 
 
 def record(name, config) -> dict:
@@ -144,10 +147,11 @@ def _all_rows(rec: dict) -> dict:
 
 
 def _row_shifts(old: dict, new: dict, bad: list) -> dict:
-    """Largest relative value shift per row name over the inputs both files
-    ran; an input whose row set or some row's pass flag differs goes into
-    ``bad``."""
-    shifts = {}
+    """Per row name over the inputs both files ran: the largest relative
+    value shift, each file's largest value and the row's threshold (None in
+    a file written before rows carried one).  An input whose row set or some
+    row's pass flag differs goes into ``bad``."""
+    table = {}
     for name, rec in new.items():
         if name not in old:
             continue
@@ -155,12 +159,18 @@ def _row_shifts(old: dict, new: dict, bad: list) -> dict:
         if a.keys() != b.keys():
             bad.append(f"{name} (rows differ)")
             continue
-        for row, (va, pa) in a.items():
-            vb, pb = b[row]
-            shifts[row] = max(shifts.get(row, 0.0), _shift(va, vb))
+        for row, (va, pa, *_) in a.items():
+            vb, pb, *threshold = b[row]
+            shift, top_a, top_b, _ = table.get(row, (0.0, -np.inf, -np.inf, None))
+            table[row] = (
+                max(shift, _shift(va, vb)),
+                np.nanmax([top_a, va]),
+                np.nanmax([top_b, vb]),
+                threshold[0] if threshold else None,
+            )
             if pa != pb:
                 bad.append(f"{name} ({row} pass {pa} → {pb})")
-    return shifts
+    return table
 
 
 def compare(old_path, new_path) -> int:
@@ -195,9 +205,13 @@ def compare(old_path, new_path) -> int:
             f"| {a['iterations']} → {b['iterations']} | {b['margin']:.5e} "
             f"| {margin_shift:.1e} | {k_shift} | {brackets} |"
         )
-    print("\n| row | largest relative shift |\n|---|---|")
-    for row, shift in _row_shifts(old, new, bad).items():
-        print(f"| {row} | {shift:.1e} |")
+    print(
+        "\n| row | largest relative shift | largest value OLD | largest value NEW "
+        "| threshold |\n|---|---|---|---|---|"
+    )
+    for row, (shift, top_a, top_b, threshold) in _row_shifts(old, new, bad).items():
+        limit = "—" if threshold is None else f"{threshold:.1e}"
+        print(f"| {row} | {shift:.1e} | {top_a:.2e} | {top_b:.2e} | {limit} |")
     for name in bad:
         print(f"mismatch: {name}", file=sys.stderr)
     return 1 if bad else 0
