@@ -202,7 +202,8 @@ class StructuralMatrices:
     the stacked input/exosignal window to the stacked output window (block
     lower-triangular Toeplitz, the exosignal one carrying Q on the diagonal);
     ``reach_u``/``reach_w`` map the windows to the state advanced ell steps.
-    ``obs_pinv`` is the Moore-Penrose left inverse of ``obs``.
+    ``obs_pinv`` is the Moore-Penrose left inverse of ``obs``; ``a_ell`` is
+    A^ell, the last of the powers the maps are built from.
     """
 
     ell: int
@@ -212,6 +213,7 @@ class StructuralMatrices:
     reach_u: np.ndarray
     reach_w: np.ndarray
     obs_pinv: np.ndarray = field(repr=False)
+    a_ell: np.ndarray = field(repr=False)
 
 
 def build_structural_matrices(plant: PlantTruth, ell: int) -> StructuralMatrices:
@@ -251,4 +253,5 @@ def build_structural_matrices(plant: PlantTruth, ell: int) -> StructuralMatrices
         reach_u=reach_u,
         reach_w=reach_w,
         obs_pinv=obs_pinv,
+        a_ell=powers[ell],
     )

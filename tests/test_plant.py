@@ -260,6 +260,22 @@ def test_structural_matrices_match_reference_formulation(draw):
         np.testing.assert_array_equal(sm.toeplitz_w, toeplitz_w)
 
 
+@pytest.mark.parametrize("draw", [None, (0, 3, 1, 1, 2), (1, 5, 2, 2, 2), (2, 6, 2, 3, 4)])
+def test_structural_matrices_keep_a_to_the_ell(draw):
+    # A^ell is the product of the window maps' power loop; it agrees with
+    # matrix_power (which squares) to round-off.
+    if draw is None:
+        plant = vtol()[0]
+    else:
+        plant = random_plant(np.random.default_rng(draw[0]), *draw[1:])
+    for ell in (plant.obs_index, plant.obs_index + 2):
+        a_ell = np.linalg.matrix_power(plant.A, ell)
+        sm = build_structural_matrices(plant, ell)
+        np.testing.assert_allclose(
+            sm.a_ell, a_ell, rtol=0, atol=1e-13 * max(1.0, np.abs(a_ell).max())
+        )
+
+
 def test_structural_matrices_window_too_short():
     plant, _ = vtol()
     with pytest.raises(ValueError, match="below observability index"):
