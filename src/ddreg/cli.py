@@ -202,6 +202,7 @@ def _oracle_checks(config: RunConfig, im, rec, data, reg):
     build on.
     """
     tol, plant, exo = config.tolerances, config.plant, config.exo
+    w, x = rec.oracle.w, rec.oracle.x
     struct = _stage("verify", build_structural_matrices, plant, config.ell)
     aux = build_auxiliary_matrices(plant, struct, exo, im)
     rows = [
@@ -216,11 +217,7 @@ def _oracle_checks(config: RunConfig, im, rec, data, reg):
         ),
         _check(
             "correspondence",
-            max(
-                check_solution_correspondence(
-                    aux, rec.oracle.w, rec.oracle.x[0], rec.y, rec.u
-                )
-            ),
+            max(check_solution_correspondence(aux, w, x[0], rec.y, rec.u)),
             tol["correspondence"],
         ),
     ]
@@ -350,7 +347,7 @@ def verify_gain(config: RunConfig, gain, out_dir=None, unmask: bool = False) -> 
     ``ext_a + ext_b gain``, which the data-side one equals for any gain
     produced by the design program.  A gain that is not a finite
     ``m x (window_dim + im.dim)`` matrix raises ``PipelineError`` at the
-    ``verify`` stage.
+    ``verify`` stage before any row runs.
     """
     hint = "the gain is a finite m x (window_dim + im.dim) matrix"
     try:

@@ -78,10 +78,7 @@ class AuxiliaryMatrices:
 
 
 def build_auxiliary_matrices(
-    plant: PlantTruth,
-    struct: StructuralMatrices,
-    exo: ExoMatrix,
-    im: InternalModel,
+    plant: PlantTruth, struct: StructuralMatrices, exo: ExoMatrix, im: InternalModel
 ) -> AuxiliaryMatrices:
     """Assemble the auxiliary system at the window length of ``struct``."""
     ell = struct.ell
@@ -106,9 +103,7 @@ def build_auxiliary_matrices(
     exo_window_map = np.vstack(stack[::-1])  # S^-ell, ..., S^-1, I
 
     core = C @ struct.a_ell @ struct.obs_pinv
-    y_from_window = np.hstack(
-        [core, C @ struct.reach_u - core @ struct.toeplitz_u]
-    )
+    y_from_window = np.hstack([core, C @ struct.reach_u - core @ struct.toeplitz_u])
     # Output and cascade maps of the stacked exosignal, composed with
     # exo_window_map once so that they map the current exosignal state.
     y_from_stack = np.hstack([C @ struct.reach_w - core @ struct.toeplitz_w, Q])
@@ -150,9 +145,7 @@ def check_data_identity(data: DataMatrices, aux: AuxiliaryMatrices) -> float:
     """Relative defect of the one-step data relation, using the hidden
     exosignal stack: psi1 against ext_a psi0 + ext_b u1 + ext_p w.
     """
-    predicted = (
-        aux.ext_a @ data.psi0 + aux.ext_b @ data.u1 + aux.ext_p @ data.w0_oracle
-    )
+    predicted = aux.ext_a @ data.psi0 + aux.ext_b @ data.u1 + aux.ext_p @ data.w0_oracle
     return float(
         np.linalg.norm(data.psi1 - predicted) / max(1.0, np.linalg.norm(data.psi1))
     )
@@ -168,9 +161,7 @@ def oracle_factorization_residual(data: DataMatrices, regressor_matrix) -> float
 
 
 def check_claim1(
-    rec: ExperimentRecord,
-    plant: PlantTruth,
-    struct: StructuralMatrices,
+    rec: ExperimentRecord, plant: PlantTruth, struct: StructuralMatrices
 ) -> tuple[float, float, float]:
     """Window-reconstruction identities along a recorded run.
 
@@ -204,11 +195,7 @@ def check_claim1(
 
 
 def check_solution_correspondence(
-    aux: AuxiliaryMatrices,
-    w,
-    x0,
-    y,
-    u,
+    aux: AuxiliaryMatrices, w, x0, y, u
 ) -> tuple[float, float]:
     """Compare a plant run with the auxiliary system started from the
     prescribed initial stack.
@@ -236,8 +223,7 @@ def check_solution_correspondence(
             u[:ell].ravel(),
         ]
     )
-    wd, S = aux.window_dim, aux.exo.S
-    n_w = S.shape[0]
+    wd, n_w, S = aux.window_dim, aux.exo.n_w, aux.exo.S
     F = np.zeros((wd + n_w, wd + n_w))
     F[:wd, :wd] = aux.window_a
     F[:wd, wd:] = aux.inject_y @ aux.y_from_exo
@@ -368,9 +354,7 @@ def simulate_closed_loop(
 
 
 def check_regulator_equations(
-    aux: AuxiliaryMatrices,
-    closed_data_matrix,
-    eigs,
+    aux: AuxiliaryMatrices, closed_data_matrix, eigs
 ) -> tuple[float, float]:
     """Steady-state (Sylvester) certificate for zero asymptotic output.
 
