@@ -236,7 +236,8 @@ def test_structural_matrices_left_inverse_vtol():
 @pytest.mark.parametrize("draw", [None, (0, 3, 1, 1, 2), (1, 5, 2, 2, 2), (2, 6, 2, 3, 4)])
 def test_structural_matrices_match_reference_formulation(draw):
     # The paper plant, or random_plant(default_rng(s), n, m, p, n_w), at its
-    # observability index and two steps past it; exact equality.
+    # observability index and two steps past it; exact equality, but for
+    # A^ell against matrix_power, which squares: round-off.
     if draw is None:
         plant = vtol()[0]
     else:
@@ -248,6 +249,11 @@ def test_structural_matrices_match_reference_formulation(draw):
         powers = [np.eye(plant.n)]
         for _ in range(ell):
             powers.append(powers[-1] @ plant.A)
+        np.testing.assert_array_equal(sm.a_ell, powers[ell])
+        a_ell = np.linalg.matrix_power(plant.A, ell)
+        np.testing.assert_allclose(
+            sm.a_ell, a_ell, rtol=0, atol=1e-13 * max(1.0, np.abs(a_ell).max())
+        )
         toeplitz_u = np.zeros((p * ell, m * ell))
         toeplitz_w = np.zeros((p * ell, n_w * ell))
         for i in range(ell):
@@ -258,22 +264,6 @@ def test_structural_matrices_match_reference_formulation(draw):
                 toeplitz_w[i * p : (i + 1) * p, j * n_w : (j + 1) * n_w] = blk @ plant.P
         np.testing.assert_array_equal(sm.toeplitz_u, toeplitz_u)
         np.testing.assert_array_equal(sm.toeplitz_w, toeplitz_w)
-
-
-@pytest.mark.parametrize("draw", [None, (0, 3, 1, 1, 2), (1, 5, 2, 2, 2), (2, 6, 2, 3, 4)])
-def test_structural_matrices_keep_a_to_the_ell(draw):
-    # A^ell is the product of the window maps' power loop; it agrees with
-    # matrix_power (which squares) to round-off.
-    if draw is None:
-        plant = vtol()[0]
-    else:
-        plant = random_plant(np.random.default_rng(draw[0]), *draw[1:])
-    for ell in (plant.obs_index, plant.obs_index + 2):
-        a_ell = np.linalg.matrix_power(plant.A, ell)
-        sm = build_structural_matrices(plant, ell)
-        np.testing.assert_allclose(
-            sm.a_ell, a_ell, rtol=0, atol=1e-13 * max(1.0, np.abs(a_ell).max())
-        )
 
 
 def test_structural_matrices_window_too_short():

@@ -115,29 +115,6 @@ def test_aux_dimensions_vtol():
     assert aux.ext_p.shape == (10, 2)
 
 
-@pytest.mark.parametrize("draw", [None, (0, 3, 1, 1, 2), (1, 5, 2, 2, 2), (2, 6, 2, 3, 4)])
-def test_exo_maps_compose_stacked_maps_with_exo_window_map(draw):
-    # y_from_exo and ext_p are the stacked-exosignal maps times
-    # exo_window_map, bit for bit, on the paper plant and on
-    # random_plant(default_rng(s), n, m, p, n_w) draws.
-    if draw is None:
-        plant, exo = vtol()
-    else:
-        rng = np.random.default_rng(draw[0])
-        plant = random_plant(rng, *draw[1:])
-        exo = random_unit_circle_exo(rng, plant.n_w)
-    im = build_internal_model(exo, p=plant.p)
-    ell = plant.obs_index
-    struct = build_structural_matrices(plant, ell)
-    aux = build_auxiliary_matrices(plant, struct, exo, im)
-    assert aux.plant is plant and aux.exo is exo and aux.im is im
-    core = aux.y_from_window[:, : plant.p * ell]  # C A^ell obs_pinv
-    stacked = np.hstack([plant.C @ struct.reach_w - core @ struct.toeplitz_w, plant.Q])
-    np.testing.assert_array_equal(aux.y_from_exo, stacked @ aux.exo_window_map)
-    ext_p = np.vstack([aux.inject_y @ stacked, im.input_map @ stacked])
-    np.testing.assert_array_equal(aux.ext_p, ext_p @ aux.exo_window_map)
-
-
 def test_exo_window_map_stacks_inverse_powers():
     _, exo, _, _, _, aux = vtol_setup()
     S = exo.S
@@ -353,7 +330,8 @@ def test_closed_loop_matches_hand_assembled_map():
 def test_assembled_maps_match_block_formulation(draw):
     # The paper plant, or random_plant(default_rng(s), n, m, p, n_w) with a
     # random unit-circle exosystem, under a random gain: ext_a, full_map and
-    # core_map equal their np.block forms exactly.
+    # core_map equal their np.block forms exactly, and y_from_exo and ext_p
+    # the stacked-exosignal maps times exo_window_map.
     if draw is None:
         plant, exo = vtol()
         rng = np.random.default_rng(9)
@@ -362,9 +340,10 @@ def test_assembled_maps_match_block_formulation(draw):
         plant = random_plant(rng, *draw[1:])
         exo = random_unit_circle_exo(rng, plant.n_w)
     im = build_internal_model(exo, p=plant.p)
-    aux = build_auxiliary_matrices(
-        plant, build_structural_matrices(plant, plant.obs_index), exo, im
-    )
+    ell = plant.obs_index
+    struct = build_structural_matrices(plant, ell)
+    aux = build_auxiliary_matrices(plant, struct, exo, im)
+    assert aux.plant is plant and aux.exo is exo and aux.im is im
     wd, di, n, n_w = aux.window_dim, im.dim, plant.n, plant.n_w
     ext_a = np.block(
         [
@@ -373,6 +352,11 @@ def test_assembled_maps_match_block_formulation(draw):
         ]
     )
     np.testing.assert_array_equal(aux.ext_a, ext_a)
+    core = aux.y_from_window[:, : plant.p * ell]  # C A^ell obs_pinv
+    stacked = np.hstack([plant.C @ struct.reach_w - core @ struct.toeplitz_w, plant.Q])
+    np.testing.assert_array_equal(aux.y_from_exo, stacked @ aux.exo_window_map)
+    ext_p = np.vstack([aux.inject_y @ stacked, im.input_map @ stacked])
+    np.testing.assert_array_equal(aux.ext_p, ext_p @ aux.exo_window_map)
 
     gain = rng.standard_normal((plant.m, wd + di))
     cl = assemble_closed_loop(aux, gain)
