@@ -30,7 +30,6 @@ from .plant import (
 )
 from .synthesis import (
     SdpProblem,
-    SolverOptions,
     SynthesisResult,
     assemble_sdp,
     extract_gain,
@@ -74,7 +73,6 @@ __all__ = [
     "build_structural_matrices",
     "observability_index",
     "SdpProblem",
-    "SolverOptions",
     "SynthesisResult",
     "assemble_sdp",
     "extract_gain",

@@ -34,12 +34,7 @@ from .experiment import (
 from .internal_model import InternalModel, build_internal_model
 from .numerics import simulate_linear
 from .plant import build_structural_matrices
-from .synthesis import (
-    SolverOptions,
-    assemble_sdp,
-    feasibility_precheck,
-    solve_feasibility_sdp,
-)
+from .synthesis import assemble_sdp, feasibility_precheck, solve_feasibility_sdp
 from .verify import (
     assemble_closed_loop,
     build_auxiliary_matrices,
@@ -108,21 +103,6 @@ def _initial(config: RunConfig, **dims) -> list[np.ndarray]:
     ]
 
 
-def _internal_model(config: RunConfig, p: int) -> InternalModel:
-    """The internal model for ``p`` outputs; a configured ``eta0`` must have
-    its dimension, which only the model knows."""
-    im = build_internal_model(
-        config.exo, p=p, snap_coeffs_tol=config.tolerances["snap_coeffs_tol"]
-    )
-    if config.eta0 is not None and config.eta0.size != im.dim:
-        raise PipelineError(
-            "config",
-            f"initial.eta0 must have length {im.dim}, got {config.eta0.size}",
-            "p times the degree of the minimal polynomial of S",
-        )
-    return im
-
-
 def collect_stage(config: RunConfig) -> tuple[ExperimentRecord, InternalModel]:
     """The experiment's record and the internal model it was collected with
     (the closed-loop checks step the same model)."""
@@ -131,7 +111,9 @@ def collect_stage(config: RunConfig) -> tuple[ExperimentRecord, InternalModel]:
             "collect", "no plant in config", "collection needs ground truth"
         )
     plant = config.plant
-    im = _internal_model(config, plant.p)
+    im = build_internal_model(
+        config.exo, p=plant.p, snap_coeffs_tol=config.tolerances["snap_coeffs_tol"]
+    )
     w0, x0, eta0 = _initial(config, w0=config.exo.n_w, x0=plant.n, eta0=im.dim)
     policy = config.input_policy
     if policy["type"] == "normal":
@@ -164,8 +146,13 @@ def synthesize_stage(config: RunConfig, rec: ExperimentRecord):
     )
     prob = _stage("assemble-sdp", assemble_sdp, data, reg)
     pre = feasibility_precheck(prob)
-    opts = SolverOptions(feas_tol=config.tolerances["feas_tol"], **config.solver)
-    result = _stage("solve", solve_feasibility_sdp, prob, opts)
+    result = _stage(
+        "solve",
+        solve_feasibility_sdp,
+        prob,
+        feas_tol=config.tolerances["feas_tol"],
+        **config.solver,
+    )
     return data, reg, prob, pre, result
 
 
@@ -482,7 +469,9 @@ def _cmd_synthesize(args) -> int:
     if args.record is not None:
         plant, dims = config.plant, config.dims
         m, p = (plant.m, plant.p) if plant else (dims["m"], dims["p"])
-        im = _internal_model(config, p)
+        im = build_internal_model(
+            config.exo, p=p, snap_coeffs_tol=config.tolerances["snap_coeffs_tol"]
+        )
         rec = _stage(
             "collect", record_from_csv, args.record, ell=config.ell, im=im, m=m, p=p
         )

@@ -209,8 +209,6 @@ class RunConfig:
             'add "dims": {"m": ..., "p": ...}',
         )
         n_w = self.exo.n_w
-        # eta0's length is the internal model's dimension, checked where that
-        # model is built.
         lengths = {"w0": n_w, "x0": None, "eta0": None, "chi0": None}
         if plant is None:
             with _config_errors():
@@ -234,6 +232,8 @@ class RunConfig:
             lengths.update(x0=plant.n, chi0=(plant.m + plant.p) * self.ell)
             if policy["type"] == "explicit":
                 _check_inputs(policy["values"], self.T + 1, plant.m)
+        # The internal model's dimension: p times the minimal-polynomial degree.
+        lengths["eta0"] = (plant.p if plant else dims["p"]) * len(self.exo.coeffs)
         with _config_errors():
             for name, dim in lengths.items():
                 value = getattr(self, name)

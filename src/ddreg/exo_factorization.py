@@ -81,7 +81,7 @@ def analyze_exosystem(
                     "declared Jordan structure inconsistent with exosystem spectrum"
                 )
             unmatched.pop(j)
-        d_actual = minimal_polynomial(S, tol=tol).degree
+        d_actual = len(minimal_polynomial(S, tol=tol))
         if declared.minimal_degree() != d_actual:
             raise ValueError(
                 "declared Jordan structure implies minimal-polynomial degree "

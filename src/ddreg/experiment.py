@@ -156,10 +156,6 @@ class DataMatrices:
     psi1: np.ndarray
     w0_oracle: np.ndarray = field(repr=False)
 
-    @property
-    def n_cols(self) -> int:
-        return self.u1.shape[1]
-
 
 def stacked_windows(a: np.ndarray, ell: int) -> np.ndarray:
     """Row j holds the samples ``a[j .. j+ell-1]`` stacked in time order,

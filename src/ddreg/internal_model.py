@@ -1,5 +1,6 @@
 """Internal model of the exosystem: a block-companion copy of the minimal
-polynomial of S, driven by the measured output.
+polynomial of S (its coefficients kept on ``ExoMatrix``), driven by the
+measured output.
 
 This module only builds the model's matrices.  The data-collection
 experiment steps it together with the plant (``experiment.collect_experiment``)
@@ -14,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DEFAULTS
-from .numerics import PolynomialCoeffs, minimal_polynomial
 from .plant import ExoMatrix
 
 
@@ -38,29 +38,25 @@ class InternalModel:
     def dim(self) -> int:
         return self.p * self.degree
 
-    def polynomial(self) -> PolynomialCoeffs:
-        return PolynomialCoeffs(degree=self.degree, coeffs=self.coeffs.copy())
-
 
 def build_internal_model(
     exo: ExoMatrix,
     p: int,
-    tol: float = 1e-8,
     snap_coeffs_tol: float | None = DEFAULTS["tolerances"]["snap_coeffs_tol"],
 ) -> InternalModel:
-    """Assemble the internal model for a ``p``-output plant from S.
+    """Assemble the internal model for a ``p``-output plant from the
+    minimal polynomial of S, ``exo.coeffs``.
 
     Coefficients are kept at full floating precision.  ``snap_coeffs_tol``
     optionally rounds each coefficient to the nearest integer when it is
     already within that tolerance of one (off by default).
     """
-    poly = minimal_polynomial(exo.S, tol=tol)
-    coeffs = poly.coeffs
+    coeffs = exo.coeffs
     if snap_coeffs_tol is not None:
         snapped = np.round(coeffs)
         coeffs = np.where(np.abs(coeffs - snapped) <= snap_coeffs_tol, snapped, coeffs)
 
-    d = poly.degree
+    d = len(coeffs)
     companion = np.eye(d * p, k=p)
     i = np.arange(p)[:, None]
     companion[(d - 1) * p + i, np.arange(d) * p + i] = -coeffs

@@ -19,8 +19,6 @@ config, the block sizes of a declared Jordan structure).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 # Rank tolerance of rank_with_tol and synthesis._svd_split (relative to the
@@ -87,34 +85,10 @@ def rank_with_tol(M, rel_tol: float = DEFAULT_RANK_RTOL) -> int:
     return int(np.count_nonzero(s > rel_tol * s[0]))
 
 
-@dataclass
-class PolynomialCoeffs:
-    """Monic annihilating polynomial ``c[0] + c[1] x + ... + x^degree``.
-
-    ``coeffs`` holds the non-leading coefficients ``c[0] .. c[degree-1]``;
-    the leading coefficient is implicitly 1.
-    """
-
-    degree: int
-    coeffs: np.ndarray
-
-    def eval_matrix(self, M: np.ndarray) -> np.ndarray:
-        """Evaluate the monic polynomial at a square matrix (Horner)."""
-        eye = np.eye(M.shape[0])
-        R = eye.copy()
-        for c in self.coeffs[::-1]:
-            R = R @ M + c * eye
-        return R
-
-    def eval_scalar(self, z: complex) -> complex:
-        acc = 1.0 + 0.0j
-        for c in self.coeffs[::-1]:
-            acc = acc * z + c
-        return acc
-
-
-def minimal_polynomial(S, tol: float = 1e-8) -> PolynomialCoeffs:
-    """Lowest-degree monic polynomial annihilating a square matrix.
+def minimal_polynomial(S, tol: float = 1e-8) -> np.ndarray:
+    """Lowest-degree monic polynomial annihilating a square matrix, as its
+    non-leading coefficients ``c[0] .. c[d-1]`` of
+    ``c[0] + c[1] x + ... + x^d`` (the degree d is their count).
 
     Found by an incremental Krylov test on vectorized powers: the smallest
     ``d`` such that ``vec(S^d)`` lies, within ``tol`` relative residual, in
@@ -130,7 +104,7 @@ def minimal_polynomial(S, tol: float = 1e-8) -> PolynomialCoeffs:
         c, *_ = np.linalg.lstsq(K, target, rcond=None)
         resid = np.linalg.norm(K @ c - target)
         if resid <= tol * max(1.0, np.linalg.norm(target)) or d == n:
-            return PolynomialCoeffs(degree=d, coeffs=-c)
+            return -c
         basis.append(target)
     raise AssertionError("unreachable: degree n always annihilates")
 

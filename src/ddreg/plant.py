@@ -20,7 +20,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import DEFAULT_RANK_RTOL, as_integer, as_matrix, rank_with_tol
+from .numerics import (
+    DEFAULT_RANK_RTOL,
+    as_integer,
+    as_matrix,
+    minimal_polynomial,
+    rank_with_tol,
+)
 
 # Eigenvalues of the exosystem map may not dip below the unit circle by more
 # than this slack.
@@ -54,10 +60,14 @@ class ExoMatrix:
     """Known exosystem map S.  All eigenvalue moduli must be >= 1.
 
     ``eigs`` holds the eigenvalues of S, taken once by the validation; every
-    reader of S's spectrum reads them here."""
+    reader of S's spectrum reads them here.  ``coeffs`` holds the
+    non-leading coefficients of S's minimal polynomial (``minimal_polynomial``
+    at its default tolerance), whose count is its degree; the internal model
+    is built from them.  Both are read-only."""
 
     S: np.ndarray
     eigs: np.ndarray = field(init=False, repr=False)
+    coeffs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.S = as_matrix(self.S, "S", square=True)
@@ -68,6 +78,8 @@ class ExoMatrix:
         # Invertibility is implied by the modulus bound; double-check via rank.
         if rank_with_tol(self.S) < self.S.shape[0]:
             raise ValueError("exosystem matrix is singular")
+        self.coeffs = minimal_polynomial(self.S)
+        self.coeffs.flags.writeable = False
 
     @property
     def n_w(self) -> int:

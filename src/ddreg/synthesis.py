@@ -46,18 +46,7 @@ from .config import DEFAULTS
 from .exo_factorization import Regressor
 from .experiment import DataMatrices
 from .numerics import DEFAULT_RANK_RTOL, rank_with_tol
-from .sdp import AffineBlock, maximize_margin
-
-DEFAULT_FEAS_TOL = DEFAULTS["tolerances"]["feas_tol"]
-
-
-@dataclass
-class SolverOptions:
-    """The solve's knobs; the defaults are those of a run's config."""
-
-    feas_tol: float = DEFAULT_FEAS_TOL
-    gap_tol: float = DEFAULTS["solver"]["gap_tol"]
-    max_newton: int = DEFAULTS["solver"]["max_newton"]
+from .sdp import AffineBlock, _sym, maximize_margin
 
 
 @dataclass
@@ -153,11 +142,6 @@ def _svd_split(M: np.ndarray, rtol: float = DEFAULT_RANK_RTOL):
     return u[:, :rank], s, vh[:rank].T.copy(), vh[rank:].T.copy()
 
 
-def _nullspace(M: np.ndarray, rtol: float = DEFAULT_RANK_RTOL) -> np.ndarray:
-    """Orthonormal basis (columns) of the right nullspace, see ``_svd_split``."""
-    return _svd_split(M, rtol)[3]
-
-
 def _elimination(prob: SdpProblem):
     """Linear-equality elimination in closed form.
 
@@ -169,7 +153,7 @@ def _elimination(prob: SdpProblem):
     every Z with ``H0 Z`` symmetric is ``Z = H0^+ X + N R``, with X
     symmetric (and then ``X = H0 Z``), N the kernel basis and R free.
     """
-    null_m = _nullspace(prob.mhat)
+    null_m = _svd_split(prob.mhat)[3]
     # Directions of null_m in the kernel of [psi0; psi1] move Y without
     # moving X or W: the margin cannot see them.  Keeping the row space only
     # removes them, and pins Y to the smallest one that gives the same
@@ -178,10 +162,6 @@ def _elimination(prob: SdpProblem):
     null_m = null_m @ rows
     u, s, rows, kernel = _svd_split(prob.psi0 @ null_m)
     return null_m, s, rows @ (u / s[: u.shape[1]]).T, kernel
-
-
-def _sym(M: np.ndarray) -> np.ndarray:
-    return 0.5 * (M + M.T)
 
 
 def _sym_basis(nu: int) -> np.ndarray:
@@ -229,22 +209,25 @@ def _design_z(v, pinv, kernel, basis) -> np.ndarray:
 
 
 def solve_feasibility_sdp(
-    prob: SdpProblem, opts: SolverOptions | None = None
+    prob: SdpProblem,
+    feas_tol: float = DEFAULTS["tolerances"]["feas_tol"],
+    gap_tol: float = DEFAULTS["solver"]["gap_tol"],
+    max_newton: int = DEFAULTS["solver"]["max_newton"],
 ) -> SynthesisResult:
     """Margin-maximization solve of the design program.
 
     Feasible means the margin, the smallest eigenvalue of the stability
-    block at the returned point, exceeds ``opts.feas_tol``.  The
+    block at the returned point, exceeds ``feas_tol``.  The
     interior-point solve stops at the first certified verdict: a feasible
     margin is a lower bound on the optimum (within a factor 2 of it, see
     ``gap_bound``); an infeasible solve stops once a dual point bounds the
-    optimum at or below ``opts.feas_tol``, so its margin is the certified
-    value there, not the optimum.  Otherwise it runs to ``opts.gap_tol``.
+    optimum at or below ``feas_tol``, so its margin is the certified
+    value there, not the optimum.  Otherwise it runs to ``gap_tol`` (at
+    most ``max_newton`` Newton steps); the defaults are a run config's.
     A rank-deficient ``psi0 null_m`` (the wide-output plant) is infeasible
     with margin -inf and no solve.  X and Y satisfy the equality constraint
     by construction up to round-off.
     """
-    opts = opts or SolverOptions()
     null_m, s, pinv, kernel = _elimination(prob)
     rank = null_m.shape[1] - kernel.shape[1]
     rel = s / s[0] if rank else s[:0]  # rank 0: H0 is zero or empty
@@ -261,10 +244,7 @@ def solve_feasibility_sdp(
     result.free_params = block.nvar
     try:
         res = maximize_margin(
-            [block],
-            gap_tol=opts.gap_tol,
-            max_newton=opts.max_newton,
-            feas_tol=opts.feas_tol,
+            [block], gap_tol=gap_tol, max_newton=max_newton, feas_tol=feas_tol
         )
     except RuntimeError as exc:
         result.status, result.margin = "numerical_failure", np.nan
@@ -280,7 +260,7 @@ def solve_feasibility_sdp(
     result.X = X = _sym(prob.psi0 @ Y)
     result.mhat_residual = float(np.linalg.norm(prob.mhat @ Y))
     result.equality_residual = float(np.linalg.norm(prob.psi0 @ Y - X))
-    if res.margin > opts.feas_tol:
+    if res.margin > feas_tol:
         result.status = "feasible"
         result.K, result.G, result.gain_defect = extract_gain(prob, X, Y)
     return result

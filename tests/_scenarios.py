@@ -13,6 +13,16 @@ def rotation(theta):
     return np.array([[c, s], [-s, c]])
 
 
+def monic_horner(coeffs, x):
+    """``c[0] + c[1] x + ... + x^d`` at a scalar or a square matrix ``x``,
+    by Horner's rule, from the non-leading coefficients ``coeffs``."""
+    eye = np.eye(len(x)) if np.ndim(x) == 2 else 1.0
+    acc = eye
+    for c in coeffs[::-1]:
+        acc = np.dot(acc, x) + c * eye
+    return acc
+
+
 def random_plant(rng, n, m, p, n_w, radius=0.85):
     """Random observable plant; ``radius`` scales the open-loop spectrum."""
     for _ in range(100):

@@ -1,3 +1,4 @@
+import inspect
 import json
 
 import numpy as np
@@ -21,7 +22,7 @@ from ddreg.cli import (
     verify_gain,
 )
 from ddreg.experiment import NormalInputPolicy
-from ddreg.synthesis import SolverOptions
+from ddreg.synthesis import solve_feasibility_sdp
 
 
 def vtol_config_dict(seed=0, factorization=None):
@@ -132,8 +133,8 @@ def test_config_rejects_unknown_solver_option(section, key):
 
 def test_solver_options_defaults_are_the_config_defaults():
     config = RunConfig.from_dict(vtol_config_dict())
-    opts = SolverOptions()
-    assert (opts.feas_tol, opts.gap_tol, opts.max_newton) == (
+    params = inspect.signature(solve_feasibility_sdp).parameters
+    assert tuple(params[k].default for k in ("feas_tol", "gap_tol", "max_newton")) == (
         config.tolerances["feas_tol"],
         config.solver["gap_tol"],
         config.solver["max_newton"],

@@ -14,6 +14,7 @@ from ddreg.cli import (
     paper_example_config,
     synthesize_stage,
 )
+from ddreg.config import DEFAULTS
 from ddreg.exo_factorization import JordanSpec, analyze_exosystem, build_M_jordan
 from ddreg.experiment import NormalInputPolicy, assemble_data_matrices, collect_experiment
 from ddreg.internal_model import build_internal_model
@@ -21,13 +22,11 @@ from ddreg.numerics import rank_with_tol
 from ddreg.plant import ExoMatrix, PlantTruth, observability_index
 from ddreg.sdp import AffineBlock
 from ddreg.synthesis import (
-    DEFAULT_FEAS_TOL,
     SdpProblem,
-    SolverOptions,
     _design_z,
     _elimination,
-    _nullspace,
     _sdp_block,
+    _svd_split,
     _sym_basis,
     assemble_sdp,
     extract_gain,
@@ -158,7 +157,7 @@ def test_elimination_drops_directions_the_blocks_cannot_see():
     # sees, so no direction of Z leaves both X and W unchanged.
     prob = vtol_problem()
     null_m = _elimination(prob)[0]
-    full = _nullspace(prob.mhat)
+    full = _svd_split(prob.mhat)[3]
     H = np.vstack([prob.psi0, prob.psi1])
     assert null_m.shape[1] == np.linalg.matrix_rank(H @ full) < full.shape[1]
     assert np.allclose(null_m.T @ null_m, np.eye(null_m.shape[1]), atol=1e-12)
@@ -436,12 +435,12 @@ def test_gain_independent_of_gap_tol():
     # Driving the margin to its optimum instead leaves X nearly singular
     # and moved K by 7.4e-3 (1.6e-4 relative) between these two tolerances.
     prob = vtol_problem(seed=1)
-    loose = solve_feasibility_sdp(prob, SolverOptions(gap_tol=1e-8))
-    tight = solve_feasibility_sdp(prob, SolverOptions(gap_tol=1e-12))
+    loose = solve_feasibility_sdp(prob, gap_tol=1e-8)
+    tight = solve_feasibility_sdp(prob, gap_tol=1e-12)
     for res in (loose, tight):
         assert res.status == "feasible"
         assert res.stop == "verdict"
-        assert res.margin > DEFAULT_FEAS_TOL
+        assert res.margin > DEFAULTS["tolerances"]["feas_tol"]
         assert res.gap_bound < res.margin
     scale = np.abs(loose.K).max()
     assert np.abs(tight.K - loose.K).max() < 1e-8 * scale
@@ -451,7 +450,7 @@ def test_failed_solve_keeps_its_solver_state(monkeypatch):
     # A solve cut short by its iteration budget still reports where it
     # stopped, with its certificate; one that raises reports the error.
     prob = vtol_problem(seed=0)
-    res = solve_feasibility_sdp(prob, SolverOptions(max_newton=2))
+    res = solve_feasibility_sdp(prob, max_newton=2)
     assert res.status == "numerical_failure"
     assert (res.stop, res.iterations) == ("newton_budget", 2)
     assert res.gap_bound is not None and res.gap_bound > 0
