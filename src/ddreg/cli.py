@@ -32,7 +32,7 @@ from .experiment import (
     record_to_csv,
 )
 from .internal_model import InternalModel, build_internal_model
-from .numerics import simulate_linear
+from .numerics import as_vector, simulate_linear
 from .plant import build_structural_matrices
 from .synthesis import assemble_sdp, feasibility_precheck, solve_feasibility_sdp
 from .verify import (
@@ -336,13 +336,11 @@ def verify_gain(config: RunConfig, gain, out_dir=None, unmask: bool = False) -> 
     ``m x (window_dim + im.dim)`` matrix raises ``PipelineError`` at the
     ``verify`` stage before any row runs.
     """
-    hint = "the gain is a finite m x (window_dim + im.dim) matrix"
     try:
-        gain = np.asarray(gain, dtype=float)
-    except (TypeError, ValueError) as exc:  # ragged or non-numeric entries
+        gain = as_vector(gain, "gain").reshape(np.shape(gain))
+    except ValueError as exc:  # an entry that is not a finite number
+        hint = "the gain is a finite m x (window_dim + im.dim) matrix"
         raise PipelineError("verify", str(exc), hint) from exc
-    if not np.isfinite(gain).all():
-        raise PipelineError("verify", "gain contains non-finite entries", hint)
     rec, im = collect_stage(config)
     plant = config.plant
     m, wd, di = plant.m, (plant.m + plant.p) * config.ell, im.dim

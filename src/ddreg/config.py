@@ -15,13 +15,14 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .numerics import as_integer, as_vector
+from .numerics import as_integer, as_real, as_vector
 from .plant import ExoMatrix, JordanSpec, PlantTruth
 
 # Section -> key -> default.  A tuple lists the allowed values, the first
 # being the default; another value is converted to its default's type (an
 # int default takes integral numbers only) and must be finite and >= 0, and
-# a None default takes the value as given (None: unset).
+# a None default takes the value as given (None: unset), save that a set
+# tolerance is a float like the others.
 DEFAULTS = {
     "tolerances": {
         "reduce_tol": 1e-8,
@@ -107,12 +108,9 @@ def _section(name: str, given: dict) -> dict:
             )
         else:
             value = given.get(key, default)
-            if default is not None:
-                if isinstance(default, int):
-                    value = as_integer(value, f"{name}.{key}")
-                else:
-                    with _config_errors(f"{name}.{key}: "):
-                        value = float(value)
+            if default is not None or (name == "tolerances" and value is not None):
+                read = as_integer if isinstance(default, int) else as_real
+                value = read(value, f"{name}.{key}")
                 _require(
                     0 <= value < float("inf"),
                     f"{name}.{key} must be finite and >= 0, got {value!r}",
@@ -124,8 +122,8 @@ def _section(name: str, given: dict) -> dict:
 def _check_inputs(values, rows: int, m: int) -> None:
     """Explicit input samples: at least ``rows`` rows of ``m`` finite
     numbers (a flat list when ``m`` is 1)."""
-    with _config_errors("input_policy.values: "):
-        u = np.asarray(values, dtype=float)
+    with _config_errors():
+        u = as_vector(values, "input_policy.values").reshape(np.shape(values))
     u = u[:, None] if u.ndim == 1 and m == 1 else u
     _require(
         u.ndim == 2 and u.shape[1] == m,
@@ -135,7 +133,6 @@ def _check_inputs(values, rows: int, m: int) -> None:
         u.shape[0] >= rows,
         f"input_policy.values needs {rows} samples (T + 1), got {u.shape[0]}",
     )
-    _require(np.isfinite(u).all(), "input_policy.values contains non-finite entries")
 
 
 @dataclass

@@ -13,11 +13,15 @@ clusters, ``_complex_rank`` and the minimal-polynomial degree); and
 LAPACK's default in the solver's pivoted Cholesky, which holds linearly
 dependent variables at zero.
 
-:func:`as_integer` reads a whole number without truncating it (the run
-config, the block sizes of a declared Jordan structure).
+Outside numbers (the run config, a gain file) are read by :func:`as_real`,
+:func:`as_integer`, :func:`as_vector` and :func:`as_matrix`, which take real
+numbers only, entry by entry: no string, no boolean.  :func:`as_integer`
+reads a whole number without truncating it.
 """
 
 from __future__ import annotations
+
+import numbers
 
 import numpy as np
 
@@ -34,9 +38,28 @@ DIVERGENCE_GUARD = 1e12
 BLOCK_STEPS = 32
 
 
+def as_real(value, name: str = "value") -> float:
+    """``value`` as a float.  Anything but a real number raises
+    ``ValueError``: a string such as "1e-6" and a boolean among them, which
+    ``float`` and numpy would read as numbers."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name}: {value!r} is not a number")
+    return float(value)
+
+
+def _as_floats(a, name: str) -> np.ndarray:
+    """``a`` as a float64 array, each entry checked by :func:`as_real` (numpy
+    turns ``[True, 1.5]`` into floats silently).  A numeric array is taken
+    as it is."""
+    if not (isinstance(a, np.ndarray) and a.dtype.kind in "fiu"):
+        for x in np.asarray(a, dtype=object).flat:
+            as_real(x, name)
+    return np.asarray(a, dtype=float)
+
+
 def as_matrix(a, name: str = "matrix", square: bool = False) -> np.ndarray:
     """Coerce ``a`` to a 2-D float64 array, rejecting NaN/Inf entries."""
-    M = np.asarray(a, dtype=float)
+    M = _as_floats(a, name)
     if M.ndim == 1:
         M = M.reshape(1, -1)
     if M.ndim != 2:
@@ -50,7 +73,7 @@ def as_matrix(a, name: str = "matrix", square: bool = False) -> np.ndarray:
 
 def as_vector(a, name: str = "vector", dim: int | None = None) -> np.ndarray:
     """Coerce ``a`` to a 1-D float64 array, rejecting NaN/Inf entries."""
-    v = np.asarray(a, dtype=float).reshape(-1)
+    v = _as_floats(a, name).reshape(-1)
     if v.size and not np.all(np.isfinite(v)):
         raise ValueError(f"{name} contains non-finite entries")
     if dim is not None and v.size != dim:
@@ -59,14 +82,14 @@ def as_vector(a, name: str = "vector", dim: int | None = None) -> np.ndarray:
 
 
 def as_integer(value, name: str = "value") -> int:
-    """``value`` as an int.  An integral float such as 20.0 is accepted; a
-    non-integral number raises ``ValueError``, it is not truncated."""
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    try:
+    """``value`` as an int, an integer kept exact.  An integral float such
+    as 20.0 is accepted; a non-integral number raises ``ValueError``, it is
+    not truncated, and so does anything :func:`as_real` rejects."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
         return int(value)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{name}: {exc}") from exc
+    if not as_real(value, name).is_integer():
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def rank_with_tol(M, rel_tol: float = DEFAULT_RANK_RTOL) -> int:

@@ -24,6 +24,7 @@ from .numerics import (
     DEFAULT_RANK_RTOL,
     as_integer,
     as_matrix,
+    as_real,
     minimal_polynomial,
     rank_with_tol,
 )
@@ -102,10 +103,11 @@ class JordanSpec:
 
     def __post_init__(self):
         self.real_blocks = [
-            (float(lam), as_integer(k, "block size")) for lam, k in self.real_blocks
+            (as_real(lam, "eigenvalue"), as_integer(k, "block size"))
+            for lam, k in self.real_blocks
         ]
         self.complex_blocks = [
-            (float(rho), float(theta), as_integer(k, "block size"))
+            (as_real(rho, "modulus"), as_real(theta, "angle"), as_integer(k, "block size"))
             for rho, theta, k in self.complex_blocks
         ]
         for lam, k in self.real_blocks:

@@ -461,8 +461,57 @@ def test_cli_run_infeasible_exit_nonzero(tmp_path, capsys):
         ),
         pytest.param(
             lambda d: d.update(factorization={**DECLARED, "real_blocks": [["a", 1]]}),
-            "factorization: could not convert string to float: 'a'",
+            "factorization: eigenvalue: 'a' is not a number",
             id="declared-malformed-block",
+        ),
+        # Strings and booleans are not numbers, though Python and numpy
+        # would read them as such.
+        pytest.param(lambda d: d.update(ell="4"), "ell: '4' is not a number", id="string-ell"),
+        pytest.param(lambda d: d.update(T="20"), "T: '20' is not a number", id="string-T"),
+        pytest.param(
+            lambda d: d.update(seed=True), "seed: True is not a number", id="boolean-seed"
+        ),
+        pytest.param(
+            lambda d: d.update(verify={"steps": True}),
+            "verify.steps: True is not a number",
+            id="boolean-steps",
+        ),
+        pytest.param(
+            lambda d: d.update(tolerances={"feas_tol": "1e-6"}),
+            "tolerances.feas_tol: '1e-6' is not a number",
+            id="string-tolerance",
+        ),
+        pytest.param(
+            lambda d: d.update(tolerances={"snap_coeffs_tol": "x"}),
+            "tolerances.snap_coeffs_tol: 'x' is not a number",
+            id="string-optional-tolerance",
+        ),
+        pytest.param(
+            lambda d: d["plant"]["A"][0].__setitem__(0, "0.0"),
+            "A: '0.0' is not a number",
+            id="string-matrix-entry",
+        ),
+        pytest.param(
+            lambda d: d["exosystem"].update(S=[["0", 1], [-1, 0]]),
+            "S: '0' is not a number",
+            id="string-exosystem-entry",
+        ),
+        pytest.param(
+            lambda d: d["initial"].update(x0=[True, False, True, False]),
+            "initial.x0: True is not a number",
+            id="boolean-vector-entry",
+        ),
+        pytest.param(
+            lambda d: d["initial"].update(w0=[True, 1.5]),
+            "initial.w0: True is not a number",
+            id="boolean-mixed-vector",
+        ),
+        pytest.param(
+            lambda d: d.update(
+                input_policy={"type": "explicit", "values": ["0.0"] * 21}
+            ),
+            "input_policy.values: '0.0' is not a number",
+            id="string-explicit-values",
         ),
         pytest.param(
             lambda d: d.update(factorization={**DECLARED, "complex_blocks": [[1.0, 1.5]]}),
@@ -515,6 +564,8 @@ def test_integral_floats_are_integers():
     config = RunConfig.from_dict(d)
     assert (config.T, config.verify["steps"]) == (20, 300)
     assert type(config.T) is int and type(config.verify["steps"]) is int
+    config = RunConfig.from_dict({**vtol_config_dict(), "seed": np.int64(3)})
+    assert config.seed == 3 and type(config.seed) is int
 
 
 def test_declared_jordan_structure_is_built_with_the_config():
@@ -668,6 +719,22 @@ def test_cli_sweep(tmp_path, capsys):
     assert "sweep 0: all_pass=True" in out and "sweep 1: all_pass=True" in out
 
 
+def test_cli_sweep_validates_every_config_first(tmp_path, capsys):
+    # An eta0 of the wrong length is a config error: the sweep stops before
+    # it runs the good config listed ahead of it.
+    good = write_config(tmp_path, vtol_config_dict(seed=0), "good.json")
+    d = vtol_config_dict(seed=0)
+    d["initial"]["eta0"] = [0.0] * 3
+    bad = write_config(tmp_path, d, "bad.json")
+    code = main(["run", "--sweep", str(good), str(bad), "--out", str(tmp_path / "sw")])
+    assert code == 2
+    assert "[config] initial.eta0 must have length 2, got 3" in capsys.readouterr().err
+    assert not (tmp_path / "sw" / "sweep_000").exists()
+    with pytest.raises(PipelineError, match="initial.eta0 must have length 2") as exc:
+        RunConfig.from_dict(d)
+    assert exc.value.stage == "config"
+
+
 def test_trajectory_csv_schema(tmp_path):
     path = write_config(tmp_path, vtol_config_dict(seed=0))
     main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
@@ -768,10 +835,12 @@ def test_cli_verify_destabilizing_gain_writes_report(tmp_path, capsys):
     "gain, message",
     [
         ([[1.0, 2.0]], "[verify] gain has shape (1, 2), expected (1, 10)"),
-        ([[1.0, 2.0], [3.0]], "[verify] setting an array element with a sequence"),
+        ([[1.0, 2.0], [3.0]], "[verify] gain: [1.0, 2.0] is not a number"),
         ([[float("nan")] * 10], "[verify] gain contains non-finite entries"),
         ([[float("inf")] * 10], "[verify] gain contains non-finite entries"),
-        ({"a": 1}, "[verify] float() argument must be a string or a real number"),
+        ({"a": 1}, "[verify] gain: {'a': 1} is not a number"),
+        ([["1.0"] * 10], "[verify] gain: '1.0' is not a number"),
+        ([[True] * 10], "[verify] gain: True is not a number"),
     ],
 )
 def test_cli_verify_wrong_gain_shape_exit_two(tmp_path, capsys, gain, message):

@@ -123,8 +123,10 @@ def test_as_integer_takes_whole_numbers_only():
     for value in (20.7, float("nan"), float("inf")):
         with pytest.raises(ValueError, match=f"T must be an integer, got {value!r}"):
             as_integer(value, "T")
-    with pytest.raises(ValueError, match="T: invalid literal"):
-        as_integer("x", "T")
+    assert as_integer(2**60 + 1) == 2**60 + 1  # exact, no float round-trip
+    for value in ("x", "20", True):
+        with pytest.raises(ValueError, match=f"T: {value!r} is not a number"):
+            as_integer(value, "T")
 
 
 # ---------------------------------------------------------------------------
