@@ -12,6 +12,7 @@ from ddreg.cli import (
     build_regressor,
     collect_stage,
     paper_example_config,
+    run_pipeline,
     synthesize_stage,
 )
 from ddreg.config import DEFAULTS
@@ -554,3 +555,38 @@ def test_precheck_empty_regressor_guidance_only():
         u1=np.zeros((1, 3)), psi0=psi0, psi1=np.zeros((4, 3)), mhat=np.zeros((0, 3))
     )
     assert feasibility_precheck(prob) == {"columns": 3, "columns_needed": 4}
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 4),
+    m=st.integers(1, 2),
+    p=st.integers(1, 2),
+    n_w=st.integers(1, 3),
+)
+def test_feasible_design_stabilizes_and_regulates(seed, n, m, p, n_w):
+    # A feasible verdict certifies a Schur closed loop that solves the
+    # regulator equations.  It does not certify a decay rate: a feasible
+    # design may still miss regulation_tail or zero_exo_decay in the
+    # default 300 steps (rho up to 0.989), so those rows are not asserted.
+    rng = np.random.default_rng(seed)
+    plant = random_plant(rng, n, m, p, n_w)
+    exo = random_unit_circle_exo(rng, n_w)
+    ell = observability_index(plant.A, plant.C)
+    nu = (m + p) * ell + p * len(exo.coeffs)
+    config = RunConfig(
+        exo_s=exo.S,
+        ell=ell,
+        T=ell + nu + n_w * ell + 10,
+        seed=seed % 1000,
+        plant=plant,
+        w0=rng.standard_normal(n_w),
+        x0=rng.standard_normal(n),
+    )
+    report = run_pipeline(config)
+    if report["synthesis"]["status"] != "feasible":
+        return
+    rows = {c["name"]: c for c in report["checks"]}
+    assert rows["stability_radius"]["value"] < 1.0
+    assert rows["regulator_identity"]["pass"] and rows["sylvester_residual"]["pass"]
