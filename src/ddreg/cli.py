@@ -146,13 +146,8 @@ def synthesize_stage(config: RunConfig, rec: ExperimentRecord):
     )
     prob = _stage("assemble-sdp", assemble_sdp, data, reg)
     pre = feasibility_precheck(prob)
-    result = _stage(
-        "solve",
-        solve_feasibility_sdp,
-        prob,
-        feas_tol=config.tolerances["feas_tol"],
-        **config.solver,
-    )
+    tol = config.tolerances["feas_tol"]
+    result = _stage("solve", solve_feasibility_sdp, prob, feas_tol=tol, **config.solver)
     return data, reg, prob, pre, result
 
 
@@ -336,11 +331,8 @@ def verify_gain(config: RunConfig, gain, out_dir=None, unmask: bool = False) -> 
     ``m x (window_dim + im.dim)`` matrix raises ``PipelineError`` at the
     ``verify`` stage before any row runs.
     """
-    try:
-        gain = as_vector(gain, "gain").reshape(np.shape(gain))
-    except ValueError as exc:  # an entry that is not a finite number
-        hint = "the gain is a finite m x (window_dim + im.dim) matrix"
-        raise PipelineError("verify", str(exc), hint) from exc
+    hint = "the gain is a finite m x (window_dim + im.dim) matrix"
+    gain = _stage("verify", as_vector, gain, "gain", hint=hint).reshape(np.shape(gain))
     rec, im = collect_stage(config)
     plant = config.plant
     m, wd, di = plant.m, (plant.m + plant.p) * config.ell, im.dim

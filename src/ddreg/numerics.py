@@ -13,10 +13,9 @@ clusters, ``_complex_rank`` and the minimal-polynomial degree); and
 LAPACK's default in the solver's pivoted Cholesky, which holds linearly
 dependent variables at zero.
 
-Outside numbers (the run config, a gain file) are read by :func:`as_real`,
-:func:`as_integer`, :func:`as_vector` and :func:`as_matrix`, which take real
-numbers only, entry by entry: no string, no boolean.  :func:`as_integer`
-reads a whole number without truncating it.
+Outside numbers are read by :func:`as_real`, :func:`as_integer` (a whole
+number, never truncated), :func:`as_vector` and :func:`as_matrix`, which
+take real numbers only: no string, no boolean.
 """
 
 from __future__ import annotations
@@ -39,46 +38,39 @@ BLOCK_STEPS = 32
 
 
 def as_real(value, name: str = "value") -> float:
-    """``value`` as a float.  Anything but a real number raises
-    ``ValueError``: a string such as "1e-6" and a boolean among them, which
-    ``float`` and numpy would read as numbers."""
+    """``value`` as a float; anything but a real number raises ``ValueError``
+    (``float`` would read the string "1e-6" or the boolean True as one)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name}: {value!r} is not a number")
     return float(value)
 
 
-def _as_floats(a, name: str) -> np.ndarray:
-    """``a`` as a float64 array, each entry checked by :func:`as_real` (numpy
-    turns ``[True, 1.5]`` into floats silently).  A numeric array is taken
-    as it is."""
+def as_vector(a, name: str = "vector", dim: int | None = None) -> np.ndarray:
+    """Coerce ``a`` to a 1-D float64 array, rejecting NaN/Inf entries and,
+    unless ``a`` is a numeric array, any entry :func:`as_real` rejects (numpy
+    turns ``[True, 1.5]`` into floats silently)."""
     if not (isinstance(a, np.ndarray) and a.dtype.kind in "fiu"):
         for x in np.asarray(a, dtype=object).flat:
             as_real(x, name)
-    return np.asarray(a, dtype=float)
-
-
-def as_matrix(a, name: str = "matrix", square: bool = False) -> np.ndarray:
-    """Coerce ``a`` to a 2-D float64 array, rejecting NaN/Inf entries."""
-    M = _as_floats(a, name)
-    if M.ndim == 1:
-        M = M.reshape(1, -1)
-    if M.ndim != 2:
-        raise ValueError(f"{name} must be 2-D, got shape {M.shape}")
-    if M.size and not np.all(np.isfinite(M)):
-        raise ValueError(f"{name} contains non-finite entries")
-    if square and M.shape[0] != M.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {M.shape}")
-    return M
-
-
-def as_vector(a, name: str = "vector", dim: int | None = None) -> np.ndarray:
-    """Coerce ``a`` to a 1-D float64 array, rejecting NaN/Inf entries."""
-    v = _as_floats(a, name).reshape(-1)
+    v = np.asarray(a, dtype=float).reshape(-1)
     if v.size and not np.all(np.isfinite(v)):
         raise ValueError(f"{name} contains non-finite entries")
     if dim is not None and v.size != dim:
         raise ValueError(f"{name} must have length {dim}, got {v.size}")
     return v
+
+
+def as_matrix(a, name: str = "matrix", square: bool = False) -> np.ndarray:
+    """Coerce ``a`` to a 2-D float64 array (a 1-D ``a`` is one row), its
+    entries checked as by :func:`as_vector`."""
+    M = as_vector(a, name).reshape(np.shape(a))
+    if M.ndim == 1:
+        M = M.reshape(1, -1)
+    if M.ndim != 2:
+        raise ValueError(f"{name} must be 2-D, got shape {M.shape}")
+    if square and M.shape[0] != M.shape[1]:
+        raise ValueError(f"{name} must be square, got shape {M.shape}")
+    return M
 
 
 def as_integer(value, name: str = "value") -> int:

@@ -61,10 +61,8 @@ class ExoMatrix:
     """Known exosystem map S.  All eigenvalue moduli must be >= 1.
 
     ``eigs`` holds the eigenvalues of S, taken once by the validation; every
-    reader of S's spectrum reads them here.  ``coeffs`` holds the
-    non-leading coefficients of S's minimal polynomial (``minimal_polynomial``
-    at its default tolerance), whose count is its degree; the internal model
-    is built from them.  Both are read-only."""
+    reader of S's spectrum reads them here.  ``coeffs`` holds the minimal
+    polynomial's (``minimal_polynomial``), the internal model's.  Read-only."""
 
     S: np.ndarray
     eigs: np.ndarray = field(init=False, repr=False)

@@ -28,7 +28,7 @@ the data and with the solver tolerance, although the homogeneity says it
 should not.
 
 Nothing here reads the plant: the design sees the data stacks, the reduced
-regressor and the solver options, and returns what it decided as data
+regressor and the solver's tolerances, and returns what it decided as data
 (``SynthesisResult``), not text.
 
 Outside input is validated at three boundaries, the run config
