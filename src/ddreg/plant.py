@@ -61,8 +61,8 @@ class ExoMatrix:
     """Known exosystem map S.  All eigenvalue moduli must be >= 1.
 
     ``eigs`` holds the eigenvalues of S, taken once by the validation; every
-    reader of S's spectrum reads them here.  ``coeffs`` holds the minimal
-    polynomial's (``minimal_polynomial``), the internal model's.  Read-only."""
+    reader of S's spectrum reads them here.  ``coeffs`` holds the internal
+    model's: those of S's ``minimal_polynomial``.  Both are read-only."""
 
     S: np.ndarray
     eigs: np.ndarray = field(init=False, repr=False)

@@ -93,6 +93,10 @@ def test_minimal_polynomial_repeated_eigenvalue():
     poly = minimal_polynomial(S)
     assert len(poly) == 2
     np.testing.assert_allclose(poly, [6.0, -5.0], atol=1e-9)
+    # The Horner helper the other tests evaluate with: p(1) = 2, p(2) = 0.
+    assert abs(monic_horner(poly, 1.0) - 2.0) < 1e-9
+    M = monic_horner(poly, np.diag([1.0, 2.0]))
+    np.testing.assert_allclose(M, np.diag([2.0, 0.0]), atol=1e-9)
 
 
 @pytest.mark.parametrize("seed", range(5))
