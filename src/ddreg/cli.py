@@ -31,7 +31,6 @@ from .experiment import (
     record_from_csv,
     record_to_csv,
 )
-from .internal_model import InternalModel, build_internal_model
 from .numerics import as_vector, simulate_linear
 from .plant import build_structural_matrices
 from .synthesis import assemble_sdp, feasibility_precheck, solve_feasibility_sdp
@@ -103,37 +102,22 @@ def _initial(config: RunConfig, **dims) -> list[np.ndarray]:
     ]
 
 
-def collect_stage(config: RunConfig) -> tuple[ExperimentRecord, InternalModel]:
-    """The experiment's record and the internal model it was collected with
+def collect_stage(config: RunConfig) -> ExperimentRecord:
+    """The experiment's record, collected with the config's internal model
     (the closed-loop checks step the same model)."""
     if config.plant is None:
         raise PipelineError(
             "collect", "no plant in config", "collection needs ground truth"
         )
-    plant = config.plant
-    im = build_internal_model(
-        config.exo, p=plant.p, snap_coeffs_tol=config.tolerances["snap_coeffs_tol"]
-    )
+    plant, im = config.plant, config.im
     w0, x0, eta0 = _initial(config, w0=config.exo.n_w, x0=plant.n, eta0=im.dim)
     policy = config.input_policy
     if policy["type"] == "normal":
         input_policy = NormalInputPolicy(seed=config.seed, scale=policy["scale"])
     else:
         input_policy = policy["values"]
-    rec = _stage(
-        "collect",
-        collect_experiment,
-        plant,
-        config.exo,
-        im,
-        w0,
-        x0,
-        eta0,
-        input_policy,
-        config.T,
-        config.ell,
-    )
-    return rec, im
+    args = (plant, config.exo, im, w0, x0, eta0, input_policy, config.T, config.ell)
+    return _stage("collect", collect_experiment, *args)
 
 
 def synthesize_stage(config: RunConfig, rec: ExperimentRecord):
@@ -176,7 +160,7 @@ def _design_checks(config: RunConfig, result) -> list[dict]:
     return rows
 
 
-def _oracle_checks(config: RunConfig, im, rec, data, reg):
+def _oracle_checks(config: RunConfig, rec, data, reg):
     """Oracle identity rows: the one-step data relation, the window
     reconstruction along the record, the factorization of the hidden
     exosignal stack and the correspondence of the record with the auxiliary
@@ -186,7 +170,7 @@ def _oracle_checks(config: RunConfig, im, rec, data, reg):
     tol, plant, exo = config.tolerances, config.plant, config.exo
     w, x = rec.oracle.w, rec.oracle.x
     struct = _stage("verify", build_structural_matrices, plant, config.ell)
-    aux = build_auxiliary_matrices(plant, struct, exo, im)
+    aux = build_auxiliary_matrices(plant, struct, exo, config.im)
     rows = [
         _check("data_identity", check_data_identity(data, aux), tol["data_identity"]),
         _check(
@@ -277,7 +261,7 @@ def run_pipeline(config: RunConfig, out_dir=None, unmask: bool = False) -> dict:
     The report carries one row per enabled check, SDP feasibility among
     them; ``all_pass`` is their conjunction.
     """
-    rec, im = collect_stage(config)
+    rec = collect_stage(config)
     plant = config.plant
     data, reg, prob, pre, result = synthesize_stage(config, rec)
 
@@ -300,7 +284,7 @@ def run_pipeline(config: RunConfig, out_dir=None, unmask: bool = False) -> dict:
         "synthesis": result.to_dict(),
     }
 
-    checks, aux = _oracle_checks(config, im, rec, data, reg)
+    checks, aux = _oracle_checks(config, rec, data, reg)
     checks += _design_checks(config, result)
     run = None
     if result.status == "feasible":
@@ -333,9 +317,9 @@ def verify_gain(config: RunConfig, gain, out_dir=None, unmask: bool = False) -> 
     """
     hint = "the gain is a finite m x (window_dim + im.dim) matrix"
     gain = _stage("verify", as_vector, gain, "gain", hint=hint).reshape(np.shape(gain))
-    rec, im = collect_stage(config)
+    rec = collect_stage(config)
     plant = config.plant
-    m, wd, di = plant.m, (plant.m + plant.p) * config.ell, im.dim
+    m, wd, di = plant.m, (plant.m + plant.p) * config.ell, config.im.dim
     if gain.shape != (m, wd + di):
         raise PipelineError(
             "verify",
@@ -345,7 +329,7 @@ def verify_gain(config: RunConfig, gain, out_dir=None, unmask: bool = False) -> 
     data = assemble_data_matrices(rec)
     reg = _stage("factorize", build_regressor, config)
 
-    checks, aux = _oracle_checks(config, im, rec, data, reg)
+    checks, aux = _oracle_checks(config, rec, data, reg)
     rows, regulation, run = _closed_loop_checks(config, aux, gain)
     checks += rows
     report = {
@@ -445,7 +429,7 @@ def _load_config(args) -> RunConfig:
 
 def _cmd_collect(args) -> int:
     config = _load_config(args)
-    rec, _ = collect_stage(config)
+    rec = collect_stage(config)
     out = args.out or Path(".")
     out.mkdir(parents=True, exist_ok=True)
     record_to_csv(rec, out / "record.csv", unmask=args.unmask)
@@ -457,16 +441,11 @@ def _cmd_collect(args) -> int:
 def _cmd_synthesize(args) -> int:
     config = _load_config(args)
     if args.record is not None:
-        plant, dims = config.plant, config.dims
-        m, p = (plant.m, plant.p) if plant else (dims["m"], dims["p"])
-        im = build_internal_model(
-            config.exo, p=p, snap_coeffs_tol=config.tolerances["snap_coeffs_tol"]
-        )
-        rec = _stage(
-            "collect", record_from_csv, args.record, ell=config.ell, im=im, m=m, p=p
-        )
+        m = config.plant.m if config.plant else config.dims["m"]
+        read = (args.record, config.ell, config.im, m, config.im.p, config.T)
+        rec = _stage("collect", record_from_csv, *read)
     else:
-        rec, _ = collect_stage(config)
+        rec = collect_stage(config)
     data, reg, prob, pre, result = synthesize_stage(config, rec)
     out = args.out or Path(".")
     out.mkdir(parents=True, exist_ok=True)

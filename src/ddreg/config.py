@@ -2,8 +2,9 @@
 
 ``DEFAULTS`` holds each settable key and its one default (library defaults
 read it too).  A ``RunConfig`` is validated once, when it is built, and the
-stages trust it.  The hash of its effective config, every default
-materialized, stamps the report.
+stages trust it; every set key is checked, whether or not the run reads it.
+It also builds the run's exosystem and internal model, once.  The hash of
+its effective config, every default materialized, stamps the report.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
+from .internal_model import InternalModel, build_internal_model
 from .numerics import as_integer, as_real, as_vector
 from .plant import ExoMatrix, JordanSpec, PlantTruth
 
@@ -119,11 +121,9 @@ def _section(name: str, given: dict) -> dict:
     return section
 
 
-def _check_inputs(values, rows: int, m: int) -> None:
-    """Explicit input samples: at least ``rows`` rows of ``m`` finite
-    numbers (a flat list when ``m`` is 1)."""
-    with _config_errors():
-        u = as_vector(values, "input_policy.values").reshape(np.shape(values))
+def _check_inputs(u: np.ndarray, rows: int, m: int) -> None:
+    """Explicit input samples ``u``, finite numbers: at least ``rows`` rows
+    of ``m`` (a flat list when ``m`` is 1)."""
     u = u[:, None] if u.ndim == 1 and m == 1 else u
     _require(
         u.ndim == 2 and u.shape[1] == m,
@@ -138,7 +138,8 @@ def _check_inputs(values, rows: int, m: int) -> None:
 @dataclass
 class RunConfig:
     """One run's knobs.  ``exo`` is the run's exosystem, validated from
-    ``exo_s``; every other field keeps its name in the JSON form."""
+    ``exo_s``, and ``im`` its internal model, which every stage reads; every
+    other field keeps its name in the JSON form."""
 
     exo_s: InitVar[np.ndarray]
     ell: int
@@ -159,6 +160,7 @@ class RunConfig:
     exo: ExoMatrix = field(init=False, repr=False)
     # The declared Jordan structure (jordan method, declared mode), else None.
     jordan: JordanSpec | None = field(init=False, repr=False)
+    im: InternalModel = field(init=False, repr=False)
 
     def __post_init__(self, exo_s):
         with _config_errors():
@@ -179,18 +181,15 @@ class RunConfig:
             "krylov factorization needs w_star",
             'give the cyclic vector "w_star"',
         )
-        self.jordan = None
-        if fact["method"] == "jordan" and fact["mode"] == "declared":
-            _require(
-                bool(fact["real_blocks"] or fact["complex_blocks"]),
-                "declared Jordan structure has no blocks",
-                "give factorization.real_blocks and/or complex_blocks",
-            )
-            with _config_errors("factorization: "):
-                self.jordan = JordanSpec(
-                    real_blocks=fact["real_blocks"] or [],
-                    complex_blocks=fact["complex_blocks"] or [],
-                )
+        declared = fact["method"] == "jordan" and fact["mode"] == "declared"
+        _require(
+            not declared or bool(fact["real_blocks"] or fact["complex_blocks"]),
+            "declared Jordan structure has no blocks",
+            "give factorization.real_blocks and/or complex_blocks",
+        )
+        with _config_errors("factorization: "):
+            spec = JordanSpec(fact["real_blocks"] or [], fact["complex_blocks"] or [])
+        self.jordan = spec if declared else None
         _require(
             policy["type"] != "normal" or self.seed is not None,
             "random input policy needs a seed",
@@ -205,17 +204,21 @@ class RunConfig:
             "plant-free config needs dims.m and dims.p",
             'add "dims": {"m": ..., "p": ...}',
         )
+        with _config_errors():
+            for key in ("m", "p"):
+                if dims[key] is not None:
+                    dims[key] = as_integer(dims[key], f"dims.{key}")
+            values = policy["values"]
+            if values is not None:
+                u = as_vector(values, "input_policy.values")
+                values = u.reshape(np.shape(values))
+        _require(
+            all(v is None or v >= 1 for v in dims.values()),
+            f"dims.m and dims.p must be >= 1, got {dims['m']} and {dims['p']}",
+        )
         n_w = self.exo.n_w
         lengths = {"w0": n_w, "x0": None, "eta0": None, "chi0": None}
-        if plant is None:
-            with _config_errors():
-                for key in ("m", "p"):
-                    dims[key] = as_integer(dims[key], f"dims.{key}")
-            _require(
-                min(dims["m"], dims["p"]) >= 1,
-                f"dims.m and dims.p must be >= 1, got {dims['m']} and {dims['p']}",
-            )
-        else:
+        if plant is not None:
             _require(
                 plant.n_w == n_w,
                 f"plant P has {plant.n_w} columns, exosystem S is {n_w} x {n_w}",
@@ -228,9 +231,10 @@ class RunConfig:
             )
             lengths.update(x0=plant.n, chi0=(plant.m + plant.p) * self.ell)
             if policy["type"] == "explicit":
-                _check_inputs(policy["values"], self.T + 1, plant.m)
-        # The internal model's dimension: p times the minimal-polynomial degree.
-        lengths["eta0"] = (plant.p if plant else dims["p"]) * len(self.exo.coeffs)
+                _check_inputs(values, self.T + 1, plant.m)
+        p = plant.p if plant else dims["p"]
+        self.im = build_internal_model(self.exo, p, self.tolerances["snap_coeffs_tol"])
+        lengths["eta0"] = self.im.dim
         with _config_errors():
             for name, dim in lengths.items():
                 value = getattr(self, name)

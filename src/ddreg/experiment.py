@@ -2,7 +2,9 @@
 of the designer-visible data stacks.
 
 The experiment steps exosystem, plant and internal model as one linear
-system on the stacked state ``[w; x; eta]`` (:func:`numerics.simulate_linear`).
+system on the stacked state ``[w; x; eta]``: ``plant.plant_loop`` with the
+internal model as the controller, stepped by ``numerics.simulate_linear``.
+The internal model is the run config's (``RunConfig.im``), built once.
 The record keeps the measured input/output/internal-model sequences visible
 and segregates the exosignal (and state) behind an oracle attribute that the
 design path never touches.  The data stacks are sliding windows over the
@@ -23,7 +25,7 @@ import numpy as np
 from .config import DEFAULTS
 from .internal_model import InternalModel
 from .numerics import simulate_linear
-from .plant import ExoMatrix, PlantTruth
+from .plant import ExoMatrix, PlantTruth, plant_loop
 
 
 @dataclass
@@ -118,17 +120,12 @@ def collect_experiment(
 
     n_w, n = exo.n_w, plant.n
     nz = n_w + n
-    z0 = np.concatenate([w0, x0, eta0])
-    # One step of [w; x; eta]; the output y = [Q C] [w; x] feeds eta.
+    # The internal model is the controller; the probing input enters as v.
+    F, G = plant_loop(
+        plant, exo.S, im.companion, im.input_map, np.zeros((im.dim, plant.m))
+    )
+    z = simulate_linear(F, np.concatenate([w0, x0, eta0]), T + 1, G, u)
     out = np.hstack([plant.Q, plant.C])
-    F = np.zeros((nz + im.dim, nz + im.dim))
-    F[:n_w, :n_w] = exo.S
-    F[n_w:nz, :n_w] = plant.P
-    F[n_w:nz, n_w:nz] = plant.A
-    F[nz:, :nz] = im.input_map @ out
-    F[nz:, nz:] = im.companion
-    G = np.vstack([np.zeros((n_w, plant.m)), plant.B, np.zeros((im.dim, plant.m))])
-    z = simulate_linear(F, z0, T + 1, G, u)
     return ExperimentRecord(
         T=T,
         ell=ell,
@@ -204,13 +201,16 @@ def record_to_csv(rec: ExperimentRecord, path, unmask: bool = False) -> None:
             writer.writerow([k] + [repr(float(v)) for v in values])
 
 
-def record_from_csv(path, ell: int, im: InternalModel, m: int, p: int) -> ExperimentRecord:
+def record_from_csv(
+    path, ell: int, im: InternalModel, m: int, p: int, T: int
+) -> ExperimentRecord:
     """Rebuild a designer-visible record from CSV.
 
     The stored eta rows cover 0..T; the final state eta(T+1) is recomputed
     from the recursion, and the whole eta sequence is validated against it.
     A record is outside input: every entry must be finite and it must hold
-    T >= ell steps, and the stages trust the record this returns.
+    the config's ``T`` steps (at least ``ell``, and the length the regressor
+    is built for), and the stages trust the record this returns.
     """
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -223,9 +223,8 @@ def record_from_csv(path, ell: int, im: InternalModel, m: int, p: int) -> Experi
     data = np.array([[float(v) for v in row[1:expected]] for row in body])
     if not np.isfinite(data).all():
         raise ValueError("CSV record contains non-finite entries")
-    T = len(body) - 1
-    if T < ell:
-        raise ValueError(f"experiment too short: the CSV holds T = {T}, ell = {ell}")
+    if len(body) - 1 != T:
+        raise ValueError(f"the CSV holds T = {len(body) - 1}, the config has T = {T}")
     u = data[:, :m]
     y = data[:, m : m + p]
     eta_stored = data[:, m + p : m + p + im.dim]

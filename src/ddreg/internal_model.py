@@ -2,10 +2,10 @@
 polynomial of S (its coefficients kept on ``ExoMatrix``), driven by the
 measured output.
 
-This module only builds the model's matrices.  The data-collection
-experiment steps it together with the plant (``experiment.collect_experiment``)
-and the closed loop steps it together with the controller window
-(``verify.assemble_closed_loop``).
+This module only builds the model's matrices.  The run config builds the
+model once (``config.RunConfig.im``), and every stage reads that one: the
+data-collection experiment and the closed loop step it as the controller, or
+part of it, of ``plant.plant_loop``.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULTS
 from .plant import ExoMatrix
 
 
@@ -40,16 +39,15 @@ class InternalModel:
 
 
 def build_internal_model(
-    exo: ExoMatrix,
-    p: int,
-    snap_coeffs_tol: float | None = DEFAULTS["tolerances"]["snap_coeffs_tol"],
+    exo: ExoMatrix, p: int, snap_coeffs_tol: float | None = None
 ) -> InternalModel:
     """Assemble the internal model for a ``p``-output plant from the
     minimal polynomial of S, ``exo.coeffs``.
 
     Coefficients are kept at full floating precision.  ``snap_coeffs_tol``
     optionally rounds each coefficient to the nearest integer when it is
-    already within that tolerance of one (off by default).
+    already within that tolerance of one (off by default, as in the config's
+    ``DEFAULTS``).
     """
     coeffs = exo.coeffs
     if snap_coeffs_tol is not None:

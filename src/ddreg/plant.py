@@ -9,9 +9,12 @@ The plant
     y(k)   = C x(k) + Q w(k)
 
 is known only to the harness; the design pipeline sees input-output data.
-The plant is stepped forward only as one block of a larger linear system:
-the data-collection experiment (``experiment.collect_experiment``) and the
-closed loop (``verify.assemble_closed_loop``).
+The plant is stepped forward only inside a loop with a controller, whose
+one-step map on ``[w; x; c]`` :func:`plant_loop` alone writes: the
+data-collection experiment (``experiment.collect_experiment``) runs it with
+the internal model as controller, the closed loop
+(``verify.assemble_closed_loop``) with window and internal model under the
+designed gain.
 """
 
 from __future__ import annotations
@@ -267,3 +270,26 @@ def build_structural_matrices(plant: PlantTruth, ell: int) -> StructuralMatrices
         obs_pinv=obs_pinv,
         a_ell=powers[ell],
     )
+
+
+def plant_loop(plant: PlantTruth, S, ctrl_a, ctrl_y, ctrl_u, gain=None):
+    """One-step maps ``(F, G)`` of exosystem, plant and a controller
+    ``c(k+1) = ctrl_a c(k) + ctrl_y y(k) + ctrl_u u(k)`` on ``[w; x; c]``,
+    with ``[w; x; c](k+1) = F [w; x; c](k) + G v(k)``.
+
+    The input is ``u = gain @ c + v``, or ``u = v`` without a gain, so
+    ``G = [0; B; ctrl_u]``.
+    """
+    n_w, n = S.shape[0], plant.n
+    x, c = n_w, n_w + n  # where x and c start
+    F = np.zeros((c + ctrl_a.shape[0],) * 2)
+    F[:x, :x] = S
+    F[x:c, :x] = plant.P
+    F[x:c, x:c] = plant.A
+    F[c:, :x] = ctrl_y @ plant.Q
+    F[c:, x:c] = ctrl_y @ plant.C
+    F[c:, c:] = ctrl_a
+    if gain is not None:
+        F[x:c, c:] = plant.B @ gain
+        F[c:, c:] += ctrl_u @ gain
+    return F, np.vstack([np.zeros((n_w, plant.m)), plant.B, ctrl_u])

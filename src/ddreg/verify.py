@@ -4,8 +4,10 @@ rests on, each evaluated as a residual.
 
 Every oracle map is formed once, by the builder that owns it: the plant's
 window maps and A^ell by ``plant.build_structural_matrices``, the auxiliary
-system and its exosignal maps by :func:`build_auxiliary_matrices`.  The
-checks only apply those maps to data; none re-derives a power of A or S.
+system and its exosignal maps by :func:`build_auxiliary_matrices`, and the
+loop of plant and controller by ``plant.plant_loop``.  The checks only apply
+those maps to data; none re-derives a power of A or S.  The internal model
+is the run config's (``RunConfig.im``).
 
 Identities along a run compare sliding windows of the run
 (``experiment.stacked_windows``) in one batch; the auxiliary system and the
@@ -33,7 +35,7 @@ from .config import DEFAULTS
 from .experiment import DataMatrices, ExperimentRecord, stacked_windows
 from .internal_model import InternalModel
 from .numerics import simulate_linear, spectral_radius
-from .plant import ExoMatrix, PlantTruth, StructuralMatrices
+from .plant import ExoMatrix, PlantTruth, StructuralMatrices, plant_loop
 
 # Closest an eigenvalue of the closed loop may come to one of S's (absolute,
 # in the complex plane) for the steady state to count as unique.
@@ -45,25 +47,28 @@ class AuxiliaryMatrices:
     """Stacked-window auxiliary system and its cascade with the internal model,
     with the plant, exosystem and internal model it was built from.
 
-    ``window_shift`` advances the (output, input) window one step;
-    ``inject_y``/``inject_u`` write the newest output/input into the window;
-    ``exo_window_map`` maps the current exosignal state to the stacked values
-    over the trailing window (inverse powers of S, then identity);
-    ``y_from_window``/``y_from_exo`` reproduce the plant output from the
-    window and from the current exosignal state w(k).  ``ext_*`` are the
-    one-step matrices of the window state cascaded with the internal model;
-    ``ext_p`` also maps w(k).  :func:`build_auxiliary_matrices` forms every
-    map; the checks only apply them.
+    The controller is the (output, input) window plus the internal model,
+    ``c(k+1) = ctrl_a c(k) + ctrl_y y(k) + ext_b u(k)`` on ``c = [chi; eta]``
+    (``plant.plant_loop``): ``ctrl_a`` is ``window_shift`` (the window
+    advanced one step) beside the companion matrix, and ``inject_y``/
+    ``inject_u``, the window's rows of ``ctrl_y``/``ext_b``, write the newest
+    output/input into it.  ``exo_window_map`` maps the current exosignal
+    state to the stacked values over the trailing window (inverse powers of
+    S, then identity); ``y_from_window``/``y_from_exo`` reproduce the plant
+    output from the window and from the current exosignal state w(k).
+    ``ext_*`` are the one-step matrices of the controller with y so
+    reproduced; ``ext_p`` maps w(k).  :func:`build_auxiliary_matrices` forms
+    every map; the checks only apply them.
     """
 
-    ell: int
     window_shift: np.ndarray
     inject_y: np.ndarray
     inject_u: np.ndarray
     exo_window_map: np.ndarray
     y_from_window: np.ndarray
     y_from_exo: np.ndarray
-    window_a: np.ndarray
+    ctrl_a: np.ndarray
+    ctrl_y: np.ndarray
     ext_a: np.ndarray
     ext_b: np.ndarray
     ext_p: np.ndarray
@@ -85,16 +90,16 @@ def build_auxiliary_matrices(
     m, p, n_w = plant.m, plant.p, plant.n_w
     C, Q = plant.C, plant.Q
 
-    wd = (m + p) * ell
-    off = p * ell
-    window_shift = np.zeros((wd, wd))
-    window_shift[:off, :off] = np.eye(off, k=p)
-    window_shift[off:, off:] = np.eye(m * ell, k=m)
-
-    inject_y = np.zeros((wd, p))
-    inject_y[(ell - 1) * p : ell * p, :] = np.eye(p)
-    inject_u = np.zeros((wd, m))
-    inject_u[off + (ell - 1) * m : off + ell * m, :] = np.eye(m)
+    wd, off = (m + p) * ell, p * ell
+    ctrl_a = np.zeros((wd + im.dim, wd + im.dim))
+    ctrl_a[:off, :off] = np.eye(off, k=p)
+    ctrl_a[off:wd, off:wd] = np.eye(m * ell, k=m)
+    ctrl_a[wd:, wd:] = im.companion
+    ctrl_y = np.zeros((wd + im.dim, p))
+    ctrl_y[off - p : off] = np.eye(p)
+    ctrl_y[wd:] = im.input_map
+    ext_b = np.zeros((wd + im.dim, m))
+    ext_b[wd - m : wd] = np.eye(m)
 
     s_inv = np.linalg.inv(exo.S)
     stack = [np.eye(n_w)]
@@ -109,31 +114,20 @@ def build_auxiliary_matrices(
     y_from_stack = np.hstack([C @ struct.reach_w - core @ struct.toeplitz_w, Q])
     y_from_exo = y_from_stack @ exo_window_map
 
-    window_a = window_shift + inject_y @ y_from_window
-
-    dim_im = im.dim
-    ext_a = np.zeros((wd + dim_im, wd + dim_im))
-    ext_a[:wd, :wd] = window_a
-    ext_a[wd:, :wd] = im.input_map @ y_from_window
-    ext_a[wd:, wd:] = im.companion
-    ext_b = np.vstack([inject_u, np.zeros((dim_im, m))])
-    ext_p = (
-        np.vstack([inject_y @ y_from_stack, im.input_map @ y_from_stack])
-        @ exo_window_map
-    )
-
+    ext_a = ctrl_a.copy()
+    ext_a[:, :wd] += ctrl_y @ y_from_window
     return AuxiliaryMatrices(
-        ell=ell,
-        window_shift=window_shift,
-        inject_y=inject_y,
-        inject_u=inject_u,
+        window_shift=ctrl_a[:wd, :wd],
+        inject_y=ctrl_y[:wd],
+        inject_u=ext_b[:wd],
         exo_window_map=exo_window_map,
         y_from_window=y_from_window,
         y_from_exo=y_from_exo,
-        window_a=window_a,
+        ctrl_a=ctrl_a,
+        ctrl_y=ctrl_y,
         ext_a=ext_a,
         ext_b=ext_b,
-        ext_p=ext_p,
+        ext_p=ctrl_y @ y_from_stack @ exo_window_map,
         struct=struct,
         plant=plant,
         exo=exo,
@@ -209,8 +203,7 @@ def check_solution_correspondence(
     steps ell..K of (window state against the stacked trailing output and
     input window of the run, output).
     """
-    ell = aux.ell
-    struct = aux.struct
+    struct, ell = aux.struct, aux.struct.ell
     steps = y.shape[0] - 1
     u = u[:steps]
 
@@ -225,7 +218,7 @@ def check_solution_correspondence(
     )
     wd, n_w, S = aux.window_dim, aux.exo.n_w, aux.exo.S
     F = np.zeros((wd + n_w, wd + n_w))
-    F[:wd, :wd] = aux.window_a
+    F[:wd, :wd] = aux.ext_a[:wd, :wd]
     F[:wd, wd:] = aux.inject_y @ aux.y_from_exo
     F[wd:, wd:] = S
     G = np.vstack([aux.inject_u, np.zeros((n_w, u.shape[1]))])
@@ -265,29 +258,10 @@ class ClosedLoopModel:
 
 def assemble_closed_loop(aux: AuxiliaryMatrices, gain) -> ClosedLoopModel:
     """One-step block map of the closed loop under u = gain @ (chi, eta),
-    for an ``m x (window_dim + im.dim)`` gain."""
-    plant, im = aux.plant, aux.im
-    wd, di = aux.window_dim, im.dim
-    n, n_w = plant.n, plant.n_w
-    k_chi = gain[:, :wd]
-    k_eta = gain[:, wd:]
-
-    A, B, P, C, Q = plant.A, plant.B, plant.P, plant.C, plant.Q
-    x, c, e = n_w, n_w + n, n_w + n + wd  # where x, chi and eta start
-    full = np.zeros((e + di, e + di))
-    full[:x, :x] = aux.exo.S
-    full[x:c, :x] = P
-    full[x:c, x:c] = A
-    full[x:c, c:e] = B @ k_chi
-    full[x:c, e:] = B @ k_eta
-    full[c:e, :x] = aux.inject_y @ Q
-    full[c:e, x:c] = aux.inject_y @ C
-    full[c:e, c:e] = aux.window_shift + aux.inject_u @ k_chi
-    full[c:e, e:] = aux.inject_u @ k_eta
-    full[e:, :x] = im.input_map @ Q
-    full[e:, x:c] = im.input_map @ C
-    full[e:, e:] = im.companion
-    core = full[x:, x:].copy()
+    for an ``m x (window_dim + im.dim)`` gain: ``plant.plant_loop`` with the
+    auxiliary system's controller."""
+    full, _ = plant_loop(aux.plant, aux.exo.S, aux.ctrl_a, aux.ctrl_y, aux.ext_b, gain)
+    core = full[aux.exo.n_w :, aux.exo.n_w :].copy()
     return ClosedLoopModel(aux=aux, gain=gain, full_map=full, core_map=core)
 
 

@@ -1,5 +1,6 @@
 import inspect
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -21,7 +22,9 @@ from ddreg.cli import (
     run_pipeline,
     verify_gain,
 )
+from ddreg.config import DEFAULTS
 from ddreg.experiment import NormalInputPolicy
+from ddreg.internal_model import build_internal_model
 from ddreg.synthesis import solve_feasibility_sdp
 
 
@@ -139,6 +142,33 @@ def test_solver_options_defaults_are_the_config_defaults():
         config.solver["gap_tol"],
         config.solver["max_newton"],
     )
+
+
+def test_internal_model_snap_default_is_the_config_default():
+    params = inspect.signature(build_internal_model).parameters
+    assert params["snap_coeffs_tol"].default == DEFAULTS["tolerances"]["snap_coeffs_tol"]
+
+
+def test_internal_model_is_built_once_per_config(tmp_path, monkeypatch):
+    # The config builds the internal model; the stages, the record reader
+    # and the closed loop all read config.im.
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build_internal_model(*args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("ddreg") and hasattr(module, "build_internal_model"):
+            monkeypatch.setattr(module, "build_internal_model", counted)
+    config = RunConfig.from_dict(vtol_config_dict())
+    assert len(calls) == 1
+    report = run_pipeline(config, out_dir=tmp_path / "r")
+    verify_gain(config, report["synthesis"]["gain"])
+    path = write_config(tmp_path, vtol_config_dict())
+    argv = ["synthesize", "--config", str(path), "--out", str(tmp_path / "s")]
+    assert main([*argv, "--record", str(tmp_path / "r" / "record.csv")]) == 0
+    assert len(calls) == 2  # the second config, read by synthesize
 
 
 def test_configured_gain_identity_reaches_extract_gain(tmp_path, capsys):
@@ -533,6 +563,22 @@ def test_cli_run_infeasible_exit_nonzero(tmp_path, capsys):
             "ell = 2 is below the plant's observability index 4",
             id="ell-below-observability-index",
         ),
+        # A set key is checked even where the run does not read it.
+        pytest.param(
+            lambda d: d.update(dims={"m": "x", "p": True}),
+            "dims.m: 'x' is not a number",
+            id="dims-beside-plant",
+        ),
+        pytest.param(
+            lambda d: d.update(input_policy={"type": "normal", "values": "abc"}),
+            "input_policy.values: 'abc' is not a number",
+            id="values-of-normal-policy",
+        ),
+        pytest.param(
+            lambda d: d["factorization"].update(real_blocks="zz"),
+            "factorization: not enough values to unpack",
+            id="blocks-in-auto-mode",
+        ),
     ],
 )
 def test_cli_config_error_exit_two(tmp_path, capsys, edit, message):
@@ -702,6 +748,19 @@ def test_cli_synthesize_malformed_record_exit_two(tmp_path, capsys, text, messag
     code = main(["synthesize", "--config", str(path), "--record", str(record)])
     assert code == 2
     assert f"[collect] {message}" in capsys.readouterr().err
+
+
+def test_cli_synthesize_record_of_other_length_exit_two(tmp_path, capsys):
+    # A T = 30 record against the paper config (T = 20): rejected where the
+    # record enters, naming both lengths, before any regressor is built.
+    path = write_config(tmp_path, {**vtol_config_dict(), "T": 30}, name="long.json")
+    assert main(["collect", "--config", str(path), "--out", str(tmp_path / "c")]) == 0
+    path = write_config(tmp_path, vtol_config_dict())
+    record = tmp_path / "c" / "record.csv"
+    code = main(["synthesize", "--config", str(path), "--record", str(record)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "[collect] the CSV holds T = 30, the config has T = 20" in err
 
 
 def test_cli_paper_example(tmp_path, capsys):

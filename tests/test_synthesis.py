@@ -66,7 +66,7 @@ def vtol_problem(seed=0, T=20, ell=4, similarity=None):
 def paper_problem(seed, factorization):
     """The design problem of ``ddreg paper-example`` at one probing seed."""
     config = paper_example_config(seed, factorization)
-    rec, _ = collect_stage(config)
+    rec = collect_stage(config)
     return assemble_sdp(assemble_data_matrices(rec), build_regressor(config))
 
 
@@ -507,7 +507,7 @@ def test_wide_window_is_infeasible(seed, n, m, p, n_w):
         w0=rng.standard_normal(n_w),
         x0=rng.standard_normal(n),
     )
-    rec, _ = collect_stage(config)
+    rec = collect_stage(config)
     _, _, prob, pre, res = synthesize_stage(config, rec)
     assert rank_with_tol(prob.mhat) == prob.nhat_w
     # The designer-side rank test settles it: psi0 null_m is short of rank

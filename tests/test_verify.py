@@ -3,8 +3,10 @@ import pytest
 
 from ddreg.benchmarks import VTOL_ETA0, VTOL_W0, VTOL_X0, vtol
 from ddreg.exo_factorization import analyze_exosystem, build_M_jordan
+from ddreg import experiment
 from ddreg.experiment import NormalInputPolicy, assemble_data_matrices, collect_experiment
 from ddreg.internal_model import build_internal_model
+from ddreg.numerics import simulate_linear
 from ddreg.plant import (
     ExoMatrix,
     PlantTruth,
@@ -45,7 +47,7 @@ def correspondence(aux, exo, plant, u, w0, x0):
     (``len(u) - 1`` steps from ``w0``, ``x0``)."""
     im = build_internal_model(exo, p=plant.p)
     rec = collect_experiment(
-        plant, exo, im, w0, x0, np.zeros(im.dim), u, T=len(u) - 1, ell=aux.ell
+        plant, exo, im, w0, x0, np.zeros(im.dim), u, T=len(u) - 1, ell=aux.struct.ell
     )
     return check_solution_correspondence(
         aux, rec.oracle.w, rec.oracle.x[0], rec.y, rec.u
@@ -327,11 +329,12 @@ def test_closed_loop_matches_hand_assembled_map():
 
 
 @pytest.mark.parametrize("draw", [None, (0, 3, 1, 1, 2), (1, 5, 2, 2, 2), (2, 6, 2, 3, 4)])
-def test_assembled_maps_match_block_formulation(draw):
+def test_assembled_maps_match_block_formulation(draw, monkeypatch):
     # The paper plant, or random_plant(default_rng(s), n, m, p, n_w) with a
-    # random unit-circle exosystem, under a random gain: ext_a, full_map and
-    # core_map equal their np.block forms exactly, and y_from_exo and ext_p
-    # the stacked-exosignal maps times exo_window_map.
+    # random unit-circle exosystem, under a random gain: the experiment's
+    # map and input map, ext_a, full_map and core_map equal their np.block
+    # forms exactly, and y_from_exo and ext_p the stacked-exosignal maps
+    # times exo_window_map.
     if draw is None:
         plant, exo = vtol()
         rng = np.random.default_rng(9)
@@ -345,9 +348,31 @@ def test_assembled_maps_match_block_formulation(draw):
     aux = build_auxiliary_matrices(plant, struct, exo, im)
     assert aux.plant is plant and aux.exo is exo and aux.im is im
     wd, di, n, n_w = aux.window_dim, im.dim, plant.n, plant.n_w
+
+    maps = []
+
+    def recorded(F, z0, steps, G, u):
+        maps.append((F, G))
+        return simulate_linear(F, z0, steps, G, u)
+
+    monkeypatch.setattr(experiment, "simulate_linear", recorded)
+    zeros = [np.zeros(k) for k in (n_w, n, di)]
+    collect_experiment(plant, exo, im, *zeros, NormalInputPolicy(seed=0), T=ell, ell=ell)
+    (F, G), = maps
+    loop = np.block(
+        [
+            [exo.S, np.zeros((n_w, n + di))],
+            [plant.P, plant.A, np.zeros((n, di))],
+            [im.input_map @ plant.Q, im.input_map @ plant.C, im.companion],
+        ]
+    )
+    np.testing.assert_array_equal(F, loop)
+    zeros = np.zeros((n_w + n + di, plant.m))
+    zeros[n_w : n_w + n] = plant.B
+    np.testing.assert_array_equal(G, zeros)
     ext_a = np.block(
         [
-            [aux.window_a, np.zeros((wd, di))],
+            [aux.window_shift + aux.inject_y @ aux.y_from_window, np.zeros((wd, di))],
             [im.input_map @ aux.y_from_window, im.companion],
         ]
     )
