@@ -17,12 +17,7 @@ import numpy as np
 
 from . import benchmarks
 from .config import PipelineError, RunConfig
-from .exo_factorization import (
-    analyze_exosystem,
-    build_M_jordan,
-    build_M_krylov,
-    regressor_to_csv,
-)
+from .exo_factorization import companion_regressor, regressor_to_csv
 from .experiment import (
     ExperimentRecord,
     NormalInputPolicy,
@@ -51,8 +46,12 @@ from .verify import (
 def paper_example_config(seed: int, factorization: str = "jordan") -> RunConfig:
     """The benchmark aircraft scenario: unstable 4-state SISO plant with a
     sinusoidal exosignal, window 4, 21-sample experiment.
+
+    ``factorization`` changes nothing, since there is one regressor.  It is
+    still accepted because the benchmark's workloads pass "jordan" or
+    "krylov"; it goes with the next change to the benchmark harness
+    (ROADMAP item 5).
     """
-    fact = {"method": "krylov", "w_star": [1.0, 0.0]} if factorization == "krylov" else {}
     plant, exo = benchmarks.vtol()
     return RunConfig(
         exo_s=exo.S,
@@ -63,7 +62,6 @@ def paper_example_config(seed: int, factorization: str = "jordan") -> RunConfig:
         w0=benchmarks.VTOL_W0.copy(),
         x0=benchmarks.VTOL_X0.copy(),
         eta0=benchmarks.VTOL_ETA0.copy(),
-        factorization=fact,
     )
 
 
@@ -81,14 +79,7 @@ def _stage(stage, fn, *args, hint="", **kwargs):
 
 
 def build_regressor(config: RunConfig):
-    fact, exo = config.factorization, config.exo
-    if fact["method"] == "jordan":
-        spec = analyze_exosystem(
-            exo, declared=config.jordan, tol=config.tolerances["exo_cluster_tol"]
-        )
-        reg = build_M_jordan(spec, ell=config.ell, T=config.T)
-    else:
-        reg = build_M_krylov(exo, fact["w_star"], ell=config.ell, T=config.T)
+    reg = companion_regressor(config.exo, config.ell, config.T)
     return reg.reduced(config.tolerances["reduce_tol"])
 
 
@@ -122,12 +113,7 @@ def collect_stage(config: RunConfig) -> ExperimentRecord:
 
 def synthesize_stage(config: RunConfig, rec: ExperimentRecord):
     data = _stage("assemble", assemble_data_matrices, rec)
-    reg = _stage(
-        "factorize",
-        build_regressor,
-        config,
-        hint="declare the Jordan structure or pick a cyclic vector",
-    )
+    reg = _stage("factorize", build_regressor, config)
     prob = _stage("assemble-sdp", assemble_sdp, data, reg)
     pre = feasibility_precheck(prob)
     tol = config.tolerances["feas_tol"]
@@ -403,11 +389,6 @@ def write_trajectory_csv(run, path, unmask: bool = False) -> None:
 def _add_common(parser):
     parser.add_argument("--config", type=Path, help="JSON run configuration")
     parser.add_argument("--seed", type=int, help="override the config seed")
-    parser.add_argument(
-        "--factorization",
-        choices=["jordan", "krylov"],
-        help="override the factorization method",
-    )
     parser.add_argument("--out", type=Path, help="output directory")
     parser.add_argument(
         "--unmask",
@@ -417,11 +398,11 @@ def _add_common(parser):
 
 
 def _load_config(args) -> RunConfig:
-    """The ``--config`` file with the ``--seed`` and ``--factorization``
-    overrides; ``args.out`` falls back to the config's ``output_dir``."""
+    """The ``--config`` file with the ``--seed`` override; ``args.out``
+    falls back to the config's ``output_dir``."""
     if args.config is None:
         raise PipelineError("config", "--config is required for this command")
-    config = RunConfig.from_json(args.config, args.seed, args.factorization)
+    config = RunConfig.from_json(args.config, args.seed)
     if args.out is None and config.output_dir is not None:
         args.out = Path(config.output_dir)
     return config
@@ -442,7 +423,7 @@ def _cmd_synthesize(args) -> int:
     config = _load_config(args)
     if args.record is not None:
         m = config.plant.m if config.plant else config.dims["m"]
-        read = (args.record, config.ell, config.im, m, config.im.p, config.T)
+        read = (args.record, config.ell, config.im, m, config.T)
         rec = _stage("collect", record_from_csv, *read)
     else:
         rec = collect_stage(config)
@@ -523,7 +504,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_paper_example(args) -> int:
     seed = args.seed if args.seed is not None else 0
-    config = paper_example_config(seed, args.factorization or "jordan")
+    config = paper_example_config(seed)
     report = run_pipeline(config, out_dir=args.out)
     print(f"benchmark example, seed {seed}:")
     return _print_checks(report["checks"])

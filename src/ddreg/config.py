@@ -18,7 +18,7 @@ import numpy as np
 
 from .internal_model import InternalModel, build_internal_model
 from .numerics import as_integer, as_real, as_vector
-from .plant import ExoMatrix, JordanSpec, PlantTruth
+from .plant import ExoMatrix, PlantTruth
 
 # Section -> key -> default.  A tuple lists the allowed values, the first
 # being the default; another value is converted to its default's type (an
@@ -28,7 +28,6 @@ from .plant import ExoMatrix, JordanSpec, PlantTruth
 DEFAULTS = {
     "tolerances": {
         "reduce_tol": 1e-8,
-        "exo_cluster_tol": 1e-8,
         "snap_coeffs_tol": None,
         "feas_tol": 1e-6,
         "data_identity": 1e-8,
@@ -44,13 +43,6 @@ DEFAULTS = {
     },
     "verify": {"steps": 300, "tail_frac": 0.1},
     "solver": {"gap_tol": 1e-8, "max_newton": 2000},
-    "factorization": {
-        "method": ("jordan", "krylov"),
-        "mode": ("auto", "declared"),  # jordan: structure detected or declared
-        "real_blocks": None,  # declared: [eigenvalue, size] pairs
-        "complex_blocks": None,  # declared: [modulus, angle, size] triples
-        "w_star": None,  # krylov: the cyclic vector
-    },
     "input_policy": {"type": ("normal", "explicit"), "scale": 1.0, "values": None},
     "dims": {"m": None, "p": None},  # plant-free runs: input and output counts
 }
@@ -151,15 +143,12 @@ class RunConfig:
     x0: np.ndarray | None = None
     eta0: np.ndarray | None = None
     chi0: np.ndarray | None = None
-    factorization: dict = field(default_factory=dict)
     tolerances: dict = field(default_factory=dict)
     verify: dict = field(default_factory=dict)
     solver: dict = field(default_factory=dict)
     dims: dict = field(default_factory=dict)
     output_dir: str | None = None
     exo: ExoMatrix = field(init=False, repr=False)
-    # The declared Jordan structure (jordan method, declared mode), else None.
-    jordan: JordanSpec | None = field(init=False, repr=False)
     im: InternalModel = field(init=False, repr=False)
 
     def __post_init__(self, exo_s):
@@ -169,27 +158,13 @@ class RunConfig:
             self.exo = ExoMatrix(exo_s)
             self.ell, self.T = as_integer(self.ell, "ell"), as_integer(self.T, "T")
             self.seed = None if self.seed is None else as_integer(self.seed, "seed")
-        fact, policy, dims = self.factorization, self.input_policy, self.dims
+        policy, dims = self.input_policy, self.dims
         plant = self.plant
         _require(self.ell >= 1, f"window length must be >= 1, got {self.ell}")
         _require(
             self.seed is None or self.seed >= 0, f"seed must be >= 0, got {self.seed}"
         )
         _require(self.T >= self.ell, "experiment too short", "require T >= ell")
-        _require(
-            fact["method"] != "krylov" or fact["w_star"] is not None,
-            "krylov factorization needs w_star",
-            'give the cyclic vector "w_star"',
-        )
-        declared = fact["method"] == "jordan" and fact["mode"] == "declared"
-        _require(
-            not declared or bool(fact["real_blocks"] or fact["complex_blocks"]),
-            "declared Jordan structure has no blocks",
-            "give factorization.real_blocks and/or complex_blocks",
-        )
-        with _config_errors("factorization: "):
-            spec = JordanSpec(fact["real_blocks"] or [], fact["complex_blocks"] or [])
-        self.jordan = spec if declared else None
         _require(
             policy["type"] != "normal" or self.seed is not None,
             "random input policy needs a seed",
@@ -240,8 +215,6 @@ class RunConfig:
                 value = getattr(self, name)
                 if value is not None:
                     setattr(self, name, as_vector(value, f"initial.{name}", dim))
-            if fact["w_star"] is not None:
-                as_vector(fact["w_star"], "factorization.w_star", n_w)
 
     # -- construction ------------------------------------------------------
 
@@ -265,17 +238,13 @@ class RunConfig:
             )
 
     @classmethod
-    def from_json(cls, path, seed=None, method=None) -> "RunConfig":
-        """The config in ``path``, with a ``seed`` and a factorization
-        ``method`` that override it written in before validation."""
+    def from_json(cls, path, seed=None) -> "RunConfig":
+        """The config in ``path``, with a ``seed`` that overrides it written
+        in before validation."""
         with _config_errors(), open(path) as fh:
             raw = json.load(fh)
             if seed is not None:
                 raw["seed"] = seed
-            if method is not None:
-                # krylov keeps the section's w_star; jordan resets to auto.
-                kept = (raw.get("factorization") or {}) if method == "krylov" else {}
-                raw["factorization"] = {**kept, "method": method}
         return cls.from_dict(raw)
 
     # -- serialization -----------------------------------------------------

@@ -202,9 +202,10 @@ def record_to_csv(rec: ExperimentRecord, path, unmask: bool = False) -> None:
 
 
 def record_from_csv(
-    path, ell: int, im: InternalModel, m: int, p: int, T: int
+    path, ell: int, im: InternalModel, m: int, T: int
 ) -> ExperimentRecord:
-    """Rebuild a designer-visible record from CSV.
+    """Rebuild a designer-visible record of ``m`` inputs and ``im.p``
+    outputs from CSV.
 
     The stored eta rows cover 0..T; the final state eta(T+1) is recomputed
     from the recursion, and the whole eta sequence is validated against it.
@@ -217,6 +218,7 @@ def record_from_csv(
     if len(rows) < 2:
         raise ValueError("CSV needs a header row and at least one sample")
     header, body = rows[0], rows[1:]
+    p = im.p
     expected = 1 + m + p + im.dim
     if len(header) < expected:
         raise ValueError(f"CSV needs at least {expected} columns, got {len(header)}")

@@ -21,9 +21,8 @@ from .plant import ExoMatrix
 class InternalModel:
     """State update eta(k+1) = companion @ eta(k) + input_map @ y(k).
 
-    ``companion`` is the block-companion matrix of the minimal polynomial of
-    the exosystem map: identity blocks on the superdiagonal and
-    ``-coeffs[i] * I_p`` across the last block row.  ``input_map`` injects
+    ``companion`` is the block-companion matrix (:func:`companion_matrix`)
+    of the minimal polynomial of the exosystem map.  ``input_map`` injects
     the measured output into the last block row.
     """
 
@@ -55,11 +54,24 @@ def build_internal_model(
         coeffs = np.where(np.abs(coeffs - snapped) <= snap_coeffs_tol, snapped, coeffs)
 
     d = len(coeffs)
-    companion = np.eye(d * p, k=p)
-    i = np.arange(p)[:, None]
-    companion[(d - 1) * p + i, np.arange(d) * p + i] = -coeffs
     input_map = np.zeros((p * d, p))
     input_map[(d - 1) * p : d * p, :] = np.eye(p)
     return InternalModel(
-        degree=d, coeffs=coeffs, p=p, companion=companion, input_map=input_map
+        degree=d,
+        coeffs=coeffs,
+        p=p,
+        companion=companion_matrix(coeffs, p),
+        input_map=input_map,
     )
+
+
+def companion_matrix(coeffs: np.ndarray, p: int) -> np.ndarray:
+    """Block-companion matrix of the monic polynomial with non-leading
+    coefficients ``coeffs``: ``I_p`` blocks on the superdiagonal and
+    ``-coeffs[i] * I_p`` across the last block row.  The internal model's
+    and the exosignal regressor's (``p = 1``) both come from here."""
+    d = len(coeffs)
+    companion = np.eye(d * p, k=p)
+    i = np.arange(p)[:, None]
+    companion[(d - 1) * p + i, np.arange(d) * p + i] = -coeffs
+    return companion

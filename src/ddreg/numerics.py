@@ -3,15 +3,14 @@
 Everything operates on plain float64 ``numpy`` arrays.  Every linear system
 the package steps over time goes through :func:`simulate_linear`, which
 steps an autonomous system in blocks of states and a driven one state by
-state.  Rank decisions are relative, each under one of four tolerances:
+state.  Rank decisions are relative, each under one of three tolerances:
 :data:`DEFAULT_RANK_RTOL` in :func:`rank_with_tol` and in
 ``synthesis._svd_split`` (the nullspace of ``mhat``, and the rank of
 ``psi0 null_m`` that decides the design program's rank branch);
 ``tolerances.reduce_tol`` in ``exo_factorization.reduce_to_full_row_rank``;
-``tolerances.exo_cluster_tol`` in ``analyze_exosystem`` (eigenvalue
-clusters, ``_complex_rank`` and the minimal-polynomial degree); and
-LAPACK's default in the solver's pivoted Cholesky, which holds linearly
-dependent variables at zero.
+and LAPACK's default in the solver's pivoted Cholesky, which holds linearly
+dependent variables at zero.  The degree of S's minimal polynomial is
+decided by the residual test of :func:`minimal_polynomial`.
 
 Outside numbers are read by :func:`as_real`, :func:`as_integer` (a whole
 number, never truncated), :func:`as_vector` and :func:`as_matrix`, which

@@ -25,9 +25,7 @@ import numpy as np
 
 from .numerics import (
     DEFAULT_RANK_RTOL,
-    as_integer,
     as_matrix,
-    as_real,
     minimal_polynomial,
     rank_with_tol,
 )
@@ -86,72 +84,6 @@ class ExoMatrix:
     @property
     def n_w(self) -> int:
         return self.S.shape[0]
-
-
-@dataclass
-class JordanSpec:
-    """Jordan structure of the exosystem map.
-
-    ``real_blocks`` holds (eigenvalue, block size) pairs; ``complex_blocks``
-    holds (modulus, angle, block size) triples with the angle in (0, pi),
-    conjugate blocks implicit.  A block size is a whole number (``2.0`` is
-    accepted, ``1.5`` raises).  Block dimensions must add up to the exosystem
-    dimension: sum of real sizes plus twice the sum of complex sizes.
-    """
-
-    real_blocks: list[tuple[float, int]] = field(default_factory=list)
-    complex_blocks: list[tuple[float, float, int]] = field(default_factory=list)
-
-    def __post_init__(self):
-        self.real_blocks = [
-            (as_real(lam, "eigenvalue"), as_integer(k, "block size"))
-            for lam, k in self.real_blocks
-        ]
-        self.complex_blocks = [
-            (as_real(rho, "modulus"), as_real(theta, "angle"), as_integer(k, "block size"))
-            for rho, theta, k in self.complex_blocks
-        ]
-        for lam, k in self.real_blocks:
-            if k < 1:
-                raise ValueError(f"block size must be >= 1, got {k}")
-            if abs(lam) < 1.0 - UNIT_CIRCLE_SLACK:
-                raise ValueError("exosystem eigenvalue inside unit circle")
-        for rho, theta, k in self.complex_blocks:
-            if k < 1:
-                raise ValueError(f"block size must be >= 1, got {k}")
-            if rho < 1.0 - UNIT_CIRCLE_SLACK:
-                raise ValueError("exosystem eigenvalue inside unit circle")
-            if not (0.0 < theta < np.pi):
-                raise ValueError(f"complex-block angle must lie in (0, pi), got {theta}")
-
-    @property
-    def n_w(self) -> int:
-        return sum(k for _, k in self.real_blocks) + 2 * sum(
-            k for _, _, k in self.complex_blocks
-        )
-
-    def eigenvalues(self) -> np.ndarray:
-        """Implied spectrum, with multiplicity."""
-        eigs = []
-        for lam, k in self.real_blocks:
-            eigs.extend([complex(lam, 0.0)] * k)
-        for rho, theta, k in self.complex_blocks:
-            eigs.extend([rho * np.exp(1j * theta)] * k)
-            eigs.extend([rho * np.exp(-1j * theta)] * k)
-        return np.array(eigs)
-
-    def minimal_degree(self) -> int:
-        """Degree of the minimal polynomial implied by the block structure."""
-        largest: dict[complex, int] = {}
-        for lam, k in self.real_blocks:
-            key = complex(round(lam, 9), 0.0)
-            largest[key] = max(largest.get(key, 0), k)
-        degree = sum(largest.values())
-        largest_c: dict[complex, int] = {}
-        for rho, theta, k in self.complex_blocks:
-            key = complex(round(rho, 9), round(theta, 9))
-            largest_c[key] = max(largest_c.get(key, 0), k)
-        return degree + 2 * sum(largest_c.values())
 
 
 @dataclass

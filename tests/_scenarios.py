@@ -1,6 +1,9 @@
 """Shared scenario builders for the test suite: the canned benchmarks plus
-randomized observable plants and unit-circle exosystems.
+randomized observable plants and unit-circle exosystems, and exosystems in
+real Jordan form with their closed-form sequences.
 """
+
+import math
 
 import numpy as np
 
@@ -11,6 +14,46 @@ from ddreg.plant import ExoMatrix, PlantTruth, observability_index
 def rotation(theta):
     c, s = np.cos(theta), np.sin(theta)
     return np.array([[c, s], [-s, c]])
+
+
+def real_jordan(real_blocks, complex_blocks=()):
+    """Real Jordan matrix: blocks ``lam I + N`` for the (eigenvalue, size)
+    pairs of ``real_blocks``, then ``I_k (x) rho [[cos, -sin], [sin, cos]]``
+    plus ``I_2`` on the block superdiagonal for the (modulus, angle, size)
+    triples of ``complex_blocks``."""
+    sizes = [k for _, k in real_blocks] + [2 * k for *_, k in complex_blocks]
+    J, at = np.zeros((sum(sizes), sum(sizes))), 0
+    for lam, k in real_blocks:
+        J[at : at + k, at : at + k] = lam * np.eye(k) + np.eye(k, k=1)
+        at += k
+    for rho, theta, k in complex_blocks:
+        c, s, blk = rho * np.cos(theta), rho * np.sin(theta), slice(at, at + 2 * k)
+        J[blk, blk] = np.kron(np.eye(k), [[c, -s], [s, c]]) + np.eye(2 * k, k=2)
+        at += 2 * k
+    return J
+
+
+def closed_form_jordan(real_blocks, complex_blocks, ell, T):
+    """The sequences ``J^t e``, t = ell..T, of :func:`real_jordan`'s matrix,
+    e the last unit vector of each block (for a complex block, the cosine
+    row of its last pair), entry by entry: row j of a real block of size k
+    at time t is C(t, k - j) lam^e with e = t - k + j (zero for e < 0); a
+    complex block's pair j is C(t, k - j) rho^e (cos theta e, sin theta e).
+    """
+    cols = []
+    for t in range(ell, T + 1):
+        col = []
+        for lam, k in real_blocks:
+            for j in range(1, k + 1):
+                e = t - k + j
+                col.append(math.comb(t, e) * lam**e if e >= 0 else 0.0)
+        for rho, theta, k in complex_blocks:
+            for j in range(1, k + 1):
+                e = t - k + j
+                scale = math.comb(t, e) * rho**e if e >= 0 else 0.0
+                col += [scale * np.cos(theta * e), scale * np.sin(theta * e)]
+        cols.append(col)
+    return np.array(cols).T
 
 
 def monic_horner(coeffs, x):

@@ -12,12 +12,7 @@ import pytest
 
 from ddreg.benchmarks import vtol, wide_output
 from ddreg.cli import paper_example_config, run_pipeline
-from ddreg.exo_factorization import (
-    JordanSpec,
-    analyze_exosystem,
-    build_M_jordan,
-    build_M_krylov,
-)
+from ddreg.exo_factorization import companion_regressor
 from ddreg.experiment import NormalInputPolicy, assemble_data_matrices, collect_experiment
 from ddreg.internal_model import build_internal_model
 from ddreg.numerics import minimal_polynomial
@@ -30,7 +25,14 @@ from ddreg.verify import (
     check_solution_correspondence,
 )
 
-from _scenarios import monic_horner, random_plant, random_unit_circle_exo, rotation
+from _scenarios import (
+    closed_form_jordan,
+    monic_horner,
+    random_plant,
+    random_unit_circle_exo,
+    real_jordan,
+    rotation,
+)
 
 PAPER_SEEDS = (0, 1, 2, 3, 4)
 
@@ -125,29 +127,11 @@ def factorization_cases():
     mixed[2, 2] = -1.0
     mixed[3:, 3:] = rotation(0.9)
     return [
-        ("unit real, size 1", np.eye(1), JordanSpec(real_blocks=[(1.0, 1)]), [1.0]),
-        ("unit real, size 2", j2, JordanSpec(real_blocks=[(1.0, 2)]), [0.0, 1.0]),
-        (
-            "quarter-turn rotation",
-            rotation(np.pi / 2),
-            JordanSpec(complex_blocks=[(1.0, np.pi / 2, 1)]),
-            [1.0, 0.0],
-        ),
-        (
-            "generic rotation",
-            rotation(0.7),
-            JordanSpec(complex_blocks=[(1.0, 0.7, 1)]),
-            [0.3, 1.0],
-        ),
-        (
-            "mixed spectrum",
-            mixed,
-            JordanSpec(
-                real_blocks=[(1.0, 2), (-1.0, 1)],
-                complex_blocks=[(1.0, 0.9, 1)],
-            ),
-            [0.2, 1.0, -0.4, 0.8, 0.5],
-        ),
+        ("unit real, size 1", np.eye(1)),
+        ("unit real, size 2", j2),
+        ("quarter-turn rotation", rotation(np.pi / 2)),
+        ("generic rotation", rotation(0.7)),
+        ("mixed spectrum", mixed),
     ]
 
 
@@ -192,51 +176,36 @@ def test_criterion_3_factorization_residuals():
     rng = np.random.default_rng(7)
     ell, T = 3, 18
     ok = True
-    for label, S, spec, w_star in factorization_cases():
+    for label, S in factorization_cases():
         w0 = rng.standard_normal(S.shape[0])
         W0 = exo_trajectory_stack(S, w0, ell, T)
-        reg = build_M_jordan(spec, ell=ell, T=T)
-        res_j = lstsq_rel_residual(W0, reg.matrix)
-        case_ok = res_j < 1e-8
-        # Krylov applies when a cyclic vector exists for S.
-        kry = build_M_krylov(ExoMatrix(S), w_star, ell=ell, T=T)
-        res_k = lstsq_rel_residual(W0, kry.matrix)
-        case_ok = case_ok and res_k < 1e-8
-        if not case_ok:
-            print(f"  {label}: jordan {res_j:.2e} krylov {res_k:.2e}")
-        ok = ok and case_ok
-    announce(3, "exosignal factorization, jordan and krylov", ok)
+        reg = companion_regressor(ExoMatrix(S), ell=ell, T=T)
+        res = lstsq_rel_residual(W0, reg.matrix)
+        if not res < 1e-8:
+            print(f"  {label}: {res:.2e}")
+        ok = ok and res < 1e-8
+    announce(3, "exosignal factorization", ok)
 
 
 def test_criterion_4_jordan_power_oracle():
+    # The closed-form sequences of each real Jordan block (binomial times
+    # power, times cosine and sine for a complex one) lie in the row space
+    # of the regressor, which has one row per degree of S's minimal
+    # polynomial: k for a real block of size k, 2k for a complex one.
     ok = True
     T = 25
-    for lam in (1.0, -1.0, 1.05):
-        for k in (1, 2, 3):
-            spec = JordanSpec(real_blocks=[(lam, k)])
-            reg = build_M_jordan(spec, ell=1, T=T)
-            J = lam * np.eye(k) + np.diag(np.ones(k - 1), 1)
-            Jt = J.copy()
-            for i, t in enumerate(range(1, T + 1)):
-                diff = np.abs(reg.matrix[:, i] - Jt[:, -1]).max()
-                ok = ok and diff < 1e-10
-                Jt = Jt @ J
-    for rho_c, theta in ((1.0, np.pi / 2), (1.0, 0.7), (1.02, 1.1)):
-        mu = rho_c * np.exp(1j * theta)
-        for k in (1, 2, 3):
-            spec = JordanSpec(complex_blocks=[(rho_c, theta, k)])
-            reg = build_M_jordan(spec, ell=1, T=T)
-            J = mu * np.eye(k, dtype=complex) + np.diag(np.ones(k - 1), 1)
-            Jt = J.copy()
-            for i, t in enumerate(range(1, T + 1)):
-                col = Jt[:, -1]
-                pairs = np.empty(2 * k)
-                pairs[0::2] = col.real
-                pairs[1::2] = col.imag
-                diff = np.abs(reg.matrix[:, i] - pairs).max()
-                ok = ok and diff < 1e-10
-                Jt = Jt @ J
-    announce(4, "block-power oracle, k <= 3, t <= 25", ok)
+    blocks = [([(lam, k)], []) for lam in (1.0, -1.0, 1.05) for k in (1, 2, 3)]
+    blocks += [
+        ([], [(rho, theta, k)])
+        for rho, theta in ((1.0, np.pi / 2), (1.0, 0.7), (1.02, 1.1))
+        for k in (1, 2, 3)
+    ]
+    for real, cplx in blocks:
+        reg = companion_regressor(ExoMatrix(real_jordan(real, cplx)), ell=1, T=T)
+        ref = closed_form_jordan(real, cplx, ell=1, T=T)
+        res = lstsq_rel_residual(ref, reg.matrix)
+        ok = ok and res < 1e-10 and reg.matrix.shape == ref.shape
+    announce(4, "closed-form block sequences in the regressor's row space, k <= 3", ok)
 
 
 def test_criterion_5_claim_residuals(randomized_scenarios, paper_runs):
@@ -306,7 +275,7 @@ def test_criterion_8_provable_infeasibility():
             NormalInputPolicy(seed=seed), T=20, ell=2,
         )
         data = assemble_data_matrices(rec)
-        reg = build_M_jordan(analyze_exosystem(exo), ell=2, T=20).reduced()
+        reg = companion_regressor(exo, ell=2, T=20).reduced()
         prob = assemble_sdp(data, reg)
         res = solve_feasibility_sdp(prob)
         case_ok = res.status == "infeasible" and res.margin <= 1e-6

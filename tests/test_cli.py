@@ -28,7 +28,7 @@ from ddreg.internal_model import build_internal_model
 from ddreg.synthesis import solve_feasibility_sdp
 
 
-def vtol_config_dict(seed=0, factorization=None):
+def vtol_config_dict(seed=0):
     plant, exo = vtol()
     return {
         "plant": {
@@ -47,7 +47,6 @@ def vtol_config_dict(seed=0, factorization=None):
             "x0": VTOL_X0.tolist(),
             "eta0": VTOL_ETA0.tolist(),
         },
-        "factorization": factorization or {"method": "jordan", "mode": "auto"},
     }
 
 
@@ -67,11 +66,7 @@ def wide_output_config_dict(seed=0):
         "T": 20,
         "seed": seed,
         "initial": {"w0": [0.2, -0.1], "x0": rng.standard_normal(3).tolist()},
-        "factorization": {"method": "jordan", "mode": "auto"},
     }
-
-
-DECLARED = {"method": "jordan", "mode": "declared"}
 
 
 def write_config(tmp_path, d, name="config.json"):
@@ -107,20 +102,12 @@ def test_config_rejects_short_experiment():
         RunConfig.from_dict(d)
 
 
-def test_config_rejects_unknown_factorization():
-    d = vtol_config_dict()
-    d["factorization"] = {"method": "fourier"}
-    with pytest.raises(PipelineError, match="jordan or krylov"):
-        RunConfig.from_dict(d)
-
-
 @pytest.mark.parametrize(
     "section, key",
     [
         ("tolerances", "rank_rtol"),
         ("verify", "stepz"),
         ("solver", "backend"),
-        ("factorization", "w_start"),
         ("input_policy", "sigma"),
         ("dims", "n"),
     ],
@@ -214,7 +201,7 @@ def test_long_record_returns_a_report():
     # At T = 300 the data stack reaches a norm of about 3.7e8 and the gain's
     # interpolation identity misses its absolute tolerance: a failing row in
     # a written report, not an exception.
-    config = paper_example_config(5, "jordan")
+    config = paper_example_config(5)
     config.T = 300
     report = run_pipeline(config)
     names = [c["name"] for c in report["checks"]]
@@ -271,20 +258,20 @@ def test_wide_output_config_infeasible_with_warning():
     assert not report["all_pass"]
 
 
-def test_krylov_factorization_path():
-    config = RunConfig.from_dict(
-        vtol_config_dict(
-            seed=1, factorization={"method": "krylov", "w_star": [1.0, 0.0]}
-        )
-    )
-    report = run_pipeline(config)
-    assert report["all_pass"]
+def test_reproduce_paper_example():
+    assert run_pipeline(paper_example_config(2))["all_pass"]
 
 
-def test_reproduce_paper_example_jordan_and_krylov():
-    for fact in ("jordan", "krylov"):
-        report = run_pipeline(paper_example_config(2, fact))
-        assert report["all_pass"], fact
+def test_ramp_exosystem_on_the_paper_plant_is_infeasible(tmp_path, capsys):
+    # A defective exosystem, the size-two Jordan block at 1, needs no
+    # declared structure: the design runs and proves the margin too small.
+    d = vtol_config_dict()
+    d["exosystem"]["S"] = [[1.0, 1.0], [0.0, 1.0]]
+    report = run_pipeline(RunConfig.from_dict(d))
+    assert report["synthesis"]["status"] == "infeasible"
+    assert 0 < report["synthesis"]["margin"] < DEFAULTS["tolerances"]["feas_tol"]
+    assert main(["run", "--config", str(write_config(tmp_path, d))]) == 1
+    assert "synthesis: infeasible" in capsys.readouterr().out
 
 
 ORACLE_ROWS = [
@@ -370,15 +357,12 @@ def test_cli_run_exit_zero(tmp_path, capsys):
 
 
 def test_cli_run_at_t_equal_ell(tmp_path, capsys):
-    # T = ell leaves one data column: the Jordan design is infeasible and
-    # still reported; the record is too short for a Krylov regressor.
+    # T = ell leaves one data column, fewer than the minimal polynomial's
+    # degree: the design is infeasible and still reported.
     d = vtol_config_dict()
     d["T"] = 4
     assert main(["run", "--config", str(write_config(tmp_path, d))]) == 1
     assert "synthesis: infeasible" in capsys.readouterr().out
-    d["factorization"] = {"method": "krylov", "w_star": [1.0, 0.0]}
-    assert main(["run", "--config", str(write_config(tmp_path, d))]) == 2
-    assert "[factorize] experiment too short for Krylov" in capsys.readouterr().err
 
 
 def test_cli_run_infeasible_exit_nonzero(tmp_path, capsys):
@@ -405,14 +389,20 @@ def test_cli_run_infeasible_exit_nonzero(tmp_path, capsys):
             id="unobservable-plant",
         ),
         pytest.param(
-            lambda d: d.update(factorization={"method": "krylov"}),
-            "krylov factorization needs w_star",
-            id="krylov-without-w_star",
+            lambda d: d.update(input_policy={"type": "guess"}),
+            "input_policy.type must be normal or explicit, got 'guess'",
+            id="unknown-mode",
+        ),
+        # The retired regressor choice: one regressor, no clustering.
+        pytest.param(
+            lambda d: d.update(factorization={"method": "jordan"}),
+            "unknown config option(s) factorization",
+            id="factorization-section",
         ),
         pytest.param(
-            lambda d: d.update(factorization={"method": "jordan", "mode": "guess"}),
-            "factorization.mode must be auto or declared, got 'guess'",
-            id="unknown-mode",
+            lambda d: d.update(tolerances={"exo_cluster_tol": 1e-8}),
+            "unknown tolerances option(s) exo_cluster_tol",
+            id="exo-cluster-tol",
         ),
         pytest.param(
             lambda d: d.update(tolerance={"eps_reg": 1e-3}),
@@ -457,11 +447,6 @@ def test_cli_run_infeasible_exit_nonzero(tmp_path, capsys):
             id="explicit-values-columns",
         ),
         pytest.param(
-            lambda d: d.update(factorization={"method": "krylov", "w_star": [1, 0, 0]}),
-            "factorization.w_star must have length 2, got 3",
-            id="w_star-length",
-        ),
-        pytest.param(
             lambda d: (d.pop("plant"), d.update(dims={"m": 1, "p": 0})),
             "dims.m and dims.p must be >= 1, got 1 and 0",
             id="plant-free-dims",
@@ -488,11 +473,6 @@ def test_cli_run_infeasible_exit_nonzero(tmp_path, capsys):
             lambda d: d.update(verify={"steps": 2.9}),
             "verify.steps must be an integer, got 2.9",
             id="non-integral-steps",
-        ),
-        pytest.param(
-            lambda d: d.update(factorization={**DECLARED, "real_blocks": [["a", 1]]}),
-            "factorization: eigenvalue: 'a' is not a number",
-            id="declared-malformed-block",
         ),
         # Strings and booleans are not numbers, though Python and numpy
         # would read them as such.
@@ -544,21 +524,6 @@ def test_cli_run_infeasible_exit_nonzero(tmp_path, capsys):
             id="string-explicit-values",
         ),
         pytest.param(
-            lambda d: d.update(factorization={**DECLARED, "complex_blocks": [[1.0, 1.5]]}),
-            "factorization: not enough values to unpack",
-            id="declared-short-block",
-        ),
-        pytest.param(
-            lambda d: d.update(factorization={**DECLARED, "real_blocks": [[1.0, 1.5]]}),
-            "factorization: block size must be an integer, got 1.5",
-            id="declared-non-integral-size",
-        ),
-        pytest.param(
-            lambda d: d.update(factorization=DECLARED),
-            "declared Jordan structure has no blocks",
-            id="declared-no-blocks",
-        ),
-        pytest.param(
             lambda d: d.update(ell=2),
             "ell = 2 is below the plant's observability index 4",
             id="ell-below-observability-index",
@@ -573,11 +538,6 @@ def test_cli_run_infeasible_exit_nonzero(tmp_path, capsys):
             lambda d: d.update(input_policy={"type": "normal", "values": "abc"}),
             "input_policy.values: 'abc' is not a number",
             id="values-of-normal-policy",
-        ),
-        pytest.param(
-            lambda d: d["factorization"].update(real_blocks="zz"),
-            "factorization: not enough values to unpack",
-            id="blocks-in-auto-mode",
         ),
     ],
 )
@@ -598,8 +558,7 @@ def test_config_errors_stop_before_any_stage(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "collect_experiment", not_run)
     monkeypatch.setattr(cli, "solve_feasibility_sdp", not_run)
-    declared = {**DECLARED, "real_blocks": [["a", 1]]}
-    for edit in ({"T": 20.7}, {"factorization": declared}, {"ell": 2}):
+    for edit in ({"T": 20.7}, {"factorization": {"method": "krylov"}}, {"ell": 2}):
         path = write_config(tmp_path, {**vtol_config_dict(), **edit})
         assert main(["run", "--config", str(path)]) == 2
         assert "[config] " in capsys.readouterr().err
@@ -614,16 +573,6 @@ def test_integral_floats_are_integers():
     assert config.seed == 3 and type(config.seed) is int
 
 
-def test_declared_jordan_structure_is_built_with_the_config():
-    # The quarter-turn exosystem: one complex block at modulus 1, angle pi/2.
-    fact = {**DECLARED, "complex_blocks": [[1.0, np.pi / 2, 1]]}
-    config = RunConfig.from_dict(vtol_config_dict(factorization=fact))
-    assert config.jordan.complex_blocks == [(1.0, np.pi / 2, 1)]
-    assert config.jordan.real_blocks == []
-    assert RunConfig.from_dict(vtol_config_dict()).jordan is None
-    assert run_pipeline(config)["all_pass"]
-
-
 def test_cli_overrides_apply_before_validation(tmp_path, capsys):
     d = vtol_config_dict()
     d.pop("seed")
@@ -632,17 +581,18 @@ def test_cli_overrides_apply_before_validation(tmp_path, capsys):
     report = json.loads((tmp_path / "s" / "report.json").read_text())
     assert report["effective_config"]["seed"] == 3
 
-    fact = {"method": "jordan", "mode": "auto", "w_star": [1.0, 0.0]}
-    path = write_config(tmp_path, vtol_config_dict(factorization=fact))
-    argv = ["run", "--config", str(path), "--factorization", "krylov"]
-    assert main([*argv, "--out", str(tmp_path / "k")]) == 0
-    report = json.loads((tmp_path / "k" / "report.json").read_text())
-    assert report["effective_config"]["factorization"]["method"] == "krylov"
 
+@pytest.mark.parametrize(
+    "command", ["collect", "synthesize", "verify", "run", "paper-example"]
+)
+def test_cli_factorization_flag_exit_two(tmp_path, capsys, command):
+    # There is one regressor, so no command takes a choice of one.
     path = write_config(tmp_path, vtol_config_dict())
-    capsys.readouterr()
-    assert main(argv) == 2
-    assert "[config] krylov factorization needs w_star" in capsys.readouterr().err
+    argv = [command, "--config", str(path), "--factorization", "krylov"]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--gain", str(path)] if command == "verify" else argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --factorization krylov" in capsys.readouterr().err
 
 
 def test_cli_collect_writes_record(tmp_path):
@@ -946,7 +896,7 @@ def test_cli_run_writes_regressor_csv(tmp_path):
     path = write_config(tmp_path, vtol_config_dict(seed=0))
     main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
     text = (tmp_path / "o" / "regressor.csv").read_text()
-    assert text.startswith("method=jordan")
+    assert text.startswith("kept_rows=0;1\n")
 
 
 def test_config_output_dir_fallback(tmp_path):

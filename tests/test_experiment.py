@@ -108,7 +108,7 @@ def test_experiment_too_short(tmp_path):
     path = tmp_path / "record.csv"
     record_to_csv(vtol_record(T=3), path)
     with pytest.raises(ValueError, match="the CSV holds T = 3, the config has T = 20"):
-        record_from_csv(path, ell=4, im=im, m=1, p=1, T=20)
+        record_from_csv(path, ell=4, im=im, m=1, T=20)
 
 
 def test_internal_model_invariant_holds():
@@ -198,7 +198,7 @@ def csv_round_trip(tmp_path, T):
     rec = vtol_record(seed=5, T=T)
     path = tmp_path / "record.csv"
     record_to_csv(rec, path)
-    loaded = record_from_csv(path, ell=rec.ell, im=im, m=rec.m, p=rec.p, T=rec.T)
+    loaded = record_from_csv(path, ell=rec.ell, im=im, m=rec.m, T=rec.T)
     np.testing.assert_allclose(loaded.u, rec.u, atol=0)
     np.testing.assert_allclose(loaded.y, rec.y, atol=0)
     np.testing.assert_allclose(loaded.eta, rec.eta, atol=1e-12)
@@ -232,7 +232,7 @@ def test_csv_rejects_perturbed_eta(tmp_path):
     lines[11] = ",".join(row)
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match="inconsistent with the internal model"):
-        record_from_csv(path, ell=rec.ell, im=im, m=rec.m, p=rec.p, T=rec.T)
+        record_from_csv(path, ell=rec.ell, im=im, m=rec.m, T=rec.T)
 
 
 def test_csv_unmask_adds_exosignal(tmp_path):

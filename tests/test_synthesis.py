@@ -16,7 +16,7 @@ from ddreg.cli import (
     synthesize_stage,
 )
 from ddreg.config import DEFAULTS
-from ddreg.exo_factorization import JordanSpec, analyze_exosystem, build_M_jordan
+from ddreg.exo_factorization import Regressor, companion_regressor
 from ddreg.experiment import NormalInputPolicy, assemble_data_matrices, collect_experiment
 from ddreg.internal_model import build_internal_model
 from ddreg.numerics import rank_with_tol
@@ -59,7 +59,7 @@ def vtol_problem(seed=0, T=20, ell=4, similarity=None):
         NormalInputPolicy(seed=seed), T=T, ell=ell,
     )
     data = assemble_data_matrices(rec)
-    reg = build_M_jordan(analyze_exosystem(exo), ell=ell, T=T).reduced()
+    reg = companion_regressor(exo, ell=ell, T=T).reduced()
     return assemble_sdp(data, reg)
 
 
@@ -80,7 +80,7 @@ def wide_problem(seed=7):
         NormalInputPolicy(seed=seed), T=20, ell=2,
     )
     data = assemble_data_matrices(rec)
-    reg = build_M_jordan(analyze_exosystem(exo), ell=2, T=20).reduced()
+    reg = companion_regressor(exo, ell=2, T=20).reduced()
     return assemble_sdp(data, reg)
 
 
@@ -94,7 +94,7 @@ def scalar_problem(seed=0, T=6):
         plant, exo, im, [1.0], [0.5], [0.0], NormalInputPolicy(seed=seed), T=T, ell=1
     )
     data = assemble_data_matrices(rec)
-    reg = build_M_jordan(JordanSpec(real_blocks=[(1.0, 1)]), ell=1, T=T).reduced()
+    reg = companion_regressor(exo, ell=1, T=T).reduced()
     return assemble_sdp(data, reg)
 
 
@@ -123,7 +123,7 @@ def test_assemble_requires_reduced_regressor():
         NormalInputPolicy(seed=0), T=20, ell=4,
     )
     data = assemble_data_matrices(rec)
-    reg = build_M_jordan(analyze_exosystem(exo), ell=4, T=20)
+    reg = companion_regressor(exo, ell=4, T=20)
     with pytest.raises(ValueError, match="not been reduced"):
         assemble_sdp(data, reg)
 
@@ -138,12 +138,9 @@ def test_reduction_reflected_in_regressor_rows():
         NormalInputPolicy(seed=0), T=20, ell=4,
     )
     data = assemble_data_matrices(rec)
-    reg = build_M_jordan(analyze_exosystem(exo), ell=4, T=20)
-    from ddreg.exo_factorization import Regressor
-
+    reg = companion_regressor(exo, ell=4, T=20)
     padded = Regressor(
-        matrix=np.vstack([reg.matrix, reg.matrix[0] + reg.matrix[1]]),
-        method="jordan",
+        matrix=np.vstack([reg.matrix, reg.matrix[0] + reg.matrix[1]])
     ).reduced()
     prob = assemble_sdp(data, padded)
     assert prob.nhat_w == 2

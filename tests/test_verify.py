@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ddreg.benchmarks import VTOL_ETA0, VTOL_W0, VTOL_X0, vtol
-from ddreg.exo_factorization import analyze_exosystem, build_M_jordan
+from ddreg.exo_factorization import companion_regressor
 from ddreg import experiment
 from ddreg.experiment import NormalInputPolicy, assemble_data_matrices, collect_experiment
 from ddreg.internal_model import build_internal_model
@@ -57,7 +57,7 @@ def correspondence(aux, exo, plant, u, w0, x0):
 def vtol_design(seed=0):
     plant, exo, im, rec, struct, aux = vtol_setup(seed=seed)
     data = assemble_data_matrices(rec)
-    reg = build_M_jordan(analyze_exosystem(exo), ell=4, T=20).reduced()
+    reg = companion_regressor(exo, ell=4, T=20).reduced()
     prob = assemble_sdp(data, reg)
     res = solve_feasibility_sdp(prob)
     assert res.status == "feasible"
@@ -579,7 +579,7 @@ def test_representation_equivalence():
 def test_oracle_factorization_residual():
     plant, exo, im, rec, struct, aux = vtol_setup(seed=5)
     data = assemble_data_matrices(rec)
-    reg = build_M_jordan(analyze_exosystem(exo), ell=4, T=20)
+    reg = companion_regressor(exo, ell=4, T=20)
     assert oracle_factorization_residual(data, reg.matrix) < 1e-8
 
 

@@ -1,8 +1,10 @@
 """Re-check the design solve on a fixed set of 66 inputs.
 
-The inputs are the paper example at probing seeds 0-29 with the Jordan and
-the Krylov regressor, the wide-output plant at seeds 0-2 (T = 20, ell = 2,
-zero initial states), and the n = 10 ladder rung at s = 0-2: the plant
+The inputs are the paper example at probing seeds 0-29, twice each
+(``paper-N-jordan`` and ``paper-N-krylov``: once two regressors, now the
+same input, the names kept so that ``--compare`` pairs with older
+records), the wide-output plant at seeds 0-2 (T = 20, ell = 2, zero
+initial states), and the n = 10 ladder rung at s = 0-2: the plant
 ``random_plant(default_rng(s), 10, 3, 2, 4)``, probing seed s, zero initial
 states, S = rotation(0.7) + rotation(1.9) (block diagonal), ell its
 observability index and T = 10 ell + 11.
