@@ -79,8 +79,7 @@ def _stage(stage, fn, *args, hint="", **kwargs):
 
 
 def build_regressor(config: RunConfig):
-    reg = companion_regressor(config.exo, config.ell, config.T)
-    return reg.reduced(config.tolerances["reduce_tol"])
+    return companion_regressor(config.exo, config.ell, config.T)
 
 
 def _initial(config: RunConfig, **dims) -> list[np.ndarray]:
@@ -115,7 +114,7 @@ def synthesize_stage(config: RunConfig, rec: ExperimentRecord):
     data = _stage("assemble", assemble_data_matrices, rec)
     reg = _stage("factorize", build_regressor, config)
     prob = _stage("assemble-sdp", assemble_sdp, data, reg)
-    pre = feasibility_precheck(prob)
+    pre = feasibility_precheck(prob, reg)
     tol = config.tolerances["feas_tol"]
     result = _stage("solve", solve_feasibility_sdp, prob, feas_tol=tol, **config.solver)
     return data, reg, prob, pre, result
@@ -446,7 +445,7 @@ def _print_synthesis(pre: dict, syn: dict, nu: int) -> None:
     if pre["columns"] < pre["columns_needed"]:
         print(
             f"precheck: {pre['columns']} data columns < {pre['columns_needed']} "
-            "(rows of psi0 plus reduced regressor); collect a longer run"
+            "(rows of psi0 plus the regressor's degree); collect a longer run"
         )
     if syn["stop"] is not None:
         how = f"stop {syn['stop']} after {syn['iterations']} iterations"

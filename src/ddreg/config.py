@@ -23,12 +23,9 @@ from .plant import ExoMatrix, PlantTruth
 # Section -> key -> default.  A tuple lists the allowed values, the first
 # being the default; another value is converted to its default's type (an
 # int default takes integral numbers only) and must be finite and >= 0, and
-# a None default takes the value as given (None: unset), save that a set
-# tolerance is a float like the others.
+# a None default takes the value as given (None: unset).
 DEFAULTS = {
     "tolerances": {
-        "reduce_tol": 1e-8,
-        "snap_coeffs_tol": None,
         "feas_tol": 1e-6,
         "data_identity": 1e-8,
         "claim_residual": 1e-8,
@@ -102,7 +99,7 @@ def _section(name: str, given: dict) -> dict:
             )
         else:
             value = given.get(key, default)
-            if default is not None or (name == "tolerances" and value is not None):
+            if default is not None:
                 read = as_integer if isinstance(default, int) else as_real
                 value = read(value, f"{name}.{key}")
                 _require(
@@ -208,7 +205,7 @@ class RunConfig:
             if policy["type"] == "explicit":
                 _check_inputs(values, self.T + 1, plant.m)
         p = plant.p if plant else dims["p"]
-        self.im = build_internal_model(self.exo, p, self.tolerances["snap_coeffs_tol"])
+        self.im = build_internal_model(self.exo, p)
         lengths["eta0"] = self.im.dim
         with _config_errors():
             for name, dim in lengths.items():

@@ -17,33 +17,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULTS
 from .internal_model import companion_matrix
+from .numerics import DEFAULT_RANK_RTOL
 from .plant import ExoMatrix
-
-DEFAULT_REDUCE_TOL = DEFAULTS["tolerances"]["reduce_tol"]
 
 
 @dataclass
 class Regressor:
-    """Known matrix factoring the exosignal stack, with optional row reduction.
-
-    ``selection`` lists the rows kept by :func:`reduce_to_full_row_rank`;
-    it is None until :meth:`reduced` has been called.
-    """
+    """Known matrix factoring the exosignal stack, and the rows of it that
+    :func:`reduce_to_full_row_rank` keeps (``selection``)."""
 
     matrix: np.ndarray
-    selection: list[int] | None = None
+    selection: list[int]
 
     @property
     def mhat(self) -> np.ndarray:
-        if self.selection is None:
-            raise ValueError("regressor has not been reduced to full row rank")
         return self.matrix[self.selection, :]
-
-    def reduced(self, tol: float = DEFAULT_REDUCE_TOL) -> "Regressor":
-        _, selection = reduce_to_full_row_rank(self.matrix, tol)
-        return Regressor(matrix=self.matrix, selection=selection)
 
 
 def _krylov(F: np.ndarray, v: np.ndarray, first: int, last: int) -> np.ndarray:
@@ -60,39 +49,38 @@ def _krylov(F: np.ndarray, v: np.ndarray, first: int, last: int) -> np.ndarray:
 
 def companion_regressor(exo: ExoMatrix, ell: int, T: int) -> Regressor:
     """Regressor ``[(F^T)^ell e_1, ..., (F^T)^T e_1]``, F the companion
-    matrix of S's minimal polynomial (the internal model's for one output,
-    unsnapped: the exosignal obeys S's own recursion).  Row i is the
-    solution of the recursion whose first d values are the i-th unit
-    vector, so every row of W0 lies in its row space."""
+    matrix of S's minimal polynomial (the internal model's for one output),
+    reduced to full row rank.  Row i is the solution of the recursion whose
+    first d values are the i-th unit vector, so every row of W0 lies in its
+    row space.  Its first d columns are (F^T)^ell, which is invertible, so
+    a record of N >= d columns keeps every row."""
     F = companion_matrix(exo.coeffs, 1)
-    return Regressor(matrix=_krylov(F.T, np.eye(len(F))[0], ell, T))
+    matrix = _krylov(F.T, np.eye(len(F))[0], ell, T)
+    return Regressor(matrix, reduce_to_full_row_rank(matrix)[1])
 
 
 def regressor_to_csv(reg: Regressor, path) -> None:
     """Dump the regressor rows for inspection: one line per row, plus a
-    header naming the reduction's selection."""
+    header naming the rows the reduction kept."""
     import csv
 
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        kept = "all" if reg.selection is None else ";".join(map(str, reg.selection))
-        writer.writerow([f"kept_rows={kept}"])
+        writer.writerow([f"kept_rows={';'.join(map(str, reg.selection))}"])
         for row in reg.matrix:
             writer.writerow([repr(float(v)) for v in row])
 
 
-def reduce_to_full_row_rank(
-    M, tol: float = DEFAULT_REDUCE_TOL
-) -> tuple[np.ndarray, list[int]]:
+def reduce_to_full_row_rank(M) -> tuple[np.ndarray, list[int]]:
     """Greedy earliest-row selection of a maximal independent row subset.
 
     Rows are scanned in order; a row is kept when its residual after
     projection onto the span of the rows already kept exceeds
-    ``tol * max row norm``.  Zero rows (and exact duplicates) are dropped.
-    Returns the reduced matrix and the kept row indices.
+    ``DEFAULT_RANK_RTOL * max row norm``.  Zero rows (and exact duplicates)
+    are dropped.  Returns the reduced matrix and the kept row indices.
     """
     scale = float(np.max(np.linalg.norm(M, axis=1)))
-    threshold = tol * max(scale, 1e-300)
+    threshold = DEFAULT_RANK_RTOL * max(scale, 1e-300)
     basis: list[np.ndarray] = []
     selection: list[int] = []
     for i, row in enumerate(M):

@@ -26,42 +26,23 @@ class InternalModel:
     the measured output into the last block row.
     """
 
-    degree: int
-    coeffs: np.ndarray
     p: int
     companion: np.ndarray = field(repr=False)
     input_map: np.ndarray = field(repr=False)
 
     @property
     def dim(self) -> int:
-        return self.p * self.degree
+        return self.companion.shape[0]
 
 
-def build_internal_model(
-    exo: ExoMatrix, p: int, snap_coeffs_tol: float | None = None
-) -> InternalModel:
+def build_internal_model(exo: ExoMatrix, p: int) -> InternalModel:
     """Assemble the internal model for a ``p``-output plant from the
-    minimal polynomial of S, ``exo.coeffs``.
-
-    Coefficients are kept at full floating precision.  ``snap_coeffs_tol``
-    optionally rounds each coefficient to the nearest integer when it is
-    already within that tolerance of one (off by default, as in the config's
-    ``DEFAULTS``).
-    """
-    coeffs = exo.coeffs
-    if snap_coeffs_tol is not None:
-        snapped = np.round(coeffs)
-        coeffs = np.where(np.abs(coeffs - snapped) <= snap_coeffs_tol, snapped, coeffs)
-
-    d = len(coeffs)
+    minimal polynomial of S, ``exo.coeffs``, at full floating precision."""
+    d = len(exo.coeffs)
     input_map = np.zeros((p * d, p))
-    input_map[(d - 1) * p : d * p, :] = np.eye(p)
+    input_map[(d - 1) * p :, :] = np.eye(p)
     return InternalModel(
-        degree=d,
-        coeffs=coeffs,
-        p=p,
-        companion=companion_matrix(coeffs, p),
-        input_map=input_map,
+        p=p, companion=companion_matrix(exo.coeffs, p), input_map=input_map
     )
 
 

@@ -119,7 +119,7 @@ class SynthesisResult:
 
 def assemble_sdp(data: DataMatrices, reg: Regressor) -> SdpProblem:
     """Bundle the data stacks with the reduced regressor."""
-    mhat = reg.mhat  # raises if the regressor was never reduced
+    mhat = reg.mhat
     if mhat.shape[1] != data.psi0.shape[1]:
         raise ValueError(
             f"regressor has {mhat.shape[1]} columns, data has {data.psi0.shape[1]}"
@@ -286,11 +286,12 @@ def extract_gain(prob: SdpProblem, X, Y) -> tuple[np.ndarray, np.ndarray, float]
     return K, G, float(np.linalg.norm(stacked_lhs - stacked_rhs))
 
 
-def feasibility_precheck(prob: SdpProblem) -> dict:
+def feasibility_precheck(prob: SdpProblem, reg: Regressor) -> dict:
     """Experiment-length guidance from designer data, before the solver: the
-    data ``columns`` and the rows of ``[psi0; mhat]``, ``columns_needed``; a
-    run with fewer columns than that is too short.  The rank decision (X is
-    singular for every Y when ``psi0 null_m`` has rank below nu) is made and
-    reported by ``solve_feasibility_sdp``.
+    data ``columns``, and ``columns_needed``, the rows of psi0 plus the
+    regressor's degree d (its rows before reduction: a record shorter than
+    d columns keeps fewer); a run with fewer columns than that is too short.
+    The rank decision (X is singular for every Y when ``psi0 null_m`` has
+    rank below nu) is made and reported by ``solve_feasibility_sdp``.
     """
-    return {"columns": prob.n_cols, "columns_needed": prob.nu + prob.nhat_w}
+    return {"columns": prob.n_cols, "columns_needed": prob.nu + reg.matrix.shape[0]}

@@ -49,22 +49,16 @@ class AuxiliaryMatrices:
 
     The controller is the (output, input) window plus the internal model,
     ``c(k+1) = ctrl_a c(k) + ctrl_y y(k) + ext_b u(k)`` on ``c = [chi; eta]``
-    (``plant.plant_loop``): ``ctrl_a`` is ``window_shift`` (the window
-    advanced one step) beside the companion matrix, and ``inject_y``/
-    ``inject_u``, the window's rows of ``ctrl_y``/``ext_b``, write the newest
-    output/input into it.  ``exo_window_map`` maps the current exosignal
-    state to the stacked values over the trailing window (inverse powers of
-    S, then identity); ``y_from_window``/``y_from_exo`` reproduce the plant
-    output from the window and from the current exosignal state w(k).
-    ``ext_*`` are the one-step matrices of the controller with y so
-    reproduced; ``ext_p`` maps w(k).  :func:`build_auxiliary_matrices` forms
-    every map; the checks only apply them.
+    (``plant.plant_loop``): ``ctrl_a`` advances the window one step beside
+    the companion matrix, and the window's rows of ``ctrl_y``/``ext_b``
+    write the newest output/input into it.  ``y_from_window``/``y_from_exo``
+    reproduce the plant output from the window and from the current
+    exosignal state w(k).  ``ext_*`` are the one-step matrices of the
+    controller with y so reproduced; ``ext_p`` maps w(k).
+    :func:`build_auxiliary_matrices` forms every map; the checks only apply
+    them.
     """
 
-    window_shift: np.ndarray
-    inject_y: np.ndarray
-    inject_u: np.ndarray
-    exo_window_map: np.ndarray
     y_from_window: np.ndarray
     y_from_exo: np.ndarray
     ctrl_a: np.ndarray
@@ -79,7 +73,7 @@ class AuxiliaryMatrices:
 
     @property
     def window_dim(self) -> int:
-        return self.window_shift.shape[0]
+        return self.y_from_window.shape[1]
 
 
 def build_auxiliary_matrices(
@@ -109,18 +103,14 @@ def build_auxiliary_matrices(
 
     core = C @ struct.a_ell @ struct.obs_pinv
     y_from_window = np.hstack([core, C @ struct.reach_u - core @ struct.toeplitz_u])
-    # Output and cascade maps of the stacked exosignal, composed with
-    # exo_window_map once so that they map the current exosignal state.
+    # The output map of the stacked exosignal, composed with exo_window_map
+    # once so that it maps the current exosignal state.
     y_from_stack = np.hstack([C @ struct.reach_w - core @ struct.toeplitz_w, Q])
     y_from_exo = y_from_stack @ exo_window_map
 
     ext_a = ctrl_a.copy()
     ext_a[:, :wd] += ctrl_y @ y_from_window
     return AuxiliaryMatrices(
-        window_shift=ctrl_a[:wd, :wd],
-        inject_y=ctrl_y[:wd],
-        inject_u=ext_b[:wd],
-        exo_window_map=exo_window_map,
         y_from_window=y_from_window,
         y_from_exo=y_from_exo,
         ctrl_a=ctrl_a,
@@ -194,21 +184,22 @@ def check_solution_correspondence(
     """Compare a plant run with the auxiliary system started from the
     prescribed initial stack.
 
-    The run has exosignal samples ``w`` at steps 0..ell at least (further
-    rows are ignored), starts from plant state ``x0``, and has outputs ``y``
-    at steps 0..K, K >= ell, and inputs ``u`` at steps 0..K-1 (further input
-    rows are ignored).  The auxiliary run starts at step ell with the window
-    state built from ``x0``, the first ell inputs and exosignal samples, and
-    its exosignal state at w(ell).  Returns the worst relative mismatch over
-    steps ell..K of (window state against the stacked trailing output and
-    input window of the run, output).
+    The run starts from plant state ``x0`` and has outputs ``y`` at steps
+    0..K, K >= ell, inputs ``u`` at steps 0..K-1 and exosignal samples ``w``
+    at steps 0..K (further rows of either are ignored).  The auxiliary
+    window state starts at step ell, built from ``x0`` and the first ell
+    inputs and exosignal samples, and is driven by the run's later inputs
+    and exosignal samples; S is not stepped.  Returns the worst relative
+    mismatch over steps ell..K of (window state against the stacked
+    trailing output and input window of the run, output).
     """
     struct, ell = aux.struct, aux.struct.ell
     steps = y.shape[0] - 1
-    u = u[:steps]
+    u, w = u[:steps], w[: steps + 1]
 
-    # Auxiliary system on (xi, omega) from the prescribed initialization.
-    xi = np.concatenate(
+    # The window state from the prescribed initialization, driven by the
+    # exosignal through y_from_exo and by the input.
+    xi0 = np.concatenate(
         [
             struct.obs @ x0
             + struct.toeplitz_u @ u[:ell].ravel()
@@ -216,15 +207,11 @@ def check_solution_correspondence(
             u[:ell].ravel(),
         ]
     )
-    wd, n_w, S = aux.window_dim, aux.exo.n_w, aux.exo.S
-    F = np.zeros((wd + n_w, wd + n_w))
-    F[:wd, :wd] = aux.ext_a[:wd, :wd]
-    F[:wd, wd:] = aux.inject_y @ aux.y_from_exo
-    F[wd:, wd:] = S
-    G = np.vstack([aux.inject_u, np.zeros((n_w, u.shape[1]))])
-    z = simulate_linear(F, np.concatenate([xi, w[ell]]), steps - ell, G, u[ell:])
-    xi, omega = z[:, :wd], z[:, wd:]
-    phi = xi @ aux.y_from_window.T + omega @ aux.y_from_exo.T
+    wd = aux.window_dim
+    G = np.hstack([aux.ctrl_y[:wd] @ aux.y_from_exo, aux.ext_b[:wd]])
+    drive = np.hstack([w[ell:steps], u[ell:]])
+    xi = simulate_linear(aux.ext_a[:wd, :wd], xi0, steps - ell, G, drive)
+    phi = xi @ aux.y_from_window.T + w[ell:] @ aux.y_from_exo.T
 
     # Row k - ell is the trailing (output, input) window of step k = ell..K.
     window = np.hstack([stacked_windows(y[:steps], ell), stacked_windows(u, ell)])

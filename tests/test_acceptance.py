@@ -275,7 +275,7 @@ def test_criterion_8_provable_infeasibility():
             NormalInputPolicy(seed=seed), T=20, ell=2,
         )
         data = assemble_data_matrices(rec)
-        reg = companion_regressor(exo, ell=2, T=20).reduced()
+        reg = companion_regressor(exo, ell=2, T=20)
         prob = assemble_sdp(data, reg)
         res = solve_feasibility_sdp(prob)
         case_ok = res.status == "infeasible" and res.margin <= 1e-6

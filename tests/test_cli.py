@@ -131,11 +131,6 @@ def test_solver_options_defaults_are_the_config_defaults():
     )
 
 
-def test_internal_model_snap_default_is_the_config_default():
-    params = inspect.signature(build_internal_model).parameters
-    assert params["snap_coeffs_tol"].default == DEFAULTS["tolerances"]["snap_coeffs_tol"]
-
-
 def test_internal_model_is_built_once_per_config(tmp_path, monkeypatch):
     # The config builds the internal model; the stages, the record reader
     # and the closed loop all read config.im.
@@ -492,9 +487,9 @@ def test_cli_run_infeasible_exit_nonzero(tmp_path, capsys):
             id="string-tolerance",
         ),
         pytest.param(
-            lambda d: d.update(tolerances={"snap_coeffs_tol": "x"}),
-            "tolerances.snap_coeffs_tol: 'x' is not a number",
-            id="string-optional-tolerance",
+            lambda d: d.update(tolerances={"snap_coeffs_tol": None, "reduce_tol": 0}),
+            "unknown tolerances option(s) reduce_tol, snap_coeffs_tol",
+            id="removed-tolerance-keys",
         ),
         pytest.param(
             lambda d: d["plant"]["A"][0].__setitem__(0, "0.0"),

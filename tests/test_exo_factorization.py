@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
 from ddreg.exo_factorization import companion_regressor, reduce_to_full_row_rank
+from ddreg.internal_model import companion_matrix
 from ddreg.plant import ExoMatrix
 
 from _scenarios import random_plant, random_unit_circle_exo, real_jordan, rotation
@@ -84,7 +87,7 @@ def test_krylov_too_short():
     # built, and its reduction keeps one row.
     reg = companion_regressor(ExoMatrix(rotation(0.5)), ell=3, T=3)
     assert reg.matrix.shape == (2, 1)
-    assert reg.reduced().selection == [0]
+    assert reg.selection == [0]
 
 
 @pytest.mark.parametrize(
@@ -117,6 +120,35 @@ def test_regressor_factorization_residual(S, ell, T):
     w0 = np.random.default_rng(0).standard_normal(len(S))
     W0 = exo_trajectory_stack(S, w0, ell, T)
     assert lstsq_rel_residual(W0, reg.matrix) < 1e-8
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_w=st.integers(1, 4),
+    conjugate=st.booleans(),
+    ramp=st.booleans(),
+    ell=st.integers(1, 6),
+    extra=st.integers(0, 12),
+)
+@example(seed=0, n_w=4, conjugate=True, ramp=False, ell=6, extra=0)
+def test_regressor_keeps_every_row_of_a_long_enough_record(
+    seed, n_w, conjugate, ramp, ell, extra
+):
+    # With N = T - ell + 1 >= d columns the reduction keeps all d rows: the
+    # first d columns are (F^T)^ell, invertible since no root of S's minimal
+    # polynomial is 0.  So the fixed rank tolerance never changes the
+    # regressor of a long enough record.
+    if ramp:
+        exo = ExoMatrix([[1.0, 1.0], [0.0, 1.0]])
+    else:
+        exo = random_unit_circle_exo(np.random.default_rng(seed), n_w, conjugate)
+    d = len(exo.coeffs)
+    reg = companion_regressor(exo, ell=ell, T=ell + d - 1 + extra)
+    power = np.linalg.matrix_power(companion_matrix(exo.coeffs, 1).T, ell)
+    np.testing.assert_allclose(reg.matrix[:, :d], power, rtol=1e-12, atol=0)
+    assert reg.selection == list(range(d))
+    np.testing.assert_array_equal(reg.mhat, reg.matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +191,7 @@ def test_reduce_dropped_rows_stay_in_row_space():
     base = rng.standard_normal((3, 10))
     mix = rng.standard_normal((4, 3)) @ base
     M = np.vstack([base, mix])
-    Mhat, sel = reduce_to_full_row_rank(M, tol=1e-8)
+    Mhat, sel = reduce_to_full_row_rank(M)
     assert len(sel) == 3
     pinv = np.linalg.pinv(Mhat)
     for i in range(M.shape[0]):
@@ -167,15 +199,6 @@ def test_reduce_dropped_rows_stay_in_row_space():
             continue
         proj = M[i] @ pinv @ Mhat
         assert np.linalg.norm(M[i] - proj) < 1e-8 * max(1.0, np.linalg.norm(M[i]))
-
-
-def test_regressor_reduced_wrapper():
-    exo = ExoMatrix(rotation(np.pi / 2))
-    reg = companion_regressor(exo, ell=4, T=20).reduced()
-    assert reg.selection == [0, 1]
-    np.testing.assert_array_equal(reg.mhat, reg.matrix)
-    with pytest.raises(ValueError, match="not been reduced"):
-        companion_regressor(exo, ell=4, T=20).mhat
 
 
 def test_reduce_zero_matrix_empty_selection():

@@ -11,17 +11,18 @@ from _scenarios import monic_horner, random_unit_circle_exo, rotation
 def test_vtol_internal_model():
     exo = ExoMatrix([[0.0, 1.0], [-1.0, 0.0]])
     im = build_internal_model(exo, p=1)
-    assert im.degree == 2
-    np.testing.assert_allclose(im.coeffs, [1.0, 0.0], atol=1e-12)
+    assert im.dim == 2
+    np.testing.assert_allclose(exo.coeffs, [1.0, 0.0], atol=1e-12)
     np.testing.assert_allclose(im.companion, [[0.0, 1.0], [-1.0, 0.0]], atol=1e-12)
     np.testing.assert_allclose(im.input_map, [[0.0], [1.0]], atol=1e-12)
 
 
 def test_scalar_integrator_model():
     # S = [1] has minimal polynomial x - 1, so the model is a plain integrator.
-    im = build_internal_model(ExoMatrix([[1.0]]), p=1)
-    assert im.degree == 1
-    np.testing.assert_allclose(im.coeffs, [-1.0], atol=1e-12)
+    exo = ExoMatrix([[1.0]])
+    im = build_internal_model(exo, p=1)
+    assert im.dim == 1
+    np.testing.assert_allclose(exo.coeffs, [-1.0], atol=1e-12)
     np.testing.assert_allclose(im.companion, [[1.0]], atol=1e-12)
     np.testing.assert_allclose(im.input_map, [[1.0]], atol=1e-12)
 
@@ -41,9 +42,9 @@ def test_block_pattern_two_outputs():
 def test_companion_matches_kronecker_form(seed, p):
     exo = random_unit_circle_exo(np.random.default_rng(seed), 2 + seed, conjugate=True)
     im = build_internal_model(exo, p=p)
-    d = im.degree
+    d = len(exo.coeffs)
     ref = np.kron(np.eye(d, k=1), np.eye(p))
-    ref[(d - 1) * p :] = np.kron(-im.coeffs, np.eye(p))
+    ref[(d - 1) * p :] = np.kron(-exo.coeffs, np.eye(p))
     np.testing.assert_array_equal(im.companion, ref)
 
 
@@ -93,7 +94,7 @@ def test_companion_eigenvalues_are_minimal_polynomial_roots():
         for p in (1, 2):
             im = build_internal_model(exo, p=p)
             for lam in np.linalg.eigvals(im.companion):
-                assert abs(monic_horner(im.coeffs, lam)) < 1e-6
+                assert abs(monic_horner(exo.coeffs, lam)) < 1e-6
 
 
 def test_minimal_polynomial_invariant_under_similarity():
@@ -106,20 +107,12 @@ def test_minimal_polynomial_invariant_under_similarity():
     exo_sim = ExoMatrix(V @ exo.S @ np.linalg.inv(V))
     im_a = build_internal_model(exo, p=1)
     im_b = build_internal_model(exo_sim, p=1)
-    assert im_a.degree == im_b.degree
-    np.testing.assert_allclose(im_a.coeffs, im_b.coeffs, atol=1e-6)
-
-
-def test_snap_coeffs_option():
-    S = rotation(np.pi / 2)
-    S_perturbed = S + 1e-10 * np.array([[1.0, 0.0], [0.0, -1.0]])
-    im = build_internal_model(ExoMatrix(S_perturbed), p=1, snap_coeffs_tol=1e-6)
-    np.testing.assert_allclose(im.coeffs, [1.0, 0.0], atol=0)
+    assert im_a.dim == im_b.dim
+    np.testing.assert_allclose(im_a.companion, im_b.companion, atol=1e-6)
 
 
 def test_annihilation_invariant():
     rng = np.random.default_rng(8)
     for n_w in (2, 3, 4):
         exo = random_unit_circle_exo(rng, n_w, conjugate=True)
-        im = build_internal_model(exo, p=1)
-        assert np.linalg.norm(monic_horner(im.coeffs, exo.S)) < 1e-8
+        assert np.linalg.norm(monic_horner(exo.coeffs, exo.S)) < 1e-8

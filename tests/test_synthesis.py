@@ -16,7 +16,11 @@ from ddreg.cli import (
     synthesize_stage,
 )
 from ddreg.config import DEFAULTS
-from ddreg.exo_factorization import Regressor, companion_regressor
+from ddreg.exo_factorization import (
+    Regressor,
+    companion_regressor,
+    reduce_to_full_row_rank,
+)
 from ddreg.experiment import NormalInputPolicy, assemble_data_matrices, collect_experiment
 from ddreg.internal_model import build_internal_model
 from ddreg.numerics import rank_with_tol
@@ -59,13 +63,13 @@ def vtol_problem(seed=0, T=20, ell=4, similarity=None):
         NormalInputPolicy(seed=seed), T=T, ell=ell,
     )
     data = assemble_data_matrices(rec)
-    reg = companion_regressor(exo, ell=ell, T=T).reduced()
+    reg = companion_regressor(exo, ell=ell, T=T)
     return assemble_sdp(data, reg)
 
 
-def paper_problem(seed, factorization):
+def paper_problem(seed):
     """The design problem of ``ddreg paper-example`` at one probing seed."""
-    config = paper_example_config(seed, factorization)
+    config = paper_example_config(seed)
     rec = collect_stage(config)
     return assemble_sdp(assemble_data_matrices(rec), build_regressor(config))
 
@@ -80,7 +84,7 @@ def wide_problem(seed=7):
         NormalInputPolicy(seed=seed), T=20, ell=2,
     )
     data = assemble_data_matrices(rec)
-    reg = companion_regressor(exo, ell=2, T=20).reduced()
+    reg = companion_regressor(exo, ell=2, T=20)
     return assemble_sdp(data, reg)
 
 
@@ -94,7 +98,7 @@ def scalar_problem(seed=0, T=6):
         plant, exo, im, [1.0], [0.5], [0.0], NormalInputPolicy(seed=seed), T=T, ell=1
     )
     data = assemble_data_matrices(rec)
-    reg = companion_regressor(exo, ell=1, T=T).reduced()
+    reg = companion_regressor(exo, ell=1, T=T)
     return assemble_sdp(data, reg)
 
 
@@ -123,9 +127,11 @@ def test_assemble_requires_reduced_regressor():
         NormalInputPolicy(seed=0), T=20, ell=4,
     )
     data = assemble_data_matrices(rec)
+    # Every row of a regressor with a redundant third row, kept.
     reg = companion_regressor(exo, ell=4, T=20)
-    with pytest.raises(ValueError, match="not been reduced"):
-        assemble_sdp(data, reg)
+    matrix = np.vstack([reg.matrix, reg.matrix[0] + reg.matrix[1]])
+    with pytest.raises(ValueError, match="not full row rank"):
+        assemble_sdp(data, Regressor(matrix, [0, 1, 2]))
 
 
 def test_reduction_reflected_in_regressor_rows():
@@ -139,9 +145,8 @@ def test_reduction_reflected_in_regressor_rows():
     )
     data = assemble_data_matrices(rec)
     reg = companion_regressor(exo, ell=4, T=20)
-    padded = Regressor(
-        matrix=np.vstack([reg.matrix, reg.matrix[0] + reg.matrix[1]])
-    ).reduced()
+    matrix = np.vstack([reg.matrix, reg.matrix[0] + reg.matrix[1]])
+    padded = Regressor(matrix, reduce_to_full_row_rank(matrix)[1])
     prob = assemble_sdp(data, padded)
     assert prob.nhat_w == 2
 
@@ -167,8 +172,8 @@ def test_elimination_drops_directions_the_blocks_cannot_see():
 @pytest.mark.parametrize(
     "prob, full_rank",
     [
-        (paper_problem(0, "jordan"), True),
-        (paper_problem(1, "krylov"), True),
+        (paper_problem(0), True),
+        (paper_problem(1), True),
         (wide_problem(7), False),
         (wide_problem(8), False),
     ],
@@ -216,8 +221,7 @@ def test_wide_output_rank_branch_skips_the_solve(monkeypatch):
         assert res.sigma_kept > 1e-4 and res.sigma_dropped < 1e-14
 
 
-@pytest.mark.parametrize("factorization", ["jordan", "krylov"])
-def test_design_invariant_under_nullspace_basis(factorization, monkeypatch):
+def test_design_invariant_under_nullspace_basis(monkeypatch):
     # The HKM direction and the start point do not change under a change of
     # basis of the free variables, so rotating the (X, R) basis of the
     # design block moves the returned central point by round-off only.
@@ -242,7 +246,7 @@ def test_design_invariant_under_nullspace_basis(factorization, monkeypatch):
         return dataclasses.replace(res, v=Q[-1] @ res.v)
 
     for seed in range(3):
-        prob = paper_problem(seed, factorization)
+        prob = paper_problem(seed)
         monkeypatch.setattr(synthesis, "maximize_margin", recording)
         base = solve_feasibility_sdp(prob)
         monkeypatch.setattr(synthesis, "_sdp_block", rotated_block)
@@ -314,14 +318,13 @@ def test_batched_assembly_matches_loop_reference():
         assert np.abs(b.value(v)[:nu, nu:] - W).max() <= 1e-12 * np.abs(W).max()
 
 
-@pytest.mark.parametrize("factorization", ["jordan", "krylov"])
-def test_gain_invariant_under_column_scaling(factorization):
+def test_gain_invariant_under_column_scaling():
     # Scaling the data columns, Y -> D^{-1} Y, is an exact change of
     # variables: the set of blocks and the map to K do not move.  Since the
     # solve starts at a point the set defines, neither does K.
     rng = np.random.default_rng(12)
     for seed in range(6):
-        prob = paper_problem(seed, factorization)
+        prob = paper_problem(seed)
         base = solve_feasibility_sdp(prob)
         d = np.exp(rng.uniform(-2.0, 2.0, prob.n_cols))
         scaled = SdpProblem(
@@ -541,7 +544,8 @@ def test_extract_gain_rejects_singular_x():
 
 def test_precheck_vtol_no_warnings():
     # 17 data columns against nu = 10 rows of psi0 and 2 of the regressor.
-    report = feasibility_precheck(vtol_problem(seed=0))
+    reg = companion_regressor(vtol()[1], ell=4, T=20)
+    report = feasibility_precheck(vtol_problem(seed=0), reg)
     assert report == {"columns": 17, "columns_needed": 12}
 
 
@@ -551,7 +555,19 @@ def test_precheck_empty_regressor_guidance_only():
     prob = SdpProblem(
         u1=np.zeros((1, 3)), psi0=psi0, psi1=np.zeros((4, 3)), mhat=np.zeros((0, 3))
     )
-    assert feasibility_precheck(prob) == {"columns": 3, "columns_needed": 4}
+    reg = Regressor(np.zeros((0, 3)), [])
+    assert feasibility_precheck(prob, reg) == {"columns": 3, "columns_needed": 4}
+
+
+def test_precheck_counts_the_regressor_degree_on_a_short_record():
+    # ell = T = 4 leaves one data column, so the reduction keeps one of the
+    # regressor's d = 2 rows; the record still needs nu + d = 12 columns.
+    raw = paper_example_config(0).effective_dict()
+    config = RunConfig.from_dict({**raw, "T": 4})
+    _, reg, prob, pre, result = synthesize_stage(config, collect_stage(config))
+    assert reg.selection == [0] and prob.nu == 10
+    assert pre == {"columns": 1, "columns_needed": 12}
+    assert result.status == "infeasible"
 
 
 @settings(max_examples=20, derandomize=True, deadline=None)

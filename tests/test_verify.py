@@ -57,13 +57,29 @@ def correspondence(aux, exo, plant, u, w0, x0):
 def vtol_design(seed=0):
     plant, exo, im, rec, struct, aux = vtol_setup(seed=seed)
     data = assemble_data_matrices(rec)
-    reg = companion_regressor(exo, ell=4, T=20).reduced()
+    reg = companion_regressor(exo, ell=4, T=20)
     prob = assemble_sdp(data, reg)
     res = solve_feasibility_sdp(prob)
     assert res.status == "feasible"
     G = np.linalg.solve(res.X, res.Y.T).T
     psi1_g = prob.psi1 @ G
     return plant, exo, im, aux, data, res, psi1_g
+
+
+def inverse_power_stack(S, ell):
+    """[S^-ell; ...; S^-1; I], each power taken as build_auxiliary_matrices
+    takes it."""
+    s_inv = np.linalg.inv(S)
+    stack = [np.eye(len(S))]
+    for _ in range(ell):
+        stack.append(stack[-1] @ s_inv)
+    return np.vstack(stack[::-1])
+
+
+def y_from_stack(plant, struct, aux):
+    """The output map of the stacked exosignal w(k - ell), ..., w(k)."""
+    core = aux.y_from_window[:, : plant.p * struct.ell]  # C A^ell obs_pinv
+    return np.hstack([plant.C @ struct.reach_w - core @ struct.toeplitz_w, plant.Q])
 
 
 # ---------------------------------------------------------------------------
@@ -73,18 +89,21 @@ def vtol_design(seed=0):
 def test_aux_shift_and_injector_patterns():
     plant, exo, im, rec, struct, aux = vtol_setup()
     ell, p, m = 4, 1, 1
+    wd = aux.window_dim
+    assert wd == 8
+    shift = aux.ctrl_a[:wd, :wd]
     # Output part of the shift is the p-block upper shift with a zero last row.
-    np.testing.assert_array_equal(aux.window_shift[:ell, :ell], np.diag(np.ones(3), 1))
-    np.testing.assert_array_equal(aux.window_shift[ell:, ell:], np.diag(np.ones(3), 1))
-    np.testing.assert_array_equal(aux.window_shift[:ell, ell:], np.zeros((4, 4)))
+    np.testing.assert_array_equal(shift[:ell, :ell], np.diag(np.ones(3), 1))
+    np.testing.assert_array_equal(shift[ell:, ell:], np.diag(np.ones(3), 1))
+    np.testing.assert_array_equal(shift[:ell, ell:], np.zeros((4, 4)))
     # Newest output lands in the last output slot, newest input in the last
     # input slot.
     expected_y = np.zeros((8, 1))
     expected_y[3, 0] = 1.0
-    np.testing.assert_array_equal(aux.inject_y, expected_y)
+    np.testing.assert_array_equal(aux.ctrl_y[:wd], expected_y)
     expected_u = np.zeros((8, 1))
     expected_u[7, 0] = 1.0
-    np.testing.assert_array_equal(aux.inject_u, expected_u)
+    np.testing.assert_array_equal(aux.ext_b[:wd], expected_u)
 
 
 def test_aux_output_maps_scalar_window_one():
@@ -96,21 +115,16 @@ def test_aux_output_maps_scalar_window_one():
     aux = build_auxiliary_matrices(plant, struct, exo, im)
     np.testing.assert_allclose(aux.y_from_window, [[0.7, 2.0]], atol=1e-12)
     # The exosignal output map is the stacked one, [P - A Q, Q], composed
-    # with exo_window_map = [S^-1; I].
-    np.testing.assert_array_equal(aux.exo_window_map, [[1.0], [1.0]])
-    np.testing.assert_allclose(
-        aux.y_from_exo,
-        np.array([[0.4 - 0.7 * 0.3, 0.3]]) @ aux.exo_window_map,
-        atol=1e-12,
-    )
+    # with the inverse-power stack [S^-1; I] = [1; 1].
+    np.testing.assert_array_equal(inverse_power_stack(exo.S, 1), [[1.0], [1.0]])
+    np.testing.assert_allclose(aux.y_from_exo, [[0.4 - 0.7 * 0.3 + 0.3]], atol=1e-12)
 
 
 def test_aux_dimensions_vtol():
     _, _, _, _, _, aux = vtol_setup()
     assert aux.y_from_window.shape == (1, 8)
-    assert aux.exo_window_map.shape == (10, 2)
-    # The stacked exosignal maps have 10 columns; composed with
-    # exo_window_map they map the 2-dimensional exosignal state.
+    # The stacked exosignal maps have 10 columns; composed with the
+    # inverse-power stack they map the 2-dimensional exosignal state.
     assert aux.y_from_exo.shape == (1, 2)
     assert aux.ext_a.shape == (10, 10)
     assert aux.ext_b.shape == (10, 1)
@@ -118,12 +132,17 @@ def test_aux_dimensions_vtol():
 
 
 def test_exo_window_map_stacks_inverse_powers():
-    _, exo, _, _, _, aux = vtol_setup()
+    # y_from_exo at w(4) = S^4 w is the stacked output map at the stacked
+    # exosignal w(0), ..., w(4).
+    plant, exo, _, _, struct, aux = vtol_setup()
     S = exo.S
     w = np.array([0.3, -0.2])
-    stacked = aux.exo_window_map @ np.linalg.matrix_power(S, 4) @ w
-    expect = np.concatenate([np.linalg.matrix_power(S, j) @ w for j in range(5)])
-    np.testing.assert_allclose(stacked, expect, atol=1e-12)
+    stacked = np.concatenate([np.linalg.matrix_power(S, j) @ w for j in range(5)])
+    w4 = np.linalg.matrix_power(S, 4) @ w
+    np.testing.assert_allclose(inverse_power_stack(S, 4) @ w4, stacked, atol=1e-12)
+    np.testing.assert_allclose(
+        aux.y_from_exo @ w4, y_from_stack(plant, struct, aux) @ stacked, atol=1e-12
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +339,9 @@ def test_closed_loop_matches_hand_assembled_map():
                 [
                     exo.S @ w,
                     plant.A @ x + plant.B @ u + plant.P @ w,
-                    aux.window_shift @ chi + aux.inject_y @ y + aux.inject_u @ u,
+                    aux.ctrl_a[:wd, :wd] @ chi
+                    + aux.ctrl_y[:wd] @ y
+                    + aux.ext_b[:wd] @ u,
                     im.companion @ eta + im.input_map @ y,
                 ]
             )
@@ -334,7 +355,7 @@ def test_assembled_maps_match_block_formulation(draw, monkeypatch):
     # random unit-circle exosystem, under a random gain: the experiment's
     # map and input map, ext_a, full_map and core_map equal their np.block
     # forms exactly, and y_from_exo and ext_p the stacked-exosignal maps
-    # times exo_window_map.
+    # times the inverse-power stack.
     if draw is None:
         plant, exo = vtol()
         rng = np.random.default_rng(9)
@@ -348,6 +369,7 @@ def test_assembled_maps_match_block_formulation(draw, monkeypatch):
     aux = build_auxiliary_matrices(plant, struct, exo, im)
     assert aux.plant is plant and aux.exo is exo and aux.im is im
     wd, di, n, n_w = aux.window_dim, im.dim, plant.n, plant.n_w
+    shift, inject_y, inject_u = aux.ctrl_a[:wd, :wd], aux.ctrl_y[:wd], aux.ext_b[:wd]
 
     maps = []
 
@@ -372,16 +394,16 @@ def test_assembled_maps_match_block_formulation(draw, monkeypatch):
     np.testing.assert_array_equal(G, zeros)
     ext_a = np.block(
         [
-            [aux.window_shift + aux.inject_y @ aux.y_from_window, np.zeros((wd, di))],
+            [shift + inject_y @ aux.y_from_window, np.zeros((wd, di))],
             [im.input_map @ aux.y_from_window, im.companion],
         ]
     )
     np.testing.assert_array_equal(aux.ext_a, ext_a)
-    core = aux.y_from_window[:, : plant.p * ell]  # C A^ell obs_pinv
-    stacked = np.hstack([plant.C @ struct.reach_w - core @ struct.toeplitz_w, plant.Q])
-    np.testing.assert_array_equal(aux.y_from_exo, stacked @ aux.exo_window_map)
-    ext_p = np.vstack([aux.inject_y @ stacked, im.input_map @ stacked])
-    np.testing.assert_array_equal(aux.ext_p, ext_p @ aux.exo_window_map)
+    stacked = y_from_stack(plant, struct, aux)
+    exo_window_map = inverse_power_stack(exo.S, ell)
+    np.testing.assert_array_equal(aux.y_from_exo, stacked @ exo_window_map)
+    ext_p = np.vstack([inject_y @ stacked, im.input_map @ stacked])
+    np.testing.assert_array_equal(aux.ext_p, ext_p @ exo_window_map)
 
     gain = rng.standard_normal((plant.m, wd + di))
     cl = assemble_closed_loop(aux, gain)
@@ -391,14 +413,14 @@ def test_assembled_maps_match_block_formulation(draw, monkeypatch):
         [
             [A, B @ k_chi, B @ k_eta],
             [
-                aux.inject_y @ C,
-                aux.window_shift + aux.inject_u @ k_chi,
-                aux.inject_u @ k_eta,
+                inject_y @ C,
+                shift + inject_u @ k_chi,
+                inject_u @ k_eta,
             ],
             [im.input_map @ C, np.zeros((di, wd)), im.companion],
         ]
     )
-    w_col = np.vstack([P, aux.inject_y @ Q, im.input_map @ Q])
+    w_col = np.vstack([P, inject_y @ Q, im.input_map @ Q])
     full = np.block([[exo.S, np.zeros((n_w, n + wd + di))], [w_col, core]])
     np.testing.assert_array_equal(cl.core_map, core)
     np.testing.assert_array_equal(cl.full_map, full)
