@@ -3,6 +3,7 @@ randomized observable plants and unit-circle exosystems, and exosystems in
 real Jordan form with their closed-form sequences.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -117,3 +118,29 @@ def random_unit_circle_exo(rng, n_w, conjugate=False):
                 break
         S = V @ S @ np.linalg.inv(V)
     return ExoMatrix(S)
+
+
+def paper_config(seed, presentation):
+    """The ``ddreg paper-example`` config at one probing seed, its
+    exosystem presented in the benchmark's real Jordan form ("jordan") or
+    in the Krylov basis ``[w0, S w0]`` of its initial state ("krylov").
+    The change of basis moves S, w0 and the plant's P and Q together, so
+    the plant sees the same exosignal and the two designs agree up to
+    round-off."""
+    from ddreg.cli import paper_example_config
+
+    config = paper_example_config(seed)
+    if presentation == "jordan":
+        return config
+    assert presentation == "krylov"
+    S, w0, plant = config.exo.S, config.w0, config.plant
+    basis = np.column_stack([w0, S @ w0])
+    moved = PlantTruth(
+        A=plant.A, B=plant.B, P=plant.P @ basis, C=plant.C, Q=plant.Q @ basis
+    )
+    return dataclasses.replace(
+        config,
+        exo_s=np.linalg.solve(basis, S @ basis),
+        plant=moved,
+        w0=np.linalg.solve(basis, w0),
+    )

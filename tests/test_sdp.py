@@ -5,9 +5,11 @@ from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
 from ddreg import sdp, synthesis
-from ddreg.cli import paper_example_config, run_pipeline
+from ddreg.cli import run_pipeline
 from ddreg.config import DEFAULTS
 from ddreg.sdp import AffineBlock, _col_scale, _schur_complement, maximize_margin
+
+from _scenarios import paper_config
 
 
 def _fold(*blocks):
@@ -305,10 +307,11 @@ def test_certificates_bracket_the_optimum(seed, nb0, more, nvar, shift):
         assert best >= ref.margin - 1e-2
 
 
-def test_paper_example_iteration_budget(monkeypatch):
+@pytest.mark.parametrize("presentation", ["jordan", "krylov"])
+def test_paper_example_iteration_budget(monkeypatch, presentation):
     # The paper design solve ends at its certified verdict in 11
-    # primal-dual iterations on these probing seeds, and every run passes
-    # its checks.  A solve that stalls near the boundary or misses the
+    # primal-dual iterations on these probing seeds, with the exosystem in
+    # either basis, and every run passes its checks.  A solve that stalls near the boundary or misses the
     # verdict stop runs far past the budget of 100.
     steps = []
 
@@ -319,7 +322,7 @@ def test_paper_example_iteration_budget(monkeypatch):
 
     monkeypatch.setattr(synthesis, "maximize_margin", recording)
     for seed in (3, 5, 11, 24):
-        assert run_pipeline(paper_example_config(seed))["all_pass"]
+        assert run_pipeline(paper_config(seed, presentation))["all_pass"]
     assert len(steps) == 4
     assert max(steps) <= 100
     assert max(steps) <= 11

@@ -39,7 +39,7 @@ from ddreg.synthesis import (
     solve_feasibility_sdp,
 )
 
-from _scenarios import random_plant, random_unit_circle_exo
+from _scenarios import paper_config, random_plant, random_unit_circle_exo
 
 
 def vtol_problem(seed=0, T=20, ell=4, similarity=None):
@@ -67,9 +67,10 @@ def vtol_problem(seed=0, T=20, ell=4, similarity=None):
     return assemble_sdp(data, reg)
 
 
-def paper_problem(seed):
-    """The design problem of ``ddreg paper-example`` at one probing seed."""
-    config = paper_example_config(seed)
+def paper_problem(seed, presentation="jordan"):
+    """The design problem of ``ddreg paper-example`` at one probing seed,
+    the exosystem presented as :func:`paper_config` says."""
+    config = paper_config(seed, presentation)
     rec = collect_stage(config)
     return assemble_sdp(assemble_data_matrices(rec), build_regressor(config))
 
@@ -173,7 +174,7 @@ def test_elimination_drops_directions_the_blocks_cannot_see():
     "prob, full_rank",
     [
         (paper_problem(0), True),
-        (paper_problem(1), True),
+        (paper_problem(1, "krylov"), True),
         (wide_problem(7), False),
         (wide_problem(8), False),
     ],
@@ -221,7 +222,8 @@ def test_wide_output_rank_branch_skips_the_solve(monkeypatch):
         assert res.sigma_kept > 1e-4 and res.sigma_dropped < 1e-14
 
 
-def test_design_invariant_under_nullspace_basis(monkeypatch):
+@pytest.mark.parametrize("presentation", ["jordan", "krylov"])
+def test_design_invariant_under_nullspace_basis(presentation, monkeypatch):
     # The HKM direction and the start point do not change under a change of
     # basis of the free variables, so rotating the (X, R) basis of the
     # design block moves the returned central point by round-off only.
@@ -246,7 +248,7 @@ def test_design_invariant_under_nullspace_basis(monkeypatch):
         return dataclasses.replace(res, v=Q[-1] @ res.v)
 
     for seed in range(3):
-        prob = paper_problem(seed)
+        prob = paper_problem(seed, presentation)
         monkeypatch.setattr(synthesis, "maximize_margin", recording)
         base = solve_feasibility_sdp(prob)
         monkeypatch.setattr(synthesis, "_sdp_block", rotated_block)
@@ -318,13 +320,14 @@ def test_batched_assembly_matches_loop_reference():
         assert np.abs(b.value(v)[:nu, nu:] - W).max() <= 1e-12 * np.abs(W).max()
 
 
-def test_gain_invariant_under_column_scaling():
+@pytest.mark.parametrize("presentation", ["jordan", "krylov"])
+def test_gain_invariant_under_column_scaling(presentation):
     # Scaling the data columns, Y -> D^{-1} Y, is an exact change of
     # variables: the set of blocks and the map to K do not move.  Since the
     # solve starts at a point the set defines, neither does K.
     rng = np.random.default_rng(12)
     for seed in range(6):
-        prob = paper_problem(seed)
+        prob = paper_problem(seed, presentation)
         base = solve_feasibility_sdp(prob)
         d = np.exp(rng.uniform(-2.0, 2.0, prob.n_cols))
         scaled = SdpProblem(
