@@ -311,8 +311,9 @@ def test_certificates_bracket_the_optimum(seed, nb0, more, nvar, shift):
 def test_paper_example_iteration_budget(monkeypatch, presentation):
     # The paper design solve ends at its certified verdict in 11
     # primal-dual iterations on these probing seeds, with the exosystem in
-    # either basis, and every run passes its checks.  A solve that stalls near the boundary or misses the
-    # verdict stop runs far past the budget of 100.
+    # either basis, and every run passes its checks.  A solve that stalls
+    # near the boundary or misses the verdict stop runs far past the budget
+    # of 100.
     steps = []
 
     def recording(*args, **kwargs):
