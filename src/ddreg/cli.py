@@ -114,7 +114,7 @@ def synthesize_stage(config: RunConfig, rec: ExperimentRecord):
     data = _stage("assemble", assemble_data_matrices, rec)
     reg = _stage("factorize", build_regressor, config)
     prob = _stage("assemble-sdp", assemble_sdp, data, reg)
-    pre = feasibility_precheck(prob, reg)
+    pre = feasibility_precheck(prob)
     tol = config.tolerances["feas_tol"]
     result = _stage("solve", solve_feasibility_sdp, prob, feas_tol=tol, **config.solver)
     return data, reg, prob, pre, result

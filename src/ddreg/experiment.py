@@ -222,6 +222,9 @@ def record_from_csv(
     expected = 1 + m + p + im.dim
     if len(header) < expected:
         raise ValueError(f"CSV needs at least {expected} columns, got {len(header)}")
+    for n, row in enumerate(body, start=2):
+        if len(row) < expected:
+            raise ValueError(f"CSV line {n} has {len(row)} columns, needs {expected}")
     data = np.array([[float(v) for v in row[1:expected]] for row in body])
     if not np.isfinite(data).all():
         raise ValueError("CSV record contains non-finite entries")

@@ -5,11 +5,11 @@ the package steps over time goes through :func:`simulate_linear`, which
 steps an autonomous system in blocks of states and a driven one state by
 state.  Rank decisions are relative, each under one of two tolerances:
 :data:`DEFAULT_RANK_RTOL` in :func:`rank_with_tol`, in
-``synthesis._svd_split`` (the nullspace of ``mhat``, and the rank of
-``psi0 null_m`` that decides the design program's rank branch) and in
-``exo_factorization.reduce_to_full_row_rank``; and LAPACK's default in the
-solver's pivoted Cholesky, which holds linearly dependent variables at
-zero.  The degree of S's minimal polynomial is
+``plant.build_structural_matrices`` and in ``synthesis._svd_split`` (the
+nullspace of ``mhat``, the one rank decision on the regressor, and the rank
+of ``psi0 null_m`` that decides the design program's rank branch); and
+LAPACK's default in the solver's pivoted Cholesky, which holds linearly
+dependent variables at zero.  The degree of S's minimal polynomial is
 decided by the residual test of :func:`minimal_polynomial`.
 
 Outside numbers are read by :func:`as_real`, :func:`as_integer` (a whole
@@ -23,9 +23,8 @@ import numbers
 
 import numpy as np
 
-# Rank tolerance of rank_with_tol, synthesis._svd_split and
-# exo_factorization.reduce_to_full_row_rank (relative to the largest
-# singular value, or row norm, of the matrix under test).
+# Rank tolerance of rank_with_tol, plant.build_structural_matrices and
+# synthesis._svd_split (relative to the largest singular value).
 DEFAULT_RANK_RTOL = 1e-8
 
 # Simulations abort once any state norm passes this bound, signalling

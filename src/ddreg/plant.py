@@ -73,11 +73,9 @@ class ExoMatrix:
         self.S = as_matrix(self.S, "S", square=True)
         self.eigs = np.linalg.eigvals(self.S)
         self.eigs.flags.writeable = False
+        # The modulus bound also makes S invertible: |det S| >= (1 - slack)^n_w.
         if np.any(np.abs(self.eigs) < 1.0 - UNIT_CIRCLE_SLACK):
             raise ValueError("exosystem eigenvalue inside unit circle")
-        # Invertibility is implied by the modulus bound; double-check via rank.
-        if rank_with_tol(self.S) < self.S.shape[0]:
-            raise ValueError("exosystem matrix is singular")
         self.coeffs = minimal_polynomial(self.S)
         self.coeffs.flags.writeable = False
 

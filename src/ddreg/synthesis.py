@@ -27,7 +27,7 @@ gain ``K = u1 Y X^{-1}`` ill-determined: it would move with round-off in
 the data and with the solver tolerance, although the homogeneity says it
 should not.
 
-Nothing here reads the plant: the design sees the data stacks, the reduced
+Nothing here reads the plant: the design sees the data stacks, the
 regressor and the solver's tolerances, and returns what it decided as data
 (``SynthesisResult``), not text.
 
@@ -45,7 +45,7 @@ import numpy as np
 from .config import DEFAULTS
 from .exo_factorization import Regressor
 from .experiment import DataMatrices
-from .numerics import DEFAULT_RANK_RTOL, rank_with_tol
+from .numerics import DEFAULT_RANK_RTOL
 from .sdp import AffineBlock, _sym, maximize_margin
 
 
@@ -118,14 +118,12 @@ class SynthesisResult:
 
 
 def assemble_sdp(data: DataMatrices, reg: Regressor) -> SdpProblem:
-    """Bundle the data stacks with the reduced regressor."""
-    mhat = reg.mhat
+    """Bundle the data stacks with the regressor as built."""
+    mhat = reg.matrix
     if mhat.shape[1] != data.psi0.shape[1]:
         raise ValueError(
             f"regressor has {mhat.shape[1]} columns, data has {data.psi0.shape[1]}"
         )
-    if rank_with_tol(mhat) < mhat.shape[0]:
-        raise ValueError("reduced regressor is not full row rank")
     return SdpProblem(u1=data.u1, psi0=data.psi0, psi1=data.psi1, mhat=mhat)
 
 
@@ -146,8 +144,9 @@ def _elimination(prob: SdpProblem):
     """Linear-equality elimination in closed form.
 
     Returns ``(null_m, s, pinv, kernel)``: ``Y = null_m Z`` satisfies
-    ``mhat Y = 0``, and one SVD of ``H0 = psi0 null_m`` (q columns) gives
-    its singular values ``s``, its pseudo-inverse ``pinv`` (at the
+    ``mhat Y = 0`` (the one rank decision on the regressor, whose rows need
+    not be independent), and one SVD of ``H0 = psi0 null_m`` (q columns)
+    gives its singular values ``s``, its pseudo-inverse ``pinv`` (at the
     package-wide rank tolerance) and an orthonormal basis ``kernel`` of
     ker H0, so rank H0 is ``q - kernel.shape[1]``.  When that rank is nu,
     every Z with ``H0 Z`` symmetric is ``Z = H0^+ X + N R``, with X
@@ -286,12 +285,11 @@ def extract_gain(prob: SdpProblem, X, Y) -> tuple[np.ndarray, np.ndarray, float]
     return K, G, float(np.linalg.norm(stacked_lhs - stacked_rhs))
 
 
-def feasibility_precheck(prob: SdpProblem, reg: Regressor) -> dict:
+def feasibility_precheck(prob: SdpProblem) -> dict:
     """Experiment-length guidance from designer data, before the solver: the
-    data ``columns``, and ``columns_needed``, the rows of psi0 plus the
-    regressor's degree d (its rows before reduction: a record shorter than
-    d columns keeps fewer); a run with fewer columns than that is too short.
-    The rank decision (X is singular for every Y when ``psi0 null_m`` has
-    rank below nu) is made and reported by ``solve_feasibility_sdp``.
-    """
-    return {"columns": prob.n_cols, "columns_needed": prob.nu + reg.matrix.shape[0]}
+    data ``columns``, and ``columns_needed``, the rows of psi0 plus those of
+    ``mhat`` (the regressor's degree d); a run with fewer columns than that
+    is too short.  The rank decision (X is singular for every Y when
+    ``psi0 null_m`` has rank below nu) is made and reported by
+    ``solve_feasibility_sdp``."""
+    return {"columns": prob.n_cols, "columns_needed": prob.nu + prob.nhat_w}

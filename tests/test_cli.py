@@ -269,6 +269,23 @@ def test_ramp_exosystem_on_the_paper_plant_is_infeasible(tmp_path, capsys):
     assert "synthesis: infeasible" in capsys.readouterr().out
 
 
+def test_ramp_in_a_badly_scaled_basis_gives_the_ramp_verdict():
+    # The same ramp in the coordinates w -> diag(1e5, 1) w, with w0, P and Q
+    # moved along: S = [[1, 1e5], [0, 1]] is invertible (det 1), and the
+    # design sees the same exosignal, so the verdict and solve are the ramp's.
+    d, e = vtol_config_dict(), vtol_config_dict()
+    d["exosystem"]["S"] = [[1.0, 1.0], [0.0, 1.0]]
+    e["exosystem"]["S"] = [[1.0, 1e5], [0.0, 1.0]]
+    scale = np.array([1e5, 1.0])
+    e["initial"]["w0"] = (scale * d["initial"]["w0"]).tolist()
+    for key in ("P", "Q"):
+        e["plant"][key] = (np.array(d["plant"][key]) / scale).tolist()
+    ramp, scaled = (run_pipeline(RunConfig.from_dict(c))["synthesis"] for c in (d, e))
+    assert scaled["status"] == ramp["status"] == "infeasible"
+    assert scaled["stop"] == ramp["stop"]
+    assert scaled["iterations"] == ramp["iterations"] == 10
+
+
 ORACLE_ROWS = [
     "data_identity",
     "claim_windows",
@@ -678,13 +695,17 @@ def test_design_stage_reads_no_ground_truth(tmp_path):
     "text, message",
     [
         ("k,u_1\n0,0.5\n1,-0.2\n", "CSV needs at least 5 columns, got 2"),
+        (
+            "k,u_1,y_1,eta_1,eta_2\n0,0.5,0.1,0.0,0.0\n1,-0.2,0.3\n",
+            "CSV line 3 has 3 columns, needs 5",
+        ),
         ("", "CSV needs a header row and at least one sample"),
         (
             "k,u_1,y_1,eta_1,eta_2\n0,0.5,0.1,nan,0.0\n",
             "CSV record contains non-finite entries",
         ),
     ],
-    ids=["two-columns", "empty", "nan-eta"],
+    ids=["two-columns", "short-row", "empty", "nan-eta"],
 )
 def test_cli_synthesize_malformed_record_exit_two(tmp_path, capsys, text, message):
     path = write_config(tmp_path, vtol_config_dict(seed=5))

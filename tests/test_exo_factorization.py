@@ -4,9 +4,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
-from ddreg.exo_factorization import companion_regressor, reduce_to_full_row_rank
+from ddreg.exo_factorization import companion_regressor
 from ddreg.internal_model import companion_matrix
 from ddreg.plant import ExoMatrix
+from ddreg.synthesis import _svd_split
 
 from _scenarios import random_plant, random_unit_circle_exo, real_jordan, rotation
 
@@ -84,10 +85,10 @@ def test_krylov_rotation_cycles():
 
 def test_krylov_too_short():
     # One column against a degree-2 polynomial: the regressor is still
-    # built, and its reduction keeps one row.
+    # built, and keeps both rows (rank 1, decided by the design's SVD).
     reg = companion_regressor(ExoMatrix(rotation(0.5)), ell=3, T=3)
     assert reg.matrix.shape == (2, 1)
-    assert reg.selection == [0]
+    assert reg.selection == [0, 1]
 
 
 @pytest.mark.parametrize(
@@ -135,10 +136,10 @@ def test_regressor_factorization_residual(S, ell, T):
 def test_regressor_keeps_every_row_of_a_long_enough_record(
     seed, n_w, conjugate, ramp, ell, extra
 ):
-    # With N = T - ell + 1 >= d columns the reduction keeps all d rows: the
+    # With N = T - ell + 1 >= d columns the d rows are independent: the
     # first d columns are (F^T)^ell, invertible since no root of S's minimal
-    # polynomial is 0.  So the fixed rank tolerance never changes the
-    # regressor of a long enough record.
+    # polynomial is 0.  So the design's SVD finds rank d at its tolerance:
+    # the regressor of a long enough record has no dependent row.
     if ramp:
         exo = ExoMatrix([[1.0, 1.0], [0.0, 1.0]])
     else:
@@ -147,61 +148,5 @@ def test_regressor_keeps_every_row_of_a_long_enough_record(
     reg = companion_regressor(exo, ell=ell, T=ell + d - 1 + extra)
     power = np.linalg.matrix_power(companion_matrix(exo.coeffs, 1).T, ell)
     np.testing.assert_allclose(reg.matrix[:, :d], power, rtol=1e-12, atol=0)
-    assert reg.selection == list(range(d))
-    np.testing.assert_array_equal(reg.mhat, reg.matrix)
+    assert _svd_split(reg.matrix)[2].shape[1] == d
 
-
-# ---------------------------------------------------------------------------
-# reduce_to_full_row_rank
-
-
-def test_reduce_keeps_full_rank_matrix():
-    rng = np.random.default_rng(2)
-    M = rng.standard_normal((3, 8))
-    Mhat, sel = reduce_to_full_row_rank(M)
-    assert sel == [0, 1, 2]
-    np.testing.assert_array_equal(Mhat, M)
-
-
-def test_reduce_drops_duplicate_row():
-    rng = np.random.default_rng(3)
-    M = rng.standard_normal((2, 6))
-    stacked = np.vstack([M, M[1]])
-    Mhat, sel = reduce_to_full_row_rank(stacked)
-    assert sel == [0, 1]
-    np.testing.assert_array_equal(Mhat, M)
-
-
-def test_reduce_jordan_block_regressor_with_copy():
-    reg = companion_regressor(ExoMatrix([[1.0, 1.0], [0.0, 1.0]]), ell=1, T=4)
-    M = np.vstack([reg.matrix, reg.matrix[1]])
-    Mhat, sel = reduce_to_full_row_rank(M)
-    assert sel == [0, 1]
-    np.testing.assert_array_equal(Mhat, reg.matrix)
-
-
-def test_reduce_drops_zero_rows():
-    M = np.vstack([np.zeros(4), np.ones(4), np.zeros(4)])
-    Mhat, sel = reduce_to_full_row_rank(M)
-    assert sel == [1]
-
-
-def test_reduce_dropped_rows_stay_in_row_space():
-    rng = np.random.default_rng(4)
-    base = rng.standard_normal((3, 10))
-    mix = rng.standard_normal((4, 3)) @ base
-    M = np.vstack([base, mix])
-    Mhat, sel = reduce_to_full_row_rank(M)
-    assert len(sel) == 3
-    pinv = np.linalg.pinv(Mhat)
-    for i in range(M.shape[0]):
-        if i in sel:
-            continue
-        proj = M[i] @ pinv @ Mhat
-        assert np.linalg.norm(M[i] - proj) < 1e-8 * max(1.0, np.linalg.norm(M[i]))
-
-
-def test_reduce_zero_matrix_empty_selection():
-    Mhat, sel = reduce_to_full_row_rank(np.zeros((3, 5)))
-    assert sel == []
-    assert Mhat.shape == (0, 5)

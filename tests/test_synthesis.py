@@ -16,11 +16,7 @@ from ddreg.cli import (
     synthesize_stage,
 )
 from ddreg.config import DEFAULTS
-from ddreg.exo_factorization import (
-    Regressor,
-    companion_regressor,
-    reduce_to_full_row_rank,
-)
+from ddreg.exo_factorization import Regressor, companion_regressor
 from ddreg.experiment import NormalInputPolicy, assemble_data_matrices, collect_experiment
 from ddreg.internal_model import build_internal_model
 from ddreg.numerics import rank_with_tol
@@ -120,36 +116,30 @@ def test_minimal_siso_dimensions():
     assert prob.n_cols == 3
 
 
-def test_assemble_requires_reduced_regressor():
-    plant, exo = vtol()
-    im = build_internal_model(exo, p=plant.p)
-    rec = collect_experiment(
-        plant, exo, im, VTOL_W0, VTOL_X0, VTOL_ETA0,
-        NormalInputPolicy(seed=0), T=20, ell=4,
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("extra", ["zero", "copy", "sum"])
+def test_dependent_regressor_row_changes_no_design(seed, extra):
+    # The design takes the regressor as built, and only its nullspace
+    # enters: a dependent row (zero, a copy of row 0, or row 0 + row 1)
+    # leaves the verdict, the solve and the gain where they were.
+    config = paper_config(seed, "jordan")
+    data = assemble_data_matrices(collect_stage(config))
+    reg = build_regressor(config)
+    row = {
+        "zero": np.zeros(reg.matrix.shape[1]),
+        "copy": reg.matrix[0],
+        "sum": reg.matrix[0] + reg.matrix[1],
+    }[extra]
+    padded = assemble_sdp(data, Regressor(np.vstack([reg.matrix, row])))
+    assert padded.nhat_w == 3
+    base = solve_feasibility_sdp(assemble_sdp(data, reg))
+    res = solve_feasibility_sdp(padded)
+    assert (res.status, res.stop, res.iterations) == (
+        base.status, base.stop, base.iterations
     )
-    data = assemble_data_matrices(rec)
-    # Every row of a regressor with a redundant third row, kept.
-    reg = companion_regressor(exo, ell=4, T=20)
-    matrix = np.vstack([reg.matrix, reg.matrix[0] + reg.matrix[1]])
-    with pytest.raises(ValueError, match="not full row rank"):
-        assemble_sdp(data, Regressor(matrix, [0, 1, 2]))
-
-
-def test_reduction_reflected_in_regressor_rows():
-    # A regressor with a redundant third row shrinks back to two after
-    # reduction, and the problem sees the reduced row count.
-    plant, exo = vtol()
-    im = build_internal_model(exo, p=plant.p)
-    rec = collect_experiment(
-        plant, exo, im, VTOL_W0, VTOL_X0, VTOL_ETA0,
-        NormalInputPolicy(seed=0), T=20, ell=4,
-    )
-    data = assemble_data_matrices(rec)
-    reg = companion_regressor(exo, ell=4, T=20)
-    matrix = np.vstack([reg.matrix, reg.matrix[0] + reg.matrix[1]])
-    padded = Regressor(matrix, reduce_to_full_row_rank(matrix)[1])
-    prob = assemble_sdp(data, padded)
-    assert prob.nhat_w == 2
+    assert base.status == "feasible"
+    assert abs(res.margin - base.margin) <= 1e-9 * abs(base.margin)
+    assert np.linalg.norm(res.K - base.K) <= 1e-8 * np.linalg.norm(base.K)
 
 
 # ---------------------------------------------------------------------------
@@ -547,8 +537,7 @@ def test_extract_gain_rejects_singular_x():
 
 def test_precheck_vtol_no_warnings():
     # 17 data columns against nu = 10 rows of psi0 and 2 of the regressor.
-    reg = companion_regressor(vtol()[1], ell=4, T=20)
-    report = feasibility_precheck(vtol_problem(seed=0), reg)
+    report = feasibility_precheck(vtol_problem(seed=0))
     assert report == {"columns": 17, "columns_needed": 12}
 
 
@@ -558,19 +547,19 @@ def test_precheck_empty_regressor_guidance_only():
     prob = SdpProblem(
         u1=np.zeros((1, 3)), psi0=psi0, psi1=np.zeros((4, 3)), mhat=np.zeros((0, 3))
     )
-    reg = Regressor(np.zeros((0, 3)), [])
-    assert feasibility_precheck(prob, reg) == {"columns": 3, "columns_needed": 4}
+    assert feasibility_precheck(prob) == {"columns": 3, "columns_needed": 4}
 
 
 def test_precheck_counts_the_regressor_degree_on_a_short_record():
-    # ell = T = 4 leaves one data column, so the reduction keeps one of the
-    # regressor's d = 2 rows; the record still needs nu + d = 12 columns.
+    # ell = T = 4 leaves one data column against the regressor's d = 2
+    # rows, which are all kept; the record still needs nu + d = 12 columns,
+    # and the rank test settles the verdict with no solve.
     raw = paper_example_config(0).effective_dict()
     config = RunConfig.from_dict({**raw, "T": 4})
     _, reg, prob, pre, result = synthesize_stage(config, collect_stage(config))
-    assert reg.selection == [0] and prob.nu == 10
+    assert reg.selection == [0, 1] and prob.nhat_w == 2 and prob.nu == 10
     assert pre == {"columns": 1, "columns_needed": 12}
-    assert result.status == "infeasible"
+    assert result.status == "infeasible" and result.stop is None
 
 
 @settings(max_examples=20, derandomize=True, deadline=None)

@@ -1,9 +1,11 @@
 """Re-check the design solve on a fixed set of 66 inputs.
 
-The inputs are the paper example at probing seeds 0-29, twice each
-(``paper-N-jordan`` and ``paper-N-krylov``: once two regressors, now the
-same input, the names kept so that ``--compare`` pairs with older
-records), the wide-output plant at seeds 0-2 (T = 20, ell = 2, zero
+The inputs are the paper example at probing seeds 0-29, twice each, with
+its exosystem presented in its real Jordan form (``paper-N-jordan``, the
+``ddreg paper-example`` config) and in the Krylov basis ``[w0, S w0]`` of
+its initial state (``paper-N-krylov``; ``_scenarios.paper_config``, which
+moves S, w0, P and Q together, so the two designs agree up to round-off),
+the wide-output plant at seeds 0-2 (T = 20, ell = 2, zero
 initial states), and the n = 10 ladder rung at s = 0-2: the plant
 ``random_plant(default_rng(s), 10, 3, 2, 4)``, probing seed s, zero initial
 states, S = rotation(0.7) + rotation(1.9) (block diagonal), ell its
@@ -47,23 +49,18 @@ from scipy.linalg import block_diag
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from _scenarios import random_plant, rotation  # noqa: E402
+from _scenarios import paper_config, random_plant, rotation  # noqa: E402
 
 from ddreg import benchmarks  # noqa: E402
-from ddreg.cli import (  # noqa: E402
-    RunConfig,
-    paper_example_config,
-    run_pipeline,
-    verify_gain,
-)
+from ddreg.cli import RunConfig, run_pipeline, verify_gain  # noqa: E402
 from ddreg.plant import observability_index  # noqa: E402
 
 
 def inputs():
     """(name, config, expected verdict) for every input, in a fixed order."""
     for seed in range(30):
-        for method in ("jordan", "krylov"):
-            yield f"paper-{seed}-{method}", paper_example_config(seed, method), "feasible"
+        for basis in ("jordan", "krylov"):
+            yield f"paper-{seed}-{basis}", paper_config(seed, basis), "feasible"
     plant, exo = benchmarks.wide_output()
     for seed in range(3):
         config = RunConfig(exo_s=exo.S, ell=2, T=20, seed=seed, plant=plant)
