@@ -195,6 +195,12 @@ class RunConfig:
                 plant.n_w == n_w,
                 f"plant P has {plant.n_w} columns, exosystem S is {n_w} x {n_w}",
             )
+            for key in ("m", "p"):
+                own = getattr(plant, key)
+                _require(
+                    dims[key] in (None, own),
+                    f"dims.{key} = {dims[key]} contradicts the plant's {key} = {own}",
+                )
             index = plant.obs_index
             _require(
                 self.ell >= index,

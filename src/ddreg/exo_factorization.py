@@ -6,8 +6,9 @@ space matters.  Every exosignal w(k) = S^k w(0) obeys the recursion of S's
 minimal polynomial (``ExoMatrix.coeffs``), so each row of W0 is a solution
 of that recursion, and the regressor's rows are a basis of its solutions:
 the Krylov sequence of the transposed companion matrix from the first unit
-vector, which is always cyclic for it.  No eigenvalue structure and no
-cyclic vector are needed.  The design program takes the regressor as built,
+vector (always cyclic for it), which is the first column of each of its
+powers (``numerics.matrix_powers``).  No eigenvalue structure and no cyclic
+vector are needed.  The design program takes the regressor as built,
 and the SVD in ``synthesis._elimination`` decides its rank.
 """
 
@@ -18,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .internal_model import companion_matrix
+from .numerics import matrix_powers
 from .plant import ExoMatrix
 
 
@@ -35,18 +37,6 @@ class Regressor:
         return list(range(self.matrix.shape[0]))
 
 
-def _krylov(F: np.ndarray, v: np.ndarray, first: int, last: int) -> np.ndarray:
-    """Columns ``F^first v, ..., F^last v``, each F times the one before.
-    No divergence guard: an exosystem may grow (|lambda| > 1) over a long
-    record."""
-    for _ in range(first):
-        v = F @ v
-    cols = [v]
-    for _ in range(last - first):
-        cols.append(F @ cols[-1])
-    return np.column_stack(cols)
-
-
 def companion_regressor(exo: ExoMatrix, ell: int, T: int) -> Regressor:
     """Regressor ``[(F^T)^ell e_1, ..., (F^T)^T e_1]``, F the companion
     matrix of S's minimal polynomial (the internal model's for one output).
@@ -55,7 +45,7 @@ def companion_regressor(exo: ExoMatrix, ell: int, T: int) -> Regressor:
     columns are (F^T)^ell, which is invertible, so it has full row rank d on
     a record of N >= d columns (a shorter record keeps all d rows)."""
     F = companion_matrix(exo.coeffs, 1)
-    return Regressor(_krylov(F.T, np.eye(len(F))[0], ell, T))
+    return Regressor(matrix_powers(F.T, T)[ell:, :, 0].T.copy())
 
 
 def regressor_to_csv(reg: Regressor, path) -> None:

@@ -222,10 +222,17 @@ def record_from_csv(
     expected = 1 + m + p + im.dim
     if len(header) < expected:
         raise ValueError(f"CSV needs at least {expected} columns, got {len(header)}")
+    data = np.empty((len(body), expected - 1))
     for n, row in enumerate(body, start=2):
         if len(row) < expected:
             raise ValueError(f"CSV line {n} has {len(row)} columns, needs {expected}")
-    data = np.array([[float(v) for v in row[1:expected]] for row in body])
+        for j, text in enumerate(row[1:expected]):
+            try:
+                data[n - 2, j] = float(text)
+            except ValueError:
+                raise ValueError(
+                    f"CSV line {n}, column {header[j + 1]}: {text!r} is not a number"
+                ) from None
     if not np.isfinite(data).all():
         raise ValueError("CSV record contains non-finite entries")
     if len(body) - 1 != T:

@@ -1,16 +1,18 @@
 """Dense real-matrix primitives shared by the rest of the toolkit.
 
-Everything operates on plain float64 ``numpy`` arrays.  Every linear system
-the package steps over time goes through :func:`simulate_linear`, which
-steps an autonomous system in blocks of states and a driven one state by
-state.  Rank decisions are relative, each under one of two tolerances:
-:data:`DEFAULT_RANK_RTOL` in :func:`rank_with_tol`, in
-``plant.build_structural_matrices`` and in ``synthesis._svd_split`` (the
-nullspace of ``mhat``, the one rank decision on the regressor, and the rank
-of ``psi0 null_m`` that decides the design program's rank branch); and
-LAPACK's default in the solver's pivoted Cholesky, which holds linearly
-dependent variables at zero.  The degree of S's minimal polynomial is
-decided by the residual test of :func:`minimal_polynomial`.
+Everything operates on plain float64 ``numpy`` arrays.  Every sequence of
+matrix powers (the plant's observability stack and window maps, the
+exosignal window's inverse powers, the regressor's Krylov sequence, the
+minimal polynomial's test and a blocked simulation's stacked powers) comes
+from :func:`matrix_powers`, and every linear system the package steps over
+time goes through :func:`simulate_linear`, which steps an autonomous system
+in blocks of states and a driven one state by state.
+
+Every rank decision follows one rule, :func:`numerical_rank`: the singular
+values above :data:`DEFAULT_RANK_RTOL` times the largest.  The degree of
+S's minimal polynomial is decided at the same relative tolerance, by the
+residual test of :func:`minimal_polynomial`.  The solver's pivoted Cholesky
+keeps LAPACK's default, and holds linearly dependent variables at zero.
 
 Outside numbers are read by :func:`as_real`, :func:`as_integer` (a whole
 number, never truncated), :func:`as_vector` and :func:`as_matrix`, which
@@ -23,8 +25,8 @@ import numbers
 
 import numpy as np
 
-# Rank tolerance of rank_with_tol, plant.build_structural_matrices and
-# synthesis._svd_split (relative to the largest singular value).
+# Rank tolerance of numerical_rank and minimal_polynomial (relative to the
+# largest singular value, or to the tested power's norm).
 DEFAULT_RANK_RTOL = 1e-8
 
 # Simulations abort once any state norm passes this bound, signalling
@@ -83,43 +85,31 @@ def as_integer(value, name: str = "value") -> int:
     return int(value)
 
 
-def rank_with_tol(M, rel_tol: float = DEFAULT_RANK_RTOL) -> int:
-    """Numerical rank: number of singular values above ``rel_tol * sigma_max``.
-
-    The zero matrix has rank 0.  An empty matrix is rejected.
-    """
-    M = as_matrix(M, "rank input")
-    if M.size == 0:
-        raise ValueError("empty input")
-    if rel_tol <= 0:
-        raise ValueError(f"rel_tol must be positive, got {rel_tol}")
-    s = np.linalg.svd(M, compute_uv=False)
-    if s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > rel_tol * s[0]))
+def numerical_rank(s) -> int:
+    """Number of singular values ``s`` (descending, as ``np.linalg.svd``
+    returns them) above ``DEFAULT_RANK_RTOL`` times ``s[0]``: 0 for an empty
+    or zero ``s``."""
+    return int(np.count_nonzero(s > DEFAULT_RANK_RTOL * s[0])) if len(s) else 0
 
 
-def minimal_polynomial(S, tol: float = 1e-8) -> np.ndarray:
+def minimal_polynomial(S) -> np.ndarray:
     """Lowest-degree monic polynomial annihilating a square matrix, as its
     non-leading coefficients ``c[0] .. c[d-1]`` of
     ``c[0] + c[1] x + ... + x^d`` (the degree d is their count).
 
     Found by an incremental Krylov test on vectorized powers: the smallest
-    ``d`` such that ``vec(S^d)`` lies, within ``tol`` relative residual, in
-    the span of ``vec(S^0) .. vec(S^(d-1))``.  ``d = n`` always succeeds.
+    ``d`` such that ``vec(S^d)`` lies, within ``DEFAULT_RANK_RTOL`` relative
+    residual, in the span of ``vec(S^0) .. vec(S^(d-1))``.  ``d = n`` always
+    succeeds.
     """
     n = S.shape[0]
-    power = np.eye(n)
-    basis = [power.ravel()]
+    vecs = matrix_powers(S, n).reshape(n + 1, -1).T
     for d in range(1, n + 1):
-        power = power @ S
-        target = power.ravel()
-        K = np.column_stack(basis)
+        K, target = vecs[:, :d], vecs[:, d]
         c, *_ = np.linalg.lstsq(K, target, rcond=None)
         resid = np.linalg.norm(K @ c - target)
-        if resid <= tol * max(1.0, np.linalg.norm(target)) or d == n:
+        if resid <= DEFAULT_RANK_RTOL * max(1.0, np.linalg.norm(target)) or d == n:
             return -c
-        basis.append(target)
     raise AssertionError("unreachable: degree n always annihilates")
 
 
@@ -128,10 +118,8 @@ def spectral_radius(M) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(M))))
 
 
-def _powers(F: np.ndarray, count: int) -> np.ndarray:
-    """``F, F^2, ..., F^j`` as a ``(j, n, n)`` stack, for the largest
-    ``j <= count`` whose powers are all finite (``j >= 1``, as F itself is
-    finite).
+def matrix_powers(F: np.ndarray, count: int) -> np.ndarray:
+    """``I, F, F^2, ..., F^count`` as a ``(count + 1, n, n)`` stack.
 
     Each power is F times the one before, so column i of ``F^j`` is a
     per-step run from the unit vector e_i, with that run's kind of
@@ -140,13 +128,11 @@ def _powers(F: np.ndarray, count: int) -> np.ndarray:
     (``|F|`` about 245) the states it gave were 1e-11 relative to the run's
     largest state away from exact, against 1e-13 this way.
     """
-    powers = np.empty((count, *F.shape))
-    powers[0] = F
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(1, count):
-            np.matmul(F, powers[j - 1], out=powers[j])
-    finite = np.isfinite(powers).all(axis=(1, 2))
-    return powers if finite.all() else powers[: int(np.argmin(finite))]
+    powers = np.empty((count + 1, *F.shape))
+    powers[0] = np.eye(len(F))
+    for j in range(count):
+        np.matmul(F, powers[j], out=powers[j + 1])
+    return powers
 
 
 def simulate_linear(F, z0, steps: int, G=None, u=None) -> np.ndarray:
@@ -181,7 +167,12 @@ def simulate_linear(F, z0, steps: int, G=None, u=None) -> np.ndarray:
         drive = u[:steps] @ G.T
         powers = F[None]
     else:
-        powers = _powers(F, max(1, min(BLOCK_STEPS, steps)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            powers = matrix_powers(F, max(1, min(BLOCK_STEPS, steps)))[1:]
+        # F is finite: keep the powers before the first one that is not.
+        finite = np.isfinite(powers).all(axis=(1, 2))
+        if not finite.all():
+            powers = powers[: int(np.argmin(finite))]
     b = len(powers)
     stacked = powers.reshape(b * n, n)
     flat = z.reshape(-1)  # state k is flat[k * n : (k + 1) * n]

@@ -9,12 +9,14 @@ The plant
     y(k)   = C x(k) + Q w(k)
 
 is known only to the harness; the design pipeline sees input-output data.
-The plant is stepped forward only inside a loop with a controller, whose
-one-step map on ``[w; x; c]`` :func:`plant_loop` alone writes: the
-data-collection experiment (``experiment.collect_experiment``) runs it with
-the internal model as controller, the closed loop
-(``verify.assemble_closed_loop``) with window and internal model under the
-designed gain.
+The window maps are read off one stack of powers of A
+(``numerics.matrix_powers``), each Toeplitz block being the Markov
+parameter at its lag.  The plant is stepped forward only inside a loop
+with a controller, whose one-step map on ``[w; x; c]`` :func:`plant_loop`
+alone writes: the data-collection experiment
+(``experiment.collect_experiment``) runs it with the internal model as
+controller, the closed loop (``verify.assemble_closed_loop``) with window
+and internal model under the designed gain.
 """
 
 from __future__ import annotations
@@ -23,19 +25,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import (
-    DEFAULT_RANK_RTOL,
-    as_matrix,
-    minimal_polynomial,
-    rank_with_tol,
-)
+from .numerics import as_matrix, matrix_powers, minimal_polynomial, numerical_rank
 
 # Eigenvalues of the exosystem map may not dip below the unit circle by more
 # than this slack.
 UNIT_CIRCLE_SLACK = 1e-9
 
 
-def observability_index(A, C, rel_tol: float = DEFAULT_RANK_RTOL) -> int:
+def observability_index(A, C) -> int:
     """Minimal window length l with ``rank [C; CA; ...; CA^(l-1)] = n``.
 
     Raises
@@ -45,15 +42,13 @@ def observability_index(A, C, rel_tol: float = DEFAULT_RANK_RTOL) -> int:
     """
     A = as_matrix(A, "A", square=True)
     C = as_matrix(C, "C")
-    n = A.shape[0]
+    n, p = A.shape[0], C.shape[0]
     if C.shape[1] != n:
         raise ValueError(f"C must have {n} columns, got {C.shape[1]}")
-    rows = [C]
+    obs = (C @ matrix_powers(A, n - 1)).reshape(n * p, n)
     for depth in range(1, n + 1):
-        stacked = np.vstack(rows)
-        if rank_with_tol(stacked, rel_tol) == n:
+        if numerical_rank(np.linalg.svd(obs[: depth * p], compute_uv=False)) == n:
             return depth
-        rows.append(rows[-1] @ A)
     raise ValueError("unobservable pair")
 
 
@@ -161,35 +156,39 @@ class StructuralMatrices:
     a_ell: np.ndarray = field(repr=False)
 
 
+def _block_toeplitz(lag0: np.ndarray, markov: np.ndarray) -> np.ndarray:
+    """Block lower-triangular Toeplitz matrix of ``len(markov) + 1`` block
+    rows: block (i, j) is ``lag0`` at i = j, ``markov[i - j - 1]`` below."""
+    ell = len(markov) + 1
+    # Block at lag i - j, stored at lag + ell - 1: zero at negative lags.
+    by_lag = np.zeros((2 * ell - 1, *lag0.shape))
+    by_lag[ell - 1] = lag0
+    by_lag[ell:] = markov
+    lag = np.arange(ell)[:, None] - np.arange(ell)
+    return by_lag[lag + ell - 1].swapaxes(1, 2).reshape(ell * len(lag0), -1)
+
+
 def build_structural_matrices(plant: PlantTruth, ell: int) -> StructuralMatrices:
     """Window maps for a window of ``ell >= 1`` steps; requires observability
     at ell."""
-    n, m, p, n_w = plant.n, plant.m, plant.p, plant.n_w
+    n, m, p = plant.n, plant.m, plant.p
     A, B, P, C, Q = plant.A, plant.B, plant.P, plant.C, plant.Q
 
-    powers = [np.eye(n)]
-    for _ in range(ell):
-        powers.append(powers[-1] @ A)
-
-    obs = np.vstack([C @ powers[j] for j in range(ell)])
+    powers = matrix_powers(A, ell)
+    obs = (C @ powers[:ell]).reshape(ell * p, n)
     # One thin SVD gives the rank test and, in np.linalg.pinv's arithmetic,
     # the pseudo-inverse (every singular value left is above pinv's cutoff).
     u, s, vt = np.linalg.svd(obs, full_matrices=False)
-    if np.count_nonzero(s > DEFAULT_RANK_RTOL * s[0]) < n:
+    if numerical_rank(s) < n:
         raise ValueError("ell below observability index")
     obs_pinv = vt.T @ ((1 / s)[:, None] * u.T)
 
-    cb, cp = (obs.reshape(ell, p, n) @ M for M in (B, P))  # C A^d B, C A^d P
-    toeplitz_u = np.zeros((p * ell, m * ell))
-    toeplitz_w = np.zeros((p * ell, n_w * ell))
-    for i in range(ell):
-        toeplitz_w[i * p : (i + 1) * p, i * n_w : (i + 1) * n_w] = Q
-        for j in range(i):
-            toeplitz_u[i * p : (i + 1) * p, j * m : (j + 1) * m] = cb[i - j - 1]
-            toeplitz_w[i * p : (i + 1) * p, j * n_w : (j + 1) * n_w] = cp[i - j - 1]
-
-    reach_u = np.hstack([powers[ell - 1 - j] @ B for j in range(ell)])
-    reach_w = np.hstack([powers[ell - 1 - j] @ P for j in range(ell)])
+    # Markov parameters by lag: C A^(d-1) B and C A^(d-1) P at lag d >= 1.
+    cb, cp = (obs.reshape(ell, p, n)[: ell - 1] @ M for M in (B, P))
+    toeplitz_u = _block_toeplitz(np.zeros((p, m)), cb)
+    toeplitz_w = _block_toeplitz(Q, cp)
+    # Column block j of the reachability rows is A^(ell-1-j) times B or P.
+    reach_u, reach_w = (np.hstack(powers[ell - 1 :: -1] @ M) for M in (B, P))
     return StructuralMatrices(
         ell=ell,
         obs=obs,

@@ -45,7 +45,7 @@ import numpy as np
 from .config import DEFAULTS
 from .exo_factorization import Regressor
 from .experiment import DataMatrices
-from .numerics import DEFAULT_RANK_RTOL
+from .numerics import numerical_rank
 from .sdp import AffineBlock, _sym, maximize_margin
 
 
@@ -127,8 +127,8 @@ def assemble_sdp(data: DataMatrices, reg: Regressor) -> SdpProblem:
     return SdpProblem(u1=data.u1, psi0=data.psi0, psi1=data.psi1, mhat=mhat)
 
 
-def _svd_split(M: np.ndarray, rtol: float = DEFAULT_RANK_RTOL):
-    """One full SVD of ``M``, split at the package-wide rank tolerance:
+def _svd_split(M: np.ndarray):
+    """One full SVD of ``M``, split at ``numerics.numerical_rank``:
     ``(u, s, rows, null)`` with the leading left singular vectors, all the
     singular values (descending), and orthonormal bases (columns) of the row
     space and right nullspace."""
@@ -136,7 +136,7 @@ def _svd_split(M: np.ndarray, rtol: float = DEFAULT_RANK_RTOL):
         n = M.shape[1]
         return np.zeros((0, 0)), np.zeros(0), np.zeros((n, 0)), np.eye(n)
     u, s, vh = np.linalg.svd(M)
-    rank = int(np.count_nonzero(s > rtol * s[0])) if s.size and s[0] > 0 else 0
+    rank = numerical_rank(s)
     return u[:, :rank], s, vh[:rank].T.copy(), vh[rank:].T.copy()
 
 

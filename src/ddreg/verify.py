@@ -34,7 +34,7 @@ import scipy.linalg
 from .config import DEFAULTS
 from .experiment import DataMatrices, ExperimentRecord, stacked_windows
 from .internal_model import InternalModel
-from .numerics import simulate_linear, spectral_radius
+from .numerics import matrix_powers, simulate_linear, spectral_radius
 from .plant import ExoMatrix, PlantTruth, StructuralMatrices, plant_loop
 
 # Closest an eigenvalue of the closed loop may come to one of S's (absolute,
@@ -95,11 +95,8 @@ def build_auxiliary_matrices(
     ext_b = np.zeros((wd + im.dim, m))
     ext_b[wd - m : wd] = np.eye(m)
 
-    s_inv = np.linalg.inv(exo.S)
-    stack = [np.eye(n_w)]
-    for _ in range(ell):
-        stack.append(stack[-1] @ s_inv)
-    exo_window_map = np.vstack(stack[::-1])  # S^-ell, ..., S^-1, I
+    # S^-ell, ..., S^-1, I stacked: w(k - ell .. k) from w(k).
+    exo_window_map = matrix_powers(np.linalg.inv(exo.S), ell)[::-1].reshape(-1, n_w)
 
     core = C @ struct.a_ell @ struct.obs_pinv
     y_from_window = np.hstack([core, C @ struct.reach_u - core @ struct.toeplitz_u])

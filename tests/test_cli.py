@@ -547,6 +547,11 @@ def test_cli_run_infeasible_exit_nonzero(tmp_path, capsys):
             id="dims-beside-plant",
         ),
         pytest.param(
+            lambda d: d.update(dims={"m": 2, "p": 3}),
+            "dims.m = 2 contradicts the plant's m = 1",
+            id="dims-contradict-plant",
+        ),
+        pytest.param(
             lambda d: d.update(input_policy={"type": "normal", "values": "abc"}),
             "input_policy.values: 'abc' is not a number",
             id="values-of-normal-policy",
@@ -560,6 +565,12 @@ def test_cli_config_error_exit_two(tmp_path, capsys, edit, message):
     code = main(["run", "--config", str(path)])
     assert code == 2
     assert f"[config] {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dims", [{"m": 1, "p": 1}, {"p": 1}])
+def test_dims_that_agree_with_the_plant_are_accepted(dims):
+    config = RunConfig.from_dict({**vtol_config_dict(), "dims": dims})
+    assert config.dims == {"m": None, **dims}
 
 
 def test_config_errors_stop_before_any_stage(tmp_path, capsys, monkeypatch):
@@ -704,8 +715,12 @@ def test_design_stage_reads_no_ground_truth(tmp_path):
             "k,u_1,y_1,eta_1,eta_2\n0,0.5,0.1,nan,0.0\n",
             "CSV record contains non-finite entries",
         ),
+        (
+            "k,u_1,y_1,eta_1,eta_2\n0,0.5,abc,0.0,0.0\n",
+            "CSV line 2, column y_1: 'abc' is not a number",
+        ),
     ],
-    ids=["two-columns", "short-row", "empty", "nan-eta"],
+    ids=["two-columns", "short-row", "empty", "nan-eta", "non-numeric"],
 )
 def test_cli_synthesize_malformed_record_exit_two(tmp_path, capsys, text, message):
     path = write_config(tmp_path, vtol_config_dict(seed=5))

@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
+from ddreg.cli import paper_example_config
 from ddreg.exo_factorization import companion_regressor
 from ddreg.internal_model import companion_matrix
 from ddreg.plant import ExoMatrix
@@ -89,6 +90,31 @@ def test_krylov_too_short():
     reg = companion_regressor(ExoMatrix(rotation(0.5)), ell=3, T=3)
     assert reg.matrix.shape == (2, 1)
     assert reg.selection == [0, 1]
+
+
+@pytest.mark.parametrize(
+    "exo",
+    [
+        pytest.param(paper_example_config(0).exo, id="paper"),
+        pytest.param(ExoMatrix([[1.0, 1.0], [0.0, 1.0]]), id="ramp"),
+        pytest.param(
+            random_unit_circle_exo(np.random.default_rng(1), 4, conjugate=True),
+            id="random-four",
+        ),
+    ],
+)
+def test_regressor_is_the_per_step_recursion(exo):
+    # Column t - ell is (F^T)^t e_1, stepped one matrix-vector product at a
+    # time: the powers' first columns carry exactly that round-off.
+    F = companion_matrix(exo.coeffs, 1)
+    ell, T = 4, 300
+    v, cols = np.eye(len(F))[0], []
+    for t in range(T + 1):
+        if t >= ell:
+            cols.append(v)
+        v = F.T @ v
+    reg = companion_regressor(exo, ell=ell, T=T)
+    np.testing.assert_array_equal(reg.matrix, np.column_stack(cols))
 
 
 @pytest.mark.parametrize(

@@ -11,41 +11,46 @@ from ddreg.numerics import (
     BLOCK_STEPS,
     DIVERGENCE_GUARD,
     as_integer,
+    matrix_powers,
     minimal_polynomial,
-    rank_with_tol,
+    numerical_rank,
     simulate_linear,
     spectral_radius,
 )
-from ddreg.plant import build_structural_matrices
+from ddreg.plant import build_structural_matrices, observability_index
 from ddreg.verify import assemble_closed_loop, build_auxiliary_matrices
 
 from _scenarios import monic_horner, rotation
 
 
 # ---------------------------------------------------------------------------
-# rank_with_tol
+# numerical_rank
+
+
+def rank(M):
+    return numerical_rank(np.linalg.svd(M, compute_uv=False))
 
 
 def test_rank_identity():
-    assert rank_with_tol(np.eye(3), 1e-8) == 3
+    assert rank(np.eye(3)) == 3
 
 
 def test_rank_zero_matrix():
-    assert rank_with_tol(np.zeros((2, 2))) == 0
+    assert rank(np.zeros((2, 2))) == 0
 
 
 def test_rank_proportional_rows():
-    assert rank_with_tol(np.array([[1.0, 2.0], [2.0, 4.0]])) == 1
+    assert rank(np.array([[1.0, 2.0], [2.0, 4.0]])) == 1
 
 
-def test_rank_empty_matrix_rejected():
-    with pytest.raises(ValueError, match="empty input"):
-        rank_with_tol(np.zeros((0, 3)))
+def test_rank_of_no_singular_values_is_zero():
+    assert numerical_rank(np.zeros(0)) == 0
 
 
 def test_rank_rejects_nonfinite():
-    with pytest.raises(ValueError, match="non-finite"):
-        rank_with_tol(np.array([[1.0, np.nan]]))
+    # Outside matrices are read by as_matrix before any rank is taken.
+    with pytest.raises(ValueError, match="A contains non-finite"):
+        observability_index(np.array([[np.nan]]), np.ones((1, 1)))
 
 
 def test_rank_invariance_under_permutation_and_conditioning():
@@ -55,15 +60,15 @@ def test_rank_invariance_under_permutation_and_conditioning():
     for _ in range(10):
         m, n, r = 6, 5, 3
         M = rng.standard_normal((m, r)) @ rng.standard_normal((r, n))
-        assert rank_with_tol(M) == r
+        assert rank(M) == r
         perm_r = rng.permutation(m)
         perm_c = rng.permutation(n)
-        assert rank_with_tol(M[perm_r][:, perm_c]) == r
+        assert rank(M[perm_r][:, perm_c]) == r
         while True:
             V = rng.standard_normal((m, m))
             if np.linalg.cond(V) < 1e3:
                 break
-        assert rank_with_tol(V @ M) == r
+        assert rank(V @ M) == r
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +109,7 @@ def test_minimal_polynomial_annihilates(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 6))
     S = rng.standard_normal((n, n))
-    poly = minimal_polynomial(S, tol=1e-8)
+    poly = minimal_polynomial(S)
     norm_bound = 1e-8 * max(1.0, np.linalg.norm(S, 2)) ** len(poly)
     assert np.linalg.norm(monic_horner(poly, S)) < max(norm_bound, 1e-10)
 
@@ -151,6 +156,20 @@ def test_spectral_radius_benchmark_plant():
     from ddreg.benchmarks import VTOL_A
 
     assert spectral_radius(VTOL_A) == pytest.approx(1.0, abs=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# matrix_powers
+
+
+@pytest.mark.parametrize("n, count", [(1, 0), (3, 1), (4, 40)])
+def test_matrix_powers_start_at_identity_and_step_by_f(n, count):
+    F = np.random.default_rng(n).standard_normal((n, n))
+    powers = matrix_powers(F, count)
+    assert powers.shape == (count + 1, n, n)
+    np.testing.assert_array_equal(powers[0], np.eye(n))
+    for j in range(1, count + 1):
+        np.testing.assert_array_equal(powers[j], F @ powers[j - 1])
 
 
 # ---------------------------------------------------------------------------

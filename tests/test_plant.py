@@ -225,8 +225,9 @@ def test_structural_matrices_left_inverse_vtol():
 @pytest.mark.parametrize("draw", [None, (0, 3, 1, 1, 2), (1, 5, 2, 2, 2), (2, 6, 2, 3, 4)])
 def test_structural_matrices_match_reference_formulation(draw):
     # The paper plant, or random_plant(default_rng(s), n, m, p, n_w), at its
-    # observability index and two steps past it; exact equality, but for
-    # A^ell against matrix_power, which squares: round-off.
+    # observability index and two steps past it; exact equality against
+    # powers taken as A times the one before, but for A^ell against
+    # matrix_power, which squares: round-off.
     if draw is None:
         plant = vtol()[0]
     else:
@@ -237,7 +238,7 @@ def test_structural_matrices_match_reference_formulation(draw):
         np.testing.assert_array_equal(sm.obs_pinv, np.linalg.pinv(sm.obs))
         powers = [np.eye(plant.n)]
         for _ in range(ell):
-            powers.append(powers[-1] @ plant.A)
+            powers.append(plant.A @ powers[-1])
         np.testing.assert_array_equal(sm.a_ell, powers[ell])
         a_ell = np.linalg.matrix_power(plant.A, ell)
         np.testing.assert_allclose(

@@ -19,7 +19,6 @@ from ddreg.config import DEFAULTS
 from ddreg.exo_factorization import Regressor, companion_regressor
 from ddreg.experiment import NormalInputPolicy, assemble_data_matrices, collect_experiment
 from ddreg.internal_model import build_internal_model
-from ddreg.numerics import rank_with_tol
 from ddreg.plant import ExoMatrix, PlantTruth, observability_index
 from ddreg.sdp import AffineBlock
 from ddreg.synthesis import (
@@ -502,7 +501,7 @@ def test_wide_window_is_infeasible(seed, n, m, p, n_w):
     )
     rec = collect_stage(config)
     _, _, prob, pre, res = synthesize_stage(config, rec)
-    assert rank_with_tol(prob.mhat) == prob.nhat_w
+    assert _svd_split(prob.mhat)[2].shape[1] == prob.nhat_w
     # The designer-side rank test settles it: psi0 null_m is short of rank
     # nu, so no solve runs.
     assert res.rank < prob.nu and res.stop is None

@@ -68,11 +68,11 @@ def vtol_design(seed=0):
 
 def inverse_power_stack(S, ell):
     """[S^-ell; ...; S^-1; I], each power taken as build_auxiliary_matrices
-    takes it."""
+    takes it (S^-1 times the one before)."""
     s_inv = np.linalg.inv(S)
     stack = [np.eye(len(S))]
     for _ in range(ell):
-        stack.append(stack[-1] @ s_inv)
+        stack.append(s_inv @ stack[-1])
     return np.vstack(stack[::-1])
 
 
