@@ -26,7 +26,7 @@ from .experiment import (
     record_from_csv,
     record_to_csv,
 )
-from .numerics import as_vector, simulate_linear
+from .numerics import as_vector, real_schur
 from .plant import build_structural_matrices
 from .synthesis import assemble_sdp, feasibility_precheck, solve_feasibility_sdp
 from .verify import (
@@ -195,35 +195,23 @@ def _closed_loop_checks(config: RunConfig, aux, gain, data_side=None):
     rows = [_check("stability_radius", rho, 1.0)]
     model_side = aux.ext_a + aux.ext_b @ gain
     a_cl = model_side if data_side is None else data_side
-    eigs = np.linalg.eigvals(a_cl)
+    schur = real_schur(a_cl)
     if data_side is not None:
-        gap = check_representation_equivalence(model_side, eigs)
+        gap = check_representation_equivalence(model_side, schur.eigs)
         rows.append(_check("representation_gap", gap, tol["representation_gap"]))
     try:
-        identity, syl = check_regulator_equations(aux, a_cl, eigs)
+        identity, syl = check_regulator_equations(aux, a_cl, schur)
     except ValueError:  # closed loop not Schur
         identity = syl = float("nan")
 
-    steps, eps_reg = config.verify["steps"], tol["eps_reg"]
+    eps_reg = tol["eps_reg"]
     n_w, n, wd, di = cl.dims
     w0, x0, chi0, eta0 = _initial(config, w0=n_w, x0=n, chi0=wd, eta0=di)
-    try:
-        run = simulate_closed_loop(
-            cl, w0, x0, chi0, eta0, steps,
-            eps_reg=eps_reg, tail_frac=config.verify["tail_frac"],
-        )
-    except RuntimeError:  # divergent closed loop
-        run = None
-    # With w0 = 0 the exosignal stays 0: the loop is its core map alone.  A
-    # zero core state stays zero under any gain: probe from ones / sqrt(dim).
-    core0 = np.concatenate([x0, chi0, eta0])
-    core0 = core0 if core0.any() else np.ones(core0.size) / np.sqrt(core0.size)
-    try:
-        core = simulate_linear(cl.core_map, core0, steps)
-        decay = np.linalg.norm(core[-1]) / max(np.linalg.norm(core[0]), 1e-300)
-    except RuntimeError:
-        decay = float("nan")
-    tail = float("nan") if run is None else run.tail_max_y
+    run = simulate_closed_loop(
+        cl, w0, x0, chi0, eta0, config.verify["steps"],
+        eps_reg=eps_reg, tail_frac=config.verify["tail_frac"],
+    )
+    tail, decay = run.tail_max_y, run.zero_exo_decay
     rows += [
         _check("regulator_identity", identity, tol["regulator_identity"]),
         _check("sylvester_residual", syl, tol["sylvester_residual"]),
@@ -234,10 +222,10 @@ def _closed_loop_checks(config: RunConfig, aux, gain, data_side=None):
         "stability_radius": rho,
         "stability_margin": 1.0 - rho,
         "tail_max_y": tail,
-        "settle_step": None if run is None else run.settle_step,
+        "settle_step": run.settle_step,
         "zero_exo_decay": decay,
     }
-    return rows, regulation, run
+    return rows, regulation, None if run.diverged else run
 
 
 def run_pipeline(config: RunConfig, out_dir=None, unmask: bool = False) -> dict:

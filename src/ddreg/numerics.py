@@ -6,7 +6,13 @@ exosignal window's inverse powers, the regressor's Krylov sequence, the
 minimal polynomial's test and a blocked simulation's stacked powers) comes
 from :func:`matrix_powers`, and every linear system the package steps over
 time goes through :func:`simulate_linear`, which steps an autonomous system
-in blocks of states and a driven one state by state.
+in blocks of states and a driven one state by state, one matrix-vector
+product per step.  It takes one initial state or a block of them, one per
+column (the closed loop's run and its zero-exosignal probe are one call).
+
+A closed-loop matrix is factored once, by :func:`real_schur` (one LAPACK
+``dgees``): its eigenvalues and its Schur form, on which
+:func:`solve_sylvester` solves the steady-state equation.
 
 Every rank decision follows one rule, :func:`numerical_rank`: the singular
 values above :data:`DEFAULT_RANK_RTOL` times the largest.  The degree of
@@ -22,8 +28,10 @@ take real numbers only: no string, no boolean.
 from __future__ import annotations
 
 import numbers
+from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg.lapack import dgees, dtrsyl
 
 # Rank tolerance of numerical_rank and minimal_polynomial (relative to the
 # largest singular value, or to the tested power's norm).
@@ -118,6 +126,49 @@ def spectral_radius(M) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(M))))
 
 
+class RealSchur(NamedTuple):
+    """Real Schur form ``M = z t zᵀ`` of a square matrix (``t``
+    quasi-triangular, ``z`` orthogonal) with the eigenvalues ``eigs`` of M."""
+
+    t: np.ndarray
+    z: np.ndarray
+    eigs: np.ndarray
+
+
+def _unsorted(wr, wi):
+    """dgees' selection callback: no eigenvalue is sorted to the top."""
+    return None
+
+
+def real_schur(M) -> RealSchur:
+    """One LAPACK ``dgees`` of a finite square matrix: its real Schur form
+    and eigenvalues, unsorted and unbalanced.  The form is the one
+    ``scipy.linalg.schur(M)`` returns (the same workspace query, then the
+    same call); the eigenvalues are dgees' own, read off the form."""
+    M = np.asarray_chkfinite(M)
+    lwork = int(dgees(_unsorted, M, lwork=-1)[-2][0])
+    t, _, wr, wi, z, _, info = dgees(_unsorted, M, lwork=lwork)
+    if info:
+        raise np.linalg.LinAlgError(f"Schur form not found (dgees info {info})")
+    return RealSchur(t, z, wr + 1j * wi)
+
+
+def solve_sylvester(schur: RealSchur, b, q) -> np.ndarray:
+    """X solving ``A X + X b = q``, with A given by its :func:`real_schur`.
+
+    The Bartels-Stewart steps of ``scipy.linalg.solve_sylvester`` (the Schur
+    form of ``bᵀ``, LAPACK ``dtrsyl`` on the two forms, the change of basis
+    back), on a Schur form of A already computed: the same X, bit for bit,
+    without factoring A a second time.
+    """
+    s, v, _ = real_schur(b.T)
+    f = np.dot(np.dot(schur.z.T, q), v)
+    y, scale, info = dtrsyl(schur.t, s, f, tranb="C")
+    if info < 0:
+        raise np.linalg.LinAlgError(f"illegal value in argument {-info} of dtrsyl")
+    return np.dot(np.dot(schur.z, scale * y), v.T)
+
+
 def matrix_powers(F: np.ndarray, count: int) -> np.ndarray:
     """``I, F, F^2, ..., F^count`` as a ``(count + 1, n, n)`` stack.
 
@@ -130,67 +181,92 @@ def matrix_powers(F: np.ndarray, count: int) -> np.ndarray:
     """
     powers = np.empty((count + 1, *F.shape))
     powers[0] = np.eye(len(F))
-    for j in range(count):
-        np.matmul(F, powers[j], out=powers[j + 1])
+    for prev, nxt in zip(powers[:-1], powers[1:]):
+        np.dot(F, prev, out=nxt)
     return powers
 
 
 def simulate_linear(F, z0, steps: int, G=None, u=None) -> np.ndarray:
     """States z(0..steps) of ``z(k+1) = F z(k) + G u(k)``, one row per step.
 
-    ``G`` and ``u`` come together or not at all; ``u`` needs at least
-    ``steps`` rows.  Deterministic: identical inputs give bit-identical
-    states.  Raises once the state norm passes :data:`DIVERGENCE_GUARD`, at
-    the first step whose state is past it or not finite.
+    ``z0`` is one initial state, shape ``(n,)``, giving states of shape
+    ``(steps + 1, n)``, or a block of c initial states as columns, shape
+    ``(n, c)``, giving states of shape ``(steps + 1, n, c)`` whose column j
+    is the run from ``z0[:, j]``.  ``G`` and ``u`` come together or not at
+    all; ``u`` needs at least ``steps`` rows and drives every run.
+    Deterministic: identical inputs give bit-identical states.
+
+    The guard watches each run on its own, at the first step whose state is
+    past :data:`DIVERGENCE_GUARD` in norm or not finite.  A single run
+    raises there; a run of a block is NaN from there on, and the other runs
+    of the block are unaffected.
 
     An autonomous system (``G is None``) advances up to
     :data:`BLOCK_STEPS` states per iteration: each block is one product of
     the stacked powers ``[F; F^2; ...; F^b]``, built once per call, with the
-    block's first state.  The states agree with a per-step loop to
+    block's first states.  The states agree with a per-step loop to
     round-off (within 1e-12 of the run's largest state on the tested maps,
     the paper example's closed loop among them).  A power that overflows is
     not used, so a map whose square overflows steps one state at a time.
 
-    A driven system steps one state per iteration, bit-identical to the
-    plain recursion.  Lifting the drive term into the blocks adds sums of
-    powers times ``G u`` whose round-off grows with the powers of an
+    A driven system steps each run one state per iteration, one
+    matrix-vector product and one add, bit-identical to the plain
+    recursion.  Lifting the drive term into the blocks adds sums of powers
+    times ``G u`` whose round-off grows with the powers of an
     open-loop-unstable plant: on the paper plant it took the correspondence
-    residual of a 40-step closed-loop run from 2e-11 to 2e-9.
+    residual of a 40-step closed-loop run from 2e-11 to 2e-9.  The runs of
+    a driven block are stepped one after the other, because a product with
+    several states at once rounds differently from one with each state.
     """
     n = F.shape[0]
-    z = np.empty((steps + 1, n))
-    z[0] = z0
-    drive = None
-    if G is not None:
-        if u.shape[0] < steps:
-            raise ValueError(f"need at least {steps} input samples, got {u.shape[0]}")
-        drive = u[:steps] @ G.T
-        powers = F[None]
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):
-            powers = matrix_powers(F, max(1, min(BLOCK_STEPS, steps)))[1:]
-        # F is finite: keep the powers before the first one that is not.
-        finite = np.isfinite(powers).all(axis=(1, 2))
-        if not finite.all():
-            powers = powers[: int(np.argmin(finite))]
-    b = len(powers)
-    stacked = powers.reshape(b * n, n)
-    flat = z.reshape(-1)  # state k is flat[k * n : (k + 1) * n]
+    starts = np.reshape(z0, (n, -1))
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(0, steps, b):
-            m = min(b, steps - k)
-            np.matmul(stacked[: m * n], z[k], out=flat[(k + 1) * n : (k + 1 + m) * n])
-            if drive is not None:
-                z[k + 1] += drive[k]
+        if G is None:
+            z = _step_autonomous(F, starts, steps)
+        else:
+            if u.shape[0] < steps:
+                raise ValueError(f"need at least {steps} input samples, got {u.shape[0]}")
+            drive = u[:steps] @ G.T
+            runs = np.empty((starts.shape[1], steps + 1, n))
+            for run, start in zip(runs, starts.T):
+                run[0] = start
+                for prev, nxt, d in zip(run[:-1], run[1:], drive):
+                    np.dot(F, prev, out=nxt)
+                    nxt += d
+            z = runs.transpose(1, 2, 0)
         # One test after the loop: a run past the guard may go on to overflow
         # (silenced above), and the first state past it is the one reported.
         # Negated so that a non-finite state counts as past the guard.
-        past = np.flatnonzero(~(np.einsum("ij,ij->i", z[1:], z[1:]) <= DIVERGENCE_GUARD**2))
-        if past.size:
-            step = int(past[0]) + 1
-            raise RuntimeError(
-                f"state norm {np.linalg.norm(z[step]):.3e} exceeded "
-                f"{DIVERGENCE_GUARD:.0e} at step {step}: divergent simulation"
-            )
+        past = ~(np.einsum("kic,kic->kc", z[1:], z[1:]) <= DIVERGENCE_GUARD**2)
+        if np.ndim(z0) == 1:
+            if past.any():
+                step = int(np.argmax(past[:, 0])) + 1
+                raise RuntimeError(
+                    f"state norm {np.linalg.norm(z[step]):.3e} exceeded "
+                    f"{DIVERGENCE_GUARD:.0e} at step {step}: divergent simulation"
+                )
+            return z[:, :, 0]
+    for j in np.flatnonzero(past.any(axis=0)):
+        z[int(np.argmax(past[:, j])) + 1 :, :, j] = np.nan
     return z
 
+
+def _step_autonomous(F, starts, steps: int) -> np.ndarray:
+    """States ``(steps + 1, n, c)`` of ``z(k+1) = F z(k)`` from the columns
+    of ``starts``, in blocks of up to :data:`BLOCK_STEPS` states (the caller
+    silences overflow)."""
+    n, c = starts.shape
+    powers = matrix_powers(F, max(1, min(BLOCK_STEPS, steps)))[1:]
+    # F is finite: keep the powers before the first one that is not.
+    finite = np.isfinite(powers).all(axis=(1, 2))
+    if not finite.all():
+        powers = powers[: int(np.argmin(finite))]
+    b = len(powers)
+    stacked = powers.reshape(b * n, n)
+    z = np.empty((steps + 1, n, c))
+    z[0] = starts
+    flat = z.reshape(-1, c)  # state k is rows k * n : (k + 1) * n
+    for k in range(0, steps, b):
+        m = min(b, steps - k)
+        np.matmul(stacked[: m * n], z[k], out=flat[(k + 1) * n : (k + 1 + m) * n])
+    return z

@@ -28,7 +28,7 @@ import numpy as np
 from .numerics import as_matrix, matrix_powers, minimal_polynomial, numerical_rank
 
 # Eigenvalues of the exosystem map may not dip below the unit circle by more
-# than this slack.
+# than this slack (in the geometric mean of each cluster; see ExoMatrix).
 UNIT_CIRCLE_SLACK = 1e-9
 
 
@@ -52,9 +52,36 @@ def observability_index(A, C) -> int:
     raise ValueError("unobservable pair")
 
 
+def _inside_unit_circle(S: np.ndarray, eigs: np.ndarray) -> bool:
+    """Whether some cluster of ``eigs``, S's computed eigenvalues, has the
+    geometric mean of its moduli below ``1 - UNIT_CIRCLE_SLACK`` (see
+    :class:`ExoMatrix`)."""
+    moduli = np.abs(eigs)
+    if np.all(moduli >= 1.0 - UNIT_CIRCLE_SLACK):
+        return False  # no mean of moduli can be lower
+    radius = (np.finfo(float).eps * np.linalg.norm(S)) ** (1 / len(S))
+    near = np.abs(eigs[:, None] - eigs) <= radius
+    labels = np.arange(len(eigs))
+    for _ in range(len(eigs)):  # each label becomes its cluster's smallest
+        labels = np.min(np.where(near, labels, len(eigs)), axis=1)
+    with np.errstate(divide="ignore"):
+        log_moduli = np.log(moduli)
+    sizes = np.bincount(labels)
+    means = np.bincount(labels, log_moduli)[sizes > 0] / sizes[sizes > 0]
+    return bool(np.any(means < np.log1p(-UNIT_CIRCLE_SLACK)))
+
+
 @dataclass
 class ExoMatrix:
     """Known exosystem map S.  All eigenvalue moduli must be >= 1.
+
+    The bound is decided on the geometric mean of the moduli in each
+    cluster of computed eigenvalues.  The computed eigenvalues of a Jordan
+    block of size k spread about (eps |S|)^(1/k) around the true one, far
+    past :data:`UNIT_CIRCLE_SLACK` (a size-3 block at modulus 1 gives one
+    at 1 - 5.5e-6), while their product, a determinant, is accurate to
+    round-off.  A cluster is a connected group of eigenvalues at most
+    ``(eps |S|_F)^(1/n_w)`` apart, the largest such spread.
 
     ``eigs`` holds the eigenvalues of S, taken once by the validation; every
     reader of S's spectrum reads them here.  ``coeffs`` holds the internal
@@ -69,7 +96,7 @@ class ExoMatrix:
         self.eigs = np.linalg.eigvals(self.S)
         self.eigs.flags.writeable = False
         # The modulus bound also makes S invertible: |det S| >= (1 - slack)^n_w.
-        if np.any(np.abs(self.eigs) < 1.0 - UNIT_CIRCLE_SLACK):
+        if _inside_unit_circle(self.S, self.eigs):
             raise ValueError("exosystem eigenvalue inside unit circle")
         self.coeffs = minimal_polynomial(self.S)
         self.coeffs.flags.writeable = False

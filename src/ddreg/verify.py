@@ -11,13 +11,17 @@ is the run config's (``RunConfig.im``).
 
 Identities along a run compare sliding windows of the run
 (``experiment.stacked_windows``) in one batch; the auxiliary system and the
-closed loop are stepped by ``numerics.simulate_linear``.  Everything here may
-read ground truth; nothing here feeds the design path.
+closed loop are stepped by ``numerics.simulate_linear``, the closed loop's
+run and its zero-exosignal probe in one call.  The steady-state certificate
+is solved on the closed-loop matrix's one Schur form
+(``numerics.real_schur``), whose eigenvalues the guards read.  Everything
+here may read ground truth; nothing here feeds the design path.
 
 Nothing here passes or fails: the check battery in ``cli`` decides each
 report row once, from the value returned here.  A value that does not exist
-raises (``ValueError``: no unique steady state; ``RuntimeError``: a
-diverging simulation), and the battery reports it as NaN, which fails.
+raises ``ValueError`` (no unique steady state) or, from a closed-loop run
+past the divergence guard, is NaN; the battery reports either as NaN, which
+fails.
 
 Outside input is validated at three boundaries, the run config
 (``config.RunConfig``), a record CSV (``experiment.record_from_csv``) and a
@@ -29,12 +33,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .config import DEFAULTS
 from .experiment import DataMatrices, ExperimentRecord, stacked_windows
 from .internal_model import InternalModel
-from .numerics import matrix_powers, simulate_linear, spectral_radius
+from .numerics import (
+    RealSchur,
+    matrix_powers,
+    simulate_linear,
+    solve_sylvester,
+    spectral_radius,
+)
 from .plant import ExoMatrix, PlantTruth, StructuralMatrices, plant_loop
 
 # Closest an eigenvalue of the closed loop may come to one of S's (absolute,
@@ -265,6 +274,8 @@ class ClosedLoopRun:
     u: np.ndarray
     tail_max_y: float
     settle_step: int | None
+    zero_exo_decay: float
+    diverged: bool
 
 
 def simulate_closed_loop(
@@ -279,17 +290,32 @@ def simulate_closed_loop(
 ) -> ClosedLoopRun:
     """Roll the closed loop and measure regulation.
 
-    The stacked state (w, x, chi, eta) is stepped by ``cl.full_map``
-    (``numerics.simulate_linear``, which raises on divergence; the loop is
-    autonomous, so it advances in blocks of states, each one product with
-    the stacked powers of the map); outputs and inputs are read off the
-    stored states afterwards.
+    One ``numerics.simulate_linear`` call steps ``cl.full_map`` from two
+    initial states: the run from (w0, x0, chi0, eta0), under the persistent
+    exosignal, and the zero-exosignal probe from w = 0 and the same core
+    state (x0, chi0, eta0), or the unit probe ``ones / sqrt(dim)`` when that
+    state is zero (a zero state would stay zero under any gain).  While w
+    is zero the probe's states are those of ``cl.core_map``.  The loop is
+    autonomous, so both advance in blocks of states, each one product of the
+    stacked powers of the map with the block's first states; outputs and
+    inputs are read off the stored states afterwards.
+
     ``tail_max_y`` is the largest output norm over the final ``tail_frac``
     of the horizon; ``settle_step`` is the first step from which the output
-    norm stays below ``eps_reg`` to the end (None if it never does).
+    norm stays below ``eps_reg`` to the end (None if it never does);
+    ``zero_exo_decay`` is the probe's final core norm over its first.  Each
+    of the two is guarded on its own: a run past the divergence guard is
+    NaN from there on (``diverged``; its ``tail_max_y`` is NaN and its
+    ``settle_step`` None), and a probe past it gives a NaN decay.
     """
     n_w, n, wd, di = cl.dims
-    z = simulate_linear(cl.full_map, np.concatenate([w0, x0, chi0, eta0]), steps)
+    core0 = np.concatenate([x0, chi0, eta0])
+    core0 = core0 if core0.any() else np.ones(core0.size) / np.sqrt(core0.size)
+    starts = np.zeros((n_w + core0.size, 2))
+    starts[:, 0] = np.concatenate([w0, x0, chi0, eta0])
+    starts[n_w:, 1] = core0
+    both = simulate_linear(cl.full_map, starts, steps)
+    z, probe = both[:, :, 0], both[:, n_w:, 1]
     w, x, chi, eta = np.split(z, np.cumsum([n_w, n, wd]), axis=1)
     y = z[:, : n_w + n] @ np.hstack([cl.aux.plant.Q, cl.aux.plant.C]).T
     u = z[:steps, n_w + n :] @ cl.gain.T
@@ -298,6 +324,7 @@ def simulate_closed_loop(
     tail_start = max(0, int(np.floor((1.0 - tail_frac) * steps)))
     unsettled = np.flatnonzero(~(y_norms < eps_reg))
     settle = int(unsettled[-1]) + 1 if unsettled.size else 0
+    decay = np.linalg.norm(probe[-1]) / max(np.linalg.norm(probe[0]), 1e-300)
     return ClosedLoopRun(
         steps=steps,
         w=w,
@@ -308,29 +335,32 @@ def simulate_closed_loop(
         u=u,
         tail_max_y=float(np.max(y_norms[tail_start:])),
         settle_step=settle if settle <= steps else None,
+        zero_exo_decay=float(decay),
+        diverged=bool(np.isnan(z[-1, 0])),
     )
 
 
 def check_regulator_equations(
-    aux: AuxiliaryMatrices, closed_data_matrix, eigs
+    aux: AuxiliaryMatrices, closed_data_matrix, schur: RealSchur
 ) -> tuple[float, float]:
     """Steady-state (Sylvester) certificate for zero asymptotic output.
 
     Solves ``A_cl P - P S = -ext_p`` for the closed-loop matrix ``A_cl``
-    (in its data representation), whose eigenvalues are ``eigs``, and
+    (in its data representation), on its real Schur form ``schur``
+    (``numerics.real_schur``, whose eigenvalues the guards read), and
     returns the norm of ``y_from_exo + y_from_window P_top`` together with
     the relative Sylvester residual.  Raises ``ValueError`` when ``A_cl`` is
     not Schur or is resonant with S (an eigenvalue within
     :data:`SPECTRUM_GAP_TOL` of one of S's): no unique steady state.
     """
-    A_cl, S = closed_data_matrix, aux.exo.S
+    A_cl, S, eigs = closed_data_matrix, aux.exo.S, schur.eigs
     rho = float(np.max(np.abs(eigs)))
     if rho >= 1.0:
         raise ValueError(f"closed-loop matrix is not Schur (radius {rho:.4f})")
     if np.min(np.abs(eigs[:, None] - aux.exo.eigs)) <= SPECTRUM_GAP_TOL:
         raise ValueError("resonant spectra")
     rhs = -aux.ext_p
-    Pi = scipy.linalg.solve_sylvester(A_cl, -S, rhs)
+    Pi = solve_sylvester(schur, -S, rhs)
     syl = np.linalg.norm(A_cl @ Pi - Pi @ S - rhs)
     denom = (np.linalg.norm(A_cl) + np.linalg.norm(S)) * np.linalg.norm(Pi) + 1e-300
     pi_top = Pi[: aux.window_dim]

@@ -4,9 +4,8 @@ import sys
 
 import numpy as np
 import pytest
-import scipy.linalg
 
-from ddreg import cli
+from ddreg import cli, verify
 from ddreg.benchmarks import (
     VTOL_ETA0,
     VTOL_W0,
@@ -177,10 +176,8 @@ def test_configured_gain_identity_reaches_extract_gain(tmp_path, capsys):
 def test_sylvester_row_decided_by_its_configured_tolerance(tmp_path, monkeypatch):
     # A Sylvester solution off by 1e-3 relative: its residual is a failing
     # report row under the default tolerance and passes a looser one.
-    solve = scipy.linalg.solve_sylvester
-    monkeypatch.setattr(
-        scipy.linalg, "solve_sylvester", lambda *a: solve(*a) * (1.0 + 1e-3)
-    )
+    solve = verify.solve_sylvester
+    monkeypatch.setattr(verify, "solve_sylvester", lambda *a: solve(*a) * (1.0 + 1e-3))
     d = vtol_config_dict()
     report = run_pipeline(RunConfig.from_dict(d))
     row = {c["name"]: c for c in report["checks"]}["sylvester_residual"]
@@ -823,6 +820,19 @@ def test_verify_destabilizing_gain_fails_rows(gain_value):
     # The oracle rows do not depend on the gain.
     for name in ("data_identity", "claim_windows", "factorization_residual"):
         assert rows[name]["pass"]
+
+
+def test_zero_initial_states_under_a_diverging_gain():
+    # Every initial state zero: the run stays at zero under any gain, so its
+    # tail passes, while the unit probe of zero_exo_decay diverges.
+    d = vtol_config_dict(seed=0)
+    d["initial"] = {}
+    report = verify_gain(RunConfig.from_dict(d), [[100.0] * 10])
+    rows = {c["name"]: c for c in report["checks"]}
+    assert rows["regulation_tail"]["value"] == 0.0 and rows["regulation_tail"]["pass"]
+    assert np.isnan(rows["zero_exo_decay"]["value"])
+    assert not rows["zero_exo_decay"]["pass"]
+    assert report["regulation"]["settle_step"] == 0
 
 
 def test_zero_exo_decay_probes_a_zero_core_state():

@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,7 +15,9 @@ from ddreg.numerics import (
     matrix_powers,
     minimal_polynomial,
     numerical_rank,
+    real_schur,
     simulate_linear,
+    solve_sylvester,
     spectral_radius,
 )
 from ddreg.plant import build_structural_matrices, observability_index
@@ -322,3 +325,63 @@ def test_simulate_linear_driven_is_the_per_step_recursion(seed, n, m, steps, rad
     np.testing.assert_array_equal(
         simulate_linear(F, z0, steps, G, u), per_step(F, z0, steps, G, u)
     )
+
+
+@settings(max_examples=15, derandomize=True, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 12),
+    c=st.integers(1, 4),
+    steps=st.integers(0, 80),
+    radius=st.floats(0.5, 1.2),
+)
+def test_simulate_linear_block_is_its_runs_alone(seed, n, c, steps, radius):
+    # Column j of a block's states is the run from column j of z0: bit for
+    # bit when driven, to the blocked runs' round-off when autonomous.
+    rng = np.random.default_rng(seed)
+    F = rng.standard_normal((n, n))
+    F *= radius / spectral_radius(F)
+    G, u = rng.standard_normal((n, 2)), rng.standard_normal((steps, 2))
+    z0 = rng.standard_normal((n, c))
+    driven, free = simulate_linear(F, z0, steps, G, u), simulate_linear(F, z0, steps)
+    assert driven.shape == free.shape == (steps + 1, n, c)
+    for j in range(c):
+        alone = simulate_linear(F, z0[:, j], steps, G, u)
+        np.testing.assert_array_equal(driven[:, :, j], alone)
+        alone = simulate_linear(F, z0[:, j], steps)
+        assert np.abs(free[:, :, j] - alone).max() <= 1e-12 * np.abs(alone).max()
+
+
+@pytest.mark.parametrize("driven", [False, True])
+@pytest.mark.parametrize("growth, step", [(2.0, 40), (1e200, 1)])
+def test_simulate_linear_block_guards_each_run(driven, growth, step):
+    # The run from e_1 passes the guard at `step` (2^40 > 1e12, or 1e200 at
+    # once, overflowing after): it is NaN from there on, where a single run
+    # raises.  The run from e_2 decays beside it, untouched.
+    F = np.diag([growth, 0.5])
+    G, u = (np.zeros((2, 1)), np.zeros((64, 1))) if driven else (None, None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        z = simulate_linear(F, np.eye(2), 64, G, u)
+        with pytest.raises(RuntimeError, match=f"at step {step}: divergent"):
+            simulate_linear(F, [1.0, 0.0], 64, G, u)
+    np.testing.assert_array_equal(z[:step, 0, 0], growth ** np.arange(step))
+    assert np.isnan(z[step:, :, 0]).all()
+    np.testing.assert_array_equal(z[:, :, 1], simulate_linear(F, [0.0, 1.0], 64, G, u))
+
+
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 16), n_w=st.integers(1, 4))
+def test_sylvester_on_one_schur_form_is_solve_sylvester(seed, n, n_w):
+    # One dgees of a Schur-stable A gives scipy's solve_sylvester(A, -S, q)
+    # bit for bit, and eigenvalues that match np.linalg.eigvals.
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, n))
+    A *= rng.uniform(0.1, 0.99) / spectral_radius(A)
+    S, q = rng.standard_normal((n_w, n_w)), rng.standard_normal((n, n_w))
+    form = real_schur(A)
+    np.testing.assert_array_equal(
+        solve_sylvester(form, -S, q), scipy.linalg.solve_sylvester(A, -S, q)
+    )
+    dist = np.abs(form.eigs[:, None] - np.linalg.eigvals(A))
+    assert max(dist.min(axis=0).max(), dist.min(axis=1).max()) <= 1e-12

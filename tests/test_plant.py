@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from ddreg.experiment import collect_experiment
 from ddreg.internal_model import build_internal_model
@@ -10,7 +11,7 @@ from ddreg.plant import (
     observability_index,
 )
 
-from _scenarios import random_plant, vtol
+from _scenarios import random_plant, real_jordan, rotation, vtol
 
 
 def scalar_plant(a=0.5, b=1.0, c=1.0, p=0.0, q=0.0):
@@ -64,6 +65,31 @@ def test_observability_index_unobservable():
 def test_exo_matrix_rejects_contracting_eigenvalue():
     with pytest.raises(ValueError, match="inside unit circle"):
         ExoMatrix([[0.5]])
+
+
+def test_exo_matrix_accepts_a_large_jordan_block_on_the_unit_circle():
+    # A ramp beside a size-3 rotation block: np.linalg.eigvals puts an
+    # eigenvalue at modulus 1 - 5.5e-6, but each cluster's geometric mean
+    # modulus is 1 to round-off, also behind a similarity.
+    J = real_jordan([(1.0, 2)], [(1.0, 0.9, 3)])
+    assert np.abs(ExoMatrix(J).eigs).min() < 1.0 - 1e-6
+    V = np.random.default_rng(0).standard_normal((8, 8))
+    ExoMatrix(V @ J @ np.linalg.inv(V))
+
+
+@pytest.mark.parametrize(
+    "S",
+    [
+        pytest.param(block_diag(rotation(0.7), [[1.0 - 1e-6]]), id="alone"),
+        pytest.param(
+            block_diag(real_jordan([(1.0, 2)], [(1.0, 0.9, 3)]), [[1.0 - 1e-6]]),
+            id="beside-the-ramp",
+        ),
+    ],
+)
+def test_exo_matrix_rejects_a_simple_eigenvalue_just_inside(S):
+    with pytest.raises(ValueError, match="inside unit circle"):
+        ExoMatrix(S)
 
 
 def test_exo_matrix_keeps_its_eigenvalues():
