@@ -225,7 +225,7 @@ def _closed_loop_checks(config: RunConfig, aux, gain, data_side=None):
         "settle_step": run.settle_step,
         "zero_exo_decay": decay,
     }
-    return rows, regulation, None if run.diverged else run
+    return rows, regulation, None if np.isnan(tail) else run
 
 
 def run_pipeline(config: RunConfig, out_dir=None, unmask: bool = False) -> dict:

@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from .numerics import as_matrix, matrix_powers, minimal_polynomial, numerical_rank
 
@@ -53,19 +54,23 @@ def observability_index(A, C) -> int:
 
 
 def _inside_unit_circle(S: np.ndarray, eigs: np.ndarray) -> bool:
-    """Whether some cluster of ``eigs``, S's computed eigenvalues, has the
-    geometric mean of its moduli below ``1 - UNIT_CIRCLE_SLACK`` (see
-    :class:`ExoMatrix`)."""
-    moduli = np.abs(eigs)
-    if np.all(moduli >= 1.0 - UNIT_CIRCLE_SLACK):
+    """Whether some cluster of S's eigenvalues has the geometric mean of its
+    moduli below ``1 - UNIT_CIRCLE_SLACK`` (see :class:`ExoMatrix`);
+    ``eigs`` are S's computed eigenvalues."""
+    if np.all(np.abs(eigs) >= 1.0 - UNIT_CIRCLE_SLACK):
         return False  # no mean of moduli can be lower
-    radius = (np.finfo(float).eps * np.linalg.norm(S)) ** (1 / len(S))
-    near = np.abs(eigs[:, None] - eigs) <= radius
+    eigs, left, right = scipy.linalg.eig(S, left=True)
+    # Round-off reach of each eigenvalue: its condition number (unit-norm
+    # eigenvectors) times a backward error of 4 n_w eps |S|_F (n_w alone
+    # already joins the tested Jordan blocks, hidden or not).
+    with np.errstate(divide="ignore"):
+        cond = 1.0 / np.abs(np.sum(left.conj() * right, axis=0))
+        log_moduli = np.log(np.abs(eigs))
+    reach = 4 * len(S) * np.finfo(float).eps * np.linalg.norm(S) * cond
+    near = np.abs(eigs[:, None] - eigs) <= np.minimum(reach[:, None], reach)
     labels = np.arange(len(eigs))
     for _ in range(len(eigs)):  # each label becomes its cluster's smallest
         labels = np.min(np.where(near, labels, len(eigs)), axis=1)
-    with np.errstate(divide="ignore"):
-        log_moduli = np.log(moduli)
     sizes = np.bincount(labels)
     means = np.bincount(labels, log_moduli)[sizes > 0] / sizes[sizes > 0]
     return bool(np.any(means < np.log1p(-UNIT_CIRCLE_SLACK)))
@@ -80,8 +85,10 @@ class ExoMatrix:
     block of size k spread about (eps |S|)^(1/k) around the true one, far
     past :data:`UNIT_CIRCLE_SLACK` (a size-3 block at modulus 1 gives one
     at 1 - 5.5e-6), while their product, a determinant, is accurate to
-    round-off.  A cluster is a connected group of eigenvalues at most
-    ``(eps |S|_F)^(1/n_w)`` apart, the largest such spread.
+    round-off.  Two eigenvalues share a cluster when each lies within the
+    other's round-off reach, its condition number times ``4 n_w eps
+    |S|_F``: a Jordan block's scattered eigenvalues reach each other, and
+    a well-conditioned eigenvalue is decided alone.
 
     ``eigs`` holds the eigenvalues of S, taken once by the validation; every
     reader of S's spectrum reads them here.  ``coeffs`` holds the internal

@@ -275,7 +275,6 @@ class ClosedLoopRun:
     tail_max_y: float
     settle_step: int | None
     zero_exo_decay: float
-    diverged: bool
 
 
 def simulate_closed_loop(
@@ -305,8 +304,9 @@ def simulate_closed_loop(
     norm stays below ``eps_reg`` to the end (None if it never does);
     ``zero_exo_decay`` is the probe's final core norm over its first.  Each
     of the two is guarded on its own: a run past the divergence guard is
-    NaN from there on (``diverged``; its ``tail_max_y`` is NaN and its
-    ``settle_step`` None), and a probe past it gives a NaN decay.
+    NaN from there on (so its ``tail_max_y`` is NaN exactly when it
+    diverged, and its ``settle_step`` is None), and a probe past it gives a
+    NaN decay.
     """
     n_w, n, wd, di = cl.dims
     core0 = np.concatenate([x0, chi0, eta0])
@@ -336,7 +336,6 @@ def simulate_closed_loop(
         tail_max_y=float(np.max(y_norms[tail_start:])),
         settle_step=settle if settle <= steps else None,
         zero_exo_decay=float(decay),
-        diverged=bool(np.isnan(z[-1, 0])),
     )
 
 

@@ -336,38 +336,36 @@ def test_simulate_linear_driven_is_the_per_step_recursion(seed, n, m, steps, rad
     radius=st.floats(0.5, 1.2),
 )
 def test_simulate_linear_block_is_its_runs_alone(seed, n, c, steps, radius):
-    # Column j of a block's states is the run from column j of z0: bit for
-    # bit when driven, to the blocked runs' round-off when autonomous.
+    # Column j of an autonomous block's states is the run from column j of
+    # z0, to the blocked runs' round-off.  A driven system takes one state.
     rng = np.random.default_rng(seed)
     F = rng.standard_normal((n, n))
     F *= radius / spectral_radius(F)
-    G, u = rng.standard_normal((n, 2)), rng.standard_normal((steps, 2))
     z0 = rng.standard_normal((n, c))
-    driven, free = simulate_linear(F, z0, steps, G, u), simulate_linear(F, z0, steps)
-    assert driven.shape == free.shape == (steps + 1, n, c)
+    block = simulate_linear(F, z0, steps)
+    assert block.shape == (steps + 1, n, c)
     for j in range(c):
-        alone = simulate_linear(F, z0[:, j], steps, G, u)
-        np.testing.assert_array_equal(driven[:, :, j], alone)
         alone = simulate_linear(F, z0[:, j], steps)
-        assert np.abs(free[:, :, j] - alone).max() <= 1e-12 * np.abs(alone).max()
+        assert np.abs(block[:, :, j] - alone).max() <= 1e-12 * np.abs(alone).max()
+    G, u = rng.standard_normal((n, 2)), rng.standard_normal((steps, 2))
+    with pytest.raises(ValueError, match="one initial state"):
+        simulate_linear(F, z0, steps, G, u)
 
 
-@pytest.mark.parametrize("driven", [False, True])
 @pytest.mark.parametrize("growth, step", [(2.0, 40), (1e200, 1)])
-def test_simulate_linear_block_guards_each_run(driven, growth, step):
+def test_simulate_linear_block_guards_each_run(growth, step):
     # The run from e_1 passes the guard at `step` (2^40 > 1e12, or 1e200 at
     # once, overflowing after): it is NaN from there on, where a single run
     # raises.  The run from e_2 decays beside it, untouched.
     F = np.diag([growth, 0.5])
-    G, u = (np.zeros((2, 1)), np.zeros((64, 1))) if driven else (None, None)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        z = simulate_linear(F, np.eye(2), 64, G, u)
+        z = simulate_linear(F, np.eye(2), 64)
         with pytest.raises(RuntimeError, match=f"at step {step}: divergent"):
-            simulate_linear(F, [1.0, 0.0], 64, G, u)
+            simulate_linear(F, [1.0, 0.0], 64)
     np.testing.assert_array_equal(z[:step, 0, 0], growth ** np.arange(step))
     assert np.isnan(z[step:, :, 0]).all()
-    np.testing.assert_array_equal(z[:, :, 1], simulate_linear(F, [0.0, 1.0], 64, G, u))
+    np.testing.assert_array_equal(z[:, :, 1], simulate_linear(F, [0.0, 1.0], 64))
 
 
 @settings(max_examples=10, derandomize=True, deadline=None)

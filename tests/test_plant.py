@@ -85,11 +85,22 @@ def test_exo_matrix_accepts_a_large_jordan_block_on_the_unit_circle():
             block_diag(real_jordan([(1.0, 2)], [(1.0, 0.9, 3)]), [[1.0 - 1e-6]]),
             id="beside-the-ramp",
         ),
+        pytest.param(np.diag([1.0 - 1e-6, 1.0 + 1e-5, 1.0, 1.0]), id="beside-one-outside"),
+        pytest.param(
+            block_diag(0.997 * rotation(0.4), 1.005 * rotation(0.4), rotation(1.0), rotation(2.0)),
+            id="rotation-beside-a-larger-one",
+        ),
+        pytest.param(real_jordan([(1.0 - 1e-6, 3)]), id="jordan-block"),
     ],
 )
-def test_exo_matrix_rejects_a_simple_eigenvalue_just_inside(S):
-    with pytest.raises(ValueError, match="inside unit circle"):
-        ExoMatrix(S)
+def test_exo_matrix_rejects_an_eigenvalue_just_inside(S):
+    # Well-conditioned eigenvalues inside the circle form clusters of their
+    # own, so no eigenvalue outside lifts their mean; a Jordan block inside
+    # has its true modulus as its cluster's mean.  Also behind a similarity.
+    V = np.random.default_rng(0).standard_normal(S.shape)
+    for M in (S, V @ S @ np.linalg.inv(V)):
+        with pytest.raises(ValueError, match="inside unit circle"):
+            ExoMatrix(M)
 
 
 def test_exo_matrix_keeps_its_eigenvalues():
