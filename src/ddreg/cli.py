@@ -8,7 +8,6 @@ a run; the stages trust it.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
@@ -25,6 +24,7 @@ from .experiment import (
     collect_experiment,
     record_from_csv,
     record_to_csv,
+    write_csv,
 )
 from .numerics import as_vector, real_schur
 from .plant import build_structural_matrices
@@ -339,34 +339,11 @@ def write_report(report: dict, path) -> None:
 
 
 def write_trajectory_csv(run, path, unmask: bool = False) -> None:
-    """Closed-loop trajectories; oracle columns (w, x) only when unmasked."""
-    n_w, n, wd, di, p, m = (
-        a.shape[1] for a in (run.w, run.x, run.chi, run.eta, run.y, run.u)
-    )
-    header = ["k"]
-    if unmask:
-        header += [f"w_{i + 1}" for i in range(n_w)]
-        header += [f"x_{i + 1}" for i in range(n)]
-    header += [f"y_{i + 1}" for i in range(p)]
-    header += [f"u_{i + 1}" for i in range(m)]
-    header += [f"chi_{i + 1}" for i in range(wd)]
-    header += [f"eta_{i + 1}" for i in range(di)]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for k in range(run.steps + 1):
-            row = [k]
-            if unmask:
-                row += [repr(float(v)) for v in run.w[k]]
-                row += [repr(float(v)) for v in run.x[k]]
-            row += [repr(float(v)) for v in run.y[k]]
-            if k < run.steps:
-                row += [repr(float(v)) for v in run.u[k]]
-            else:
-                row += [""] * m
-            row += [repr(float(v)) for v in run.chi[k]]
-            row += [repr(float(v)) for v in run.eta[k]]
-            writer.writerow(row)
+    """Closed-loop trajectories; oracle columns (w, x) only when unmasked.
+    The last step has no input, so its ``u_*`` cells are empty."""
+    blocks = {"w": run.w, "x": run.x} if unmask else {}
+    blocks |= {"y": run.y, "u": run.u, "chi": run.chi, "eta": run.eta}
+    write_csv(path, blocks)
 
 
 # ---------------------------------------------------------------------------

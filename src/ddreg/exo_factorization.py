@@ -9,7 +9,8 @@ the Krylov sequence of the transposed companion matrix from the first unit
 vector (always cyclic for it), which is the first column of each of its
 powers (``numerics.matrix_powers``).  No eigenvalue structure and no cyclic
 vector are needed.  The design program takes the regressor as built,
-and the SVD in ``synthesis._elimination`` decides its rank.
+and the SVD in ``synthesis._elimination`` decides its rank.  It is written
+out in the package's one CSV format (``experiment.write_csv``).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .experiment import write_csv
 from .internal_model import companion_matrix
 from .numerics import matrix_powers
 from .plant import ExoMatrix
@@ -50,11 +52,6 @@ def companion_regressor(exo: ExoMatrix, ell: int, T: int) -> Regressor:
 
 def regressor_to_csv(reg: Regressor, path) -> None:
     """Dump the regressor rows for inspection: one line per row, under a
-    ``kept_rows=`` header that names every row."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"kept_rows={';'.join(map(str, reg.selection))}"])
-        for row in reg.matrix:
-            writer.writerow([repr(float(v)) for v in row])
+    ``kept_rows=`` header that names every row, with no index column."""
+    header = [f"kept_rows={';'.join(map(str, reg.selection))}"]
+    write_csv(path, {"mhat": reg.matrix}, header=header)

@@ -8,7 +8,9 @@ The internal model is the run config's (``RunConfig.im``), built once.
 The record keeps the measured input/output/internal-model sequences visible
 and segregates the exosignal (and state) behind an oracle attribute that the
 design path never touches.  The data stacks are sliding windows over the
-record (:func:`stacked_windows`).
+record (:func:`stacked_windows`).  Every CSV the package writes (the
+record, the regressor and the closed-loop trajectories) goes through
+:func:`write_csv`, in the one format :func:`record_from_csv` reads back.
 
 Outside input is validated where it enters, at one of three boundaries: the
 run config (``config.RunConfig``), a record CSV (:func:`record_from_csv`) or
@@ -181,24 +183,37 @@ def assemble_data_matrices(rec: ExperimentRecord) -> DataMatrices:
     )
 
 
-def record_to_csv(rec: ExperimentRecord, path, unmask: bool = False) -> None:
-    """Write the record as CSV: k, u_*, y_*, eta_*; exosignal only if unmasked."""
-    header = (
-        ["k"]
-        + [f"u_{i + 1}" for i in range(rec.m)]
-        + [f"y_{i + 1}" for i in range(rec.p)]
-        + [f"eta_{i + 1}" for i in range(rec.im_dim)]
-    )
-    if unmask:
-        header += [f"w_{i + 1}" for i in range(rec.oracle.w.shape[1])]
+def write_csv(path, blocks: dict, header: list[str] | None = None) -> None:
+    """Write the package's one CSV format, the one :func:`record_from_csv`
+    reads: a header row, then row k of every block side by side after the
+    index k, each number as the shortest text that reads back to it.
+    Block ``name`` of c columns is headed ``name_1`` ... ``name_c``; a block
+    with fewer rows than the table leaves its cells empty where it has no
+    sample.  A given ``header`` is written instead, with no index column."""
+    index = header is None
+    if index:
+        header = ["k"] + [
+            f"{name}_{i + 1}" for name, b in blocks.items() for i in range(b.shape[1])
+        ]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        cols = [rec.u, rec.y, rec.eta[: rec.T + 1]]
-        if unmask:
-            cols.append(rec.oracle.w)
-        for k, values in enumerate(np.hstack(cols)):
-            writer.writerow([k] + [repr(float(v)) for v in values])
+        for k in range(max(len(b) for b in blocks.values())):
+            cells = [k] if index else []
+            for b in blocks.values():
+                if k < len(b):
+                    cells += [repr(float(v)) for v in b[k]]
+                else:
+                    cells += [""] * b.shape[1]
+            writer.writerow(cells)
+
+
+def record_to_csv(rec: ExperimentRecord, path, unmask: bool = False) -> None:
+    """Write the record as CSV: k, u_*, y_*, eta_*; exosignal only if unmasked."""
+    blocks = {"u": rec.u, "y": rec.y, "eta": rec.eta[: rec.T + 1]}
+    if unmask:
+        blocks["w"] = rec.oracle.w
+    write_csv(path, blocks)
 
 
 def record_from_csv(

@@ -199,12 +199,14 @@ def _sdp_block(H1, pinv, kernel, basis) -> AffineBlock:
     return AffineBlock(const=S[0], coeff=S[1:])
 
 
-def _design_z(v, pinv, kernel, basis) -> np.ndarray:
-    """``Z = H0^+ X + N R`` at the parameters v of ``_sdp_block``."""
+def _design_z(v, pinv, kernel, basis) -> tuple[np.ndarray, np.ndarray]:
+    """``(X, Z)`` at the parameters v of ``_sdp_block``: the program's X,
+    the combination of the symmetric ``basis`` at v, and
+    ``Z = H0^+ X + N R``."""
     nu, r = pinv.shape[1], kernel.shape[1]
     nx = len(basis) - 1
     X = basis[0] + np.tensordot(v[:nx], basis[1:], axes=1)
-    return pinv @ X + kernel @ v[nx:].reshape(r, nu)
+    return X, pinv @ X + kernel @ v[nx:].reshape(r, nu)
 
 
 def solve_feasibility_sdp(
@@ -255,8 +257,9 @@ def solve_feasibility_sdp(
         result.status = "numerical_failure"
         return result
 
-    result.Y = Y = null_m @ _design_z(res.v, pinv, kernel, basis)
-    result.X = X = _sym(prob.psi0 @ Y)
+    X, Z = _design_z(res.v, pinv, kernel, basis)
+    Y = null_m @ Z
+    result.X, result.Y = X, Y
     result.mhat_residual = float(np.linalg.norm(prob.mhat @ Y))
     result.equality_residual = float(np.linalg.norm(prob.psi0 @ Y - X))
     if res.margin > feas_tol:

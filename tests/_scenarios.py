@@ -1,6 +1,7 @@
-"""Shared scenario builders for the test suite: the canned benchmarks plus
-randomized observable plants and unit-circle exosystems, and exosystems in
-real Jordan form with their closed-form sequences.
+"""Shared scenario builders for the test suite and ``tools/recheck.py``: the
+canned benchmarks plus randomized observable plants and unit-circle
+exosystems, the random-plant sweep, the paper example in other bases and
+units, and exosystems in real Jordan form with their closed-form sequences.
 """
 
 import dataclasses
@@ -9,6 +10,7 @@ import math
 import numpy as np
 
 from ddreg.benchmarks import vtol, wide_output  # noqa: F401  (re-exported)
+from ddreg.internal_model import build_internal_model
 from ddreg.plant import ExoMatrix, PlantTruth, observability_index
 
 
@@ -144,3 +146,48 @@ def paper_config(seed, presentation):
         plant=moved,
         w0=np.linalg.solve(basis, w0),
     )
+
+
+def paper_in_units(output=1.0, input_=1.0):
+    """The ``ddreg paper-example`` config at probing seed 0 with every output
+    sample times ``output`` (C, Q and eta0 scaled) and every input sample
+    times ``input_`` (B divided, the probe scale multiplied): an exact
+    diagonal rescaling of the same data, which the same controllers
+    stabilize."""
+    from ddreg.cli import paper_example_config
+
+    config = paper_example_config(0)
+    plant, policy = config.plant, config.input_policy
+    scaled = PlantTruth(
+        A=plant.A, B=plant.B / input_, P=plant.P, C=output * plant.C, Q=output * plant.Q
+    )
+    return dataclasses.replace(
+        config,
+        exo_s=config.exo.S,
+        plant=scaled,
+        eta0=output * config.eta0,
+        input_policy={**policy, "scale": input_ * policy["scale"]},
+    )
+
+
+def sweep_config(seed, conjugate=False):
+    """One input of the random-plant sweep, everything drawn from
+    ``default_rng(seed)`` in this order: n, m, p and n_w over [2, 5),
+    [1, 3), [1, 3) and [1, 4); the plant (:func:`random_plant`); the
+    exosystem (:func:`random_unit_circle_exo`, behind a similarity when
+    ``conjugate``); then w0 and x0, standard normal.  ell is the plant's
+    observability index, T = ell + nu + n_w ell + 10 with
+    nu = (m + p) ell + im.dim, the probing seed is ``seed`` and eta0 is
+    zero."""
+    from ddreg.cli import RunConfig
+
+    rng = np.random.default_rng(seed)
+    bounds = [(2, 5), (1, 3), (1, 3), (1, 4)]
+    n, m, p, n_w = (int(rng.integers(lo, hi)) for lo, hi in bounds)
+    plant = random_plant(rng, n, m, p, n_w)
+    exo = random_unit_circle_exo(rng, n_w, conjugate)
+    w0, x0 = rng.standard_normal(n_w), rng.standard_normal(n)
+    ell = observability_index(plant.A, plant.C)
+    nu = (m + p) * ell + build_internal_model(exo, p).dim
+    T = ell + nu + n_w * ell + 10
+    return RunConfig(exo_s=exo.S, ell=ell, T=T, seed=seed, plant=plant, w0=w0, x0=x0)

@@ -785,6 +785,54 @@ def test_trajectory_csv_schema(tmp_path):
     assert header2.startswith("k,w_1,w_2,x_1")
 
 
+def test_csv_cells_read_back_to_their_entries(tmp_path, monkeypatch):
+    # Every non-empty cell of trajectories.csv and regressor.csv parses to
+    # exactly the array entry it was written from; the last step has no
+    # input, so its u cells are empty.
+    made = {}
+
+    def keep(name, fn):
+        def kept(*args, **kwargs):
+            made[name] = fn(*args, **kwargs)
+            return made[name]
+
+        monkeypatch.setattr(cli, name, kept)
+
+    keep("simulate_closed_loop", cli.simulate_closed_loop)
+    keep("build_regressor", cli.build_regressor)
+    path = write_config(tmp_path, vtol_config_dict(seed=0))
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(path), "--out", str(out), "--unmask"]) == 0
+
+    run = made["simulate_closed_loop"]
+    rows = (out / "trajectories.csv").read_text().splitlines()
+    names = ("w", "x", "y", "u", "chi", "eta")
+    blocks = [getattr(run, name) for name in names]
+    header = ["k"] + [
+        f"{name}_{i + 1}" for name, b in zip(names, blocks) for i in range(b.shape[1])
+    ]
+    assert rows[0].split(",") == header
+    assert header[:8] == ["k", "w_1", "w_2", "x_1", "x_2", "x_3", "x_4", "y_1"]
+    assert len(rows) == run.steps + 2
+    for k, line in enumerate(rows[1:]):
+        cells = line.split(",")
+        assert cells[0] == str(k) and len(cells) == len(header)
+        at = 1
+        for b in blocks:
+            got = cells[at : at + b.shape[1]]
+            at += b.shape[1]
+            if b is run.u and k == run.steps:
+                assert got == [""] * b.shape[1]
+            else:
+                assert np.array_equal(np.array(got, dtype=float), b[k])
+
+    matrix = made["build_regressor"].matrix
+    rows = (out / "regressor.csv").read_text().splitlines()
+    assert rows[0] == "kept_rows=0;1" and len(rows) == 1 + len(matrix)
+    for line, row in zip(rows[1:], matrix):
+        assert np.array_equal(np.array(line.split(","), dtype=float), row)
+
+
 def test_cli_verify_stored_gain(tmp_path, capsys):
     path = write_config(tmp_path, vtol_config_dict(seed=6))
     assert main(["synthesize", "--config", str(path), "--out", str(tmp_path / "s")]) == 0

@@ -10,7 +10,7 @@ from ddreg.internal_model import companion_matrix
 from ddreg.plant import ExoMatrix
 from ddreg.synthesis import _svd_split
 
-from _scenarios import random_plant, random_unit_circle_exo, real_jordan, rotation
+from _scenarios import random_unit_circle_exo, real_jordan, rotation, sweep_config
 
 
 def lstsq_rel_residual(W0, M):
@@ -28,17 +28,6 @@ def exo_trajectory_stack(S, w0, ell, T):
             cols.append(w.copy())
         w = S @ w
     return np.column_stack(cols)
-
-
-def sweep_exo(seed):
-    """The exosystem of a random-plant sweep draw: n, m, p and n_w, then the
-    plant, then a similarity-hidden unit-circle exosystem, all from one
-    generator."""
-    rng = np.random.default_rng(seed)
-    bounds = [(2, 5), (1, 3), (1, 3), (1, 4)]
-    n, m, p, n_w = (int(rng.integers(lo, hi)) for lo, hi in bounds)
-    random_plant(rng, n, m, p, n_w)
-    return random_unit_circle_exo(rng, n_w, conjugate=True)
 
 
 # ---------------------------------------------------------------------------
@@ -130,8 +119,11 @@ def test_regressor_is_the_per_step_recursion(exo):
             12,
             id="hidden-three",
         ),
-        # The sweep's seed 4 draws V (-I) V^-1: minimal polynomial z + 1.
-        pytest.param(sweep_exo(4).S, 2, 14, id="hidden-minus-identity"),
+        # The sweep's seed 4 behind a similarity is V (-I) V^-1: minimal
+        # polynomial z + 1.
+        pytest.param(
+            sweep_config(4, conjugate=True).exo.S, 2, 14, id="hidden-minus-identity"
+        ),
         # Two columns against a degree-4 polynomial.
         pytest.param(block_diag(1.0, -1.0, rotation(0.7)), 3, 4, id="short-record"),
         # Entries up to 3e11 over a long record.

@@ -305,7 +305,7 @@ def test_batched_assembly_matches_loop_reference():
         assert np.array_equal(got, got.transpose(0, 2, 1))
         # _design_z maps the parameters back to the Z whose image is W.
         v = rng.standard_normal(b.nvar)
-        W = H1 @ _design_z(v, pinv, kernel, basis)
+        W = H1 @ _design_z(v, pinv, kernel, basis)[1]
         assert np.abs(b.value(v)[:nu, nu:] - W).max() <= 1e-12 * np.abs(W).max()
 
 
@@ -351,6 +351,27 @@ def test_vtol_design_feasible_and_contracts():
     G = np.linalg.solve(X, Y.T).T
     rho = np.max(np.abs(np.linalg.eigvals(prob.psi1 @ G)))
     assert rho < 1.0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_returned_x_is_the_certified_x(seed, monkeypatch):
+    # X is the program's own variable at the solver's point, not one
+    # re-derived from Y, and equality_residual measures |psi0 Y - X| there.
+    solved, solve = [], synthesis.maximize_margin
+
+    def recording(*args, **kwargs):
+        solved.append(solve(*args, **kwargs))
+        return solved[-1]
+
+    monkeypatch.setattr(synthesis, "maximize_margin", recording)
+    prob = paper_problem(seed)
+    res = solve_feasibility_sdp(prob)
+    assert res.status == "feasible" and len(solved) == 1
+    basis = _sym_basis(prob.nu)
+    nx = len(basis) - 1
+    X = basis[0] + np.tensordot(solved[0].v[:nx], basis[1:], axes=1)
+    assert np.array_equal(res.X, X) and np.array_equal(X, X.T)
+    assert res.equality_residual == np.linalg.norm(prob.psi0 @ res.Y - X)
 
 
 def test_zero_psi0_is_infeasible():

@@ -1,4 +1,4 @@
-"""Re-check the design solve on a fixed set of 66 inputs.
+"""Re-check the design solve on a fixed set of 157 inputs.
 
 The inputs are the paper example at probing seeds 0-29, twice each, with
 its exosystem presented in its real Jordan form (``paper-N-jordan``, the
@@ -9,7 +9,15 @@ the wide-output plant at seeds 0-2 (T = 20, ell = 2, zero
 initial states), and the n = 10 ladder rung at s = 0-2: the plant
 ``random_plant(default_rng(s), 10, 3, 2, 4)``, probing seed s, zero initial
 states, S = rotation(0.7) + rotation(1.9) (block diagonal), ell its
-observability index and T = 10 ell + 11.
+observability index and T = 10 ell + 11.  Then inputs whose verdict a
+change to the design program can flip: the random-plant sweep at seeds
+0-79 (``sweep-N``, ``_scenarios.sweep_config``; 52 feasible, 13 infeasible
+by the solver's certificate and 15 by the rank test), the ramp exosystem
+``[[1, 1], [0, 1]]`` on the paper plant (``paper-ramp``, infeasible by
+the solver's certificate), and the paper example with its output in other
+units, times 1e-3 ... 1e3 (``paper-output-A``), and its input times
+0.01 ... 100 (``paper-input-B``; ``_scenarios.paper_in_units``), six of
+them infeasible by the solver's certificate.
 
     python tools/recheck.py [--out FILE]
 
@@ -20,8 +28,10 @@ threshold of every check row, all read off the report.  For a feasible
 input it also runs ``verify_gain(config, K)`` and records the same of each
 of its rows (``verify_rows``; null for an infeasible input).  It exits 1
 when an input misses its expected verdict (paper and rung: feasible with
-every check passing; wide-output: infeasible).  ``ddreg`` is imported from
-this checkout's ``src``, ahead of any installed copy.
+every check passing; wide-output: infeasible; the sweep, ramp and unit
+inputs: the verdict alone, since some of their feasible designs fail a
+closed-loop row).  ``ddreg`` and ``_scenarios`` are imported from this
+checkout's ``src`` and ``tests``, ahead of any installed copy.
 
     python tools/recheck.py --compare OLD NEW
 
@@ -38,6 +48,7 @@ of rows or row pass flag differs, or when two brackets are disjoint.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -49,28 +60,55 @@ from scipy.linalg import block_diag
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from _scenarios import paper_config, random_plant, rotation  # noqa: E402
+from _scenarios import (  # noqa: E402
+    paper_config,
+    paper_in_units,
+    random_plant,
+    rotation,
+    sweep_config,
+)
 
 from ddreg import benchmarks  # noqa: E402
 from ddreg.cli import RunConfig, run_pipeline, verify_gain  # noqa: E402
 from ddreg.plant import observability_index  # noqa: E402
 
 
+# The sweep seeds whose verdict is infeasible; every other seed is feasible.
+SWEEP_INFEASIBLE = {
+    1, 6, 9, 11, 12, 16, 22, 24, 25, 26, 29, 30, 32, 35, 41, 44, 49, 51, 53, 58,
+    61, 62, 63, 64, 65, 67, 68, 73,
+}
+
+
 def inputs():
-    """(name, config, expected verdict) for every input, in a fixed order."""
+    """(name, config, expected verdict, whether every check must pass) for
+    every input, in a fixed order."""
     for seed in range(30):
         for basis in ("jordan", "krylov"):
-            yield f"paper-{seed}-{basis}", paper_config(seed, basis), "feasible"
+            yield f"paper-{seed}-{basis}", paper_config(seed, basis), "feasible", True
     plant, exo = benchmarks.wide_output()
     for seed in range(3):
         config = RunConfig(exo_s=exo.S, ell=2, T=20, seed=seed, plant=plant)
-        yield f"wide-{seed}", config, "infeasible"
+        yield f"wide-{seed}", config, "infeasible", False
     S = block_diag(rotation(0.7), rotation(1.9))
     for seed in range(3):
         plant = random_plant(np.random.default_rng(seed), 10, 3, 2, 4)
         ell = observability_index(plant.A, plant.C)
         config = RunConfig(exo_s=S, ell=ell, T=10 * ell + 11, seed=seed, plant=plant)
-        yield f"n10-{seed}", config, "feasible"
+        yield f"n10-{seed}", config, "feasible", True
+    for seed in range(80):
+        verdict = "infeasible" if seed in SWEEP_INFEASIBLE else "feasible"
+        yield f"sweep-{seed}", sweep_config(seed), verdict, False
+    paper = paper_config(0, "jordan")
+    ramp = dataclasses.replace(paper, exo_s=np.array([[1.0, 1.0], [0.0, 1.0]]))
+    yield "paper-ramp", ramp, "infeasible", False
+    # Today's verdicts in other units: feasible within a factor 10 of the
+    # paper's units, infeasible beyond.
+    for scale in (1e-3, 1e-2, 1e-1, 1e1, 1e2, 1e3):
+        verdict = "feasible" if 0.1 <= scale <= 10 else "infeasible"
+        yield f"paper-output-{scale:g}", paper_in_units(output=scale), verdict, False
+        if 1e-2 <= scale <= 1e2:
+            yield f"paper-input-{scale:g}", paper_in_units(input_=scale), verdict, False
 
 
 def _rows(report) -> dict:
@@ -103,10 +141,10 @@ def record(name, config) -> dict:
 
 def run(out) -> int:
     unexpected = []
-    for name, config, expected in inputs():
+    for name, config, expected, all_rows in inputs():
         rec = record(name, config)
         out.write(json.dumps(rec) + "\n")
-        ok = rec["verdict"] == expected and (expected != "feasible" or rec["all_pass"])
+        ok = rec["verdict"] == expected and (rec["all_pass"] or not all_rows)
         if not ok:
             unexpected.append(f"{name}: {rec['verdict']}, all_pass={rec['all_pass']}")
     for line in unexpected:
