@@ -185,32 +185,36 @@ def _closed_loop_checks(config: RunConfig, aux, gain, data_side=None):
     the model side ``ext_a + ext_b gain``.
 
     A destabilizing gain still gets its report: a value that cannot be
-    computed (no steady state when the closed loop is not Schur, a diverging
-    simulation) is NaN, and NaN fails its row; the returned run is None
-    when its simulation diverged.
+    computed (the spectrum of a loop map that overflowed, no steady state
+    when the closed loop is not Schur, a diverging simulation) is NaN, and
+    NaN fails its row; the returned run is None when its simulation
+    diverged.
     """
-    tol = config.tolerances
-    cl = assemble_closed_loop(aux, gain)
+    tol, eps_reg = config.tolerances, config.tolerances["eps_reg"]
+    # A finite gain may still be large enough to overflow the loop maps and
+    # the inputs read off the run; what overflowed is NaN in its rows.
+    with np.errstate(over="ignore", invalid="ignore"):
+        cl = assemble_closed_loop(aux, gain)
+        model_side = aux.ext_a + aux.ext_b @ gain
+        n_w, n, wd, di = cl.dims
+        w0, x0, chi0, eta0 = _initial(config, w0=n_w, x0=n, chi0=wd, eta0=di)
+        run = simulate_closed_loop(
+            cl, w0, x0, chi0, eta0, config.verify["steps"],
+            eps_reg=eps_reg, tail_frac=config.verify["tail_frac"],
+        )
     rho = check_internal_stability(cl)
     rows = [_check("stability_radius", rho, 1.0)]
-    model_side = aux.ext_a + aux.ext_b @ gain
     a_cl = model_side if data_side is None else data_side
-    schur = real_schur(a_cl)
-    if data_side is not None:
-        gap = check_representation_equivalence(model_side, schur.eigs)
-        rows.append(_check("representation_gap", gap, tol["representation_gap"]))
+    gap = identity = syl = float("nan")
     try:
+        schur = real_schur(a_cl)
+        if data_side is not None:
+            gap = check_representation_equivalence(model_side, schur.eigs)
         identity, syl = check_regulator_equations(aux, a_cl, schur)
-    except ValueError:  # closed loop not Schur
-        identity = syl = float("nan")
-
-    eps_reg = tol["eps_reg"]
-    n_w, n, wd, di = cl.dims
-    w0, x0, chi0, eta0 = _initial(config, w0=n_w, x0=n, chi0=wd, eta0=di)
-    run = simulate_closed_loop(
-        cl, w0, x0, chi0, eta0, config.verify["steps"],
-        eps_reg=eps_reg, tail_frac=config.verify["tail_frac"],
-    )
+    except ValueError:  # a loop map that is not finite; a loop not Schur
+        pass
+    if data_side is not None:
+        rows.append(_check("representation_gap", gap, tol["representation_gap"]))
     tail, decay = run.tail_max_y, run.zero_exo_decay
     rows += [
         _check("regulator_identity", identity, tol["regulator_identity"]),

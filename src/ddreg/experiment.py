@@ -26,7 +26,7 @@ import numpy as np
 
 from .config import DEFAULTS
 from .internal_model import InternalModel
-from .numerics import simulate_linear
+from .numerics import row_norms, simulate_linear
 from .plant import ExoMatrix, PlantTruth, plant_loop
 
 
@@ -92,7 +92,7 @@ class ExperimentRecord:
         least 1): the defect's round-off grows with the data."""
         e = self.eta[1:] - (self.eta[:-1] @ im.companion.T + self.y @ im.input_map.T)
         scale = max(1.0, float(np.abs(self.y).max()), float(np.abs(self.eta).max()))
-        return float(np.linalg.norm(e, axis=1).max()) / scale
+        return float(row_norms(e).max()) / scale
 
 
 def collect_experiment(
@@ -127,12 +127,11 @@ def collect_experiment(
         plant, exo.S, im.companion, im.input_map, np.zeros((im.dim, plant.m))
     )
     z = simulate_linear(F, np.concatenate([w0, x0, eta0]), T + 1, G, u)
-    out = np.hstack([plant.Q, plant.C])
     return ExperimentRecord(
         T=T,
         ell=ell,
         u=u,
-        y=z[: T + 1, :nz] @ out.T,
+        y=z[: T + 1, :nz] @ np.concatenate((plant.Q, plant.C), axis=1).T,
         eta=z[:, nz:],
         oracle=OracleTraces(w=z[: T + 1, :n_w], x=z[: T + 1, n_w:nz]),
         input_manifest=manifest,
@@ -171,8 +170,8 @@ def assemble_data_matrices(rec: ExperimentRecord) -> DataMatrices:
     """Stack the record into the design-facing data matrices."""
     T, ell = rec.T, rec.ell
     # Column j of the stack is column j of psi0 and column j-1 of psi1.
-    stack = np.hstack(
-        [stacked_windows(rec.y, ell), stacked_windows(rec.u, ell), rec.eta[ell:]]
+    stack = np.concatenate(
+        (stacked_windows(rec.y, ell), stacked_windows(rec.u, ell), rec.eta[ell:]), axis=1
     ).T
     return DataMatrices(
         ell=ell,
@@ -255,8 +254,8 @@ def record_from_csv(
     u = data[:, :m]
     y = data[:, m : m + p]
     eta_stored = data[:, m + p : m + p + im.dim]
-    eta = np.vstack(
-        [eta_stored, im.companion @ eta_stored[-1] + im.input_map @ y[-1]]
+    eta = np.concatenate(
+        (eta_stored, [im.companion @ eta_stored[-1] + im.input_map @ y[-1]])
     )
     rec = ExperimentRecord(
         T=T,

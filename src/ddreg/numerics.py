@@ -9,11 +9,19 @@ time goes through :func:`simulate_linear`, which steps an autonomous system
 in blocks of states and a driven one state by state, one matrix-vector
 product per step.  An autonomous system may start from a block of initial
 states, one per column (the closed loop's run and its zero-exosignal probe
-are one call).
+are one call).  Its divergence guard is decided by one bound on the largest
+entry of all states, and its stacked powers' finiteness by one test; the
+per-step norms and the per-power scan run only when these fail.
 
 A closed-loop matrix is factored once, by :func:`real_schur` (one LAPACK
-``dgees``): its eigenvalues and its Schur form, on which
-:func:`solve_sylvester` solves the steady-state equation.
+``dgees``, its workspace size kept per matrix order): its eigenvalues and
+its Schur form, on which :func:`solve_sylvester` solves the steady-state
+equation.
+
+At the package's sizes the per-call overhead of numpy's wrappers is
+comparable to the arithmetic.  Every norm the checks take is :func:`norm`
+or :func:`row_norms`, equal to ``np.linalg.norm`` bit for bit without its
+checks.
 
 Every rank decision follows one rule, :func:`numerical_rank`: the singular
 values above :data:`DEFAULT_RANK_RTOL` times the largest.  The degree of
@@ -28,7 +36,9 @@ take real numbers only: no string, no boolean.
 
 from __future__ import annotations
 
+import math
 import numbers
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -61,9 +71,10 @@ def as_vector(a, name: str = "vector", dim: int | None = None) -> np.ndarray:
     turns ``[True, 1.5]`` into floats silently)."""
     if not (isinstance(a, np.ndarray) and a.dtype.kind in "fiu"):
         for x in np.asarray(a, dtype=object).flat:
-            as_real(x, name)
+            if type(x) is not float:  # a plain float needs no further test
+                as_real(x, name)
     v = np.asarray(a, dtype=float).reshape(-1)
-    if v.size and not np.all(np.isfinite(v)):
+    if v.size and not np.isfinite(v).all():
         raise ValueError(f"{name} contains non-finite entries")
     if dim is not None and v.size != dim:
         raise ValueError(f"{name} must have length {dim}, got {v.size}")
@@ -116,15 +127,29 @@ def minimal_polynomial(S) -> np.ndarray:
     for d in range(1, n + 1):
         K, target = vecs[:, :d], vecs[:, d]
         c, *_ = np.linalg.lstsq(K, target, rcond=None)
-        resid = np.linalg.norm(K @ c - target)
-        if resid <= DEFAULT_RANK_RTOL * max(1.0, np.linalg.norm(target)) or d == n:
+        resid = norm(K @ c - target)
+        if resid <= DEFAULT_RANK_RTOL * max(1.0, norm(target)) or d == n:
             return -c
     raise AssertionError("unreachable: degree n always annihilates")
 
 
+def norm(x) -> float:
+    """``np.linalg.norm(x)`` (2-norm of a vector, Frobenius norm of a
+    matrix) bit for bit: the same dot product of the entries in memory
+    order, without the wrapper's checks."""
+    x = x.ravel(order="K")
+    return math.sqrt(x.dot(x))
+
+
+def row_norms(x) -> np.ndarray:
+    """``np.linalg.norm(x, axis=1)`` of a real matrix bit for bit: the same
+    reduction of the squares, without the wrapper's checks."""
+    return np.sqrt(np.add.reduce(x * x, axis=1))
+
+
 def spectral_radius(M) -> float:
     """Maximum eigenvalue modulus of a square matrix."""
-    return float(np.max(np.abs(np.linalg.eigvals(M))))
+    return float(np.abs(np.linalg.eigvals(M)).max())
 
 
 class RealSchur(NamedTuple):
@@ -141,14 +166,20 @@ def _unsorted(wr, wi):
     return None
 
 
+@cache
+def _dgees_lwork(n: int) -> int:
+    """dgees' optimal workspace for an ``n x n`` matrix, from its workspace
+    query; the size depends on the order alone."""
+    return int(dgees(_unsorted, np.eye(n), lwork=-1)[-2][0])
+
+
 def real_schur(M) -> RealSchur:
     """One LAPACK ``dgees`` of a finite square matrix: its real Schur form
     and eigenvalues, unsorted and unbalanced.  The form is the one
-    ``scipy.linalg.schur(M)`` returns (the same workspace query, then the
+    ``scipy.linalg.schur(M)`` returns (the same workspace size, then the
     same call); the eigenvalues are dgees' own, read off the form."""
     M = np.asarray_chkfinite(M)
-    lwork = int(dgees(_unsorted, M, lwork=-1)[-2][0])
-    t, _, wr, wi, z, _, info = dgees(_unsorted, M, lwork=lwork)
+    t, _, wr, wi, z, _, info = dgees(_unsorted, M, lwork=_dgees_lwork(len(M)))
     if info:
         raise np.linalg.LinAlgError(f"Schur form not found (dgees info {info})")
     return RealSchur(t, z, wr + 1j * wi)
@@ -163,11 +194,11 @@ def solve_sylvester(schur: RealSchur, b, q) -> np.ndarray:
     without factoring A a second time.
     """
     s, v, _ = real_schur(b.T)
-    f = np.dot(np.dot(schur.z.T, q), v)
+    f = schur.z.T.dot(q).dot(v)
     y, scale, info = dtrsyl(schur.t, s, f, tranb="C")
     if info < 0:
         raise np.linalg.LinAlgError(f"illegal value in argument {-info} of dtrsyl")
-    return np.dot(np.dot(schur.z, scale * y), v.T)
+    return schur.z.dot(scale * y).dot(v.T)
 
 
 def matrix_powers(F: np.ndarray, count: int) -> np.ndarray:
@@ -183,7 +214,7 @@ def matrix_powers(F: np.ndarray, count: int) -> np.ndarray:
     powers = np.empty((count + 1, *F.shape))
     powers[0] = np.eye(len(F))
     for prev, nxt in zip(powers[:-1], powers[1:]):
-        np.dot(F, prev, out=nxt)
+        F.dot(prev, out=nxt)
     return powers
 
 
@@ -201,7 +232,11 @@ def simulate_linear(F, z0, steps: int, G=None, u=None) -> np.ndarray:
     The guard watches each run on its own, at the first step whose state is
     past :data:`DIVERGENCE_GUARD` in norm or not finite.  A single run
     raises there; a run of a block is NaN from there on, and the other runs
-    of the block are unaffected.
+    of the block are unaffected.  It is decided by one bound: a state's
+    norm is at most sqrt(n) times its largest entry, so the largest entry
+    of all states times sqrt(n) at or below the guard clears every state
+    at once.  The per-step norms, and the search for each run's first step
+    past the guard, are taken only when that bound fails.
 
     An autonomous system (``G is None``) advances up to
     :data:`BLOCK_STEPS` states per iteration: each block is one product of
@@ -209,7 +244,9 @@ def simulate_linear(F, z0, steps: int, G=None, u=None) -> np.ndarray:
     block's first states.  The states agree with a per-step loop to
     round-off (within 1e-12 of the run's largest state on the tested maps,
     the paper example's closed loop among them).  A power that overflows is
-    not used, so a map whose square overflows steps one state at a time.
+    not used, so a map whose square overflows steps one state at a time;
+    the stacked powers are tested for finiteness at once, and scanned power
+    by power only when that test fails.
 
     A driven system steps one state per iteration, one matrix-vector
     product and one add, bit-identical to the plain recursion.  Lifting the
@@ -218,30 +255,33 @@ def simulate_linear(F, z0, steps: int, G=None, u=None) -> np.ndarray:
     paper plant it took the correspondence residual of a 40-step
     closed-loop run from 2e-11 to 2e-9.
     """
-    n = F.shape[0]
+    n, single = F.shape[0], np.ndim(z0) == 1
     with np.errstate(over="ignore", invalid="ignore"):
         if G is None:
             z = _step_autonomous(F, np.reshape(z0, (n, -1)), steps)
         else:
-            if np.ndim(z0) != 1:
+            if not single:
                 raise ValueError("a driven system steps one initial state")
             if u.shape[0] < steps:
                 raise ValueError(f"need at least {steps} input samples, got {u.shape[0]}")
             z = np.empty((steps + 1, n))
             z[0] = z0
             for prev, nxt, d in zip(z[:-1], z[1:], u[:steps] @ G.T):
-                np.dot(F, prev, out=nxt)
+                F.dot(prev, out=nxt)
                 nxt += d
             z = z[:, :, None]
         # One test after the loop: a run past the guard may go on to overflow
         # (silenced above), and the first state past it is the one reported.
         # Negated so that a non-finite state counts as past the guard.
-        past = ~(np.einsum("kic,kic->kc", z[1:], z[1:]) <= DIVERGENCE_GUARD**2)
-        if np.ndim(z0) == 1:
+        states = z[1:]
+        if not states.size or np.abs(states).max() * math.sqrt(n) <= DIVERGENCE_GUARD:
+            return z[:, :, 0] if single else z
+        past = ~(np.einsum("kic,kic->kc", states, states) <= DIVERGENCE_GUARD**2)
+        if single:
             if past.any():
                 step = int(np.argmax(past[:, 0])) + 1
                 raise RuntimeError(
-                    f"state norm {np.linalg.norm(z[step]):.3e} exceeded "
+                    f"state norm {norm(z[step]):.3e} exceeded "
                     f"{DIVERGENCE_GUARD:.0e} at step {step}: divergent simulation"
                 )
             return z[:, :, 0]
@@ -256,10 +296,12 @@ def _step_autonomous(F, starts, steps: int) -> np.ndarray:
     silences overflow)."""
     n, c = starts.shape
     powers = matrix_powers(F, max(1, min(BLOCK_STEPS, steps)))[1:]
-    # F is finite: keep the powers before the first one that is not.
-    finite = np.isfinite(powers).all(axis=(1, 2))
-    if not finite.all():
-        powers = powers[: int(np.argmin(finite))]
+    # Keep the powers before the first one that is not finite, and F itself:
+    # a map that is not finite steps one state at a time, as a per-step loop
+    # would, into states that are past the guard.
+    if not np.isfinite(powers).all():
+        finite = np.isfinite(powers).all(axis=(1, 2))
+        powers = powers[: max(1, int(np.argmin(finite)))]
     b = len(powers)
     stacked = powers.reshape(b * n, n)
     z = np.empty((steps + 1, n, c))
@@ -267,5 +309,5 @@ def _step_autonomous(F, starts, steps: int) -> np.ndarray:
     flat = z.reshape(-1, c)  # state k is rows k * n : (k + 1) * n
     for k in range(0, steps, b):
         m = min(b, steps - k)
-        np.matmul(stacked[: m * n], z[k], out=flat[(k + 1) * n : (k + 1 + m) * n])
+        stacked[: m * n].dot(z[k], out=flat[(k + 1) * n : (k + 1 + m) * n])
     return z

@@ -22,6 +22,7 @@ and internal model under the designed gain.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 import scipy.linalg
@@ -190,16 +191,28 @@ class StructuralMatrices:
     a_ell: np.ndarray = field(repr=False)
 
 
+@cache
+def _toeplitz_index(ell: int, p: int, m: int) -> np.ndarray:
+    """Where each entry of a block lower-triangular Toeplitz matrix of ell x
+    ell blocks of p x m sits in its blocks stacked flat by lag (lags 0 to
+    ell - 1, then a zero block): block (i, j) is lag i - j, or the zero
+    block above the diagonal.  Read-only, kept per shape."""
+    lag = np.arange(ell)[:, None] - np.arange(ell)
+    block = np.where(lag >= 0, lag, ell)[:, None, :, None]
+    entry = (np.arange(p)[:, None] * m + np.arange(m))[None, :, None, :]
+    index = (block * (p * m) + entry).reshape(ell * p, ell * m)
+    index.flags.writeable = False
+    return index
+
+
 def _block_toeplitz(lag0: np.ndarray, markov: np.ndarray) -> np.ndarray:
     """Block lower-triangular Toeplitz matrix of ``len(markov) + 1`` block
     rows: block (i, j) is ``lag0`` at i = j, ``markov[i - j - 1]`` below."""
-    ell = len(markov) + 1
-    # Block at lag i - j, stored at lag + ell - 1: zero at negative lags.
-    by_lag = np.zeros((2 * ell - 1, *lag0.shape))
-    by_lag[ell - 1] = lag0
-    by_lag[ell:] = markov
-    lag = np.arange(ell)[:, None] - np.arange(ell)
-    return by_lag[lag + ell - 1].swapaxes(1, 2).reshape(ell * len(lag0), -1)
+    ell, (p, m) = len(markov) + 1, lag0.shape
+    by_lag = np.zeros((ell + 1, p, m))  # lags 0 .. ell - 1, then zero
+    by_lag[0] = lag0
+    by_lag[1:ell] = markov
+    return by_lag.ravel()[_toeplitz_index(ell, p, m)]
 
 
 def build_structural_matrices(plant: PlantTruth, ell: int) -> StructuralMatrices:
@@ -222,7 +235,7 @@ def build_structural_matrices(plant: PlantTruth, ell: int) -> StructuralMatrices
     toeplitz_u = _block_toeplitz(np.zeros((p, m)), cb)
     toeplitz_w = _block_toeplitz(Q, cp)
     # Column block j of the reachability rows is A^(ell-1-j) times B or P.
-    reach_u, reach_w = (np.hstack(powers[ell - 1 :: -1] @ M) for M in (B, P))
+    reach_u, reach_w = (np.concatenate(powers[ell - 1 :: -1] @ M, axis=1) for M in (B, P))
     return StructuralMatrices(
         ell=ell,
         obs=obs,
@@ -255,4 +268,4 @@ def plant_loop(plant: PlantTruth, S, ctrl_a, ctrl_y, ctrl_u, gain=None):
     if gain is not None:
         F[x:c, c:] = plant.B @ gain
         F[c:, c:] += ctrl_u @ gain
-    return F, np.vstack([np.zeros((n_w, plant.m)), plant.B, ctrl_u])
+    return F, np.concatenate((np.zeros((n_w, plant.m)), plant.B, ctrl_u))

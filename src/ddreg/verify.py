@@ -19,9 +19,12 @@ here may read ground truth; nothing here feeds the design path.
 
 Nothing here passes or fails: the check battery in ``cli`` decides each
 report row once, from the value returned here.  A value that does not exist
-raises ``ValueError`` (no unique steady state) or, from a closed-loop run
-past the divergence guard, is NaN; the battery reports either as NaN, which
-fails.
+raises ``ValueError`` (no unique steady state) or is NaN (the spectral
+radius of a loop map that is not finite, a closed-loop run past the
+divergence guard); the battery reports either as NaN, which fails.  Every
+norm is ``numerics.norm`` or ``numerics.row_norms`` (``np.linalg.norm``
+bit for bit, without its checks), and blocks are joined with
+``np.concatenate`` and cut with slices.
 
 Outside input is validated at three boundaries, the run config
 (``config.RunConfig``), a record CSV (``experiment.record_from_csv``) and a
@@ -30,6 +33,7 @@ gain file (``cli.verify_gain``); no function here re-checks its arrays.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,6 +44,8 @@ from .internal_model import InternalModel
 from .numerics import (
     RealSchur,
     matrix_powers,
+    norm,
+    row_norms,
     simulate_linear,
     solve_sylvester,
     spectral_radius,
@@ -94,24 +100,29 @@ def build_auxiliary_matrices(
     C, Q = plant.C, plant.Q
 
     wd, off = (m + p) * ell, p * ell
+    # Each window shifts by one step (ones on the diagonal of the block
+    # that maps sample i + 1 to slot i), and its last slot takes the newest
+    # sample.
     ctrl_a = np.zeros((wd + im.dim, wd + im.dim))
-    ctrl_a[:off, :off] = np.eye(off, k=p)
-    ctrl_a[off:wd, off:wd] = np.eye(m * ell, k=m)
+    np.fill_diagonal(ctrl_a[: off - p, p:off], 1.0)
+    np.fill_diagonal(ctrl_a[off : wd - m, off + m : wd], 1.0)
     ctrl_a[wd:, wd:] = im.companion
     ctrl_y = np.zeros((wd + im.dim, p))
-    ctrl_y[off - p : off] = np.eye(p)
+    np.fill_diagonal(ctrl_y[off - p : off], 1.0)
     ctrl_y[wd:] = im.input_map
     ext_b = np.zeros((wd + im.dim, m))
-    ext_b[wd - m : wd] = np.eye(m)
+    np.fill_diagonal(ext_b[wd - m : wd], 1.0)
 
     # S^-ell, ..., S^-1, I stacked: w(k - ell .. k) from w(k).
     exo_window_map = matrix_powers(np.linalg.inv(exo.S), ell)[::-1].reshape(-1, n_w)
 
     core = C @ struct.a_ell @ struct.obs_pinv
-    y_from_window = np.hstack([core, C @ struct.reach_u - core @ struct.toeplitz_u])
+    y_from_window = np.concatenate(
+        (core, C @ struct.reach_u - core @ struct.toeplitz_u), axis=1
+    )
     # The output map of the stacked exosignal, composed with exo_window_map
     # once so that it maps the current exosignal state.
-    y_from_stack = np.hstack([C @ struct.reach_w - core @ struct.toeplitz_w, Q])
+    y_from_stack = np.concatenate((C @ struct.reach_w - core @ struct.toeplitz_w, Q), axis=1)
     y_from_exo = y_from_stack @ exo_window_map
 
     ext_a = ctrl_a.copy()
@@ -136,9 +147,7 @@ def check_data_identity(data: DataMatrices, aux: AuxiliaryMatrices) -> float:
     exosignal stack: psi1 against ext_a psi0 + ext_b u1 + ext_p w.
     """
     predicted = aux.ext_a @ data.psi0 + aux.ext_b @ data.u1 + aux.ext_p @ data.w0_oracle
-    return float(
-        np.linalg.norm(data.psi1 - predicted) / max(1.0, np.linalg.norm(data.psi1))
-    )
+    return norm(data.psi1 - predicted) / max(1.0, norm(data.psi1))
 
 
 def oracle_factorization_residual(data: DataMatrices, regressor_matrix) -> float:
@@ -147,7 +156,7 @@ def oracle_factorization_residual(data: DataMatrices, regressor_matrix) -> float
     """
     M, W0 = regressor_matrix, data.w0_oracle
     L, *_ = np.linalg.lstsq(M.T, W0.T, rcond=None)
-    return float(np.linalg.norm(W0 - L.T @ M) / max(np.linalg.norm(W0), 1e-300))
+    return norm(W0 - L.T @ M) / max(norm(W0), 1e-300)
 
 
 def check_claim1(
@@ -181,7 +190,7 @@ def check_claim1(
     state = yw @ state_from_window.T + uw @ ru_eff.T + ww @ rw_eff.T
     r2 = x[ell:] - state
     r3 = y[ell:] - (state @ plant.C.T + w[ell:] @ plant.Q.T)
-    return tuple(float(np.linalg.norm(r, axis=1).max()) / scale for r in (r1, r2, r3))
+    return tuple(float(row_norms(r).max()) / scale for r in (r1, r2, r3))
 
 
 def check_solution_correspondence(
@@ -214,16 +223,18 @@ def check_solution_correspondence(
         ]
     )
     wd = aux.window_dim
-    G = np.hstack([aux.ctrl_y[:wd] @ aux.y_from_exo, aux.ext_b[:wd]])
-    drive = np.hstack([w[ell:steps], u[ell:]])
+    G = np.concatenate((aux.ctrl_y[:wd] @ aux.y_from_exo, aux.ext_b[:wd]), axis=1)
+    drive = np.concatenate((w[ell:steps], u[ell:]), axis=1)
     xi = simulate_linear(aux.ext_a[:wd, :wd], xi0, steps - ell, G, drive)
     phi = xi @ aux.y_from_window.T + w[ell:] @ aux.y_from_exo.T
 
     # Row k - ell is the trailing (output, input) window of step k = ell..K.
-    window = np.hstack([stacked_windows(y[:steps], ell), stacked_windows(u, ell)])
+    window = np.concatenate(
+        (stacked_windows(y[:steps], ell), stacked_windows(u, ell)), axis=1
+    )
     scale = max(1.0, float(np.abs(y).max()), float(np.abs(u).max()))
-    worst_state = float(np.linalg.norm(xi - window, axis=1).max())
-    worst_out = float(np.linalg.norm(phi - y[ell:], axis=1).max())
+    worst_state = float(row_norms(xi - window).max())
+    worst_out = float(row_norms(phi - y[ell:]).max())
     return worst_state / scale, worst_out / scale
 
 
@@ -259,8 +270,11 @@ def assemble_closed_loop(aux: AuxiliaryMatrices, gain) -> ClosedLoopModel:
 
 
 def check_internal_stability(cl: ClosedLoopModel) -> float:
-    """Spectral radius of the exosignal-free closed loop; stable iff < 1."""
-    return spectral_radius(cl.core_map)
+    """Spectral radius of the exosignal-free closed loop; stable iff < 1.
+    NaN when the loop map is not finite (a gain so large that the map
+    overflowed): it has no spectrum to read."""
+    core = cl.core_map
+    return spectral_radius(core) if np.isfinite(core).all() else float("nan")
 
 
 @dataclass
@@ -309,33 +323,30 @@ def simulate_closed_loop(
     NaN decay.
     """
     n_w, n, wd, di = cl.dims
-    core0 = np.concatenate([x0, chi0, eta0])
-    core0 = core0 if core0.any() else np.ones(core0.size) / np.sqrt(core0.size)
-    starts = np.zeros((n_w + core0.size, 2))
+    c = n_w + n  # where the controller state starts
+    starts = np.zeros((c + wd + di, 2))
     starts[:, 0] = np.concatenate([w0, x0, chi0, eta0])
-    starts[n_w:, 1] = core0
+    core0 = starts[n_w:, 0]
+    starts[n_w:, 1] = core0 if core0.any() else 1.0 / math.sqrt(core0.size)
     both = simulate_linear(cl.full_map, starts, steps)
     z, probe = both[:, :, 0], both[:, n_w:, 1]
-    w, x, chi, eta = np.split(z, np.cumsum([n_w, n, wd]), axis=1)
-    y = z[:, : n_w + n] @ np.hstack([cl.aux.plant.Q, cl.aux.plant.C]).T
-    u = z[:steps, n_w + n :] @ cl.gain.T
-
-    y_norms = np.linalg.norm(y, axis=1)
-    tail_start = max(0, int(np.floor((1.0 - tail_frac) * steps)))
+    plant = cl.aux.plant
+    y = z[:, :c] @ np.concatenate((plant.Q, plant.C), axis=1).T
+    y_norms = row_norms(y)
+    tail_start = max(0, math.floor((1.0 - tail_frac) * steps))
     unsettled = np.flatnonzero(~(y_norms < eps_reg))
     settle = int(unsettled[-1]) + 1 if unsettled.size else 0
-    decay = np.linalg.norm(probe[-1]) / max(np.linalg.norm(probe[0]), 1e-300)
     return ClosedLoopRun(
         steps=steps,
-        w=w,
-        x=x,
-        chi=chi,
-        eta=eta,
+        w=z[:, :n_w],
+        x=z[:, n_w:c],
+        chi=z[:, c : c + wd],
+        eta=z[:, c + wd :],
         y=y,
-        u=u,
-        tail_max_y=float(np.max(y_norms[tail_start:])),
+        u=z[:steps, c:] @ cl.gain.T,
+        tail_max_y=float(y_norms[tail_start:].max()),
         settle_step=settle if settle <= steps else None,
-        zero_exo_decay=float(decay),
+        zero_exo_decay=norm(probe[-1]) / max(norm(probe[0]), 1e-300),
     )
 
 
@@ -353,22 +364,21 @@ def check_regulator_equations(
     :data:`SPECTRUM_GAP_TOL` of one of S's): no unique steady state.
     """
     A_cl, S, eigs = closed_data_matrix, aux.exo.S, schur.eigs
-    rho = float(np.max(np.abs(eigs)))
+    rho = float(np.abs(eigs).max())
     if rho >= 1.0:
         raise ValueError(f"closed-loop matrix is not Schur (radius {rho:.4f})")
     if np.min(np.abs(eigs[:, None] - aux.exo.eigs)) <= SPECTRUM_GAP_TOL:
         raise ValueError("resonant spectra")
     rhs = -aux.ext_p
     Pi = solve_sylvester(schur, -S, rhs)
-    syl = np.linalg.norm(A_cl @ Pi - Pi @ S - rhs)
-    denom = (np.linalg.norm(A_cl) + np.linalg.norm(S)) * np.linalg.norm(Pi) + 1e-300
-    pi_top = Pi[: aux.window_dim]
-    identity = float(np.linalg.norm(aux.y_from_exo + aux.y_from_window @ pi_top))
-    return identity, float(syl / denom)
+    syl = norm(A_cl @ Pi - Pi @ S - rhs)
+    denom = (norm(A_cl) + norm(S)) * norm(Pi) + 1e-300
+    identity = norm(aux.y_from_exo + aux.y_from_window @ Pi[: aux.window_dim])
+    return identity, syl / denom
 
 
 def check_representation_equivalence(model_side, data_eigs) -> float:
     """Gap between the spectral radii of the model-side closed loop
     ``ext_a + ext_b gain`` and its data-side representation, whose
     eigenvalues are ``data_eigs``."""
-    return abs(spectral_radius(model_side) - float(np.max(np.abs(data_eigs))))
+    return abs(spectral_radius(model_side) - float(np.abs(data_eigs).max()))

@@ -1,6 +1,7 @@
 import inspect
 import json
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -901,21 +902,41 @@ def test_zero_exo_decay_probes_a_zero_core_state():
         assert 0.0 < row["value"] and row["pass"]
 
 
-def test_cli_verify_destabilizing_gain_writes_report(tmp_path, capsys):
-    path = write_config(tmp_path, vtol_config_dict(seed=0))
+@pytest.mark.parametrize(
+    "gain, eta0, radius_is_nan",
+    [
+        pytest.param([[100.0] * 10], None, False, id="unstable"),
+        # Finite, but B @ gain overflows: the loop map has no spectrum.
+        pytest.param([[1e308] * 10], None, True, id="overflow"),
+        # So does the input read off the run's first state.
+        pytest.param([[1e308] * 10], [0.9, 0.9], True, id="overflow-input"),
+    ],
+)
+def test_cli_verify_destabilizing_gain_writes_report(
+    tmp_path, capsys, gain, eta0, radius_is_nan
+):
+    raw = vtol_config_dict(seed=0)
+    if eta0 is not None:
+        raw["initial"]["eta0"] = eta0
+    path = write_config(tmp_path, raw)
     gain_path = tmp_path / "synthesis.json"
-    gain_path.write_text(json.dumps({"gain": [[100.0] * 10]}))
-    code = main(
-        [
-            "verify",
-            "--config", str(path),
-            "--gain", str(gain_path),
-            "--out", str(tmp_path / "v"),
-        ]
-    )
+    gain_path.write_text(json.dumps({"gain": gain}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(
+            [
+                "verify",
+                "--config", str(path),
+                "--gain", str(gain_path),
+                "--out", str(tmp_path / "v"),
+            ]
+        )
     assert code == 1
     report = json.loads((tmp_path / "v" / "report.json").read_text())
     assert not report["all_pass"]
+    radius = next(c for c in report["checks"] if c["name"] == "stability_radius")
+    assert np.isnan(radius["value"]) == radius_is_nan
+    assert np.isnan(report["regulation"]["stability_radius"]) == radius_is_nan
     failed = {c["name"] for c in report["checks"] if not c["pass"]}
     assert failed == {
         "stability_radius",

@@ -246,6 +246,32 @@ def test_simulate_linear_guard_step_matches_per_step_loop(steps):
     assert str(blocked.value) == str(plain.value)
 
 
+@pytest.mark.parametrize("steps", [38, 39, 64])
+def test_simulate_linear_guard_is_on_the_state_norm(steps):
+    # From ones(16), F = 2 I has state norm 4 * 2^k, first past 1e12 at step
+    # 38, while no entry reaches 1e12 in 39 steps: a guard on the largest
+    # entry without the factor sqrt(n) would clear steps 38 and 39.
+    F, z0 = 2.0 * np.eye(16), np.ones(16)
+    with pytest.raises(RuntimeError) as blocked:
+        simulate_linear(F, z0, steps)
+    with pytest.raises(RuntimeError) as plain:
+        per_step(F, z0, steps)
+    assert "at step 38: divergent" in str(blocked.value)
+    assert str(blocked.value) == str(plain.value)
+    # Beside a decaying run (a seventeenth state at rate 0.5), the growing
+    # run of a block is NaN from step 38 on, and the decaying one is its
+    # per-step run.
+    F = np.diag([2.0] * 16 + [0.5])
+    starts = np.zeros((17, 2))
+    starts[:16, 0] = starts[16, 1] = 1.0
+    with pytest.raises(RuntimeError, match="at step 38: divergent"):
+        per_step(F, starts[:, 0], steps)
+    z = simulate_linear(F, starts, steps)
+    np.testing.assert_array_equal(z[:38, :, 0], per_step(F, starts[:, 0], 37))
+    assert np.isnan(z[38:, :, 0]).all()
+    np.testing.assert_array_equal(z[:, :, 1], per_step(F, starts[:, 1], steps))
+
+
 def test_simulate_linear_nonfinite_state_is_divergent():
     # A NaN input sample leaves a NaN state, whose norm compares false
     # against any bound.
@@ -259,6 +285,14 @@ def test_simulate_linear_nonfinite_state_is_divergent():
         warnings.simplefilter("error")
         with pytest.raises(RuntimeError, match="state norm (inf|nan) .* at step 1: "):
             simulate_linear(F, [1e9, 1e9], 10)
+    # A map that is not finite (a loop map that overflowed) is stepped as it
+    # is: every run is past the guard at step 1 (inf, or 0 * inf = NaN).
+    F = np.array([[np.inf, 0.0], [0.0, 0.5]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeError, match="state norm (inf|nan) .* at step 1: "):
+            simulate_linear(F, [1.0, 1.0], 40)
+        assert np.isnan(simulate_linear(F, np.eye(2), 40)[1:]).all()
 
 
 def test_simulate_linear_overflowing_powers_step_like_per_step_loop():
