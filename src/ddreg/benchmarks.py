@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .plant import ExoMatrix, PlantTruth
+from .exosystem import ExoMatrix
+from .plant import PlantTruth
 
 # Exosystem: quarter-turn rotation; minimal polynomial 1 + x^2.
 VTOL_S = np.array([[0.0, 1.0], [-1.0, 0.0]])

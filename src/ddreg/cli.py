@@ -16,7 +16,7 @@ import numpy as np
 
 from . import benchmarks
 from .config import PipelineError, RunConfig
-from .exo_factorization import companion_regressor, regressor_to_csv
+from .exosystem import companion_regressor
 from .experiment import (
     ExperimentRecord,
     NormalInputPolicy,
@@ -24,11 +24,17 @@ from .experiment import (
     collect_experiment,
     record_from_csv,
     record_to_csv,
+    regressor_to_csv,
     write_csv,
 )
 from .numerics import as_vector, real_schur
 from .plant import build_structural_matrices
-from .synthesis import assemble_sdp, feasibility_precheck, solve_feasibility_sdp
+from .synthesis import (
+    WINDOW_RESIDUAL_TOL,
+    assemble_sdp,
+    feasibility_precheck,
+    solve_feasibility_sdp,
+)
 from .verify import (
     assemble_closed_loop,
     build_auxiliary_matrices,
@@ -133,12 +139,14 @@ def _check(name, value, threshold, op="<", passed=None):
 
 
 def _design_checks(config: RunConfig, result) -> list[dict]:
-    """Designer rows: the SDP verdict and, for a feasible design, the
-    gain's interpolation identity."""
+    """Designer rows: the SDP verdict, whether the window is a state (the
+    data's window residual; NaN, which fails, when the data cannot tell)
+    and, for a feasible design, the gain's interpolation identity."""
     tol = config.tolerances
     feasible = result.status == "feasible"
     rows = [
-        _check("sdp_feasible", result.margin, tol["feas_tol"], op=">", passed=feasible)
+        _check("sdp_feasible", result.margin, tol["feas_tol"], op=">", passed=feasible),
+        _check("window_residual", result.window_residual, WINDOW_RESIDUAL_TOL),
     ]
     if feasible:
         rows.append(_check("gain_identity", result.gain_defect, tol["gain_identity"]))
@@ -414,7 +422,8 @@ def _print_synthesis(pre: dict, syn: dict, nu: int) -> None:
     if pre["columns"] < pre["columns_needed"]:
         print(
             f"precheck: {pre['columns']} data columns < {pre['columns_needed']} "
-            "(rows of psi0 plus the regressor's degree); collect a longer run"
+            "(one more than the rows of psi0, u1 and the regressor); "
+            "collect a longer run"
         )
     if syn["stop"] is not None:
         how = f"stop {syn['stop']} after {syn['iterations']} iterations"

@@ -16,9 +16,9 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .internal_model import InternalModel, build_internal_model
+from .exosystem import ExoMatrix, InternalModel, build_internal_model
 from .numerics import as_integer, as_real, as_vector
-from .plant import ExoMatrix, PlantTruth
+from .plant import PlantTruth
 
 # Section -> key -> default.  A tuple lists the allowed values, the first
 # being the default; another value is converted to its default's type (an

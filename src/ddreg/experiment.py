@@ -9,8 +9,9 @@ The record keeps the measured input/output/internal-model sequences visible
 and segregates the exosignal (and state) behind an oracle attribute that the
 design path never touches.  The data stacks are sliding windows over the
 record (:func:`stacked_windows`).  Every CSV the package writes (the
-record, the regressor and the closed-loop trajectories) goes through
-:func:`write_csv`, in the one format :func:`record_from_csv` reads back.
+record and the regressor, written here, and the closed-loop trajectories)
+goes through :func:`write_csv`, in the one format :func:`record_from_csv`
+reads back.
 
 Outside input is validated where it enters, at one of three boundaries: the
 run config (``config.RunConfig``), a record CSV (:func:`record_from_csv`) or
@@ -25,9 +26,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DEFAULTS
-from .internal_model import InternalModel
+from .exosystem import ExoMatrix, InternalModel, Regressor
 from .numerics import row_norms, simulate_linear
-from .plant import ExoMatrix, PlantTruth, plant_loop
+from .plant import PlantTruth, plant_loop
 
 
 @dataclass
@@ -81,10 +82,6 @@ class ExperimentRecord:
     @property
     def p(self) -> int:
         return self.y.shape[1]
-
-    @property
-    def im_dim(self) -> int:
-        return self.eta.shape[1]
 
     def internal_model_residual(self, im: InternalModel) -> float:
         """Worst defect of the stored eta sequence against its recursion,
@@ -213,6 +210,13 @@ def record_to_csv(rec: ExperimentRecord, path, unmask: bool = False) -> None:
     if unmask:
         blocks["w"] = rec.oracle.w
     write_csv(path, blocks)
+
+
+def regressor_to_csv(reg: Regressor, path) -> None:
+    """Dump the regressor rows for inspection: one line per row, under a
+    ``kept_rows=`` header that names every row, with no index column."""
+    header = [f"kept_rows={';'.join(map(str, reg.selection))}"]
+    write_csv(path, {"mhat": reg.matrix}, header=header)
 
 
 def record_from_csv(

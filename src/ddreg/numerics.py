@@ -26,8 +26,9 @@ checks.
 Every rank decision follows one rule, :func:`numerical_rank`: the singular
 values above :data:`DEFAULT_RANK_RTOL` times the largest.  The degree of
 S's minimal polynomial is decided at the same relative tolerance, by the
-residual test of :func:`minimal_polynomial`.  The solver's pivoted Cholesky
-keeps LAPACK's default, and holds linearly dependent variables at zero.
+residual test of ``exosystem.minimal_polynomial``.  The solver's pivoted
+Cholesky keeps LAPACK's default, and holds linearly dependent variables at
+zero.
 
 Outside numbers are read by :func:`as_real`, :func:`as_integer` (a whole
 number, never truncated), :func:`as_vector` and :func:`as_matrix`, which
@@ -44,8 +45,8 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg.lapack import dgees, dtrsyl
 
-# Rank tolerance of numerical_rank and minimal_polynomial (relative to the
-# largest singular value, or to the tested power's norm).
+# Rank tolerance of numerical_rank and exosystem.minimal_polynomial
+# (relative to the largest singular value, or to the tested power's norm).
 DEFAULT_RANK_RTOL = 1e-8
 
 # Simulations abort once any state norm passes this bound, signalling
@@ -110,27 +111,6 @@ def numerical_rank(s) -> int:
     returns them) above ``DEFAULT_RANK_RTOL`` times ``s[0]``: 0 for an empty
     or zero ``s``."""
     return int(np.count_nonzero(s > DEFAULT_RANK_RTOL * s[0])) if len(s) else 0
-
-
-def minimal_polynomial(S) -> np.ndarray:
-    """Lowest-degree monic polynomial annihilating a square matrix, as its
-    non-leading coefficients ``c[0] .. c[d-1]`` of
-    ``c[0] + c[1] x + ... + x^d`` (the degree d is their count).
-
-    Found by an incremental Krylov test on vectorized powers: the smallest
-    ``d`` such that ``vec(S^d)`` lies, within ``DEFAULT_RANK_RTOL`` relative
-    residual, in the span of ``vec(S^0) .. vec(S^(d-1))``.  ``d = n`` always
-    succeeds.
-    """
-    n = S.shape[0]
-    vecs = matrix_powers(S, n).reshape(n + 1, -1).T
-    for d in range(1, n + 1):
-        K, target = vecs[:, :d], vecs[:, d]
-        c, *_ = np.linalg.lstsq(K, target, rcond=None)
-        resid = norm(K @ c - target)
-        if resid <= DEFAULT_RANK_RTOL * max(1.0, norm(target)) or d == n:
-            return -c
-    raise AssertionError("unreachable: degree n always annihilates")
 
 
 def norm(x) -> float:

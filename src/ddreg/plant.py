@@ -1,6 +1,5 @@
-"""Ground-truth plant/exosystem representation and the stacked window
-matrices (observability stack, input/exosignal Toeplitz maps, reachability
-rows) the oracle builds on.
+"""The hidden plant and the stacked window matrices (observability stack,
+input/exosignal Toeplitz maps, reachability rows) the oracle builds on.
 
 The plant
 
@@ -8,7 +7,8 @@ The plant
     x(k+1) = A x(k) + B u(k) + P w(k)
     y(k)   = C x(k) + Q w(k)
 
-is known only to the harness; the design pipeline sees input-output data.
+is known only to the harness; the design pipeline sees input-output data
+and the exosystem map S (``exosystem``, which never reads this module).
 The window maps are read off one stack of powers of A
 (``numerics.matrix_powers``), each Toeplitz block being the Markov
 parameter at its lag.  The plant is stepped forward only inside a loop
@@ -25,13 +25,8 @@ from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
-import scipy.linalg
 
-from .numerics import as_matrix, matrix_powers, minimal_polynomial, numerical_rank
-
-# Eigenvalues of the exosystem map may not dip below the unit circle by more
-# than this slack (in the geometric mean of each cluster; see ExoMatrix).
-UNIT_CIRCLE_SLACK = 1e-9
+from .numerics import as_matrix, matrix_powers, numerical_rank
 
 
 def observability_index(A, C) -> int:
@@ -52,66 +47,6 @@ def observability_index(A, C) -> int:
         if numerical_rank(np.linalg.svd(obs[: depth * p], compute_uv=False)) == n:
             return depth
     raise ValueError("unobservable pair")
-
-
-def _inside_unit_circle(S: np.ndarray, eigs: np.ndarray) -> bool:
-    """Whether some cluster of S's eigenvalues has the geometric mean of its
-    moduli below ``1 - UNIT_CIRCLE_SLACK`` (see :class:`ExoMatrix`);
-    ``eigs`` are S's computed eigenvalues."""
-    if np.all(np.abs(eigs) >= 1.0 - UNIT_CIRCLE_SLACK):
-        return False  # no mean of moduli can be lower
-    eigs, left, right = scipy.linalg.eig(S, left=True)
-    # Round-off reach of each eigenvalue: its condition number (unit-norm
-    # eigenvectors) times a backward error of 4 n_w eps |S|_F (n_w alone
-    # already joins the tested Jordan blocks, hidden or not).
-    with np.errstate(divide="ignore"):
-        cond = 1.0 / np.abs(np.sum(left.conj() * right, axis=0))
-        log_moduli = np.log(np.abs(eigs))
-    reach = 4 * len(S) * np.finfo(float).eps * np.linalg.norm(S) * cond
-    near = np.abs(eigs[:, None] - eigs) <= np.minimum(reach[:, None], reach)
-    labels = np.arange(len(eigs))
-    for _ in range(len(eigs)):  # each label becomes its cluster's smallest
-        labels = np.min(np.where(near, labels, len(eigs)), axis=1)
-    sizes = np.bincount(labels)
-    means = np.bincount(labels, log_moduli)[sizes > 0] / sizes[sizes > 0]
-    return bool(np.any(means < np.log1p(-UNIT_CIRCLE_SLACK)))
-
-
-@dataclass
-class ExoMatrix:
-    """Known exosystem map S.  All eigenvalue moduli must be >= 1.
-
-    The bound is decided on the geometric mean of the moduli in each
-    cluster of computed eigenvalues.  The computed eigenvalues of a Jordan
-    block of size k spread about (eps |S|)^(1/k) around the true one, far
-    past :data:`UNIT_CIRCLE_SLACK` (a size-3 block at modulus 1 gives one
-    at 1 - 5.5e-6), while their product, a determinant, is accurate to
-    round-off.  Two eigenvalues share a cluster when each lies within the
-    other's round-off reach, its condition number times ``4 n_w eps
-    |S|_F``: a Jordan block's scattered eigenvalues reach each other, and
-    a well-conditioned eigenvalue is decided alone.
-
-    ``eigs`` holds the eigenvalues of S, taken once by the validation; every
-    reader of S's spectrum reads them here.  ``coeffs`` holds the internal
-    model's: those of S's ``minimal_polynomial``.  Both are read-only."""
-
-    S: np.ndarray
-    eigs: np.ndarray = field(init=False, repr=False)
-    coeffs: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.S = as_matrix(self.S, "S", square=True)
-        self.eigs = np.linalg.eigvals(self.S)
-        self.eigs.flags.writeable = False
-        # The modulus bound also makes S invertible: |det S| >= (1 - slack)^n_w.
-        if _inside_unit_circle(self.S, self.eigs):
-            raise ValueError("exosystem eigenvalue inside unit circle")
-        self.coeffs = minimal_polynomial(self.S)
-        self.coeffs.flags.writeable = False
-
-    @property
-    def n_w(self) -> int:
-        return self.S.shape[0]
 
 
 @dataclass

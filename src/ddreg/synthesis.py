@@ -43,10 +43,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULTS
-from .exo_factorization import Regressor
 from .experiment import DataMatrices
-from .numerics import numerical_rank
+from .exosystem import Regressor
+from .numerics import norm, numerical_rank
 from .sdp import AffineBlock, _sym, maximize_margin
+
+# Largest window residual (see :func:`window_residual`) for which the window
+# counts as a state: round-off passes, an undetermined output does not.
+WINDOW_RESIDUAL_TOL = 1e-8
 
 
 @dataclass
@@ -79,6 +83,8 @@ class SynthesisResult:
     ``sigma_dropped`` are its singular values on either side of the rank
     cut, relative to the largest (None where there is none: with fewer
     columns than nu rows, H0 is short of rank nu by its shape alone).
+    ``window_residual`` is :func:`window_residual` of the data, taken for
+    every design.
     ``stop``, ``iterations`` and ``gap_bound`` are the interior-point
     solve's (``sdp.MarginResult``; the optimum is at most
     ``margin + gap_bound``): None, 0 and None when no solve ran or the
@@ -90,6 +96,7 @@ class SynthesisResult:
     rank: int
     sigma_kept: float | None
     sigma_dropped: float | None
+    window_residual: float
     free_params: int | None = None  # of the design block, once assembled
     stop: str | None = None
     iterations: int = 0
@@ -109,8 +116,8 @@ class SynthesisResult:
     def to_dict(self) -> dict:
         names = (
             "status", "margin", "stop", "iterations", "gap_bound", "free_params",
-            "rank", "sigma_kept", "sigma_dropped", "mhat_residual",
-            "equality_residual", "error",
+            "rank", "sigma_kept", "sigma_dropped", "window_residual",
+            "mhat_residual", "equality_residual", "error",
         )
         d = {name: getattr(self, name) for name in names}
         d["gain"] = None if self.K is None else self.K.tolist()
@@ -138,6 +145,23 @@ def _svd_split(M: np.ndarray):
     u, s, vh = np.linalg.svd(M)
     rank = numerical_rank(s)
     return u[:, :rank], s, vh[:rank].T.copy(), vh[rank:].T.copy()
+
+
+def window_residual(prob: SdpProblem) -> float:
+    """Relative residual of the rows of psi1 off the row space of
+    ``[psi0; u1; mhat]``, from designer data alone.
+
+    When the window is at least the plant's observability index, the
+    window is a state: psi1 is a linear map of psi0, u1 and the exosignal
+    stack, whose rows lie in mhat's row space, and the residual is
+    round-off.  A shorter window leaves the newest output undetermined,
+    and the residual is of the order of the data.  With no more columns
+    than the stack's rank (``numerics.numerical_rank``) every row lies in
+    that row space, and the test cannot decide: NaN."""
+    null = _svd_split(np.vstack([prob.psi0, prob.u1, prob.mhat]))[3]
+    if null.shape[1] == 0:
+        return float("nan")
+    return norm(prob.psi1 @ null) / max(norm(prob.psi1), 1e-300)
 
 
 def _elimination(prob: SdpProblem):
@@ -234,7 +258,9 @@ def solve_feasibility_sdp(
     rel = s / s[0] if rank else s[:0]  # rank 0: H0 is zero or empty
     kept = float(rel[rank - 1]) if rank else None
     dropped = float(rel[rank]) if rank < rel.size else None
-    result = SynthesisResult("infeasible", -np.inf, rank, kept, dropped)
+    result = SynthesisResult(
+        "infeasible", -np.inf, rank, kept, dropped, window_residual(prob)
+    )
     if rank < prob.nu:
         # X = psi0 Y = H0 Z has rank below nu for every Z, and X is a
         # principal submatrix of the block: the margin is at most 0.
@@ -290,9 +316,11 @@ def extract_gain(prob: SdpProblem, X, Y) -> tuple[np.ndarray, np.ndarray, float]
 
 def feasibility_precheck(prob: SdpProblem) -> dict:
     """Experiment-length guidance from designer data, before the solver: the
-    data ``columns``, and ``columns_needed``, the rows of psi0 plus those of
-    ``mhat`` (the regressor's degree d); a run with fewer columns than that
-    is too short.  The rank decision (X is singular for every Y when
+    data ``columns``, and ``columns_needed``, one more than the rows of
+    ``[psi0; u1; mhat]`` (nu + m + d, d the regressor's degree); a run with
+    fewer columns than that is too short for :func:`window_residual` to
+    decide.  The rank decision (X is singular for every Y when
     ``psi0 null_m`` has rank below nu) is made and reported by
     ``solve_feasibility_sdp``."""
-    return {"columns": prob.n_cols, "columns_needed": prob.nu + prob.nhat_w}
+    stack_rows = prob.nu + prob.u1.shape[0] + prob.nhat_w
+    return {"columns": prob.n_cols, "columns_needed": stack_rows + 1}

@@ -39,8 +39,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DEFAULTS
+from .exosystem import ExoMatrix, InternalModel
 from .experiment import DataMatrices, ExperimentRecord, stacked_windows
-from .internal_model import InternalModel
 from .numerics import (
     RealSchur,
     matrix_powers,
@@ -50,7 +50,7 @@ from .numerics import (
     solve_sylvester,
     spectral_radius,
 )
-from .plant import ExoMatrix, PlantTruth, StructuralMatrices, plant_loop
+from .plant import PlantTruth, StructuralMatrices, plant_loop
 
 # Closest an eigenvalue of the closed loop may come to one of S's (absolute,
 # in the complex plane) for the steady state to count as unique.

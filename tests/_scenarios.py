@@ -10,8 +10,8 @@ import math
 import numpy as np
 
 from ddreg.benchmarks import vtol, wide_output  # noqa: F401  (re-exported)
-from ddreg.internal_model import build_internal_model
-from ddreg.plant import ExoMatrix, PlantTruth, observability_index
+from ddreg.exosystem import ExoMatrix, build_internal_model
+from ddreg.plant import PlantTruth, observability_index
 
 
 def rotation(theta):

@@ -12,11 +12,14 @@ import pytest
 
 from ddreg.benchmarks import vtol, wide_output
 from ddreg.cli import paper_example_config, run_pipeline
-from ddreg.exo_factorization import companion_regressor
+from ddreg.exosystem import (
+    ExoMatrix,
+    build_internal_model,
+    companion_regressor,
+    minimal_polynomial,
+)
 from ddreg.experiment import NormalInputPolicy, assemble_data_matrices, collect_experiment
-from ddreg.internal_model import build_internal_model
-from ddreg.numerics import minimal_polynomial
-from ddreg.plant import ExoMatrix, build_structural_matrices, observability_index
+from ddreg.plant import build_structural_matrices, observability_index
 from ddreg.synthesis import assemble_sdp, solve_feasibility_sdp
 from ddreg.verify import (
     build_auxiliary_matrices,

@@ -23,8 +23,8 @@ from ddreg.cli import (
     verify_gain,
 )
 from ddreg.config import DEFAULTS
+from ddreg.exosystem import build_internal_model
 from ddreg.experiment import NormalInputPolicy
-from ddreg.internal_model import build_internal_model
 from ddreg.synthesis import solve_feasibility_sdp
 
 
@@ -170,7 +170,7 @@ def test_configured_gain_identity_reaches_extract_gain(tmp_path, capsys):
     assert "[FAIL] gain_identity" in capsys.readouterr().out
     payload = json.loads((tmp_path / "s" / "synthesis.json").read_text())
     rows = {c["name"]: c["pass"] for c in payload["checks"]}
-    assert rows == {"sdp_feasible": True, "gain_identity": False}
+    assert rows == {"sdp_feasible": True, "window_residual": True, "gain_identity": False}
     assert payload["gain"] is not None
 
 
@@ -319,6 +319,7 @@ def test_report_check_names_and_order(monkeypatch):
     designed = run_pipeline(paper_example_config(0))
     assert _names(designed) == ORACLE_ROWS + [
         "sdp_feasible",
+        "window_residual",
         "gain_identity",
         "stability_radius",
         "representation_gap",
@@ -331,7 +332,7 @@ def test_report_check_names_and_order(monkeypatch):
     assert calls == [300] * 2
 
     infeasible = run_pipeline(RunConfig.from_dict(wide_output_config_dict()))
-    assert _names(infeasible) == ORACLE_ROWS + ["sdp_feasible"]
+    assert _names(infeasible) == ORACLE_ROWS + ["sdp_feasible", "window_residual"]
     assert "regulation" not in infeasible
     assert len(calls) == 2
 
@@ -652,6 +653,7 @@ def test_cli_synthesize_from_record(tmp_path):
     assert len(payload["gain"][0]) == 10
     assert [(c["name"], c["pass"]) for c in payload["checks"]] == [
         ("sdp_feasible", True),
+        ("window_residual", True),
         ("gain_identity", True),
     ]
 
@@ -676,6 +678,26 @@ def test_cli_synthesize_plant_free(tmp_path):
     assert code == 0
     payload = json.loads((tmp_path / "s2" / "synthesis.json").read_text())
     assert payload["status"] == "feasible"
+
+
+def test_cli_synthesize_rejects_a_window_below_the_index(tmp_path, capsys):
+    # A plant-free config checks ell against nothing but the data: at
+    # ell = 3 (the paper plant's observability index is 4) the design is
+    # feasible, yet psi1 leaves the row space of [psi0; u1; mhat], so the
+    # window_residual row fails and synthesize exits 1.
+    cfg = paper_example_config(0).effective_dict()
+    path = write_config(tmp_path, cfg)
+    assert main(["collect", "--config", str(path), "--out", str(tmp_path / "c")]) == 0
+    cfg.pop("plant")
+    cfg.update(dims={"m": 1, "p": 1}, ell=3)
+    blind = write_config(tmp_path, cfg, name="designer.json")
+    argv = ["synthesize", "--config", str(blind), "--out", str(tmp_path / "s")]
+    assert main(argv + ["--record", str(tmp_path / "c" / "record.csv")]) == 1
+    assert "[FAIL] window_residual" in capsys.readouterr().out
+    payload = json.loads((tmp_path / "s" / "synthesis.json").read_text())
+    rows = {c["name"]: c["pass"] for c in payload["checks"]}
+    assert rows == {"sdp_feasible": True, "window_residual": False, "gain_identity": True}
+    assert not np.isnan(payload["window_residual"])
 
 
 def test_design_stage_reads_no_ground_truth(tmp_path):

@@ -5,9 +5,7 @@ from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
 from ddreg.cli import paper_example_config
-from ddreg.exo_factorization import companion_regressor
-from ddreg.internal_model import companion_matrix
-from ddreg.plant import ExoMatrix
+from ddreg.exosystem import ExoMatrix, companion_matrix, companion_regressor
 from ddreg.synthesis import _svd_split
 
 from _scenarios import random_unit_circle_exo, real_jordan, rotation, sweep_config

@@ -11,8 +11,8 @@ from ddreg.experiment import (
     record_to_csv,
     stacked_windows,
 )
-from ddreg.internal_model import build_internal_model
-from ddreg.plant import ExoMatrix, PlantTruth
+from ddreg.exosystem import ExoMatrix, build_internal_model
+from ddreg.plant import PlantTruth
 
 from _scenarios import random_plant, random_unit_circle_exo, vtol
 

@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from ddreg.internal_model import build_internal_model
+import ddreg
+from ddreg.exosystem import ExoMatrix, build_internal_model
 from ddreg.numerics import simulate_linear
-from ddreg.plant import ExoMatrix
 
 from _scenarios import monic_horner, random_unit_circle_exo, rotation
 
@@ -116,3 +121,18 @@ def test_annihilation_invariant():
     for n_w in (2, 3, 4):
         exo = random_unit_circle_exo(rng, n_w, conjugate=True)
         assert np.linalg.norm(monic_horner(exo.coeffs, exo.S)) < 1e-8
+
+
+def test_exosystem_imports_no_hidden_module():
+    # The designer's side (S and what derives from it) loads nothing of the
+    # plant, the experiment or the oracle: numerics alone.
+    code = (
+        "import sys, ddreg.exosystem; "
+        "print(sorted(m for m in sys.modules if m.startswith('ddreg')))"
+    )
+    src = str(Path(ddreg.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    ).stdout
+    assert out.strip() == "['ddreg', 'ddreg.exosystem', 'ddreg.numerics']"

@@ -7,13 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddreg.cli import paper_example_config, run_pipeline
-from ddreg.internal_model import build_internal_model
+from ddreg.exosystem import build_internal_model, minimal_polynomial
 from ddreg.numerics import (
     BLOCK_STEPS,
     DIVERGENCE_GUARD,
     as_integer,
     matrix_powers,
-    minimal_polynomial,
     numerical_rank,
     real_schur,
     simulate_linear,

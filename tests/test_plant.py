@@ -3,13 +3,8 @@ import pytest
 from scipy.linalg import block_diag
 
 from ddreg.experiment import collect_experiment
-from ddreg.internal_model import build_internal_model
-from ddreg.plant import (
-    ExoMatrix,
-    PlantTruth,
-    build_structural_matrices,
-    observability_index,
-)
+from ddreg.exosystem import ExoMatrix, build_internal_model
+from ddreg.plant import PlantTruth, build_structural_matrices, observability_index
 
 from _scenarios import random_plant, real_jordan, rotation, vtol
 

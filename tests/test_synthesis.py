@@ -9,6 +9,7 @@ from ddreg import synthesis
 from ddreg.benchmarks import VTOL_ETA0, VTOL_W0, VTOL_X0, vtol, wide_output
 from ddreg.cli import (
     RunConfig,
+    _design_checks,
     build_regressor,
     collect_stage,
     paper_example_config,
@@ -16,10 +17,20 @@ from ddreg.cli import (
     synthesize_stage,
 )
 from ddreg.config import DEFAULTS
-from ddreg.exo_factorization import Regressor, companion_regressor
-from ddreg.experiment import NormalInputPolicy, assemble_data_matrices, collect_experiment
-from ddreg.internal_model import build_internal_model
-from ddreg.plant import ExoMatrix, PlantTruth, observability_index
+from ddreg.exosystem import (
+    ExoMatrix,
+    Regressor,
+    build_internal_model,
+    companion_regressor,
+)
+from ddreg.experiment import (
+    NormalInputPolicy,
+    assemble_data_matrices,
+    collect_experiment,
+    record_from_csv,
+    record_to_csv,
+)
+from ddreg.plant import PlantTruth, observability_index
 from ddreg.sdp import AffineBlock
 from ddreg.synthesis import (
     SdpProblem,
@@ -32,9 +43,15 @@ from ddreg.synthesis import (
     extract_gain,
     feasibility_precheck,
     solve_feasibility_sdp,
+    window_residual,
 )
 
-from _scenarios import paper_config, random_plant, random_unit_circle_exo
+from _scenarios import (
+    paper_config,
+    random_plant,
+    random_unit_circle_exo,
+    sweep_config,
+)
 
 
 def vtol_problem(seed=0, T=20, ell=4, similarity=None):
@@ -556,9 +573,10 @@ def test_extract_gain_rejects_singular_x():
 
 
 def test_precheck_vtol_no_warnings():
-    # 17 data columns against nu = 10 rows of psi0 and 2 of the regressor.
+    # 17 data columns against nu = 10 rows of psi0, 1 of u1 and 2 of the
+    # regressor, plus one.
     report = feasibility_precheck(vtol_problem(seed=0))
-    assert report == {"columns": 17, "columns_needed": 12}
+    assert report == {"columns": 17, "columns_needed": 14}
 
 
 def test_precheck_empty_regressor_guidance_only():
@@ -567,19 +585,65 @@ def test_precheck_empty_regressor_guidance_only():
     prob = SdpProblem(
         u1=np.zeros((1, 3)), psi0=psi0, psi1=np.zeros((4, 3)), mhat=np.zeros((0, 3))
     )
-    assert feasibility_precheck(prob) == {"columns": 3, "columns_needed": 4}
+    assert feasibility_precheck(prob) == {"columns": 3, "columns_needed": 6}
 
 
 def test_precheck_counts_the_regressor_degree_on_a_short_record():
     # ell = T = 4 leaves one data column against the regressor's d = 2
-    # rows, which are all kept; the record still needs nu + d = 12 columns,
-    # and the rank test settles the verdict with no solve.
+    # rows, which are all kept; the record still needs nu + m + d + 1 = 14
+    # columns, and the rank test settles the verdict with no solve.
     raw = paper_example_config(0).effective_dict()
     config = RunConfig.from_dict({**raw, "T": 4})
     _, reg, prob, pre, result = synthesize_stage(config, collect_stage(config))
     assert reg.selection == [0, 1] and prob.nhat_w == 2 and prob.nu == 10
-    assert pre == {"columns": 1, "columns_needed": 12}
+    assert pre == {"columns": 1, "columns_needed": 14}
     assert result.status == "infeasible" and result.stop is None
+
+
+# ---------------------------------------------------------------------------
+# window_residual
+
+
+# The first twelve sweep plants with observability index >= 2.
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12])
+def test_window_residual_decides_the_observability_index(seed, tmp_path):
+    # One record, designed from plant-free configs (a plant config rejects
+    # ell below the index): the row passes at ell = index and fails at
+    # index - 1, whatever the verdict, with more columns than the stack's
+    # rank (NaN, which fails, would mean no power).
+    config = sweep_config(seed)
+    plant, index = config.plant, config.plant.obs_index
+    assert index >= 2
+    path = tmp_path / "record.csv"
+    record_to_csv(collect_stage(config), path)
+    passes = []
+    for ell in (index, index - 1):
+        blind = RunConfig(
+            exo_s=config.exo.S, ell=ell, T=config.T, seed=seed,
+            dims={"m": plant.m, "p": plant.p},
+        )
+        rec = record_from_csv(path, ell, blind.im, plant.m, blind.T)
+        result = synthesize_stage(blind, rec)[-1]
+        rows = {c["name"]: c for c in _design_checks(blind, result)}
+        value = rows["window_residual"]["value"]
+        assert value == result.window_residual and not np.isnan(value)
+        passes.append(rows["window_residual"]["pass"])
+    assert passes == [True, False]
+
+
+@pytest.mark.parametrize("T", [10, 15, 16])
+def test_window_residual_cannot_decide_without_spare_columns(T):
+    # At ell = 4, T <= 16 leaves N = T - 3 <= 13 columns against the 13 rows
+    # of [psi0; u1; mhat] (nu = 10, m = 1, d = 2): every row of psi1 lies in
+    # the stack's row space, so the test has no power, and the precheck asks
+    # for a longer run (T = 15 and 16 have at least nu + d columns).
+    prob = vtol_problem(T=T)
+    assert prob.n_cols == T - 3 and np.isnan(window_residual(prob))
+    assert feasibility_precheck(prob) == {"columns": T - 3, "columns_needed": 14}
+    config = RunConfig.from_dict({**paper_example_config(0).effective_dict(), "T": T})
+    result = synthesize_stage(config, collect_stage(config))[-1]
+    rows = {c["name"]: c for c in _design_checks(config, result)}
+    assert np.isnan(result.window_residual) and not rows["window_residual"]["pass"]
 
 
 @settings(max_examples=20, derandomize=True, deadline=None)

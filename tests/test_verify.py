@@ -2,17 +2,11 @@ import numpy as np
 import pytest
 
 from ddreg.benchmarks import VTOL_ETA0, VTOL_W0, VTOL_X0, vtol
-from ddreg.exo_factorization import companion_regressor
 from ddreg import experiment
+from ddreg.exosystem import ExoMatrix, build_internal_model, companion_regressor
 from ddreg.experiment import NormalInputPolicy, assemble_data_matrices, collect_experiment
-from ddreg.internal_model import build_internal_model
 from ddreg.numerics import real_schur, simulate_linear
-from ddreg.plant import (
-    ExoMatrix,
-    PlantTruth,
-    build_structural_matrices,
-    observability_index,
-)
+from ddreg.plant import PlantTruth, build_structural_matrices, observability_index
 from ddreg.synthesis import assemble_sdp, solve_feasibility_sdp
 from ddreg.verify import (
     assemble_closed_loop,

@@ -41,8 +41,11 @@ relative margin and K shifts, and whether the certified brackets
 ``verify_gain`` rows prefixed ``verify_gain.``), the largest relative shift
 of its value over the inputs, each file's largest value and the row's
 threshold, so that a large relative shift of a round-off-level value reads
-as what it is.  It exits 1 when a verdict, ``all_pass``, stop reason, set
-of rows or row pass flag differs, or when two brackets are disjoint.
+as what it is.  A row that some NEW input has and no OLD input has is one
+the change adds: it is listed as added, and it must pass on every input.
+It exits 1 when a verdict, ``all_pass``, stop reason, set of other rows or
+row pass flag differs, when an added row fails, or when two brackets are
+disjoint.
 """
 
 from __future__ import annotations
@@ -186,24 +189,35 @@ def _all_rows(rec: dict) -> dict:
 def _row_shifts(old: dict, new: dict, bad: list) -> dict:
     """Per row name over the inputs both files ran: the largest relative
     value shift, each file's largest value and the row's threshold (None in
-    a file written before rows carried one).  An input whose row set or some
-    row's pass flag differs goes into ``bad``."""
+    a file written before rows carried one).  A row that no OLD input has
+    was added by the change: its shift is None, and it must pass.  An input
+    whose other rows differ, that fails an added row or that flips a row's
+    pass flag goes into ``bad``."""
+    shared = [name for name in new if name in old]
+    added = set().union(*(_all_rows(new[name]) for name in shared)) - set().union(
+        *map(_all_rows, old.values())
+    )
     table = {}
-    for name, rec in new.items():
-        if name not in old:
-            continue
-        a, b = _all_rows(old[name]), _all_rows(rec)
-        if a.keys() != b.keys():
+    for name in shared:
+        a, b = _all_rows(old[name]), _all_rows(new[name])
+        if a.keys() != b.keys() - added:
             bad.append(f"{name} (rows differ)")
             continue
-        for row, (va, pa, *_) in a.items():
-            vb, pb, *threshold = b[row]
+        for row, (vb, pb, *threshold) in b.items():
+            limit = threshold[0] if threshold else None
+            if row in added:
+                top_b = table.get(row, (None, None, -np.inf, None))[2]
+                table[row] = (None, None, np.nanmax([top_b, vb]), limit)
+                if not pb:
+                    bad.append(f"{name} ({row} added, fails)")
+                continue
+            va, pa = a[row][:2]
             shift, top_a, top_b, _ = table.get(row, (0.0, -np.inf, -np.inf, None))
             table[row] = (
                 max(shift, _shift(va, vb)),
                 np.nanmax([top_a, va]),
                 np.nanmax([top_b, vb]),
-                threshold[0] if threshold else None,
+                limit,
             )
             if pa != pb:
                 bad.append(f"{name} ({row} pass {pa} → {pb})")
@@ -248,7 +262,10 @@ def compare(old_path, new_path) -> int:
     )
     for row, (shift, top_a, top_b, threshold) in _row_shifts(old, new, bad).items():
         limit = "—" if threshold is None else f"{threshold:.1e}"
-        print(f"| {row} | {shift:.1e} | {top_a:.2e} | {top_b:.2e} | {limit} |")
+        if shift is None:
+            print(f"| {row} | added | — | {top_b:.2e} | {limit} |")
+        else:
+            print(f"| {row} | {shift:.1e} | {top_a:.2e} | {top_b:.2e} | {limit} |")
     for name in bad:
         print(f"mismatch: {name}", file=sys.stderr)
     return 1 if bad else 0
