@@ -19,7 +19,6 @@ from .config import PipelineError, RunConfig
 from .exosystem import companion_regressor
 from .experiment import (
     ExperimentRecord,
-    NormalInputPolicy,
     assemble_data_matrices,
     collect_experiment,
     record_from_csv,
@@ -88,16 +87,6 @@ def build_regressor(config: RunConfig):
     return companion_regressor(config.exo, config.ell, config.T)
 
 
-def _initial(config: RunConfig, **dims) -> list[np.ndarray]:
-    """The initial states named in ``dims`` (``w0``, ``x0``, ``eta0``,
-    ``chi0`` mapped to their dimensions), zero where the config leaves them
-    unset.  The config is not touched, so its hash stays as written."""
-    return [
-        np.zeros(dim) if getattr(config, name) is None else getattr(config, name)
-        for name, dim in dims.items()
-    ]
-
-
 def collect_stage(config: RunConfig) -> ExperimentRecord:
     """The experiment's record, collected with the config's internal model
     (the closed-loop checks step the same model)."""
@@ -105,19 +94,13 @@ def collect_stage(config: RunConfig) -> ExperimentRecord:
         raise PipelineError(
             "collect", "no plant in config", "collection needs ground truth"
         )
-    plant, im = config.plant, config.im
-    w0, x0, eta0 = _initial(config, w0=config.exo.n_w, x0=plant.n, eta0=im.dim)
-    policy = config.input_policy
-    if policy["type"] == "normal":
-        input_policy = NormalInputPolicy(seed=config.seed, scale=policy["scale"])
-    else:
-        input_policy = policy["values"]
-    args = (plant, config.exo, im, w0, x0, eta0, input_policy, config.T, config.ell)
+    states = config.initial("w0", "x0", "eta0")
+    args = (config.plant, config.exo, config.im, *states, config.probing_input())
     return _stage("collect", collect_experiment, *args)
 
 
 def synthesize_stage(config: RunConfig, rec: ExperimentRecord):
-    data = _stage("assemble", assemble_data_matrices, rec)
+    data = _stage("assemble", assemble_data_matrices, rec, config.ell)
     reg = _stage("factorize", build_regressor, config)
     prob = _stage("assemble-sdp", assemble_sdp, data, reg)
     pre = feasibility_precheck(prob)
@@ -204,8 +187,7 @@ def _closed_loop_checks(config: RunConfig, aux, gain, data_side=None):
     with np.errstate(over="ignore", invalid="ignore"):
         cl = assemble_closed_loop(aux, gain)
         model_side = aux.ext_a + aux.ext_b @ gain
-        n_w, n, wd, di = cl.dims
-        w0, x0, chi0, eta0 = _initial(config, w0=n_w, x0=n, chi0=wd, eta0=di)
+        w0, x0, chi0, eta0 = config.initial("w0", "x0", "chi0", "eta0")
         run = simulate_closed_loop(
             cl, w0, x0, chi0, eta0, config.verify["steps"],
             eps_reg=eps_reg, tail_frac=config.verify["tail_frac"],
@@ -264,7 +246,7 @@ def run_pipeline(config: RunConfig, out_dir=None, unmask: bool = False) -> dict:
             "N": prob.n_cols,
             "nhat_w": prob.nhat_w,
         },
-        "input_manifest": rec.input_manifest,
+        "input_manifest": config.input_manifest(),
         "precheck": pre,
         "synthesis": result.to_dict(),
     }
@@ -311,7 +293,7 @@ def verify_gain(config: RunConfig, gain, out_dir=None, unmask: bool = False) -> 
             f"gain has shape {gain.shape}, expected ({m}, {wd + di})",
             f"the gain is m x (window_dim + im.dim) = {m} x ({wd} + {di})",
         )
-    data = assemble_data_matrices(rec)
+    data = assemble_data_matrices(rec, config.ell)
     reg = _stage("factorize", build_regressor, config)
 
     checks, aux = _oracle_checks(config, rec, data, reg)
@@ -363,7 +345,6 @@ def write_trajectory_csv(run, path, unmask: bool = False) -> None:
 
 
 def _add_common(parser):
-    parser.add_argument("--config", type=Path, help="JSON run configuration")
     parser.add_argument("--seed", type=int, help="override the config seed")
     parser.add_argument("--out", type=Path, help="output directory")
     parser.add_argument(
@@ -399,7 +380,7 @@ def _cmd_synthesize(args) -> int:
     config = _load_config(args)
     if args.record is not None:
         m = config.plant.m if config.plant else config.dims["m"]
-        read = (args.record, config.ell, config.im, m, config.T)
+        read = (args.record, config.im, m, config.T)
         rec = _stage("collect", record_from_csv, *read)
     else:
         rec = collect_stage(config)
@@ -448,7 +429,9 @@ def _print_checks(checks: list[dict]) -> int:
 
 def _cmd_run(args) -> int:
     if args.sweep:
-        configs = [RunConfig.from_json(p) for p in args.sweep]
+        if args.config is not None:
+            raise PipelineError("config", "--config and --sweep exclude each other")
+        configs = [RunConfig.from_json(p, args.seed) for p in args.sweep]
         reports = [
             run_pipeline(c, args.out and args.out / f"sweep_{i:03d}", args.unmask)
             for i, c in enumerate(configs)
@@ -482,7 +465,7 @@ def _cmd_verify(args) -> int:
 def _cmd_paper_example(args) -> int:
     seed = args.seed if args.seed is not None else 0
     config = paper_example_config(seed)
-    report = run_pipeline(config, out_dir=args.out)
+    report = run_pipeline(config, out_dir=args.out, unmask=args.unmask)
     print(f"benchmark example, seed {seed}:")
     return _print_checks(report["checks"])
 
@@ -523,6 +506,9 @@ def main(argv=None) -> int:
     )
     _add_common(p_paper)
     p_paper.set_defaults(fn=_cmd_paper_example)
+
+    for p in (p_collect, p_syn, p_verify, p_run):
+        p.add_argument("--config", type=Path, help="JSON run configuration")
 
     args = parser.parse_args(argv)
     try:

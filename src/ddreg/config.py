@@ -3,7 +3,8 @@
 ``DEFAULTS`` holds each settable key and its one default (library defaults
 read it too).  A ``RunConfig`` is validated once, when it is built, and the
 stages trust it; every set key is checked, whether or not the run reads it.
-It also builds the run's exosystem and internal model, once.  The hash of
+It also builds the run's exosystem and internal model, once, and gives the
+experiment's probing input and initial states.  The hash of
 its effective config, every default materialized, stamps the report.
 """
 
@@ -183,13 +184,12 @@ class RunConfig:
             values = policy["values"]
             if values is not None:
                 u = as_vector(values, "input_policy.values")
-                values = u.reshape(np.shape(values))
+                policy["values"] = values = u.reshape(np.shape(values))
         _require(
             all(v is None or v >= 1 for v in dims.values()),
             f"dims.m and dims.p must be >= 1, got {dims['m']} and {dims['p']}",
         )
         n_w = self.exo.n_w
-        lengths = {"w0": n_w, "x0": None, "eta0": None, "chi0": None}
         if plant is not None:
             _require(
                 plant.n_w == n_w,
@@ -207,17 +207,63 @@ class RunConfig:
                 f"ell = {self.ell} is below the plant's observability index {index}",
                 f"set ell >= {index}",
             )
-            lengths.update(x0=plant.n, chi0=(plant.m + plant.p) * self.ell)
             if policy["type"] == "explicit":
                 _check_inputs(values, self.T + 1, plant.m)
         p = plant.p if plant else dims["p"]
         self.im = build_internal_model(self.exo, p)
-        lengths["eta0"] = self.im.dim
         with _config_errors():
-            for name, dim in lengths.items():
+            for name, dim in self._state_lengths().items():
                 value = getattr(self, name)
                 if value is not None:
                     setattr(self, name, as_vector(value, f"initial.{name}", dim))
+
+    def _state_lengths(self) -> dict:
+        """Each initial state's length; None for the plant's states in a
+        plant-free config."""
+        plant = self.plant
+        return {
+            "w0": self.exo.n_w,
+            "x0": None if plant is None else plant.n,
+            "eta0": self.im.dim,
+            "chi0": None if plant is None else (plant.m + plant.p) * self.ell,
+        }
+
+    # -- the experiment's inputs -------------------------------------------
+
+    def probing_input(self) -> np.ndarray:
+        """The T + 1 input samples that probe the plant, one row of m
+        entries per step: the first T + 1 explicit ``values``, or the seeded
+        standard-normal draw times ``scale``.  ``T`` is read at the call, so
+        explicit values are checked against it again."""
+        policy, steps, m = self.input_policy, self.T + 1, self.plant.m
+        if policy["type"] == "explicit":
+            u = policy["values"].reshape(-1, m)
+            _check_inputs(u, steps, m)
+            return u[:steps]
+        rng = np.random.default_rng(self.seed)
+        return policy["scale"] * rng.standard_normal((steps, m))
+
+    def input_manifest(self) -> dict:
+        """The report's description of :meth:`probing_input`."""
+        policy = self.input_policy
+        if policy["type"] == "explicit":
+            return {"type": "explicit"}
+        return {
+            "type": "normal",
+            "generator": "numpy-pcg64",
+            "seed": self.seed,
+            "scale": policy["scale"],
+        }
+
+    def initial(self, *names: str) -> list[np.ndarray]:
+        """The named initial states (``w0``, ``x0``, ``eta0``, ``chi0``),
+        zero where the config leaves them unset; the config is not touched,
+        so its hash stays as written."""
+        lengths = self._state_lengths()
+        return [
+            np.zeros(lengths[name]) if getattr(self, name) is None else getattr(self, name)
+            for name in names
+        ]
 
     # -- construction ------------------------------------------------------
 
@@ -253,12 +299,17 @@ class RunConfig:
     # -- serialization -----------------------------------------------------
 
     def effective_dict(self) -> dict:
+        values = self.input_policy["values"]
         d = {
             "exosystem": {"S": self.exo.S.tolist()},
             "ell": self.ell,
             "T": self.T,
             "seed": self.seed,
             **{name: getattr(self, name) for name in DEFAULTS},
+            "input_policy": {
+                **self.input_policy,
+                "values": None if values is None else values.tolist(),
+            },
             "initial": {
                 k: None if getattr(self, k) is None else getattr(self, k).tolist()
                 for k in INITIAL_STATES

@@ -4,11 +4,12 @@ of the designer-visible data stacks.
 The experiment steps exosystem, plant and internal model as one linear
 system on the stacked state ``[w; x; eta]``: ``plant.plant_loop`` with the
 internal model as the controller, stepped by ``numerics.simulate_linear``.
-The internal model is the run config's (``RunConfig.im``), built once.
-The record keeps the measured input/output/internal-model sequences visible
-and segregates the exosignal (and state) behind an oracle attribute that the
-design path never touches.  The data stacks are sliding windows over the
-record (:func:`stacked_windows`).  Every CSV the package writes (the
+The internal model, the probing input and the initial states are the run
+config's (``RunConfig.im``, ``probing_input`` and ``initial``).  The record
+keeps the measured input/output/internal-model sequences visible and
+segregates the exosignal (and state) behind an oracle attribute that the
+design path never touches.  The data stacks are sliding windows of the
+design's length over the record (:func:`stacked_windows`).  Every CSV the package writes (the
 record and the regressor, written here, and the closed-loop trajectories)
 goes through :func:`write_csv`, in the one format :func:`record_from_csv`
 reads back.
@@ -25,30 +26,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULTS
 from .exosystem import ExoMatrix, InternalModel, Regressor
 from .numerics import row_norms, simulate_linear
 from .plant import PlantTruth, plant_loop
-
-
-@dataclass
-class NormalInputPolicy:
-    """Seeded standard-normal probing input, one draw per channel and step."""
-
-    seed: int
-    scale: float = DEFAULTS["input_policy"]["scale"]
-
-    def sample(self, steps: int, m: int) -> np.ndarray:
-        rng = np.random.default_rng(self.seed)
-        return self.scale * rng.standard_normal((steps, m))
-
-    def manifest(self) -> dict:
-        return {
-            "type": "normal",
-            "generator": "numpy-pcg64",
-            "seed": int(self.seed),
-            "scale": float(self.scale),
-        }
 
 
 @dataclass
@@ -67,13 +47,14 @@ class ExperimentRecord:
     advanced once more by the final measured output).
     """
 
-    T: int
-    ell: int
     u: np.ndarray
     y: np.ndarray
     eta: np.ndarray
     oracle: OracleTraces = field(repr=False)
-    input_manifest: dict = field(default_factory=dict)
+
+    @property
+    def T(self) -> int:
+        return len(self.u) - 1
 
     @property
     def m(self) -> int:
@@ -93,45 +74,24 @@ class ExperimentRecord:
 
 
 def collect_experiment(
-    plant: PlantTruth,
-    exo: ExoMatrix,
-    im: InternalModel,
-    w0,
-    x0,
-    eta0,
-    input_policy,
-    T: int,
-    ell: int,
+    plant: PlantTruth, exo: ExoMatrix, im: InternalModel, w0, x0, eta0, u: np.ndarray
 ) -> ExperimentRecord:
-    """Run one experiment of length T with window length ell.
-
-    ``input_policy`` is either an explicit array of at least T+1 input
-    samples of m entries (flat when m is 1) or a :class:`NormalInputPolicy`.
-    The arguments are trusted as ``RunConfig`` validated them: matching
-    dimensions, finite entries, ``T >= ell``.
-    """
-    if isinstance(input_policy, NormalInputPolicy):
-        u = input_policy.sample(T + 1, plant.m)
-        manifest = input_policy.manifest()
-    else:
-        u = np.asarray(input_policy, dtype=float).reshape(-1, plant.m)[: T + 1]
-        manifest = {"type": "explicit"}
-
-    n_w, n = exo.n_w, plant.n
-    nz = n_w + n
+    """Run one experiment on the T + 1 input samples ``u``, one row of m
+    entries per step (``RunConfig.probing_input``).  The arguments are
+    trusted as ``RunConfig`` validated them: matching dimensions, finite
+    entries."""
+    steps, n_w = len(u), exo.n_w
+    nz = n_w + plant.n
     # The internal model is the controller; the probing input enters as v.
     F, G = plant_loop(
         plant, exo.S, im.companion, im.input_map, np.zeros((im.dim, plant.m))
     )
-    z = simulate_linear(F, np.concatenate([w0, x0, eta0]), T + 1, G, u)
+    z = simulate_linear(F, np.concatenate([w0, x0, eta0]), steps, G, u)
     return ExperimentRecord(
-        T=T,
-        ell=ell,
         u=u,
-        y=z[: T + 1, :nz] @ np.concatenate((plant.Q, plant.C), axis=1).T,
+        y=z[:steps, :nz] @ np.concatenate((plant.Q, plant.C), axis=1).T,
         eta=z[:, nz:],
-        oracle=OracleTraces(w=z[: T + 1, :n_w], x=z[: T + 1, n_w:nz]),
-        input_manifest=manifest,
+        oracle=OracleTraces(w=z[:steps, :n_w], x=z[:steps, n_w:nz]),
     )
 
 
@@ -145,7 +105,6 @@ class DataMatrices:
     ``w0_oracle`` stacks w(ell..T) and exists only for verification.
     """
 
-    ell: int
     u1: np.ndarray
     psi0: np.ndarray
     psi1: np.ndarray
@@ -163,15 +122,15 @@ def stacked_windows(a: np.ndarray, ell: int) -> np.ndarray:
     return windows
 
 
-def assemble_data_matrices(rec: ExperimentRecord) -> DataMatrices:
-    """Stack the record into the design-facing data matrices."""
-    T, ell = rec.T, rec.ell
+def assemble_data_matrices(rec: ExperimentRecord, ell: int) -> DataMatrices:
+    """Stack the record into the design-facing data matrices of window
+    length ``ell`` (at most T)."""
+    T = rec.T
     # Column j of the stack is column j of psi0 and column j-1 of psi1.
     stack = np.concatenate(
         (stacked_windows(rec.y, ell), stacked_windows(rec.u, ell), rec.eta[ell:]), axis=1
     ).T
     return DataMatrices(
-        ell=ell,
         u1=rec.u[ell : T + 1].T.copy(),
         psi0=np.ascontiguousarray(stack[:, :-1]),
         psi1=np.ascontiguousarray(stack[:, 1:]),
@@ -219,9 +178,7 @@ def regressor_to_csv(reg: Regressor, path) -> None:
     write_csv(path, {"mhat": reg.matrix}, header=header)
 
 
-def record_from_csv(
-    path, ell: int, im: InternalModel, m: int, T: int
-) -> ExperimentRecord:
+def record_from_csv(path, im: InternalModel, m: int, T: int) -> ExperimentRecord:
     """Rebuild a designer-visible record of ``m`` inputs and ``im.p``
     outputs from CSV.
 
@@ -262,13 +219,10 @@ def record_from_csv(
         (eta_stored, [im.companion @ eta_stored[-1] + im.input_map @ y[-1]])
     )
     rec = ExperimentRecord(
-        T=T,
-        ell=ell,
         u=u,
         y=y,
         eta=eta,
         oracle=OracleTraces(w=np.zeros((T + 1, 0)), x=np.zeros((T + 1, 0))),
-        input_manifest={"type": "csv"},
     )
     if rec.internal_model_residual(im) > 1e-10:
         raise ValueError("eta sequence in CSV is inconsistent with the internal model")

@@ -59,6 +59,12 @@ def closed_form_jordan(real_blocks, complex_blocks, ell, T):
     return np.array(cols).T
 
 
+def probe(seed, steps, m):
+    """The seeded probing input of a normal ``input_policy`` (scale 1):
+    ``steps`` standard-normal samples of ``m`` entries."""
+    return np.random.default_rng(seed).standard_normal((steps, m))
+
+
 def monic_horner(coeffs, x):
     """``c[0] + c[1] x + ... + x^d`` at a scalar or a square matrix ``x``,
     by Horner's rule, from the non-leading coefficients ``coeffs``."""

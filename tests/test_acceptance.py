@@ -18,7 +18,7 @@ from ddreg.exosystem import (
     companion_regressor,
     minimal_polynomial,
 )
-from ddreg.experiment import NormalInputPolicy, assemble_data_matrices, collect_experiment
+from ddreg.experiment import assemble_data_matrices, collect_experiment
 from ddreg.plant import build_structural_matrices, observability_index
 from ddreg.synthesis import assemble_sdp, solve_feasibility_sdp
 from ddreg.verify import (
@@ -31,6 +31,7 @@ from ddreg.verify import (
 from _scenarios import (
     closed_form_jordan,
     monic_horner,
+    probe,
     random_plant,
     random_unit_circle_exo,
     real_jordan,
@@ -88,7 +89,7 @@ def randomized_scenarios():
         rec = collect_experiment(
             plant, exo, im,
             rng.standard_normal(n_w), rng.standard_normal(n), np.zeros(im.dim),
-            NormalInputPolicy(seed=1000 + trial), T=T, ell=ell,
+            probe(1000 + trial, T + 1, plant.m),
         )
         struct = build_structural_matrices(plant, ell)
         aux = build_auxiliary_matrices(plant, struct, exo, im)
@@ -100,7 +101,7 @@ def randomized_scenarios():
                 "rec": rec,
                 "struct": struct,
                 "aux": aux,
-                "data": assemble_data_matrices(rec),
+                "data": assemble_data_matrices(rec, ell),
             }
         )
     return scenarios
@@ -248,8 +249,6 @@ def test_criterion_6_correspondence():
             rng.standard_normal(n),
             np.zeros(im.dim),
             rng.standard_normal((31, m)),
-            T=30,
-            ell=ell,
         )
         r_state, r_out = check_solution_correspondence(
             aux, rec.oracle.w, rec.oracle.x[0], rec.y, rec.u
@@ -275,9 +274,9 @@ def test_criterion_8_provable_infeasibility():
     for seed in range(5):
         rec = collect_experiment(
             plant, exo, im, [0.2, -0.1], rng.standard_normal(3), np.zeros(im.dim),
-            NormalInputPolicy(seed=seed), T=20, ell=2,
+            probe(seed, 21, plant.m),
         )
-        data = assemble_data_matrices(rec)
+        data = assemble_data_matrices(rec, 2)
         reg = companion_regressor(exo, ell=2, T=20)
         prob = assemble_sdp(data, reg)
         res = solve_feasibility_sdp(prob)

@@ -24,7 +24,6 @@ from ddreg.cli import (
 )
 from ddreg.config import DEFAULTS
 from ddreg.exosystem import build_internal_model
-from ddreg.experiment import NormalInputPolicy
 from ddreg.synthesis import solve_feasibility_sdp
 
 
@@ -340,13 +339,30 @@ def test_report_check_names_and_order(monkeypatch):
 def test_explicit_inputs_reproduce_seeded_run():
     seeded = run_pipeline(RunConfig.from_dict(vtol_config_dict(seed=3)))
     d = vtol_config_dict(seed=3)
-    values = NormalInputPolicy(seed=3).sample(21, 1).tolist()
-    d["input_policy"] = {"type": "explicit", "values": values}
-    explicit = run_pipeline(RunConfig.from_dict(d))
-    assert explicit["input_manifest"] == {"type": "explicit"}
-    differ = {key for key in seeded if seeded[key] != explicit[key]}
-    assert differ == {"input_manifest", "effective_config", "config_hash"}
-    assert explicit["synthesis"]["gain"] == seeded["synthesis"]["gain"]
+    values = RunConfig.from_dict(d).probing_input().tolist()
+    hashes = []
+    # The samples as a JSON list and as an array, one per row or flat.
+    for given in (values, np.array(values), np.ravel(values)):
+        d["input_policy"] = {"type": "explicit", "values": given}
+        explicit = run_pipeline(RunConfig.from_dict(d))
+        assert explicit["input_manifest"] == {"type": "explicit"}
+        differ = {key for key in seeded if seeded[key] != explicit[key]}
+        assert differ == {"input_manifest", "effective_config", "config_hash"}
+        assert explicit["synthesis"]["gain"] == seeded["synthesis"]["gain"]
+        hashes.append(explicit["config_hash"])
+    # An array hashes as the JSON list of its floats, in its given shape.
+    assert hashes[0] == hashes[1] != hashes[2]
+
+
+def test_explicit_inputs_are_checked_against_a_later_T():
+    # A config's T may be assigned after it is built (the benchmark's
+    # long-record workload does); the samples are checked when drawn.
+    d = vtol_config_dict(seed=3)
+    d["input_policy"] = {"type": "explicit", "values": [0.0] * 21}
+    config = RunConfig.from_dict(d)
+    config.T = 30
+    with pytest.raises(PipelineError, match=r"needs 31 samples \(T \+ 1\), got 21"):
+        run_pipeline(config)
 
 
 def test_paper_example_config_matches_benchmark():
@@ -610,7 +626,8 @@ def test_cli_overrides_apply_before_validation(tmp_path, capsys):
 def test_cli_factorization_flag_exit_two(tmp_path, capsys, command):
     # There is one regressor, so no command takes a choice of one.
     path = write_config(tmp_path, vtol_config_dict())
-    argv = [command, "--config", str(path), "--factorization", "krylov"]
+    config = [] if command == "paper-example" else ["--config", str(path)]
+    argv = [command, *config, "--factorization", "krylov"]
     with pytest.raises(SystemExit) as exc:
         main([*argv, "--gain", str(path)] if command == "verify" else argv)
     assert exc.value.code == 2
@@ -770,6 +787,24 @@ def test_cli_paper_example(tmp_path, capsys):
     assert (tmp_path / "p" / "report.json").exists()
 
 
+def test_cli_paper_example_unmask(tmp_path, capsys):
+    out = tmp_path / "p"
+    assert main(["paper-example", "--seed", "0", "--unmask", "--out", str(out)]) == 0
+    for name in ("record.csv", "trajectories.csv"):
+        header = (out / name).read_text().splitlines()[0].split(",")
+        assert "w_1" in header, name
+    assert "x_1" in (out / "trajectories.csv").read_text().splitlines()[0].split(",")
+
+
+def test_cli_paper_example_takes_no_config(tmp_path, capsys):
+    # The canned scenario is its own config: a --config would be ignored.
+    path = write_config(tmp_path, vtol_config_dict())
+    with pytest.raises(SystemExit) as exc:
+        main(["paper-example", "--config", str(path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
+
+
 def test_cli_sweep(tmp_path, capsys):
     p1 = write_config(tmp_path, vtol_config_dict(seed=0), "c1.json")
     p2 = write_config(tmp_path, vtol_config_dict(seed=1), "c2.json")
@@ -777,6 +812,16 @@ def test_cli_sweep(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "sweep 0: all_pass=True" in out and "sweep 1: all_pass=True" in out
+    # --seed overrides every config's seed, as it does a single --config.
+    sweep = ["run", "--sweep", str(p1), str(p2), "--seed", "7"]
+    assert main([*sweep, "--out", str(tmp_path / "s7")]) == 0
+    for i in range(2):
+        report = json.loads((tmp_path / "s7" / f"sweep_{i:03d}" / "report.json").read_text())
+        assert report["effective_config"]["seed"] == 7
+    # A --config beside --sweep would be ignored: it is a config error.
+    capsys.readouterr()
+    assert main([*sweep, "--config", str(p1)]) == 2
+    assert "[config] --config and --sweep exclude each other" in capsys.readouterr().err
 
 
 def test_cli_sweep_validates_every_config_first(tmp_path, capsys):

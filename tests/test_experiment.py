@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddreg.experiment import (
-    NormalInputPolicy,
     assemble_data_matrices,
     collect_experiment,
     record_from_csv,
@@ -14,7 +13,7 @@ from ddreg.experiment import (
 from ddreg.exosystem import ExoMatrix, build_internal_model
 from ddreg.plant import PlantTruth
 
-from _scenarios import random_plant, random_unit_circle_exo, vtol
+from _scenarios import probe, random_plant, random_unit_circle_exo, vtol
 
 
 def vtol_setup():
@@ -23,7 +22,7 @@ def vtol_setup():
     return plant, exo, im
 
 
-def vtol_record(seed=0, T=20, ell=4):
+def vtol_record(seed=0, T=20):
     plant, exo, im = vtol_setup()
     return collect_experiment(
         plant,
@@ -32,9 +31,7 @@ def vtol_record(seed=0, T=20, ell=4):
         w0=[0.0538, 0.1834],
         x0=[-2.2588, 0.8622, 0.3188, -1.3077],
         eta0=[-0.4336, 0.3426],
-        input_policy=NormalInputPolicy(seed=seed),
-        T=T,
-        ell=ell,
+        u=probe(seed, T + 1, plant.m),
     )
 
 
@@ -43,7 +40,7 @@ def test_zero_experiment_all_zero():
     exo = ExoMatrix([[1.0]])
     im = build_internal_model(exo, p=1)
     rec = collect_experiment(
-        plant, exo, im, [0.0], [0.0], [0.0], np.zeros((6, 1)), T=5, ell=1
+        plant, exo, im, [0.0], [0.0], [0.0], np.zeros((6, 1))
     )
     assert np.all(rec.u == 0) and np.all(rec.y == 0) and np.all(rec.eta == 0)
 
@@ -61,7 +58,7 @@ def test_scalar_hand_recursion():
     exo = ExoMatrix([[1.0]])
     im = build_internal_model(exo, p=1)
     rec = collect_experiment(
-        plant, exo, im, [0.0], [2.0], [0.0], np.array([[1.0], [0.0]]), T=1, ell=1
+        plant, exo, im, [0.0], [2.0], [0.0], np.array([[1.0], [0.0]])
     )
     np.testing.assert_allclose(rec.y[:, 0], [2.0, 2.0 * 0.5 + 1.0], atol=1e-14)
 
@@ -85,7 +82,7 @@ def test_collect_matches_per_system_loops(seed, n, m, p, n_w, conjugate, T):
     im = build_internal_model(exo, p=p)
     w0, x0, eta0 = (rng.standard_normal(d) for d in (n_w, n, im.dim))
     u = rng.standard_normal((T + 1, m))
-    rec = collect_experiment(plant, exo, im, w0, x0, eta0, u, T=T, ell=1)
+    rec = collect_experiment(plant, exo, im, w0, x0, eta0, u)
 
     w, x, eta = [w0], [x0], [eta0]
     for k in range(T):
@@ -108,7 +105,7 @@ def test_experiment_too_short(tmp_path):
     path = tmp_path / "record.csv"
     record_to_csv(vtol_record(T=3), path)
     with pytest.raises(ValueError, match="the CSV holds T = 3, the config has T = 20"):
-        record_from_csv(path, ell=4, im=im, m=1, T=20)
+        record_from_csv(path, im=im, m=1, T=20)
 
 
 def test_internal_model_invariant_holds():
@@ -118,7 +115,7 @@ def test_internal_model_invariant_holds():
 
 
 def test_data_matrix_shapes_vtol():
-    data = assemble_data_matrices(vtol_record())
+    data = assemble_data_matrices(vtol_record(), 4)
     assert data.u1.shape == (1, 17)
     assert data.psi0.shape == (10, 17)
     assert data.psi1.shape == (10, 17)
@@ -126,15 +123,15 @@ def test_data_matrix_shapes_vtol():
 
 
 def test_data_matrices_degenerate_single_column():
-    rec = vtol_record(T=4, ell=4)
-    data = assemble_data_matrices(rec)
+    rec = vtol_record(T=4)
+    data = assemble_data_matrices(rec, 4)
     assert data.psi0.shape[1] == 1 and data.u1.shape[1] == 1
 
 
 def test_data_matrix_layout_matches_record():
     rec = vtol_record(seed=3)
-    data = assemble_data_matrices(rec)
-    ell, p, m = rec.ell, rec.p, rec.m
+    data = assemble_data_matrices(rec, 4)
+    ell, p, m = 4, rec.p, rec.m
     j = 5
     np.testing.assert_array_equal(
         data.psi0[: p * ell, j], rec.y[j : j + ell].ravel()
@@ -150,9 +147,9 @@ def test_data_matrix_layout_matches_record():
 def test_data_matrices_match_per_column_loop():
     # Reference: the stacks built one column at a time; the windows hold
     # the same samples, so the match is exact.
-    rec = vtol_record(seed=8, T=25, ell=5)
-    data = assemble_data_matrices(rec)
-    ell = rec.ell
+    rec = vtol_record(seed=8, T=25)
+    data = assemble_data_matrices(rec, 5)
+    ell = 5
 
     def column(j):
         return np.concatenate(
@@ -166,7 +163,7 @@ def test_data_matrices_match_per_column_loop():
 
 def test_sliding_window_consistency():
     # psi1 column j equals psi0 column j+1 except for anything beyond T-ell.
-    data = assemble_data_matrices(vtol_record(seed=4))
+    data = assemble_data_matrices(vtol_record(seed=4), 4)
     np.testing.assert_array_equal(data.psi1[:, :-1], data.psi0[:, 1:])
 
 
@@ -186,8 +183,8 @@ def test_stacked_windows_match_explicit_loop(a, ell):
 
 
 def test_determinism_same_seed_bit_identical():
-    d1 = assemble_data_matrices(vtol_record(seed=9))
-    d2 = assemble_data_matrices(vtol_record(seed=9))
+    d1 = assemble_data_matrices(vtol_record(seed=9), 4)
+    d2 = assemble_data_matrices(vtol_record(seed=9), 4)
     assert np.array_equal(d1.psi0, d2.psi0)
     assert np.array_equal(d1.psi1, d2.psi1)
     assert np.array_equal(d1.u1, d2.u1)
@@ -198,15 +195,15 @@ def csv_round_trip(tmp_path, T):
     rec = vtol_record(seed=5, T=T)
     path = tmp_path / "record.csv"
     record_to_csv(rec, path)
-    loaded = record_from_csv(path, ell=rec.ell, im=im, m=rec.m, T=rec.T)
+    loaded = record_from_csv(path, im=im, m=rec.m, T=rec.T)
     np.testing.assert_allclose(loaded.u, rec.u, atol=0)
     np.testing.assert_allclose(loaded.y, rec.y, atol=0)
     np.testing.assert_allclose(loaded.eta, rec.eta, atol=1e-12)
     # Designer-mode CSV carries no oracle columns.
     assert loaded.oracle.w.shape[1] == 0
 
-    d1 = assemble_data_matrices(rec)
-    d2 = assemble_data_matrices(loaded)
+    d1 = assemble_data_matrices(rec, 4)
+    d2 = assemble_data_matrices(loaded, 4)
     np.testing.assert_allclose(d2.psi1, d1.psi1, atol=1e-12)
 
 
@@ -232,7 +229,7 @@ def test_csv_rejects_perturbed_eta(tmp_path):
     lines[11] = ",".join(row)
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match="inconsistent with the internal model"):
-        record_from_csv(path, ell=rec.ell, im=im, m=rec.m, T=rec.T)
+        record_from_csv(path, im=im, m=rec.m, T=rec.T)
 
 
 def test_csv_unmask_adds_exosignal(tmp_path):

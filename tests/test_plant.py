@@ -142,7 +142,7 @@ def collect(plant, exo, w0, x0, u):
     """Plant run under the explicit inputs ``u``, for ``len(u) - 1`` steps."""
     im = build_internal_model(exo, p=plant.p)
     return collect_experiment(
-        plant, exo, im, w0, x0, np.zeros(im.dim), u, T=len(u) - 1, ell=1
+        plant, exo, im, w0, x0, np.zeros(im.dim), u
     )
 
 

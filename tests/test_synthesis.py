@@ -24,7 +24,6 @@ from ddreg.exosystem import (
     companion_regressor,
 )
 from ddreg.experiment import (
-    NormalInputPolicy,
     assemble_data_matrices,
     collect_experiment,
     record_from_csv,
@@ -48,6 +47,7 @@ from ddreg.synthesis import (
 
 from _scenarios import (
     paper_config,
+    probe,
     random_plant,
     random_unit_circle_exo,
     sweep_config,
@@ -72,9 +72,9 @@ def vtol_problem(seed=0, T=20, ell=4, similarity=None):
     im = build_internal_model(exo, p=plant.p)
     rec = collect_experiment(
         plant, exo, im, VTOL_W0, x0, VTOL_ETA0,
-        NormalInputPolicy(seed=seed), T=T, ell=ell,
+        probe(seed, T + 1, plant.m),
     )
-    data = assemble_data_matrices(rec)
+    data = assemble_data_matrices(rec, ell)
     reg = companion_regressor(exo, ell=ell, T=T)
     return assemble_sdp(data, reg)
 
@@ -84,7 +84,7 @@ def paper_problem(seed, presentation="jordan"):
     the exosystem presented as :func:`paper_config` says."""
     config = paper_config(seed, presentation)
     rec = collect_stage(config)
-    return assemble_sdp(assemble_data_matrices(rec), build_regressor(config))
+    return assemble_sdp(assemble_data_matrices(rec, config.ell), build_regressor(config))
 
 
 def wide_problem(seed=7):
@@ -94,9 +94,9 @@ def wide_problem(seed=7):
     rng = np.random.default_rng(seed)
     rec = collect_experiment(
         plant, exo, im, [0.2, -0.1], rng.standard_normal(3), np.zeros(im.dim),
-        NormalInputPolicy(seed=seed), T=20, ell=2,
+        probe(seed, 21, plant.m),
     )
-    data = assemble_data_matrices(rec)
+    data = assemble_data_matrices(rec, 2)
     reg = companion_regressor(exo, ell=2, T=20)
     return assemble_sdp(data, reg)
 
@@ -108,9 +108,9 @@ def scalar_problem(seed=0, T=6):
     exo = ExoMatrix([[1.0]])
     im = build_internal_model(exo, p=1)
     rec = collect_experiment(
-        plant, exo, im, [1.0], [0.5], [0.0], NormalInputPolicy(seed=seed), T=T, ell=1
+        plant, exo, im, [1.0], [0.5], [0.0], probe(seed, T + 1, plant.m)
     )
-    data = assemble_data_matrices(rec)
+    data = assemble_data_matrices(rec, 1)
     reg = companion_regressor(exo, ell=1, T=T)
     return assemble_sdp(data, reg)
 
@@ -139,7 +139,7 @@ def test_dependent_regressor_row_changes_no_design(seed, extra):
     # enters: a dependent row (zero, a copy of row 0, or row 0 + row 1)
     # leaves the verdict, the solve and the gain where they were.
     config = paper_config(seed, "jordan")
-    data = assemble_data_matrices(collect_stage(config))
+    data = assemble_data_matrices(collect_stage(config), config.ell)
     reg = build_regressor(config)
     row = {
         "zero": np.zeros(reg.matrix.shape[1]),
@@ -622,7 +622,7 @@ def test_window_residual_decides_the_observability_index(seed, tmp_path):
             exo_s=config.exo.S, ell=ell, T=config.T, seed=seed,
             dims={"m": plant.m, "p": plant.p},
         )
-        rec = record_from_csv(path, ell, blind.im, plant.m, blind.T)
+        rec = record_from_csv(path, blind.im, plant.m, blind.T)
         result = synthesize_stage(blind, rec)[-1]
         rows = {c["name"]: c for c in _design_checks(blind, result)}
         value = rows["window_residual"]["value"]

@@ -4,7 +4,7 @@ import pytest
 from ddreg.benchmarks import VTOL_ETA0, VTOL_W0, VTOL_X0, vtol
 from ddreg import experiment
 from ddreg.exosystem import ExoMatrix, build_internal_model, companion_regressor
-from ddreg.experiment import NormalInputPolicy, assemble_data_matrices, collect_experiment
+from ddreg.experiment import assemble_data_matrices, collect_experiment
 from ddreg.numerics import real_schur, simulate_linear
 from ddreg.plant import PlantTruth, build_structural_matrices, observability_index
 from ddreg.synthesis import assemble_sdp, solve_feasibility_sdp
@@ -21,7 +21,7 @@ from ddreg.verify import (
     simulate_closed_loop,
 )
 
-from _scenarios import random_plant, random_unit_circle_exo, rotation
+from _scenarios import probe, random_plant, random_unit_circle_exo, rotation
 
 
 def vtol_setup(seed=0, T=20, ell=4):
@@ -29,7 +29,7 @@ def vtol_setup(seed=0, T=20, ell=4):
     im = build_internal_model(exo, p=plant.p)
     rec = collect_experiment(
         plant, exo, im, VTOL_W0, VTOL_X0, VTOL_ETA0,
-        NormalInputPolicy(seed=seed), T=T, ell=ell,
+        probe(seed, T + 1, plant.m),
     )
     struct = build_structural_matrices(plant, ell)
     aux = build_auxiliary_matrices(plant, struct, exo, im)
@@ -41,7 +41,7 @@ def correspondence(aux, exo, plant, u, w0, x0):
     (``len(u) - 1`` steps from ``w0``, ``x0``)."""
     im = build_internal_model(exo, p=plant.p)
     rec = collect_experiment(
-        plant, exo, im, w0, x0, np.zeros(im.dim), u, T=len(u) - 1, ell=aux.struct.ell
+        plant, exo, im, w0, x0, np.zeros(im.dim), u
     )
     return check_solution_correspondence(
         aux, rec.oracle.w, rec.oracle.x[0], rec.y, rec.u
@@ -50,7 +50,7 @@ def correspondence(aux, exo, plant, u, w0, x0):
 
 def vtol_design(seed=0):
     plant, exo, im, rec, struct, aux = vtol_setup(seed=seed)
-    data = assemble_data_matrices(rec)
+    data = assemble_data_matrices(rec, 4)
     reg = companion_regressor(exo, ell=4, T=20)
     prob = assemble_sdp(data, reg)
     res = solve_feasibility_sdp(prob)
@@ -145,7 +145,7 @@ def test_exo_window_map_stacks_inverse_powers():
 
 def test_data_identity_on_record():
     plant, exo, im, rec, struct, aux = vtol_setup(seed=1)
-    data = assemble_data_matrices(rec)
+    data = assemble_data_matrices(rec, 4)
     assert check_data_identity(data, aux) < 1e-8
 
 
@@ -156,11 +156,11 @@ def test_data_identity_sensitive_to_corruption():
     exo = ExoMatrix([[-1.0]])
     im = build_internal_model(exo, p=1)
     rec = collect_experiment(
-        plant, exo, im, [0.7], [0.3], [0.0], NormalInputPolicy(seed=1), T=12, ell=1
+        plant, exo, im, [0.7], [0.3], [0.0], probe(1, 13, plant.m)
     )
     struct = build_structural_matrices(plant, 1)
     aux = build_auxiliary_matrices(plant, struct, exo, im)
-    data = assemble_data_matrices(rec)
+    data = assemble_data_matrices(rec, 1)
     assert check_data_identity(data, aux) < 1e-10
     data.psi1[1, 3] += 1.0
     assert check_data_identity(data, aux) > 1e-3
@@ -171,11 +171,11 @@ def test_data_identity_zero_record():
     exo = ExoMatrix([[1.0]])
     im = build_internal_model(exo, p=1)
     rec = collect_experiment(
-        plant, exo, im, [0.0], [0.0], [0.0], np.zeros((9, 1)), T=8, ell=1
+        plant, exo, im, [0.0], [0.0], [0.0], np.zeros((9, 1))
     )
     struct = build_structural_matrices(plant, 1)
     aux = build_auxiliary_matrices(plant, struct, exo, im)
-    assert check_data_identity(assemble_data_matrices(rec), aux) < 1e-15
+    assert check_data_identity(assemble_data_matrices(rec, 1), aux) < 1e-15
 
 
 def test_data_identity_randomized_plants():
@@ -195,11 +195,11 @@ def test_data_identity_randomized_plants():
         rec = collect_experiment(
             plant, exo, im,
             rng.standard_normal(n_w), rng.standard_normal(n), np.zeros(im.dim),
-            NormalInputPolicy(seed=trial), T=T, ell=ell,
+            probe(trial, T + 1, plant.m),
         )
         struct = build_structural_matrices(plant, ell)
         aux = build_auxiliary_matrices(plant, struct, exo, im)
-        assert check_data_identity(assemble_data_matrices(rec), aux) < 1e-8
+        assert check_data_identity(assemble_data_matrices(rec, ell), aux) < 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +217,7 @@ def test_claim1_zero_record():
     exo = ExoMatrix([[1.0]])
     im = build_internal_model(exo, p=1)
     rec = collect_experiment(
-        plant, exo, im, [0.0], [0.0], [0.0], np.zeros((9, 1)), T=8, ell=1
+        plant, exo, im, [0.0], [0.0], [0.0], np.zeros((9, 1))
     )
     struct = build_structural_matrices(plant, 1)
     assert max(check_claim1(rec, plant, struct)) == 0.0
@@ -233,7 +233,7 @@ def test_claim1_random_stable_plant_long_run():
     ell = observability_index(plant.A, plant.C)
     rec = collect_experiment(
         plant, exo, im, [0.4, -0.2], rng.standard_normal(3), np.zeros(im.dim),
-        NormalInputPolicy(seed=30), T=50, ell=ell,
+        probe(30, 51, plant.m),
     )
     struct = build_structural_matrices(plant, ell)
     assert max(check_claim1(rec, plant, struct)) < 1e-8
@@ -299,7 +299,7 @@ def test_correspondence_flags_perturbed_output():
     )
     rec = collect_experiment(
         plant, exo, im, [0.3, -0.2], rng.standard_normal(3), np.zeros(im.dim),
-        NormalInputPolicy(seed=3), T=20, ell=ell,
+        probe(3, 21, plant.m),
     )
     assert np.abs(rec.y).max() < 10.0
     start = (aux, rec.oracle.w, rec.oracle.x[0])
@@ -373,7 +373,7 @@ def test_assembled_maps_match_block_formulation(draw, monkeypatch):
 
     monkeypatch.setattr(experiment, "simulate_linear", recorded)
     zeros = [np.zeros(k) for k in (n_w, n, di)]
-    collect_experiment(plant, exo, im, *zeros, NormalInputPolicy(seed=0), T=ell, ell=ell)
+    collect_experiment(plant, exo, im, *zeros, probe(0, ell + 1, plant.m))
     (F, G), = maps
     loop = np.block(
         [
@@ -594,7 +594,7 @@ def test_representation_equivalence():
 
 def test_oracle_factorization_residual():
     plant, exo, im, rec, struct, aux = vtol_setup(seed=5)
-    data = assemble_data_matrices(rec)
+    data = assemble_data_matrices(rec, 4)
     reg = companion_regressor(exo, ell=4, T=20)
     assert oracle_factorization_residual(data, reg.matrix) < 1e-8
 
@@ -605,7 +605,7 @@ def test_identities_hold_above_observability_index():
     plant, exo, im, rec, struct, aux = vtol_setup(seed=7, T=24, ell=5)
     r = check_claim1(rec, plant, struct)
     assert max(r) < 1e-8
-    assert check_data_identity(assemble_data_matrices(rec), aux) < 1e-8
+    assert check_data_identity(assemble_data_matrices(rec, 5), aux) < 1e-8
     rng = np.random.default_rng(12)
     r_state, r_out = correspondence(
         aux, exo, plant, rng.standard_normal((31, 1)), VTOL_W0, VTOL_X0
