@@ -207,8 +207,8 @@ class RunConfig:
                 f"ell = {self.ell} is below the plant's observability index {index}",
                 f"set ell >= {index}",
             )
-            if policy["type"] == "explicit":
-                _check_inputs(values, self.T + 1, plant.m)
+        if policy["type"] == "explicit":
+            _check_inputs(values, self.T + 1, plant.m if plant else dims["m"])
         p = plant.p if plant else dims["p"]
         self.im = build_internal_model(self.exo, p)
         with _config_errors():
@@ -235,7 +235,8 @@ class RunConfig:
         entries per step: the first T + 1 explicit ``values``, or the seeded
         standard-normal draw times ``scale``.  ``T`` is read at the call, so
         explicit values are checked against it again."""
-        policy, steps, m = self.input_policy, self.T + 1, self.plant.m
+        policy, steps = self.input_policy, self.T + 1
+        m = self.plant.m if self.plant else self.dims["m"]
         if policy["type"] == "explicit":
             u = policy["values"].reshape(-1, m)
             _check_inputs(u, steps, m)

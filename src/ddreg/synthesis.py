@@ -164,18 +164,32 @@ def window_residual(prob: SdpProblem) -> float:
     return norm(prob.psi1 @ null) / max(norm(prob.psi1), 1e-300)
 
 
-def _elimination(prob: SdpProblem):
-    """Linear-equality elimination in closed form.
+@dataclass(frozen=True)
+class Quotient:
+    """The data's quotient: ``Y = null_m Z`` solves ``mhat Y = 0``; ``s``, ``pinv``,
+    ``kernel`` (N) and ``rank`` are the singular values, pseudo-inverse, orthonormal
+    kernel basis and rank of ``H0 = psi0 null_m``; with ``H1 = psi1 null_m``,
+    ``gamma = H1 H0^+`` and ``lam = H1 N`` give ``psi1 Y = gamma X + lam R``."""
 
-    Returns ``(null_m, s, pinv, kernel)``: ``Y = null_m Z`` satisfies
-    ``mhat Y = 0`` (the one rank decision on the regressor, whose rows need
-    not be independent), and one SVD of ``H0 = psi0 null_m`` (q columns)
-    gives its singular values ``s``, its pseudo-inverse ``pinv`` (at the
-    package-wide rank tolerance) and an orthonormal basis ``kernel`` of
-    ker H0, so rank H0 is ``q - kernel.shape[1]``.  When that rank is nu,
-    every Z with ``H0 Z`` symmetric is ``Z = H0^+ X + N R``, with X
-    symmetric (and then ``X = H0 Z``), N the kernel basis and R free.
-    """
+    null_m: np.ndarray
+    s: np.ndarray
+    pinv: np.ndarray
+    kernel: np.ndarray
+    gamma: np.ndarray
+    lam: np.ndarray
+
+    @property
+    def rank(self) -> int:
+        return self.null_m.shape[1] - self.kernel.shape[1]
+
+
+def _elimination(prob: SdpProblem) -> Quotient:
+    """Linear-equality elimination in closed form (see :class:`Quotient` for
+    the fields): ``null_m`` is the one rank decision on the regressor, whose
+    rows need not be independent, and one SVD of H0 gives the rest, ``pinv``
+    at the package-wide rank tolerance.  When the rank is nu, every Z with
+    ``H0 Z`` symmetric is ``Z = H0^+ X + N R``, with X symmetric (and then
+    ``X = H0 Z``) and R free."""
     null_m = _svd_split(prob.mhat)[3]
     # Directions of null_m in the kernel of [psi0; psi1] move Y without
     # moving X or W: the margin cannot see them.  Keeping the row space only
@@ -184,7 +198,9 @@ def _elimination(prob: SdpProblem):
     _, _, rows, _ = _svd_split(np.vstack([prob.psi0, prob.psi1]) @ null_m)
     null_m = null_m @ rows
     u, s, rows, kernel = _svd_split(prob.psi0 @ null_m)
-    return null_m, s, rows @ (u / s[: u.shape[1]]).T, kernel
+    pinv = rows @ (u / s[: u.shape[1]]).T
+    H1 = prob.psi1 @ null_m
+    return Quotient(null_m, s, pinv, kernel, H1 @ pinv, H1 @ kernel)
 
 
 def _sym_basis(nu: int) -> np.ndarray:
@@ -202,35 +218,34 @@ def _sym_basis(nu: int) -> np.ndarray:
     return B
 
 
-def _sdp_block(H1, pinv, kernel, basis) -> AffineBlock:
+def _sdp_block(q: Quotient, basis) -> AffineBlock:
     """The block ``[[X, W], [W^T, X]]`` of the design program, with
-    ``W = H1 Z = Gamma X + Lambda R`` for ``Gamma = H1 H0^+`` and
-    ``Lambda = H1 N``, affine in the free parameters.  Its constant term is
+    ``W = psi1 Y = gamma X + lam R`` (see :class:`Quotient`), affine in
+    the free parameters.  Its constant term is
     X = I, R = 0 (so trace X = nu); its coefficients are the trace-zero
     symmetric basis ``basis = _sym_basis(nu)`` for X, then the unit entries
     of R in row-major order.  ``X > 0`` needs no block of its own: X is a
     principal submatrix, so by Cauchy interlacing its smallest eigenvalue is
     at least the whole block's."""
-    gamma, lam = H1 @ pinv, H1 @ kernel
-    nu, r = lam.shape
+    nu, r = q.lam.shape
     nx = basis.shape[0]
     S = np.zeros((nx + r * nu, 2 * nu, 2 * nu))
     S[:nx, :nu, :nu] = S[:nx, nu:, nu:] = basis
-    S[:nx, :nu, nu:] = gamma @ basis
+    S[:nx, :nu, nu:] = q.gamma @ basis
     # Entry (a, b) of R puts column a of Lambda into column b of W.
-    S[nx:, :nu, nu:] = np.einsum("ia,bj->abij", lam, np.eye(nu)).reshape(r * nu, nu, nu)
+    S[nx:, :nu, nu:] = np.einsum("ia,bj->abij", q.lam, np.eye(nu)).reshape(r * nu, nu, nu)
     S[:, nu:, :nu] = S[:, :nu, nu:].transpose(0, 2, 1)
     return AffineBlock(const=S[0], coeff=S[1:])
 
 
-def _design_z(v, pinv, kernel, basis) -> tuple[np.ndarray, np.ndarray]:
-    """``(X, Z)`` at the parameters v of ``_sdp_block``: the program's X,
+def _design_z(v, q: Quotient, basis) -> tuple[np.ndarray, np.ndarray]:
+    """``(X, Y)`` at the parameters v of ``_sdp_block``: the program's X,
     the combination of the symmetric ``basis`` at v, and
-    ``Z = H0^+ X + N R``."""
-    nu, r = pinv.shape[1], kernel.shape[1]
+    ``Y = null_m Z`` with ``Z = H0^+ X + N R``."""
+    nu, r = q.pinv.shape[1], q.kernel.shape[1]
     nx = len(basis) - 1
     X = basis[0] + np.tensordot(v[:nx], basis[1:], axes=1)
-    return X, pinv @ X + kernel @ v[nx:].reshape(r, nu)
+    return X, q.null_m @ (q.pinv @ X + q.kernel @ v[nx:].reshape(r, nu))
 
 
 def solve_feasibility_sdp(
@@ -253,9 +268,9 @@ def solve_feasibility_sdp(
     with margin -inf and no solve.  X and Y satisfy the equality constraint
     by construction up to round-off.
     """
-    null_m, s, pinv, kernel = _elimination(prob)
-    rank = null_m.shape[1] - kernel.shape[1]
-    rel = s / s[0] if rank else s[:0]  # rank 0: H0 is zero or empty
+    q = _elimination(prob)
+    rank = q.rank
+    rel = q.s / q.s[0] if rank else q.s[:0]  # rank 0: H0 is zero or empty
     kept = float(rel[rank - 1]) if rank else None
     dropped = float(rel[rank]) if rank < rel.size else None
     result = SynthesisResult(
@@ -267,7 +282,7 @@ def solve_feasibility_sdp(
         return result
 
     basis = _sym_basis(prob.nu)
-    block = _sdp_block(prob.psi1 @ null_m, pinv, kernel, basis)
+    block = _sdp_block(q, basis)
     result.free_params = block.nvar
     try:
         res = maximize_margin(
@@ -283,8 +298,7 @@ def solve_feasibility_sdp(
         result.status = "numerical_failure"
         return result
 
-    X, Z = _design_z(res.v, pinv, kernel, basis)
-    Y = null_m @ Z
+    X, Y = _design_z(res.v, q, basis)
     result.X, result.Y = X, Y
     result.mhat_residual = float(np.linalg.norm(prob.mhat @ Y))
     result.equality_residual = float(np.linalg.norm(prob.psi0 @ Y - X))

@@ -479,6 +479,17 @@ def test_cli_run_infeasible_exit_nonzero(tmp_path, capsys):
             id="plant-free-dims",
         ),
         pytest.param(
+            lambda d: (
+                d.pop("plant"),
+                d.update(
+                    dims={"m": 1, "p": 1},
+                    input_policy={"type": "explicit", "values": [[1.0, 2.0, 3.0]]},
+                ),
+            ),
+            "input_policy.values must be samples of m = 1 entries, got shape (1, 3)",
+            id="plant-free-explicit-values-columns",
+        ),
+        pytest.param(
             lambda d: d.update(verify={"steps": -1}),
             "verify.steps must be finite and >= 0, got -1",
             id="negative-steps",

@@ -32,6 +32,7 @@ from ddreg.experiment import (
 from ddreg.plant import PlantTruth, observability_index
 from ddreg.sdp import AffineBlock
 from ddreg.synthesis import (
+    Quotient,
     SdpProblem,
     _design_z,
     _elimination,
@@ -166,7 +167,7 @@ def test_elimination_drops_directions_the_blocks_cannot_see():
     # Y = null_m Z: null_m spans the part of ker(mhat) that [psi0; psi1]
     # sees, so no direction of Z leaves both X and W unchanged.
     prob = vtol_problem()
-    null_m = _elimination(prob)[0]
+    null_m = _elimination(prob).null_m
     full = _svd_split(prob.mhat)[3]
     H = np.vstack([prob.psi0, prob.psi1])
     assert null_m.shape[1] == np.linalg.matrix_rank(H @ full) < full.shape[1]
@@ -190,14 +191,21 @@ def test_elimination_contract(prob, full_rank):
     # kernel is an orthonormal basis of ker H0 and pinv is H0^+, so rank H0
     # is q minus the kernel's columns.  With full row rank, Z = H0^+ X + N R
     # gives H0 Z = X for every symmetric X and every R.
-    null_m, s, pinv, kernel = _elimination(prob)
+    quotient = _elimination(prob)
+    null_m, s = quotient.null_m, quotient.s
+    pinv, kernel, rank = quotient.pinv, quotient.kernel, quotient.rank
     H0 = prob.psi0 @ null_m
     nu, q = H0.shape
-    rank = q - kernel.shape[1]
+    assert rank == q - kernel.shape[1]
     assert np.abs(kernel.T @ kernel - np.eye(q - rank)).max() <= 1e-12
     assert np.abs(H0 @ kernel).max() <= 1e-12 * s[0]
     assert np.abs(kernel.T @ pinv).max() <= 1e-12 * np.abs(pinv).max()
     assert np.allclose(s, np.linalg.svd(H0, compute_uv=False), rtol=1e-12, atol=0)
+    # Gamma = H1 H0^+ and Lambda = H1 N, each product formed once, in this
+    # order.
+    H1 = prob.psi1 @ null_m
+    assert np.array_equal(quotient.gamma, H1 @ pinv)
+    assert np.array_equal(quotient.lam, H1 @ kernel)
     if not full_rank:
         # The wide-output plant: X = psi0 Y is singular for every Y, with a
         # wide gap between round-off and the next singular value.
@@ -210,6 +218,13 @@ def test_elimination_contract(prob, full_rank):
     X = X + X.T
     R = rng.standard_normal((q - nu, nu))
     assert np.abs(H0 @ (pinv @ X + kernel @ R) - X).max() <= 1e-10 * np.abs(X).max()
+    # The block's off-diagonal Gamma X + Lambda R is psi1 Y at the Y of the
+    # design map.
+    basis = _sym_basis(nu)
+    block = _sdp_block(quotient, basis)
+    v = rng.standard_normal(block.nvar)
+    W = prob.psi1 @ _design_z(v, quotient, basis)[1]
+    assert np.abs(block.value(v)[:nu, nu:] - W).max() <= 1e-12 * np.abs(W).max()
 
 
 def test_wide_output_rank_branch_skips_the_solve(monkeypatch):
@@ -299,8 +314,8 @@ def _design_block_loop(H1, pinv, kernel):
 def test_batched_assembly_matches_loop_reference():
     rng = np.random.default_rng(6)
     prob = vtol_problem()
-    null_m, _, pinv, kernel = _elimination(prob)
-    cases = [(prob.psi1 @ null_m, pinv, kernel)]
+    elim = _elimination(prob)
+    cases = [(prob.psi1 @ elim.null_m, elim.pinv, elim.kernel)]
     # (nu, q): one row, no R (q = nu), and wider ones.
     for nu, q in ((1, 2), (2, 2), (3, 5), (4, 6)):
         cases.append(
@@ -313,7 +328,9 @@ def test_batched_assembly_matches_loop_reference():
     for H1, pinv, kernel in cases:
         nu, q = pinv.shape[1], pinv.shape[0]
         basis = _sym_basis(nu)
-        b = _sdp_block(H1, pinv, kernel, basis)
+        # null_m = I, so Y = Z; the assembly does not read s.
+        quotient = Quotient(np.eye(q), None, pinv, kernel, H1 @ pinv, H1 @ kernel)
+        b = _sdp_block(quotient, basis)
         ref = _design_block_loop(H1, pinv, kernel)
         assert b.nvar == nu * (nu + 1) // 2 - 1 + (q - nu) * nu
         got = np.concatenate([b.const[None], b.coeff])
@@ -322,7 +339,7 @@ def test_batched_assembly_matches_loop_reference():
         assert np.array_equal(got, got.transpose(0, 2, 1))
         # _design_z maps the parameters back to the Z whose image is W.
         v = rng.standard_normal(b.nvar)
-        W = H1 @ _design_z(v, pinv, kernel, basis)[1]
+        W = H1 @ _design_z(v, quotient, basis)[1]
         assert np.abs(b.value(v)[:nu, nu:] - W).max() <= 1e-12 * np.abs(W).max()
 
 
