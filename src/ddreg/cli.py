@@ -105,7 +105,7 @@ def synthesize_stage(config: RunConfig, rec: ExperimentRecord):
     prob = _stage("assemble-sdp", assemble_sdp, data, reg)
     pre = feasibility_precheck(prob)
     tol = config.tolerances["feas_tol"]
-    result = _stage("solve", solve_feasibility_sdp, prob, feas_tol=tol, **config.solver)
+    result = _stage("solve", solve_feasibility_sdp, prob, feas_tol=tol)
     return data, reg, prob, pre, result
 
 

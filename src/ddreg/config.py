@@ -40,7 +40,6 @@ DEFAULTS = {
         "zero_exo_decay": 1e-6,
     },
     "verify": {"steps": 300, "tail_frac": 0.1},
-    "solver": {"gap_tol": 1e-8, "max_newton": 2000},
     "input_policy": {"type": ("normal", "explicit"), "scale": 1.0, "values": None},
     "dims": {"m": None, "p": None},  # plant-free runs: input and output counts
 }
@@ -143,7 +142,6 @@ class RunConfig:
     chi0: np.ndarray | None = None
     tolerances: dict = field(default_factory=dict)
     verify: dict = field(default_factory=dict)
-    solver: dict = field(default_factory=dict)
     dims: dict = field(default_factory=dict)
     output_dir: str | None = None
     exo: ExoMatrix = field(init=False, repr=False)

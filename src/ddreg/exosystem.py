@@ -68,7 +68,7 @@ def _inside_unit_circle(S: np.ndarray, eigs: np.ndarray) -> bool:
     with np.errstate(divide="ignore"):
         cond = 1.0 / np.abs(np.sum(left.conj() * right, axis=0))
         log_moduli = np.log(np.abs(eigs))
-    reach = 4 * len(S) * np.finfo(float).eps * np.linalg.norm(S) * cond
+    reach = 4 * len(S) * np.finfo(float).eps * norm(S) * cond
     near = np.abs(eigs[:, None] - eigs) <= np.minimum(reach[:, None], reach)
     labels = np.arange(len(eigs))
     for _ in range(len(eigs)):  # each label becomes its cluster's smallest

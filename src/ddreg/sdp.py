@@ -1,7 +1,8 @@
 """Dense margin-maximization solver for small semidefinite feasibility
 problems: maximize t such that one symmetric block ``F(v)``, affine in a
 vector v, dominates t * I.  A feasibility question reduces to the sign of
-the optimal margin, and the solve stops once that sign is certified.
+the optimal margin, and the solve stops once that sign is certified (or
+when it cannot go on).  It imports no other module of the package.
 
 Primal-dual interior-point method with the HKM direction and Mehrotra
 predictor-corrector steps (Helmberg, Rendl, Vanderbei and Wolkowicz 1996;
@@ -29,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs, dpstrf, dsyevr, dtrtri
 
-from .config import DEFAULTS
-
+GAP_TOL = 1e-8  # gap bound at which a solve without feas_tol stops
+MAX_NEWTON = 2000  # primal-dual iterations before the solve gives up
 STEP_FRACTION = 0.95  # share of the distance to the cone boundary taken
 CENTRE_TOL = 1e-6  # off-centre distance at which the returned point is centred
 MAX_CENTRING = 8  # centring steps before the point is returned regardless
@@ -132,8 +133,8 @@ def _schur_complement(A: np.ndarray, s_inv: np.ndarray, z_chol: np.ndarray, work
 
 def maximize_margin(
     blocks: list[AffineBlock],
-    gap_tol: float = DEFAULTS["solver"]["gap_tol"],
-    max_newton: int = DEFAULTS["solver"]["max_newton"],
+    gap_tol: float = GAP_TOL,
+    max_newton: int = MAX_NEWTON,
     feas_tol: float | None = None,
 ) -> MarginResult:
     """Maximize t such that ``F(v) - t I >= 0``, with ``blocks = [F]``: a
@@ -164,18 +165,19 @@ def maximize_margin(
     - ``"verdict"`` (with ``feas_tol``): the margin exceeds ``feas_tol`` and
       ``gap_bound < margin`` (feasible; the optimum is below twice the
       margin), or the bound is at most ``feas_tol`` (infeasible).  Before a
-      feasible verdict is returned the iterate is centred: Newton steps to
-      the central point ``Z S = mu_c I``, ``mu_c`` the power of 2 at or
-      below the current ``mu``, each with the corrector's second-order
-      term, until ``_off_centre`` is at most ``CENTRE_TOL`` (or after
-      ``MAX_CENTRING`` steps), and the verdict is checked again there.
-      The predictor-corrector iterates carry the round-off of their whole
-      path (a 1e-15 relative change in the paper block's constant moved v
-      by 3e-7 relative at the verdict); the central point at a
+      feasible verdict is returned the iterate is centred: Newton steps to the
+      central point ``Z S = mu_c I``, ``mu_c`` the power of 2 at or below the
+      current ``mu``, each with the corrector's second-order term, until
+      ``_off_centre`` is at most ``CENTRE_TOL`` (or after ``MAX_CENTRING``
+      steps), and the verdict is checked again there, on the margin it
+      returns.  The predictor-corrector iterates carry the round-off of their
+      whole path (a 1e-15 relative change in the paper block's constant moved
+      v by 3e-7 relative at the verdict); the central point at a
       data-independent ``mu_c`` does not, so the gain read off it is well
-      determined, and it depends on neither ``gap_tol`` nor how far the
-      solve would have run.
-    - ``"gap_tol"``: ``gap_bound <= gap_tol``.
+      determined, and it depends on neither ``gap_tol`` nor how far the solve
+      would have run.
+    - ``"gap_tol"`` (without ``feas_tol`` only): ``gap_bound <= gap_tol``;
+      with it, only a verdict or a stop below ends the solve.
     - ``"unbounded"``: -I lies in the span of the coefficients, or a step
       direction grows the block while t increases; no dual point exists.
     - ``"stalled"`` (``converged=False``): a step left the cone in floating
@@ -245,8 +247,8 @@ def maximize_margin(
     Z = s_inv_L.T @ s_inv_L
     Z /= np.trace(Z)
 
+    v = np.zeros(nvar)
     steps = 0
-    converged = True
     accepted = y  # the last iterate inside the cone
     bound = gap = np.inf
     centre_mu = None  # set while centring (see the docstring)
@@ -262,7 +264,7 @@ def maximize_margin(
                 raise RuntimeError("interior-point iterate left the cone")
             # A step short of the boundary left the cone in floating point:
             # the iterates have reached round-off.  Keep the accepted iterate.
-            converged, stop = False, "stalled"
+            stop = "stalled"
             break
         accepted = y
         # S = F(v) - t I is at hand, so the margin at v is lam_min(S) + t.
@@ -280,12 +282,13 @@ def maximize_margin(
         )
         if centred:
             centre_mu = None
+            v[free] = y[:-1] * col_scale[free]  # judged on the margin returned
+            feasible = feasible and _lam_min(block.value(v)) > feas_tol
         if (centred and feasible) or (feas_tol is not None and bound <= feas_tol):
             stop = "verdict"
-        elif gap <= gap_tol and centre_mu is None:
+        elif feas_tol is None and gap <= gap_tol:
             stop = "gap_tol"
         elif steps >= max_newton:
-            converged = False
             stop = "newton_budget"
         if stop is not None:
             break
@@ -336,9 +339,9 @@ def maximize_margin(
         steps += 1
 
     # The returned margin is evaluated once, at the returned v.
-    v = np.zeros(nvar)
     v[free] = accepted[:-1] * col_scale[free]
     margin = _lam_min(block.value(v))
     if stop != "unbounded":
         gap = bound - margin
+    converged = stop not in ("stalled", "newton_budget")
     return MarginResult(v, margin, converged, steps, gap, stop)

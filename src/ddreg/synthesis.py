@@ -21,11 +21,11 @@ symmetric block, solved by the dense primal-dual interior-point method of
 The design question is one of feasibility: any strictly feasible (X, Y)
 yields a valid gain.  The interior-point solve therefore stops as soon as a
 verdict is certified (margin above ``feas_tol`` and above the gap bound, or
-a dual bound at or below ``feas_tol``), a feasible one at a central point.
-Driving the margin to its optimum instead leaves X nearly singular and the
-gain ``K = u1 Y X^{-1}`` ill-determined: it would move with round-off in
-the data and with the solver tolerance, although the homogeneity says it
-should not.
+a dual bound at or below ``feas_tol``), a feasible one at a central point; a
+solve that ends without a certificate is a numerical failure.  Driving the
+margin to its optimum instead leaves X nearly singular and the gain
+``K = u1 Y X^{-1}`` ill-determined: it would move with round-off in the data
+and with the solver tolerance, although the homogeneity says it should not.
 
 Nothing here reads the plant: the design sees the data stacks, the
 regressor and the solver's tolerances, and returns what it decided as data
@@ -46,7 +46,7 @@ from .config import DEFAULTS
 from .experiment import DataMatrices
 from .exosystem import Regressor
 from .numerics import norm, numerical_rank
-from .sdp import AffineBlock, _sym, maximize_margin
+from .sdp import MAX_NEWTON, AffineBlock, _sym, maximize_margin
 
 # Largest window residual (see :func:`window_residual`) for which the window
 # counts as a state: round-off passes, an undetermined output does not.
@@ -251,22 +251,21 @@ def _design_z(v, q: Quotient, basis) -> tuple[np.ndarray, np.ndarray]:
 def solve_feasibility_sdp(
     prob: SdpProblem,
     feas_tol: float = DEFAULTS["tolerances"]["feas_tol"],
-    gap_tol: float = DEFAULTS["solver"]["gap_tol"],
-    max_newton: int = DEFAULTS["solver"]["max_newton"],
+    max_newton: int = MAX_NEWTON,
 ) -> SynthesisResult:
     """Margin-maximization solve of the design program.
 
     Feasible means the margin, the smallest eigenvalue of the stability
-    block at the returned point, exceeds ``feas_tol``.  The
-    interior-point solve stops at the first certified verdict: a feasible
-    margin is a lower bound on the optimum (within a factor 2 of it, see
-    ``gap_bound``); an infeasible solve stops once a dual point bounds the
-    optimum at or below ``feas_tol``, so its margin is the certified
-    value there, not the optimum.  Otherwise it runs to ``gap_tol`` (at
-    most ``max_newton`` Newton steps); the defaults are a run config's.
-    A rank-deficient ``psi0 null_m`` (the wide-output plant) is infeasible
-    with margin -inf and no solve.  X and Y satisfy the equality constraint
-    by construction up to round-off.
+    block at the returned point, exceeds ``feas_tol``.  The interior-point
+    solve stops at the first certified verdict: a feasible margin is a lower
+    bound on the optimum (within a factor 2 of it, see ``gap_bound``); an
+    infeasible solve stops once a dual point bounds the optimum at or below
+    ``feas_tol``, so its margin is the certified value there, not the
+    optimum.  A solve that ends without either certificate (``stalled``, or
+    ``newton_budget`` after ``max_newton`` Newton steps) is a
+    ``numerical_failure``.  A rank-deficient ``psi0 null_m`` (the
+    wide-output plant) is infeasible with margin -inf and no solve.  X and Y
+    satisfy the equality constraint by construction up to round-off.
     """
     q = _elimination(prob)
     rank = q.rank
@@ -285,24 +284,24 @@ def solve_feasibility_sdp(
     block = _sdp_block(q, basis)
     result.free_params = block.nvar
     try:
-        res = maximize_margin(
-            [block], gap_tol=gap_tol, max_newton=max_newton, feas_tol=feas_tol
-        )
+        res = maximize_margin([block], max_newton=max_newton, feas_tol=feas_tol)
     except RuntimeError as exc:
         result.status, result.margin = "numerical_failure", np.nan
         result.error = str(exc)
         return result
     result.margin, result.stop = res.margin, res.stop
     result.iterations, result.gap_bound = res.newton_steps, res.gap_bound
-    if not res.converged:
+    verdict = res.stop == "verdict"
+    feasible = verdict and res.margin > feas_tol
+    if not (feasible or verdict and res.margin + res.gap_bound <= feas_tol):
         result.status = "numerical_failure"
         return result
 
     X, Y = _design_z(res.v, q, basis)
     result.X, result.Y = X, Y
-    result.mhat_residual = float(np.linalg.norm(prob.mhat @ Y))
-    result.equality_residual = float(np.linalg.norm(prob.psi0 @ Y - X))
-    if res.margin > feas_tol:
+    result.mhat_residual = norm(prob.mhat @ Y)
+    result.equality_residual = norm(prob.psi0 @ Y - X)
+    if feasible:
         result.status = "feasible"
         result.K, result.G, result.gain_defect = extract_gain(prob, X, Y)
     return result
@@ -325,7 +324,7 @@ def extract_gain(prob: SdpProblem, X, Y) -> tuple[np.ndarray, np.ndarray, float]
     nu = prob.nu
     stacked_lhs = np.vstack([K, np.eye(nu), np.zeros((prob.nhat_w, nu))])
     stacked_rhs = np.vstack([prob.u1, prob.psi0, prob.mhat]) @ G
-    return K, G, float(np.linalg.norm(stacked_lhs - stacked_rhs))
+    return K, G, norm(stacked_lhs - stacked_rhs)
 
 
 def feasibility_precheck(prob: SdpProblem) -> dict:

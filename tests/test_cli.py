@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ddreg import cli, verify
+from ddreg import cli, sdp, verify
 from ddreg.benchmarks import (
     VTOL_ETA0,
     VTOL_W0,
@@ -106,7 +106,6 @@ def test_config_rejects_short_experiment():
     [
         ("tolerances", "rank_rtol"),
         ("verify", "stepz"),
-        ("solver", "backend"),
         ("input_policy", "sigma"),
         ("dims", "n"),
     ],
@@ -123,10 +122,9 @@ def test_config_rejects_unknown_solver_option(section, key):
 def test_solver_options_defaults_are_the_config_defaults():
     config = RunConfig.from_dict(vtol_config_dict())
     params = inspect.signature(solve_feasibility_sdp).parameters
-    assert tuple(params[k].default for k in ("feas_tol", "gap_tol", "max_newton")) == (
+    assert tuple(params[k].default for k in ("feas_tol", "max_newton")) == (
         config.tolerances["feas_tol"],
-        config.solver["gap_tol"],
-        config.solver["max_newton"],
+        sdp.MAX_NEWTON,
     )
 
 
@@ -581,6 +579,11 @@ def test_cli_run_infeasible_exit_nonzero(tmp_path, capsys):
             lambda d: d.update(input_policy={"type": "normal", "values": "abc"}),
             "input_policy.values: 'abc' is not a number",
             id="values-of-normal-policy",
+        ),
+        pytest.param(
+            lambda d: d.update(solver={"gap_tol": 1e-4}),
+            "unknown config option(s) solver",
+            id="solver-section",
         ),
     ],
 )

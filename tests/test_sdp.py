@@ -1,12 +1,17 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
+import ddreg
 from ddreg import sdp, synthesis
 from ddreg.cli import run_pipeline
-from ddreg.config import DEFAULTS
 from ddreg.sdp import AffineBlock, _col_scale, _schur_complement, maximize_margin
 
 from _scenarios import paper_config
@@ -79,7 +84,7 @@ def test_verdict_stop_certifies_margin_above_threshold():
     # The certificate brackets the optimum, which is below twice the margin.
     assert res.margin <= 5.0 / 4.0 <= res.margin + res.gap_bound
     assert res.margin == pytest.approx(np.linalg.eigvalsh(block.value(res.v))[0])
-    assert 0 < res.newton_steps <= DEFAULTS["solver"]["max_newton"]
+    assert 0 < res.newton_steps <= sdp.MAX_NEWTON
     # A threshold the optimum never clears gets the infeasible verdict: a
     # dual bound at or below the threshold.
     res_high = maximize_margin([block], feas_tol=2.0)
@@ -375,3 +380,46 @@ def test_path_invariant_under_change_of_variables(seed, nb, nvar, shift, log_con
     assert res_moved.margin == pytest.approx(res.margin, abs=1e-9)
     value = block.value(res.v)
     assert np.abs(moved.value(res_moved.v) - value).max() <= 1e-8
+
+
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    nb=st.integers(2, 4),
+    nvar=st.integers(1, 3),
+    shift=st.floats(-1.0, 3.0),
+    where=st.floats(0.0, 1.0),
+)
+# A draw whose margin read off the slack clears feas_tol while the margin at
+# the returned v ties it: the verdict is judged on the one returned.
+@example(seed=217111511, nb=2, nvar=2, shift=-0.233915848685748, where=0.33637464021865227)
+def test_threshold_inside_the_bracket_gets_a_certified_verdict_or_none(
+    seed, nb, nvar, shift, where
+):
+    # A threshold inside the bracket [margin, margin + gap_bound] of a
+    # gap_tol=1e-12 solve sits at the optimum up to that width.  With
+    # feas_tol the solve never stops at gap_tol short of a certificate: it
+    # ends at a verdict the returned numbers certify, or without one.
+    nvar = min(nvar, nb * (nb + 1) // 2 - 1)
+    block = _bounded_block(np.random.default_rng(seed), nb, nvar, shift)
+    ref = maximize_margin([block], gap_tol=1e-12)
+    assert np.isfinite(ref.gap_bound)
+    feas_tol = ref.margin + where * ref.gap_bound
+    res = maximize_margin([block], feas_tol=feas_tol)
+    assert res.stop in ("verdict", "stalled")
+    if res.stop == "verdict":
+        assert res.margin > feas_tol or res.margin + res.gap_bound <= feas_tol
+
+
+def test_solver_imports_no_other_module():
+    # The solver is a self-contained kernel: its defaults are its own.
+    code = (
+        "import sys, ddreg.sdp; "
+        "print(sorted(m for m in sys.modules if m.startswith('ddreg')))"
+    )
+    src = str(Path(ddreg.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    ).stdout
+    assert out.strip() == "['ddreg', 'ddreg.sdp']"

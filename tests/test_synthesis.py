@@ -16,7 +16,6 @@ from ddreg.cli import (
     run_pipeline,
     synthesize_stage,
 )
-from ddreg.config import DEFAULTS
 from ddreg.exosystem import (
     ExoMatrix,
     Regressor,
@@ -30,7 +29,7 @@ from ddreg.experiment import (
     record_to_csv,
 )
 from ddreg.plant import PlantTruth, observability_index
-from ddreg.sdp import AffineBlock
+from ddreg.sdp import AffineBlock, maximize_margin
 from ddreg.synthesis import (
     Quotient,
     SdpProblem,
@@ -478,20 +477,33 @@ def test_gain_stable_under_data_round_off(seed):
 
 
 def test_gain_independent_of_gap_tol():
-    # The solve stops at the certified feasible verdict, before gap_tol is
-    # reached, so K does not depend on how far the path would have run.
-    # Driving the margin to its optimum instead leaves X nearly singular
-    # and moved K by 7.4e-3 (1.6e-4 relative) between these two tolerances.
-    prob = vtol_problem(seed=1)
-    loose = solve_feasibility_sdp(prob, gap_tol=1e-8)
-    tight = solve_feasibility_sdp(prob, gap_tol=1e-12)
-    for res in (loose, tight):
-        assert res.status == "feasible"
-        assert res.stop == "verdict"
-        assert res.margin > DEFAULTS["tolerances"]["feas_tol"]
-        assert res.gap_bound < res.margin
-    scale = np.abs(loose.K).max()
-    assert np.abs(tight.K - loose.K).max() < 1e-8 * scale
+    # With feas_tol the solve ends at its certificate and never reads
+    # gap_tol, so the point the gain is read off does not depend on it.  A
+    # stop at gap_tol 1e-4 would end this solve after 6 iterations, at a
+    # margin of 2.9e-7 below feas_tol and with no certificate.
+    prob = paper_problem(0)
+    block = _sdp_block(_elimination(prob), _sym_basis(prob.nu))
+    base = maximize_margin([block], feas_tol=1e-6)
+    for gap_tol in (1e-4, 1e-8, 1e-12):
+        res = maximize_margin([block], gap_tol=gap_tol, feas_tol=1e-6)
+        assert (res.stop, res.newton_steps) == ("verdict", 11)
+        assert np.array_equal(res.v, base.v) and res.margin == base.margin
+
+
+# A gap_tol=1e-12 solve brackets the optimum of the paper block (probing
+# seed 0) in [1.2753059e-5, 1.2754319e-5].
+@pytest.mark.parametrize(
+    "feas_tol, statuses",
+    [(1.2753e-5, ("feasible",)), (1.2753059e-5, ("feasible", "numerical_failure"))],
+    ids=["below-optimum", "at-optimum"],
+)
+def test_threshold_near_the_optimum_is_not_called_infeasible(feas_tol, statuses):
+    # Both thresholds lie below the optimum, so no dual bound lies at or
+    # below them: an infeasible status would have no certificate.
+    res = solve_feasibility_sdp(paper_problem(0), feas_tol=feas_tol)
+    assert res.status in statuses
+    if res.status == "feasible":
+        assert res.stop == "verdict" and res.margin > feas_tol
 
 
 def test_failed_solve_keeps_its_solver_state(monkeypatch):
