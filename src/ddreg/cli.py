@@ -28,13 +28,10 @@ from .experiment import (
 )
 from .numerics import as_vector, real_schur
 from .plant import build_structural_matrices
-from .synthesis import (
-    WINDOW_RESIDUAL_TOL,
-    assemble_sdp,
-    feasibility_precheck,
-    solve_feasibility_sdp,
-)
+from .synthesis import assemble_sdp, feasibility_precheck, solve_feasibility_sdp
 from .verify import (
+    EPS_REG,
+    TAIL_FRAC,
     assemble_closed_loop,
     build_auxiliary_matrices,
     check_claim1,
@@ -109,9 +106,35 @@ def synthesize_stage(config: RunConfig, rec: ExperimentRecord):
     return data, reg, prob, pre, result
 
 
-def _check(name, value, threshold, op="<", passed=None):
-    """One report row; it passes when ``value < threshold`` unless
-    ``passed`` says otherwise."""
+# The check battery's fixed standard: the threshold of every report row
+# (``sdp_feasible`` aside, whose threshold is the run's ``feas_tol``), and the
+# closed-loop run that the regulation rows judge, ``steps`` long with its
+# final ``tail_frac`` as the tail.  No config sets any of it, so no config
+# can loosen the rows that judge it.
+BATTERY = {
+    "data_identity": 1e-8,
+    "claim_windows": 1e-8,
+    "factorization_residual": 1e-8,
+    "correspondence": 1e-8,
+    # The window counts as a state: round-off passes, an undetermined
+    # output does not.
+    "window_residual": 1e-8,
+    "gain_identity": 1e-6,
+    "stability_radius": 1.0,
+    "representation_gap": 1e-8,
+    "regulator_identity": 1e-6,
+    "sylvester_residual": 1e-8,
+    "regulation_tail": EPS_REG,
+    "zero_exo_decay": 1e-6,
+    "steps": 300,
+    "tail_frac": TAIL_FRAC,
+}
+
+
+def _check(name, value, threshold=None, op="<", passed=None):
+    """One report row; its threshold is ``BATTERY[name]`` unless given, and
+    it passes when ``value < threshold`` unless ``passed`` says otherwise."""
+    threshold = BATTERY[name] if threshold is None else threshold
     return {
         "name": name,
         "value": float(value),
@@ -125,14 +148,14 @@ def _design_checks(config: RunConfig, result) -> list[dict]:
     """Designer rows: the SDP verdict, whether the window is a state (the
     data's window residual; NaN, which fails, when the data cannot tell)
     and, for a feasible design, the gain's interpolation identity."""
-    tol = config.tolerances
+    feas_tol = config.tolerances["feas_tol"]
     feasible = result.status == "feasible"
     rows = [
-        _check("sdp_feasible", result.margin, tol["feas_tol"], op=">", passed=feasible),
-        _check("window_residual", result.window_residual, WINDOW_RESIDUAL_TOL),
+        _check("sdp_feasible", result.margin, feas_tol, op=">", passed=feasible),
+        _check("window_residual", result.window_residual),
     ]
     if feasible:
-        rows.append(_check("gain_identity", result.gain_defect, tol["gain_identity"]))
+        rows.append(_check("gain_identity", result.gain_defect))
     return rows
 
 
@@ -143,24 +166,18 @@ def _oracle_checks(config: RunConfig, rec, data, reg):
     system.  Also returns the auxiliary system that the closed-loop rows
     build on.
     """
-    tol, plant, exo = config.tolerances, config.plant, config.exo
-    w, x = rec.oracle.w, rec.oracle.x
+    plant, w, x = config.plant, rec.oracle.w, rec.oracle.x
     struct = _stage("verify", build_structural_matrices, plant, config.ell)
-    aux = build_auxiliary_matrices(plant, struct, exo, config.im)
+    aux = build_auxiliary_matrices(plant, struct, config.exo, config.im)
     rows = [
-        _check("data_identity", check_data_identity(data, aux), tol["data_identity"]),
+        _check("data_identity", check_data_identity(data, aux)),
+        _check("claim_windows", max(check_claim1(rec, plant, struct))),
         _check(
-            "claim_windows", max(check_claim1(rec, plant, struct)), tol["claim_residual"]
-        ),
-        _check(
-            "factorization_residual",
-            oracle_factorization_residual(data, reg.matrix),
-            tol["factorization_residual"],
+            "factorization_residual", oracle_factorization_residual(data, reg.matrix)
         ),
         _check(
             "correspondence",
             max(check_solution_correspondence(aux, w, x[0], rec.y, rec.u)),
-            tol["correspondence"],
         ),
     ]
     return rows, aux
@@ -181,7 +198,6 @@ def _closed_loop_checks(config: RunConfig, aux, gain, data_side=None):
     NaN fails its row; the returned run is None when its simulation
     diverged.
     """
-    tol, eps_reg = config.tolerances, config.tolerances["eps_reg"]
     # A finite gain may still be large enough to overflow the loop maps and
     # the inputs read off the run; what overflowed is NaN in its rows.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -189,11 +205,11 @@ def _closed_loop_checks(config: RunConfig, aux, gain, data_side=None):
         model_side = aux.ext_a + aux.ext_b @ gain
         w0, x0, chi0, eta0 = config.initial("w0", "x0", "chi0", "eta0")
         run = simulate_closed_loop(
-            cl, w0, x0, chi0, eta0, config.verify["steps"],
-            eps_reg=eps_reg, tail_frac=config.verify["tail_frac"],
+            cl, w0, x0, chi0, eta0, BATTERY["steps"],
+            eps_reg=BATTERY["regulation_tail"], tail_frac=BATTERY["tail_frac"],
         )
     rho = check_internal_stability(cl)
-    rows = [_check("stability_radius", rho, 1.0)]
+    rows = [_check("stability_radius", rho)]
     a_cl = model_side if data_side is None else data_side
     gap = identity = syl = float("nan")
     try:
@@ -204,13 +220,13 @@ def _closed_loop_checks(config: RunConfig, aux, gain, data_side=None):
     except ValueError:  # a loop map that is not finite; a loop not Schur
         pass
     if data_side is not None:
-        rows.append(_check("representation_gap", gap, tol["representation_gap"]))
+        rows.append(_check("representation_gap", gap))
     tail, decay = run.tail_max_y, run.zero_exo_decay
     rows += [
-        _check("regulator_identity", identity, tol["regulator_identity"]),
-        _check("sylvester_residual", syl, tol["sylvester_residual"]),
-        _check("regulation_tail", tail, eps_reg),
-        _check("zero_exo_decay", decay, tol["zero_exo_decay"]),
+        _check("regulator_identity", identity),
+        _check("sylvester_residual", syl),
+        _check("regulation_tail", tail),
+        _check("zero_exo_decay", decay),
     ]
     regulation = {
         "stability_radius": rho,

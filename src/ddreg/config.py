@@ -22,24 +22,11 @@ from .numerics import as_integer, as_real, as_vector
 from .plant import PlantTruth
 
 # Section -> key -> default.  A tuple lists the allowed values, the first
-# being the default; another value is converted to its default's type (an
-# int default takes integral numbers only) and must be finite and >= 0, and
-# a None default takes the value as given (None: unset).
+# being the default; a float default takes a finite real number >= 0, and a
+# None default takes the value as given (None: unset).  The check battery's
+# thresholds and horizon are not here: they are fixed (``cli.BATTERY``).
 DEFAULTS = {
-    "tolerances": {
-        "feas_tol": 1e-6,
-        "data_identity": 1e-8,
-        "claim_residual": 1e-8,
-        "correspondence": 1e-8,
-        "factorization_residual": 1e-8,
-        "regulator_identity": 1e-6,
-        "sylvester_residual": 1e-8,
-        "representation_gap": 1e-8,
-        "gain_identity": 1e-6,
-        "eps_reg": 1e-4,
-        "zero_exo_decay": 1e-6,
-    },
-    "verify": {"steps": 300, "tail_frac": 0.1},
+    "tolerances": {"feas_tol": 1e-6},
     "input_policy": {"type": ("normal", "explicit"), "scale": 1.0, "values": None},
     "dims": {"m": None, "p": None},  # plant-free runs: input and output counts
 }
@@ -100,8 +87,7 @@ def _section(name: str, given: dict) -> dict:
         else:
             value = given.get(key, default)
             if default is not None:
-                read = as_integer if isinstance(default, int) else as_real
-                value = read(value, f"{name}.{key}")
+                value = as_real(value, f"{name}.{key}")
                 _require(
                     0 <= value < float("inf"),
                     f"{name}.{key} must be finite and >= 0, got {value!r}",
@@ -141,7 +127,6 @@ class RunConfig:
     eta0: np.ndarray | None = None
     chi0: np.ndarray | None = None
     tolerances: dict = field(default_factory=dict)
-    verify: dict = field(default_factory=dict)
     dims: dict = field(default_factory=dict)
     output_dir: str | None = None
     exo: ExoMatrix = field(init=False, repr=False)

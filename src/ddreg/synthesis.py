@@ -48,10 +48,6 @@ from .exosystem import Regressor
 from .numerics import norm, numerical_rank
 from .sdp import MAX_NEWTON, AffineBlock, _sym, maximize_margin
 
-# Largest window residual (see :func:`window_residual`) for which the window
-# counts as a state: round-off passes, an undetermined output does not.
-WINDOW_RESIDUAL_TOL = 1e-8
-
 
 @dataclass
 class SdpProblem:

@@ -38,7 +38,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULTS
 from .exosystem import ExoMatrix, InternalModel
 from .experiment import DataMatrices, ExperimentRecord, stacked_windows
 from .numerics import (
@@ -55,6 +54,12 @@ from .plant import PlantTruth, StructuralMatrices, plant_loop
 # Closest an eigenvalue of the closed loop may come to one of S's (absolute,
 # in the complex plane) for the steady state to count as unique.
 SPECTRUM_GAP_TOL = 1e-9
+
+# How the regulation rows read a closed-loop run (``cli.BATTERY`` reads the
+# same numbers): the final fraction of the run that is its tail, and the
+# output norm below which the output counts as regulated.
+TAIL_FRAC = 0.1
+EPS_REG = 1e-4
 
 
 @dataclass
@@ -298,8 +303,8 @@ def simulate_closed_loop(
     chi0,
     eta0,
     steps: int,
-    eps_reg: float = DEFAULTS["tolerances"]["eps_reg"],
-    tail_frac: float = DEFAULTS["verify"]["tail_frac"],
+    eps_reg: float = EPS_REG,
+    tail_frac: float = TAIL_FRAC,
 ) -> ClosedLoopRun:
     """Roll the closed loop and measure regulation.
 

@@ -83,8 +83,6 @@ def test_config_round_trip(tmp_path):
     config = RunConfig.from_json(path)
     assert config.ell == 4 and config.T == 20 and config.seed == 0
     assert config.plant is not None
-    assert config.tolerances["eps_reg"] == 1e-4
-    assert config.verify["steps"] == 300
 
 
 def test_config_requires_seed_for_random_policy():
@@ -105,15 +103,16 @@ def test_config_rejects_short_experiment():
     "section, key",
     [
         ("tolerances", "rank_rtol"),
-        ("verify", "stepz"),
+        ("config", "verify"),
         ("input_policy", "sigma"),
         ("dims", "n"),
     ],
 )
 def test_config_rejects_unknown_solver_option(section, key):
-    # Every section holds exactly the keys of its defaults table.
+    # Every section holds exactly the keys of its defaults table, and the
+    # config its top-level keys.
     d = vtol_config_dict()
-    d.setdefault(section, {})[key] = 1
+    (d if section == "config" else d.setdefault(section, {}))[key] = 1
     with pytest.raises(PipelineError, match=f"unknown {section} option.*{key}") as exc:
         RunConfig.from_dict(d)
     assert exc.value.stage == "config"
@@ -150,11 +149,12 @@ def test_internal_model_is_built_once_per_config(tmp_path, monkeypatch):
     assert len(calls) == 2  # the second config, read by synthesize
 
 
-def test_configured_gain_identity_reaches_extract_gain(tmp_path, capsys):
+def test_configured_gain_identity_reaches_extract_gain(tmp_path, capsys, monkeypatch):
     # The identity is decided once, by its report row: a violated identity
     # is a written report whose gain_identity row fails, and exit code 1.
+    # The threshold is fixed; a tighter one forces the violation.
+    monkeypatch.setitem(cli.BATTERY, "gain_identity", 1e-30)
     d = vtol_config_dict()
-    d["tolerances"] = {"gain_identity": 1e-30}
     report = run_pipeline(RunConfig.from_dict(d), out_dir=tmp_path / "r")
     assert (tmp_path / "r" / "report.json").exists()
     rows = {c["name"]: c for c in report["checks"]}
@@ -173,7 +173,7 @@ def test_configured_gain_identity_reaches_extract_gain(tmp_path, capsys):
 
 def test_sylvester_row_decided_by_its_configured_tolerance(tmp_path, monkeypatch):
     # A Sylvester solution off by 1e-3 relative: its residual is a failing
-    # report row under the default tolerance and passes a looser one.
+    # report row under the battery's threshold.
     solve = verify.solve_sylvester
     monkeypatch.setattr(verify, "solve_sylvester", lambda *a: solve(*a) * (1.0 + 1e-3))
     d = vtol_config_dict()
@@ -182,9 +182,28 @@ def test_sylvester_row_decided_by_its_configured_tolerance(tmp_path, monkeypatch
     assert 1e-7 < row["value"] < 1e-6 and not row["pass"]
     assert not report["all_pass"]
     assert main(["run", "--config", str(write_config(tmp_path, d))]) == 1
-    d["tolerances"] = {"sylvester_residual": 1e-6}
-    report = run_pipeline(RunConfig.from_dict(d))
-    assert {c["name"]: c["pass"] for c in report["checks"]}["sylvester_residual"]
+
+
+def test_every_row_carries_its_battery_threshold():
+    # One fixed table decides every row but sdp_feasible (the run's
+    # feas_tol), in run_pipeline and in verify_gain alike, and sets the
+    # closed-loop run that the regulation rows judge.
+    config = paper_example_config(0)
+    report = run_pipeline(config)
+    reports = [report, verify_gain(config, report["synthesis"]["gain"])]
+    for rep in reports:
+        for row in rep["checks"]:
+            name, threshold = row["name"], row["threshold"]
+            if name == "sdp_feasible":
+                assert threshold == config.tolerances["feas_tol"]
+            else:
+                assert threshold == cli.BATTERY[name]
+    names = {row["name"] for row in report["checks"]}
+    assert names - {"sdp_feasible"} == set(cli.BATTERY) - {"steps", "tail_frac"}
+    params = inspect.signature(verify.simulate_closed_loop).parameters
+    defaults = [params[k].default for k in ("eps_reg", "tail_frac")]
+    battery = [cli.BATTERY[k] for k in ("regulation_tail", "tail_frac")]
+    assert defaults == battery == [1e-4, 0.1] and cli.BATTERY["steps"] == 300
 
 
 def test_long_record_returns_a_report():
@@ -487,10 +506,22 @@ def test_cli_run_infeasible_exit_nonzero(tmp_path, capsys):
             "input_policy.values must be samples of m = 1 entries, got shape (1, 3)",
             id="plant-free-explicit-values-columns",
         ),
+        # The battery's thresholds and horizon are fixed: a config that
+        # would loosen or shorten them is an unknown-key error.
         pytest.param(
-            lambda d: d.update(verify={"steps": -1}),
-            "verify.steps must be finite and >= 0, got -1",
-            id="negative-steps",
+            lambda d: d.update(verify={"steps": 300}),
+            "unknown config option(s) verify",
+            id="verify-section",
+        ),
+        pytest.param(
+            lambda d: d.update(tolerances={"zero_exo_decay": 1, "eps_reg": 1}),
+            "unknown tolerances option(s) eps_reg, zero_exo_decay",
+            id="loosened-battery",
+        ),
+        pytest.param(
+            lambda d: d.update(verify={"tail_frac": 5}),
+            "unknown config option(s) verify",
+            id="verify-tail-frac",
         ),
         pytest.param(
             lambda d: d.update(tolerances={"feas_tol": float("nan")}),
@@ -505,22 +536,12 @@ def test_cli_run_infeasible_exit_nonzero(tmp_path, capsys):
             "T must be an integer, got 20.7",
             id="non-integral-T",
         ),
-        pytest.param(
-            lambda d: d.update(verify={"steps": 2.9}),
-            "verify.steps must be an integer, got 2.9",
-            id="non-integral-steps",
-        ),
         # Strings and booleans are not numbers, though Python and numpy
         # would read them as such.
         pytest.param(lambda d: d.update(ell="4"), "ell: '4' is not a number", id="string-ell"),
         pytest.param(lambda d: d.update(T="20"), "T: '20' is not a number", id="string-T"),
         pytest.param(
             lambda d: d.update(seed=True), "seed: True is not a number", id="boolean-seed"
-        ),
-        pytest.param(
-            lambda d: d.update(verify={"steps": True}),
-            "verify.steps: True is not a number",
-            id="boolean-steps",
         ),
         pytest.param(
             lambda d: d.update(tolerances={"feas_tol": "1e-6"}),
@@ -596,6 +617,41 @@ def test_cli_config_error_exit_two(tmp_path, capsys, edit, message):
     assert f"[config] {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "section, key",
+    [
+        *(
+            ("tolerances", key)
+            for key in (
+                "data_identity",
+                "claim_residual",
+                "correspondence",
+                "factorization_residual",
+                "regulator_identity",
+                "sylvester_residual",
+                "representation_gap",
+                "gain_identity",
+                "eps_reg",
+                "zero_exo_decay",
+            )
+        ),
+        ("config", "verify"),
+    ],
+)
+def test_removed_battery_key_is_a_config_error(tmp_path, capsys, section, key):
+    # The battery's thresholds and horizon left the run config: setting one,
+    # even to its old default, is a [config] error that names it.
+    d = vtol_config_dict()
+    if section == "config":
+        d[key] = {"steps": 300, "tail_frac": 0.1}
+    else:
+        d[section] = {key: 1e-8}
+    code = main(["run", "--config", str(write_config(tmp_path, d))])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"[config] unknown {section} option(s) {key}" in err
+
+
 @pytest.mark.parametrize("dims", [{"m": 1, "p": 1}, {"p": 1}])
 def test_dims_that_agree_with_the_plant_are_accepted(dims):
     config = RunConfig.from_dict({**vtol_config_dict(), "dims": dims})
@@ -617,10 +673,8 @@ def test_config_errors_stop_before_any_stage(tmp_path, capsys, monkeypatch):
 
 
 def test_integral_floats_are_integers():
-    d = {**vtol_config_dict(), "T": 20.0, "verify": {"steps": 300.0}}
-    config = RunConfig.from_dict(d)
-    assert (config.T, config.verify["steps"]) == (20, 300)
-    assert type(config.T) is int and type(config.verify["steps"]) is int
+    config = RunConfig.from_dict({**vtol_config_dict(), "T": 20.0})
+    assert config.T == 20 and type(config.T) is int
     config = RunConfig.from_dict({**vtol_config_dict(), "seed": np.int64(3)})
     assert config.seed == 3 and type(config.seed) is int
 
