@@ -86,13 +86,11 @@ def build_regressor(config: RunConfig):
 
 def collect_stage(config: RunConfig) -> ExperimentRecord:
     """The experiment's record, collected with the config's internal model
-    (the closed-loop checks step the same model)."""
-    if config.plant is None:
-        raise PipelineError(
-            "collect", "no plant in config", "collection needs ground truth"
-        )
+    (the closed-loop checks step the same model); a plant-free config has no
+    input to probe with, and raises."""
+    u = config.probing_input()
     states = config.initial("w0", "x0", "eta0")
-    args = (config.plant, config.exo, config.im, *states, config.probing_input())
+    args = (config.plant, config.exo, config.im, *states, u)
     return _stage("collect", collect_experiment, *args)
 
 
@@ -395,8 +393,7 @@ def _cmd_collect(args) -> int:
 def _cmd_synthesize(args) -> int:
     config = _load_config(args)
     if args.record is not None:
-        m = config.plant.m if config.plant else config.dims["m"]
-        read = (args.record, config.im, m, config.T)
+        read = (args.record, config.exo, config.T, config.plant, config.im)
         rec = _stage("collect", record_from_csv, *read)
     else:
         rec = collect_stage(config)

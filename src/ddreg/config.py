@@ -3,8 +3,8 @@
 ``DEFAULTS`` holds each settable key and its one default (library defaults
 read it too).  A ``RunConfig`` is validated once, when it is built, and the
 stages trust it; every set key is checked, whether or not the run reads it.
-It also builds the run's exosystem and internal model, once, and gives the
-experiment's probing input and initial states.  The hash of
+It also builds the run's exosystem and, with a plant, its internal model,
+once, and gives the experiment's probing input and initial states.  The hash of
 its effective config, every default materialized, stamps the report.
 """
 
@@ -21,14 +21,14 @@ from .exosystem import ExoMatrix, InternalModel, build_internal_model
 from .numerics import as_integer, as_real, as_vector
 from .plant import PlantTruth
 
-# Section -> key -> default.  A tuple lists the allowed values, the first
-# being the default; a float default takes a finite real number >= 0, and a
-# None default takes the value as given (None: unset).  The check battery's
-# thresholds and horizon are not here: they are fixed (``cli.BATTERY``).
+# Section -> key -> default.  A float default takes a finite real number
+# >= 0, and a None default takes the value as given (None: unset).  The check
+# battery's thresholds and horizon are not here: they are fixed
+# (``cli.BATTERY``).  Explicit input ``values`` are the input; without them
+# the input is the seeded draw times ``scale``.
 DEFAULTS = {
     "tolerances": {"feas_tol": 1e-6},
-    "input_policy": {"type": ("normal", "explicit"), "scale": 1.0, "values": None},
-    "dims": {"m": None, "p": None},  # plant-free runs: input and output counts
+    "input_policy": {"scale": 1.0, "values": None},
 }
 INITIAL_STATES = ("w0", "x0", "eta0", "chi0")
 _TOP_LEVEL = ("exosystem", "ell", "T", "seed", "plant", "initial", "output_dir", *DEFAULTS)
@@ -78,31 +78,26 @@ def _section(name: str, given: dict) -> dict:
     _known(name, given, table)
     section = {}
     for key, default in table.items():
-        if isinstance(default, tuple):
-            value = given.get(key, default[0])
+        value = given.get(key, default)
+        if default is not None:
+            value = as_real(value, f"{name}.{key}")
             _require(
-                value in default,
-                f"{name}.{key} must be {' or '.join(default)}, got {value!r}",
+                0 <= value < float("inf"),
+                f"{name}.{key} must be finite and >= 0, got {value!r}",
             )
-        else:
-            value = given.get(key, default)
-            if default is not None:
-                value = as_real(value, f"{name}.{key}")
-                _require(
-                    0 <= value < float("inf"),
-                    f"{name}.{key} must be finite and >= 0, got {value!r}",
-                )
         section[key] = value
     return section
 
 
-def _check_inputs(u: np.ndarray, rows: int, m: int) -> None:
+def _check_inputs(u: np.ndarray, rows: int, m: int | None) -> None:
     """Explicit input samples ``u``, finite numbers: at least ``rows`` rows
-    of ``m`` (a flat list when ``m`` is 1)."""
-    u = u[:, None] if u.ndim == 1 and m == 1 else u
+    of ``m`` (a flat list when ``m`` is 1; any width when ``m`` is None, as
+    in a plant-free config)."""
+    u = u[:, None] if u.ndim == 1 and m in (1, None) else u
     _require(
-        u.ndim == 2 and u.shape[1] == m,
-        f"input_policy.values must be samples of m = {m} entries, got shape {u.shape}",
+        u.ndim == 2 and m in (None, u.shape[1]),
+        f"input_policy.values must be samples of {'m' if m is None else f'm = {m}'} "
+        f"entries, got shape {u.shape}",
     )
     _require(
         u.shape[0] >= rows,
@@ -113,8 +108,10 @@ def _check_inputs(u: np.ndarray, rows: int, m: int) -> None:
 @dataclass
 class RunConfig:
     """One run's knobs.  ``exo`` is the run's exosystem, validated from
-    ``exo_s``, and ``im`` its internal model, which every stage reads; every
-    other field keeps its name in the JSON form."""
+    ``exo_s``, and ``im`` the internal model of a plant config, which every
+    stage reads (None without a plant: a record gives m and p, and
+    ``experiment.record_from_csv`` builds it); every other field keeps its
+    name in the JSON form."""
 
     exo_s: InitVar[np.ndarray]
     ell: int
@@ -127,10 +124,9 @@ class RunConfig:
     eta0: np.ndarray | None = None
     chi0: np.ndarray | None = None
     tolerances: dict = field(default_factory=dict)
-    dims: dict = field(default_factory=dict)
     output_dir: str | None = None
     exo: ExoMatrix = field(init=False, repr=False)
-    im: InternalModel = field(init=False, repr=False)
+    im: InternalModel | None = field(init=False, repr=False)
 
     def __post_init__(self, exo_s):
         with _config_errors():
@@ -139,61 +135,41 @@ class RunConfig:
             self.exo = ExoMatrix(exo_s)
             self.ell, self.T = as_integer(self.ell, "ell"), as_integer(self.T, "T")
             self.seed = None if self.seed is None else as_integer(self.seed, "seed")
-        policy, dims = self.input_policy, self.dims
-        plant = self.plant
+        policy, plant = self.input_policy, self.plant
         _require(self.ell >= 1, f"window length must be >= 1, got {self.ell}")
         _require(
             self.seed is None or self.seed >= 0, f"seed must be >= 0, got {self.seed}"
         )
         _require(self.T >= self.ell, "experiment too short", "require T >= ell")
         _require(
-            policy["type"] != "normal" or self.seed is not None,
+            policy["values"] is not None or self.seed is not None,
             "random input policy needs a seed",
             'set "seed"',
         )
         _require(
-            policy["type"] != "explicit" or policy["values"] is not None,
-            "explicit input policy needs values",
+            self.output_dir is None or isinstance(self.output_dir, str),
+            f"output_dir must be a string, got {self.output_dir!r}",
         )
-        _require(
-            plant is not None or None not in (dims["m"], dims["p"]),
-            "plant-free config needs dims.m and dims.p",
-            'add "dims": {"m": ..., "p": ...}',
-        )
-        with _config_errors():
-            for key in ("m", "p"):
-                if dims[key] is not None:
-                    dims[key] = as_integer(dims[key], f"dims.{key}")
-            values = policy["values"]
-            if values is not None:
-                u = as_vector(values, "input_policy.values")
-                policy["values"] = values = u.reshape(np.shape(values))
-        _require(
-            all(v is None or v >= 1 for v in dims.values()),
-            f"dims.m and dims.p must be >= 1, got {dims['m']} and {dims['p']}",
-        )
-        n_w = self.exo.n_w
+        values = policy["values"]
+        if values is not None:
+            with _config_errors():
+                u = as_vector(values, "input_policy.values").reshape(np.shape(values))
+            policy["values"] = u
+            _check_inputs(u, self.T + 1, plant.m if plant else None)
+        self.im = None
         if plant is not None:
+            n_w = self.exo.n_w
             _require(
                 plant.n_w == n_w,
                 f"plant P has {plant.n_w} columns, exosystem S is {n_w} x {n_w}",
             )
-            for key in ("m", "p"):
-                own = getattr(plant, key)
-                _require(
-                    dims[key] in (None, own),
-                    f"dims.{key} = {dims[key]} contradicts the plant's {key} = {own}",
-                )
             index = plant.obs_index
             _require(
                 self.ell >= index,
                 f"ell = {self.ell} is below the plant's observability index {index}",
                 f"set ell >= {index}",
             )
-        if policy["type"] == "explicit":
-            _check_inputs(values, self.T + 1, plant.m if plant else dims["m"])
-        p = plant.p if plant else dims["p"]
-        self.im = build_internal_model(self.exo, p)
+            self.im = build_internal_model(self.exo, plant.p)
         with _config_errors():
             for name, dim in self._state_lengths().items():
                 value = getattr(self, name)
@@ -201,13 +177,13 @@ class RunConfig:
                     setattr(self, name, as_vector(value, f"initial.{name}", dim))
 
     def _state_lengths(self) -> dict:
-        """Each initial state's length; None for the plant's states in a
-        plant-free config."""
+        """Each initial state's length; None for the plant's and the internal
+        model's states in a plant-free config."""
         plant = self.plant
         return {
             "w0": self.exo.n_w,
             "x0": None if plant is None else plant.n,
-            "eta0": self.im.dim,
+            "eta0": None if plant is None else self.im.dim,
             "chi0": None if plant is None else (plant.m + plant.p) * self.ell,
         }
 
@@ -217,10 +193,15 @@ class RunConfig:
         """The T + 1 input samples that probe the plant, one row of m
         entries per step: the first T + 1 explicit ``values``, or the seeded
         standard-normal draw times ``scale``.  ``T`` is read at the call, so
-        explicit values are checked against it again."""
-        policy, steps = self.input_policy, self.T + 1
-        m = self.plant.m if self.plant else self.dims["m"]
-        if policy["type"] == "explicit":
+        explicit values are checked against it again.  A plant-free config
+        probes nothing: it raises ``PipelineError`` at the ``collect``
+        stage."""
+        if self.plant is None:
+            raise PipelineError(
+                "collect", "no plant in config", "collection needs ground truth"
+            )
+        policy, steps, m = self.input_policy, self.T + 1, self.plant.m
+        if policy["values"] is not None:
             u = policy["values"].reshape(-1, m)
             _check_inputs(u, steps, m)
             return u[:steps]
@@ -230,7 +211,7 @@ class RunConfig:
     def input_manifest(self) -> dict:
         """The report's description of :meth:`probing_input`."""
         policy = self.input_policy
-        if policy["type"] == "explicit":
+        if policy["values"] is not None:
             return {"type": "explicit"}
         return {
             "type": "normal",

@@ -166,8 +166,8 @@ class Regressor:
 
     @property
     def selection(self) -> list[int]:
-        """Every row: perfbench's tracer reads its length.  It goes with
-        ``regressor.csv``'s ``kept_rows=`` header in ROADMAP item 5."""
+        """Every row.  perfbench's tracer, which reads its length, is its
+        only reader; it goes with ROADMAP item 5."""
         return list(range(self.matrix.shape[0]))
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exosystem import ExoMatrix, InternalModel, Regressor
+from .exosystem import ExoMatrix, InternalModel, Regressor, build_internal_model
 from .numerics import row_norms, simulate_linear
 from .plant import PlantTruth, plant_loop
 
@@ -138,23 +138,23 @@ def assemble_data_matrices(rec: ExperimentRecord, ell: int) -> DataMatrices:
     )
 
 
-def write_csv(path, blocks: dict, header: list[str] | None = None) -> None:
+def _header(widths: dict) -> list[str]:
+    """``k``, then ``name_1`` ... ``name_c`` for each block of c columns."""
+    return ["k"] + [f"{name}_{i + 1}" for name, c in widths.items() for i in range(c)]
+
+
+def write_csv(path, blocks: dict) -> None:
     """Write the package's one CSV format, the one :func:`record_from_csv`
     reads: a header row, then row k of every block side by side after the
     index k, each number as the shortest text that reads back to it.
     Block ``name`` of c columns is headed ``name_1`` ... ``name_c``; a block
     with fewer rows than the table leaves its cells empty where it has no
-    sample.  A given ``header`` is written instead, with no index column."""
-    index = header is None
-    if index:
-        header = ["k"] + [
-            f"{name}_{i + 1}" for name, b in blocks.items() for i in range(b.shape[1])
-        ]
+    sample."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
+        writer.writerow(_header({name: b.shape[1] for name, b in blocks.items()}))
         for k in range(max(len(b) for b in blocks.values())):
-            cells = [k] if index else []
+            cells = [k]
             for b in blocks.values():
                 if k < len(b):
                     cells += [repr(float(v)) for v in b[k]]
@@ -172,31 +172,42 @@ def record_to_csv(rec: ExperimentRecord, path, unmask: bool = False) -> None:
 
 
 def regressor_to_csv(reg: Regressor, path) -> None:
-    """Dump the regressor rows for inspection: one line per row, under a
-    ``kept_rows=`` header that names every row, with no index column."""
-    header = [f"kept_rows={';'.join(map(str, reg.selection))}"]
-    write_csv(path, {"mhat": reg.matrix}, header=header)
+    """Dump the regressor for inspection: row k is its column k, ``mhat_i``
+    its row i."""
+    write_csv(path, {"mhat": reg.matrix.T})
 
 
-def record_from_csv(path, im: InternalModel, m: int, T: int) -> ExperimentRecord:
-    """Rebuild a designer-visible record of ``m`` inputs and ``im.p``
-    outputs from CSV.
+def record_from_csv(path, exo: ExoMatrix, T: int, plant=None, im=None) -> ExperimentRecord:
+    """Rebuild a designer-visible record from CSV.
 
-    The stored eta rows cover 0..T; the final state eta(T+1) is recomputed
-    from the recursion, and the whole eta sequence is validated against it.
-    A record is outside input: every entry must be finite and it must hold
-    the config's ``T`` steps (at least ``ell``, and the length the regressor
-    is built for), and the stages trust the record this returns.
+    Its header is ``k, u_1..u_m, y_1..y_p, eta_1..eta_(d p)``, d the degree
+    of S's minimal polynomial, and any later columns (an unmasked record's
+    ``w_*``) are ignored.  m and p are read off it, and with a ``plant``
+    they must be the plant's.  eta is checked against ``im``, the internal
+    model of ``exo`` for p outputs (a plant config's ``RunConfig.im``),
+    built here when not given: the stored rows cover 0..T, and eta(T+1) is
+    recomputed from the recursion.  A record is outside input: every entry
+    must be finite and it must hold the config's ``T`` steps (at least
+    ``ell``, and the length the regressor is built for), and the stages
+    trust the record this returns.
     """
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if len(rows) < 2:
         raise ValueError("CSV needs a header row and at least one sample")
     header, body = rows[0], rows[1:]
-    p = im.p
+    m, p = (sum(name.startswith(f"{c}_") for name in header) for c in "uy")
+    if not (m and p):
+        raise ValueError(f"CSV header needs u_* and y_* columns, got {','.join(header)}")
+    if plant is not None and (m, p) != (plant.m, plant.p):
+        raise ValueError(
+            f"the record has (m, p) = ({m}, {p}), the plant has ({plant.m}, {plant.p})"
+        )
+    im = build_internal_model(exo, p) if im is None else im
+    names = _header({"u": m, "y": p, "eta": im.dim})
+    if header[: len(names)] != names:
+        raise ValueError(f"CSV header must start {','.join(names)}, got {','.join(header)}")
     expected = 1 + m + p + im.dim
-    if len(header) < expected:
-        raise ValueError(f"CSV needs at least {expected} columns, got {len(header)}")
     data = np.empty((len(body), expected - 1))
     for n, row in enumerate(body, start=2):
         if len(row) < expected:

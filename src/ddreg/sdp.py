@@ -68,10 +68,13 @@ class AffineBlock:
 class MarginResult:
     v: np.ndarray
     margin: float  # smallest block eigenvalue at v (certified, not the optimum)
-    converged: bool
     newton_steps: int  # primal-dual iterations
     gap_bound: float  # optimum <= margin + gap_bound; inf without a dual point
     stop: str  # "verdict" | "gap_tol" | "unbounded" | "stalled" | "newton_budget"
+
+    @property
+    def converged(self) -> bool:
+        return self.stop not in ("stalled", "newton_budget")
 
 
 def _chol(M: np.ndarray):
@@ -343,5 +346,4 @@ def maximize_margin(
     margin = _lam_min(block.value(v))
     if stop != "unbounded":
         gap = bound - margin
-    converged = stop not in ("stalled", "newton_budget")
-    return MarginResult(v, margin, converged, steps, gap, stop)
+    return MarginResult(v, margin, steps, gap, stop)

@@ -28,7 +28,7 @@ margin to its optimum instead leaves X nearly singular and the gain
 and with the solver tolerance, although the homogeneity says it should not.
 
 Nothing here reads the plant: the design sees the data stacks, the
-regressor and the solver's tolerances, and returns what it decided as data
+regressor and ``feas_tol``, and returns what it decided as data
 (``SynthesisResult``), not text.
 
 Outside input is validated at three boundaries, the run config

@@ -105,7 +105,7 @@ def test_config_rejects_short_experiment():
         ("tolerances", "rank_rtol"),
         ("config", "verify"),
         ("input_policy", "sigma"),
-        ("dims", "n"),
+        ("initial", "z0"),
     ],
 )
 def test_config_rejects_unknown_solver_option(section, key):
@@ -360,7 +360,7 @@ def test_explicit_inputs_reproduce_seeded_run():
     hashes = []
     # The samples as a JSON list and as an array, one per row or flat.
     for given in (values, np.array(values), np.ravel(values)):
-        d["input_policy"] = {"type": "explicit", "values": given}
+        d["input_policy"] = {"values": given}
         explicit = run_pipeline(RunConfig.from_dict(d))
         assert explicit["input_manifest"] == {"type": "explicit"}
         differ = {key for key in seeded if seeded[key] != explicit[key]}
@@ -375,7 +375,7 @@ def test_explicit_inputs_are_checked_against_a_later_T():
     # A config's T may be assigned after it is built (the benchmark's
     # long-record workload does); the samples are checked when drawn.
     d = vtol_config_dict(seed=3)
-    d["input_policy"] = {"type": "explicit", "values": [0.0] * 21}
+    d["input_policy"] = {"values": [0.0] * 21}
     config = RunConfig.from_dict(d)
     config.T = 30
     with pytest.raises(PipelineError, match=r"needs 31 samples \(T \+ 1\), got 21"):
@@ -432,11 +432,6 @@ def test_cli_run_infeasible_exit_nonzero(tmp_path, capsys):
             "unobservable pair",
             id="unobservable-plant",
         ),
-        pytest.param(
-            lambda d: d.update(input_policy={"type": "guess"}),
-            "input_policy.type must be normal or explicit, got 'guess'",
-            id="unknown-mode",
-        ),
         # The retired regressor choice: one regressor, no clustering.
         pytest.param(
             lambda d: d.update(factorization={"method": "jordan"}),
@@ -479,32 +474,50 @@ def test_cli_run_infeasible_exit_nonzero(tmp_path, capsys):
             id="plant-exosignal-dimension",
         ),
         pytest.param(
-            lambda d: d.update(input_policy={"type": "explicit", "values": [0.0] * 20}),
+            lambda d: d.update(input_policy={"values": [0.0] * 20}),
             "input_policy.values needs 21 samples (T + 1), got 20",
             id="explicit-values-short",
         ),
         pytest.param(
-            lambda d: d.update(
-                input_policy={"type": "explicit", "values": [[0.0, 0.0]] * 21}
-            ),
+            lambda d: d.update(input_policy={"values": [[0.0, 0.0]] * 21}),
             "input_policy.values must be samples of m = 1 entries, got shape (21, 2)",
             id="explicit-values-columns",
         ),
-        pytest.param(
-            lambda d: (d.pop("plant"), d.update(dims={"m": 1, "p": 0})),
-            "dims.m and dims.p must be >= 1, got 1 and 0",
-            id="plant-free-dims",
-        ),
+        # A plant-free config knows no m: its samples are counted only.
         pytest.param(
             lambda d: (
                 d.pop("plant"),
-                d.update(
-                    dims={"m": 1, "p": 1},
-                    input_policy={"type": "explicit", "values": [[1.0, 2.0, 3.0]]},
-                ),
+                d.update(input_policy={"values": [[1.0, 2.0, 3.0]]}),
             ),
-            "input_policy.values must be samples of m = 1 entries, got shape (1, 3)",
+            "input_policy.values needs 21 samples (T + 1), got 1",
             id="plant-free-explicit-values-columns",
+        ),
+        # The record gives m and p, and the samples the policy: a config
+        # that states them, with a plant or without, is an unknown-key error.
+        pytest.param(
+            lambda d: (d.pop("plant"), d.update(dims={"m": 1, "p": 1})),
+            "unknown config option(s) dims",
+            id="plant-free-dims",
+        ),
+        pytest.param(
+            lambda d: d.update(dims={"m": 1, "p": 1}),
+            "unknown config option(s) dims",
+            id="dims-beside-plant",
+        ),
+        pytest.param(
+            lambda d: d.update(input_policy={"type": "normal"}),
+            "unknown input_policy option(s) type",
+            id="unknown-mode",
+        ),
+        pytest.param(
+            lambda d: d.update(output_dir=5),
+            "output_dir must be a string, got 5",
+            id="output-dir-number",
+        ),
+        pytest.param(
+            lambda d: d.update(output_dir=True),
+            "output_dir must be a string, got True",
+            id="output-dir-boolean",
         ),
         # The battery's thresholds and horizon are fixed: a config that
         # would loosen or shorten them is an unknown-key error.
@@ -574,9 +587,7 @@ def test_cli_run_infeasible_exit_nonzero(tmp_path, capsys):
             id="boolean-mixed-vector",
         ),
         pytest.param(
-            lambda d: d.update(
-                input_policy={"type": "explicit", "values": ["0.0"] * 21}
-            ),
+            lambda d: d.update(input_policy={"values": ["0.0"] * 21}),
             "input_policy.values: '0.0' is not a number",
             id="string-explicit-values",
         ),
@@ -585,19 +596,8 @@ def test_cli_run_infeasible_exit_nonzero(tmp_path, capsys):
             "ell = 2 is below the plant's observability index 4",
             id="ell-below-observability-index",
         ),
-        # A set key is checked even where the run does not read it.
         pytest.param(
-            lambda d: d.update(dims={"m": "x", "p": True}),
-            "dims.m: 'x' is not a number",
-            id="dims-beside-plant",
-        ),
-        pytest.param(
-            lambda d: d.update(dims={"m": 2, "p": 3}),
-            "dims.m = 2 contradicts the plant's m = 1",
-            id="dims-contradict-plant",
-        ),
-        pytest.param(
-            lambda d: d.update(input_policy={"type": "normal", "values": "abc"}),
+            lambda d: d.update(input_policy={"values": "abc"}),
             "input_policy.values: 'abc' is not a number",
             id="values-of-normal-policy",
         ),
@@ -650,12 +650,6 @@ def test_removed_battery_key_is_a_config_error(tmp_path, capsys, section, key):
     err = capsys.readouterr().err
     assert code == 2
     assert f"[config] unknown {section} option(s) {key}" in err
-
-
-@pytest.mark.parametrize("dims", [{"m": 1, "p": 1}, {"p": 1}])
-def test_dims_that_agree_with_the_plant_are_accepted(dims):
-    config = RunConfig.from_dict({**vtol_config_dict(), "dims": dims})
-    assert config.dims == {"m": None, **dims}
 
 
 def test_config_errors_stop_before_any_stage(tmp_path, capsys, monkeypatch):
@@ -750,7 +744,6 @@ def test_cli_synthesize_plant_free(tmp_path):
     d = vtol_config_dict(seed=5)
     d.pop("plant")
     d.pop("initial")
-    d["dims"] = {"m": 1, "p": 1}
     blind = write_config(tmp_path, d, name="blind.json")
     code = main(
         [
@@ -774,7 +767,7 @@ def test_cli_synthesize_rejects_a_window_below_the_index(tmp_path, capsys):
     path = write_config(tmp_path, cfg)
     assert main(["collect", "--config", str(path), "--out", str(tmp_path / "c")]) == 0
     cfg.pop("plant")
-    cfg.update(dims={"m": 1, "p": 1}, ell=3)
+    cfg.update(ell=3)
     blind = write_config(tmp_path, cfg, name="designer.json")
     argv = ["synthesize", "--config", str(blind), "--out", str(tmp_path / "s")]
     assert main(argv + ["--record", str(tmp_path / "c" / "record.csv")]) == 1
@@ -787,7 +780,7 @@ def test_cli_synthesize_rejects_a_window_below_the_index(tmp_path, capsys):
 
 def test_design_stage_reads_no_ground_truth(tmp_path):
     # One wide-output record designed from a config with the plant and from
-    # a plant-free one (dims only): the design sees the record, the
+    # a plant-free one: the design sees the record, the
     # exosystem and the options alone, so the two synthesis.json files
     # differ only in the config hash.
     d = wide_output_config_dict()
@@ -795,7 +788,6 @@ def test_design_stage_reads_no_ground_truth(tmp_path):
     assert main(["collect", "--config", str(path), "--out", str(tmp_path / "c")]) == 0
     d.pop("plant")
     d.pop("initial")
-    d["dims"] = {"m": 1, "p": 2}
     blind = write_config(tmp_path, d, name="blind.json")
     texts = []
     for config, out in ((path, tmp_path / "s"), (blind, tmp_path / "s2")):
@@ -807,10 +799,81 @@ def test_design_stage_reads_no_ground_truth(tmp_path):
     assert '  "status": "infeasible",' in texts[0]
 
 
+def _designed(tmp_path, config, record, name):
+    """synthesize from ``record`` under ``config``: synthesis.json's lines
+    but the config hash."""
+    argv = ["synthesize", "--config", str(config), "--record", str(record)]
+    assert main([*argv, "--out", str(tmp_path / name)]) == 0
+    lines = (tmp_path / name / "synthesis.json").read_text().splitlines()
+    return [line for line in lines if '"config_hash"' not in line]
+
+
+def test_plant_free_design_reads_m_and_p_off_the_record(tmp_path):
+    # A plant-free config states no m or p: the record's header gives them,
+    # and the feasible paper design is the plant config's.
+    d = vtol_config_dict(seed=5)
+    path = write_config(tmp_path, d)
+    assert main(["collect", "--config", str(path), "--out", str(tmp_path / "c")]) == 0
+    d.pop("plant")
+    d.pop("initial")
+    blind = write_config(tmp_path, d, name="blind.json")
+    record = tmp_path / "c" / "record.csv"
+    texts = [_designed(tmp_path, c, record, n) for c, n in ((path, "s"), (blind, "s2"))]
+    assert texts[0] == texts[1]
+    assert '  "status": "feasible",' in texts[0]
+
+
+def test_unmasked_record_designs_as_the_masked_one(tmp_path):
+    # The exosignal columns after eta are not read.
+    d = vtol_config_dict(seed=5)
+    path = write_config(tmp_path, d)
+    for out, flags in (("c", []), ("cu", ["--unmask"])):
+        argv = ["collect", "--config", str(path), "--out", str(tmp_path / out)]
+        assert main(argv + flags) == 0
+    assert "w_1" in (tmp_path / "cu" / "record.csv").read_text().splitlines()[0]
+    d.pop("plant")
+    blind = write_config(tmp_path, d, name="blind.json")
+    for config in (path, blind):
+        texts = [
+            _designed(tmp_path, config, tmp_path / out / "record.csv", f"s-{out}")
+            for out in ("c", "cu")
+        ]
+        assert texts[0] == texts[1]
+
+
+def test_record_of_other_dimensions_exit_two(tmp_path, capsys):
+    # A wide-output record (p = 2) against the paper plant (p = 1): rejected
+    # where the record enters, naming both.
+    path = write_config(tmp_path, wide_output_config_dict(), name="wide.json")
+    assert main(["collect", "--config", str(path), "--out", str(tmp_path / "c")]) == 0
+    path = write_config(tmp_path, vtol_config_dict())
+    record = tmp_path / "c" / "record.csv"
+    assert main(["synthesize", "--config", str(path), "--record", str(record)]) == 2
+    err = capsys.readouterr().err
+    assert "[collect] the record has (m, p) = (1, 2), the plant has (1, 1)" in err
+
+
+def test_plant_free_config_probes_nothing(tmp_path, capsys):
+    # Without a plant there is no internal model to build and no input to
+    # draw: an experiment is a [collect] error, not an AttributeError.
+    d = vtol_config_dict()
+    d.pop("plant")
+    config = RunConfig.from_dict(d)
+    assert config.im is None
+    with pytest.raises(PipelineError, match="no plant in config") as exc:
+        config.probing_input()
+    assert exc.value.stage == "collect"
+    assert main(["run", "--config", str(write_config(tmp_path, d))]) == 2
+    assert "[collect] no plant in config" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
-        ("k,u_1\n0,0.5\n1,-0.2\n", "CSV needs at least 5 columns, got 2"),
+        (
+            "k,u_1\n0,0.5\n1,-0.2\n",
+            "CSV header needs u_* and y_* columns, got k,u_1",
+        ),
         (
             "k,u_1,y_1,eta_1,eta_2\n0,0.5,0.1,0.0,0.0\n1,-0.2,0.3\n",
             "CSV line 3 has 3 columns, needs 5",
@@ -824,8 +887,29 @@ def test_design_stage_reads_no_ground_truth(tmp_path):
             "k,u_1,y_1,eta_1,eta_2\n0,0.5,abc,0.0,0.0\n",
             "CSV line 2, column y_1: 'abc' is not a number",
         ),
+        (
+            "k,y_1,u_1,eta_1,eta_2\n0,0.1,0.5,0.0,0.0\n",
+            "CSV header must start k,u_1,y_1,eta_1,eta_2, got k,y_1,u_1,eta_1,eta_2",
+        ),
+        (
+            "k,u_1,y_1,w_1,w_2\n0,0.5,0.1,0.0,0.0\n",
+            "CSV header must start k,u_1,y_1,eta_1,eta_2, got k,u_1,y_1,w_1,w_2",
+        ),
+        (
+            "k,u_1,y_1,eta_2,eta_1\n0,0.5,0.1,0.0,0.0\n",
+            "CSV header must start k,u_1,y_1,eta_1,eta_2, got k,u_1,y_1,eta_2,eta_1",
+        ),
     ],
-    ids=["two-columns", "short-row", "empty", "nan-eta", "non-numeric"],
+    ids=[
+        "two-columns",
+        "short-row",
+        "empty",
+        "nan-eta",
+        "non-numeric",
+        "out-of-order",
+        "no-eta",
+        "eta-out-of-order",
+    ],
 )
 def test_cli_synthesize_malformed_record_exit_two(tmp_path, capsys, text, message):
     path = write_config(tmp_path, vtol_config_dict(seed=5))
@@ -964,9 +1048,11 @@ def test_csv_cells_read_back_to_their_entries(tmp_path, monkeypatch):
 
     matrix = made["build_regressor"].matrix
     rows = (out / "regressor.csv").read_text().splitlines()
-    assert rows[0] == "kept_rows=0;1" and len(rows) == 1 + len(matrix)
-    for line, row in zip(rows[1:], matrix):
-        assert np.array_equal(np.array(line.split(","), dtype=float), row)
+    assert rows[0] == "k,mhat_1,mhat_2" and len(rows) == 1 + matrix.shape[1]
+    for k, line in enumerate(rows[1:]):
+        cells = line.split(",")
+        assert cells[0] == str(k)
+        assert np.array_equal(np.array(cells[1:], dtype=float), matrix[:, k])
 
 
 def test_cli_verify_stored_gain(tmp_path, capsys):
@@ -1141,7 +1227,7 @@ def test_cli_run_writes_regressor_csv(tmp_path):
     path = write_config(tmp_path, vtol_config_dict(seed=0))
     main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
     text = (tmp_path / "o" / "regressor.csv").read_text()
-    assert text.startswith("kept_rows=0;1\n")
+    assert text.startswith("k,mhat_1,mhat_2\n0,")
 
 
 def test_config_output_dir_fallback(tmp_path):

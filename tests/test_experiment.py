@@ -101,11 +101,11 @@ def test_collect_matches_per_system_loops(seed, n, m, p, n_w, conjugate, T):
 def test_experiment_too_short(tmp_path):
     # A record read from CSV is checked where it enters: it holds the
     # config's T steps (and the config's T >= ell).
-    _, _, im = vtol_setup()
+    _, exo, im = vtol_setup()
     path = tmp_path / "record.csv"
     record_to_csv(vtol_record(T=3), path)
     with pytest.raises(ValueError, match="the CSV holds T = 3, the config has T = 20"):
-        record_from_csv(path, im=im, m=1, T=20)
+        record_from_csv(path, exo, T=20, im=im)
 
 
 def test_internal_model_invariant_holds():
@@ -195,7 +195,7 @@ def csv_round_trip(tmp_path, T):
     rec = vtol_record(seed=5, T=T)
     path = tmp_path / "record.csv"
     record_to_csv(rec, path)
-    loaded = record_from_csv(path, im=im, m=rec.m, T=rec.T)
+    loaded = record_from_csv(path, exo, T=rec.T, im=im)
     np.testing.assert_allclose(loaded.u, rec.u, atol=0)
     np.testing.assert_allclose(loaded.y, rec.y, atol=0)
     np.testing.assert_allclose(loaded.eta, rec.eta, atol=1e-12)
@@ -229,7 +229,7 @@ def test_csv_rejects_perturbed_eta(tmp_path):
     lines[11] = ",".join(row)
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match="inconsistent with the internal model"):
-        record_from_csv(path, im=im, m=rec.m, T=rec.T)
+        record_from_csv(path, exo, T=rec.T, im=im)
 
 
 def test_csv_unmask_adds_exosignal(tmp_path):

@@ -641,17 +641,14 @@ def test_window_residual_decides_the_observability_index(seed, tmp_path):
     # index - 1, whatever the verdict, with more columns than the stack's
     # rank (NaN, which fails, would mean no power).
     config = sweep_config(seed)
-    plant, index = config.plant, config.plant.obs_index
+    index = config.plant.obs_index
     assert index >= 2
     path = tmp_path / "record.csv"
     record_to_csv(collect_stage(config), path)
     passes = []
     for ell in (index, index - 1):
-        blind = RunConfig(
-            exo_s=config.exo.S, ell=ell, T=config.T, seed=seed,
-            dims={"m": plant.m, "p": plant.p},
-        )
-        rec = record_from_csv(path, blind.im, plant.m, blind.T)
+        blind = RunConfig(exo_s=config.exo.S, ell=ell, T=config.T, seed=seed)
+        rec = record_from_csv(path, blind.exo, blind.T)
         result = synthesize_stage(blind, rec)[-1]
         rows = {c["name"]: c for c in _design_checks(blind, result)}
         value = rows["window_residual"]["value"]
