@@ -31,7 +31,6 @@ from .plant import build_structural_matrices
 from .synthesis import assemble_sdp, feasibility_precheck, solve_feasibility_sdp
 from .verify import (
     EPS_REG,
-    TAIL_FRAC,
     assemble_closed_loop,
     build_auxiliary_matrices,
     check_claim1,
@@ -106,9 +105,9 @@ def synthesize_stage(config: RunConfig, rec: ExperimentRecord):
 
 # The check battery's fixed standard: the threshold of every report row
 # (``sdp_feasible`` aside, whose threshold is the run's ``feas_tol``), and the
-# closed-loop run that the regulation rows judge, ``steps`` long with its
-# final ``tail_frac`` as the tail.  No config sets any of it, so no config
-# can loosen the rows that judge it.
+# length of the closed-loop run that the regulation rows judge (its tail is
+# ``verify.TAIL_FRAC`` of it).  No config sets any of it, so no config can
+# loosen the rows that judge it.
 BATTERY = {
     "data_identity": 1e-8,
     "claim_windows": 1e-8,
@@ -125,7 +124,6 @@ BATTERY = {
     "regulation_tail": EPS_REG,
     "zero_exo_decay": 1e-6,
     "steps": 300,
-    "tail_frac": TAIL_FRAC,
 }
 
 
@@ -202,10 +200,7 @@ def _closed_loop_checks(config: RunConfig, aux, gain, data_side=None):
         cl = assemble_closed_loop(aux, gain)
         model_side = aux.ext_a + aux.ext_b @ gain
         w0, x0, chi0, eta0 = config.initial("w0", "x0", "chi0", "eta0")
-        run = simulate_closed_loop(
-            cl, w0, x0, chi0, eta0, BATTERY["steps"],
-            eps_reg=BATTERY["regulation_tail"], tail_frac=BATTERY["tail_frac"],
-        )
+        run = simulate_closed_loop(cl, w0, x0, chi0, eta0, BATTERY["steps"])
     rho = check_internal_stability(cl)
     rows = [_check("stability_radius", rho)]
     a_cl = model_side if data_side is None else data_side

@@ -4,8 +4,10 @@
 read it too).  A ``RunConfig`` is validated once, when it is built, and the
 stages trust it; every set key is checked, whether or not the run reads it.
 It also builds the run's exosystem and, with a plant, its internal model,
-once, and gives the experiment's probing input and initial states.  The hash of
-its effective config, every default materialized, stamps the report.
+once, and gives the experiment's initial states and probing input: the
+explicit samples, or else the standard-normal draw from ``seed``, the one
+thing a seed is read for.  The hash of its effective config, every default
+materialized, stamps the report.
 """
 
 from __future__ import annotations
@@ -25,10 +27,10 @@ from .plant import PlantTruth
 # >= 0, and a None default takes the value as given (None: unset).  The check
 # battery's thresholds and horizon are not here: they are fixed
 # (``cli.BATTERY``).  Explicit input ``values`` are the input; without them
-# the input is the seeded draw times ``scale``.
+# the input is the seeded standard-normal draw.
 DEFAULTS = {
     "tolerances": {"feas_tol": 1e-6},
-    "input_policy": {"scale": 1.0, "values": None},
+    "input_policy": {"values": None},
 }
 INITIAL_STATES = ("w0", "x0", "eta0", "chi0")
 _TOP_LEVEL = ("exosystem", "ell", "T", "seed", "plant", "initial", "output_dir", *DEFAULTS)
@@ -47,15 +49,14 @@ class PipelineError(RuntimeError):
 
 
 @contextmanager
-def _config_errors(where: str = ""):
-    """Raise what malformed outside input raises as a ``config`` error, its
-    message prefixed with ``where``."""
+def _config_errors():
+    """Raise what malformed outside input raises as a ``config`` error."""
     try:
         yield
     except KeyError as exc:
-        raise PipelineError("config", f"{where}missing key {exc}") from exc
+        raise PipelineError("config", f"missing key {exc}") from exc
     except (AttributeError, OSError, TypeError, ValueError) as exc:
-        raise PipelineError("config", f"{where}{exc}") from exc
+        raise PipelineError("config", str(exc)) from exc
 
 
 def _known(section: str, given, known) -> None:
@@ -142,8 +143,8 @@ class RunConfig:
         )
         _require(self.T >= self.ell, "experiment too short", "require T >= ell")
         _require(
-            policy["values"] is not None or self.seed is not None,
-            "random input policy needs a seed",
+            plant is None or policy["values"] is not None or self.seed is not None,
+            "a plant config without input_policy.values needs a seed for its input draw",
             'set "seed"',
         )
         _require(
@@ -191,8 +192,8 @@ class RunConfig:
 
     def probing_input(self) -> np.ndarray:
         """The T + 1 input samples that probe the plant, one row of m
-        entries per step: the first T + 1 explicit ``values``, or the seeded
-        standard-normal draw times ``scale``.  ``T`` is read at the call, so
+        entries per step: the first T + 1 explicit ``values``, or else the
+        standard-normal draw from ``seed``.  ``T`` is read at the call, so
         explicit values are checked against it again.  A plant-free config
         probes nothing: it raises ``PipelineError`` at the ``collect``
         stage."""
@@ -205,20 +206,13 @@ class RunConfig:
             u = policy["values"].reshape(-1, m)
             _check_inputs(u, steps, m)
             return u[:steps]
-        rng = np.random.default_rng(self.seed)
-        return policy["scale"] * rng.standard_normal((steps, m))
+        return np.random.default_rng(self.seed).standard_normal((steps, m))
 
     def input_manifest(self) -> dict:
         """The report's description of :meth:`probing_input`."""
-        policy = self.input_policy
-        if policy["values"] is not None:
+        if self.input_policy["values"] is not None:
             return {"type": "explicit"}
-        return {
-            "type": "normal",
-            "generator": "numpy-pcg64",
-            "seed": self.seed,
-            "scale": policy["scale"],
-        }
+        return {"type": "normal", "generator": "numpy-pcg64", "seed": self.seed}
 
     def initial(self, *names: str) -> list[np.ndarray]:
         """The named initial states (``w0``, ``x0``, ``eta0``, ``chi0``),
@@ -238,14 +232,19 @@ class RunConfig:
         ``PipelineError`` at the ``config`` stage."""
         with _config_errors():
             _known("config", raw, _TOP_LEVEL)
-            plant, initial = raw.get("plant"), raw.get("initial") or {}
+            exosystem, plant = raw["exosystem"], raw.get("plant")
+            initial = raw.get("initial") or {}
+            _known("exosystem", exosystem, ("S",))
             _known("initial", initial, INITIAL_STATES)
+            if plant is not None:
+                _known("plant", plant, "ABPCQ")
+                plant = PlantTruth(**{key: plant[key] for key in "ABPCQ"})
             return cls(
-                exo_s=raw["exosystem"]["S"],
+                exo_s=exosystem["S"],
                 ell=raw["ell"],
                 T=raw["T"],
                 seed=raw.get("seed"),
-                plant=PlantTruth(**plant) if plant else None,
+                plant=plant,
                 **{name: initial.get(name) for name in INITIAL_STATES},
                 **{name: raw.get(name) or {} for name in DEFAULTS},
                 output_dir=raw.get("output_dir"),

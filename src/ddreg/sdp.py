@@ -137,7 +137,6 @@ def _schur_complement(A: np.ndarray, s_inv: np.ndarray, z_chol: np.ndarray, work
 def maximize_margin(
     blocks: list[AffineBlock],
     gap_tol: float = GAP_TOL,
-    max_newton: int = MAX_NEWTON,
     feas_tol: float | None = None,
 ) -> MarginResult:
     """Maximize t such that ``F(v) - t I >= 0``, with ``blocks = [F]``: a
@@ -186,7 +185,7 @@ def maximize_margin(
     - ``"stalled"`` (``converged=False``): a step left the cone in floating
       point first; the last iterate inside it is returned.  So end problems
       whose dual points are all singular, with ``gap_bound`` inf.
-    - ``"newton_budget"`` (``converged=False``): ``max_newton`` iterations.
+    - ``"newton_budget"`` (``converged=False``): ``MAX_NEWTON`` iterations.
 
     Variables whose coefficients depend linearly on the others' (pivoted
     Cholesky of the Gram matrix) are held at zero.  The Schur complement is
@@ -291,7 +290,7 @@ def maximize_margin(
             stop = "verdict"
         elif feas_tol is None and gap <= gap_tol:
             stop = "gap_tol"
-        elif steps >= max_newton:
+        elif steps >= MAX_NEWTON:
             stop = "newton_budget"
         if stop is not None:
             break

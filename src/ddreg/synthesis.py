@@ -46,7 +46,7 @@ from .config import DEFAULTS
 from .experiment import DataMatrices
 from .exosystem import Regressor
 from .numerics import norm, numerical_rank
-from .sdp import MAX_NEWTON, AffineBlock, _sym, maximize_margin
+from .sdp import AffineBlock, _sym, maximize_margin
 
 
 @dataclass
@@ -247,7 +247,6 @@ def _design_z(v, q: Quotient, basis) -> tuple[np.ndarray, np.ndarray]:
 def solve_feasibility_sdp(
     prob: SdpProblem,
     feas_tol: float = DEFAULTS["tolerances"]["feas_tol"],
-    max_newton: int = MAX_NEWTON,
 ) -> SynthesisResult:
     """Margin-maximization solve of the design program.
 
@@ -258,7 +257,7 @@ def solve_feasibility_sdp(
     infeasible solve stops once a dual point bounds the optimum at or below
     ``feas_tol``, so its margin is the certified value there, not the
     optimum.  A solve that ends without either certificate (``stalled``, or
-    ``newton_budget`` after ``max_newton`` Newton steps) is a
+    ``newton_budget`` after ``sdp.MAX_NEWTON`` Newton steps) is a
     ``numerical_failure``.  A rank-deficient ``psi0 null_m`` (the
     wide-output plant) is infeasible with margin -inf and no solve.  X and Y
     satisfy the equality constraint by construction up to round-off.
@@ -280,7 +279,7 @@ def solve_feasibility_sdp(
     block = _sdp_block(q, basis)
     result.free_params = block.nvar
     try:
-        res = maximize_margin([block], max_newton=max_newton, feas_tol=feas_tol)
+        res = maximize_margin([block], feas_tol=feas_tol)
     except RuntimeError as exc:
         result.status, result.margin = "numerical_failure", np.nan
         result.error = str(exc)

@@ -55,9 +55,9 @@ from .plant import PlantTruth, StructuralMatrices, plant_loop
 # in the complex plane) for the steady state to count as unique.
 SPECTRUM_GAP_TOL = 1e-9
 
-# How the regulation rows read a closed-loop run (``cli.BATTERY`` reads the
-# same numbers): the final fraction of the run that is its tail, and the
-# output norm below which the output counts as regulated.
+# How the regulation rows read a closed-loop run (the ``regulation_tail`` row
+# of ``cli.BATTERY`` is ``EPS_REG``): the final fraction of the run that is
+# its tail, and the output norm below which the output counts as regulated.
 TAIL_FRAC = 0.1
 EPS_REG = 1e-4
 
@@ -303,8 +303,6 @@ def simulate_closed_loop(
     chi0,
     eta0,
     steps: int,
-    eps_reg: float = EPS_REG,
-    tail_frac: float = TAIL_FRAC,
 ) -> ClosedLoopRun:
     """Roll the closed loop and measure regulation.
 
@@ -318,9 +316,9 @@ def simulate_closed_loop(
     stacked powers of the map with the block's first states; outputs and
     inputs are read off the stored states afterwards.
 
-    ``tail_max_y`` is the largest output norm over the final ``tail_frac``
+    ``tail_max_y`` is the largest output norm over the final ``TAIL_FRAC``
     of the horizon; ``settle_step`` is the first step from which the output
-    norm stays below ``eps_reg`` to the end (None if it never does);
+    norm stays below ``EPS_REG`` to the end (None if it never does);
     ``zero_exo_decay`` is the probe's final core norm over its first.  Each
     of the two is guarded on its own: a run past the divergence guard is
     NaN from there on (so its ``tail_max_y`` is NaN exactly when it
@@ -338,8 +336,8 @@ def simulate_closed_loop(
     plant = cl.aux.plant
     y = z[:, :c] @ np.concatenate((plant.Q, plant.C), axis=1).T
     y_norms = row_norms(y)
-    tail_start = max(0, math.floor((1.0 - tail_frac) * steps))
-    unsettled = np.flatnonzero(~(y_norms < eps_reg))
+    tail_start = max(0, math.floor((1.0 - TAIL_FRAC) * steps))
+    unsettled = np.flatnonzero(~(y_norms < EPS_REG))
     settle = int(unsettled[-1]) + 1 if unsettled.size else 0
     return ClosedLoopRun(
         steps=steps,

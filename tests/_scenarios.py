@@ -60,8 +60,8 @@ def closed_form_jordan(real_blocks, complex_blocks, ell, T):
 
 
 def probe(seed, steps, m):
-    """The seeded probing input of a normal ``input_policy`` (scale 1):
-    ``steps`` standard-normal samples of ``m`` entries."""
+    """The probing input a plant config without explicit ``values`` draws
+    from ``seed``: ``steps`` standard-normal samples of ``m`` entries."""
     return np.random.default_rng(seed).standard_normal((steps, m))
 
 
@@ -157,13 +157,13 @@ def paper_config(seed, presentation):
 def paper_in_units(output=1.0, input_=1.0):
     """The ``ddreg paper-example`` config at probing seed 0 with every output
     sample times ``output`` (C, Q and eta0 scaled) and every input sample
-    times ``input_`` (B divided, the probe scale multiplied): an exact
-    diagonal rescaling of the same data, which the same controllers
-    stabilize."""
+    times ``input_`` (B divided; the probe is given as the explicit samples
+    ``input_`` times the seed-0 draw): an exact diagonal rescaling of the
+    same data, which the same controllers stabilize."""
     from ddreg.cli import paper_example_config
 
     config = paper_example_config(0)
-    plant, policy = config.plant, config.input_policy
+    plant = config.plant
     scaled = PlantTruth(
         A=plant.A, B=plant.B / input_, P=plant.P, C=output * plant.C, Q=output * plant.Q
     )
@@ -172,7 +172,7 @@ def paper_in_units(output=1.0, input_=1.0):
         exo_s=config.exo.S,
         plant=scaled,
         eta0=output * config.eta0,
-        input_policy={**policy, "scale": input_ * policy["scale"]},
+        input_policy={"values": input_ * config.probing_input()},
     )
 
 

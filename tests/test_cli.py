@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import json
 import sys
@@ -6,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ddreg import cli, sdp, verify
+from ddreg import cli, verify
 from ddreg.benchmarks import (
     VTOL_ETA0,
     VTOL_W0,
@@ -106,6 +107,10 @@ def test_config_rejects_short_experiment():
         ("config", "verify"),
         ("input_policy", "sigma"),
         ("initial", "z0"),
+        # The retired regressor choice, and a plant matrix that is no
+        # plant's.
+        ("exosystem", "factorization"),
+        ("plant", "D"),
     ],
 )
 def test_config_rejects_unknown_solver_option(section, key):
@@ -121,10 +126,7 @@ def test_config_rejects_unknown_solver_option(section, key):
 def test_solver_options_defaults_are_the_config_defaults():
     config = RunConfig.from_dict(vtol_config_dict())
     params = inspect.signature(solve_feasibility_sdp).parameters
-    assert tuple(params[k].default for k in ("feas_tol", "max_newton")) == (
-        config.tolerances["feas_tol"],
-        sdp.MAX_NEWTON,
-    )
+    assert params["feas_tol"].default == config.tolerances["feas_tol"]
 
 
 def test_internal_model_is_built_once_per_config(tmp_path, monkeypatch):
@@ -199,11 +201,9 @@ def test_every_row_carries_its_battery_threshold():
             else:
                 assert threshold == cli.BATTERY[name]
     names = {row["name"] for row in report["checks"]}
-    assert names - {"sdp_feasible"} == set(cli.BATTERY) - {"steps", "tail_frac"}
-    params = inspect.signature(verify.simulate_closed_loop).parameters
-    defaults = [params[k].default for k in ("eps_reg", "tail_frac")]
-    battery = [cli.BATTERY[k] for k in ("regulation_tail", "tail_frac")]
-    assert defaults == battery == [1e-4, 0.1] and cli.BATTERY["steps"] == 300
+    assert names - {"sdp_feasible"} == set(cli.BATTERY) - {"steps"}
+    assert cli.BATTERY["regulation_tail"] is verify.EPS_REG
+    assert cli.BATTERY["steps"] == 300
 
 
 def test_long_record_returns_a_report():
@@ -211,7 +211,7 @@ def test_long_record_returns_a_report():
     # interpolation identity misses its absolute tolerance: a failing row in
     # a written report, not an exception.
     config = paper_example_config(5)
-    config.T = 300
+    config = dataclasses.replace(config, exo_s=config.exo.S, T=300)
     report = run_pipeline(config)
     names = [c["name"] for c in report["checks"]]
     assert "gain_identity" in names and "zero_exo_decay" in names
@@ -509,6 +509,16 @@ def test_cli_run_infeasible_exit_nonzero(tmp_path, capsys):
             "unknown input_policy option(s) type",
             id="unknown-mode",
         ),
+        # The samples say the input's amplitude: no knob scales the draw.
+        pytest.param(
+            lambda d: d.update(input_policy={"scale": 1.0}),
+            "unknown input_policy option(s) scale",
+            id="input-scale",
+        ),
+        # A plant section is the whole plant: an empty one is not "no
+        # plant".
+        pytest.param(lambda d: d["plant"].pop("Q"), "missing key 'Q'", id="plant-without-Q"),
+        pytest.param(lambda d: d.update(plant={}), "missing key 'A'", id="empty-plant"),
         pytest.param(
             lambda d: d.update(output_dir=5),
             "output_dir must be a string, got 5",
@@ -851,6 +861,27 @@ def test_record_of_other_dimensions_exit_two(tmp_path, capsys):
     assert main(["synthesize", "--config", str(path), "--record", str(record)]) == 2
     err = capsys.readouterr().err
     assert "[collect] the record has (m, p) = (1, 2), the plant has (1, 1)" in err
+
+
+def test_plant_free_config_needs_no_seed(tmp_path):
+    # A seed is read only for the input draw, and a designer draws nothing:
+    # without one the design is the seeded config's, bit for bit.
+    path = write_config(tmp_path, vtol_config_dict(seed=5))
+    assert main(["collect", "--config", str(path), "--out", str(tmp_path / "c")]) == 0
+    d = vtol_config_dict(seed=5)
+    d.pop("plant")
+    configs = {"seeded": write_config(tmp_path, d, "seeded.json")}
+    d.pop("seed")
+    configs["unseeded"] = write_config(tmp_path, d, "unseeded.json")
+    assert RunConfig.from_dict(d).seed is None
+    payloads = []
+    for name, config in configs.items():
+        argv = ["synthesize", "--config", str(config), "--out", str(tmp_path / name)]
+        assert main([*argv, "--record", str(tmp_path / "c" / "record.csv")]) == 0
+        payloads.append(json.loads((tmp_path / name / "synthesis.json").read_text()))
+    seeded, unseeded = payloads
+    assert seeded.pop("config_hash") != unseeded.pop("config_hash")
+    assert seeded == unseeded
 
 
 def test_plant_free_config_probes_nothing(tmp_path, capsys):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddreg import synthesis
+from ddreg import sdp, synthesis
 from ddreg.benchmarks import VTOL_ETA0, VTOL_W0, VTOL_X0, vtol, wide_output
 from ddreg.cli import (
     RunConfig,
@@ -510,7 +510,8 @@ def test_failed_solve_keeps_its_solver_state(monkeypatch):
     # A solve cut short by its iteration budget still reports where it
     # stopped, with its certificate; one that raises reports the error.
     prob = vtol_problem(seed=0)
-    res = solve_feasibility_sdp(prob, max_newton=2)
+    monkeypatch.setattr(sdp, "MAX_NEWTON", 2)
+    res = solve_feasibility_sdp(prob)
     assert res.status == "numerical_failure"
     assert (res.stop, res.iterations) == ("newton_budget", 2)
     assert res.gap_bound is not None and res.gap_bound > 0
