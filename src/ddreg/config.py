@@ -1,13 +1,15 @@
 """Run configuration: every knob of a run, its default and its validation.
 
-``DEFAULTS`` holds each settable key and its one default (library defaults
-read it too).  A ``RunConfig`` is validated once, when it is built, and the
+A run has two settable knobs, ``tolerances.feas_tol`` (default ``FEAS_TOL``,
+which library defaults read too) and ``input_policy.values``; every other
+key is data.  A ``RunConfig`` is validated once, when it is built, and the
 stages trust it; every set key is checked, whether or not the run reads it.
-It also builds the run's exosystem and, with a plant, its internal model,
-once, and gives the experiment's initial states and probing input: the
-explicit samples, or else the standard-normal draw from ``seed``, the one
-thing a seed is read for.  The hash of its effective config, every default
-materialized, stamps the report.
+A variant is built anew, not patched: ``dataclasses.replace(config, T=...)``
+runs every check again.  The config also builds the run's exosystem and,
+with a plant, its internal model, once, and gives the experiment's initial
+states and probing input: the explicit samples, or else the standard-normal
+draw from ``seed``, the one thing a seed is read for.  The hash of its
+effective config, every default materialized, stamps the report.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 from contextlib import contextmanager
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,17 +25,15 @@ from .exosystem import ExoMatrix, InternalModel, build_internal_model
 from .numerics import as_integer, as_real, as_vector
 from .plant import PlantTruth
 
-# Section -> key -> default.  A float default takes a finite real number
-# >= 0, and a None default takes the value as given (None: unset).  The check
-# battery's thresholds and horizon are not here: they are fixed
-# (``cli.BATTERY``).  Explicit input ``values`` are the input; without them
-# the input is the seeded standard-normal draw.
-DEFAULTS = {
-    "tolerances": {"feas_tol": 1e-6},
-    "input_policy": {"values": None},
-}
+# The default of ``tolerances.feas_tol``, the design solve's feasibility
+# tolerance.  The check battery's thresholds and horizon are fixed
+# (``cli.BATTERY``), not set here.
+FEAS_TOL = 1e-6
 INITIAL_STATES = ("w0", "x0", "eta0", "chi0")
-_TOP_LEVEL = ("exosystem", "ell", "T", "seed", "plant", "initial", "output_dir", *DEFAULTS)
+_TOP_LEVEL = (
+    "exosystem", "ell", "T", "seed", "plant", "initial", "output_dir", "tolerances",
+    "input_policy",
+)
 
 
 class PipelineError(RuntimeError):
@@ -60,6 +60,10 @@ def _config_errors():
 
 
 def _known(section: str, given, known) -> None:
+    _require(
+        isinstance(given, dict),
+        f"{section} must be a JSON object, got {type(given).__name__}",
+    )
     unknown = sorted(set(map(str, given)) - set(known))
     _require(
         not unknown,
@@ -71,23 +75,6 @@ def _known(section: str, given, known) -> None:
 def _require(ok: bool, message: str, hint: str = "") -> None:
     if not ok:
         raise PipelineError("config", message, hint)
-
-
-def _section(name: str, given: dict) -> dict:
-    """``given`` completed and checked against its ``DEFAULTS`` table."""
-    table = DEFAULTS[name]
-    _known(name, given, table)
-    section = {}
-    for key, default in table.items():
-        value = given.get(key, default)
-        if default is not None:
-            value = as_real(value, f"{name}.{key}")
-            _require(
-                0 <= value < float("inf"),
-                f"{name}.{key} must be finite and >= 0, got {value!r}",
-            )
-        section[key] = value
-    return section
 
 
 def _check_inputs(u: np.ndarray, rows: int, m: int | None) -> None:
@@ -109,12 +96,12 @@ def _check_inputs(u: np.ndarray, rows: int, m: int | None) -> None:
 @dataclass
 class RunConfig:
     """One run's knobs.  ``exo`` is the run's exosystem, validated from
-    ``exo_s``, and ``im`` the internal model of a plant config, which every
-    stage reads (None without a plant: a record gives m and p, and
-    ``experiment.record_from_csv`` builds it); every other field keeps its
-    name in the JSON form."""
+    ``exo_s`` (which then holds ``exo.S``), and ``im`` the internal model of
+    a plant config, which every stage reads (None without a plant: a record
+    gives m and p, and ``experiment.record_from_csv`` builds it); every
+    other field keeps its name in the JSON form."""
 
-    exo_s: InitVar[np.ndarray]
+    exo_s: np.ndarray = field(repr=False)
     ell: int
     T: int
     seed: int | None = None
@@ -129,21 +116,30 @@ class RunConfig:
     exo: ExoMatrix = field(init=False, repr=False)
     im: InternalModel | None = field(init=False, repr=False)
 
-    def __post_init__(self, exo_s):
+    def __post_init__(self):
         with _config_errors():
-            for name in DEFAULTS:
-                setattr(self, name, _section(name, getattr(self, name)))
-            self.exo = ExoMatrix(exo_s)
+            _known("tolerances", self.tolerances, ("feas_tol",))
+            feas_tol = as_real(
+                self.tolerances.get("feas_tol", FEAS_TOL), "tolerances.feas_tol"
+            )
+            _require(
+                0 <= feas_tol < float("inf"),
+                f"tolerances.feas_tol must be finite and >= 0, got {feas_tol!r}",
+            )
+            self.tolerances = {"feas_tol": feas_tol}
+            _known("input_policy", self.input_policy, ("values",))
+            self.exo = ExoMatrix(self.exo_s)
+            self.exo_s = self.exo.S
             self.ell, self.T = as_integer(self.ell, "ell"), as_integer(self.T, "T")
             self.seed = None if self.seed is None else as_integer(self.seed, "seed")
-        policy, plant = self.input_policy, self.plant
+        plant, values = self.plant, self.input_policy.get("values")
         _require(self.ell >= 1, f"window length must be >= 1, got {self.ell}")
         _require(
             self.seed is None or self.seed >= 0, f"seed must be >= 0, got {self.seed}"
         )
         _require(self.T >= self.ell, "experiment too short", "require T >= ell")
         _require(
-            plant is None or policy["values"] is not None or self.seed is not None,
+            plant is None or values is not None or self.seed is not None,
             "a plant config without input_policy.values needs a seed for its input draw",
             'set "seed"',
         )
@@ -151,12 +147,11 @@ class RunConfig:
             self.output_dir is None or isinstance(self.output_dir, str),
             f"output_dir must be a string, got {self.output_dir!r}",
         )
-        values = policy["values"]
         if values is not None:
             with _config_errors():
-                u = as_vector(values, "input_policy.values").reshape(np.shape(values))
-            policy["values"] = u
-            _check_inputs(u, self.T + 1, plant.m if plant else None)
+                values = as_vector(values, "input_policy.values").reshape(np.shape(values))
+            _check_inputs(values, self.T + 1, plant.m if plant else None)
+        self.input_policy = {"values": values}
         self.im = None
         if plant is not None:
             n_w = self.exo.n_w
@@ -233,7 +228,10 @@ class RunConfig:
         with _config_errors():
             _known("config", raw, _TOP_LEVEL)
             exosystem, plant = raw["exosystem"], raw.get("plant")
-            initial = raw.get("initial") or {}
+            initial, tolerances, input_policy = (
+                {} if raw.get(name) is None else raw[name]
+                for name in ("initial", "tolerances", "input_policy")
+            )
             _known("exosystem", exosystem, ("S",))
             _known("initial", initial, INITIAL_STATES)
             if plant is not None:
@@ -246,7 +244,8 @@ class RunConfig:
                 seed=raw.get("seed"),
                 plant=plant,
                 **{name: initial.get(name) for name in INITIAL_STATES},
-                **{name: raw.get(name) or {} for name in DEFAULTS},
+                tolerances=tolerances,
+                input_policy=input_policy,
                 output_dir=raw.get("output_dir"),
             )
 
@@ -269,11 +268,8 @@ class RunConfig:
             "ell": self.ell,
             "T": self.T,
             "seed": self.seed,
-            **{name: getattr(self, name) for name in DEFAULTS},
-            "input_policy": {
-                **self.input_policy,
-                "values": None if values is None else values.tolist(),
-            },
+            "tolerances": self.tolerances,
+            "input_policy": {"values": None if values is None else values.tolist()},
             "initial": {
                 k: None if getattr(self, k) is None else getattr(self, k).tolist()
                 for k in INITIAL_STATES

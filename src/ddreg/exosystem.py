@@ -137,7 +137,6 @@ class InternalModel:
     the measured output into the last block row.
     """
 
-    p: int
     companion: np.ndarray = field(repr=False)
     input_map: np.ndarray = field(repr=False)
 
@@ -152,9 +151,7 @@ def build_internal_model(exo: ExoMatrix, p: int) -> InternalModel:
     d = len(exo.coeffs)
     input_map = np.zeros((p * d, p))
     input_map[(d - 1) * p :, :] = np.eye(p)
-    return InternalModel(
-        p=p, companion=companion_matrix(exo.coeffs, p), input_map=input_map
-    )
+    return InternalModel(companion=companion_matrix(exo.coeffs, p), input_map=input_map)
 
 
 @dataclass

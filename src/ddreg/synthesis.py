@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULTS
+from .config import FEAS_TOL
 from .experiment import DataMatrices
 from .exosystem import Regressor
 from .numerics import norm, numerical_rank
@@ -246,7 +246,7 @@ def _design_z(v, q: Quotient, basis) -> tuple[np.ndarray, np.ndarray]:
 
 def solve_feasibility_sdp(
     prob: SdpProblem,
-    feas_tol: float = DEFAULTS["tolerances"]["feas_tol"],
+    feas_tol: float = FEAS_TOL,
 ) -> SynthesisResult:
     """Margin-maximization solve of the design program.
 

@@ -1,13 +1,15 @@
 """Shared scenario builders for the test suite and ``tools/recheck.py``: the
 canned benchmarks plus randomized observable plants and unit-circle
-exosystems, the random-plant sweep, the paper example in other bases and
-units, and exosystems in real Jordan form with their closed-form sequences.
+exosystems, the random-plant sweep, the ladder of plant sizes, the paper
+example in other bases and units, and exosystems in real Jordan form with
+their closed-form sequences.
 """
 
 import dataclasses
 import math
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from ddreg.benchmarks import vtol, wide_output  # noqa: F401  (re-exported)
 from ddreg.exosystem import ExoMatrix, build_internal_model
@@ -169,11 +171,26 @@ def paper_in_units(output=1.0, input_=1.0):
     )
     return dataclasses.replace(
         config,
-        exo_s=config.exo.S,
         plant=scaled,
         eta0=output * config.eta0,
         input_policy={"values": input_ * config.probing_input()},
     )
+
+
+def ladder_config(n, m, p, n_w, s):
+    """The ladder rung (n, m, p, n_w) at seed ``s``: the plant
+    ``random_plant(default_rng(s), n, m, p, n_w)``, S = rotation(0.7), or
+    rotation(0.7) + rotation(1.9) (block diagonal) when n_w = 4, ell the
+    plant's observability index, T = 10 ell + 11, probing seed ``s`` and
+    zero initial states."""
+    from ddreg.cli import RunConfig
+
+    S = rotation(0.7)
+    if n_w == 4:
+        S = block_diag(S, rotation(1.9))
+    plant = random_plant(np.random.default_rng(s), n, m, p, n_w)
+    ell = observability_index(plant.A, plant.C)
+    return RunConfig(exo_s=S, ell=ell, T=10 * ell + 11, seed=s, plant=plant)
 
 
 def sweep_config(seed, conjugate=False):

@@ -23,7 +23,7 @@ from ddreg.cli import (
     run_pipeline,
     verify_gain,
 )
-from ddreg.config import DEFAULTS
+from ddreg.config import FEAS_TOL
 from ddreg.exosystem import build_internal_model
 from ddreg.synthesis import solve_feasibility_sdp
 
@@ -114,8 +114,8 @@ def test_config_rejects_short_experiment():
     ],
 )
 def test_config_rejects_unknown_solver_option(section, key):
-    # Every section holds exactly the keys of its defaults table, and the
-    # config its top-level keys.
+    # Every section holds exactly its known keys, and the config its
+    # top-level keys.
     d = vtol_config_dict()
     (d if section == "config" else d.setdefault(section, {}))[key] = 1
     with pytest.raises(PipelineError, match=f"unknown {section} option.*{key}") as exc:
@@ -210,11 +210,33 @@ def test_long_record_returns_a_report():
     # At T = 300 the data stack reaches a norm of about 3.7e8 and the gain's
     # interpolation identity misses its absolute tolerance: a failing row in
     # a written report, not an exception.
-    config = paper_example_config(5)
-    config = dataclasses.replace(config, exo_s=config.exo.S, T=300)
+    config = dataclasses.replace(paper_example_config(5), T=300)
     report = run_pipeline(config)
     names = [c["name"] for c in report["checks"]]
     assert "gain_identity" in names and "zero_exo_decay" in names
+
+
+def test_replace_builds_what_from_dict_builds():
+    # A variant needs only the field it changes: replace rebuilds the
+    # exosystem from the stored S and runs every check again, so it is the
+    # config that the JSON form with that field changed gives.
+    config = paper_example_config(5)
+    variant = dataclasses.replace(config, T=300)
+    d = config.effective_dict()
+    d["T"] = 300
+    built = RunConfig.from_dict(d)
+    assert variant.T == 300 and config.T == 20
+    assert variant.config_hash() == built.config_hash()
+    assert json.dumps(run_pipeline(variant)) == json.dumps(run_pipeline(built))
+
+
+def test_replace_checks_explicit_inputs_against_the_new_T():
+    d = vtol_config_dict(seed=3)
+    d["input_policy"] = {"values": [0.0] * 21}
+    config = RunConfig.from_dict(d)
+    with pytest.raises(PipelineError, match=r"needs 31 samples \(T \+ 1\), got 21") as exc:
+        dataclasses.replace(config, T=30)
+    assert exc.value.stage == "config"
 
 
 def test_config_hash_stable_and_sensitive():
@@ -278,7 +300,7 @@ def test_ramp_exosystem_on_the_paper_plant_is_infeasible(tmp_path, capsys):
     d["exosystem"]["S"] = [[1.0, 1.0], [0.0, 1.0]]
     report = run_pipeline(RunConfig.from_dict(d))
     assert report["synthesis"]["status"] == "infeasible"
-    assert 0 < report["synthesis"]["margin"] < DEFAULTS["tolerances"]["feas_tol"]
+    assert 0 < report["synthesis"]["margin"] < FEAS_TOL
     assert main(["run", "--config", str(write_config(tmp_path, d))]) == 1
     assert "synthesis: infeasible" in capsys.readouterr().out
 
@@ -615,6 +637,37 @@ def test_cli_run_infeasible_exit_nonzero(tmp_path, capsys):
             lambda d: d.update(solver={"gap_tol": 1e-4}),
             "unknown config option(s) solver",
             id="solver-section",
+        ),
+        # A section that is not a JSON object is named, whichever it is.
+        pytest.param(
+            lambda d: d.update(exosystem=5),
+            "exosystem must be a JSON object, got int",
+            id="number-exosystem",
+        ),
+        pytest.param(
+            lambda d: d.update(tolerances=5),
+            "tolerances must be a JSON object, got int",
+            id="number-tolerances",
+        ),
+        pytest.param(
+            lambda d: d.update(initial=["w0"]),
+            "initial must be a JSON object, got list",
+            id="list-initial",
+        ),
+        pytest.param(
+            lambda d: d.update(input_policy=["values"]),
+            "input_policy must be a JSON object, got list",
+            id="list-input-policy",
+        ),
+        pytest.param(
+            lambda d: d.update(plant="ABPCQ"),
+            "plant must be a JSON object, got str",
+            id="string-plant",
+        ),
+        pytest.param(
+            lambda d: d.update(initial=[]),
+            "initial must be a JSON object, got list",
+            id="empty-list-initial",
         ),
     ],
 )

@@ -5,16 +5,14 @@ its exosystem presented in its real Jordan form (``paper-N-jordan``, the
 ``ddreg paper-example`` config) and in the Krylov basis ``[w0, S w0]`` of
 its initial state (``paper-N-krylov``; ``_scenarios.paper_config``, which
 moves S, w0, P and Q together, so the two designs agree up to round-off),
-the wide-output plant at seeds 0-2 (T = 20, ell = 2, zero
-initial states), and the n = 10 ladder rung at s = 0-2: the plant
-``random_plant(default_rng(s), 10, 3, 2, 4)``, probing seed s, zero initial
-states, S = rotation(0.7) + rotation(1.9) (block diagonal), ell its
-observability index and T = 10 ell + 11.  Then inputs whose verdict a
-change to the design program can flip: the random-plant sweep at seeds
-0-79 (``sweep-N``, ``_scenarios.sweep_config``; 52 feasible, 13 infeasible
-by the solver's certificate and 15 by the rank test), the ramp exosystem
-``[[1, 1], [0, 1]]`` on the paper plant (``paper-ramp``, infeasible by
-the solver's certificate), and the paper example with its output in other
+the wide-output plant at seeds 0-2 (T = 20, ell = 2, zero initial states),
+and the ladder rung (10, 3, 2, 4) at s = 0-2 (``n10-s``;
+``_scenarios.ladder_config``).  Then inputs whose verdict a change to the
+design program can flip: the random-plant sweep at seeds 0-79
+(``sweep-N``, ``_scenarios.sweep_config``; 52 feasible, 13 infeasible by
+the solver's certificate and 15 by the rank test), the ramp exosystem
+``[[1, 1], [0, 1]]`` on the paper plant (``paper-ramp``, infeasible by the
+solver's certificate), and the paper example with its output in other
 units, times 1e-3 ... 1e3 (``paper-output-A``), and its input times
 0.01 ... 100 (``paper-input-B``; ``_scenarios.paper_in_units``), six of
 them infeasible by the solver's certificate.
@@ -57,23 +55,20 @@ import sys
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import block_diag
 
 # This checkout's package and test scenarios, ahead of any installed copy.
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from _scenarios import (  # noqa: E402
+    ladder_config,
     paper_config,
     paper_in_units,
-    random_plant,
-    rotation,
     sweep_config,
 )
 
 from ddreg import benchmarks  # noqa: E402
 from ddreg.cli import RunConfig, run_pipeline, verify_gain  # noqa: E402
-from ddreg.plant import observability_index  # noqa: E402
 
 
 # The sweep seeds whose verdict is infeasible; every other seed is feasible.
@@ -93,12 +88,8 @@ def inputs():
     for seed in range(3):
         config = RunConfig(exo_s=exo.S, ell=2, T=20, seed=seed, plant=plant)
         yield f"wide-{seed}", config, "infeasible", False
-    S = block_diag(rotation(0.7), rotation(1.9))
     for seed in range(3):
-        plant = random_plant(np.random.default_rng(seed), 10, 3, 2, 4)
-        ell = observability_index(plant.A, plant.C)
-        config = RunConfig(exo_s=S, ell=ell, T=10 * ell + 11, seed=seed, plant=plant)
-        yield f"n10-{seed}", config, "feasible", True
+        yield f"n10-{seed}", ladder_config(10, 3, 2, 4, seed), "feasible", True
     for seed in range(80):
         verdict = "infeasible" if seed in SWEEP_INFEASIBLE else "feasible"
         yield f"sweep-{seed}", sweep_config(seed), verdict, False
