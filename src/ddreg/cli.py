@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -272,9 +273,10 @@ def run_pipeline(config: RunConfig, out_dir=None, unmask: bool = False) -> dict:
     report["all_pass"] = bool(all(c["pass"] for c in checks))
 
     if out_dir is not None:
-        out = _write_outputs(out_dir, report, run, unmask)
-        record_to_csv(rec, out / "record.csv", unmask=unmask)
-        regressor_to_csv(reg, out / "regressor.csv")
+        _write_outputs(out_dir, report, run, unmask, {
+            "record.csv": partial(record_to_csv, rec, unmask=unmask),
+            "regressor.csv": partial(regressor_to_csv, reg),
+        })
     return report
 
 
@@ -324,14 +326,25 @@ def verify_gain(config: RunConfig, gain, out_dir=None, unmask: bool = False) -> 
 # serialization helpers
 
 
-def _write_outputs(out_dir, report: dict, run, unmask: bool) -> Path:
-    """Write report.json, and trajectories.csv unless ``run`` is None."""
+def _write_files(out_dir, files: dict) -> Path:
+    """Make ``out_dir`` (parents too) and write each ``name: write`` of
+    ``files`` into it, in order, as ``write(out_dir / name)``.  A directory
+    that cannot be made, or a file that cannot be written, is an ``output``
+    error."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_report(report, out / "report.json")
-    if run is not None:
-        write_trajectory_csv(run, out / "trajectories.csv", unmask=unmask)
+    _stage("output", out.mkdir, parents=True, exist_ok=True)
+    for name, write in files.items():
+        _stage("output", write, out / name)
     return out
+
+
+def _write_outputs(out_dir, report: dict, run, unmask: bool, more=None) -> None:
+    """Write report.json, trajectories.csv unless ``run`` is None, then
+    the ``more`` files."""
+    files = {"report.json": partial(write_report, report)}
+    if run is not None:
+        files["trajectories.csv"] = partial(write_trajectory_csv, run, unmask=unmask)
+    _write_files(out_dir, files | (more or {}))
 
 
 def write_report(report: dict, path) -> None:
@@ -377,10 +390,10 @@ def _load_config(args) -> RunConfig:
 def _cmd_collect(args) -> int:
     config = _load_config(args)
     rec = collect_stage(config)
-    out = args.out or Path(".")
-    out.mkdir(parents=True, exist_ok=True)
-    record_to_csv(rec, out / "record.csv", unmask=args.unmask)
-    write_report(config.effective_dict(), out / "effective_config.json")
+    out = _write_files(args.out or ".", {
+        "record.csv": partial(record_to_csv, rec, unmask=args.unmask),
+        "effective_config.json": partial(write_report, config.effective_dict()),
+    })
     print(f"record written to {out / 'record.csv'} ({rec.T + 1} samples)")
     return 0
 
@@ -393,15 +406,15 @@ def _cmd_synthesize(args) -> int:
     else:
         rec = collect_stage(config)
     data, reg, prob, pre, result = synthesize_stage(config, rec)
-    out = args.out or Path(".")
-    out.mkdir(parents=True, exist_ok=True)
-    regressor_to_csv(reg, out / "regressor.csv")
     payload = result.to_dict()
     payload["config_hash"] = config.config_hash()
     payload["tolerances"] = config.tolerances
     payload["precheck"] = pre
     payload["checks"] = _design_checks(config, result)
-    write_report(payload, out / "synthesis.json")
+    _write_files(args.out or ".", {
+        "regressor.csv": partial(regressor_to_csv, reg),
+        "synthesis.json": partial(write_report, payload),
+    })
     _print_synthesis(pre, payload, prob.nu)
     return _print_checks(payload["checks"])
 

@@ -56,14 +56,6 @@ class ExperimentRecord:
     def T(self) -> int:
         return len(self.u) - 1
 
-    @property
-    def m(self) -> int:
-        return self.u.shape[1]
-
-    @property
-    def p(self) -> int:
-        return self.y.shape[1]
-
     def internal_model_residual(self, im: InternalModel) -> float:
         """Worst defect of the stored eta sequence against its recursion,
         relative to the record's scale (its largest |y| or |eta| entry, at

@@ -3,6 +3,7 @@ import inspect
 import json
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -759,6 +760,31 @@ def test_cli_factorization_flag_exit_two(tmp_path, capsys, command):
     assert "unrecognized arguments: --factorization krylov" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("where", ["a-file", "below-a-file", "a-directory-as-file"])
+@pytest.mark.parametrize(
+    "command", ["collect", "synthesize", "verify", "run", "paper-example"]
+)
+def test_cli_output_that_cannot_be_written_exit_two(tmp_path, capsys, command, where):
+    # Exit code 1 only ever means failing checks: an --out that cannot be
+    # made a directory, or a file in it that cannot be written, is an
+    # [output] error.
+    path = write_config(tmp_path, vtol_config_dict())
+    gain = write_config(tmp_path, {"gain": [[0.0] * 10]}, name="gain.json")
+    out = tmp_path / "out"
+    if where == "a-directory-as-file":
+        first = {"collect": "record.csv", "synthesize": "regressor.csv"}
+        (out / first.get(command, "report.json")).mkdir(parents=True)
+    else:
+        out.write_text("")
+        out = out / "below" if where == "below-a-file" else out
+    argv = {
+        "paper-example": [command],
+        "verify": [command, "--config", str(path), "--gain", str(gain)],
+    }.get(command, [command, "--config", str(path)])
+    assert main([*argv, "--out", str(out)]) == 2
+    assert "error: [output]" in capsys.readouterr().err
+
+
 def test_cli_collect_writes_record(tmp_path):
     path = write_config(tmp_path, vtol_config_dict(seed=4))
     code = main(["collect", "--config", str(path), "--out", str(tmp_path / "c")])
@@ -1320,3 +1346,20 @@ def test_config_output_dir_fallback(tmp_path):
     path = write_config(tmp_path, d)
     assert main(["run", "--config", str(path)]) == 0
     assert (tmp_path / "from_config" / "report.json").exists()
+
+
+# ---------------------------------------------------------------------------
+# test layout
+
+
+def test_every_test_file_names_a_module():
+    # One tests/test_<module>.py per module of the package, beside the
+    # acceptance and re-check suites.
+    package = Path(cli.__file__).parent
+    suites = {"test_acceptance.py", "test_recheck.py"}
+    stray = [
+        f.name
+        for f in sorted(Path(__file__).parent.glob("test_*.py"))
+        if f.name not in suites and not (package / f.name[len("test_"):]).is_file()
+    ]
+    assert stray == []

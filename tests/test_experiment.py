@@ -214,7 +214,7 @@ def test_data_matrices_degenerate_single_column():
 def test_data_matrix_layout_matches_record():
     rec = vtol_record(seed=3)
     data = assemble_data_matrices(rec, 4)
-    ell, p, m = 4, rec.p, rec.m
+    ell, p, m = 4, rec.y.shape[1], rec.u.shape[1]
     j = 5
     np.testing.assert_array_equal(
         data.psi0[: p * ell, j], rec.y[j : j + ell].ravel()
