@@ -1,6 +1,6 @@
 """Shared scenario builders for the test suite and ``tools/recheck.py``: the
-canned benchmarks, a one-state plant, randomized observable plants and
-unit-circle exosystems, the random-plant sweep, the ladder of plant sizes, the paper
+canned benchmarks plus randomized observable plants and unit-circle
+exosystems, the random-plant sweep, the ladder of plant sizes, the paper
 example in other bases and units, and exosystems in real Jordan form with
 their closed-form sequences.
 """
@@ -75,13 +75,6 @@ def monic_horner(coeffs, x):
     for c in coeffs[::-1]:
         acc = np.dot(acc, x) + c * eye
     return acc
-
-
-def scalar_plant(a=0.5, b=1.0, c=1.0, p=0.0, q=0.0):
-    """One-state plant: x(k+1) = a x + b u + p w, y = c x + q w."""
-    return PlantTruth(
-        A=[[a]], B=[[b]], P=[[p]], C=[[c]], Q=[[q]]
-    )
 
 
 def random_plant(rng, n, m, p, n_w, radius=0.85):
