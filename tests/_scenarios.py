@@ -77,6 +77,13 @@ def monic_horner(coeffs, x):
     return acc
 
 
+def scalar_plant(a=0.5, b=1.0, c=1.0, p=0.0, q=0.0):
+    """A one-state, one-input, one-output plant driven by a scalar exosignal."""
+    return PlantTruth(
+        A=[[a]], B=[[b]], P=[[p]], C=[[c]], Q=[[q]]
+    )
+
+
 def random_plant(rng, n, m, p, n_w, radius=0.85):
     """Random observable plant; ``radius`` scales the open-loop spectrum."""
     for _ in range(100):

@@ -16,6 +16,7 @@ from ddreg.exosystem import (
     build_internal_model,
     companion_matrix,
     companion_regressor,
+    minimal_polynomial,
 )
 from ddreg.numerics import simulate_linear
 from ddreg.synthesis import _svd_split
@@ -31,6 +32,53 @@ from _scenarios import (
 
 # ---------------------------------------------------------------------------
 # minimal_polynomial
+
+
+def test_minimal_polynomial_identity():
+    poly = minimal_polynomial(np.eye(2))
+    assert len(poly) == 1
+    np.testing.assert_allclose(poly, [-1.0], atol=1e-12)
+
+
+def test_minimal_polynomial_rotation_quarter_turn():
+    poly = minimal_polynomial(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    assert len(poly) == 2
+    np.testing.assert_allclose(poly, [1.0, 0.0], atol=1e-12)
+
+
+def test_minimal_polynomial_repeated_eigenvalue():
+    # Brute-force oracle for S = diag(2, 2, 3): enumerate degrees and check
+    # annihilation of the candidate built from the distinct eigenvalues.
+    S = np.diag([2.0, 2.0, 3.0])
+    assert np.linalg.norm(S - 2 * np.eye(3)) > 1e-6  # degree 1 fails
+    cand = (S - 2 * np.eye(3)) @ (S - 3 * np.eye(3))
+    assert np.linalg.norm(cand) < 1e-12  # degree 2 annihilates
+    # (x - 2)(x - 3) = 6 - 5x + x^2
+    poly = minimal_polynomial(S)
+    assert len(poly) == 2
+    np.testing.assert_allclose(poly, [6.0, -5.0], atol=1e-9)
+    # The Horner helper the other tests evaluate with: p(1) = 2, p(2) = 0.
+    assert abs(monic_horner(poly, 1.0) - 2.0) < 1e-9
+    M = monic_horner(poly, np.diag([1.0, 2.0]))
+    np.testing.assert_allclose(M, np.diag([2.0, 0.0]), atol=1e-9)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_minimal_polynomial_annihilates(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 6))
+    S = rng.standard_normal((n, n))
+    poly = minimal_polynomial(S)
+    norm_bound = 1e-8 * max(1.0, np.linalg.norm(S, 2)) ** len(poly)
+    assert np.linalg.norm(monic_horner(poly, S)) < max(norm_bound, 1e-10)
+
+
+def test_minimal_polynomial_jordan_block_defective():
+    J = np.array([[1.0, 1.0], [0.0, 1.0]])
+    poly = minimal_polynomial(J)
+    assert len(poly) == 2
+    # (x - 1)^2 = 1 - 2x + x^2
+    np.testing.assert_allclose(poly, [1.0, -2.0], atol=1e-10)
 
 
 def test_minimal_polynomial_invariant_under_similarity():
@@ -56,6 +104,56 @@ def test_annihilation_invariant():
 
 # ---------------------------------------------------------------------------
 # ExoMatrix
+
+
+def test_exo_matrix_rejects_contracting_eigenvalue():
+    with pytest.raises(ValueError, match="inside unit circle"):
+        ExoMatrix([[0.5]])
+
+
+def test_exo_matrix_accepts_a_large_jordan_block_on_the_unit_circle():
+    # A ramp beside a size-3 rotation block: np.linalg.eigvals puts an
+    # eigenvalue at modulus 1 - 5.5e-6, but each cluster's geometric mean
+    # modulus is 1 to round-off, also behind a similarity.
+    J = real_jordan([(1.0, 2)], [(1.0, 0.9, 3)])
+    assert np.abs(ExoMatrix(J).eigs).min() < 1.0 - 1e-6
+    V = np.random.default_rng(0).standard_normal((8, 8))
+    ExoMatrix(V @ J @ np.linalg.inv(V))
+
+
+@pytest.mark.parametrize(
+    "S",
+    [
+        pytest.param(block_diag(rotation(0.7), [[1.0 - 1e-6]]), id="alone"),
+        pytest.param(
+            block_diag(real_jordan([(1.0, 2)], [(1.0, 0.9, 3)]), [[1.0 - 1e-6]]),
+            id="beside-the-ramp",
+        ),
+        pytest.param(np.diag([1.0 - 1e-6, 1.0 + 1e-5, 1.0, 1.0]), id="beside-one-outside"),
+        pytest.param(
+            block_diag(0.997 * rotation(0.4), 1.005 * rotation(0.4), rotation(1.0), rotation(2.0)),
+            id="rotation-beside-a-larger-one",
+        ),
+        pytest.param(real_jordan([(1.0 - 1e-6, 3)]), id="jordan-block"),
+    ],
+)
+def test_exo_matrix_rejects_an_eigenvalue_just_inside(S):
+    # Well-conditioned eigenvalues inside the circle form clusters of their
+    # own, so no eigenvalue outside lifts their mean; a Jordan block inside
+    # has its true modulus as its cluster's mean.  Also behind a similarity.
+    V = np.random.default_rng(0).standard_normal(S.shape)
+    for M in (S, V @ S @ np.linalg.inv(V)):
+        with pytest.raises(ValueError, match="inside unit circle"):
+            ExoMatrix(M)
+
+
+def test_exo_matrix_keeps_its_eigenvalues():
+    # The validation's eigenvalues are kept, read-only, for every reader of
+    # S's spectrum.
+    exo = ExoMatrix([[0.0, 1.0], [-1.0, 0.0]])
+    np.testing.assert_array_equal(exo.eigs, np.linalg.eigvals(exo.S))
+    np.testing.assert_allclose(np.sort_complex(exo.eigs), [-1j, 1j], atol=1e-15)
+    assert not exo.eigs.flags.writeable
 
 
 def test_unit_circle_assumption_enforced():

@@ -13,7 +13,7 @@ from ddreg.experiment import (
 from ddreg.exosystem import ExoMatrix, build_internal_model
 from ddreg.plant import PlantTruth
 
-from _scenarios import probe, random_plant, random_unit_circle_exo, vtol
+from _scenarios import probe, random_plant, random_unit_circle_exo, scalar_plant, vtol
 
 
 def vtol_setup():
@@ -241,3 +241,86 @@ def test_csv_unmask_adds_exosignal(tmp_path):
     path2 = tmp_path / "masked.csv"
     record_to_csv(rec, path2)
     assert "w_1" not in path2.read_text().splitlines()[0]
+
+
+# ---------------------------------------------------------------------------
+# plant stepping (inside the data-collection experiment)
+
+
+def scalar_exo():
+    return ExoMatrix([[1.0]])
+
+
+def collect(plant, exo, w0, x0, u):
+    """Plant run under the explicit inputs ``u``, for ``len(u) - 1`` steps."""
+    im = build_internal_model(exo, p=plant.p)
+    return collect_experiment(
+        plant, exo, im, w0, x0, np.zeros(im.dim), u
+    )
+
+
+def test_simulate_all_zero():
+    plant = scalar_plant(a=0.0)
+    rec = collect(plant, scalar_exo(), [0.0], [0.0], np.zeros((6, 1)))
+    assert np.all(rec.oracle.x == 0.0)
+    assert np.all(rec.y == 0.0)
+
+
+def test_simulate_one_step_matches_definition():
+    rng = np.random.default_rng(0)
+    plant, exo = vtol()
+    x0 = rng.standard_normal(plant.n)
+    w0 = rng.standard_normal(exo.n_w)
+    u = rng.standard_normal((2, plant.m))
+    rec = collect(plant, exo, w0, x0, u)
+    np.testing.assert_allclose(
+        rec.oracle.x[1], plant.A @ x0 + plant.B @ u[0] + plant.P @ w0, atol=1e-14
+    )
+    np.testing.assert_allclose(rec.y[0], plant.C @ x0 + plant.Q @ w0, atol=1e-14)
+
+
+def test_simulate_matches_independent_recursion():
+    # Independent oracle: re-run the recursion with bare matrix-vector steps.
+    rng = np.random.default_rng(1)
+    plant, exo = vtol()
+    x0 = rng.standard_normal(plant.n)
+    w0 = rng.standard_normal(exo.n_w)
+    u = rng.standard_normal((21, plant.m))
+    rec = collect(plant, exo, w0, x0, u)
+
+    w, x = w0.copy(), x0.copy()
+    for k in range(21):
+        np.testing.assert_allclose(rec.oracle.w[k], w, atol=1e-12)
+        np.testing.assert_allclose(rec.oracle.x[k], x, atol=1e-12)
+        np.testing.assert_allclose(rec.y[k], plant.C @ x + plant.Q @ w, atol=1e-12)
+        x = plant.A @ x + plant.B @ u[k] + plant.P @ w
+        w = exo.S @ w
+
+
+def test_simulate_deterministic():
+    rng = np.random.default_rng(2)
+    plant, exo = vtol()
+    x0 = rng.standard_normal(plant.n)
+    u = rng.standard_normal((11, 1))
+    r1 = collect(plant, exo, [0.1, 0.2], x0, u)
+    r2 = collect(plant, exo, [0.1, 0.2], x0, u)
+    assert np.array_equal(r1.oracle.x, r2.oracle.x) and np.array_equal(r1.y, r2.y)
+
+
+def test_exosignal_norm_preserved_for_rotation():
+    plant, exo = vtol()
+    rec = collect(plant, exo, [0.3, -0.4], np.zeros(4), np.zeros((51, 1)))
+    norms = np.linalg.norm(rec.oracle.w, axis=1)
+    np.testing.assert_allclose(norms, norms[0], atol=1e-10)
+
+
+def test_simulate_divergence_guard():
+    plant = scalar_plant(a=1e3)
+    with pytest.raises(RuntimeError, match="divergent"):
+        collect(plant, scalar_exo(), [0.0], [1.0], np.zeros((11, 1)))
+
+
+def test_simulate_dimension_mismatch():
+    plant, exo = vtol()
+    with pytest.raises(ValueError):
+        collect(plant, exo, [0.1], np.zeros(4), np.zeros((6, 1)))

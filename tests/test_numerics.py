@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddreg.cli import paper_example_config, run_pipeline
-from ddreg.exosystem import build_internal_model, minimal_polynomial
+from ddreg.exosystem import build_internal_model
 from ddreg.numerics import (
     BLOCK_STEPS,
     DIVERGENCE_GUARD,
@@ -22,7 +22,7 @@ from ddreg.numerics import (
 from ddreg.plant import build_structural_matrices, observability_index
 from ddreg.verify import assemble_closed_loop, build_auxiliary_matrices
 
-from _scenarios import monic_horner, rotation
+from _scenarios import rotation
 
 
 # ---------------------------------------------------------------------------
@@ -71,57 +71,6 @@ def test_rank_invariance_under_permutation_and_conditioning():
             if np.linalg.cond(V) < 1e3:
                 break
         assert rank(V @ M) == r
-
-
-# ---------------------------------------------------------------------------
-# minimal_polynomial
-
-
-def test_minimal_polynomial_identity():
-    poly = minimal_polynomial(np.eye(2))
-    assert len(poly) == 1
-    np.testing.assert_allclose(poly, [-1.0], atol=1e-12)
-
-
-def test_minimal_polynomial_rotation_quarter_turn():
-    poly = minimal_polynomial(np.array([[0.0, 1.0], [-1.0, 0.0]]))
-    assert len(poly) == 2
-    np.testing.assert_allclose(poly, [1.0, 0.0], atol=1e-12)
-
-
-def test_minimal_polynomial_repeated_eigenvalue():
-    # Brute-force oracle for S = diag(2, 2, 3): enumerate degrees and check
-    # annihilation of the candidate built from the distinct eigenvalues.
-    S = np.diag([2.0, 2.0, 3.0])
-    assert np.linalg.norm(S - 2 * np.eye(3)) > 1e-6  # degree 1 fails
-    cand = (S - 2 * np.eye(3)) @ (S - 3 * np.eye(3))
-    assert np.linalg.norm(cand) < 1e-12  # degree 2 annihilates
-    # (x - 2)(x - 3) = 6 - 5x + x^2
-    poly = minimal_polynomial(S)
-    assert len(poly) == 2
-    np.testing.assert_allclose(poly, [6.0, -5.0], atol=1e-9)
-    # The Horner helper the other tests evaluate with: p(1) = 2, p(2) = 0.
-    assert abs(monic_horner(poly, 1.0) - 2.0) < 1e-9
-    M = monic_horner(poly, np.diag([1.0, 2.0]))
-    np.testing.assert_allclose(M, np.diag([2.0, 0.0]), atol=1e-9)
-
-
-@pytest.mark.parametrize("seed", range(5))
-def test_minimal_polynomial_annihilates(seed):
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(2, 6))
-    S = rng.standard_normal((n, n))
-    poly = minimal_polynomial(S)
-    norm_bound = 1e-8 * max(1.0, np.linalg.norm(S, 2)) ** len(poly)
-    assert np.linalg.norm(monic_horner(poly, S)) < max(norm_bound, 1e-10)
-
-
-def test_minimal_polynomial_jordan_block_defective():
-    J = np.array([[1.0, 1.0], [0.0, 1.0]])
-    poly = minimal_polynomial(J)
-    assert len(poly) == 2
-    # (x - 1)^2 = 1 - 2x + x^2
-    np.testing.assert_allclose(poly, [1.0, -2.0], atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
