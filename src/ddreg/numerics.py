@@ -13,10 +13,11 @@ are one call).  Its divergence guard is decided by one bound on the largest
 entry of all states, and its stacked powers' finiteness by one test; the
 per-step norms and the per-power scan run only when these fail.
 
-A closed-loop matrix is factored once, by :func:`real_schur` (one LAPACK
-``dgees``, its workspace size kept per matrix order): its eigenvalues and
-its Schur form, on which :func:`solve_sylvester` solves the steady-state
-equation.
+The Sylvester certificate's matrix is factored once, by :func:`real_schur`
+(one LAPACK ``dgees``, its workspace size kept per matrix order): its
+eigenvalues and its Schur form, on which :func:`solve_sylvester` solves the
+steady-state equation.  The stability and representation spectra come from
+:func:`spectral_radius`.
 
 At the package's sizes the per-call overhead of numpy's wrappers is
 comparable to the arithmetic.  Every norm the checks take is :func:`norm`

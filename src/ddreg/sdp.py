@@ -1,26 +1,31 @@
 """Dense margin-maximization solver for small semidefinite feasibility
-problems: maximize t such that one symmetric block ``F(v)``, affine in a
-vector v, dominates t * I.  A feasibility question reduces to the sign of
-the optimal margin, and the solve stops once that sign is certified (or
-when it cannot go on).  It imports no other module of the package.
+problems: maximize t such that every symmetric block of a list, each affine
+in one vector v, dominates t * I.  A feasibility question reduces to the
+sign of the optimal margin, and the solve stops once that sign is certified
+(or when it cannot go on).  It imports no other module of the package.
 
 Primal-dual interior-point method with the HKM direction and Mehrotra
 predictor-corrector steps (Helmberg, Rendl, Vanderbei and Wolkowicz 1996;
-Todd, Toh and Tütüncü 1998; Mehrotra 1992).  The primal iterate is
-``y = (v, t)``, with the slack ``S = F(v) - t I`` recomputed from it, so the
-primal side is always feasible and needs no phase-1; the dual iterate
-``Z > 0`` starts central, ``Z S = mu I``, and is driven towards
-``tr(F_j Z) = 0`` and ``tr Z = 1``.  Each iteration forms the Schur
-complement ``M_ij = <L_S^{-1} A_i L_Z, L_S^{-1} A_j L_Z>`` (``A`` the
-coefficients extended by the margin coordinate) from one ``dtrtri``, two
-GEMMs over all i and one Gram product, factors it once with ``dpotrf``, solves
-it twice (a first-order direction, then the same system with its
-second-order term), and steps 0.95 of the way to the cone boundary.  Both
-verdicts are certified: the margin from below by an eigenvalue, the optimum
-from above by a dual point (see ``maximize_margin``).  Identical inputs
-produce identical iterates.  The outcome is returned as data
-(``MarginResult``: the point, the margin, its gap bound, the stop reason and
-the iteration count), never as text.
+Todd, Toh and Tütüncü 1998; Mehrotra 1992), on ``F(v)``, the block-diagonal
+fold of the blocks.  The primal iterate is ``y = (v, t)``, with the slack
+``S = F(v) - t I`` recomputed from it, so the primal side is always
+feasible and needs no phase-1; the dual iterate ``Z > 0`` starts central,
+``Z S = mu I``, and is driven towards ``tr(F_j Z) = 0`` and ``tr Z = 1``.
+Each iteration forms the Schur complement ``M_ij = <L_S^{-1} A_i L_Z,
+L_S^{-1} A_j L_Z>`` (``A`` the coefficients extended by the margin
+coordinate) from one ``dtrtri``, two GEMMs over all i and one Gram product,
+factors it once with ``dpotrf``, solves it twice (a first-order direction,
+then the same system with its second-order term), and steps 0.95 of the way
+to the cone boundary.  The fold is never formed: each block keeps its own
+coefficients, slack, dual iterate and factors; a sum over the fold's
+entries (the Schur complement, ``F vec(Z)``, an inner product, a trace) is
+taken per block, then over the blocks, and an eigenvalue (the margin, a
+step length) is the smallest over the blocks.  Both verdicts are
+certified: the margin from below by an eigenvalue, the optimum from above
+by a dual point (see ``maximize_margin``).  Identical inputs produce
+identical iterates.  The outcome is returned as data (``MarginResult``: the
+point, the margin, its gap bound, the stop reason and the iteration count),
+never as text.
 """
 
 from __future__ import annotations
@@ -77,6 +82,11 @@ class MarginResult:
         return self.stop not in ("stalled", "newton_budget")
 
 
+def _adjoint(F: list[np.ndarray], X: list[np.ndarray]) -> np.ndarray:
+    """``F vec(X)``: ``(tr(A_i X))_i`` from the flat coefficients ``F``."""
+    return sum(f @ x.ravel() for f, x in zip(F, X))
+
+
 def _chol(M: np.ndarray):
     """Lower Cholesky factor of ``M`` (read from its lower triangle), or None
     when ``M`` is not numerically positive definite."""
@@ -96,36 +106,37 @@ def _lam_min(M: np.ndarray) -> float:
     return dsyevr(M, compute_v=0, range="I", il=1, iu=1)[0][0]
 
 
-def _max_step(Li: np.ndarray, D: np.ndarray) -> float:
+def _max_step(Li: list[np.ndarray], D: list[np.ndarray]) -> float:
     """Largest a with ``L L^T + a D`` positive semidefinite, given ``Li`` the
     inverse of the factor ``L``; inf when D is itself semidefinite."""
-    lam = _lam_min(Li @ D @ Li.T)
+    lam = min(_lam_min(li @ d @ li.T) for li, d in zip(Li, D))
     return -1.0 / lam if lam < 0 else np.inf
 
 
-def _off_centre(z_chol: np.ndarray, S: np.ndarray, mu: float) -> float:
+def _off_centre(z_chol: list[np.ndarray], S: list[np.ndarray], mu: float) -> float:
     """``||L_Z^T S L_Z / mu - I||_F``: zero exactly at the central point
     ``Z S = mu I``."""
-    return float(np.linalg.norm(z_chol.T @ S @ z_chol / mu - np.eye(len(S))))
+    dev = [(lz.T @ s @ lz / mu - np.eye(len(s))).ravel() for lz, s in zip(z_chol, S)]
+    return float(np.linalg.norm(np.concatenate(dev)))
 
 
-def _col_scale(block: AffineBlock) -> np.ndarray:
-    """Per-variable scaling ``1 / ||coeff[j]||_F`` (1 for a variable the
-    block does not depend on).  It equalizes the coefficient-tensor norms,
-    an exact reparameterization (margins unchanged) that conditions the
-    Schur complement when data columns live on very different scales."""
-    norms = np.einsum("jab,jab->j", block.coeff, block.coeff)
+def _col_scale(blocks: list[AffineBlock]) -> np.ndarray:
+    """Per-variable scaling ``1 / ||coeff[j]||_F`` (1 for a variable no
+    block depends on).  It equalizes the coefficient-tensor norms, an exact
+    reparameterization (margins unchanged) that conditions the Schur
+    complement when data columns live on very different scales."""
+    norms = sum(np.einsum("jab,jab->j", b.coeff, b.coeff) for b in blocks)
     scale = np.ones(norms.shape)
     np.divide(1.0, np.sqrt(norms), out=scale, where=norms > 0)
     return scale
 
 
 def _schur_complement(A: np.ndarray, s_inv: np.ndarray, z_chol: np.ndarray, work=None):
-    """HKM Schur complement ``M_ij = tr(A_i Z A_j S^{-1})``: the Gram matrix
-    of the ``L_S^{-1} A_i L_Z``, formed for all i by two GEMMs on the
-    transpose of the ``(k n, n)`` view of the symmetric coefficients ``A``
-    (k, n, n).  ``s_inv`` is ``L_S^{-1}``, ``z_chol`` is ``L_Z``; ``work``,
-    two ``(n, k n)`` arrays a solve reuses, takes the products."""
+    """One block's HKM Schur complement ``M_ij = tr(A_i Z A_j S^{-1})``: the
+    Gram matrix of the ``L_S^{-1} A_i L_Z``, formed for all i by two GEMMs
+    on the transpose of the ``(k n, n)`` view of the symmetric coefficients
+    ``A`` (k, n, n).  ``s_inv`` is ``L_S^{-1}``, ``z_chol`` is ``L_Z``;
+    ``work``, two ``(n, k n)`` arrays a solve reuses, takes the products."""
     k, n, _ = A.shape
     P, Q = work if work is not None else (np.empty((n, k * n)), np.empty((n, k * n)))
     np.matmul(s_inv, A.reshape(k * n, n).T, out=P)  # [d, (i, a)]: L_S^{-1} A_i
@@ -139,10 +150,10 @@ def maximize_margin(
     gap_tol: float = GAP_TOL,
     feas_tol: float | None = None,
 ) -> MarginResult:
-    """Maximize t such that ``F(v) - t I >= 0``, with ``blocks = [F]``: a
-    list of exactly one block (several fold into one block-diagonal block
-    with the same margins).  Both sides of the optimum are certified at
-    every iterate.  The *margin* is the smallest eigenvalue of F at v.  The
+    """Maximize t such that ``F(v) - t I >= 0``, with ``F`` the fold of
+    ``blocks``, a non-empty list of blocks in the same variables v (see the
+    module docstring).  Both sides of the optimum are certified at every
+    iterate.  The *margin* is the smallest eigenvalue of F at v.  The
     *bound* is ``tr(F_0 Z)`` at the projection of Z onto ``tr(F_j Z) = 0``,
     ``tr Z = 1`` (through the Gram matrix of the extended coefficients,
     factored once per solve), accepted when it passes a Cholesky test: it
@@ -190,64 +201,75 @@ def maximize_margin(
     Variables whose coefficients depend linearly on the others' (pivoted
     Cholesky of the Gram matrix) are held at zero.  The Schur complement is
     tested for finiteness (``RuntimeError`` otherwise) and factored with
-    ``dpotrf``, with a ridge added while that fails.
+    ``dpotrf``, with a ridge added while that fails.  An empty list, or
+    blocks in different numbers of variables, is a ``ValueError``.
     """
-    if len(blocks) != 1:
-        raise ValueError(f"need a list of one block, got {len(blocks)}")
-    (block,) = blocks
-    nvar, n = block.nvar, block.size
-    C = block.const
+    counts = [b.nvar for b in blocks]
+    if len(set(counts)) != 1:
+        raise ValueError(f"need blocks in the same variables, got {counts} variables")
+    nvar = counts[0]
+    C = [b.const for b in blocks]
+    n = sum(b.size for b in blocks)
 
-    # The solve's one copy of the coefficients, in the scaled variables and
-    # extended by the margin coordinate (coefficient -I); F is its flat view.
-    # A variable whose scaled coefficients depend linearly on the others' is
-    # held at zero, which keeps the Schur complement and Gram nonsingular.
-    col_scale = _col_scale(block)
-    A = np.empty((nvar + 1, n, n))
-    np.multiply(block.coeff, col_scale[:, None, None], out=A[:-1])
-    A[-1] = -np.eye(n)
-    F = A.reshape(nvar + 1, -1)
-    gram = F @ F.T
+    # The solve's one copy of the coefficients, per block, in the scaled
+    # variables and extended by the margin coordinate (coefficient -I); F
+    # holds their flat views.  A variable whose scaled coefficients depend
+    # linearly on the others' is held at zero, which keeps the Schur
+    # complement and Gram nonsingular.
+    col_scale = _col_scale(blocks)
+    A = [np.empty((nvar + 1, b.size, b.size)) for b in blocks]
+    for a, b in zip(A, blocks):
+        np.multiply(b.coeff, col_scale[:, None, None], out=a[:-1])
+        a[-1] = -np.eye(b.size)
+    F = [a.reshape(nvar + 1, -1) for a in A]
+    gram = sum(f @ f.T for f in F)
     _, piv, rank, _ = dpstrf(gram[:-1, :-1], lower=1)
     free = np.sort(piv[:rank] - 1)
     if rank < nvar:
         keep = np.append(free, nvar)
-        A, gram = A[keep], gram[np.ix_(keep, keep)]
-        F = A.reshape(keep.size, -1)
+        A, gram = [a[keep] for a in A], gram[np.ix_(keep, keep)]
+        F = [a.reshape(keep.size, -1) for a in A]
     k = rank + 1
     target = np.zeros(k)  # the dual equalities read (tr(A_i Z))_i = -target
     target[-1] = 1.0
     gram_chol = _chol(gram)
-    work = (np.empty((n, k * n)), np.empty((n, k * n)))
+    work = [(np.empty((b.size, k * b.size)), np.empty((b.size, k * b.size))) for b in blocks]
 
-    def dual_bound(Z: np.ndarray) -> float:
+    def margin_at(v: np.ndarray) -> float:
+        return min(_lam_min(b.value(v)) for b in blocks)
+
+    def slacks(y: np.ndarray) -> list[np.ndarray]:
+        return [c + (y @ f).reshape(c.shape) for c, f in zip(C, F)]
+
+    def dual_bound(Z: list[np.ndarray]) -> float:
         """tr(F_0 Z) at the projection of Z onto the dual equalities, or inf
         when it is not positive definite.  The projection does not replace
         the iterate: as the iterate it moved the paper gain by 4e-7 relative
         between rescaled copies of one problem."""
-        coef, _ = dpotrs(gram_chol, F @ Z.ravel() + target, lower=1)
-        Zp = Z - (coef @ F).reshape(n, n)
-        return np.inf if _chol(Zp) is None else float(np.vdot(C, Zp))
+        coef, _ = dpotrs(gram_chol, _adjoint(F, Z) + target, lower=1)
+        Zp = [z - (coef @ f).reshape(z.shape) for f, z in zip(F, Z)]
+        return np.inf if any(_chol(z) is None for z in Zp) else float(sum(map(np.vdot, C, Zp)))
 
     def directions(dy, S_inv, Z, sigma_mu, second=None):
         """Slack and dual steps for the Schur-system solution dy; ``second``
         holds the corrector's second-order terms."""
-        dS = (dy @ F).reshape(n, n)
-        dZ = sigma_mu * S_inv - Z - _sym(Z @ dS @ S_inv)
+        dS = [(dy @ f).reshape(z.shape) for f, z in zip(F, Z)]
+        dZ = [sigma_mu * si - z - _sym(z @ ds @ si) for si, z, ds in zip(S_inv, Z, dS)]
         if second is not None:
-            dZ -= second
+            dZ = [dz - s2 for dz, s2 in zip(dZ, second)]
         return dS, dZ
 
     # The start point of the docstring: least norm on the extended set.
     y = np.zeros(k)
     if gram_chol is not None:
-        y, _ = dpotrs(gram_chol, -(F @ C.ravel()), lower=1)
-    y[-1] = _lam_min(_sym(C + (y[:-1] @ F[:-1]).reshape(n, n)))
+        y, _ = dpotrs(gram_chol, -_adjoint(F, C), lower=1)
+    y[-1] = min(_lam_min(_sym(c + (y[:-1] @ f[:-1]).reshape(c.shape))) for c, f in zip(C, F))
     y[-1] -= 1.0 + 0.05 * abs(y[-1])
     # The central dual start S0^{-1} / tr S0^{-1}, so Z0 S0 = mu0 I.
-    s_inv_L = _tri_inv(_chol(C + (y @ F).reshape(n, n)))
-    Z = s_inv_L.T @ s_inv_L
-    Z /= np.trace(Z)
+    Z = [li.T @ li for li in (_tri_inv(_chol(s)) for s in slacks(y))]
+    trace = sum(np.trace(z) for z in Z)
+    for z in Z:
+        z /= trace
 
     v = np.zeros(nvar)
     steps = 0
@@ -259,9 +281,9 @@ def maximize_margin(
     # coefficients: t grows without bound along that combination.
     stop = "unbounded" if gram_chol is None else None
     while stop is None:
-        S = C + (y @ F).reshape(n, n)
-        s_chol, z_chol = _chol(S), _chol(Z)
-        if s_chol is None or z_chol is None:
+        S = slacks(y)
+        s_chol, z_chol = [_chol(s) for s in S], [_chol(z) for z in Z]
+        if any(L is None for L in s_chol + z_chol):
             if not steps:
                 raise RuntimeError("interior-point iterate left the cone")
             # A step short of the boundary left the cone in floating point:
@@ -270,12 +292,12 @@ def maximize_margin(
             break
         accepted = y
         # S = F(v) - t I is at hand, so the margin at v is lam_min(S) + t.
-        margin = _lam_min(S) + y[-1]
+        margin = min(_lam_min(s) for s in S) + y[-1]
         # Every dual point bounds the optimum, so the best bound so far
         # holds at this iterate too.
         bound = min(bound, dual_bound(Z))
         gap = bound - margin
-        mu = float(np.vdot(Z, S)) / n
+        mu = float(sum(map(np.vdot, Z, S))) / n
         feasible = feas_tol is not None and margin > feas_tol and gap < margin
         if feasible and centre_mu is None:
             centre_mu, centring = 2.0 ** np.floor(np.log2(mu)), 0
@@ -285,7 +307,7 @@ def maximize_margin(
         if centred:
             centre_mu = None
             v[free] = y[:-1] * col_scale[free]  # judged on the margin returned
-            feasible = feasible and _lam_min(block.value(v)) > feas_tol
+            feasible = feasible and margin_at(v) > feas_tol
         if (centred and feasible) or (feas_tol is not None and bound <= feas_tol):
             stop = "verdict"
         elif feas_tol is None and gap <= gap_tol:
@@ -295,9 +317,9 @@ def maximize_margin(
         if stop is not None:
             break
 
-        s_inv_L = _tri_inv(s_chol)
-        z_inv_L = _tri_inv(z_chol)
-        M = _schur_complement(A, s_inv_L, z_chol, work)
+        s_inv_L = [_tri_inv(L) for L in s_chol]
+        z_inv_L = [_tri_inv(L) for L in z_chol]
+        M = sum(_schur_complement(*args) for args in zip(A, s_inv_L, z_chol, work))
         if not np.isfinite(M).all():
             raise RuntimeError("non-finite Newton system")
         cho, info = dpotrf(M, lower=1, clean=0)
@@ -305,8 +327,8 @@ def maximize_margin(
         while info != 0:
             ridge = max(10.0 * ridge, 1e-12 * (1.0 + np.trace(M)))
             cho, info = dpotrf(M + ridge * np.eye(k), lower=1, clean=0)
-        S_inv = s_inv_L.T @ s_inv_L
-        h_sinv = F @ S_inv.ravel()
+        S_inv = [li.T @ li for li in s_inv_L]
+        h_sinv = _adjoint(F, S_inv)
 
         if centre_mu is not None:
             # Newton step towards the central point at centre_mu, with the
@@ -321,12 +343,13 @@ def maximize_margin(
             dS, dZ = directions(dy, S_inv, Z, 0.0)
             a_s = min(1.0, _max_step(s_inv_L, dS))
             a_z = min(1.0, _max_step(z_inv_L, dZ))
-            mu_aff = float(np.vdot(Z + a_z * dZ, S + a_s * dS)) / n
+            Z_aff = [z + a_z * dz for z, dz in zip(Z, dZ)]
+            mu_aff = float(sum(map(np.vdot, Z_aff, (s + a_s * ds for s, ds in zip(S, dS))))) / n
             sigma_mu = min(1.0, (max(mu_aff, 0.0) / mu) ** 3) * mu
         # Either way, re-solve on the same factorization with the
         # second-order term of the first direction.
-        second = _sym(dZ @ dS @ S_inv)
-        rhs = target + sigma_mu * h_sinv - F @ second.ravel()
+        second = [_sym(dz @ ds @ si) for dz, ds, si in zip(dZ, dS, S_inv)]
+        rhs = target + sigma_mu * h_sinv - _adjoint(F, second)
         dy, _ = dpotrs(cho, rhs, lower=1)
         dS, dZ = directions(dy, S_inv, Z, sigma_mu, second)
         max_s = _max_step(s_inv_L, dS)
@@ -337,12 +360,12 @@ def maximize_margin(
             break
         max_z = _max_step(z_inv_L, dZ)
         y = y + min(1.0, STEP_FRACTION * max_s) * dy
-        Z = Z + min(1.0, STEP_FRACTION * max_z) * dZ
+        Z = [z + min(1.0, STEP_FRACTION * max_z) * dz for z, dz in zip(Z, dZ)]
         steps += 1
 
     # The returned margin is evaluated once, at the returned v.
     v[free] = accepted[:-1] * col_scale[free]
-    margin = _lam_min(block.value(v))
+    margin = margin_at(v)
     if stop != "unbounded":
         gap = bound - margin
     return MarginResult(v, margin, steps, gap, stop)

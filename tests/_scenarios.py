@@ -67,6 +67,23 @@ def probe(seed, steps, m):
     return np.random.default_rng(seed).standard_normal((steps, m))
 
 
+def lstsq_rel_residual(W0, M):
+    """Oracle: best least-squares factor of W0 against the regressor rows."""
+    L, *_ = np.linalg.lstsq(M.T, W0.T, rcond=None)
+    return np.linalg.norm(W0 - L.T @ M) / max(np.linalg.norm(W0), 1e-300)
+
+
+def exo_trajectory_stack(S, w0, ell, T):
+    """W0 = [w(ell) ... w(T)] for w(k) = S^k w0."""
+    w = np.asarray(w0, dtype=float)
+    cols = []
+    for k in range(T + 1):
+        if k >= ell:
+            cols.append(w.copy())
+        w = S @ w
+    return np.column_stack(cols)
+
+
 def monic_horner(coeffs, x):
     """``c[0] + c[1] x + ... + x^d`` at a scalar or a square matrix ``x``,
     by Horner's rule, from the non-leading coefficients ``coeffs``."""

@@ -30,6 +30,8 @@ from ddreg.verify import (
 
 from _scenarios import (
     closed_form_jordan,
+    exo_trajectory_stack,
+    lstsq_rel_residual,
     monic_horner,
     probe,
     random_plant,
@@ -107,21 +109,6 @@ def randomized_scenarios():
     return scenarios
 
 
-def exo_trajectory_stack(S, w0, ell, T):
-    w = np.asarray(w0, dtype=float)
-    cols = []
-    for k in range(T + 1):
-        if k >= ell:
-            cols.append(w.copy())
-        w = S @ w
-    return np.column_stack(cols)
-
-
-def lstsq_rel_residual(W0, M):
-    L, *_ = np.linalg.lstsq(M.T, W0.T, rcond=None)
-    return float(np.linalg.norm(W0 - L.T @ M) / max(np.linalg.norm(W0), 1e-300))
-
-
 def factorization_cases():
     """Exosystems for the factorization criterion: eigenvalue one at block
     sizes one and two, rotation pairs, and a mixed spectrum."""
@@ -184,7 +171,7 @@ def test_criterion_3_factorization_residuals():
         w0 = rng.standard_normal(S.shape[0])
         W0 = exo_trajectory_stack(S, w0, ell, T)
         reg = companion_regressor(ExoMatrix(S), ell=ell, T=T)
-        res = lstsq_rel_residual(W0, reg.matrix)
+        res = float(lstsq_rel_residual(W0, reg.matrix))
         if not res < 1e-8:
             print(f"  {label}: {res:.2e}")
         ok = ok and res < 1e-8
@@ -207,7 +194,7 @@ def test_criterion_4_jordan_power_oracle():
     for real, cplx in blocks:
         reg = companion_regressor(ExoMatrix(real_jordan(real, cplx)), ell=1, T=T)
         ref = closed_form_jordan(real, cplx, ell=1, T=T)
-        res = lstsq_rel_residual(ref, reg.matrix)
+        res = float(lstsq_rel_residual(ref, reg.matrix))
         ok = ok and res < 1e-10 and reg.matrix.shape == ref.shape
     announce(4, "closed-form block sequences in the regressor's row space, k <= 3", ok)
 

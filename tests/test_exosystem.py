@@ -22,6 +22,8 @@ from ddreg.numerics import simulate_linear
 from ddreg.synthesis import _svd_split
 
 from _scenarios import (
+    exo_trajectory_stack,
+    lstsq_rel_residual,
     monic_horner,
     random_unit_circle_exo,
     real_jordan,
@@ -251,23 +253,6 @@ def test_simulate_matches_independent_recursion():
 
 # ---------------------------------------------------------------------------
 # companion_regressor
-
-
-def lstsq_rel_residual(W0, M):
-    """Oracle: best least-squares factor of W0 against the regressor rows."""
-    L, *_ = np.linalg.lstsq(M.T, W0.T, rcond=None)
-    return np.linalg.norm(W0 - L.T @ M) / max(np.linalg.norm(W0), 1e-300)
-
-
-def exo_trajectory_stack(S, w0, ell, T):
-    """W0 = [w(ell) ... w(T)] for w(k) = S^k w0."""
-    w = np.asarray(w0, dtype=float)
-    cols = []
-    for k in range(T + 1):
-        if k >= ell:
-            cols.append(w.copy())
-        w = S @ w
-    return np.column_stack(cols)
 
 
 def test_regressor_quarter_turn_rows():

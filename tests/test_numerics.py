@@ -22,8 +22,6 @@ from ddreg.numerics import (
 from ddreg.plant import build_structural_matrices, observability_index
 from ddreg.verify import assemble_closed_loop, build_auxiliary_matrices
 
-from _scenarios import rotation
-
 
 # ---------------------------------------------------------------------------
 # numerical_rank

@@ -17,14 +17,6 @@ from ddreg.sdp import AffineBlock, _col_scale, _schur_complement, maximize_margi
 from _scenarios import paper_config
 
 
-def _fold(*blocks):
-    """Several blocks as the one block-diagonal block the solver takes: its
-    eigenvalues are theirs, and so is every margin."""
-    terms = zip(*(np.concatenate([b.const[None], b.coeff]) for b in blocks))
-    folded = np.array([block_diag(*parts) for parts in terms])
-    return AffineBlock(folded[0], folded[1:])
-
-
 def test_fixed_block_margin_is_min_eigenvalue():
     # No free variables: the optimal margin is just the smallest eigenvalue.
     A = np.diag([3.0, 1.0, 0.5])
@@ -36,7 +28,7 @@ def test_fixed_block_margin_is_min_eigenvalue():
 def test_two_fixed_blocks_take_worst():
     b1 = AffineBlock(const=np.diag([2.0, 1.0]), coeff=np.zeros((0, 2, 2)))
     b2 = AffineBlock(const=np.diag([-0.25, 4.0]), coeff=np.zeros((0, 2, 2)))
-    res = maximize_margin([_fold(b1, b2)])
+    res = maximize_margin([b1, b2])
     assert res.margin == pytest.approx(-0.25, abs=1e-7)
 
 
@@ -46,7 +38,7 @@ def test_scalar_balancing():
     coeff_minus = np.array([[[-1.0]]])
     b1 = AffineBlock(const=np.array([[1.0]]), coeff=coeff_plus)
     b2 = AffineBlock(const=np.array([[1.0]]), coeff=coeff_minus)
-    res = maximize_margin([_fold(b1, b2)])
+    res = maximize_margin([b1, b2])
     assert res.margin == pytest.approx(1.0, abs=1e-7)
     assert abs(res.v[0]) < 1e-6
 
@@ -96,12 +88,12 @@ def test_negative_optimum_reported():
     # Contradictory blocks [v - 1] and [-v - 1]: best margin is -1 at v = 0.
     b1 = AffineBlock(const=np.array([[-1.0]]), coeff=np.array([[[1.0]]]))
     b2 = AffineBlock(const=np.array([[-1.0]]), coeff=np.array([[[-1.0]]]))
-    res = maximize_margin([_fold(b1, b2)])
+    res = maximize_margin([b1, b2])
     assert res.margin == pytest.approx(-1.0, abs=1e-6)
     # With feas_tol the solve stops at the infeasible certificate: a dual
     # bound on the optimum at or below the threshold.
     feas_tol = 1e-6
-    res_tol = maximize_margin([_fold(b1, b2)], feas_tol=feas_tol)
+    res_tol = maximize_margin([b1, b2], feas_tol=feas_tol)
     assert res_tol.stop == "verdict"
     assert res_tol.margin <= -1.0 <= res_tol.margin + res_tol.gap_bound
     assert res_tol.margin + res_tol.gap_bound <= feas_tol
@@ -143,7 +135,7 @@ def test_zero_variable_blocks_solve():
             const=np.array([[1.0, 0.5], [0.5, 1.0]]), coeff=np.zeros((0, 2, 2))
         ),
     ]
-    res = maximize_margin([_fold(*blocks)], feas_tol=1e-6)
+    res = maximize_margin(blocks, feas_tol=1e-6)
     assert res.converged and res.v.shape == (0,)
     assert res.margin == pytest.approx(0.5, abs=1e-12)
 
@@ -174,7 +166,7 @@ def test_degenerate_dual_stalls_with_certified_margin():
         AffineBlock(const=np.array([[0.125]]), coeff=np.zeros((1, 1, 1))),
         AffineBlock(const=np.array([[0.625]]), coeff=np.array([[[0.1]]])),
     ]
-    res = maximize_margin([_fold(*blocks)])
+    res = maximize_margin(blocks)
     assert res.stop == "stalled" and not res.converged
     assert res.gap_bound == np.inf
     assert res.margin <= 0.125
@@ -183,26 +175,33 @@ def test_degenerate_dual_stalls_with_certified_margin():
 
 
 def test_col_scale_matches_loop_reference():
+    # The norm of a variable's coefficients is taken over all blocks.
     rng = np.random.default_rng(2)
-    for nb, nv in ((3, 0), (1, 1), (6, 3), (30, 64)):
-        block = AffineBlock(const=np.eye(nb), coeff=rng.standard_normal((nv, nb, nb)))
-        block.coeff[nv // 2 :] *= 1e3  # variables on different scales
-        if nv > 1:
-            block.coeff[0] = 0.0  # a variable the block does not depend on
+    for sizes, nv in (((3,), 0), ((1,), 1), ((6, 2), 3), ((30, 5), 64)):
+        blocks = [
+            AffineBlock(const=np.eye(nb), coeff=rng.standard_normal((nv, nb, nb)))
+            for nb in sizes
+        ]
+        for block in blocks:
+            block.coeff[nv // 2 :] *= 1e3  # variables on different scales
+            if nv > 1:
+                block.coeff[0] = 0.0  # a variable no block depends on
         ref = np.ones(nv)
         for j in range(nv):
-            norm_j = np.linalg.norm(block.coeff[j])
+            norm_j = np.linalg.norm(np.concatenate([b.coeff[j].ravel() for b in blocks]))
             if norm_j > 0:
                 ref[j] = 1.0 / norm_j
         # Sums run in another order than np.linalg.norm's: a few ulps apart.
-        np.testing.assert_allclose(_col_scale(block), ref, rtol=8 * np.finfo(float).eps, atol=0)
+        np.testing.assert_allclose(_col_scale(blocks), ref, rtol=8 * np.finfo(float).eps, atol=0)
 
 
-def test_maximize_margin_takes_one_block():
+def test_maximize_margin_needs_blocks_in_the_same_variables():
     block = _tradeoff_block()
-    for blocks in ([], [block, block]):
-        with pytest.raises(ValueError, match="list of one block"):
-            maximize_margin(blocks)
+    other = AffineBlock(const=np.eye(2), coeff=np.zeros((2, 2, 2)))
+    with pytest.raises(ValueError, match=r"same variables, got \[\] variables"):
+        maximize_margin([])
+    with pytest.raises(ValueError, match=r"same variables, got \[1, 2\] variables"):
+        maximize_margin([block, other])
 
 
 def _bounded_block(rng, nb, nvar, shift=1.0):
@@ -243,11 +242,11 @@ def test_schur_complement_matches_trace_reference():
         ]
         S = [_random_spd(rng, nb) for nb in sizes]
         Z = [_random_spd(rng, nb) for nb in sizes]
-        # The solver's form: the blocks folded into one block-diagonal matrix.
-        A = np.array([block_diag(*(E[i] for E in ext)) for i in range(nv + 1)])
-        s_inv = np.linalg.inv(np.linalg.cholesky(block_diag(*S)))
-        z_chol = np.linalg.cholesky(block_diag(*Z))
-        M = _schur_complement(A, s_inv, z_chol)
+        # The solver's form: the sum of the per-block complements.
+        M = sum(
+            _schur_complement(E, np.linalg.inv(np.linalg.cholesky(Sb)), np.linalg.cholesky(Zb))
+            for E, Sb, Zb in zip(ext, S, Z)
+        )
         ref = np.zeros((nv + 1, nv + 1))
         for A, Sb, Zb in zip(ext, S, Z):
             S_inv = np.linalg.inv(Sb)
@@ -261,19 +260,20 @@ def _lambda_min(blocks, v):
     return min(np.linalg.eigvalsh(b.value(v))[0] for b in blocks)
 
 
-@settings(max_examples=30, derandomize=True, deadline=None)
-@given(
+_BLOCK_DRAW = dict(
     seed=st.integers(0, 2**32 - 1),
     nb0=st.integers(2, 4),
-    more=st.lists(st.integers(1, 4), max_size=1),
     nvar=st.integers(0, 3),
     shift=st.floats(-1.0, 3.0),
 )
-def test_certificates_bracket_the_optimum(seed, nb0, more, nvar, shift):
-    # The first block's coefficients are traceless and (generically)
-    # independent, so its trace is pinned and the feasible set is bounded:
-    # the margin is bounded and a strictly feasible dual point exists.  The
-    # shift moves the optimum across feas_tol, so both verdicts occur.
+
+
+def _bracket_blocks(seed, nb0, more, nvar, shift):
+    """One or two random blocks.  The first block's coefficients are
+    traceless and (generically) independent, so its trace is pinned and the
+    feasible set is bounded: the margin is bounded and a strictly feasible
+    dual point exists.  The shift moves the optimum across 1e-6, so both
+    verdicts occur."""
     nvar = min(nvar, nb0 * (nb0 + 1) // 2 - 1)
     rng = np.random.default_rng(seed)
     blocks = []
@@ -283,13 +283,21 @@ def test_certificates_bracket_the_optimum(seed, nb0, more, nvar, shift):
         if i == 0:
             W[1:] -= np.trace(W[1:], axis1=1, axis2=2)[:, None, None] * np.eye(nb) / nb
         blocks.append(AffineBlock(const=W[0] + shift * np.eye(nb), coeff=W[1:]))
+    return blocks
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(more=st.lists(st.integers(1, 4), max_size=1), **_BLOCK_DRAW)
+# A draw whose optimum lies on feas_tol: the solve ends without a verdict.
+@example(seed=1, nb0=3, more=[2], nvar=2, shift=0.04584995194940994)
+def test_certificates_bracket_the_optimum(seed, nb0, more, nvar, shift):
+    blocks = _bracket_blocks(seed, nb0, more, nvar, shift)
     feas_tol = 1e-6
-    ref = maximize_margin([_fold(*blocks)], gap_tol=1e-10)
-    res = maximize_margin([_fold(*blocks)], feas_tol=feas_tol)
+    ref = maximize_margin(blocks, gap_tol=1e-10)
+    res = maximize_margin(blocks, feas_tol=feas_tol)
     # Round-off in the dual equalities may end the reference just short of
     # 1e-10 ("stalled"), with the best certificates it reached.
     assert ref.stop in ("gap_tol", "stalled") and ref.gap_bound <= 1e-9
-    assert res.converged
     for r in (ref, res):
         assert r.margin == pytest.approx(_lambda_min(blocks, r.v), abs=1e-12)
     # margin <= optimum <= margin + gap_bound, with the optimum bracketed by
@@ -302,14 +310,44 @@ def test_certificates_bracket_the_optimum(seed, nb0, more, nvar, shift):
         assert feasible or res.margin + res.gap_bound <= feas_tol
         assert feasible == (ref.margin > feas_tol)
     else:
-        assert res.stop == "gap_tol"
-    if nvar == 1:
+        # With feas_tol the solve never stops at gap_tol: it ends without a
+        # verdict only where the optimum is feas_tol up to the bracket.
+        assert res.stop == "stalled"
+        assert ref.margin - slack <= feas_tol <= ref.margin + ref.gap_bound + slack
+    if blocks[0].nvar == 1:
         # Grid oracle: every grid point's margin is a lower bound on the
         # optimum, and the grid comes close to it.
         grid = np.linspace(-5.0, 5.0, 2001)
         best = max(_lambda_min(blocks, np.array([g])) for g in grid)
         assert best <= res.margin + res.gap_bound + slack
         assert best >= ref.margin - 1e-2
+
+
+def _fold(*blocks):
+    """Several blocks as one block-diagonal block: its eigenvalues are
+    theirs, and so is every margin."""
+    terms = zip(*(np.concatenate([b.const[None], b.coeff]) for b in blocks))
+    folded = np.array([block_diag(*parts) for parts in terms])
+    return AffineBlock(folded[0], folded[1:])
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(nb1=st.integers(1, 4), **_BLOCK_DRAW)
+def test_blocks_solve_as_their_fold(seed, nb0, nb1, nvar, shift):
+    # Every sum over the fold's entries is taken per block, then over the
+    # blocks, so the two solves differ by round-off only.  Where both reach
+    # a verdict it is the same, with the same margin; at a feasible one,
+    # whose point is centred, with the same v.  A stall ends wherever the
+    # round-off of the path leaves it.
+    blocks = _bracket_blocks(seed, nb0, [nb1], nvar, shift)
+    feas_tol = 1e-6
+    res = maximize_margin(blocks, feas_tol=feas_tol)
+    folded = maximize_margin([_fold(*blocks)], feas_tol=feas_tol)
+    if res.stop == folded.stop == "verdict":
+        assert res.margin == pytest.approx(folded.margin, rel=1e-9)
+        assert (res.margin > feas_tol) == (folded.margin > feas_tol)
+        if res.margin > feas_tol:
+            assert np.linalg.norm(res.v - folded.v) <= 1e-8 * np.linalg.norm(folded.v)
 
 
 @pytest.mark.parametrize("presentation", ["jordan", "krylov"])
