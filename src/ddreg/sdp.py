@@ -17,15 +17,15 @@ coordinate) from one ``dtrtri``, two GEMMs over all i and one Gram product,
 factors it once with ``dpotrf``, solves it twice (a first-order direction,
 then the same system with its second-order term), and steps 0.95 of the way
 to the cone boundary.  The fold is never formed: each block keeps its own
-coefficients, slack, dual iterate and factors; a sum over the fold's
-entries (the Schur complement, ``F vec(Z)``, an inner product, a trace) is
-taken per block, then over the blocks, and an eigenvalue (the margin, a
-step length) is the smallest over the blocks.  Both verdicts are
-certified: the margin from below by an eigenvalue, the optimum from above
-by a dual point (see ``maximize_margin``).  Identical inputs produce
-identical iterates.  The outcome is returned as data (``MarginResult``: the
-point, the margin, its gap bound, the stop reason and the iteration count),
-never as text.
+coefficients, slack, dual iterate and factors, and an iteration walks the
+blocks once per phase; a sum over the fold's entries (the Schur complement,
+``F vec(Z)``, an inner product) adds the blocks' terms from the first on,
+and an eigenvalue (the margin, a step length) is a running minimum.  Both
+verdicts are certified: the margin from below by an eigenvalue, the optimum
+from above by a dual point (see ``maximize_margin``).  Identical inputs
+produce identical iterates.  The outcome is returned as data
+(``MarginResult``: the point, the margin, its gap bound, the stop reason and
+the iteration count), never as text.
 """
 
 from __future__ import annotations
@@ -82,11 +82,6 @@ class MarginResult:
         return self.stop not in ("stalled", "newton_budget")
 
 
-def _adjoint(F: list[np.ndarray], X: list[np.ndarray]) -> np.ndarray:
-    """``F vec(X)``: ``(tr(A_i X))_i`` from the flat coefficients ``F``."""
-    return sum(f @ x.ravel() for f, x in zip(F, X))
-
-
 def _chol(M: np.ndarray):
     """Lower Cholesky factor of ``M`` (read from its lower triangle), or None
     when ``M`` is not numerically positive definite."""
@@ -106,17 +101,10 @@ def _lam_min(M: np.ndarray) -> float:
     return dsyevr(M, compute_v=0, range="I", il=1, iu=1)[0][0]
 
 
-def _max_step(Li: list[np.ndarray], D: list[np.ndarray]) -> float:
-    """Largest a with ``L L^T + a D`` positive semidefinite, given ``Li`` the
-    inverse of the factor ``L``; inf when D is itself semidefinite."""
-    lam = min(_lam_min(li @ d @ li.T) for li, d in zip(Li, D))
-    return -1.0 / lam if lam < 0 else np.inf
-
-
-def _off_centre(z_chol: list[np.ndarray], S: list[np.ndarray], mu: float) -> float:
-    """``||L_Z^T S L_Z / mu - I||_F``: zero exactly at the central point
-    ``Z S = mu I``."""
-    dev = [(lz.T @ s @ lz / mu - np.eye(len(s))).ravel() for lz, s in zip(z_chol, S)]
+def _off_centre(factors: list[tuple], mu: float) -> float:
+    """``||L_Z^T S L_Z / mu - I||_F`` over the blocks' ``(S, L_S, L_Z)``:
+    zero exactly at the central point ``Z S = mu I``."""
+    dev = [(lz.T @ s @ lz / mu - np.eye(len(s))).ravel() for s, _, lz in factors]
     return float(np.linalg.norm(np.concatenate(dev)))
 
 
@@ -173,7 +161,8 @@ def maximize_margin(
 
     Inside the loop the margin is read off the slack, ``lam_min(S) + t``;
     the returned margin is ``lam_min(F(v))`` evaluated once at the returned
-    v, and ``gap_bound`` is taken against it.  Stop reasons:
+    v (by the feasible verdict's check, when one judged it), and
+    ``gap_bound`` is taken against it.  Stop reasons:
 
     - ``"verdict"`` (with ``feas_tol``): the margin exceeds ``feas_tol`` and
       ``gap_bound < margin`` (feasible; the optimum is below twice the
@@ -234,46 +223,43 @@ def maximize_margin(
     target[-1] = 1.0
     gram_chol = _chol(gram)
     work = [(np.empty((b.size, k * b.size)), np.empty((b.size, k * b.size))) for b in blocks]
+    no_second = [None] * len(blocks)
 
     def margin_at(v: np.ndarray) -> float:
         return min(_lam_min(b.value(v)) for b in blocks)
 
-    def slacks(y: np.ndarray) -> list[np.ndarray]:
-        return [c + (y @ f).reshape(c.shape) for c, f in zip(C, F)]
-
-    def dual_bound(Z: list[np.ndarray]) -> float:
-        """tr(F_0 Z) at the projection of Z onto the dual equalities, or inf
-        when it is not positive definite.  The projection does not replace
-        the iterate: as the iterate it moved the paper gain by 4e-7 relative
-        between rescaled copies of one problem."""
-        coef, _ = dpotrs(gram_chol, _adjoint(F, Z) + target, lower=1)
-        Zp = [z - (coef @ f).reshape(z.shape) for f, z in zip(F, Z)]
-        return np.inf if any(_chol(z) is None for z in Zp) else float(sum(map(np.vdot, C, Zp)))
-
-    def directions(dy, S_inv, Z, sigma_mu, second=None):
-        """Slack and dual steps for the Schur-system solution dy; ``second``
-        holds the corrector's second-order terms."""
-        dS = [(dy @ f).reshape(z.shape) for f, z in zip(F, Z)]
-        dZ = [sigma_mu * si - z - _sym(z @ ds @ si) for si, z, ds in zip(S_inv, Z, dS)]
-        if second is not None:
-            dZ = [dz - s2 for dz, s2 in zip(dZ, second)]
-        return dS, dZ
+    def direction(dy, sigma_mu, second, lengths):
+        """Each block's steps ``(dS, dZ)`` at the current iterate for the
+        Schur solution dy (``second``: the corrector's terms) and, with
+        ``lengths``, the largest a keeping ``S + a dS``, ``Z + a dZ`` >= 0."""
+        dirs, lam_s, lam_z = [], np.inf, np.inf
+        for f, z, (si, li_s, li_z), s2 in zip(F, Z, inverses, second):
+            ds = (dy @ f).reshape(z.shape)
+            dz = sigma_mu * si - z - _sym(z @ ds @ si)
+            if s2 is not None:
+                dz -= s2
+            if lengths:
+                lam_s = min(lam_s, _lam_min(li_s @ ds @ li_s.T))
+                lam_z = min(lam_z, _lam_min(li_z @ dz @ li_z.T))
+            dirs.append((ds, dz))
+        return dirs, -1.0 / lam_s if lam_s < 0 else np.inf, -1.0 / lam_z if lam_z < 0 else np.inf
 
     # The start point of the docstring: least norm on the extended set.
     y = np.zeros(k)
     if gram_chol is not None:
-        y, _ = dpotrs(gram_chol, -_adjoint(F, C), lower=1)
+        y, _ = dpotrs(gram_chol, -sum(f @ c.ravel() for f, c in zip(F, C)), lower=1)
     y[-1] = min(_lam_min(_sym(c + (y[:-1] @ f[:-1]).reshape(c.shape))) for c, f in zip(C, F))
     y[-1] -= 1.0 + 0.05 * abs(y[-1])
     # The central dual start S0^{-1} / tr S0^{-1}, so Z0 S0 = mu0 I.
-    Z = [li.T @ li for li in (_tri_inv(_chol(s)) for s in slacks(y))]
+    inv0 = [_tri_inv(_chol(c + (y @ f).reshape(c.shape))) for c, f in zip(C, F)]
+    Z = [li.T @ li for li in inv0]
     trace = sum(np.trace(z) for z in Z)
     for z in Z:
         z /= trace
 
     v = np.zeros(nvar)
     steps = 0
-    accepted = y  # the last iterate inside the cone
+    accepted, judged = y, None  # the last iterate inside the cone; its margin
     bound = gap = np.inf
     centre_mu = None  # set while centring (see the docstring)
     centring = 0
@@ -281,33 +267,51 @@ def maximize_margin(
     # coefficients: t grows without bound along that combination.
     stop = "unbounded" if gram_chol is None else None
     while stop is None:
-        S = slacks(y)
-        s_chol, z_chol = [_chol(s) for s in S], [_chol(z) for z in Z]
-        if any(L is None for L in s_chol + z_chol):
+        # Factor the iterate, with the margin, mu and F vec(Z) on the way.
+        factors, lam, mu, fz = [], np.inf, 0.0, None  # factors: (S, L_S, L_Z)
+        for c, f, z in zip(C, F, Z):
+            s = c + (y @ f).reshape(c.shape)
+            ls, lz = _chol(s), _chol(z)
+            if ls is None or lz is None:
+                break
+            factors.append((s, ls, lz))
+            # S = F(v) - t I is at hand, so the margin at v is lam_min(S) + t.
+            lam = min(lam, _lam_min(s))
+            mu += np.vdot(z, s)
+            term = f @ z.ravel()
+            fz = term if fz is None else fz + term
+        if ls is None or lz is None:  # the pass stopped at a block outside the cone
             if not steps:
                 raise RuntimeError("interior-point iterate left the cone")
             # A step short of the boundary left the cone in floating point:
             # the iterates have reached round-off.  Keep the accepted iterate.
             stop = "stalled"
             break
-        accepted = y
-        # S = F(v) - t I is at hand, so the margin at v is lam_min(S) + t.
-        margin = min(_lam_min(s) for s in S) + y[-1]
+        accepted, judged = y, None
+        margin, mu = lam + y[-1], mu / n
+        # The dual bound: tr(F_0 Z) at Z's projection onto the dual equalities,
+        # if that is positive definite.  As the iterate, the projection moved
+        # the paper gain by 4e-7 relative between rescaled copies of a problem.
+        coef, _ = dpotrs(gram_chol, fz + target, lower=1)
+        dual = 0.0
+        for c, f, z in zip(C, F, Z):
+            zp = z - (coef @ f).reshape(z.shape)
+            dual = np.inf if _chol(zp) is None else dual + np.vdot(c, zp)
         # Every dual point bounds the optimum, so the best bound so far
         # holds at this iterate too.
-        bound = min(bound, dual_bound(Z))
+        bound = min(bound, dual)
         gap = bound - margin
-        mu = float(sum(map(np.vdot, Z, S))) / n
         feasible = feas_tol is not None and margin > feas_tol and gap < margin
         if feasible and centre_mu is None:
             centre_mu, centring = 2.0 ** np.floor(np.log2(mu)), 0
         centred = centre_mu is not None and (
-            centring >= MAX_CENTRING or _off_centre(z_chol, S, centre_mu) <= CENTRE_TOL
+            centring >= MAX_CENTRING or _off_centre(factors, centre_mu) <= CENTRE_TOL
         )
         if centred:
             centre_mu = None
             v[free] = y[:-1] * col_scale[free]  # judged on the margin returned
-            feasible = feasible and margin_at(v) > feas_tol
+            judged = margin_at(v)
+            feasible = feasible and judged > feas_tol
         if (centred and feasible) or (feas_tol is not None and bound <= feas_tol):
             stop = "verdict"
         elif feas_tol is None and gap <= gap_tol:
@@ -317,9 +321,15 @@ def maximize_margin(
         if stop is not None:
             break
 
-        s_inv_L = [_tri_inv(L) for L in s_chol]
-        z_inv_L = [_tri_inv(L) for L in z_chol]
-        M = sum(_schur_complement(*args) for args in zip(A, s_inv_L, z_chol, work))
+        # The Schur complement and h = F vec(S^{-1}).
+        inverses, M, h_sinv = [], None, None  # inverses: (S^{-1}, L_S^{-1}, L_Z^{-1})
+        for a, f, w, (_, ls, lz) in zip(A, F, work, factors):
+            li = _tri_inv(ls)
+            si = li.T @ li
+            inverses.append((si, li, _tri_inv(lz)))
+            m, term = _schur_complement(a, li, lz, w), f @ si.ravel()
+            M = m if M is None else M + m
+            h_sinv = term if h_sinv is None else h_sinv + term
         if not np.isfinite(M).all():
             raise RuntimeError("non-finite Newton system")
         cho, info = dpotrf(M, lower=1, clean=0)
@@ -327,45 +337,47 @@ def maximize_margin(
         while info != 0:
             ridge = max(10.0 * ridge, 1e-12 * (1.0 + np.trace(M)))
             cho, info = dpotrf(M + ridge * np.eye(k), lower=1, clean=0)
-        S_inv = [li.T @ li for li in s_inv_L]
-        h_sinv = _adjoint(F, S_inv)
 
         if centre_mu is not None:
             # Newton step towards the central point at centre_mu, with the
             # corrector's second-order term.
             dy, _ = dpotrs(cho, target + centre_mu * h_sinv, lower=1)
-            dS, dZ = directions(dy, S_inv, Z, centre_mu)
+            dirs, _, _ = direction(dy, centre_mu, no_second, False)
             sigma_mu = centre_mu
             centring += 1
         else:
             # Predictor (affine scaling), then the Mehrotra corrector.
             dy, _ = dpotrs(cho, target, lower=1)
-            dS, dZ = directions(dy, S_inv, Z, 0.0)
-            a_s = min(1.0, _max_step(s_inv_L, dS))
-            a_z = min(1.0, _max_step(z_inv_L, dZ))
-            Z_aff = [z + a_z * dz for z, dz in zip(Z, dZ)]
-            mu_aff = float(sum(map(np.vdot, Z_aff, (s + a_s * ds for s, ds in zip(S, dS))))) / n
-            sigma_mu = min(1.0, (max(mu_aff, 0.0) / mu) ** 3) * mu
+            dirs, max_s, max_z = direction(dy, 0.0, no_second, True)
+            a_s, a_z = min(1.0, max_s), min(1.0, max_z)
+            mu_aff = 0.0
+            for z, (s, _, _), (ds, dz) in zip(Z, factors, dirs):
+                mu_aff += np.vdot(z + a_z * dz, s + a_s * ds)
+            sigma_mu = min(1.0, (max(mu_aff / n, 0.0) / mu) ** 3) * mu
         # Either way, re-solve on the same factorization with the
         # second-order term of the first direction.
-        second = [_sym(dz @ ds @ si) for dz, ds, si in zip(dZ, dS, S_inv)]
-        rhs = target + sigma_mu * h_sinv - _adjoint(F, second)
-        dy, _ = dpotrs(cho, rhs, lower=1)
-        dS, dZ = directions(dy, S_inv, Z, sigma_mu, second)
-        max_s = _max_step(s_inv_L, dS)
+        second, f2 = [], None
+        for f, (ds, dz), (si, _, _) in zip(F, dirs, inverses):
+            second.append(_sym(dz @ ds @ si))
+            term = f @ second[-1].ravel()
+            f2 = term if f2 is None else f2 + term
+        dy, _ = dpotrs(cho, target + sigma_mu * h_sinv - f2, lower=1)
+        dirs, max_s, max_z = direction(dy, sigma_mu, second, True)
         if max_s == np.inf and dy[-1] > 0:
             # S + a dS >= 0 for every a >= 0 while t grows: a ray along which
             # the margin is unbounded, so no dual point exists.
             stop, gap = "unbounded", np.inf
             break
-        max_z = _max_step(z_inv_L, dZ)
         y = y + min(1.0, STEP_FRACTION * max_s) * dy
-        Z = [z + min(1.0, STEP_FRACTION * max_z) * dz for z, dz in zip(Z, dZ)]
+        a_z = min(1.0, STEP_FRACTION * max_z)
+        for z, (_, dz) in zip(Z, dirs):
+            z += a_z * dz
         steps += 1
 
-    # The returned margin is evaluated once, at the returned v.
+    # The returned margin is evaluated once, at the returned v; a verdict
+    # judged at a centred iterate has just evaluated it there.
     v[free] = accepted[:-1] * col_scale[free]
-    margin = margin_at(v)
+    margin = margin_at(v) if judged is None else judged
     if stop != "unbounded":
         gap = bound - margin
     return MarginResult(v, margin, steps, gap, stop)

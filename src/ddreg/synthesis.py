@@ -39,6 +39,7 @@ gain file (``cli.verify_gain``); nothing here re-checks the data stacks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -199,10 +200,12 @@ def _elimination(prob: SdpProblem) -> Quotient:
     return Quotient(null_m, s, pinv, kernel, H1 @ pinv, H1 @ kernel)
 
 
+@lru_cache(maxsize=8)
 def _sym_basis(nu: int) -> np.ndarray:
     """The identity, then a basis of the trace-zero symmetric nu x nu
     matrices: ``E_ii - E_ll`` for every i but the last index l, then
-    ``E_ij + E_ji`` for i < j in row-major order."""
+    ``E_ij + E_ji`` for i < j in row-major order.  Built once per nu and
+    shared read-only."""
     B = np.zeros((nu * (nu + 1) // 2, nu, nu))
     B[0] = np.eye(nu)
     d = np.arange(nu - 1)
@@ -211,6 +214,7 @@ def _sym_basis(nu: int) -> np.ndarray:
     i, j = np.triu_indices(nu, k=1)
     off = np.arange(nu, B.shape[0])
     B[off, i, j] = B[off, j, i] = 1.0
+    B.flags.writeable = False
     return B
 
 

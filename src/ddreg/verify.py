@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -290,10 +291,19 @@ class ClosedLoopRun:
     chi: np.ndarray
     eta: np.ndarray
     y: np.ndarray
-    u: np.ndarray
     tail_max_y: float
     settle_step: int | None
     zero_exo_decay: float
+    controller: np.ndarray = field(repr=False)  # the (chi, eta) columns of the states
+    gain: np.ndarray = field(repr=False)
+
+    @cached_property
+    def u(self) -> np.ndarray:
+        """The inputs ``K (chi, eta)`` of steps 0 .. steps - 1, read off the
+        states on first use: only the trajectory CSV needs them.  What
+        overflows is NaN or inf in its rows, as in the states."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.controller[: self.steps] @ self.gain.T
 
 
 def simulate_closed_loop(
@@ -313,8 +323,8 @@ def simulate_closed_loop(
     state is zero (a zero state would stay zero under any gain).  While w
     is zero the probe's states are those of ``cl.core_map``.  The loop is
     autonomous, so both advance in blocks of states, each one product of the
-    stacked powers of the map with the block's first states; outputs and
-    inputs are read off the stored states afterwards.
+    stacked powers of the map with the block's first states; the outputs
+    are read off the stored states afterwards, the inputs when first read.
 
     ``tail_max_y`` is the largest output norm over the final ``TAIL_FRAC``
     of the horizon; ``settle_step`` is the first step from which the output
@@ -346,10 +356,11 @@ def simulate_closed_loop(
         chi=z[:, c : c + wd],
         eta=z[:, c + wd :],
         y=y,
-        u=z[:steps, c:] @ cl.gain.T,
         tail_max_y=float(y_norms[tail_start:].max()),
         settle_step=settle if settle <= steps else None,
         zero_exo_decay=norm(probe[-1]) / max(norm(probe[0]), 1e-300),
+        controller=z[:, c:],
+        gain=cl.gain,
     )
 
 

@@ -332,14 +332,15 @@ def _fold(*blocks):
 
 
 @settings(max_examples=30, derandomize=True, deadline=None)
-@given(nb1=st.integers(1, 4), **_BLOCK_DRAW)
-def test_blocks_solve_as_their_fold(seed, nb0, nb1, nvar, shift):
+@given(more=st.lists(st.integers(1, 4), min_size=1, max_size=2), **_BLOCK_DRAW)
+def test_blocks_solve_as_their_fold(seed, nb0, more, nvar, shift):
     # Every sum over the fold's entries is taken per block, then over the
-    # blocks, so the two solves differ by round-off only.  Where both reach
-    # a verdict it is the same, with the same margin; at a feasible one,
-    # whose point is centred, with the same v.  A stall ends wherever the
-    # round-off of the path leaves it.
-    blocks = _bracket_blocks(seed, nb0, [nb1], nvar, shift)
+    # blocks, so the two solves differ by round-off only.  Two or three
+    # blocks: every sum and running minimum must take each of them.  Where
+    # both reach a verdict it is the same, with the same margin; at a
+    # feasible one, whose point is centred, with the same v.  A stall ends
+    # wherever the round-off of the path leaves it.
+    blocks = _bracket_blocks(seed, nb0, more, nvar, shift)
     feas_tol = 1e-6
     res = maximize_margin(blocks, feas_tol=feas_tol)
     folded = maximize_margin([_fold(*blocks)], feas_tol=feas_tol)
@@ -348,6 +349,20 @@ def test_blocks_solve_as_their_fold(seed, nb0, nb1, nvar, shift):
         assert (res.margin > feas_tol) == (folded.margin > feas_tol)
         if res.margin > feas_tol:
             assert np.linalg.norm(res.v - folded.v) <= 1e-8 * np.linalg.norm(folded.v)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(nb1=st.integers(1, 4), **_BLOCK_DRAW)
+def test_block_order_moves_round_off_only(seed, nb0, nb1, nvar, shift):
+    # The passes visit the blocks in list order; [b1, b2] and [b2, b1] pose
+    # one problem and reach the same verdict, stop and iteration count.
+    blocks = _bracket_blocks(seed, nb0, [nb1], nvar, shift)
+    feas_tol = 1e-6
+    res = maximize_margin(blocks, feas_tol=feas_tol)
+    swapped = maximize_margin(blocks[::-1], feas_tol=feas_tol)
+    assert (swapped.stop, swapped.newton_steps) == (res.stop, res.newton_steps)
+    assert (swapped.margin > feas_tol) == (res.margin > feas_tol)
+    assert swapped.margin == pytest.approx(res.margin, rel=1e-9)
 
 
 @pytest.mark.parametrize("presentation", ["jordan", "krylov"])

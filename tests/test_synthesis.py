@@ -342,6 +342,25 @@ def test_batched_assembly_matches_loop_reference():
         assert np.abs(b.value(v)[:nu, nu:] - W).max() <= 1e-12 * np.abs(W).max()
 
 
+def test_sym_basis_is_built_once_and_read_only():
+    # One shared read-only array per nu; the design block and the design map
+    # read it exactly as they read a freshly built one.
+    prob = vtol_problem()
+    elim = _elimination(prob)
+    basis = _sym_basis(prob.nu)
+    assert _sym_basis(prob.nu) is basis and not basis.flags.writeable
+    with pytest.raises(ValueError):
+        basis[0, 0, 0] = 2.0
+    fresh = _sym_basis.__wrapped__(prob.nu)
+    assert fresh is not basis and np.array_equal(fresh, basis)
+    cached, built = _sdp_block(elim, basis), _sdp_block(elim, fresh)
+    assert cached.const.tobytes() == built.const.tobytes()
+    assert cached.coeff.tobytes() == built.coeff.tobytes()
+    v = np.random.default_rng(7).standard_normal(cached.nvar)
+    for a, b in zip(_design_z(v, elim, basis), _design_z(v, elim, fresh)):
+        assert a.tobytes() == b.tobytes()
+
+
 @pytest.mark.parametrize("presentation", ["jordan", "krylov"])
 def test_gain_invariant_under_column_scaling(presentation):
     # Scaling the data columns, Y -> D^{-1} Y, is an exact change of

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ddreg.benchmarks import VTOL_ETA0, VTOL_W0, VTOL_X0, vtol
-from ddreg import experiment
+from ddreg import experiment, verify
 from ddreg.exosystem import ExoMatrix, build_internal_model, companion_regressor
 from ddreg.experiment import assemble_data_matrices, collect_experiment
 from ddreg.numerics import real_schur, simulate_linear
@@ -282,6 +282,27 @@ def test_correspondence_with_closed_loop_input():
     run = simulate_closed_loop(cl, VTOL_W0, VTOL_X0, np.zeros(8), VTOL_ETA0, 40)
     r_state, r_out = check_solution_correspondence(aux, run.w, run.x[0], run.y, run.u)
     assert r_state < 1e-8 and r_out < 1e-8
+
+
+def test_closed_loop_inputs_read_off_the_states(monkeypatch):
+    # run.u is formed on first read from the same strided view of the
+    # stored states as the product z[:steps, c:] K^T, so it is that product
+    # bit for bit, and every read returns the one array.
+    plant, exo, im, aux, data, res, psi1_g = vtol_design(seed=0)
+    cl = assemble_closed_loop(aux, res.K)
+    stored = []
+
+    def keep(*args):
+        stored.append(simulate_linear(*args))
+        return stored[-1]
+
+    monkeypatch.setattr(verify, "simulate_linear", keep)
+    run = simulate_closed_loop(cl, VTOL_W0, VTOL_X0, np.zeros(8), VTOL_ETA0, 40)
+    (both,) = stored
+    z, c = both[:, :, 0], cl.dims[0] + cl.dims[1]
+    expected = z[:40, c:] @ cl.gain.T
+    assert run.u is run.u
+    assert run.u.shape == expected.shape and run.u.tobytes() == expected.tobytes()
 
 
 def test_correspondence_flags_perturbed_output():
